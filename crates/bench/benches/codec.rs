@@ -1,29 +1,35 @@
-//! Criterion benches: codec encode/decode throughput and the entropy
-//! coders' raw symbol rates (the §7.5 decoding-overhead microbenchmarks).
+//! Criterion benches: whole-context KV encode/decode cost and, for
+//! information, the entropy coders' raw single-table symbol rates.
+//!
+//! The gated rows are the `kv_context` group: one 480-token context of
+//! the 7B-shaped sim model, split into the engine's 30-token stream
+//! chunks, encoded (and decoded) **chunk-outer / level-inner at all five
+//! encoding levels** — the order `store_kv` runs in. That keeps every
+//! level's per-(layer, channel) model set live at once, which is the
+//! traffic the entropy stage actually sees: 7,680 tables walked
+//! round-robin, ~10 symbols per table per chunk. The rows are reported
+//! per KV element (ns/element and Melem/s) and ratcheted against
+//! absolute floors by the `ratchet` bin.
 //!
 //! The `entropy_coding` group pits the 4-lane interleaved rANS coder
-//! (`cachegen_codec::rans`, the wire-v3 hot path) against the serial
-//! byte-renormalizing range coder (`cachegen_codec::rc`, wire v2) and the
-//! legacy bit-at-a-time WNC coder (`cachegen_codec::ac`, compatibility
-//! shim) on identical symbol streams — the `wnc_*` rows are the
-//! pre-chunking baseline, the `range_*` rows the v2 baseline the rANS
-//! ≥2× decode win is measured against. The
-//! `kv_codec` group exercises the end-to-end path, where `decode_parallel`
-//! fans out per (layer, token-group) chunk: with 200 tokens at group size
-//! 10 there are 20 groups per layer, so the work-item count (2 × layers ×
-//! groups) far exceeds the old thread-per-layer fan-out.
+//! (`cachegen_codec::rans`, wire v4) against the serial range coder
+//! (`cachegen_codec::rc`, wire v2) and the legacy bit-at-a-time WNC coder
+//! (`cachegen_codec::ac`) on one 100k-symbol stream under **one hot
+//! table**. No production path looks like that — a single-table loop
+//! never leaves L1 — so these rows are information only: they show the
+//! coders' arithmetic cost, and the last PR that tuned against them made
+//! the real traffic slower.
+//!
+//! Beyond printing, the harness writes the numbers to `BENCH_codec.json`
+//! at the workspace root, with the parallel decoder's pool shape from
+//! one traced run, so CI can archive the perf trajectory.
 
-//! Beyond printing, the harness writes the headline numbers to
-//! `BENCH_codec.json` at the workspace root (decode rates in Melem/s,
-//! end-to-end codec times in ms, and the parallel decoder's pool shape
-//! from one traced run) so CI can archive the perf trajectory.
-
-use cachegen_codec::rans::{self, AliasTable};
+use cachegen::{CacheGenEngine, EngineConfig};
 use cachegen_codec::symbol_model::FreqTable;
-use cachegen_codec::{ac, rc};
-use cachegen_codec::{CodecConfig, CodecProfile, KvCodec};
-use cachegen_llm::{SimModelConfig, SimTransformer};
+use cachegen_codec::{ac, rans, rc, EncodedKv};
+use cachegen_llm::{KvCache, SimModelConfig, SimTransformer};
 use cachegen_telemetry::{workspace_root, JsonValue, Recorder};
+use cachegen_workloads::{workload_rng, Dataset};
 use criterion::{BenchmarkId, Criterion, Throughput};
 
 fn bench_entropy_coders(c: &mut Criterion) {
@@ -59,20 +65,19 @@ fn bench_entropy_coders(c: &mut Criterion) {
             acc
         })
     });
-    // Interleaved-rANS rows: the wire-v3 coder, measured on the same
+    // Interleaved-rANS rows: the wire-v4 coder, measured on the same
     // stream with the round-robin lane schedule the codec uses
     // (lane = position % LANES).
-    let alias = AliasTable::from_freq(&table);
     let mut rans_enc = rans::Encoder::new();
     for (i, &s) in symbols.iter().enumerate() {
-        rans_enc.encode(i % rans::LANES, &alias, s);
+        rans_enc.encode(i % rans::LANES, &table, s);
     }
     let rans_bytes = rans_enc.finish();
     g.bench_function("rans_encode_100k_symbols", |b| {
         b.iter(|| {
             let mut enc = rans::Encoder::new();
             for (i, &s) in symbols.iter().enumerate() {
-                enc.encode(i % rans::LANES, &alias, s);
+                enc.encode(i % rans::LANES, &table, s);
             }
             enc.finish()
         })
@@ -82,7 +87,7 @@ fn bench_entropy_coders(c: &mut Criterion) {
             let mut dec = rans::Decoder::new(&rans_bytes);
             let mut acc = 0usize;
             for i in 0..symbols.len() {
-                acc ^= dec.decode(i % rans::LANES, &alias);
+                acc ^= dec.decode(i % rans::LANES, &table);
             }
             acc
         })
@@ -111,26 +116,70 @@ fn bench_entropy_coders(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_kv_codec(c: &mut Criterion) {
-    let model = SimTransformer::new(SimModelConfig::llama7b_sim(42));
-    let ctx: Vec<usize> = (0..200).map(|i| (i * 7) % 512).collect();
-    let cache = model.prefill(&ctx);
-    let cfg = CodecConfig::default();
-    let profile = CodecProfile::build(&cfg, &[&cache]);
-    let codec = KvCodec::new(cfg, profile);
-    let enc = codec.encode(&cache);
-    let enc_v2 = codec.encode_v2(&cache);
+/// Tokens of the measured context (16 stream chunks of 30).
+const CONTEXT_TOKENS: usize = 480;
 
-    let mut g = c.benchmark_group("kv_codec");
-    g.throughput(Throughput::Elements(cache.num_elements() as u64));
-    g.bench_function("encode", |b| b.iter(|| codec.encode(&cache)));
-    g.bench_function("decode_serial", |b| b.iter(|| codec.decode(&enc)));
-    // Wire-v2 (serial range coder) baseline: the same cache through the
-    // compatibility encoder, so the v3 speedup is readable from one run.
-    g.bench_function("decode_serial_v2", |b| b.iter(|| codec.decode(&enc_v2)));
-    g.bench_function("decode_parallel", |b| {
-        b.iter(|| codec.decode_parallel(&enc))
+/// The engine every `kv_context` row runs on — the layered benchmark's
+/// fixture: default five-level ladder, profile from two 200-token
+/// LongChat contexts — plus one context's KV cache split into stream
+/// chunks.
+fn context_fixture() -> (CacheGenEngine, Vec<KvCache>) {
+    let model = SimModelConfig::llama7b_sim(42);
+    let vocab = model.vocab;
+    let mut rng = workload_rng(1);
+    let profile: Vec<Vec<usize>> = (0..2)
+        .map(|_| Dataset::LongChat.generate(&mut rng, vocab, 200).tokens)
+        .collect();
+    let engine = CacheGenEngine::build(model, EngineConfig::default(), &profile);
+    let context = Dataset::LongChat.generate(&mut rng, vocab, CONTEXT_TOKENS);
+    let chunks = engine.chunk_caches(&engine.calculate_kv(&context.tokens));
+    (engine, chunks)
+}
+
+/// Every chunk at every level, chunk-outer / level-inner.
+fn encode_context(
+    engine: &CacheGenEngine,
+    chunks: &[KvCache],
+    encode: impl Fn(&KvCache, usize) -> EncodedKv,
+) -> Vec<Vec<EncodedKv>> {
+    chunks
+        .iter()
+        .map(|chunk| (0..engine.num_levels()).map(|l| encode(chunk, l)).collect())
+        .collect()
+}
+
+fn bench_kv_context(c: &mut Criterion, engine: &CacheGenEngine, chunks: &[KvCache]) {
+    let v4 = |chunk: &KvCache, l: usize| engine.encode_at_level(chunk, l);
+    let v2 = |chunk: &KvCache, l: usize| engine.codec(l).encode_v2(chunk);
+    let encoded = encode_context(engine, chunks, v4);
+    let encoded_v2 = encode_context(engine, chunks, v2);
+    let decode_all = |encoded: &[Vec<EncodedKv>], parallel: bool| {
+        for versions in encoded {
+            for (l, enc) in versions.iter().enumerate() {
+                let codec = engine.codec(l);
+                let out = if parallel {
+                    codec.try_decode_parallel(enc)
+                } else {
+                    codec.try_decode(enc)
+                };
+                criterion::black_box(out.expect("self-encoded stream decodes"));
+            }
+        }
+    };
+    let elements: usize = chunks.iter().map(KvCache::num_elements).sum();
+
+    let mut g = c.benchmark_group("kv_context");
+    g.throughput(Throughput::Elements(
+        (elements * engine.num_levels()) as u64,
+    ));
+    g.bench_function("encode", |b| b.iter(|| encode_context(engine, chunks, v4)));
+    g.bench_function("decode_serial", |b| b.iter(|| decode_all(&encoded, false)));
+    // Wire-v2 (serial range coder) arm over the same tables, so what
+    // the rANS stage buys on real traffic is readable from one run.
+    g.bench_function("decode_serial_v2", |b| {
+        b.iter(|| decode_all(&encoded_v2, false))
     });
+    g.bench_function("decode_parallel", |b| b.iter(|| decode_all(&encoded, true)));
     g.finish();
 }
 
@@ -150,16 +199,12 @@ fn bench_prefill(c: &mut Criterion) {
 
 /// One traced parallel decode, for the pool-shape metrics the timing
 /// rows can't show (worker count, jobs per worker).
-fn pool_shape() -> (f64, f64) {
-    let model = SimTransformer::new(SimModelConfig::llama7b_sim(42));
-    let ctx: Vec<usize> = (0..200).map(|i| (i * 7) % 512).collect();
-    let cache = model.prefill(&ctx);
-    let cfg = CodecConfig::default();
-    let profile = CodecProfile::build(&cfg, &[&cache]);
-    let codec = KvCodec::new(cfg, profile);
-    let enc = codec.encode(&cache);
+fn pool_shape(engine: &CacheGenEngine, chunk: &KvCache) -> (f64, f64) {
+    let level = engine.default_level();
+    let enc = engine.encode_at_level(chunk, level);
     let recorder = Recorder::new();
-    codec
+    engine
+        .codec(level)
         .try_decode_parallel_traced(&enc, &recorder)
         .expect("self-encoded stream decodes");
     let snap = recorder.registry_snapshot();
@@ -172,66 +217,68 @@ fn pool_shape() -> (f64, f64) {
 
 fn main() {
     let mut criterion = Criterion::default().configure_from_args();
+    let (engine, chunks) = context_fixture();
+    bench_kv_context(&mut criterion, &engine, &chunks);
     bench_entropy_coders(&mut criterion);
-    bench_kv_codec(&mut criterion);
     bench_prefill(&mut criterion);
 
-    let melem = |label: &str| {
+    let rate = |label: &str| {
         criterion
             .measurement(label)
             .and_then(criterion::Measurement::elements_per_sec)
-            .map_or(JsonValue::Null, |r| JsonValue::Number(r / 1e6))
     };
-    let ms = |label: &str| {
-        criterion
-            .measurement(label)
-            .map_or(JsonValue::Null, |m| JsonValue::Number(m.ms_per_iter()))
-    };
-    let (pool_workers, decode_chunks) = pool_shape();
+    let melem = |label: &str| rate(label).map_or(JsonValue::Null, |r| JsonValue::Number(r / 1e6));
+    let ns_per_elem =
+        |label: &str| rate(label).map_or(JsonValue::Null, |r| JsonValue::Number(1e9 / r));
+    let (pool_workers, decode_chunks) = pool_shape(&engine, &chunks[0]);
+    let row = |key: &str, value: JsonValue| (key.to_string(), value);
     let doc = JsonValue::Object(vec![
-        ("bench".to_string(), JsonValue::String("codec".to_string())),
-        (
-            "range_decode_melem_per_s".to_string(),
+        row("bench", JsonValue::String("codec".to_string())),
+        // Gated: whole-context KV cost, all five levels' tables live.
+        row("kv_encode_ns_per_elem", ns_per_elem("kv_context/encode")),
+        row(
+            "kv_decode_ns_per_elem",
+            ns_per_elem("kv_context/decode_serial"),
+        ),
+        row("kv_encode_melem_per_s", melem("kv_context/encode")),
+        row("kv_decode_melem_per_s", melem("kv_context/decode_serial")),
+        row(
+            "kv_decode_v2_melem_per_s",
+            melem("kv_context/decode_serial_v2"),
+        ),
+        row(
+            "kv_decode_parallel_melem_per_s",
+            melem("kv_context/decode_parallel"),
+        ),
+        row(
+            "kv_context_tokens",
+            JsonValue::Number(CONTEXT_TOKENS as f64),
+        ),
+        row("kv_levels", JsonValue::Number(engine.num_levels() as f64)),
+        row("pool_workers", JsonValue::Number(pool_workers)),
+        row("decode_chunks", JsonValue::Number(decode_chunks)),
+        // Information only: one hot table, 100k symbols.
+        row(
+            "micro_range_decode_melem_per_s",
             melem("entropy_coding/range_decode_100k_symbols"),
         ),
-        (
-            "range_encode_melem_per_s".to_string(),
+        row(
+            "micro_range_encode_melem_per_s",
             melem("entropy_coding/range_encode_100k_symbols"),
         ),
-        (
-            "rans_decode_melem_per_s".to_string(),
+        row(
+            "micro_rans_decode_melem_per_s",
             melem("entropy_coding/rans_decode_100k_symbols"),
         ),
-        (
-            "rans_encode_melem_per_s".to_string(),
+        row(
+            "micro_rans_encode_melem_per_s",
             melem("entropy_coding/rans_encode_100k_symbols"),
         ),
-        (
-            "rans_lanes".to_string(),
-            JsonValue::Number(rans::LANES as f64),
-        ),
-        (
-            "wnc_decode_melem_per_s".to_string(),
+        row(
+            "micro_wnc_decode_melem_per_s",
             melem("entropy_coding/wnc_decode_100k_symbols"),
         ),
-        ("kv_encode_ms".to_string(), ms("kv_codec/encode")),
-        (
-            "kv_decode_serial_ms".to_string(),
-            ms("kv_codec/decode_serial"),
-        ),
-        (
-            "kv_decode_serial_v2_ms".to_string(),
-            ms("kv_codec/decode_serial_v2"),
-        ),
-        (
-            "kv_decode_parallel_ms".to_string(),
-            ms("kv_codec/decode_parallel"),
-        ),
-        ("pool_workers".to_string(), JsonValue::Number(pool_workers)),
-        (
-            "decode_chunks".to_string(),
-            JsonValue::Number(decode_chunks),
-        ),
+        row("rans_lanes", JsonValue::Number(rans::LANES as f64)),
     ]);
     let path = workspace_root().join("BENCH_codec.json");
     let mut text = doc.to_compact();

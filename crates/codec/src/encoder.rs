@@ -4,9 +4,10 @@
 //! 1. split each layer's token axis into anchor groups ([`crate::delta`]);
 //! 2. quantize anchor rows at high precision (8-bit-equivalent bin) and
 //!    delta rows with the layer group's bin ([`cachegen_quant`]);
-//! 3. range-code the symbols with per-(layer, channel) distributions from
-//!    an offline [`CodecProfile`] ([`crate::rc`]) — one **independently
-//!    decodable stream per (layer, token-group)** of K and of V.
+//! 3. entropy-code the symbols with per-(layer, channel) distributions
+//!    from an offline [`CodecProfile`] ([`crate::rans`]) — one
+//!    **independently decodable stream per (layer, token-group)** of K
+//!    and of V.
 //!
 //! Per-(layer, group) streams are the CPU stand-in for the paper's
 //! per-token CUDA threads (§5.2, §7): [`KvCodec::decode_parallel`]
@@ -21,15 +22,24 @@
 
 use crate::delta::GroupLayout;
 use crate::profile::CodecProfile;
-use crate::rans::{self, AliasTable};
+use crate::rans;
 use crate::rc;
 use crate::symbol_model::{FreqTable, ModelGranularity};
 use crate::{index_to_symbol, symbol_to_index};
 use cachegen_llm::KvCache;
-use cachegen_quant::{BinQuantizer, LayerGroupBins};
+use cachegen_quant::{round_half_away, BinQuantizer, LayerGroupBins};
 use cachegen_telemetry::{Recorder, NOOP};
 use cachegen_tensor::Tensor;
 use std::fmt;
+
+/// Container version byte of four-lane rANS chunk payloads over the
+/// cumulative symbol layout ([`crate::rans`]) — what [`KvCodec::encode`]
+/// writes.
+pub(crate) const RANS_VERSION: u8 = 4;
+
+/// Container version byte of serial range-coder chunk payloads
+/// ([`crate::rc`]), still decodable.
+pub(crate) const RC_VERSION: u8 = 2;
 
 /// Configuration of the CacheGen codec (one *encoding level* — the streamer
 /// holds several, produced by scaling `bins`).
@@ -116,7 +126,7 @@ pub enum CodecError {
         /// Bytes the chunk frame declared.
         framed: usize,
     },
-    /// A wire-v3 chunk decoded its full symbol count with a matching
+    /// A rANS chunk decoded its full symbol count with a matching
     /// length, but its interleaved coder lanes did not return to the
     /// rANS normalization base — the payload bytes were corrupted in
     /// place rather than truncated.
@@ -129,8 +139,8 @@ pub enum CodecError {
         group: usize,
     },
     /// The container's shape is inconsistent with its declared geometry
-    /// (chunk table vs. layers/tokens/group size, or scale table vs.
-    /// layers/channels).
+    /// (chunk table vs. layers/tokens/group size, scale table vs.
+    /// layers/channels, or a chunk's output slice vs. its token count).
     Geometry(String),
 }
 
@@ -187,9 +197,10 @@ pub struct EncodedKv {
     /// Whether delta encoding was applied.
     pub delta_encoding: bool,
     /// Entropy-coder wire version of the chunk payloads: `2` = serial
-    /// range coder ([`crate::rc`]), `3` = four-lane interleaved rANS
-    /// ([`crate::rans`]). The container accepts both on decode for one
-    /// release; [`KvCodec::encode`] emits only 3.
+    /// range coder ([`crate::rc`]), `4` = four-lane interleaved rANS over
+    /// the cumulative symbol layout ([`crate::rans`]). The container
+    /// accepts both on decode; [`KvCodec::encode`] emits only 4. Version
+    /// 3 (rANS over the alias layout) is retired and rejected.
     pub entropy_version: u8,
     /// Per-(layer, group) K chunks: `k_chunks[layer][group]` is one
     /// independently decodable range-coded stream.
@@ -260,7 +271,7 @@ impl EncodedKv {
         let mut out = Vec::with_capacity(self.total_bytes() as usize);
         out.extend_from_slice(b"CGKV");
         // Version byte doubles as the entropy-coder selector: 2 = serial
-        // range coder, 3 = four-lane interleaved rANS. Both are
+        // range coder, 4 = four-lane interleaved rANS. Both are
         // per-(layer, group) chunked containers with identical framing.
         out.push(self.entropy_version);
         out.push(self.delta_encoding as u8);
@@ -301,9 +312,11 @@ impl EncodedKv {
             return Err("bad magic".into());
         }
         let version = take(&mut pos, 1)?[0];
-        // v2 (range coder) stays decodable for one release alongside v3
-        // (rANS); v1's monolithic streams are long gone.
-        if version != 2 && version != 3 {
+        // v2 (range coder) stays decodable alongside v4 (rANS). v3's
+        // alias layout maps scaled values to other symbols, so its
+        // streams must never reach a v4 decoder; v1's monolithic streams
+        // are long gone.
+        if version != RC_VERSION && version != RANS_VERSION {
             return Err(format!("unsupported version {version}"));
         }
         // Fixed-width header fields, parsed without unwraps: `take_n`
@@ -454,7 +467,7 @@ pub(crate) fn walk_group_symbols<F>(
         let arow = &slab[start * channels..(start + 1) * channels];
         let mut recon_anchor = vec![0.0f32; channels];
         for c in 0..channels {
-            let sym = clamp_symbol((arow[c] / anchor_steps[c]).round() as i64);
+            let sym = clamp_symbol(round_half_away(arow[c] / anchor_steps[c]));
             emit(SymKind::Anchor, c, sym);
             recon_anchor[c] = sym as f32 * anchor_steps[c];
         }
@@ -486,10 +499,10 @@ where
     let blocks = channels & !(rans::LANES - 1);
     let mut c = 0;
     while c < blocks {
-        let s0 = clamp_symbol(((row[c] - base[c]) / steps[c]).round() as i64);
-        let s1 = clamp_symbol(((row[c + 1] - base[c + 1]) / steps[c + 1]).round() as i64);
-        let s2 = clamp_symbol(((row[c + 2] - base[c + 2]) / steps[c + 2]).round() as i64);
-        let s3 = clamp_symbol(((row[c + 3] - base[c + 3]) / steps[c + 3]).round() as i64);
+        let s0 = clamp_symbol(round_half_away((row[c] - base[c]) / steps[c]));
+        let s1 = clamp_symbol(round_half_away((row[c + 1] - base[c + 1]) / steps[c + 1]));
+        let s2 = clamp_symbol(round_half_away((row[c + 2] - base[c + 2]) / steps[c + 2]));
+        let s3 = clamp_symbol(round_half_away((row[c + 3] - base[c + 3]) / steps[c + 3]));
         emit(SymKind::Delta, c, s0);
         emit(SymKind::Delta, c + 1, s1);
         emit(SymKind::Delta, c + 2, s2);
@@ -501,7 +514,7 @@ where
         emit(
             SymKind::Delta,
             c,
-            clamp_symbol((d / steps[c]).round() as i64),
+            clamp_symbol(round_half_away(d / steps[c])),
         );
         c += 1;
     }
@@ -541,35 +554,123 @@ pub(crate) fn walk_layer_symbols<F>(
     }
 }
 
-/// Decodes one token row from a four-lane rANS stream, writing
-/// `reconstruct(channel, symbol)` per channel. Full channel blocks go
-/// through [`rans::Decoder::decode4`] — four independent state updates the
-/// CPU overlaps — and the tail decodes singly on lane `c % LANES`,
-/// mirroring the encoder's lane assignment exactly.
-#[inline]
-fn decode_row_rans<F>(
-    dec: &mut rans::Decoder<'_>,
-    tables: &[&AliasTable],
-    row: &mut [f32],
-    reconstruct: F,
-) where
-    F: Fn(usize, i32) -> f32,
-{
-    let channels = row.len();
-    let blocks = channels & !(rans::LANES - 1);
-    let mut c = 0;
-    while c < blocks {
-        let syms = dec.decode4([tables[c], tables[c + 1], tables[c + 2], tables[c + 3]]);
-        row[c] = reconstruct(c, index_to_symbol(syms[0]));
-        row[c + 1] = reconstruct(c + 1, index_to_symbol(syms[1]));
-        row[c + 2] = reconstruct(c + 2, index_to_symbol(syms[2]));
-        row[c + 3] = reconstruct(c + 3, index_to_symbol(syms[3]));
-        c += rans::LANES;
+/// What chunk coding needs that is fixed per (side, layer): the
+/// quantization steps and the per-channel tables of both symbol kinds.
+/// Resolved once per layer — a context has hundreds of entropy chunks
+/// per (side, layer).
+pub(crate) struct LayerCoding<'a> {
+    pub(crate) is_k: bool,
+    pub(crate) layer: usize,
+    anchor_steps: Vec<f32>,
+    delta_steps: Vec<f32>,
+    anchor_tables: Vec<&'a FreqTable>,
+    delta_tables: Vec<&'a FreqTable>,
+}
+
+/// The encode face both chunk-payload coders share, so the walk over a
+/// chunk's symbols is written once.
+trait SymbolSink {
+    fn put(&mut self, channel: usize, table: &FreqTable, index: usize);
+}
+
+impl SymbolSink for rc::Encoder {
+    #[inline]
+    fn put(&mut self, _channel: usize, table: &FreqTable, index: usize) {
+        self.encode(table, index);
     }
-    while c < channels {
-        let sym = index_to_symbol(dec.decode(c % rans::LANES, tables[c]));
-        row[c] = reconstruct(c, sym);
-        c += 1;
+}
+
+impl SymbolSink for rans::Encoder {
+    /// Lane = channel mod [`rans::LANES`], so each row's channel blocks
+    /// align with the decoder's batched four-wide loop.
+    #[inline]
+    fn put(&mut self, channel: usize, table: &FreqTable, index: usize) {
+        self.encode(channel % rans::LANES, table, index);
+    }
+}
+
+/// The decode face both chunk-payload coders share: one token row,
+/// written as `reconstruct(channel, symbol)` per channel.
+trait SymbolSource {
+    fn row<F: Fn(usize, i32) -> f32>(
+        &mut self,
+        tables: &[&FreqTable],
+        row: &mut [f32],
+        reconstruct: F,
+    );
+}
+
+impl SymbolSource for rc::Decoder<'_> {
+    #[inline]
+    fn row<F: Fn(usize, i32) -> f32>(
+        &mut self,
+        tables: &[&FreqTable],
+        row: &mut [f32],
+        reconstruct: F,
+    ) {
+        for (c, slot) in row.iter_mut().enumerate() {
+            *slot = reconstruct(c, index_to_symbol(self.decode(tables[c])));
+        }
+    }
+}
+
+impl SymbolSource for rans::Decoder<'_> {
+    /// Full channel blocks go through [`rans::Decoder::decode4`] — four
+    /// independent state updates the CPU overlaps — and the tail decodes
+    /// singly on lane `c % LANES`, mirroring the encoder's lane
+    /// assignment exactly.
+    #[inline]
+    fn row<F: Fn(usize, i32) -> f32>(
+        &mut self,
+        tables: &[&FreqTable],
+        row: &mut [f32],
+        reconstruct: F,
+    ) {
+        let channels = row.len();
+        let blocks = channels & !(rans::LANES - 1);
+        let mut c = 0;
+        while c < blocks {
+            let syms = self.decode4([tables[c], tables[c + 1], tables[c + 2], tables[c + 3]]);
+            row[c] = reconstruct(c, index_to_symbol(syms[0]));
+            row[c + 1] = reconstruct(c + 1, index_to_symbol(syms[1]));
+            row[c + 2] = reconstruct(c + 2, index_to_symbol(syms[2]));
+            row[c + 3] = reconstruct(c + 3, index_to_symbol(syms[3]));
+            c += rans::LANES;
+        }
+        while c < channels {
+            let sym = index_to_symbol(self.decode(c % rans::LANES, tables[c]));
+            row[c] = reconstruct(c, sym);
+            c += 1;
+        }
+    }
+}
+
+/// Decodes every row of one chunk from `dec` into `out`.
+fn decode_rows<D: SymbolSource>(
+    dec: &mut D,
+    coding: &LayerCoding<'_>,
+    delta_encoding: bool,
+    channels: usize,
+    out: &mut [f32],
+) {
+    let delta_steps = &coding.delta_steps;
+    if delta_encoding {
+        let anchor_steps = &coding.anchor_steps;
+        let (anchor_row, rest) = out.split_at_mut(channels);
+        dec.row(&coding.anchor_tables, anchor_row, |c, sym| {
+            sym as f32 * anchor_steps[c]
+        });
+        for row in rest.chunks_mut(channels) {
+            dec.row(&coding.delta_tables, row, |c, sym| {
+                anchor_row[c] + sym as f32 * delta_steps[c]
+            });
+        }
+    } else {
+        for row in out.chunks_mut(channels) {
+            dec.row(&coding.delta_tables, row, |c, sym| {
+                sym as f32 * delta_steps[c]
+            });
+        }
     }
 }
 
@@ -584,8 +685,7 @@ fn clamp_symbol(s: i64) -> i32 {
 /// One parallel-decode work item: an entropy chunk plus its disjoint slice
 /// of the output tensor.
 struct DecodeJob<'a> {
-    is_k: bool,
-    layer: usize,
+    coding: &'a LayerCoding<'a>,
     group: usize,
     group_tokens: usize,
     stream: &'a [u8],
@@ -599,19 +699,17 @@ fn push_decode_jobs<'a>(
     jobs: &mut Vec<DecodeJob<'a>>,
     mut data: &'a mut [f32],
     chunks: &'a [Vec<Vec<u8>>],
-    is_k: bool,
-    layers: usize,
+    codings: &'a [LayerCoding<'a>],
     channels: usize,
     layout: GroupLayout,
 ) {
-    for (layer, layer_chunks) in chunks.iter().enumerate().take(layers) {
+    for (layer_chunks, coding) in chunks.iter().zip(codings) {
         for (group, stream) in layer_chunks.iter().enumerate().take(layout.num_groups()) {
             let (start, end) = layout.group_range(group);
             let (head, tail) = data.split_at_mut((end - start) * channels);
             data = tail;
             jobs.push(DecodeJob {
-                is_k,
-                layer,
+                coding,
                 group,
                 group_tokens: end - start,
                 stream,
@@ -650,260 +748,146 @@ impl KvCodec {
         )
     }
 
+    /// Resolves the steps and tables of one (side, layer) against a
+    /// container's scale sets ([`EncodedKv::scales`] order).
+    fn layer_coding(
+        &self,
+        is_k: bool,
+        layer: usize,
+        n_layers: usize,
+        scales: &[Vec<Vec<f32>>; 4],
+    ) -> LayerCoding<'_> {
+        let (anchor_q, delta_q) = self.quantizers(layer, n_layers);
+        let set = if is_k { 0 } else { 2 };
+        let steps = |q: BinQuantizer, scales: &[f32]| scales.iter().map(|&s| q.step(s)).collect();
+        LayerCoding {
+            is_k,
+            layer,
+            anchor_steps: steps(anchor_q, &scales[set][layer]),
+            delta_steps: steps(delta_q, &scales[set + 1][layer]),
+            anchor_tables: self.profile.layer_tables(SymKind::Anchor, is_k, layer),
+            delta_tables: self.profile.layer_tables(SymKind::Delta, is_k, layer),
+        }
+    }
+
+    /// The [`LayerCoding`]s of a container, `[K, V][layer]`, against the
+    /// scales it shipped. Geometry must have been checked.
+    pub(crate) fn layer_codings(&self, enc: &EncodedKv) -> [Vec<LayerCoding<'_>>; 2] {
+        [true, false].map(|is_k| {
+            (0..enc.layers)
+                .map(|layer| self.layer_coding(is_k, layer, enc.layers, &enc.scales))
+                .collect()
+        })
+    }
+
+    /// Feeds the symbols of one token group to a chunk-payload encoder.
+    fn encode_group<S: SymbolSink>(
+        &self,
+        slab: &[f32],
+        coding: &LayerCoding<'_>,
+        start: usize,
+        end: usize,
+        sink: &mut S,
+    ) {
+        walk_group_symbols(
+            slab,
+            self.profile.channels(),
+            start,
+            end,
+            self.config.delta_encoding,
+            &coding.anchor_steps,
+            &coding.delta_steps,
+            |kind, c, sym| {
+                let table = match kind {
+                    SymKind::Anchor => coding.anchor_tables[c],
+                    SymKind::Delta => coding.delta_tables[c],
+                };
+                sink.put(c, table, symbol_to_index(sym));
+            },
+        );
+    }
+
     /// Encodes one layer into its per-group chunks. Frequency tables and
     /// quantization steps are resolved once per layer, outside the symbol
-    /// loop. `entropy_version` selects the chunk payload coder: 2 = serial
-    /// range coder, 3 = four-lane interleaved rANS (lane = channel mod
-    /// [`rans::LANES`], so each row's channel blocks align with the
-    /// decoder's batched four-wide loop).
-    #[allow(clippy::too_many_arguments)] // encode-side mirror of decode_chunk's stages
+    /// loop. `entropy_version` selects the chunk payload coder.
     fn encode_layer_chunks(
         &self,
         slab: &[f32],
-        layer: usize,
-        n_layers: usize,
-        is_k: bool,
-        anchor_scales: &[f32],
-        delta_scales: &[f32],
+        coding: &LayerCoding<'_>,
         entropy_version: u8,
     ) -> Vec<Vec<u8>> {
         let channels = self.profile.channels();
-        let tokens = slab.len() / channels;
-        let layout = GroupLayout::new(self.config.group_size, tokens);
-        let (anchor_q, delta_q) = self.quantizers(layer, n_layers);
-        let anchor_steps: Vec<f32> = anchor_scales.iter().map(|&s| anchor_q.step(s)).collect();
-        let delta_steps: Vec<f32> = delta_scales.iter().map(|&s| delta_q.step(s)).collect();
-        if entropy_version == 2 {
-            let anchor_tables = self.profile.layer_tables(SymKind::Anchor, is_k, layer);
-            let delta_tables = self.profile.layer_tables(SymKind::Delta, is_k, layer);
-            return (0..layout.num_groups())
-                .map(|g| {
-                    let (start, end) = layout.group_range(g);
-                    let mut enc = rc::Encoder::new();
-                    walk_group_symbols(
-                        slab,
-                        channels,
-                        start,
-                        end,
-                        self.config.delta_encoding,
-                        &anchor_steps,
-                        &delta_steps,
-                        |kind, c, sym| {
-                            let table: &FreqTable = match kind {
-                                SymKind::Anchor => anchor_tables[c],
-                                SymKind::Delta => delta_tables[c],
-                            };
-                            enc.encode(table, symbol_to_index(sym));
-                        },
-                    );
-                    enc.finish()
-                })
-                .collect();
-        }
-        let anchor_tables = self
-            .profile
-            .layer_alias_tables(SymKind::Anchor, is_k, layer);
-        let delta_tables = self.profile.layer_alias_tables(SymKind::Delta, is_k, layer);
+        let layout = GroupLayout::new(self.config.group_size, slab.len() / channels);
         (0..layout.num_groups())
             .map(|g| {
                 let (start, end) = layout.group_range(g);
-                let mut enc = rans::Encoder::new();
-                walk_group_symbols(
-                    slab,
-                    channels,
-                    start,
-                    end,
-                    self.config.delta_encoding,
-                    &anchor_steps,
-                    &delta_steps,
-                    |kind, c, sym| {
-                        let table: &AliasTable = match kind {
-                            SymKind::Anchor => anchor_tables[c],
-                            SymKind::Delta => delta_tables[c],
-                        };
-                        enc.encode(c % rans::LANES, table, symbol_to_index(sym));
-                    },
-                );
-                enc.finish()
+                if entropy_version == RC_VERSION {
+                    let mut enc = rc::Encoder::new();
+                    self.encode_group(slab, coding, start, end, &mut enc);
+                    enc.finish()
+                } else {
+                    let mut enc = rans::Encoder::with_capacity((end - start) * channels);
+                    self.encode_group(slab, coding, start, end, &mut enc);
+                    enc.finish()
+                }
             })
             .collect()
     }
 
     /// Decodes one (layer, group) chunk into its output slice, verifying
     /// exact byte consumption against the chunk frame. Dispatches on the
-    /// container's entropy version: 2 = serial range coder, 3 = four-lane
-    /// interleaved rANS.
+    /// container's entropy version: the serial range coder, or four-lane
+    /// interleaved rANS with the batched four-wide row loop. Truncation
+    /// surfaces as synthetic input, in-place corruption of a rANS chunk
+    /// as lanes that fail to return to the normalization base, trailing
+    /// slack as a length mismatch — a damaged chunk is always reported,
+    /// never decoded as noise.
     #[allow(clippy::too_many_arguments)] // decode-side mirror of the encode stages
     pub(crate) fn decode_chunk(
         &self,
+        coding: &LayerCoding<'_>,
         stream: &[u8],
-        layer: usize,
-        n_layers: usize,
         group: usize,
         group_tokens: usize,
-        is_k: bool,
         delta_encoding: bool,
         entropy_version: u8,
-        anchor_scales: &[f32],
-        delta_scales: &[f32],
-        out: &mut [f32],
-    ) -> Result<(), CodecError> {
-        if entropy_version == 2 {
-            self.decode_chunk_rc(
-                stream,
-                layer,
-                n_layers,
-                group,
-                group_tokens,
-                is_k,
-                delta_encoding,
-                anchor_scales,
-                delta_scales,
-                out,
-            )
-        } else {
-            self.decode_chunk_rans(
-                stream,
-                layer,
-                n_layers,
-                group,
-                group_tokens,
-                is_k,
-                delta_encoding,
-                anchor_scales,
-                delta_scales,
-                out,
-            )
-        }
-    }
-
-    /// Wire-v2 chunk decode: the serial range coder, kept for the one-release
-    /// compatibility window.
-    #[allow(clippy::too_many_arguments)] // decode-side mirror of the encode stages
-    fn decode_chunk_rc(
-        &self,
-        stream: &[u8],
-        layer: usize,
-        n_layers: usize,
-        group: usize,
-        group_tokens: usize,
-        is_k: bool,
-        delta_encoding: bool,
-        anchor_scales: &[f32],
-        delta_scales: &[f32],
         out: &mut [f32],
     ) -> Result<(), CodecError> {
         let channels = self.profile.channels();
-        debug_assert_eq!(out.len(), group_tokens * channels);
-        let (anchor_q, delta_q) = self.quantizers(layer, n_layers);
-        let delta_steps: Vec<f32> = delta_scales.iter().map(|&s| delta_q.step(s)).collect();
-        let delta_tables = self.profile.layer_tables(SymKind::Delta, is_k, layer);
-        let mut dec = rc::Decoder::new(stream);
-        if delta_encoding {
-            let anchor_steps: Vec<f32> = anchor_scales.iter().map(|&s| anchor_q.step(s)).collect();
-            let anchor_tables = self.profile.layer_tables(SymKind::Anchor, is_k, layer);
-            let (anchor_row, rest) = out.split_at_mut(channels);
-            for (c, slot) in anchor_row.iter_mut().enumerate() {
-                let sym = index_to_symbol(dec.decode(anchor_tables[c]));
-                *slot = sym as f32 * anchor_steps[c];
-            }
-            for row in rest.chunks_mut(channels) {
-                for (c, slot) in row.iter_mut().enumerate() {
-                    let sym = index_to_symbol(dec.decode(delta_tables[c]));
-                    *slot = anchor_row[c] + sym as f32 * delta_steps[c];
-                }
-            }
-        } else {
-            for row in out.chunks_mut(channels) {
-                for (c, slot) in row.iter_mut().enumerate() {
-                    let sym = index_to_symbol(dec.decode(delta_tables[c]));
-                    *slot = sym as f32 * delta_steps[c];
-                }
-            }
+        let (is_k, layer) = (coding.is_k, coding.layer);
+        if out.len() != group_tokens * channels {
+            return Err(CodecError::Geometry(format!(
+                "chunk (layer {layer}, group {group}) of {group_tokens} tokens × {channels} \
+                 channels was handed {} output elements",
+                out.len()
+            )));
         }
-        if dec.overrun_bytes() > 0 {
+        let (missing_bytes, consumed, lanes_clean) = if entropy_version == RC_VERSION {
+            let mut dec = rc::Decoder::new(stream);
+            decode_rows(&mut dec, coding, delta_encoding, channels, out);
+            (dec.overrun_bytes(), dec.bytes_consumed(), true)
+        } else {
+            let mut dec = rans::Decoder::new(stream);
+            decode_rows(&mut dec, coding, delta_encoding, channels, out);
+            (dec.overrun_bytes(), dec.bytes_consumed(), dec.finished())
+        };
+        if missing_bytes > 0 {
             return Err(CodecError::TruncatedChunk {
                 is_k,
                 layer,
                 group,
-                missing_bytes: dec.overrun_bytes(),
+                missing_bytes,
             });
         }
-        if dec.bytes_consumed() != stream.len() {
-            return Err(CodecError::ChunkLengthMismatch {
-                is_k,
-                layer,
-                group,
-                consumed: dec.bytes_consumed(),
-                framed: stream.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Wire-v3 chunk decode: four-lane interleaved rANS with the batched
-    /// four-wide row loop ([`decode_row_rans`]). Truncation surfaces as
-    /// synthetic input, in-place corruption as lanes that fail to return
-    /// to the normalization base, trailing slack as a length mismatch —
-    /// a damaged chunk is always reported, never decoded as noise.
-    #[allow(clippy::too_many_arguments)] // decode-side mirror of the encode stages
-    fn decode_chunk_rans(
-        &self,
-        stream: &[u8],
-        layer: usize,
-        n_layers: usize,
-        group: usize,
-        group_tokens: usize,
-        is_k: bool,
-        delta_encoding: bool,
-        anchor_scales: &[f32],
-        delta_scales: &[f32],
-        out: &mut [f32],
-    ) -> Result<(), CodecError> {
-        let channels = self.profile.channels();
-        debug_assert_eq!(out.len(), group_tokens * channels);
-        let (anchor_q, delta_q) = self.quantizers(layer, n_layers);
-        let delta_steps: Vec<f32> = delta_scales.iter().map(|&s| delta_q.step(s)).collect();
-        let delta_tables = self.profile.layer_alias_tables(SymKind::Delta, is_k, layer);
-        let mut dec = rans::Decoder::new(stream);
-        if delta_encoding {
-            let anchor_steps: Vec<f32> = anchor_scales.iter().map(|&s| anchor_q.step(s)).collect();
-            let anchor_tables = self
-                .profile
-                .layer_alias_tables(SymKind::Anchor, is_k, layer);
-            let (anchor_row, rest) = out.split_at_mut(channels);
-            decode_row_rans(&mut dec, &anchor_tables, anchor_row, |c, sym| {
-                sym as f32 * anchor_steps[c]
-            });
-            for row in rest.chunks_mut(channels) {
-                decode_row_rans(&mut dec, &delta_tables, row, |c, sym| {
-                    anchor_row[c] + sym as f32 * delta_steps[c]
-                });
-            }
-        } else {
-            for row in out.chunks_mut(channels) {
-                decode_row_rans(&mut dec, &delta_tables, row, |c, sym| {
-                    sym as f32 * delta_steps[c]
-                });
-            }
-        }
-        if dec.overrun_bytes() > 0 {
-            return Err(CodecError::TruncatedChunk {
-                is_k,
-                layer,
-                group,
-                missing_bytes: dec.overrun_bytes(),
-            });
-        }
-        if !dec.finished() {
+        if !lanes_clean {
             return Err(CodecError::CorruptChunk { is_k, layer, group });
         }
-        if dec.bytes_consumed() != stream.len() {
+        if consumed != stream.len() {
             return Err(CodecError::ChunkLengthMismatch {
                 is_k,
                 layer,
                 group,
-                consumed: dec.bytes_consumed(),
+                consumed,
                 framed: stream.len(),
             });
         }
@@ -917,16 +901,15 @@ impl KvCodec {
     /// the stream header; only the symbol distributions come from the
     /// offline profile.
     pub fn encode(&self, cache: &KvCache) -> EncodedKv {
-        self.encode_with_version(cache, 3)
+        self.encode_with_version(cache, RANS_VERSION)
     }
 
     /// Encodes with wire-v2 (serial range coder) chunk payloads. Kept for
-    /// the one-release compatibility window — peers that cannot decode v3
-    /// yet — and as the reference arm for v3 bit-exactness tests: both
-    /// versions quantize identically, so their decodes must agree
-    /// bit-for-bit.
+    /// peers that cannot decode rANS payloads and as the reference arm of
+    /// the bit-exactness tests: both versions quantize identically, so
+    /// their decodes must agree bit-for-bit.
     pub fn encode_v2(&self, cache: &KvCache) -> EncodedKv {
-        self.encode_with_version(cache, 2)
+        self.encode_with_version(cache, RC_VERSION)
     }
 
     fn encode_with_version(&self, cache: &KvCache, entropy_version: u8) -> EncodedKv {
@@ -955,32 +938,16 @@ impl KvCodec {
             wire_round(va),
             wire_round(vd),
         ];
-        let k_chunks = (0..n_layers)
-            .map(|l| {
-                self.encode_layer_chunks(
-                    cache.k().slab(l),
-                    l,
-                    n_layers,
-                    true,
-                    &scales[0][l],
-                    &scales[1][l],
-                    entropy_version,
-                )
-            })
-            .collect();
-        let v_chunks = (0..n_layers)
-            .map(|l| {
-                self.encode_layer_chunks(
-                    cache.v().slab(l),
-                    l,
-                    n_layers,
-                    false,
-                    &scales[2][l],
-                    &scales[3][l],
-                    entropy_version,
-                )
-            })
-            .collect();
+        let encode_side = |is_k: bool, tensor: &Tensor| -> Vec<Vec<Vec<u8>>> {
+            (0..n_layers)
+                .map(|l| {
+                    let coding = self.layer_coding(is_k, l, n_layers, &scales);
+                    self.encode_layer_chunks(tensor.slab(l), &coding, entropy_version)
+                })
+                .collect()
+        };
+        let k_chunks = encode_side(true, cache.k());
+        let v_chunks = encode_side(false, cache.v());
         EncodedKv {
             layers: n_layers,
             tokens: cache.tokens(),
@@ -1042,6 +1009,14 @@ impl KvCodec {
         layout: GroupLayout,
     ) -> Result<(), CodecError> {
         let err = |msg: String| Err(CodecError::Geometry(msg));
+        // `EncodedKv`'s fields are public, so a container need not have
+        // come through `from_bytes`' version check.
+        if enc.entropy_version != RC_VERSION && enc.entropy_version != RANS_VERSION {
+            return err(format!(
+                "unsupported entropy version {}",
+                enc.entropy_version
+            ));
+        }
         if enc.channels != self.profile.channels() || enc.layers != self.profile.layers() {
             return err(format!(
                 "stream is {}×{} (layers×channels) but the profile is {}×{}",
@@ -1088,13 +1063,13 @@ impl KvCodec {
         self.check_geometry(enc, layout)?;
         let mut k = Tensor::zeros(&[layers, tokens, channels]);
         let mut v = Tensor::zeros(&[layers, tokens, channels]);
+        let [k_codings, v_codings] = self.layer_codings(enc);
         let mut jobs: Vec<DecodeJob<'_>> = Vec::with_capacity(enc.num_chunks());
         push_decode_jobs(
             &mut jobs,
             k.data_mut(),
             &enc.k_chunks,
-            true,
-            layers,
+            &k_codings,
             channels,
             layout,
         );
@@ -1102,28 +1077,18 @@ impl KvCodec {
             &mut jobs,
             v.data_mut(),
             &enc.v_chunks,
-            false,
-            layers,
+            &v_codings,
             channels,
             layout,
         );
         let run = |job: &mut DecodeJob<'_>| -> Result<(), CodecError> {
-            let (anchor_scales, delta_scales) = if job.is_k {
-                (&enc.scales[0][job.layer], &enc.scales[1][job.layer])
-            } else {
-                (&enc.scales[2][job.layer], &enc.scales[3][job.layer])
-            };
             self.decode_chunk(
+                job.coding,
                 job.stream,
-                job.layer,
-                layers,
                 job.group,
                 job.group_tokens,
-                job.is_k,
                 enc.delta_encoding,
                 enc.entropy_version,
-                anchor_scales,
-                delta_scales,
                 job.out,
             )
         };
@@ -1277,16 +1242,9 @@ mod tests {
             Tensor::zeros(&[cache.layers(), cache.tokens(), cache.channels()]),
             Tensor::zeros(&[cache.layers(), cache.tokens(), cache.channels()]),
         );
+        let coding = codec.layer_coding(true, 0, cache.layers(), &enc.scales);
         let replacement = codec
-            .encode_layer_chunks(
-                zero_cache.k().slab(0),
-                0,
-                cache.layers(),
-                true,
-                &enc.scales[0][0],
-                &enc.scales[1][0],
-                enc.entropy_version,
-            )
+            .encode_layer_chunks(zero_cache.k().slab(0), &coding, enc.entropy_version)
             .remove(1);
         damaged.k_chunks[0][1] = replacement;
         let dec = codec.try_decode(&damaged).expect("all chunks well-formed");
@@ -1456,20 +1414,20 @@ mod tests {
     }
 
     #[test]
-    fn v3_decode_is_bit_identical_to_v2() {
+    fn v4_decode_is_bit_identical_to_v2() {
         // Both versions quantize through the same walk; only the entropy
         // stage differs, and entropy coding is lossless — so the decoded
         // caches must match bit-for-bit, serial and parallel, both
         // ablation arms.
         let (_, cache, codec) = setup();
-        let v3 = codec.encode(&cache);
+        let v4 = codec.encode(&cache);
         let v2 = codec.encode_v2(&cache);
-        assert_eq!(v3.entropy_version, 3);
+        assert_eq!(v4.entropy_version, 4);
         assert_eq!(v2.entropy_version, 2);
-        let d3 = codec.decode(&v3);
+        let d4 = codec.decode(&v4);
         let d2 = codec.decode(&v2);
-        assert_eq!(d3, d2, "v3 and v2 must decode identically");
-        assert_eq!(codec.decode_parallel(&v3), d3);
+        assert_eq!(d4, d2, "v4 and v2 must decode identically");
+        assert_eq!(codec.decode_parallel(&v4), d4);
         let m = SimTransformer::new(SimModelConfig::tiny(33));
         let cache = m.prefill(&(0..25).collect::<Vec<_>>());
         let cfg = CodecConfig {
@@ -1496,14 +1454,14 @@ mod tests {
     }
 
     #[test]
-    fn v3_chunk_carries_lane_state_header() {
+    fn v4_chunk_carries_lane_state_header() {
         let (_, cache, codec) = setup();
-        let v3 = codec.encode(&cache);
-        for side in [&v3.k_chunks, &v3.v_chunks] {
+        let v4 = codec.encode(&cache);
+        for side in [&v4.k_chunks, &v4.v_chunks] {
             for chunk in side.iter().flatten() {
                 assert!(
                     chunk.len() >= crate::rans::STATE_BYTES,
-                    "every v3 chunk starts with the 32-byte lane-state flush"
+                    "every v4 chunk starts with the 32-byte lane-state flush"
                 );
                 assert_eq!((chunk.len() - crate::rans::STATE_BYTES) % 4, 0);
             }
@@ -1511,7 +1469,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_v3_chunk_is_reported_not_decoded_as_noise() {
+    fn corrupt_v4_chunk_is_reported_not_decoded_as_noise() {
         let (_, cache, codec) = setup();
         let enc = codec.encode(&cache);
         // Flip a renorm-word bit (past the state header) in one chunk: the
@@ -1548,12 +1506,35 @@ mod tests {
     }
 
     #[test]
-    fn container_rejects_old_wire_version() {
+    fn container_rejects_old_wire_versions() {
+        // 1 = pre-chunking monolithic streams, 3 = rANS over the alias
+        // layout: same framing as v4, different symbol mapping, so it
+        // must fail at the version byte and never reach a decoder.
         let (_, cache, codec) = setup();
-        let mut bytes = codec.encode(&cache).to_bytes();
-        bytes[4] = 1; // pre-chunking monolithic-stream format
-        let err = EncodedKv::from_bytes(&bytes).expect_err("v1 unsupported");
-        assert!(err.contains("version"), "got: {err}");
+        for old in [1u8, 3] {
+            let mut bytes = codec.encode(&cache).to_bytes();
+            bytes[4] = old;
+            let err = EncodedKv::from_bytes(&bytes).expect_err("old version unsupported");
+            assert_eq!(err, format!("unsupported version {old}"));
+        }
+    }
+
+    #[test]
+    fn mis_sized_output_slice_is_a_geometry_error() {
+        let (_, cache, codec) = setup();
+        let enc = codec.encode(&cache);
+        let [k_codings, _] = codec.layer_codings(&enc);
+        let mut out = vec![0.0f32; 9 * cache.channels()];
+        let got = codec.decode_chunk(
+            &k_codings[0],
+            &enc.k_chunks[0][0],
+            0,
+            10,
+            enc.delta_encoding,
+            enc.entropy_version,
+            &mut out,
+        );
+        assert!(matches!(got, Err(CodecError::Geometry(_))), "got {got:?}");
     }
 
     #[test]

@@ -5,27 +5,28 @@
 //!
 //! ```text
 //!   KV cache ──► token groups (anchor + deltas) ──► bin quantization
-//!            ──► integer symbols ──► range coding with per-(layer,
+//!            ──► integer symbols ──► entropy coding with per-(layer,
 //!                channel) symbol distributions ──► per-(layer, group)
 //!                chunked KV bitstream
 //! ```
 //!
 //! * [`rans`] — a four-lane interleaved rANS coder (independent u64
-//!   states round-robin over symbols, alias-table symbol resolution), the
-//!   entropy-coding hot path since wire version 3. Lossless by
+//!   states round-robin over symbols, plain cumulative symbol layout),
+//!   the entropy-coding hot path (wire version 4). Lossless by
 //!   construction, with exact consumed-byte accounting and a per-lane
 //!   final-state check.
 //! * [`rc`] — a byte-renormalizing serial range coder (64-bit state, u8
-//!   output, no per-bit loop), the wire-v2 coder; still fully decodable
-//!   for the compatibility window.
+//!   output, no per-bit loop), the wire-v2 coder; still fully decodable.
 //! * [`ac`] — the legacy 32-bit Witten–Neal–Cleary arithmetic coder, kept
 //!   as a compatibility shim (bit-at-a-time; ~an order of magnitude slower
 //!   to decode). New code should use [`rc`].
 //! * [`bitio`] — bit-level writer/reader over byte buffers (used by the
 //!   legacy coder).
-//! * [`symbol_model`] — frequency tables at four context granularities
-//!   (global / per-layer / per-channel / per-channel-layer) for the
-//!   Figure 15 ablation; the paper's choice is per-channel-layer.
+//! * [`symbol_model`] — the one frequency-table type all three coders
+//!   read (a ~1.2 KB cumulative table with an inline hot window and block
+//!   pivots), at four context granularities (global / per-layer /
+//!   per-channel / per-channel-layer) for the Figure 15 ablation; the
+//!   paper's choice is per-channel-layer.
 //! * [`delta`] — anchor-group delta transform (group size 10, §5.2).
 //! * [`profile`] — offline per-model profiling of scales and symbol
 //!   distributions (one profile per LLM, reused across contexts, §5.2).
@@ -39,14 +40,14 @@
 //!
 //! [`KvCache`]: cachegen_llm::KvCache
 //!
-//! # Wire format (version 3)
+//! # Wire format (version 4)
 //!
 //! [`EncodedKv::to_bytes`] lays one encoded cache chunk out as:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic "CGKV"
-//! 4       1     entropy version (3 = interleaved rANS; 2 = range coder)
+//! 4       1     entropy version (4 = interleaved rANS; 2 = range coder)
 //! 5       1     delta_encoding flag (0 or 1)
 //! 6       2     layers            (u16 LE)
 //! 8       4     tokens            (u32 LE)
@@ -71,9 +72,9 @@
 //! range; see [`encoder::CodecError`] for how length defects are
 //! reported).
 //!
-//! ## Version-3 chunk payloads (interleaved rANS)
+//! ## Version-4 chunk payloads (interleaved rANS, cumulative layout)
 //!
-//! A v3 chunk payload is one [`rans`] stream:
+//! A v4 chunk payload is one [`rans`] stream:
 //!
 //! ```text
 //! offset  size  field
@@ -84,17 +85,34 @@
 //!
 //! Symbols round-robin over the four lanes by channel (`lane = channel
 //! mod `[`rans::LANES`]) and every row restarts at channel 0, so the
-//! decoder's batched four-wide inner loop stays aligned. Each lane's
-//! state must land exactly back on the normalization base after the last
-//! symbol; that per-lane final-state check — plus exact consumed-byte
-//! accounting against the chunk frame — is what turns any truncation or
-//! corruption into a reported [`encoder::CodecError`] instead of noise.
+//! decoder's batched four-wide inner loop stays aligned. Within a lane,
+//! symbol `s` of a table with cumulative start `c = cum[s]` and frequency
+//! `f = cum[s+1] − c` (all tables total exactly 2²⁴) takes state `x` to
+//! `(x / f) · 2²⁴ + c + x mod f`, emitting the low 32 bits of `x` first
+//! whenever `x ≥ f · 2³⁹`; the decoder reads `x mod 2²⁴`, finds the `s`
+//! whose `[c, c + f)` holds it, and inverts. Each lane's state must land
+//! exactly back on the normalization base 2³¹ after the last symbol; that
+//! per-lane final-state check — plus exact consumed-byte accounting
+//! against the chunk frame — is what turns any truncation or corruption
+//! into a reported [`encoder::CodecError`] instead of noise.
 //!
-//! **Compatibility window**: [`KvCodec::encode`] emits version 3 only;
-//! [`EncodedKv::from_bytes`] and every decode path accept versions 2 and
-//! 3 for one release ([`KvCodec::encode_v2`] covers tests and tooling
-//! that still need to produce v2 streams). The v2 payload is a single
-//! serial [`rc`] stream per chunk with no state header.
+//! ## Versions
+//!
+//! * **4** — what [`KvCodec::encode`] writes.
+//! * **3** — retired: the same framing as v4, but symbols were laid out
+//!   over the scaled-value line by a Vose alias construction instead of
+//!   cumulatively (see [`rans`] for why that layout lost on this codec's
+//!   many-table traffic). A v3 payload fed to the v4 decoder would mostly
+//!   "decode", to noise, so [`EncodedKv::from_bytes`] and every decode
+//!   path reject the version byte outright. Nothing persisted v3 streams:
+//!   the KV store is in-memory and re-encodes on start.
+//! * **2** — still read by [`EncodedKv::from_bytes`] and every decode
+//!   path: a single serial [`rc`] stream per chunk with no state header,
+//!   over the same tables. [`KvCodec::encode_v2`] writes it for peers
+//!   without a rANS decoder and as the reference arm of the
+//!   bit-exactness tests (both versions quantize identically, so their
+//!   decodes must agree bit for bit).
+//! * **1** — monolithic per-layer WNC streams; long gone, rejected.
 //!
 //! ## Chunk arrival map and repair provenance
 //!
@@ -150,12 +168,6 @@
 //! 3. **Refetch** — under [`RepairPolicy::Refetch`] the remaining holes
 //!    are re-requested after the first decode; TTFT keeps the first-pass
 //!    finish and fidelity is restored when the re-fetch lands.
-//!
-//! **Compatibility**: version 1 (monolithic per-layer WNC streams) is no
-//! longer written or read; [`EncodedKv::from_bytes`] rejects it
-//! explicitly. Stored contexts must be re-encoded — profiles are built
-//! offline per model and unaffected. Version 2 remains decodable for one
-//! release (see the compatibility window above).
 
 pub mod ac;
 pub mod bitio;

@@ -16,7 +16,6 @@
 
 use crate::delta::GroupLayout;
 use crate::encoder::{walk_layer_symbols, CodecConfig, SymKind};
-use crate::rans::AliasTable;
 use crate::symbol_model::{FreqTable, ModelGranularity, SymbolModelSet};
 use cachegen_llm::KvCache;
 use cachegen_quant::BinQuantizer;
@@ -237,15 +236,11 @@ impl CodecProfile {
         }
     }
 
-    /// All per-channel rANS alias tables of one kind for one layer — the
-    /// wire-v3 analogue of [`CodecProfile::layer_tables`]. Same
-    /// distributions, repacked at profile-build time.
-    pub fn layer_alias_tables(&self, kind: SymKind, is_k: bool, layer: usize) -> Vec<&AliasTable> {
-        let s = Self::side(is_k);
-        match kind {
-            SymKind::Anchor => self.anchor_models[s].layer_alias_tables(layer),
-            SymKind::Delta => self.delta_models[s].layer_alias_tables(layer),
-        }
+    /// [`CodecProfile::layer_tables`] under the name it had while the
+    /// rANS stage read a separate alias layout; the frozen `benchmark/`
+    /// package still calls it.
+    pub fn layer_alias_tables(&self, kind: SymKind, is_k: bool, layer: usize) -> Vec<&FreqTable> {
+        self.layer_tables(kind, is_k, layer)
     }
 
     /// Mean delta-model entropy, bits/symbol (diagnostic; lower = more

@@ -271,6 +271,7 @@ impl KvCodec {
                 arrivals.groups()
             )));
         }
+        let codings = self.layer_codings(enc);
         let mut k = Tensor::zeros(&[layers, tokens, channels]);
         let mut v = Tensor::zeros(&[layers, tokens, channels]);
         let mut repairs: Vec<ChunkRepair> = Vec::new();
@@ -305,22 +306,13 @@ impl KvCodec {
                         });
                         continue;
                     }
-                    let (anchor_scales, delta_scales) = if is_k {
-                        (&enc.scales[0][layer], &enc.scales[1][layer])
-                    } else {
-                        (&enc.scales[2][layer], &enc.scales[3][layer])
-                    };
                     match self.decode_chunk(
+                        &codings[side][layer],
                         &chunks[layer][group],
-                        layer,
-                        layers,
                         group,
                         end - start,
-                        is_k,
                         enc.delta_encoding,
                         enc.entropy_version,
-                        anchor_scales,
-                        delta_scales,
                         slice,
                     ) {
                         // An FEC-recovered chunk decoded byte-identically:

@@ -117,7 +117,10 @@ impl BinQuantizer {
     /// Quantizes a slice into integer symbols given a vector scale.
     pub fn quantize(&self, values: &[f32], scale: f32) -> Vec<i32> {
         let step = self.step(scale);
-        values.iter().map(|&v| (v / step).round() as i32).collect()
+        values
+            .iter()
+            .map(|&v| away_from_zero(v / step) as i32)
+            .collect()
     }
 
     /// Dequantizes symbols back to floats.
@@ -140,6 +143,26 @@ impl BinQuantizer {
     pub fn max_error(&self, scale: f32) -> f32 {
         self.step(scale) * 0.5
     }
+}
+
+/// `v` moved just under half a unit away from zero, so that truncating it
+/// (what an `as` integer cast does) rounds `v` to nearest, ties away from
+/// zero. 0.49999997 is the largest `f32` below one half: a tie `n + 0.5`
+/// still sums to `n + 1` after the addition rounds, and nothing below a tie
+/// reaches it. From 2²³ up every `f32` is an integer and the addend is
+/// under half an ulp, so the sum is `v`; NaN and ±∞ pass through to the
+/// cast, which saturates.
+#[inline]
+fn away_from_zero(v: f32) -> f32 {
+    v + 0.499_999_97_f32.copysign(v)
+}
+
+/// `v.round() as i64` without the call: `f32::round` is a libm `roundf`
+/// on the baseline x86-64 target and was a measurable share of the encode
+/// walk, which rounds once per KV element.
+#[inline]
+pub fn round_half_away(v: f32) -> i64 {
+    away_from_zero(v) as i64
 }
 
 /// Computes the per-`(layer, channel)` scale (population std, floored to a
@@ -175,6 +198,62 @@ pub fn channel_scales(t: &Tensor, floor: f32) -> Vec<Vec<f32>> {
 mod tests {
     use super::*;
     use cachegen_llm::{SimModelConfig, SimTransformer};
+
+    /// Every `f32` in the given bit-pattern range, both signs, against
+    /// libm rounding — on both integer widths the callers cast to.
+    fn assert_rounds_like_libm(bits: impl Iterator<Item = u32>) {
+        for b in bits {
+            for v in [f32::from_bits(b), -f32::from_bits(b)] {
+                assert_eq!(round_half_away(v), v.round() as i64, "{v:e} ({b:#x})");
+                assert_eq!(
+                    away_from_zero(v) as i32,
+                    v.round() as i32,
+                    "{v:e} ({b:#x}) as i32"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn libm_free_rounding_matches_round_at_the_boundaries() {
+        // A window of bit patterns either side of every tie n + 0.5 up to
+        // 300, of zero, of the 2²² / 2²³ / 2²⁴ ulp changes and of the
+        // i32 / i64 saturation points; then NaN and ±∞.
+        let ties = (0..300).map(|n| n as f32 + 0.5);
+        let edges = [
+            0.0f32,
+            f32::MIN_POSITIVE,
+            1.0,
+            4_194_304.0,
+            8_388_608.0,
+            16_777_216.0,
+            2_147_483_648.0,
+            9.223_372e18,
+            f32::MAX,
+        ];
+        for centre in ties.chain(edges) {
+            let b = centre.to_bits();
+            assert_rounds_like_libm(b.saturating_sub(64)..=b.saturating_add(64).min(0x7F7F_FFFF));
+        }
+        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(round_half_away(v), v.round() as i64);
+            assert_eq!(away_from_zero(v) as i32, v.round() as i32);
+        }
+        let q = BinQuantizer::new(0.5);
+        assert_eq!(
+            q.quantize(&[0.24, 0.25, -0.25, 0.75, -1e30, f32::NAN], 1.0),
+            vec![0, 1, -1, 2, i32::MIN, 0]
+        );
+    }
+
+    /// The exhaustive sweep behind the boundary test: all 2.27 × 10⁹
+    /// `f32` with |v| < 300, both signs. ~10 s in release;
+    /// `cargo test --release -p cachegen-quant -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive: 2.27e9 values"]
+    fn libm_free_rounding_matches_round_exhaustively_below_300() {
+        assert_rounds_like_libm(0..300.0f32.to_bits());
+    }
 
     #[test]
     fn uniform_error_bounded_by_step() {

@@ -108,11 +108,16 @@ fn traced_virtual_run(
 /// re-baselined when wire v3 (interleaved rANS) replaced the serial range
 /// coder — chunk payloads carry a 32-byte state flush, so every encoded
 /// size and therefore every virtual transfer timing legitimately moved.
+/// Re-baselined again for wire v4 (cumulative symbol layout): the same
+/// symbols under the same frequencies, but a different scaled-value
+/// mapping shifts where lanes renormalize, so a chunk's payload can move
+/// by one 4-byte word — here only ("clean", 7) crossed a timing boundary
+/// (was trace 0x8df24fb482b779f6, metrics 0x4850e6b58cf47cab).
 /// The backend-equivalence property itself (virtual vs thread backend)
 /// is unchanged and still asserted by the other tests in this file.
 const GOLDEN: &[(&str, u64, u64, u64)] = &[
     ("clean", 1, 0x865a9fd00f2854b6, 0xa6cd4200a8320858),
-    ("clean", 7, 0x8df24fb482b779f6, 0x4850e6b58cf47cab),
+    ("clean", 7, 0xf2a6d50e9e74c58b, 0x9e8c3c89dd9d1df1),
     ("clean", 11, 0x34f48f67a36cbb5c, 0x5f8c577426515503),
     ("lossy", 11, 0x66f747a9d044c614, 0xd8bf4ae8ed78a53f),
 ];

@@ -1,0 +1,425 @@
+//! Tests pinning the wire-v4 (interleaved rANS over the cumulative
+//! layout) contract: the optimised coder against an independent
+//! reference rANS, bit-exactness against the v2 range-coder arm, per-lane
+//! truncation/corruption/slack detection with typed errors, chunk-local
+//! damage containment, and rejection of the retired v3 wire.
+
+use cachegen_codec::delta::GroupLayout;
+use cachegen_codec::rans::{self, LANES, RANS_L, STATE_BYTES};
+use cachegen_codec::repair::{ChunkArrivalMap, RepairCause, RepairPolicy};
+use cachegen_codec::symbol_model::{FreqTable, MAX_TOTAL, TOTAL_BITS};
+use cachegen_codec::{CodecConfig, CodecError, CodecProfile, EncodedKv, KvCodec};
+use cachegen_llm::{SimModelConfig, SimTransformer};
+use proptest::prelude::*;
+use rand::Rng;
+
+/// Reference rANS: the textbook recurrences over a plain cumulative
+/// array, symbol lookup by linear scan. Shares nothing with
+/// `cachegen_codec::rans` or `FreqTable`'s search structures except the
+/// wire constants.
+mod reference {
+    use super::{LANES, MAX_TOTAL, RANS_L, STATE_BYTES, TOTAL_BITS};
+
+    pub fn encode(cum: &[u64], symbols: &[usize]) -> Vec<u8> {
+        let mut states = [RANS_L; LANES];
+        let mut words = Vec::new();
+        for (i, &s) in symbols.iter().enumerate().rev() {
+            let (start, freq) = (cum[s], cum[s + 1] - cum[s]);
+            let mut x = states[i % LANES];
+            if x >= freq << (63 - TOTAL_BITS) {
+                words.push(x as u32);
+                x >>= 32;
+            }
+            states[i % LANES] = ((x / freq) << TOTAL_BITS) + x % freq + start;
+        }
+        let mut out: Vec<u8> = states.iter().flat_map(|s| s.to_le_bytes()).collect();
+        out.extend(words.iter().rev().flat_map(|w| w.to_le_bytes()));
+        out
+    }
+
+    /// `None` unless the stream is exactly consumed and every lane lands
+    /// back on `RANS_L`.
+    pub fn decode(cum: &[u64], bytes: &[u8], count: usize) -> Option<Vec<usize>> {
+        let u64_at = |at: usize| Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?));
+        let mut states = [u64_at(0)?, u64_at(8)?, u64_at(16)?, u64_at(24)?];
+        let mut pos = STATE_BYTES;
+        let mut out = Vec::with_capacity(count);
+        for i in 0..count {
+            let x = states[i % LANES];
+            let scaled = x % MAX_TOTAL;
+            let s = (0..cum.len() - 1).find(|&s| scaled < cum[s + 1])?;
+            let mut x = (cum[s + 1] - cum[s]) * (x >> TOTAL_BITS) + scaled - cum[s];
+            if x < RANS_L {
+                let word = u32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().ok()?);
+                x = (x << 32) | u64::from(word);
+                pos += 4;
+            }
+            states[i % LANES] = x;
+            out.push(s);
+        }
+        (pos == bytes.len() && states == [RANS_L; LANES]).then_some(out)
+    }
+}
+
+/// The counts the differential test profiles each alphabet with.
+fn distributions(n: usize) -> Vec<(&'static str, Vec<u32>)> {
+    let peak_at = |mode: usize| -> Vec<u32> {
+        (0..n)
+            .map(|i| 1_000_000u32 >> i.abs_diff(mode).min(31))
+            .collect()
+    };
+    let mut one_hot = vec![0u32; n];
+    one_hot[n / 3] = 1_000_000;
+    vec![
+        ("flat", vec![1; n]),
+        ("peaked", peak_at(n / 2)),
+        ("one-hot", one_hot),
+        // The hot window is clipped at either end of the alphabet.
+        ("mode at first symbol", peak_at(0)),
+        ("mode at last symbol", peak_at(n - 1)),
+        ("mode one inside the end", peak_at(n.saturating_sub(2))),
+    ]
+}
+
+#[test]
+fn optimised_rans_matches_the_reference_coder() {
+    let mut rng = cachegen_tensor::rng::seeded(4);
+    for n in [1usize, 2, 17, 255, 256, 257, 4096] {
+        for (name, counts) in distributions(n) {
+            let table = FreqTable::from_counts(&counts);
+            let cum: Vec<u64> = std::iter::once(0)
+                .chain((0..n).map(|s| table.range(s).1))
+                .collect();
+            assert_eq!(cum[n], MAX_TOTAL);
+            // `find` inverts `range` at both ends of every symbol.
+            for s in 0..n {
+                assert_eq!(table.find(cum[s]), s, "{name}/{n}: first value of {s}");
+                assert_eq!(
+                    table.find(cum[s + 1] - 1),
+                    s,
+                    "{name}/{n}: last value of {s}"
+                );
+            }
+            // Half the stream follows the distribution (every scaled
+            // value reachable), half is uniform over the alphabet (every
+            // symbol, however rare, gets encoded).
+            let symbols: Vec<usize> = (0..3_001)
+                .map(|i| {
+                    if i % 2 == 0 {
+                        table.find(rng.gen::<u64>() % MAX_TOTAL)
+                    } else {
+                        rng.gen::<usize>() % n
+                    }
+                })
+                .collect();
+            let mut enc = rans::Encoder::new();
+            for (i, &s) in symbols.iter().enumerate() {
+                enc.encode(i % LANES, &table, s);
+            }
+            let bytes = enc.finish();
+            assert_eq!(
+                bytes,
+                reference::encode(&cum, &symbols),
+                "{name}/{n}: encoders disagree"
+            );
+            assert_eq!(
+                reference::decode(&cum, &bytes, symbols.len()).as_deref(),
+                Some(&symbols[..]),
+                "{name}/{n}: reference decode of optimised bytes"
+            );
+            // Scalar and batched optimised decode, fully checked.
+            let mut dec = rans::Decoder::new(&bytes);
+            let scalar: Vec<usize> = (0..symbols.len())
+                .map(|i| dec.decode(i % LANES, &table))
+                .collect();
+            assert_eq!(scalar, symbols, "{name}/{n}: optimised decode");
+            assert!(dec.finished() && dec.bytes_consumed() == bytes.len());
+            let mut dec = rans::Decoder::new(&bytes);
+            let mut batched = Vec::with_capacity(symbols.len());
+            for _ in 0..symbols.len() / LANES {
+                batched.extend(dec.decode4([&table; LANES]));
+            }
+            batched.push(dec.decode(0, &table)); // 3001 = 4 · 750 + 1
+            assert_eq!(batched, symbols, "{name}/{n}: batched decode");
+            assert!(dec.finished() && dec.bytes_consumed() == bytes.len());
+        }
+    }
+}
+
+#[test]
+fn reference_coder_rejects_what_the_optimised_one_rejects() {
+    // The oracle is only worth diffing against if it is as strict.
+    let table = FreqTable::from_counts(&[500, 30, 9, 2, 1]);
+    let cum: Vec<u64> = std::iter::once(0)
+        .chain((0..5).map(|s| table.range(s).1))
+        .collect();
+    let symbols: Vec<usize> = (0..400).map(|i| (i * i) % 5).collect();
+    let bytes = reference::encode(&cum, &symbols);
+    assert!(reference::decode(&cum, &bytes, symbols.len()).is_some());
+    assert!(reference::decode(&cum, &bytes[..bytes.len() - 1], symbols.len()).is_none());
+    let mut slack = bytes.clone();
+    slack.extend_from_slice(&[0; 4]);
+    assert!(reference::decode(&cum, &slack, symbols.len()).is_none());
+    let mut flipped = bytes.clone();
+    flipped[STATE_BYTES + 2] ^= 0x40;
+    assert!(reference::decode(&cum, &flipped, symbols.len()).is_none());
+}
+
+/// Picks one (side, layer, group) chunk of `enc` from an arbitrary index.
+fn pick_chunk(enc: &EncodedKv, pick: usize) -> (bool, usize, usize) {
+    let groups = enc.num_groups();
+    let target = pick % (2 * enc.layers * groups);
+    let (side, rest) = (
+        target / (enc.layers * groups),
+        target % (enc.layers * groups),
+    );
+    (side == 0, rest / groups, rest % groups)
+}
+
+fn chunk_mut(enc: &mut EncodedKv, (is_k, layer, group): (bool, usize, usize)) -> &mut Vec<u8> {
+    let side = if is_k {
+        &mut enc.k_chunks
+    } else {
+        &mut enc.v_chunks
+    };
+    &mut side[layer][group]
+}
+
+/// The (side, layer, group) a per-chunk decode error names.
+fn error_address(err: &CodecError) -> Option<(bool, usize, usize)> {
+    match *err {
+        CodecError::TruncatedChunk {
+            is_k, layer, group, ..
+        }
+        | CodecError::ChunkLengthMismatch {
+            is_k, layer, group, ..
+        }
+        | CodecError::CorruptChunk { is_k, layer, group } => Some((is_k, layer, group)),
+        CodecError::Geometry(_) => None,
+    }
+}
+
+#[test]
+fn v3_container_is_rejected_by_version_never_decoded() {
+    // A v3 container has v4's framing (same header, same chunk frames,
+    // same 32-byte lane states) but maps scaled values to symbols through
+    // the retired alias layout. It must fail on the version byte — were it
+    // dispatched to the v4 decoder it would mostly "decode", as noise.
+    let (codec, enc) = encode_small(3, 40, true);
+    let mut bytes = enc.to_bytes();
+    assert_eq!(bytes[4], 4, "encode emits v4");
+    bytes[4] = 3;
+    assert_eq!(
+        EncodedKv::from_bytes(&bytes),
+        Err("unsupported version 3".to_string()),
+        "the same error the long-gone v1 gets"
+    );
+    bytes[4] = 1;
+    assert_eq!(
+        EncodedKv::from_bytes(&bytes),
+        Err("unsupported version 1".to_string())
+    );
+    // Nor does a hand-built container carrying the old version reach a
+    // chunk decoder, on any decode path.
+    let relabelled = EncodedKv {
+        entropy_version: 3,
+        ..enc.clone()
+    };
+    let arrivals = ChunkArrivalMap::full(enc.layers, enc.num_groups());
+    for result in [
+        codec.try_decode(&relabelled).map(drop),
+        codec.try_decode_parallel(&relabelled).map(drop),
+        codec
+            .decode_with_repairs(&relabelled, &arrivals, RepairPolicy::ZeroFill)
+            .map(drop),
+    ] {
+        assert!(
+            matches!(&result, Err(CodecError::Geometry(msg)) if msg.contains("version 3")),
+            "got {result:?}"
+        );
+    }
+}
+
+/// A small encoded cache plus the codec that produced it, shared by the
+/// damage-injection properties below.
+fn encode_small(seed: u64, len: usize, delta: bool) -> (KvCodec, EncodedKv) {
+    let model = SimTransformer::new(SimModelConfig::tiny(7));
+    let mut rng = cachegen_tensor::rng::seeded(seed);
+    let ctx: Vec<usize> = (0..len).map(|_| rng.gen::<usize>() % 64).collect();
+    let cache = model.prefill(&ctx);
+    let cfg = CodecConfig {
+        delta_encoding: delta,
+        ..CodecConfig::default()
+    };
+    let profile = CodecProfile::build(&cfg, &[&cache]);
+    let codec = KvCodec::new(cfg, profile);
+    let enc = codec.encode(&cache);
+    (codec, enc)
+}
+
+proptest! {
+    // Each case prefills the tiny transformer, so keep the counts modest.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The v4 (rANS) and v2 (serial range coder) wires carry the same
+    /// quantized symbols: decoding either version of the same cache is
+    /// bit-identical, under both ablation arms and both decode paths.
+    #[test]
+    fn v4_decode_is_bit_identical_to_v2(
+        seed in 0u64..500,
+        len in 12usize..60,
+    ) {
+        // Exercise both ablation arms across cases.
+        let delta = seed % 2 == 0;
+        let model = SimTransformer::new(SimModelConfig::tiny(7));
+        let mut rng = cachegen_tensor::rng::seeded(seed);
+        let ctx: Vec<usize> = (0..len).map(|_| rng.gen::<usize>() % 64).collect();
+        let cache = model.prefill(&ctx);
+        let cfg = CodecConfig { delta_encoding: delta, ..CodecConfig::default() };
+        let profile = CodecProfile::build(&cfg, &[&cache]);
+        let codec = KvCodec::new(cfg, profile);
+        let enc_v4 = codec.encode(&cache);
+        let enc_v2 = codec.encode_v2(&cache);
+        prop_assert_eq!(enc_v4.entropy_version, 4);
+        prop_assert_eq!(enc_v2.entropy_version, 2);
+        let dec_v4 = codec.decode(&enc_v4);
+        prop_assert_eq!(&dec_v4, &codec.decode(&enc_v2));
+        prop_assert_eq!(&dec_v4, &codec.decode_parallel(&enc_v4));
+        // Both versions survive their own wire round-trip.
+        for enc in [&enc_v4, &enc_v2] {
+            let back = EncodedKv::from_bytes(&enc.to_bytes()).unwrap();
+            prop_assert_eq!(&codec.decode(&back), &dec_v4);
+        }
+    }
+
+    /// Truncating any v4 chunk to any proper prefix is always detected,
+    /// as a typed error naming that chunk: `try_decode` never returns
+    /// noise (lane states cannot all return to the normalization base on
+    /// short input).
+    #[test]
+    fn truncated_v4_chunk_is_always_detected(
+        seed in 0u64..200,
+        len in 20usize..50,
+        pick in 0usize..1000,
+        cut in 0usize..1000,
+    ) {
+        let (codec, mut enc) = encode_small(seed, len, seed % 2 == 0);
+        let target = pick_chunk(&enc, pick);
+        let chunk = chunk_mut(&mut enc, target);
+        prop_assert!(chunk.len() >= STATE_BYTES); // the lane-state header
+        let keep = cut % chunk.len();
+        chunk.truncate(keep);
+        let err = codec.try_decode(&enc).expect_err("truncation must be detected");
+        prop_assert_eq!(error_address(&err), Some(target));
+        prop_assert!(codec.try_decode_parallel(&enc).is_err());
+    }
+
+    /// Flipping any single bit of any v4 chunk is detected: the decoder
+    /// either consumes a different byte count than the frame claims or
+    /// fails the per-lane final-state check — it never silently yields a
+    /// cache decoded from corrupt bytes.
+    #[test]
+    fn corrupt_v4_chunk_is_always_detected(
+        seed in 0u64..200,
+        len in 20usize..50,
+        pick in 0usize..1000,
+        at in 0usize..10_000,
+        bit in 0u8..8,
+    ) {
+        let (codec, mut enc) = encode_small(seed, len, seed % 2 == 0);
+        let target = pick_chunk(&enc, pick);
+        let chunk = chunk_mut(&mut enc, target);
+        let idx = at % chunk.len();
+        chunk[idx] ^= 1u8 << bit;
+        let err = codec.try_decode(&enc).expect_err("corruption must be detected");
+        prop_assert_eq!(error_address(&err), Some(target));
+        prop_assert!(codec.try_decode_parallel(&enc).is_err());
+    }
+
+    /// Bytes appended to any v4 chunk are detected: whole words or not,
+    /// zero or not, the chunk decodes its symbols and then fails the
+    /// exact-consumption check against its frame.
+    #[test]
+    fn trailing_garbage_in_v4_chunk_is_always_detected(
+        seed in 0u64..200,
+        len in 20usize..50,
+        pick in 0usize..1000,
+        extra in 1usize..9,
+        fill in 0u16..256,
+    ) {
+        let (codec, mut enc) = encode_small(seed, len, seed % 2 == 0);
+        let target = pick_chunk(&enc, pick);
+        let chunk = chunk_mut(&mut enc, target);
+        let framed = chunk.len() + extra;
+        chunk.resize(framed, fill as u8);
+        let err = codec.try_decode(&enc).expect_err("slack must be detected");
+        prop_assert_eq!(
+            err,
+            CodecError::ChunkLengthMismatch {
+                is_k: target.0,
+                layer: target.1,
+                group: target.2,
+                consumed: framed - extra,
+                framed,
+            }
+        );
+        prop_assert!(codec.try_decode_parallel(&enc).is_err());
+    }
+
+    /// Chunks stay independent on the v4 wire: damaging one chunk is
+    /// repaired (and reported) without perturbing any other chunk's
+    /// decoded rows — the interleaved lanes never leak state across the
+    /// per-(layer, token-group) chunk boundary.
+    #[test]
+    fn v4_damage_is_chunk_local(
+        seed in 0u64..200,
+        len in 20usize..50,
+        pick in 0usize..1000,
+        at in 0usize..10_000,
+    ) {
+        let (codec, enc) = encode_small(seed, len, true);
+        let clean = codec.decode(&enc);
+        let layout = GroupLayout::new(enc.group_size, enc.tokens);
+        let groups = layout.num_groups();
+        let (is_k, layer, group) = pick_chunk(&enc, pick);
+        let mut damaged = enc.clone();
+        let chunk = chunk_mut(&mut damaged, (is_k, layer, group));
+        let idx = at % chunk.len();
+        chunk[idx] ^= 0x10;
+        let arrivals = ChunkArrivalMap::full(enc.layers, groups);
+        let repaired = codec
+            .decode_with_repairs(&damaged, &arrivals, RepairPolicy::ZeroFill)
+            .unwrap();
+        // Exactly the damaged chunk is reported, as arrived-but-corrupt.
+        prop_assert_eq!(repaired.repairs.len(), 1);
+        let r = &repaired.repairs[0];
+        prop_assert_eq!((r.is_k, r.layer, r.group), (is_k, layer, group));
+        prop_assert!(matches!(r.cause, RepairCause::Corrupt(_)));
+        // Every row outside the damaged (side, layer, group) region is
+        // bit-identical to the clean decode.
+        let (start, end) = layout.group_range(group);
+        let channels = enc.channels;
+        let tokens = enc.tokens;
+        for (side_idx, (got, want)) in [
+            (repaired.cache.k().data(), clean.k().data()),
+            (repaired.cache.v().data(), clean.v().data()),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                let l = i / (tokens * channels);
+                let t = (i / channels) % tokens;
+                let in_damaged =
+                    (side_idx == 0) == is_k && l == layer && t >= start && t < end;
+                if !in_damaged {
+                    prop_assert!(
+                        g.to_bits() == w.to_bits(),
+                        "leak at side {} layer {} token {} (damaged: {:?})",
+                        side_idx, l, t, (is_k, layer, group)
+                    );
+                }
+            }
+        }
+    }
+}

@@ -147,7 +147,7 @@ proptest! {
             delta_encoding: seed % 2 == 0,
             // Exercise both live wire versions; chunk payloads here are
             // random bytes (the container layer never inspects them).
-            entropy_version: if seed % 3 == 0 { 2 } else { 3 },
+            entropy_version: if seed % 3 == 0 { 2 } else { 4 },
             k_chunks,
             v_chunks,
             scales,
