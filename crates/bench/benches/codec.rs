@@ -1,5 +1,5 @@
 //! Criterion benches: whole-context KV encode/decode cost and, for
-//! information, the entropy coders' raw single-table symbol rates.
+//! information, the entropy coder's raw single-table symbol rate.
 //!
 //! The gated rows are the `kv_context` group: one 480-token context of
 //! the 7B-shaped sim model, split into the engine's 30-token stream
@@ -11,13 +11,11 @@
 //! per KV element (ns/element and Melem/s) and ratcheted against
 //! absolute floors by the `ratchet` bin.
 //!
-//! The `entropy_coding` group pits the 4-lane interleaved rANS coder
-//! (`cachegen_codec::rans`, wire v4) against the serial range coder
-//! (`cachegen_codec::rc`, wire v2) and the legacy bit-at-a-time WNC coder
-//! (`cachegen_codec::ac`) on one 100k-symbol stream under **one hot
+//! The `entropy_coding` group runs the 4-lane interleaved rANS coder
+//! (`cachegen_codec::rans`) on one 100k-symbol stream under **one hot
 //! table**. No production path looks like that — a single-table loop
 //! never leaves L1 — so these rows are information only: they show the
-//! coders' arithmetic cost, and the last PR that tuned against them made
+//! coder's arithmetic cost, and the last PR that tuned against them made
 //! the real traffic slower.
 //!
 //! Beyond printing, the harness writes the numbers to `BENCH_codec.json`
@@ -26,7 +24,7 @@
 
 use cachegen::{CacheGenEngine, EngineConfig};
 use cachegen_codec::symbol_model::FreqTable;
-use cachegen_codec::{ac, rans, rc, EncodedKv};
+use cachegen_codec::{rans, EncodedKv};
 use cachegen_llm::{KvCache, SimModelConfig, SimTransformer};
 use cachegen_telemetry::{workspace_root, JsonValue, Recorder};
 use cachegen_workloads::{workload_rng, Dataset};
@@ -35,39 +33,10 @@ use criterion::{BenchmarkId, Criterion, Throughput};
 fn bench_entropy_coders(c: &mut Criterion) {
     let table = FreqTable::from_counts(&vec![10u32; 256]);
     let symbols: Vec<usize> = (0..100_000).map(|i| (i * 31) % 256).collect();
-    let mut rc_enc = rc::Encoder::new();
-    let mut ac_enc = ac::Encoder::new();
-    for &s in &symbols {
-        rc_enc.encode(&table, s);
-        ac_enc.encode(&table, s);
-    }
-    let rc_bytes = rc_enc.finish();
-    let ac_bytes = ac_enc.finish();
-
     let mut g = c.benchmark_group("entropy_coding");
     g.throughput(Throughput::Elements(symbols.len() as u64));
-    g.bench_function("range_encode_100k_symbols", |b| {
-        b.iter(|| {
-            let mut enc = rc::Encoder::new();
-            for &s in &symbols {
-                enc.encode(&table, s);
-            }
-            enc.finish()
-        })
-    });
-    g.bench_function("range_decode_100k_symbols", |b| {
-        b.iter(|| {
-            let mut dec = rc::Decoder::new(&rc_bytes);
-            let mut acc = 0usize;
-            for _ in 0..symbols.len() {
-                acc ^= dec.decode(&table);
-            }
-            acc
-        })
-    });
-    // Interleaved-rANS rows: the wire-v4 coder, measured on the same
-    // stream with the round-robin lane schedule the codec uses
-    // (lane = position % LANES).
+    // The round-robin lane schedule the codec uses (lane = position %
+    // LANES).
     let mut rans_enc = rans::Encoder::new();
     for (i, &s) in symbols.iter().enumerate() {
         rans_enc.encode(i % rans::LANES, &table, s);
@@ -88,27 +57,6 @@ fn bench_entropy_coders(c: &mut Criterion) {
             let mut acc = 0usize;
             for i in 0..symbols.len() {
                 acc ^= dec.decode(i % rans::LANES, &table);
-            }
-            acc
-        })
-    });
-    // Legacy WNC rows: the pre-chunking baseline the ≥3× win is measured
-    // against.
-    g.bench_function("wnc_encode_100k_symbols", |b| {
-        b.iter(|| {
-            let mut enc = ac::Encoder::new();
-            for &s in &symbols {
-                enc.encode(&table, s);
-            }
-            enc.finish()
-        })
-    });
-    g.bench_function("wnc_decode_100k_symbols", |b| {
-        b.iter(|| {
-            let mut dec = ac::Decoder::new(&ac_bytes);
-            let mut acc = 0usize;
-            for _ in 0..symbols.len() {
-                acc ^= dec.decode(&table);
             }
             acc
         })
@@ -149,10 +97,8 @@ fn encode_context(
 }
 
 fn bench_kv_context(c: &mut Criterion, engine: &CacheGenEngine, chunks: &[KvCache]) {
-    let v4 = |chunk: &KvCache, l: usize| engine.encode_at_level(chunk, l);
-    let v2 = |chunk: &KvCache, l: usize| engine.codec(l).encode_v2(chunk);
-    let encoded = encode_context(engine, chunks, v4);
-    let encoded_v2 = encode_context(engine, chunks, v2);
+    let encode = |chunk: &KvCache, l: usize| engine.encode_at_level(chunk, l);
+    let encoded = encode_context(engine, chunks, encode);
     let decode_all = |encoded: &[Vec<EncodedKv>], parallel: bool| {
         for versions in encoded {
             for (l, enc) in versions.iter().enumerate() {
@@ -172,13 +118,10 @@ fn bench_kv_context(c: &mut Criterion, engine: &CacheGenEngine, chunks: &[KvCach
     g.throughput(Throughput::Elements(
         (elements * engine.num_levels()) as u64,
     ));
-    g.bench_function("encode", |b| b.iter(|| encode_context(engine, chunks, v4)));
-    g.bench_function("decode_serial", |b| b.iter(|| decode_all(&encoded, false)));
-    // Wire-v2 (serial range coder) arm over the same tables, so what
-    // the rANS stage buys on real traffic is readable from one run.
-    g.bench_function("decode_serial_v2", |b| {
-        b.iter(|| decode_all(&encoded_v2, false))
+    g.bench_function("encode", |b| {
+        b.iter(|| encode_context(engine, chunks, encode))
     });
+    g.bench_function("decode_serial", |b| b.iter(|| decode_all(&encoded, false)));
     g.bench_function("decode_parallel", |b| b.iter(|| decode_all(&encoded, true)));
     g.finish();
 }
@@ -243,10 +186,6 @@ fn main() {
         row("kv_encode_melem_per_s", melem("kv_context/encode")),
         row("kv_decode_melem_per_s", melem("kv_context/decode_serial")),
         row(
-            "kv_decode_v2_melem_per_s",
-            melem("kv_context/decode_serial_v2"),
-        ),
-        row(
             "kv_decode_parallel_melem_per_s",
             melem("kv_context/decode_parallel"),
         ),
@@ -259,24 +198,12 @@ fn main() {
         row("decode_chunks", JsonValue::Number(decode_chunks)),
         // Information only: one hot table, 100k symbols.
         row(
-            "micro_range_decode_melem_per_s",
-            melem("entropy_coding/range_decode_100k_symbols"),
-        ),
-        row(
-            "micro_range_encode_melem_per_s",
-            melem("entropy_coding/range_encode_100k_symbols"),
-        ),
-        row(
             "micro_rans_decode_melem_per_s",
             melem("entropy_coding/rans_decode_100k_symbols"),
         ),
         row(
             "micro_rans_encode_melem_per_s",
             melem("entropy_coding/rans_encode_100k_symbols"),
-        ),
-        row(
-            "micro_wnc_decode_melem_per_s",
-            melem("entropy_coding/wnc_decode_100k_symbols"),
         ),
         row("rans_lanes", JsonValue::Number(rans::LANES as f64)),
     ]);

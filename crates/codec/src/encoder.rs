@@ -20,26 +20,16 @@
 //! in the group's own stream, so a chunk decodes with no state from any
 //! other chunk (the property multiple-description loss robustness needs).
 
+use crate::container::{scale_to_wire, wire_to_scale, CodecError, EncodedKv};
 use crate::delta::GroupLayout;
 use crate::profile::CodecProfile;
 use crate::rans;
-use crate::rc;
 use crate::symbol_model::{FreqTable, ModelGranularity};
 use crate::{index_to_symbol, symbol_to_index};
 use cachegen_llm::KvCache;
 use cachegen_quant::{round_half_away, BinQuantizer, LayerGroupBins};
 use cachegen_telemetry::{Recorder, NOOP};
 use cachegen_tensor::Tensor;
-use std::fmt;
-
-/// Container version byte of four-lane rANS chunk payloads over the
-/// cumulative symbol layout ([`crate::rans`]) — what [`KvCodec::encode`]
-/// writes.
-pub(crate) const RANS_VERSION: u8 = 4;
-
-/// Container version byte of serial range-coder chunk payloads
-/// ([`crate::rc`]), still decodable.
-pub(crate) const RC_VERSION: u8 = 2;
 
 /// Configuration of the CacheGen codec (one *encoding level* — the streamer
 /// holds several, produced by scaling `bins`).
@@ -92,348 +82,6 @@ pub enum SymKind {
     Anchor,
     /// Delta symbol (layer-group bin, own distribution).
     Delta,
-}
-
-/// A decode-time failure surfaced by [`KvCodec::try_decode`] and
-/// [`KvCodec::try_decode_parallel`]. The pre-chunking decoder silently
-/// produced garbage on truncated input; chunk framing makes every length
-/// defect detectable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CodecError {
-    /// A chunk's bytes ran out before all of its symbols were decoded.
-    TruncatedChunk {
-        /// K-side (true) or V-side chunk.
-        is_k: bool,
-        /// Transformer layer of the chunk.
-        layer: usize,
-        /// Token-group index of the chunk.
-        group: usize,
-        /// Synthetic zero bytes the decoder had to fabricate.
-        missing_bytes: usize,
-    },
-    /// A chunk decoded its full symbol count but consumed a different
-    /// number of bytes than its frame declared (trailing garbage or a
-    /// corrupted length).
-    ChunkLengthMismatch {
-        /// K-side (true) or V-side chunk.
-        is_k: bool,
-        /// Transformer layer of the chunk.
-        layer: usize,
-        /// Token-group index of the chunk.
-        group: usize,
-        /// Bytes the decoder actually consumed.
-        consumed: usize,
-        /// Bytes the chunk frame declared.
-        framed: usize,
-    },
-    /// A rANS chunk decoded its full symbol count with a matching
-    /// length, but its interleaved coder lanes did not return to the
-    /// rANS normalization base — the payload bytes were corrupted in
-    /// place rather than truncated.
-    CorruptChunk {
-        /// K-side (true) or V-side chunk.
-        is_k: bool,
-        /// Transformer layer of the chunk.
-        layer: usize,
-        /// Token-group index of the chunk.
-        group: usize,
-    },
-    /// The container's shape is inconsistent with its declared geometry
-    /// (chunk table vs. layers/tokens/group size, scale table vs.
-    /// layers/channels, or a chunk's output slice vs. its token count).
-    Geometry(String),
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let side = |k: &bool| if *k { "K" } else { "V" };
-        match self {
-            CodecError::TruncatedChunk {
-                is_k,
-                layer,
-                group,
-                missing_bytes,
-            } => write!(
-                f,
-                "{} chunk (layer {layer}, group {group}) truncated: {missing_bytes} bytes missing",
-                side(is_k)
-            ),
-            CodecError::ChunkLengthMismatch {
-                is_k,
-                layer,
-                group,
-                consumed,
-                framed,
-            } => write!(
-                f,
-                "{} chunk (layer {layer}, group {group}) length mismatch: consumed {consumed} of {framed} framed bytes",
-                side(is_k)
-            ),
-            CodecError::CorruptChunk { is_k, layer, group } => write!(
-                f,
-                "{} chunk (layer {layer}, group {group}) corrupt: coder lanes did not return to the normalization base",
-                side(is_k)
-            ),
-            CodecError::Geometry(msg) => write!(f, "inconsistent container geometry: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-/// An encoded KV cache (one context chunk at one encoding level): the KV
-/// bitstream, split into independently decodable per-(layer, token-group)
-/// entropy-coded chunks. See the crate docs for the wire layout.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EncodedKv {
-    /// Transformer layers covered.
-    pub layers: usize,
-    /// Tokens covered.
-    pub tokens: usize,
-    /// Channels per token per layer.
-    pub channels: usize,
-    /// Anchor group size used (also the chunking granularity).
-    pub group_size: usize,
-    /// Whether delta encoding was applied.
-    pub delta_encoding: bool,
-    /// Entropy-coder wire version of the chunk payloads: `2` = serial
-    /// range coder ([`crate::rc`]), `4` = four-lane interleaved rANS over
-    /// the cumulative symbol layout ([`crate::rans`]). The container
-    /// accepts both on decode; [`KvCodec::encode`] emits only 4. Version
-    /// 3 (rANS over the alias layout) is retired and rejected.
-    pub entropy_version: u8,
-    /// Per-(layer, group) K chunks: `k_chunks[layer][group]` is one
-    /// independently decodable range-coded stream.
-    pub k_chunks: Vec<Vec<Vec<u8>>>,
-    /// Per-(layer, group) V chunks, same shape as `k_chunks`.
-    pub v_chunks: Vec<Vec<Vec<u8>>>,
-    /// Per-(layer, channel) scales shipped with the stream, `[kind][layer]
-    /// [channel]` with kinds ordered K-anchor, K-delta, V-anchor, V-delta.
-    /// Vectorwise quantization derives scales from the tensor itself
-    /// (LLM.int8 style, §5.2), so they are per-context wire data — unlike
-    /// the probability tables, which are profiled offline per model.
-    pub scales: [Vec<Vec<f32>>; 4],
-}
-
-impl EncodedKv {
-    /// Token-group geometry of this stream (groups are the chunk
-    /// granularity).
-    pub fn layout(&self) -> GroupLayout {
-        GroupLayout::new(self.group_size, self.tokens)
-    }
-
-    /// Number of token groups (= entropy chunks per layer per side).
-    pub fn num_groups(&self) -> usize {
-        self.layout().num_groups()
-    }
-
-    /// Total number of independently decodable chunks (`2 × layers ×
-    /// groups`) — the parallel decoder's work-item count.
-    pub fn num_chunks(&self) -> usize {
-        2 * self.layers * self.num_groups()
-    }
-
-    /// Wire size in bytes: payload, per-(layer, channel) scales at fp16,
-    /// container framing (16-byte header and a varint length per chunk).
-    pub fn total_bytes(&self) -> u64 {
-        let framed: usize = self
-            .k_chunks
-            .iter()
-            .chain(&self.v_chunks)
-            .flatten()
-            .map(|c| c.len() + varint_len(c.len()))
-            .sum();
-        let scale_count: usize = self.scales.iter().flatten().map(Vec::len).sum();
-        (framed + 2 * scale_count + 16) as u64
-    }
-
-    /// Wire bytes of one per-(side, layer, group) entropy chunk: its
-    /// payload plus the varint length frame. This is the packet size the
-    /// loss-resilient transport ships the chunk at.
-    pub fn chunk_wire_bytes(&self, is_k: bool, layer: usize, group: usize) -> u64 {
-        let side = if is_k { &self.k_chunks } else { &self.v_chunks };
-        let len = side[layer][group].len();
-        (len + varint_len(len)) as u64
-    }
-
-    /// Container bytes not attributable to any entropy chunk (the 16-byte
-    /// header plus the bf16 scale tables). The packet schedule folds this
-    /// into its highest-priority packet so schedule totals match
-    /// [`EncodedKv::total_bytes`].
-    pub fn container_overhead_bytes(&self) -> u64 {
-        let scale_count: usize = self.scales.iter().flatten().map(Vec::len).sum();
-        (2 * scale_count + 16) as u64
-    }
-
-    /// Serialises to a flat byte buffer (the unit the network simulator
-    /// transfers).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.total_bytes() as usize);
-        out.extend_from_slice(b"CGKV");
-        // Version byte doubles as the entropy-coder selector: 2 = serial
-        // range coder, 4 = four-lane interleaved rANS. Both are
-        // per-(layer, group) chunked containers with identical framing.
-        out.push(self.entropy_version);
-        out.push(self.delta_encoding as u8);
-        out.extend_from_slice(&(self.layers as u16).to_le_bytes());
-        out.extend_from_slice(&(self.tokens as u32).to_le_bytes());
-        out.extend_from_slice(&(self.channels as u16).to_le_bytes());
-        out.extend_from_slice(&(self.group_size as u16).to_le_bytes());
-        for set in &self.scales {
-            for layer in set {
-                for &s in layer {
-                    out.extend_from_slice(&scale_to_wire(s).to_le_bytes());
-                }
-            }
-        }
-        for side in [&self.k_chunks, &self.v_chunks] {
-            for layer in side {
-                for chunk in layer {
-                    push_varint(&mut out, chunk.len());
-                    out.extend_from_slice(chunk);
-                }
-            }
-        }
-        out
-    }
-
-    /// Parses a buffer produced by [`EncodedKv::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
-            if *pos + n > bytes.len() {
-                return Err(format!("truncated at offset {pos}", pos = *pos));
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 4)? != b"CGKV" {
-            return Err("bad magic".into());
-        }
-        let version = take(&mut pos, 1)?[0];
-        // v2 (range coder) stays decodable alongside v4 (rANS). v3's
-        // alias layout maps scaled values to other symbols, so its
-        // streams must never reach a v4 decoder; v1's monolithic streams
-        // are long gone.
-        if version != RC_VERSION && version != RANS_VERSION {
-            return Err(format!("unsupported version {version}"));
-        }
-        // Fixed-width header fields, parsed without unwraps: `take_n`
-        // yields an array of exactly N bytes or a typed truncation error.
-        let take_n = |pos: &mut usize, n: &mut [u8]| -> Result<(), String> {
-            n.copy_from_slice(take(pos, n.len())?);
-            Ok(())
-        };
-        let mut u16b = [0u8; 2];
-        let mut u32b = [0u8; 4];
-        let delta_encoding = take(&mut pos, 1)?[0] != 0;
-        take_n(&mut pos, &mut u16b)?;
-        let layers = u16::from_le_bytes(u16b) as usize;
-        take_n(&mut pos, &mut u32b)?;
-        let tokens = u32::from_le_bytes(u32b) as usize;
-        take_n(&mut pos, &mut u16b)?;
-        let channels = u16::from_le_bytes(u16b) as usize;
-        take_n(&mut pos, &mut u16b)?;
-        let group_size = u16::from_le_bytes(u16b) as usize;
-        if group_size == 0 {
-            return Err("group size must be ≥ 1".into());
-        }
-        let mut scales: [Vec<Vec<f32>>; 4] = Default::default();
-        for set in &mut scales {
-            for _ in 0..layers {
-                let mut row = Vec::with_capacity(channels);
-                for _ in 0..channels {
-                    take_n(&mut pos, &mut u16b)?;
-                    let w = u16::from_le_bytes(u16b);
-                    row.push(wire_to_scale(w));
-                }
-                set.push(row);
-            }
-        }
-        let groups = GroupLayout::new(group_size, tokens).num_groups();
-        let mut sides: [Vec<Vec<Vec<u8>>>; 2] = Default::default();
-        for side in &mut sides {
-            for _ in 0..layers {
-                let mut layer_chunks = Vec::with_capacity(groups);
-                for _ in 0..groups {
-                    let len = take_varint(bytes, &mut pos)?;
-                    layer_chunks.push(take(&mut pos, len)?.to_vec());
-                }
-                side.push(layer_chunks);
-            }
-        }
-        if pos != bytes.len() {
-            return Err(format!("{} trailing bytes", bytes.len() - pos));
-        }
-        let [k_chunks, v_chunks] = sides;
-        Ok(EncodedKv {
-            layers,
-            tokens,
-            channels,
-            group_size,
-            delta_encoding,
-            entropy_version: version,
-            k_chunks,
-            v_chunks,
-            scales,
-        })
-    }
-}
-
-/// LEB128-encoded length of `n` on the wire (1 byte per 7 bits; chunk
-/// payloads are typically well under 16 KiB, so lengths cost 1–2 bytes).
-fn varint_len(n: usize) -> usize {
-    let mut n = n;
-    let mut len = 1;
-    while n >= 0x80 {
-        n >>= 7;
-        len += 1;
-    }
-    len
-}
-
-fn push_varint(out: &mut Vec<u8>, mut n: usize) {
-    while n >= 0x80 {
-        out.push((n as u8 & 0x7F) | 0x80);
-        n >>= 7;
-    }
-    out.push(n as u8);
-}
-
-fn take_varint(bytes: &[u8], pos: &mut usize) -> Result<usize, String> {
-    let mut n = 0usize;
-    for shift in (0..).step_by(7) {
-        if *pos >= bytes.len() {
-            return Err(format!("truncated varint at offset {pos}", pos = *pos));
-        }
-        let b = bytes[*pos];
-        let val = (b & 0x7F) as usize;
-        // Reject any byte whose payload bits would be shifted out of the
-        // word — an overlong varint must not silently wrap to a small
-        // value.
-        if shift >= usize::BITS as usize || (val << shift) >> shift != val {
-            return Err(format!("oversized varint at offset {pos}", pos = *pos));
-        }
-        *pos += 1;
-        n |= val << shift;
-        if b & 0x80 == 0 {
-            break;
-        }
-    }
-    Ok(n)
-}
-
-/// Truncates an f32 scale to bf16 for the wire (upper 16 bits; ≤0.4%
-/// relative error). The encoder quantizes *through* this representation so
-/// the decoder reconstructs with identical steps.
-pub fn scale_to_wire(s: f32) -> u16 {
-    (s.to_bits() >> 16) as u16
-}
-
-/// Inverse of [`scale_to_wire`].
-pub fn wire_to_scale(w: u16) -> f32 {
-    f32::from_bits((w as u32) << 16)
 }
 
 /// The CacheGen codec: a config plus a per-model profile. `Clone` is
@@ -567,87 +215,39 @@ pub(crate) struct LayerCoding<'a> {
     delta_tables: Vec<&'a FreqTable>,
 }
 
-/// The encode face both chunk-payload coders share, so the walk over a
-/// chunk's symbols is written once.
-trait SymbolSink {
-    fn put(&mut self, channel: usize, table: &FreqTable, index: usize);
-}
-
-impl SymbolSink for rc::Encoder {
-    #[inline]
-    fn put(&mut self, _channel: usize, table: &FreqTable, index: usize) {
-        self.encode(table, index);
+/// Decodes one token row, written as `reconstruct(channel, symbol)` per
+/// channel. Full channel blocks go through [`rans::Decoder::decode4`] —
+/// four independent state updates the CPU overlaps — and the tail decodes
+/// singly on lane `c % LANES`, mirroring the encoder's lane assignment
+/// exactly.
+#[inline]
+fn decode_row<F: Fn(usize, i32) -> f32>(
+    dec: &mut rans::Decoder<'_>,
+    tables: &[&FreqTable],
+    row: &mut [f32],
+    reconstruct: F,
+) {
+    let channels = row.len();
+    let blocks = channels & !(rans::LANES - 1);
+    let mut c = 0;
+    while c < blocks {
+        let syms = dec.decode4([tables[c], tables[c + 1], tables[c + 2], tables[c + 3]]);
+        row[c] = reconstruct(c, index_to_symbol(syms[0]));
+        row[c + 1] = reconstruct(c + 1, index_to_symbol(syms[1]));
+        row[c + 2] = reconstruct(c + 2, index_to_symbol(syms[2]));
+        row[c + 3] = reconstruct(c + 3, index_to_symbol(syms[3]));
+        c += rans::LANES;
     }
-}
-
-impl SymbolSink for rans::Encoder {
-    /// Lane = channel mod [`rans::LANES`], so each row's channel blocks
-    /// align with the decoder's batched four-wide loop.
-    #[inline]
-    fn put(&mut self, channel: usize, table: &FreqTable, index: usize) {
-        self.encode(channel % rans::LANES, table, index);
-    }
-}
-
-/// The decode face both chunk-payload coders share: one token row,
-/// written as `reconstruct(channel, symbol)` per channel.
-trait SymbolSource {
-    fn row<F: Fn(usize, i32) -> f32>(
-        &mut self,
-        tables: &[&FreqTable],
-        row: &mut [f32],
-        reconstruct: F,
-    );
-}
-
-impl SymbolSource for rc::Decoder<'_> {
-    #[inline]
-    fn row<F: Fn(usize, i32) -> f32>(
-        &mut self,
-        tables: &[&FreqTable],
-        row: &mut [f32],
-        reconstruct: F,
-    ) {
-        for (c, slot) in row.iter_mut().enumerate() {
-            *slot = reconstruct(c, index_to_symbol(self.decode(tables[c])));
-        }
-    }
-}
-
-impl SymbolSource for rans::Decoder<'_> {
-    /// Full channel blocks go through [`rans::Decoder::decode4`] — four
-    /// independent state updates the CPU overlaps — and the tail decodes
-    /// singly on lane `c % LANES`, mirroring the encoder's lane
-    /// assignment exactly.
-    #[inline]
-    fn row<F: Fn(usize, i32) -> f32>(
-        &mut self,
-        tables: &[&FreqTable],
-        row: &mut [f32],
-        reconstruct: F,
-    ) {
-        let channels = row.len();
-        let blocks = channels & !(rans::LANES - 1);
-        let mut c = 0;
-        while c < blocks {
-            let syms = self.decode4([tables[c], tables[c + 1], tables[c + 2], tables[c + 3]]);
-            row[c] = reconstruct(c, index_to_symbol(syms[0]));
-            row[c + 1] = reconstruct(c + 1, index_to_symbol(syms[1]));
-            row[c + 2] = reconstruct(c + 2, index_to_symbol(syms[2]));
-            row[c + 3] = reconstruct(c + 3, index_to_symbol(syms[3]));
-            c += rans::LANES;
-        }
-        while c < channels {
-            let sym = index_to_symbol(self.decode(c % rans::LANES, tables[c]));
-            row[c] = reconstruct(c, sym);
-            c += 1;
-        }
+    while c < channels {
+        let sym = index_to_symbol(dec.decode(c % rans::LANES, tables[c]));
+        row[c] = reconstruct(c, sym);
+        c += 1;
     }
 }
 
 /// Decodes every row of one chunk from `dec` into `out`.
-fn decode_rows<D: SymbolSource>(
-    dec: &mut D,
+fn decode_rows(
+    dec: &mut rans::Decoder<'_>,
     coding: &LayerCoding<'_>,
     delta_encoding: bool,
     channels: usize,
@@ -657,17 +257,17 @@ fn decode_rows<D: SymbolSource>(
     if delta_encoding {
         let anchor_steps = &coding.anchor_steps;
         let (anchor_row, rest) = out.split_at_mut(channels);
-        dec.row(&coding.anchor_tables, anchor_row, |c, sym| {
+        decode_row(dec, &coding.anchor_tables, anchor_row, |c, sym| {
             sym as f32 * anchor_steps[c]
         });
         for row in rest.chunks_mut(channels) {
-            dec.row(&coding.delta_tables, row, |c, sym| {
+            decode_row(dec, &coding.delta_tables, row, |c, sym| {
                 anchor_row[c] + sym as f32 * delta_steps[c]
             });
         }
     } else {
         for row in out.chunks_mut(channels) {
-            dec.row(&coding.delta_tables, row, |c, sym| {
+            decode_row(dec, &coding.delta_tables, row, |c, sym| {
                 sym as f32 * delta_steps[c]
             });
         }
@@ -780,69 +380,44 @@ impl KvCodec {
         })
     }
 
-    /// Feeds the symbols of one token group to a chunk-payload encoder.
-    fn encode_group<S: SymbolSink>(
-        &self,
-        slab: &[f32],
-        coding: &LayerCoding<'_>,
-        start: usize,
-        end: usize,
-        sink: &mut S,
-    ) {
-        walk_group_symbols(
-            slab,
-            self.profile.channels(),
-            start,
-            end,
-            self.config.delta_encoding,
-            &coding.anchor_steps,
-            &coding.delta_steps,
-            |kind, c, sym| {
-                let table = match kind {
-                    SymKind::Anchor => coding.anchor_tables[c],
-                    SymKind::Delta => coding.delta_tables[c],
-                };
-                sink.put(c, table, symbol_to_index(sym));
-            },
-        );
-    }
-
     /// Encodes one layer into its per-group chunks. Frequency tables and
     /// quantization steps are resolved once per layer, outside the symbol
-    /// loop. `entropy_version` selects the chunk payload coder.
-    fn encode_layer_chunks(
-        &self,
-        slab: &[f32],
-        coding: &LayerCoding<'_>,
-        entropy_version: u8,
-    ) -> Vec<Vec<u8>> {
+    /// loop. Lane = channel mod [`rans::LANES`], so each row's channel
+    /// blocks align with the decoder's batched four-wide loop.
+    fn encode_layer_chunks(&self, slab: &[f32], coding: &LayerCoding<'_>) -> Vec<Vec<u8>> {
         let channels = self.profile.channels();
         let layout = GroupLayout::new(self.config.group_size, slab.len() / channels);
         (0..layout.num_groups())
             .map(|g| {
                 let (start, end) = layout.group_range(g);
-                if entropy_version == RC_VERSION {
-                    let mut enc = rc::Encoder::new();
-                    self.encode_group(slab, coding, start, end, &mut enc);
-                    enc.finish()
-                } else {
-                    let mut enc = rans::Encoder::with_capacity((end - start) * channels);
-                    self.encode_group(slab, coding, start, end, &mut enc);
-                    enc.finish()
-                }
+                let mut enc = rans::Encoder::with_capacity((end - start) * channels);
+                walk_group_symbols(
+                    slab,
+                    channels,
+                    start,
+                    end,
+                    self.config.delta_encoding,
+                    &coding.anchor_steps,
+                    &coding.delta_steps,
+                    |kind, c, sym| {
+                        let table = match kind {
+                            SymKind::Anchor => coding.anchor_tables[c],
+                            SymKind::Delta => coding.delta_tables[c],
+                        };
+                        enc.encode(c % rans::LANES, table, symbol_to_index(sym));
+                    },
+                );
+                enc.finish()
             })
             .collect()
     }
 
     /// Decodes one (layer, group) chunk into its output slice, verifying
-    /// exact byte consumption against the chunk frame. Dispatches on the
-    /// container's entropy version: the serial range coder, or four-lane
-    /// interleaved rANS with the batched four-wide row loop. Truncation
-    /// surfaces as synthetic input, in-place corruption of a rANS chunk
-    /// as lanes that fail to return to the normalization base, trailing
-    /// slack as a length mismatch — a damaged chunk is always reported,
-    /// never decoded as noise.
-    #[allow(clippy::too_many_arguments)] // decode-side mirror of the encode stages
+    /// exact byte consumption against the chunk frame. Truncation
+    /// surfaces as synthetic input, in-place corruption as lanes that
+    /// fail to return to the normalization base, trailing slack as a
+    /// length mismatch — a damaged chunk is always reported, never
+    /// decoded as noise.
     pub(crate) fn decode_chunk(
         &self,
         coding: &LayerCoding<'_>,
@@ -850,7 +425,6 @@ impl KvCodec {
         group: usize,
         group_tokens: usize,
         delta_encoding: bool,
-        entropy_version: u8,
         out: &mut [f32],
     ) -> Result<(), CodecError> {
         let channels = self.profile.channels();
@@ -862,15 +436,9 @@ impl KvCodec {
                 out.len()
             )));
         }
-        let (missing_bytes, consumed, lanes_clean) = if entropy_version == RC_VERSION {
-            let mut dec = rc::Decoder::new(stream);
-            decode_rows(&mut dec, coding, delta_encoding, channels, out);
-            (dec.overrun_bytes(), dec.bytes_consumed(), true)
-        } else {
-            let mut dec = rans::Decoder::new(stream);
-            decode_rows(&mut dec, coding, delta_encoding, channels, out);
-            (dec.overrun_bytes(), dec.bytes_consumed(), dec.finished())
-        };
+        let mut dec = rans::Decoder::new(stream);
+        decode_rows(&mut dec, coding, delta_encoding, channels, out);
+        let missing_bytes = dec.overrun_bytes();
         if missing_bytes > 0 {
             return Err(CodecError::TruncatedChunk {
                 is_k,
@@ -879,9 +447,10 @@ impl KvCodec {
                 missing_bytes,
             });
         }
-        if !lanes_clean {
+        if !dec.finished() {
             return Err(CodecError::CorruptChunk { is_k, layer, group });
         }
+        let consumed = dec.bytes_consumed();
         if consumed != stream.len() {
             return Err(CodecError::ChunkLengthMismatch {
                 is_k,
@@ -901,18 +470,6 @@ impl KvCodec {
     /// the stream header; only the symbol distributions come from the
     /// offline profile.
     pub fn encode(&self, cache: &KvCache) -> EncodedKv {
-        self.encode_with_version(cache, RANS_VERSION)
-    }
-
-    /// Encodes with wire-v2 (serial range coder) chunk payloads. Kept for
-    /// peers that cannot decode rANS payloads and as the reference arm of
-    /// the bit-exactness tests: both versions quantize identically, so
-    /// their decodes must agree bit-for-bit.
-    pub fn encode_v2(&self, cache: &KvCache) -> EncodedKv {
-        self.encode_with_version(cache, RC_VERSION)
-    }
-
-    fn encode_with_version(&self, cache: &KvCache, entropy_version: u8) -> EncodedKv {
         assert_eq!(
             cache.channels(),
             self.profile.channels(),
@@ -942,7 +499,7 @@ impl KvCodec {
             (0..n_layers)
                 .map(|l| {
                     let coding = self.layer_coding(is_k, l, n_layers, &scales);
-                    self.encode_layer_chunks(tensor.slab(l), &coding, entropy_version)
+                    self.encode_layer_chunks(tensor.slab(l), &coding)
                 })
                 .collect()
         };
@@ -954,7 +511,6 @@ impl KvCodec {
             channels: cache.channels(),
             group_size: self.config.group_size,
             delta_encoding: self.config.delta_encoding,
-            entropy_version,
             k_chunks,
             v_chunks,
             scales,
@@ -1009,14 +565,6 @@ impl KvCodec {
         layout: GroupLayout,
     ) -> Result<(), CodecError> {
         let err = |msg: String| Err(CodecError::Geometry(msg));
-        // `EncodedKv`'s fields are public, so a container need not have
-        // come through `from_bytes`' version check.
-        if enc.entropy_version != RC_VERSION && enc.entropy_version != RANS_VERSION {
-            return err(format!(
-                "unsupported entropy version {}",
-                enc.entropy_version
-            ));
-        }
         if enc.channels != self.profile.channels() || enc.layers != self.profile.layers() {
             return err(format!(
                 "stream is {}×{} (layers×channels) but the profile is {}×{}",
@@ -1088,7 +636,6 @@ impl KvCodec {
                 job.group,
                 job.group_tokens,
                 enc.delta_encoding,
-                enc.entropy_version,
                 job.out,
             )
         };
@@ -1244,7 +791,7 @@ mod tests {
         );
         let coding = codec.layer_coding(true, 0, cache.layers(), &enc.scales);
         let replacement = codec
-            .encode_layer_chunks(zero_cache.k().slab(0), &coding, enc.entropy_version)
+            .encode_layer_chunks(zero_cache.k().slab(0), &coding)
             .remove(1);
         damaged.k_chunks[0][1] = replacement;
         let dec = codec.try_decode(&damaged).expect("all chunks well-formed");
@@ -1389,71 +936,6 @@ mod tests {
     }
 
     #[test]
-    fn varint_round_trips_boundaries() {
-        for n in [0usize, 1, 0x7F, 0x80, 0x3FFF, 0x4000, 1 << 20, usize::MAX] {
-            let mut buf = Vec::new();
-            push_varint(&mut buf, n);
-            assert_eq!(buf.len(), varint_len(n));
-            let mut pos = 0;
-            assert_eq!(take_varint(&buf, &mut pos), Ok(n));
-            assert_eq!(pos, buf.len());
-        }
-        assert!(take_varint(&[0x80], &mut 0).is_err(), "truncated varint");
-        assert!(
-            take_varint(&[0xFF; 12], &mut 0).is_err(),
-            "oversized varint"
-        );
-        // Overlong varint whose 10th byte carries bits past position 63
-        // must be rejected, not silently wrapped to a small value.
-        let mut overlong = vec![0x80u8; 9];
-        overlong.push(0x02);
-        assert!(
-            take_varint(&overlong, &mut 0).is_err(),
-            "wrapping varint must be rejected"
-        );
-    }
-
-    #[test]
-    fn v4_decode_is_bit_identical_to_v2() {
-        // Both versions quantize through the same walk; only the entropy
-        // stage differs, and entropy coding is lossless — so the decoded
-        // caches must match bit-for-bit, serial and parallel, both
-        // ablation arms.
-        let (_, cache, codec) = setup();
-        let v4 = codec.encode(&cache);
-        let v2 = codec.encode_v2(&cache);
-        assert_eq!(v4.entropy_version, 4);
-        assert_eq!(v2.entropy_version, 2);
-        let d4 = codec.decode(&v4);
-        let d2 = codec.decode(&v2);
-        assert_eq!(d4, d2, "v4 and v2 must decode identically");
-        assert_eq!(codec.decode_parallel(&v4), d4);
-        let m = SimTransformer::new(SimModelConfig::tiny(33));
-        let cache = m.prefill(&(0..25).collect::<Vec<_>>());
-        let cfg = CodecConfig {
-            delta_encoding: false,
-            ..CodecConfig::default()
-        };
-        let profile = CodecProfile::build(&cfg, &[&cache]);
-        let codec = KvCodec::new(cfg, profile);
-        assert_eq!(
-            codec.decode(&codec.encode(&cache)),
-            codec.decode(&codec.encode_v2(&cache))
-        );
-    }
-
-    #[test]
-    fn container_round_trips_v2_payloads() {
-        let (_, cache, codec) = setup();
-        let enc = codec.encode_v2(&cache);
-        let bytes = enc.to_bytes();
-        assert_eq!(bytes[4], 2, "v2 container must carry version byte 2");
-        let back = EncodedKv::from_bytes(&bytes).expect("v2 stays decodable");
-        assert_eq!(back, enc);
-        assert_eq!(codec.decode(&back), codec.decode(&enc));
-    }
-
-    #[test]
     fn v4_chunk_carries_lane_state_header() {
         let (_, cache, codec) = setup();
         let v4 = codec.encode(&cache);
@@ -1507,12 +989,14 @@ mod tests {
 
     #[test]
     fn container_rejects_old_wire_versions() {
-        // 1 = pre-chunking monolithic streams, 3 = rANS over the alias
-        // layout: same framing as v4, different symbol mapping, so it
-        // must fail at the version byte and never reach a decoder.
+        // 1 = pre-chunking monolithic streams, 2 = serial range coder,
+        // 3 = rANS over the alias layout: same framing as v4, different
+        // payload coding, so every foreign version byte must fail at the
+        // gate and never reach a decoder.
         let (_, cache, codec) = setup();
-        for old in [1u8, 3] {
-            let mut bytes = codec.encode(&cache).to_bytes();
+        let valid = codec.encode(&cache).to_bytes();
+        for old in (0..=u8::MAX).filter(|&v| v != 4) {
+            let mut bytes = valid.clone();
             bytes[4] = old;
             let err = EncodedKv::from_bytes(&bytes).expect_err("old version unsupported");
             assert_eq!(err, format!("unsupported version {old}"));
@@ -1531,7 +1015,6 @@ mod tests {
             0,
             10,
             enc.delta_encoding,
-            enc.entropy_version,
             &mut out,
         );
         assert!(matches!(got, Err(CodecError::Geometry(_))), "got {got:?}");

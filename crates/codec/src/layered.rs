@@ -18,7 +18,8 @@
 //! it), so the enhancement layer skips the delta transform and relies on
 //! per-(channel, layer) entropy coding alone.
 
-use crate::encoder::{CodecConfig, EncodedKv, KvCodec};
+use crate::container::EncodedKv;
+use crate::encoder::{CodecConfig, KvCodec};
 use crate::profile::CodecProfile;
 use cachegen_llm::KvCache;
 use cachegen_quant::LayerGroupBins;

@@ -10,30 +10,26 @@
 //!                chunked KV bitstream
 //! ```
 //!
-//! * [`rans`] — a four-lane interleaved rANS coder (independent u64
-//!   states round-robin over symbols, plain cumulative symbol layout),
-//!   the entropy-coding hot path (wire version 4). Lossless by
-//!   construction, with exact consumed-byte accounting and a per-lane
-//!   final-state check.
-//! * [`rc`] — a byte-renormalizing serial range coder (64-bit state, u8
-//!   output, no per-bit loop), the wire-v2 coder; still fully decodable.
-//! * [`ac`] — the legacy 32-bit Witten–Neal–Cleary arithmetic coder, kept
-//!   as a compatibility shim (bit-at-a-time; ~an order of magnitude slower
-//!   to decode). New code should use [`rc`].
-//! * [`bitio`] — bit-level writer/reader over byte buffers (used by the
-//!   legacy coder).
-//! * [`symbol_model`] — the one frequency-table type all three coders
-//!   read (a ~1.2 KB cumulative table with an inline hot window and block
+//! * [`rans`] — *the* entropy stage: a four-lane interleaved rANS coder
+//!   (independent u64 states round-robin over symbols, plain cumulative
+//!   symbol layout). Lossless by construction, with exact consumed-byte
+//!   accounting and a per-lane final-state check.
+//! * [`symbol_model`] — the frequency-table type the coder reads (a
+//!   ~1.2 KB cumulative table with an inline hot window and block
 //!   pivots), at four context granularities (global / per-layer /
 //!   per-channel / per-channel-layer) for the Figure 15 ablation; the
 //!   paper's choice is per-channel-layer.
 //! * [`delta`] — anchor-group delta transform (group size 10, §5.2).
 //! * [`profile`] — offline per-model profiling of scales and symbol
 //!   distributions (one profile per LLM, reused across contexts, §5.2).
-//! * [`encoder`] — the end-to-end encoder/decoder over [`KvCache`]s,
-//!   including chunk-parallel decode over a bounded worker pool (stand-in
-//!   for the paper's per-token CUDA threads) and the multi-level encoding
-//!   used by the streamer (§5.3).
+//! * [`encoder`] — the end-to-end encoder/decoder over [`KvCache`]s:
+//!   the quantise walk, per-chunk entropy coding and [`KvCodec`],
+//!   including chunk-parallel decode over the bounded worker [`pool`]
+//!   (stand-in for the paper's per-token CUDA threads).
+//! * [`container`] — the wire format: [`EncodedKv`], its byte
+//!   serialisation, and the [`CodecError`]s a decode reports.
+//! * [`layered`] — the multi-level encoding used by the streamer (§5.3).
+//! * [`repair`] — hole-aware decoding over a chunk arrival map.
 //!
 //! The only lossy stage is quantization: `decode(encode(kv))` equals the
 //! quantized cache exactly, which the property tests in this crate verify.
@@ -47,7 +43,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "CGKV"
-//! 4       1     entropy version (4 = interleaved rANS; 2 = range coder)
+//! 4       1     wire version (always 4; anything else is rejected)
 //! 5       1     delta_encoding flag (0 or 1)
 //! 6       2     layers            (u16 LE)
 //! 8       4     tokens            (u32 LE)
@@ -69,8 +65,7 @@
 //! is what lets [`KvCodec::decode_parallel`] schedule `2 × layers ×
 //! groups` work items over a bounded pool, and what the loss-resilient
 //! transport relies on (damaged chunks degrade only their own token
-//! range; see [`encoder::CodecError`] for how length defects are
-//! reported).
+//! range; see [`CodecError`] for how length defects are reported).
 //!
 //! ## Version-4 chunk payloads (interleaved rANS, cumulative layout)
 //!
@@ -94,25 +89,27 @@
 //! exactly back on the normalization base 2³¹ after the last symbol; that
 //! per-lane final-state check — plus exact consumed-byte accounting
 //! against the chunk frame — is what turns any truncation or corruption
-//! into a reported [`encoder::CodecError`] instead of noise.
+//! into a reported [`CodecError`] instead of noise.
 //!
 //! ## Versions
 //!
-//! * **4** — what [`KvCodec::encode`] writes.
-//! * **3** — retired: the same framing as v4, but symbols were laid out
-//!   over the scaled-value line by a Vose alias construction instead of
-//!   cumulatively (see [`rans`] for why that layout lost on this codec's
-//!   many-table traffic). A v3 payload fed to the v4 decoder would mostly
-//!   "decode", to noise, so [`EncodedKv::from_bytes`] and every decode
-//!   path reject the version byte outright. Nothing persisted v3 streams:
-//!   the KV store is in-memory and re-encodes on start.
-//! * **2** — still read by [`EncodedKv::from_bytes`] and every decode
-//!   path: a single serial [`rc`] stream per chunk with no state header,
-//!   over the same tables. [`KvCodec::encode_v2`] writes it for peers
-//!   without a rANS decoder and as the reference arm of the
-//!   bit-exactness tests (both versions quantize identically, so their
-//!   decodes must agree bit for bit).
-//! * **1** — monolithic per-layer WNC streams; long gone, rejected.
+//! One version is written and read. [`EncodedKv::from_bytes`] rejects
+//! every other value of byte 4 with a typed error, and an [`EncodedKv`]
+//! carries no version field, so a foreign-version container cannot be
+//! represented in memory. Nothing ever persisted an older stream (the KV
+//! store is in-memory and re-encodes on start). CHANGES.md keeps the
+//! throughput history the retired versions' bench rows used to show (raw
+//! decode: WNC → range coder 8×, range coder → rANS 4.6×; whole-context
+//! encode: alias → cumulative layout 3×).
+//!
+//! * **4** — what [`KvCodec::encode`] writes: [`rans`] chunk payloads
+//!   over the cumulative symbol layout.
+//! * **3** — retired: v4's framing over a Vose alias symbol layout, which
+//!   lost on this codec's many-table traffic (see [`rans`]).
+//! * **2** — retired: one serial range-coder stream per chunk, no state
+//!   header; kept one release past v3 for a peer that never existed.
+//! * **1** — retired: monolithic per-layer WNC arithmetic-coder streams,
+//!   not independently decodable per chunk.
 //!
 //! ## Chunk arrival map and repair provenance
 //!
@@ -137,51 +134,53 @@
 //!
 //! ## FEC parity packets and the recovery ladder
 //!
-//! With forward error correction enabled, the transport also emits
-//! **XOR parity packets** alongside the data packets. Parity is purely a
-//! wire-level artifact — it never appears in the [`EncodedKv`] container
-//! above, so stored bitstreams are unchanged and FEC off (`k = ∞`) is
+//! With forward error correction enabled, the transport also emits `r ≥
+//! 1` **parity packets** per parity group alongside the data packets:
+//! systematic Reed–Solomon rows over GF(256) (`cachegen_net::RsCode`),
+//! of which row 0 is the byte-wise XOR of the members. Parity is purely
+//! a wire-level artifact — it never appears in the [`EncodedKv`]
+//! container above, so stored bitstreams are unchanged and FEC off is
 //! bit-identical to the plain transport. Layout per stream chunk:
 //!
 //! * The schedule's `n` data packets (priority order: early token groups,
 //!   shallow layers, K before V) are striped into parity groups of at
 //!   most `k` members with **interleaver stride `g = ceil(n / k)`**:
-//!   packet `i` joins group `i mod g`, so a burst of up to `g`
-//!   consecutive drops degrades into at most one loss per group. The
-//!   head half of the priority order may be protected denser (`ceil(k /
-//!   2)`, `FecOverhead::PerLevel`).
-//! * Each group's parity packet is the byte-wise XOR of its members
-//!   (zero-padded to the longest), sized to the group's max member, and
-//!   rides the wire **immediately after its group's last data packet** —
-//!   after the data of its group, before the next group's tail.
+//!   packet `i` joins group `i mod g`, so a burst of up to `g · r`
+//!   consecutive drops degrades into at most `r` losses per group. The
+//!   shape is a streamer policy (`cachegen_streamer::FecOverhead`): a
+//!   fixed `(k, r)`, a per-level `k` with the head half of the priority
+//!   order protected denser, or a loss-adaptive `(k, r)` ladder.
+//! * Each of a group's `r` parity packets is sized to the group's
+//!   longest member (shorter members count as zero-padded). Parity 0
+//!   rides the wire **immediately after its group's last data packet**;
+//!   parity `t` rides `t` data slots later.
 //!
 //! The receive path then runs a three-rung recovery ladder:
 //!
-//! 1. **FEC** — a group that lost exactly one data packet (and kept its
-//!    parity) is XOR-reconstructed byte-identically; the chunk is marked
-//!    recovered in the arrival map and decodes like an arrival, reported
-//!    as [`repair::RepairCause::RecoveredByFec`] provenance with no
-//!    quality penalty.
-//! 2. **Repair** — groups with ≥ 2 losses fall back to the
+//! 1. **FEC** — a group that lost no more data packets than it kept
+//!    parity packets is reconstructed byte-identically; each such chunk
+//!    is marked recovered in the arrival map and decodes like an
+//!    arrival, reported as [`repair::RepairCause::RecoveredByFec`]
+//!    provenance with no quality penalty.
+//! 2. **Repair** — groups with more losses than parity fall back to the
 //!    [`RepairPolicy`] chain above (after whatever retransmit budget the
 //!    streamer had).
 //! 3. **Refetch** — under [`RepairPolicy::Refetch`] the remaining holes
 //!    are re-requested after the first decode; TTFT keeps the first-pass
 //!    finish and fidelity is restored when the re-fetch lands.
 
-pub mod ac;
-pub mod bitio;
+pub mod container;
 pub mod delta;
 pub mod encoder;
 pub mod layered;
 pub mod pool;
 pub mod profile;
 pub mod rans;
-pub mod rc;
 pub mod repair;
 pub mod symbol_model;
 
-pub use encoder::{CodecConfig, CodecError, EncodedKv, KvCodec};
+pub use container::{CodecError, EncodedKv};
+pub use encoder::{CodecConfig, KvCodec};
 pub use pool::{PoolError, PoolHandle, PoolJob, PoolShape};
 pub use profile::CodecProfile;
 pub use repair::{ChunkArrivalMap, ChunkRepair, RepairCause, RepairKind, RepairPolicy, RepairedKv};

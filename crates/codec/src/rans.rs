@@ -1,16 +1,15 @@
-//! Four-lane interleaved rANS — the wire-v4 entropy stage.
+//! Four-lane interleaved rANS — the codec's entropy stage.
 //!
-//! The range coder ([`crate::rc`]) decodes one symbol per dependent
+//! A serial range coder decodes one symbol per dependent
 //! divide/renormalize chain, so raw decode throughput is pinned to the
-//! latency of a 64-bit division. This module replaces it on the hot path
-//! with a *range asymmetric numeral system* in the 64-bit/32-bit-word
-//! formulation:
+//! latency of a 64-bit division. This module is a *range asymmetric
+//! numeral system* in the 64-bit/32-bit-word formulation instead:
 //!
 //! * **Four independent `u64` states** round-robin over the symbol
 //!   sequence (`lane = position % LANES` is the caller's contract, the
 //!   codec uses `channel % LANES`). Each lane's update chain is
 //!   independent of the others, so a superscalar CPU overlaps four
-//!   decodes where the range coder serialized one.
+//!   decodes where a range coder serializes one.
 //! * **Division-free decode.** Frequency totals are exactly
 //!   `2^TOTAL_BITS` ([`crate::symbol_model::MAX_TOTAL`]), so the state
 //!   split is a mask/shift and the update is one multiply-add —
@@ -55,7 +54,7 @@
 //!
 //! Truncation and corruption are detectable without trusting the payload:
 //! the decoder counts synthetic zero bytes past the end of input
-//! ([`Decoder::overrun_bytes`], like [`crate::rc`]) and, because every
+//! ([`Decoder::overrun_bytes`]) and, because every
 //! encoder lane starts at [`RANS_L`], a complete clean decode must return
 //! every lane to exactly [`RANS_L`] — [`Decoder::finished`] is the
 //! per-lane final-state check the v4 container verifies per chunk.
@@ -523,48 +522,26 @@ mod tests {
     }
 
     #[test]
-    fn matches_range_coder_losslessness_on_same_tables() {
-        // Same symbols, same table, through rc and rANS: different
-        // bytes, identical decoded sequences.
-        let freq = FreqTable::from_counts(&[500, 30, 9, 2, 1]);
-        let symbols: Vec<usize> = (0..3_000).map(|i| (i * i) % 5).collect();
-        let mut rc_enc = crate::rc::Encoder::new();
-        let mut rans_enc = Encoder::new();
-        for (i, &s) in symbols.iter().enumerate() {
-            rc_enc.encode(&freq, s);
-            rans_enc.encode(i % LANES, &freq, s);
-        }
-        let rc_bytes = rc_enc.finish();
-        let rans_bytes = rans_enc.finish();
-        let mut rc_dec = crate::rc::Decoder::new(&rc_bytes);
-        let mut rans_dec = Decoder::new(&rans_bytes);
-        for (i, &s) in symbols.iter().enumerate() {
-            assert_eq!(rc_dec.decode(&freq), s);
-            assert_eq!(rans_dec.decode(i % LANES, &freq), s);
-        }
-        assert!(rans_dec.finished());
-    }
-
-    #[test]
-    fn compression_is_close_to_the_range_coder() {
-        // Entropy coding efficiency must not regress past the fixed
-        // 32-byte state header: compare payload sizes on a skewed stream.
+    fn compression_is_close_to_the_shannon_bound() {
+        // Coding efficiency against the table's own ideal code length,
+        // Σ −log₂(f / 2²⁴): within 2% plus the fixed state header.
         let freq = FreqTable::from_counts(&[900, 50, 25, 12, 6, 3, 2, 1]);
         let mut rng = cachegen_tensor::rng::seeded(5);
         let symbols: Vec<usize> = (0..20_000)
             .map(|_| (rng.gen::<u32>() % 8) as usize)
             .collect();
-        let mut rc_enc = crate::rc::Encoder::new();
-        let mut rans_enc = Encoder::new();
+        let mut enc = Encoder::new();
+        let mut shannon_bits = 0.0f64;
         for (i, &s) in symbols.iter().enumerate() {
-            rc_enc.encode(&freq, s);
-            rans_enc.encode(i % LANES, &freq, s);
+            enc.encode(i % LANES, &freq, s);
+            let (lo, hi) = freq.range(s);
+            shannon_bits -= ((hi - lo) as f64 / MAX_TOTAL as f64).log2();
         }
-        let rc_len = rc_enc.finish().len() as f64;
-        let rans_len = rans_enc.finish().len() as f64;
+        let rans_len = enc.finish().len() as f64;
+        let shannon_len = shannon_bits / 8.0;
         assert!(
-            rans_len < rc_len * 1.02 + STATE_BYTES as f64,
-            "rANS stream {rans_len}B vs range coder {rc_len}B"
+            rans_len < shannon_len * 1.02 + STATE_BYTES as f64,
+            "rANS stream {rans_len}B vs Shannon bound {shannon_len:.0}B"
         );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A lossy transport delivers a *subset* of a stream's per-(layer,
 //! token-group) entropy chunks. Because every chunk is independently
-//! decodable (wire v2), the decoder does not have to stall on the holes:
+//! decodable, the decoder does not have to stall on the holes:
 //! [`KvCodec::decode_with_repairs`] decodes what arrived, fills what did
 //! not according to a [`RepairPolicy`], and reports exactly what it did
 //! per chunk ([`ChunkRepair`]) — a damaged stream degrades output quality
@@ -30,8 +30,9 @@
 //! and repaired like a loss — exact per-chunk byte accounting is what
 //! makes that detection reliable.
 
+use crate::container::{CodecError, EncodedKv};
 use crate::delta::GroupLayout;
-use crate::encoder::{CodecError, EncodedKv, KvCodec};
+use crate::encoder::KvCodec;
 use cachegen_llm::KvCache;
 use cachegen_tensor::Tensor;
 
@@ -312,7 +313,6 @@ impl KvCodec {
                         group,
                         end - start,
                         enc.delta_encoding,
-                        enc.entropy_version,
                         slice,
                     ) {
                         // An FEC-recovered chunk decoded byte-identically:

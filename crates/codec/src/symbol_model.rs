@@ -11,10 +11,9 @@
 use crate::{symbol_to_index, ALPHABET};
 
 /// Every table's total frequency mass, exactly: `2^TOTAL_BITS`. A fixed
-/// power-of-two total turns the coders' per-symbol `range / total` into a
-/// shift, keeps `range / total ≥ 1` in the range coder ([`crate::rc`],
-/// which restores `range ≥ 2⁴⁸` between symbols), and stays far below the
-/// legacy WNC coder's 2³⁰ precision bound.
+/// power-of-two total turns the rANS decoder's split of a state into
+/// quotient and probability-mass slot into a shift and a mask
+/// ([`crate::rans`]).
 pub const TOTAL_BITS: u32 = 24;
 
 /// `1 << TOTAL_BITS` — the exact total of every [`FreqTable`].
@@ -49,7 +48,7 @@ fn rank16(bounds: &[u32; LINE], v: u32) -> usize {
 }
 
 /// A cumulative frequency table over a fixed alphabet, with total mass
-/// exactly [`MAX_TOTAL`] — the one table type every coder reads.
+/// exactly [`MAX_TOTAL`] — the table type the rANS coder reads.
 ///
 /// Frequencies are stored as a `u32` cumulative array `cum[0..=n]` with
 /// `cum[i+1] > cum[i]` guaranteed (every symbol gets at least one count —
@@ -195,7 +194,7 @@ impl FreqTable {
     }
 
     /// Resolves a scaled code value to `(symbol, start, frequency)` — the
-    /// decoders' per-symbol hot path.
+    /// decoder's per-symbol hot path.
     #[inline(always)]
     pub(crate) fn resolve(&self, scaled: u32) -> (usize, u32, u32) {
         let hot = &self.hot;

@@ -15,8 +15,8 @@
 //! receive path runs the FEC→repair→refetch recovery ladder: erasure
 //! parity ([`FecOverhead`]) first reconstructs every parity group whose
 //! losses fit its repair budget — byte-identical, no NACK, no budget.
-//! XOR groups (`Uniform`/`PerLevel`, `r = 1`) absorb one loss per group;
-//! GF(256) Reed–Solomon groups (`Rs { k, r }`) absorb any `r` losses,
+//! XOR groups (`PerLevel`, or `Rs` with `r = 1`) absorb one loss per
+//! group; GF(256) Reed–Solomon groups (`Rs { k, r }`) absorb any `r` losses,
 //! and `Adaptive` picks `(k, r)` per chunk from the measured loss rate.
 //! Packets still missing after the retransmit budget are *repaired* by
 //! the configured [`RepairPolicy`] instead of stalling the stream (only
@@ -52,15 +52,15 @@ pub struct LoadParams {
     /// GPU prefill-recompute speed for text chunks, seconds per token.
     pub recompute_sec_per_token: f64,
     /// How holes left by a lossy link are filled (per-packet-fault links
-    /// only; clean and goodput-derated links never lose packets).
+    /// only; clean links never lose packets).
     pub repair: RepairPolicy,
     /// Packet retransmissions allowed per chunk before the repair policy
     /// takes over. `usize::MAX` = stall-and-retry (never repair).
     pub retransmit_budget: usize,
     /// Forward-error-correction parity policy: the first rung of the
     /// recovery ladder. [`FecOverhead::Off`] (the default) reproduces the
-    /// pre-FEC transport bit for bit; `Uniform`/`PerLevel` add one XOR
-    /// repair per group; `Rs { k, r }` adds `r` GF(256) Reed–Solomon
+    /// pre-FEC transport bit for bit; `PerLevel` adds one XOR repair
+    /// per group; `Rs { k, r }` adds `r` GF(256) Reed–Solomon
     /// repairs per group; `Adaptive` selects `(k, r)` per chunk from the
     /// measured channel loss rate.
     pub fec_overhead: FecOverhead,

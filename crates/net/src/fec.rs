@@ -1,17 +1,17 @@
-//! Systematic forward error correction over packet batches: striped
-//! parity groups, XOR fast path, and multi-erasure Reed–Solomon parity.
+//! Systematic forward error correction over packet batches: which data
+//! packets share a parity group ([`FecGroups`]). The parity bytes
+//! themselves are [`crate::rs::RsCode`]'s.
 //!
 //! The loss-resilient transport ships every entropy chunk as its own
-//! packet; PR 4 recovered holes *reactively* (repair policies, refetch).
+//! packet; the repair policies and refetch recover holes *reactively*.
 //! This module is the proactive half: the sender stripes the data packets
 //! of one schedule into **parity groups** of at most `k` members and
-//! emits `r ≥ 1` parity packets per group. With `r = 1` the parity is the
-//! byte-wise XOR of the members (the PR 5 wire format, bit-identical);
-//! with `r ≥ 2` the parity rows are the column-normalized Cauchy
-//! Reed–Solomon code of [`crate::rs`], whose row 0 *is* the XOR row — so
-//! any `r` losses per group (data or parity) are recovered byte-
-//! identically and order-free, no NACK round trip, no retransmission (the
-//! redundancy-at-the-sender argument of MDC fronthaul coding, PAPERS.md).
+//! emits `r ≥ 1` parity packets per group — the rows of the
+//! column-normalized Cauchy Reed–Solomon code of [`crate::rs`], whose row
+//! 0 is the byte-wise XOR of the members — so any `r` losses per group
+//! (data or parity) are recovered byte-identically and order-free, no
+//! NACK round trip, no retransmission (the redundancy-at-the-sender
+//! argument of MDC fronthaul coding, PAPERS.md).
 //!
 //! Properties that make the scheme useful on real loss patterns:
 //!
@@ -38,17 +38,15 @@
 //!   at ≈ `r/k` overhead.
 //! * **Systematic coding** — data packets travel unmodified; parity is
 //!   additional. FEC off is therefore bit-identical to the plain
-//!   transport, and `r = 1` is bit-identical to the PR 5 XOR transport.
+//!   transport, and `r = 1` is plain XOR parity.
 //!
 //! Recovery is order-independent: the receiver dedups packets by index
 //! (the transport already does — duplicates are delivered once) and
 //! solves per byte position. Groups losing more data packets than they
 //! have surviving parity packets are *not* recoverable here; those fall
-//! back to the repair/refetch ladder. Edge cases (survivor longer than
-//! parity, claimed length exceeding parity) are typed [`FecError`]s, not
-//! silent zero-padding.
-
-use crate::rs::FecError;
+//! back to the repair/refetch ladder. Edge cases (a survivor longer than
+//! parity, parity widths that disagree) are typed
+//! [`crate::rs::FecError`]s, not silent zero-padding.
 
 /// Packets larger than this multiple of the schedule's median size are
 /// excluded from parity protection (see the module docs). At real scale
@@ -72,40 +70,21 @@ pub struct FecGroups {
 impl FecGroups {
     /// Stripes `n` equally-trusted data packets into groups of at most
     /// `k` members each: `g = ceil(n / k)` groups, packet `i` → group
-    /// `i % g`, one XOR parity per group (`r = 1`), so any burst of up to
-    /// `g` consecutive packets loses at most one member per group.
-    pub fn striped(n: usize, k: usize) -> Self {
-        Self::striped_rs(n, k, 1)
-    }
-
-    /// Multi-erasure striping: like [`FecGroups::striped`] but each group
-    /// carries `r` Reed–Solomon parity packets, so any burst of up to
-    /// `g·r` consecutive packets degrades into ≤ `r` losses per group —
-    /// all recoverable.
+    /// `i % g`, `r` Reed–Solomon parity packets per group, so any burst
+    /// of up to `g·r` consecutive packets degrades into ≤ `r` losses per
+    /// group — all recoverable.
     pub fn striped_rs(n: usize, k: usize, r: usize) -> Self {
         assert!(n >= 1, "need at least one data packet");
         Self::build(&(0..n).collect::<Vec<_>>(), n, k, r, false)
     }
 
-    /// Two-tier striping: the *head* half of the sequence (the schedule's
-    /// highest-priority packets — early token groups, shallow layers) is
-    /// protected at the denser `ceil(k / 2)`, the tail at `k`.
-    pub fn striped_tiered(n: usize, k: usize) -> Self {
-        assert!(n >= 1, "need at least one data packet");
-        Self::build(&(0..n).collect::<Vec<_>>(), n, k, 1, true)
-    }
-
     /// Striping over a sized schedule with outlier exclusion: packets
     /// larger than [`OUTLIER_FACTOR`]× the median size stay unprotected
     /// (their parity would cost as much as resending them); the rest are
-    /// striped — tiered (head half denser) when `tiered` is set — with
-    /// one XOR parity per group.
-    pub fn striped_sized(sizes: &[u64], k: usize, tiered: bool) -> Self {
-        Self::striped_sized_rs(sizes, k, 1, tiered)
-    }
-
-    /// Multi-erasure sized striping: [`FecGroups::striped_sized`] with
-    /// `r` Reed–Solomon parity packets per group.
+    /// striped with `r` parity packets per group. With `tiered` set, the
+    /// *head* half of the protected sequence (the schedule's
+    /// highest-priority packets — early token groups, shallow layers) is
+    /// striped at the denser `ceil(k / 2)`, the tail at `k`.
     pub fn striped_sized_rs(sizes: &[u64], k: usize, r: usize, tiered: bool) -> Self {
         assert!(!sizes.is_empty(), "need at least one data packet");
         // Lower median: on even-length schedules `s[len / 2]` is the
@@ -220,64 +199,13 @@ impl FecGroups {
     }
 }
 
-/// XOR parity payload of one group: byte-wise XOR of all member payloads,
-/// each zero-padded to the longest member. This is parity row 0 of the
-/// Reed–Solomon code ([`crate::rs::RsCode::parity`]) — the `r = 1` wire
-/// format is the same code, not merely an equivalent one.
-pub fn xor_parity(payloads: &[&[u8]]) -> Vec<u8> {
-    let len = payloads.iter().map(|p| p.len()).max().unwrap_or(0);
-    let mut parity = vec![0u8; len];
-    for p in payloads {
-        for (slot, &b) in parity.iter_mut().zip(p.iter()) {
-            *slot ^= b;
-        }
-    }
-    parity
-}
-
-/// Recovers the single lost member of a parity group byte-identically:
-/// XORs the parity with every *surviving* member payload (in any order —
-/// XOR commutes, which is what makes recovery deterministic under
-/// reordered delivery) and truncates to the lost packet's known length.
-/// The caller must have deduplicated packets by index first.
-///
-/// Shape violations are typed errors rather than panics: a survivor or
-/// claimed lost length exceeding the parity payload means the caller's
-/// accounting is corrupt, and the group must fall to repair/refetch.
-pub fn xor_recover(
-    survivors: &[&[u8]],
-    parity: &[u8],
-    lost_len: usize,
-) -> Result<Vec<u8>, FecError> {
-    if lost_len > parity.len() {
-        return Err(FecError::LostLenExceedsParity {
-            lost_len,
-            parity_len: parity.len(),
-        });
-    }
-    let mut out = parity.to_vec();
-    for p in survivors {
-        if p.len() > out.len() {
-            return Err(FecError::SurvivorExceedsParity {
-                len: p.len(),
-                parity_len: out.len(),
-            });
-        }
-        for (slot, &b) in out.iter_mut().zip(p.iter()) {
-            *slot ^= b;
-        }
-    }
-    out.truncate(lost_len);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn striping_bounds_group_size_and_spreads_bursts() {
-        let fec = FecGroups::striped(10, 4);
+        let fec = FecGroups::striped_rs(10, 4, 1);
         assert_eq!(fec.num_groups(), 3); // ceil(10/4)
         for j in 0..fec.num_groups() {
             assert!(fec.members(j).len() <= 4);
@@ -308,7 +236,7 @@ mod tests {
 
     #[test]
     fn tiered_striping_protects_the_head_denser() {
-        let fec = FecGroups::striped_tiered(20, 8);
+        let fec = FecGroups::striped_sized_rs(&[100; 20], 8, 1, true);
         // Head 10 packets at k=4 → 3 groups; tail 10 at k=8 → 2 groups.
         assert_eq!(fec.num_groups(), 5);
         assert!((0..10).all(|i| fec.group_of(i).unwrap() < 3));
@@ -324,13 +252,13 @@ mod tests {
         // packets: the head is excluded, everyone else striped.
         let mut sizes = vec![3000u64];
         sizes.extend(std::iter::repeat_n(300u64, 9));
-        let fec = FecGroups::striped_sized(&sizes, 4, true);
+        let fec = FecGroups::striped_sized_rs(&sizes, 4, 1, true);
         assert_eq!(fec.group_of(0), None, "outlier unprotected");
         assert!((1..10).all(|i| fec.group_of(i).is_some()));
         // Parity never pays the outlier's bytes.
         assert!(fec.parity_sizes(&sizes).iter().all(|&p| p == 300));
         // Uniform sizes: nothing excluded.
-        let uniform = FecGroups::striped_sized(&[250u64; 8], 4, false);
+        let uniform = FecGroups::striped_sized_rs(&[250u64; 8], 4, 1, false);
         assert!((0..8).all(|i| uniform.group_of(i).is_some()));
     }
 
@@ -340,14 +268,14 @@ mod tests {
         // median is 100, so the 500 B packets (5× median) are outliers.
         // The old upper-median code took 500 and protected everything.
         let even = [500u64, 100, 500, 100];
-        let fec = FecGroups::striped_sized(&even, 2, false);
+        let fec = FecGroups::striped_sized_rs(&even, 2, 1, false);
         assert_eq!(fec.group_of(0), None);
         assert_eq!(fec.group_of(2), None);
         assert!(fec.group_of(1).is_some() && fec.group_of(3).is_some());
         // Odd length: the true median (middle element) is unambiguous
         // and unchanged by the fix.
         let odd = [100u64, 100, 100, 500, 500];
-        let fec = FecGroups::striped_sized(&odd, 2, false);
+        let fec = FecGroups::striped_sized_rs(&odd, 2, 1, false);
         assert!((0..3).all(|i| fec.group_of(i).is_some()));
         assert_eq!(fec.group_of(3), None);
         assert_eq!(fec.group_of(4), None);
@@ -357,9 +285,9 @@ mod tests {
     fn every_protected_packet_is_in_exactly_one_group() {
         for (n, k, tiered) in [(1, 1, false), (7, 3, false), (23, 5, true), (2, 9, true)] {
             let fec = if tiered {
-                FecGroups::striped_tiered(n, k)
+                FecGroups::striped_sized_rs(&vec![100; n], k, 1, true)
             } else {
-                FecGroups::striped(n, k)
+                FecGroups::striped_rs(n, k, 1)
             };
             let mut seen = vec![false; n];
             for j in 0..fec.num_groups() {
@@ -376,52 +304,16 @@ mod tests {
 
     #[test]
     fn parity_sizes_cover_the_longest_member() {
-        let fec = FecGroups::striped(4, 2); // stride 2: {0,2}, {1,3}
+        let fec = FecGroups::striped_rs(4, 2, 1); // stride 2: {0,2}, {1,3}
         let sizes = [10u64, 500, 30, 7];
         assert_eq!(fec.parity_sizes(&sizes), vec![30, 500]);
         assert_eq!(fec.parity_bytes(&sizes), 530);
     }
 
     #[test]
-    fn xor_recovers_any_single_loss_byte_identically() {
-        let a: Vec<u8> = (0..50).collect();
-        let b: Vec<u8> = (0..20).map(|x| x * 3).collect();
-        let c: Vec<u8> = (0..35).map(|x| 255 - x).collect();
-        let parity = xor_parity(&[&a, &b, &c]);
-        assert_eq!(parity.len(), 50);
-        assert_eq!(xor_recover(&[&b, &c], &parity, a.len()).unwrap(), a);
-        assert_eq!(xor_recover(&[&a, &c], &parity, b.len()).unwrap(), b);
-        assert_eq!(
-            xor_recover(&[&c, &a], &parity, b.len()).unwrap(),
-            b,
-            "order-free"
-        );
-    }
-
-    #[test]
-    fn xor_recover_shape_violations_are_typed_errors() {
-        let parity = xor_parity(&[&[1u8, 2][..], &[3u8, 4][..]]);
-        let long = [9u8; 5];
-        assert_eq!(
-            xor_recover(&[&long], &parity, 2),
-            Err(crate::rs::FecError::SurvivorExceedsParity {
-                len: 5,
-                parity_len: 2
-            })
-        );
-        assert_eq!(
-            xor_recover(&[], &parity, 9),
-            Err(crate::rs::FecError::LostLenExceedsParity {
-                lost_len: 9,
-                parity_len: 2
-            })
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "group size must be >= 1")]
     fn zero_k_rejected() {
-        let _ = FecGroups::striped(4, 0);
+        let _ = FecGroups::striped_rs(4, 0, 1);
     }
 
     #[test]

@@ -9,21 +9,20 @@
 //! * [`BandwidthTrace`] — piecewise-constant available bandwidth over time,
 //!   with constructors for constant rates, the Figure 7 demo trace, and
 //!   seeded random traces (0.1–10 Gbps per chunk, §7.4).
-//! * [`Link`] — a trace plus propagation delay and one of two mutually
-//!   exclusive fault models: legacy goodput derating (loss-induced
-//!   throughput derating + jitter, in the spirit of the smoltcp examples'
-//!   `--drop-chance` options) or per-packet fault injection
-//!   (drop/reorder/duplicate/truncate of individually addressed chunk
-//!   packets — the loss-resilient transport substrate).
+//! * [`Link`] — a trace plus propagation delay and the one fault model:
+//!   seeded per-packet fault injection (drop/reorder/duplicate/truncate of
+//!   individually addressed chunk packets — the loss-resilient transport
+//!   substrate). Opaque transfers are always exact; a slow link is a
+//!   slower trace.
 //! * [`packet`] — packet batch delivery records ([`PacketFaults`],
 //!   [`Link::send_packets`]) consumed by the streamer's chunk schedule and
 //!   the codec's repair policies, including burst drops (consecutive
 //!   packets lost together).
 //! * [`fec`] — systematic forward error correction: striped parity
-//!   groups ([`FecGroups`]) carrying `r ≥ 1` repair packets each, the
-//!   byte-level [`fec::xor_parity`]/[`fec::xor_recover`] fast path
-//!   (`r = 1`), and the multi-erasure GF(256) Reed–Solomon layer
-//!   ([`gf256`], [`rs`]) that recovers any `r` losses per group.
+//!   groups ([`FecGroups`]) carrying `r ≥ 1` repair packets each.
+//! * [`rs`] — the one erasure code: GF(256) ([`gf256`]) Cauchy
+//!   Reed–Solomon ([`RsCode`]) recovering any `r` losses per group, whose
+//!   first parity row is plain XOR.
 //! * [`ThroughputEstimator`] — the streamer's bandwidth estimate: the
 //!   measured throughput of the previous chunk (§5.3), optionally smoothed.
 //! * [`LossEstimator`] — the matching packet-loss estimate (EWMA over

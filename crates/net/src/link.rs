@@ -1,25 +1,13 @@
 //! A network link: bandwidth trace + propagation delay + fault injection.
 //!
-//! The link is what the KV streamer actually sends chunks over. Two fault
-//! models exist and are **mutually exclusive** (a link is built in exactly
-//! one mode, and the constructors reject mixing them):
-//!
-//! * **Goodput derating** ([`Link::derate_goodput`]) — the legacy scalar
-//!   model, in the spirit of the smoltcp examples' `--drop-chance` fault
-//!   injector: random loss forces retransmissions, which shows up as a
-//!   derated effective throughput (`1 / (1 - loss)`); jitter perturbs
-//!   per-transfer goodput multiplicatively. Appropriate when the caller
-//!   treats a transfer as one opaque byte count and does *not* model
-//!   retransmission itself.
-//! * **Per-packet faults** ([`Link::with_packet_faults`]) — individually
-//!   addressed chunk packets are dropped / reordered / duplicated /
-//!   truncated ([`Link::send_packets`]); the caller models recovery
-//!   explicitly (retransmit budget, repair policies). [`Link::send`] on
-//!   such a link is clean — applying the derating *as well* would charge
-//!   for retransmissions twice, which is exactly the silent combination
-//!   the split forbids.
-//!
-//! Both modes are seeded and deterministic.
+//! The link is what the KV streamer actually sends chunks over. It has one
+//! fault model, **per-packet faults** ([`Link::with_packet_faults`]):
+//! individually addressed chunk packets are dropped / reordered /
+//! duplicated / truncated by [`Link::send_packets`], and the caller models
+//! recovery explicitly (FEC, retransmit budget, repair policies). An
+//! opaque [`Link::send`] is always exact — a link that is merely *slow*
+//! is a slower [`BandwidthTrace`], not a fault. Fault draws are seeded and
+//! deterministic.
 
 use crate::packet::{PacketBatchResult, PacketDelivery, PacketFaults, PacketStatus};
 use crate::trace::BandwidthTrace;
@@ -54,23 +42,6 @@ impl TransferResult {
     }
 }
 
-/// Which fault model a [`Link`] runs — set once at construction.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum FaultMode {
-    /// No faults.
-    Clean,
-    /// Legacy scalar model: loss derates goodput, jitter perturbs it.
-    Derate {
-        /// Packet-loss probability; retransmissions derate goodput by
-        /// `1 / (1 - loss)`.
-        loss: f64,
-        /// Multiplicative jitter half-width (0.1 = ±10% per transfer).
-        jitter: f64,
-    },
-    /// Per-packet fault injection for [`Link::send_packets`].
-    Packet(PacketFaults),
-}
-
 /// Cumulative transport counters a [`Link`] keeps as it is used.
 ///
 /// The serving layer drains these into the telemetry registry
@@ -82,8 +53,7 @@ pub struct LinkStats {
     pub transfers: u64,
     /// [`Link::send_packets`] batches completed.
     pub packet_batches: u64,
-    /// Bytes that occupied the wire (including duplicates and implicit
-    /// retransmission inflation in derating mode).
+    /// Bytes that occupied the wire (including duplicates).
     pub wire_bytes: u64,
     /// Payload bytes delivered intact.
     pub delivered_bytes: u64,
@@ -101,7 +71,9 @@ pub struct Link {
     trace: BandwidthTrace,
     /// One-way propagation delay added to every transfer, seconds.
     propagation: f64,
-    mode: FaultMode,
+    /// Per-packet fault injection for [`Link::send_packets`] (`None` =
+    /// a clean link).
+    faults: Option<PacketFaults>,
     rng: StdRng,
     stats: LinkStats,
 }
@@ -113,7 +85,7 @@ impl Link {
         Link {
             trace,
             propagation,
-            mode: FaultMode::Clean,
+            faults: None,
             rng: seeded(0),
             stats: LinkStats::default(),
         }
@@ -130,50 +102,24 @@ impl Link {
         self.stats = LinkStats::default();
     }
 
-    /// Legacy scalar fault model: `loss ∈ [0, 1)` derates every
-    /// [`Link::send`]'s goodput by `1 / (1 - loss)` (implicit
-    /// retransmissions); `jitter ∈ [0, 1)` perturbs it multiplicatively.
-    ///
-    /// Panics if the link already has per-packet faults: a caller that
-    /// models retransmission explicitly must not *also* pay the implicit
-    /// derating.
-    pub fn derate_goodput(mut self, loss: f64, jitter: f64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&loss), "loss must be in [0,1)");
-        assert!((0.0..1.0).contains(&jitter), "jitter must be in [0,1)");
-        assert!(
-            self.mode == FaultMode::Clean,
-            "fault mode already set: goodput derating cannot be combined with per-packet faults"
-        );
-        self.mode = FaultMode::Derate { loss, jitter };
-        self.rng = seeded(seed);
-        self
-    }
-
-    /// Per-packet fault injection for [`Link::send_packets`]. Mutually
-    /// exclusive with [`Link::derate_goodput`] (see the module docs).
+    /// Per-packet fault injection for [`Link::send_packets`], drawn from
+    /// an RNG seeded with `seed`.
     pub fn with_packet_faults(mut self, faults: PacketFaults, seed: u64) -> Self {
         faults.validate();
-        assert!(
-            self.mode == FaultMode::Clean,
-            "fault mode already set: per-packet faults cannot be combined with goodput derating"
-        );
-        self.mode = FaultMode::Packet(faults);
+        self.faults = Some(faults);
         self.rng = seeded(seed);
         self
     }
 
-    /// The per-packet fault configuration, if the link is in packet mode.
+    /// The per-packet fault configuration, if the link injects faults.
     pub fn packet_faults(&self) -> Option<&PacketFaults> {
-        match &self.mode {
-            FaultMode::Packet(f) => Some(f),
-            _ => None,
-        }
+        self.faults.as_ref()
     }
 
     /// Whether the link injects per-packet faults (drop/reorder/duplicate/
     /// truncate) — the mode [`Link::send_packets`] models precisely.
     pub fn is_packet_mode(&self) -> bool {
-        matches!(self.mode, FaultMode::Packet(_))
+        self.faults.is_some()
     }
 
     /// The underlying bandwidth trace.
@@ -187,27 +133,14 @@ impl Link {
     }
 
     /// Sends `bytes` as one opaque transfer starting at virtual time
-    /// `start`; returns the completion record. In derating mode, loss
-    /// inflates the effective byte count (implicit retransmission) and
-    /// jitter perturbs it both ways. On a clean or per-packet-fault link
-    /// the transfer is exact — per-packet links charge loss through
-    /// [`Link::send_packets`] and explicit retransmissions instead, never
-    /// through a second, implicit derating.
+    /// `start`; returns the completion record. The transfer is exact on
+    /// every link: packet loss is charged through [`Link::send_packets`]
+    /// and explicit retransmissions, never through an implicit derating
+    /// of opaque sends.
     pub fn send(&mut self, bytes: u64, start: f64) -> TransferResult {
-        let mut effective = bytes as f64;
-        if let FaultMode::Derate { loss, jitter } = self.mode {
-            if loss > 0.0 {
-                effective /= 1.0 - loss;
-            }
-            if jitter > 0.0 {
-                let j: f64 = self.rng.gen::<f64>() * 2.0 - 1.0; // [-1, 1)
-                effective *= 1.0 + j * jitter;
-            }
-        }
-        let wire_bytes = effective.ceil().max(0.0) as u64;
-        let dur = self.trace.transfer_seconds(wire_bytes, start) + self.propagation;
+        let dur = self.trace.transfer_seconds(bytes, start) + self.propagation;
         self.stats.transfers += 1;
-        self.stats.wire_bytes += wire_bytes;
+        self.stats.wire_bytes += bytes;
         self.stats.delivered_bytes += bytes;
         TransferResult {
             start,
@@ -223,20 +156,8 @@ impl Link {
     /// damage the delivery, duplicate costs a second transmission, and
     /// reorder delays a packet's arrival by up to the whole batch's wire
     /// span so it lands after later packets. Deterministic per seed.
-    ///
-    /// Panics on a goodput-derating link: the scalar derating already
-    /// charges for retransmissions, so combining it with explicit
-    /// per-packet recovery would double-count loss (the historical bug
-    /// this split removes).
     pub fn send_packets(&mut self, sizes: &[u64], start: f64) -> PacketBatchResult {
-        let faults = match self.mode {
-            FaultMode::Clean => PacketFaults::none(),
-            FaultMode::Packet(f) => f,
-            FaultMode::Derate { .. } => panic!(
-                "send_packets on a goodput-derated link: derating and per-packet \
-                 faults must never be combined"
-            ),
-        };
+        let faults = self.faults.unwrap_or_else(PacketFaults::none);
         let mut t = start;
         let mut wire_bytes = 0u64;
         let mut delivered_bytes = 0u64;
@@ -363,31 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn loss_derates_throughput() {
-        let clean = Link::new(BandwidthTrace::constant(GBPS), 0.0).send(10_000_000, 0.0);
-        let lossy = Link::new(BandwidthTrace::constant(GBPS), 0.0)
-            .derate_goodput(0.2, 0.0, 7)
-            .send(10_000_000, 0.0);
-        assert!(lossy.seconds() > clean.seconds());
-        // 20% loss → 1.25× retransmission overhead.
-        assert!((lossy.seconds() / clean.seconds() - 1.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn jitter_is_bounded_and_deterministic() {
-        let base = Link::new(BandwidthTrace::constant(GBPS), 0.0).send(10_000_000, 0.0);
-        let mut a = Link::new(BandwidthTrace::constant(GBPS), 0.0).derate_goodput(0.0, 0.3, 9);
-        let mut b = Link::new(BandwidthTrace::constant(GBPS), 0.0).derate_goodput(0.0, 0.3, 9);
-        for _ in 0..10 {
-            let ra = a.send(10_000_000, 0.0);
-            let rb = b.send(10_000_000, 0.0);
-            assert_eq!(ra, rb, "same seed must give same jitter");
-            let ratio = ra.seconds() / base.seconds();
-            assert!((0.7..=1.3001).contains(&ratio), "ratio {ratio}");
-        }
-    }
-
-    #[test]
     fn measured_throughput_feeds_estimator() {
         let mut link = Link::new(BandwidthTrace::figure7(), 0.0);
         // A chunk sent entirely inside the 0.2 Gbps valley measures 0.2 Gbps.
@@ -398,32 +294,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fault mode already set")]
-    fn derating_after_packet_faults_is_rejected() {
-        let _ = Link::new(BandwidthTrace::constant(GBPS), 0.0)
-            .with_packet_faults(PacketFaults::loss(0.1), 1)
-            .derate_goodput(0.1, 0.0, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "fault mode already set")]
-    fn packet_faults_after_derating_is_rejected() {
-        let _ = Link::new(BandwidthTrace::constant(GBPS), 0.0)
-            .derate_goodput(0.1, 0.0, 2)
-            .with_packet_faults(PacketFaults::loss(0.1), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "never be combined")]
-    fn send_packets_on_derated_link_is_rejected() {
-        let mut link = Link::new(BandwidthTrace::constant(GBPS), 0.0).derate_goodput(0.2, 0.0, 3);
-        let _ = link.send_packets(&[1000], 0.0);
-    }
-
-    #[test]
     fn packet_mode_send_does_not_derate() {
-        // The satellite fix: a caller that retransmits explicitly must not
-        // also pay the 1/(1-loss) implicit derating on opaque sends.
+        // A caller that retransmits explicitly must not also pay an
+        // implicit 1/(1-loss) derating on opaque sends.
         let clean = Link::new(BandwidthTrace::constant(GBPS), 0.0).send(10_000_000, 0.0);
         let r = Link::new(BandwidthTrace::constant(GBPS), 0.0)
             .with_packet_faults(PacketFaults::loss(0.4), 5)

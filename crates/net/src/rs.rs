@@ -5,7 +5,7 @@
 //! Parity symbol `j` is the GF(256) linear combination
 //! `p_j[b] = Σ_i c[j][i] · d_i[b]` applied independently to every byte
 //! position `b` (shorter members are implicitly zero-padded to the
-//! longest, exactly like the XOR path). Because the code is *systematic*,
+//! longest). Because the code is *systematic*,
 //! data packets travel unmodified and `r = 0..` parity is pure overhead —
 //! losing no packet costs zero decode work.
 //!
@@ -30,10 +30,11 @@
 //!   `m` surviving symbols out of `m + r` reconstruct the group: `r`
 //!   parity packets tolerate any `r` losses, data or parity alike.
 //! * **`r = 1` ≡ XOR** — row 0 being all-ones makes the first parity
-//!   packet the byte-wise XOR of the members, bit-identical to the PR 5
-//!   [`crate::fec::xor_parity`] wire format. The single-parity
-//!   configuration is therefore not merely equivalent but *the same
-//!   code*, and the proptests pin it byte-for-byte.
+//!   packet the byte-wise XOR of the members, so single parity needs no
+//!   code of its own: [`RsCode::parity`] takes a multiply-free path for
+//!   coefficient 1, and `tests/fec_properties.rs` pins row 0 and
+//!   single-loss recovery byte-for-byte against an independent XOR
+//!   reference.
 //!
 //! Recovery solves the `s × s` system (`s` = lost data packets) given by
 //! any `s` surviving parity rows via Gauss–Jordan elimination — order-free
@@ -43,10 +44,9 @@
 
 use crate::gf256;
 
-/// Typed failure modes of the erasure layer. These replace the silent
-/// zero-padding / `assert!` edge cases the XOR path shipped with: shape
-/// violations a caller can hit at runtime (loss patterns, truncated
-/// payloads) are reported, not panicked.
+/// Typed failure modes of the erasure layer: shape violations a caller
+/// can hit at runtime (loss patterns, truncated payloads) are reported,
+/// not panicked or silently zero-padded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FecError {
     /// Group shape outside GF(256) limits: `m = 0`, `r = 0`, or
@@ -71,13 +71,6 @@ pub enum FecError {
     SurvivorExceedsParity {
         /// Length of the offending survivor payload.
         len: usize,
-        /// Parity payload width it exceeds.
-        parity_len: usize,
-    },
-    /// The claimed lost-packet length exceeds the parity payload.
-    LostLenExceedsParity {
-        /// Claimed length of the lost packet.
-        lost_len: usize,
         /// Parity payload width it exceeds.
         parity_len: usize,
     },
@@ -111,14 +104,6 @@ impl std::fmt::Display for FecError {
                 f,
                 "survivor payload ({len} B) exceeds parity payload \
                  ({parity_len} B)"
-            ),
-            FecError::LostLenExceedsParity {
-                lost_len,
-                parity_len,
-            } => write!(
-                f,
-                "lost packet ({lost_len} B) cannot exceed the parity \
-                 payload ({parity_len} B)"
             ),
             FecError::ParityWidthMismatch { expected, got } => write!(
                 f,
@@ -178,7 +163,7 @@ impl RsCode {
 
     /// Encodes the `r` parity payloads for one group. Each parity payload
     /// is as long as the *longest* member (shorter members count as
-    /// zero-padded). Parity row 0 is exactly [`crate::fec::xor_parity`].
+    /// zero-padded). Parity row 0 is the byte-wise XOR of the members.
     ///
     /// # Panics
     /// If `payloads.len() != m` — group membership is sender-side static,
@@ -214,8 +199,7 @@ impl RsCode {
     /// lost ones; `parity[j]` likewise for the `r` parity payloads. Any
     /// `s ≤ |surviving parity|` data losses are solvable (MDS). Returns
     /// `(data_index, payload)` pairs with payloads at full parity width —
-    /// the caller truncates to each packet's known length, exactly as
-    /// with [`crate::fec::xor_recover`].
+    /// the caller truncates to each packet's known length.
     ///
     /// # Panics
     /// If `data.len() != m` or `parity.len() != r` (static shape).
@@ -338,7 +322,6 @@ fn invert(mut a: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, FecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fec::xor_parity;
 
     fn payloads() -> Vec<Vec<u8>> {
         vec![
@@ -355,7 +338,12 @@ mod tests {
         let refs: Vec<&[u8]> = data.iter().map(|p| p.as_slice()).collect();
         for r in 1..=4 {
             let code = RsCode::new(refs.len(), r).unwrap();
-            assert_eq!(code.parity(&refs)[0], xor_parity(&refs), "r = {r}");
+            let parity = code.parity(&refs);
+            let mut xor = vec![0u8; parity[0].len()];
+            for p in &refs {
+                xor.iter_mut().zip(p.iter()).for_each(|(x, &b)| *x ^= b);
+            }
+            assert_eq!(parity[0], xor, "r = {r}");
         }
     }
 

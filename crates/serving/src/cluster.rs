@@ -933,17 +933,17 @@ mod tests {
     #[test]
     fn fec_for_resolves_degraded_then_tenant_then_default() {
         let cfg = ServingConfig {
-            fec_overhead: FecOverhead::Uniform(8),
-            tenant_fec: vec![None, Some(FecOverhead::Uniform(4)), None],
+            fec_overhead: FecOverhead::Rs { k: 8, r: 1 },
+            tenant_fec: vec![None, Some(FecOverhead::Rs { k: 4, r: 1 }), None],
             degraded_fec: Some(FecOverhead::Off),
             ..ServingConfig::default()
         };
         // Normal admission: tenant override wins, else the cluster default.
-        assert_eq!(cfg.fec_for(0, false), &FecOverhead::Uniform(8));
-        assert_eq!(cfg.fec_for(1, false), &FecOverhead::Uniform(4));
+        assert_eq!(cfg.fec_for(0, false), &FecOverhead::Rs { k: 8, r: 1 });
+        assert_eq!(cfg.fec_for(1, false), &FecOverhead::Rs { k: 4, r: 1 });
         assert_eq!(
             cfg.fec_for(3, false),
-            &FecOverhead::Uniform(8),
+            &FecOverhead::Rs { k: 8, r: 1 },
             "past the table"
         );
         // Degraded admission: parity shrinks regardless of tenant knob.
@@ -951,10 +951,10 @@ mod tests {
         assert_eq!(cfg.fec_for(1, true), &FecOverhead::Off);
         // Without a degraded override, degraded batches keep their knob.
         let keep = ServingConfig {
-            tenant_fec: vec![Some(FecOverhead::Uniform(4))],
+            tenant_fec: vec![Some(FecOverhead::Rs { k: 4, r: 1 })],
             ..ServingConfig::default()
         };
-        assert_eq!(keep.fec_for(0, true), &FecOverhead::Uniform(4));
+        assert_eq!(keep.fec_for(0, true), &FecOverhead::Rs { k: 4, r: 1 });
     }
 
     #[test]

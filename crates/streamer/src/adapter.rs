@@ -1002,7 +1002,7 @@ mod tests {
             simulate_stream(&plan, &mut link, &p)
         };
         let off = run(FecOverhead::Off);
-        let on = run(FecOverhead::Uniform(2));
+        let on = run(FecOverhead::Rs { k: 2, r: 1 });
         assert!(off.lost_packets() > 0, "8% loss over 16 packets (seeded)");
         assert_eq!(off.parity_bytes(), 0);
         assert_eq!(off.fec_recovered_packets(), 0);
@@ -1044,7 +1044,7 @@ mod tests {
             simulate_stream(&plan, &mut link, &p)
         };
         let off = run(FecOverhead::Off);
-        let on = run(FecOverhead::Uniform(2));
+        let on = run(FecOverhead::Rs { k: 2, r: 1 });
         assert_eq!(off.lost_packets(), 0, "infinite budget recovers all");
         assert_eq!(on.lost_packets(), 0);
         assert!(
@@ -1081,7 +1081,7 @@ mod tests {
         let mut xor_lost = 0usize;
         let mut rs_lost = 0usize;
         for seed in 0..64 {
-            let xor = run(FecOverhead::Uniform(4), seed);
+            let xor = run(FecOverhead::Rs { k: 4, r: 1 }, seed);
             let rs = run(FecOverhead::Rs { k: 4, r: 2 }, seed);
             assert_eq!(rs.retransmits(), 0);
             xor_lost += xor.lost_packets();

@@ -2,7 +2,7 @@
 //! ships, in what priority order, at what byte sizes.
 //!
 //! The codec splits every stream chunk into independently decodable
-//! per-(layer, token-group) entropy chunks (wire v2, §5.2). The transport
+//! per-(layer, token-group) entropy chunks (§5.2). The transport
 //! sends each as its own packet, so a damaged or late packet degrades only
 //! its own token range. The schedule fixes two contracts:
 //!
@@ -19,11 +19,14 @@
 //! ([`cachegen_net::FecGroups`]): parity rides right after its group's
 //! last data packet and before the next group's tail, so a group becomes
 //! recoverable the moment enough of its members plus parity have landed.
-//! Repair packet 0 is the XOR row (bit-identical to the PR 5 wire);
-//! repair packets `1..r` are Reed–Solomon rows, staggered across wire
-//! slots so a burst cannot claim one group's whole parity budget in
-//! adjacent packets. [`FecOverhead::Adaptive`] re-picks `(k, r)` before
-//! every chunk from the streamer's loss estimate.
+//! Repair packet 0 is the XOR row; repair packets `1..r` are the further
+//! Reed–Solomon rows, staggered one data slot apart so that a group's
+//! copies are separated by at least one data packet wherever the
+//! schedule has slots left — at the schedule's tail the stagger clamps
+//! and copies can share the last slot (see
+//! [`ChunkSchedule::wire_packets`] for the exact guarantee).
+//! [`FecOverhead::Adaptive`] re-picks `(k, r)` before every chunk from
+//! the streamer's loss estimate.
 
 use cachegen_net::FecGroups;
 
@@ -127,21 +130,19 @@ pub enum FecOverhead {
     /// No parity packets (`k = ∞`): the wire output is bit-identical to
     /// the plain packetized transport.
     Off,
-    /// One XOR parity per `k` data packets at every encoding level,
-    /// striped uniformly across the schedule.
-    Uniform(usize),
     /// `k` per encoding level, finest first (the last entry is reused for
     /// deeper levels). Within each schedule the head half of the priority
     /// order — early token groups, shallow layers, the container-bearing
-    /// head packet — is protected at the denser `ceil(k / 2)`
-    /// ([`FecGroups::striped_tiered`]): the packets the first generated
-    /// tokens attend to hardest carry the most redundancy.
+    /// head packet — is protected at the denser `ceil(k / 2)` with one
+    /// XOR parity per group ([`FecGroups::striped_sized_rs`], tiered): the
+    /// packets the first generated tokens attend to hardest carry the
+    /// most redundancy.
     PerLevel(Vec<usize>),
     /// Fixed multi-erasure Reed–Solomon parity: `r` repair packets per
     /// group of at most `k` data packets, striped uniformly. Any `r`
-    /// losses per group (data or parity) are recoverable; `r = 1` is
-    /// bit-identical to [`FecOverhead::Uniform`] (the RS code's first
-    /// parity row *is* the XOR row).
+    /// losses per group (data or parity) are recoverable; `r = 1` is one
+    /// XOR parity per group (the RS code's first parity row *is* the XOR
+    /// row).
     Rs {
         /// Parity group size.
         k: usize,
@@ -187,7 +188,6 @@ impl FecOverhead {
     pub fn params_for(&self, level: usize, loss_permille: Option<u32>) -> Option<(usize, usize)> {
         match self {
             FecOverhead::Off => None,
-            FecOverhead::Uniform(k) => Some((*k, 1)),
             FecOverhead::PerLevel(ks) => {
                 assert!(!ks.is_empty(), "PerLevel needs at least one k");
                 Some((ks[level.min(ks.len() - 1)], 1))
@@ -209,9 +209,9 @@ impl FecOverhead {
     /// off). Size outliers — e.g. the container-bearing head packet,
     /// whose parity would cost as much as resending it — are left
     /// unprotected and rely on the retransmit/repair/refetch rungs
-    /// ([`FecGroups::striped_sized`]). [`FecOverhead::Uniform`] and the
-    /// RS/adaptive policies stripe flat; [`FecOverhead::PerLevel`]
-    /// protects the head half denser. Single-packet schedules (the
+    /// ([`FecGroups::striped_sized_rs`]). The RS and adaptive policies
+    /// stripe flat; [`FecOverhead::PerLevel`] protects the head half
+    /// denser. Single-packet schedules (the
     /// whole-chunk fallback for analytic plans) get no parity for the
     /// same reason outliers don't: their parity would be a full copy,
     /// blowing the overhead envelope.
@@ -357,14 +357,16 @@ impl ChunkSchedule {
     /// is inserted immediately after the group's *last* data member —
     /// after the data of its group, before the next group's tail — so a
     /// group is recoverable as soon as its stripe has passed. Additional
-    /// repair packets (`r > 1`) are staggered: parity `t` of a group
-    /// rides `t` data slots after parity 0's anchor (clamped to the
-    /// schedule tail), and co-located parities are ordered
-    /// lowest-repair-index first across groups, so one group's `r`
-    /// copies never travel back-to-back — a wire burst has to span
-    /// multiple slots to claim a group's whole parity budget. With
-    /// `fec = None` this is exactly the data entries (bit-identical to
-    /// the pre-FEC transport).
+    /// repair packets (`r > 1`) are staggered: parity `t` of a group is
+    /// anchored `t` data slots after parity 0 (clamped to the last
+    /// slot), and the parities sharing a slot are ordered by `(repair
+    /// index, group)`. What that guarantees: two of a group's copies
+    /// anchored on distinct slots are separated by at least one data
+    /// packet; only the clamp can put two of them on one slot — the
+    /// last — and there they are adjacent exactly when no other group's
+    /// parity sorts between them (n = 7, k = 3, r = 2 ends `… P(g0, 0),
+    /// P(g0, 1), P(g2, 1)`). With `fec = None` this is exactly the data
+    /// entries (bit-identical to the pre-FEC transport).
     pub fn wire_packets(&self, fec: Option<&FecGroups>) -> Vec<WirePacket> {
         let data = |i: usize| {
             let (id, bytes) = self.entries[i];
@@ -386,7 +388,6 @@ impl ChunkSchedule {
         let parity_sizes = fec.parity_sizes(&sizes);
         // Anchor parity t of group g after data slot last_member(g) + t;
         // at a shared slot, emit all index-0 parities before index-1 etc.
-        // so same-group repair copies are maximally spread.
         let n = self.entries.len();
         let mut parity_after: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
         for g in 0..fec.num_groups() {
@@ -492,7 +493,7 @@ mod tests {
             (0..6).map(|g| (id(g, 0, true), 100 + g as u64)).collect();
         let s = ChunkSchedule::priority_ordered(entries);
         // k=3 over 6 packets → stride 2: groups {0,2,4} and {1,3,5}.
-        let fec = cachegen_net::FecGroups::striped(6, 3);
+        let fec = cachegen_net::FecGroups::striped_rs(6, 3, 1);
         let wire = s.wire_packets(Some(&fec));
         assert_eq!(wire.len(), 8);
         // Group 0's last member is data index 4; group 1's is index 5.
@@ -548,6 +549,53 @@ mod tests {
     }
 
     #[test]
+    fn same_group_parities_are_adjacent_only_on_the_clamped_tail() {
+        let wire_of = |n: usize, k: usize, r: usize| {
+            let entries = (0..n).map(|g| (id(g, 0, true), 100)).collect();
+            let fec = cachegen_net::FecGroups::striped_rs(n, k, r);
+            ChunkSchedule::priority_ordered(entries).wire_packets(Some(&fec))
+        };
+        // The `(repair index, group)` keys of the parities on the last slot.
+        let tail_of = |wire: &[WirePacket]| -> Vec<(usize, usize)> {
+            let from_the_end = wire.iter().rev().map_while(|w| match *w {
+                WirePacket::Parity { group, index, .. } => Some((index, group)),
+                WirePacket::Data { .. } => None,
+            });
+            let mut tail: Vec<_> = from_the_end.collect();
+            tail.reverse();
+            tail
+        };
+        for n in 1..=40 {
+            for k in 1..=8 {
+                for r in 1..=3 {
+                    let wire = wire_of(n, k, r);
+                    let case = format!("n={n} k={k} r={r}");
+                    // Copies with no data packet between them share a
+                    // slot, and only the last slot may hold two.
+                    let mut data_seen = 0;
+                    let mut copy_at = vec![None; n.div_ceil(k)];
+                    for w in &wire {
+                        match *w {
+                            WirePacket::Data { .. } => data_seen += 1,
+                            WirePacket::Parity { group, .. } => {
+                                if copy_at[group].replace(data_seen) == Some(data_seen) {
+                                    assert_eq!(data_seen, n, "{case}: group {group}");
+                                }
+                            }
+                        }
+                    }
+                    // There, lowest repair index first across groups.
+                    let tail = tail_of(&wire);
+                    assert!(tail.windows(2).all(|w| w[0] < w[1]), "{case}: {tail:?}");
+                }
+            }
+        }
+        // The pinned tail: both of group 0's copies clamp onto slot 6 and
+        // nothing sorts between (0, g0) and (1, g0).
+        assert_eq!(tail_of(&wire_of(7, 3, 2)), vec![(0, 0), (1, 0), (1, 2)]);
+    }
+
+    #[test]
     fn adaptive_fec_picks_rungs_by_loss_estimate() {
         let ladder = AdaptiveFec::paper_default();
         let fec = FecOverhead::Adaptive(ladder.clone());
@@ -565,7 +613,7 @@ mod tests {
             Some((9, 3))
         );
         assert_eq!(
-            FecOverhead::Uniform(5).params_for(2, Some(900)),
+            FecOverhead::Rs { k: 5, r: 1 }.params_for(2, Some(900)),
             Some((5, 1))
         );
         // Grouping honours (k, r).
@@ -599,7 +647,9 @@ mod tests {
         assert_eq!(fec.k_for_level(9), Some(8), "last entry reused");
         assert_eq!(FecOverhead::Off.k_for_level(0), None);
         assert!(FecOverhead::Off.groups_for(0, &[100; 10]).is_none());
-        let g = FecOverhead::Uniform(5).groups_for(3, &[100; 10]).unwrap();
+        let g = FecOverhead::Rs { k: 5, r: 1 }
+            .groups_for(3, &[100; 10])
+            .unwrap();
         assert_eq!(g.num_groups(), 2);
     }
 
@@ -617,25 +667,5 @@ mod tests {
         // Shrinking below len() bottoms out at one byte per packet.
         s.shrink_to(0);
         assert_eq!(s.total_bytes(), 3);
-    }
-}
-
-#[cfg(test)]
-mod scratch_verify {
-    use super::*;
-    fn id(group: usize, layer: usize, is_k: bool) -> PacketId {
-        PacketId { group, layer, is_k }
-    }
-    #[test]
-    fn stagger_n7_k3_r2_back_to_back_check() {
-        let entries: Vec<(PacketId, u64)> = (0..7).map(|g| (id(g, 0, true), 100)).collect();
-        let s = ChunkSchedule::priority_ordered(entries);
-        let fec = cachegen_net::FecGroups::striped_rs(7, 3, 2);
-        let wire = s.wire_packets(Some(&fec));
-        for w in wire.windows(2) {
-            if let (WirePacket::Parity { group: a, .. }, WirePacket::Parity { group: b, .. }) = (w[0], w[1]) {
-                assert_ne!(a, b, "same-group parities adjacent: wire = {wire:?}");
-            }
-        }
     }
 }

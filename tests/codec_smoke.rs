@@ -10,7 +10,7 @@
 
 use cachegen_codec::delta::GroupLayout;
 use cachegen_codec::{index_to_symbol, symbol_to_index, CodecConfig, EncodedKv, KvCodec};
-use cachegen_codec::{profile::CodecProfile, rc};
+use cachegen_codec::{profile::CodecProfile, rans};
 use cachegen_llm::{KvCache, SimModelConfig, SimTransformer};
 use cachegen_quant::BinQuantizer;
 use cachegen_tensor::Tensor;
@@ -92,24 +92,25 @@ fn decode_of_encode_equals_quantized_cache_exactly() {
     assert_bit_identical(&codec.decode(&wired), &dec);
 }
 
-/// A raw range-coder sanity check at the workspace level: the entropy
+/// A raw entropy-coder sanity check at the workspace level: the entropy
 /// stage on its own is lossless (so any codec loss must come from
 /// quantization), and it consumes its stream exactly.
 #[test]
-fn range_coder_stage_is_lossless() {
+fn entropy_stage_is_lossless() {
     let table = cachegen_codec::symbol_model::FreqTable::from_counts(&[5, 1, 90, 4, 400, 7]);
     let symbols: Vec<usize> = (0..5_000).map(|i| (i * i + i / 3) % 6).collect();
-    let mut enc = rc::Encoder::new();
-    for &s in &symbols {
-        enc.encode(&table, s);
+    let mut enc = rans::Encoder::new();
+    for (i, &s) in symbols.iter().enumerate() {
+        enc.encode(i % rans::LANES, &table, s);
     }
     let bytes = enc.finish();
-    let mut dec = rc::Decoder::new(&bytes);
-    for &s in &symbols {
-        assert_eq!(dec.decode(&table), s);
+    let mut dec = rans::Decoder::new(&bytes);
+    for (i, &s) in symbols.iter().enumerate() {
+        assert_eq!(dec.decode(i % rans::LANES, &table), s);
     }
     assert_eq!(dec.bytes_consumed(), bytes.len());
     assert_eq!(dec.overrun_bytes(), 0);
+    assert!(dec.finished());
 }
 
 proptest! {

@@ -1,8 +1,8 @@
 //! Tests pinning the wire-v4 (interleaved rANS over the cumulative
 //! layout) contract: the optimised coder against an independent
-//! reference rANS, bit-exactness against the v2 range-coder arm, per-lane
-//! truncation/corruption/slack detection with typed errors, chunk-local
-//! damage containment, and rejection of the retired v3 wire.
+//! reference rANS, serial == parallel == wire-round-trip bit-exactness,
+//! per-lane truncation/corruption/slack detection with typed errors,
+//! chunk-local damage containment, and rejection of the retired wires.
 
 use cachegen_codec::delta::GroupLayout;
 use cachegen_codec::rans::{self, LANES, RANS_L, STATE_BYTES};
@@ -205,7 +205,7 @@ fn v3_container_is_rejected_by_version_never_decoded() {
     // same 32-byte lane states) but maps scaled values to symbols through
     // the retired alias layout. It must fail on the version byte — were it
     // dispatched to the v4 decoder it would mostly "decode", as noise.
-    let (codec, enc) = encode_small(3, 40, true);
+    let (_, enc) = encode_small(3, 40, true);
     let mut bytes = enc.to_bytes();
     assert_eq!(bytes[4], 4, "encode emits v4");
     bytes[4] = 3;
@@ -214,28 +214,13 @@ fn v3_container_is_rejected_by_version_never_decoded() {
         Err("unsupported version 3".to_string()),
         "the same error the long-gone v1 gets"
     );
-    bytes[4] = 1;
-    assert_eq!(
-        EncodedKv::from_bytes(&bytes),
-        Err("unsupported version 1".to_string())
-    );
-    // Nor does a hand-built container carrying the old version reach a
-    // chunk decoder, on any decode path.
-    let relabelled = EncodedKv {
-        entropy_version: 3,
-        ..enc.clone()
-    };
-    let arrivals = ChunkArrivalMap::full(enc.layers, enc.num_groups());
-    for result in [
-        codec.try_decode(&relabelled).map(drop),
-        codec.try_decode_parallel(&relabelled).map(drop),
-        codec
-            .decode_with_repairs(&relabelled, &arrivals, RepairPolicy::ZeroFill)
-            .map(drop),
-    ] {
-        assert!(
-            matches!(&result, Err(CodecError::Geometry(msg)) if msg.contains("version 3")),
-            "got {result:?}"
+    // An `EncodedKv` carries no version, so the byte gate is the only
+    // way in: the retired v2 (range coder) and v1 stop at it too.
+    for old in [2u8, 1] {
+        bytes[4] = old;
+        assert_eq!(
+            EncodedKv::from_bytes(&bytes),
+            Err(format!("unsupported version {old}"))
         );
     }
 }
@@ -261,11 +246,10 @@ proptest! {
     // Each case prefills the tiny transformer, so keep the counts modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The v4 (rANS) and v2 (serial range coder) wires carry the same
-    /// quantized symbols: decoding either version of the same cache is
-    /// bit-identical, under both ablation arms and both decode paths.
+    /// Decoding is bit-identical serially, in parallel, and after a wire
+    /// round-trip of the container, under both ablation arms.
     #[test]
-    fn v4_decode_is_bit_identical_to_v2(
+    fn v4_decode_is_bit_identical_serial_parallel_and_over_the_wire(
         seed in 0u64..500,
         len in 12usize..60,
     ) {
@@ -278,18 +262,13 @@ proptest! {
         let cfg = CodecConfig { delta_encoding: delta, ..CodecConfig::default() };
         let profile = CodecProfile::build(&cfg, &[&cache]);
         let codec = KvCodec::new(cfg, profile);
-        let enc_v4 = codec.encode(&cache);
-        let enc_v2 = codec.encode_v2(&cache);
-        prop_assert_eq!(enc_v4.entropy_version, 4);
-        prop_assert_eq!(enc_v2.entropy_version, 2);
-        let dec_v4 = codec.decode(&enc_v4);
-        prop_assert_eq!(&dec_v4, &codec.decode(&enc_v2));
-        prop_assert_eq!(&dec_v4, &codec.decode_parallel(&enc_v4));
-        // Both versions survive their own wire round-trip.
-        for enc in [&enc_v4, &enc_v2] {
-            let back = EncodedKv::from_bytes(&enc.to_bytes()).unwrap();
-            prop_assert_eq!(&codec.decode(&back), &dec_v4);
-        }
+        let enc = codec.encode(&cache);
+        let dec = codec.decode(&enc);
+        prop_assert_eq!(&dec, &codec.decode_parallel(&enc));
+        let bytes = enc.to_bytes();
+        prop_assert_eq!(bytes[4], 4);
+        let back = EncodedKv::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(&codec.decode(&back), &dec);
     }
 
     /// Truncating any v4 chunk to any proper prefix is always detected,

@@ -1,20 +1,19 @@
-//! Property and acceptance tests for the FEC subsystem (XOR fast path
-//! and the GF(256) Reed–Solomon multi-erasure layer):
+//! Property and acceptance tests for the FEC subsystem (the GF(256)
+//! Reed–Solomon erasure code and its striped parity groups):
 //!
-//! (a) any *single* loss per parity group is recovered byte-identically
-//!     (pure XOR over the survivors, truncated to the lost length), and
-//!     any ≤ r losses per group under RS parity;
+//! (a) any *single* loss per striped parity group is recovered
+//!     byte-identically at `r = 1`, and any ≤ r losses per group under
+//!     deeper parity;
 //! (a') GF(256) field axioms (associativity, commutativity,
 //!     distributivity, mul/inv round trip) and the r = 1 ≡ XOR pinning:
-//!     single-parity RS is the PR 5 XOR wire format, bit for bit, at the
-//!     byte level *and* at the delivery level;
+//!     single-parity RS is plain XOR parity, bit for bit, against the
+//!     independent reference below;
 //! (a'') the interleaver burst-coverage bound: a burst of ≤ stride·r
 //!     consecutive protected packets never exceeds r losses in any
 //!     group — every burst that short is FEC-recoverable by
 //!     construction;
-//! (b) recovery is order-free: permuted/deduplicated survivor sets
-//!     reconstruct the same bytes, and reorder/duplicate link faults
-//!     leave the end-to-end result deterministic;
+//! (b) recovery is order-free: reorder/duplicate link faults leave the
+//!     end-to-end result deterministic;
 //! (c) backward compatibility: FEC off (`k = ∞`) delivers bit-identically
 //!     to the pre-FEC transport — same packets, same fault draws, same
 //!     timeline, same losses;
@@ -26,80 +25,43 @@
 
 use cachegen::{load_context, CacheGenEngine, EngineConfig, FecOverhead, LoadParams, RepairPolicy};
 use cachegen_llm::SimModelConfig;
-use cachegen_net::fec::{xor_parity, xor_recover};
 use cachegen_net::{gf256, BandwidthTrace, FecGroups, Link, PacketFaults, RsCode};
 use cachegen_streamer::{deliver_schedule, AdaptPolicy, ChunkSchedule, PacketId};
 use cachegen_workloads::{workload_rng, Dataset};
 use proptest::prelude::*;
 use rand::Rng;
 
+/// Reference single-parity code, independent of `RsCode`: the byte-wise
+/// XOR of all member payloads, each zero-padded to the longest.
+fn xor_parity(payloads: &[&[u8]]) -> Vec<u8> {
+    let len = payloads.iter().map(|p| p.len()).max().unwrap_or(0);
+    let mut parity = vec![0u8; len];
+    for p in payloads {
+        for (slot, &b) in parity.iter_mut().zip(p.iter()) {
+            *slot ^= b;
+        }
+    }
+    parity
+}
+
+/// Reference single-loss recovery: the parity XOR-ed with every surviving
+/// member, truncated to the lost packet's length.
+fn xor_recover(survivors: &[&[u8]], parity: &[u8], lost_len: usize) -> Vec<u8> {
+    let mut out = xor_parity(&[survivors, &[parity]].concat());
+    out.truncate(lost_len);
+    out
+}
+
 // ---------------------------------------------------------------------
-// (a) + (b): byte-level XOR recovery properties.
+// (a): single loss per striped group at r = 1.
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any single loss per parity group is recovered byte-identically,
-    /// whatever the member sizes.
-    #[test]
-    fn single_loss_per_group_recovers_byte_identically(
-        seed in 0u64..10_000,
-        sizes in proptest::collection::vec(0usize..60, 2..8),
-    ) {
-        let mut rng = cachegen_tensor::rng::seeded(seed);
-        let payloads: Vec<Vec<u8>> = sizes
-            .iter()
-            .map(|&n| (0..n).map(|_| rng.gen::<u8>()).collect())
-            .collect();
-        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-        let parity = xor_parity(&refs);
-        for (lost, want) in payloads.iter().enumerate() {
-            let survivors: Vec<&[u8]> = refs
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != lost)
-                .map(|(_, p)| *p)
-                .collect();
-            let got = xor_recover(&survivors, &parity, want.len()).unwrap();
-            prop_assert_eq!(&got, want, "lost member {}", lost);
-        }
-    }
-
-    /// Recovery is independent of survivor order (reorder) and of the
-    /// deduplicated delivery set (duplicate): any permutation of the
-    /// survivors reconstructs the same bytes.
-    #[test]
-    fn recovery_is_order_free(
-        seed in 0u64..10_000,
-        n in 3usize..8,
-        rot in 1usize..7,
-    ) {
-        let mut rng = cachegen_tensor::rng::seeded(seed);
-        let payloads: Vec<Vec<u8>> = (0..n)
-            .map(|_| (0..rng.gen::<usize>() % 50).map(|_| rng.gen::<u8>()).collect())
-            .collect();
-        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-        let parity = xor_parity(&refs);
-        let lost = seed as usize % n;
-        let mut survivors: Vec<&[u8]> = refs
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != lost)
-            .map(|(_, p)| *p)
-            .collect();
-        let in_order = xor_recover(&survivors, &parity, payloads[lost].len()).unwrap();
-        let shift = rot % survivors.len().max(1);
-        survivors.rotate_left(shift);
-        survivors.reverse();
-        let shuffled = xor_recover(&survivors, &parity, payloads[lost].len()).unwrap();
-        prop_assert_eq!(&in_order, &shuffled);
-        prop_assert_eq!(&in_order, &payloads[lost]);
-    }
-
     /// Every striped grouping recovers any one loss per group end to
     /// end: parity built from the group members, one member dropped per
-    /// group, XOR puts the exact bytes back.
+    /// group, single-parity RS puts the exact bytes back.
     #[test]
     fn striped_groups_recover_one_loss_each(
         seed in 0u64..10_000,
@@ -110,21 +72,23 @@ proptest! {
         let payloads: Vec<Vec<u8>> = (0..n)
             .map(|_| (0..10 + rng.gen::<usize>() % 30).map(|_| rng.gen::<u8>()).collect())
             .collect();
-        let fec = FecGroups::striped(n, k);
+        let fec = FecGroups::striped_rs(n, k, 1);
         for g in 0..fec.num_groups() {
             let members = fec.members(g);
             let refs: Vec<&[u8]> = members.iter().map(|&i| payloads[i].as_slice()).collect();
-            let parity = xor_parity(&refs);
+            let code = RsCode::new(members.len(), 1).unwrap();
+            let parity = code.parity(&refs);
             let lost_pos = seed as usize % members.len();
-            let survivors: Vec<&[u8]> = refs
+            let shards: Vec<Option<&[u8]>> = refs
                 .iter()
                 .enumerate()
-                .filter(|&(p, _)| p != lost_pos)
-                .map(|(_, x)| *x)
+                .map(|(p, x)| (p != lost_pos).then_some(*x))
                 .collect();
-            let lost_idx = members[lost_pos];
-            let got = xor_recover(&survivors, &parity, payloads[lost_idx].len()).unwrap();
-            prop_assert_eq!(&got, &payloads[lost_idx]);
+            let want = &payloads[members[lost_pos]];
+            let got = code.recover(&shards, &[Some(&parity[0])]).unwrap();
+            prop_assert_eq!(got.len(), 1);
+            prop_assert_eq!(got[0].0, lost_pos);
+            prop_assert_eq!(&got[0].1[..want.len()], &want[..]);
         }
     }
 }
@@ -209,9 +173,8 @@ proptest! {
     }
 
     /// r = 1 ≡ XOR at the byte level: the single-parity RS payload is
-    /// bit-identical to `xor_parity`, and its single-loss recovery is
-    /// bit-identical to `xor_recover` — the PR 5 wire format is a
-    /// special case of the RS code, not a parallel implementation.
+    /// bit-identical to the reference `xor_parity`, and its single-loss
+    /// recovery is bit-identical to the reference `xor_recover`.
     #[test]
     fn rs_r1_is_bit_identical_to_xor(
         seed in 0u64..10_000,
@@ -235,8 +198,7 @@ proptest! {
             .filter(|&i| i != lost)
             .map(|i| refs[i])
             .collect();
-        let xor_got =
-            xor_recover(&survivors, &parity[0], parity[0].len()).unwrap();
+        let xor_got = xor_recover(&survivors, &parity[0], parity[0].len());
         prop_assert_eq!(rs_got.len(), 1);
         prop_assert_eq!(rs_got[0].0, lost);
         prop_assert_eq!(&rs_got[0].1, &xor_got);
@@ -271,45 +233,6 @@ proptest! {
                 start, start + burst_len, lost, grp, fec.repairs_of(grp)
             );
         }
-    }
-}
-
-/// r = 1 ≡ XOR at the *delivery* level: `FecOverhead::Rs {{ k, r: 1 }}`
-/// produces the identical wire order, fault draws, recovery set, and
-/// timeline as the PR 5 `FecOverhead::Uniform(k)` path on arbitrary
-/// schedules and faults.
-#[test]
-fn rs_r1_delivery_is_bit_identical_to_uniform_xor() {
-    use cachegen_streamer::FecOverhead;
-    for (seed, n, k, loss_pct) in [
-        (1u64, 12usize, 4usize, 10usize),
-        (2, 24, 6, 25),
-        (3, 7, 3, 40),
-        (4, 30, 5, 15),
-    ] {
-        let entries: Vec<(PacketId, u64)> = (0..n)
-            .map(|i| {
-                (
-                    PacketId {
-                        group: i / 4,
-                        layer: i % 4,
-                        is_k: i % 2 == 0,
-                    },
-                    400 + 31 * i as u64,
-                )
-            })
-            .collect();
-        let sched = ChunkSchedule::priority_ordered(entries);
-        let sizes = sched.packet_sizes();
-        let xor_groups = FecOverhead::Uniform(k).groups_for(0, &sizes);
-        let rs_groups = FecOverhead::Rs { k, r: 1 }.groups_for(0, &sizes);
-        let mk_link = || {
-            Link::new(BandwidthTrace::constant(1e7), 0.01)
-                .with_packet_faults(PacketFaults::loss(loss_pct as f64 / 100.0), seed)
-        };
-        let xor = deliver_schedule(&sched, &mut mk_link(), 0.0, 1, 1, xor_groups.as_ref());
-        let rs = deliver_schedule(&sched, &mut mk_link(), 0.0, 1, 1, rs_groups.as_ref());
-        assert_eq!(xor, rs, "seed {seed}");
     }
 }
 

@@ -149,7 +149,7 @@ fn uniform_schedule() -> ChunkSchedule {
 /// same burst without FEC is 3 unrecoverable holes.
 #[test]
 fn interleaver_converts_bursts_into_single_per_group_losses() {
-    let fec_cfg = FecOverhead::Uniform(4);
+    let fec_cfg = FecOverhead::Rs { k: 4, r: 1 };
     let sizes = uniform_schedule().packet_sizes();
     let fec = fec_cfg.groups_for(0, &sizes).unwrap();
     // Structural guarantee: the stride is ceil(24/4) = 6, so any window
@@ -198,12 +198,12 @@ fn interleaver_converts_bursts_into_single_per_group_losses() {
 /// the stride is 4 groups, so the interleaver bound says any burst of up
 /// to `stride · r = 8` consecutive data drops costs every group at most
 /// `r = 2` losses — still solvable. The XOR shape with the same stride
-/// (`Uniform(6)`, `r = 1`) only covers bursts up to the stride itself;
+/// (`Rs { k: 6, r: 1 }`) only covers bursts up to the stride itself;
 /// a 5-packet burst already double-hits a group it cannot solve.
 #[test]
 fn multi_parity_interleaver_covers_bursts_up_to_stride_times_r() {
     let rs_cfg = FecOverhead::Rs { k: 6, r: 2 };
-    let xor_cfg = FecOverhead::Uniform(6);
+    let xor_cfg = FecOverhead::Rs { k: 6, r: 1 };
     let sizes = uniform_schedule().packet_sizes();
     let rs = rs_cfg.groups_for(0, &sizes).unwrap();
     // Structural guarantee: every window of stride · r = 8 consecutive

@@ -1,7 +1,7 @@
 //! Property-based tests on the workspace's core invariants.
 
 use cachegen_codec::delta::{merge_anchor_deltas, split_anchor_deltas, GroupLayout};
-use cachegen_codec::rc::{Decoder, Encoder};
+use cachegen_codec::rans::{Decoder, Encoder, LANES};
 use cachegen_codec::symbol_model::FreqTable;
 use cachegen_codec::{CodecConfig, CodecProfile, EncodedKv, KvCodec};
 use cachegen_llm::{KvCache, SimModelConfig, SimTransformer};
@@ -12,11 +12,11 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The range coder is lossless for any symbol stream under any
-    /// (positive-count) frequency table, and consumes its stream exactly
-    /// (no synthetic past-end reads, no slack).
+    /// The entropy coder is lossless for any symbol stream under any
+    /// frequency table, consumes its stream exactly (no synthetic
+    /// past-end reads, no slack) and returns every lane to its base.
     #[test]
-    fn range_coder_round_trips_any_stream(
+    fn entropy_coder_round_trips_any_stream(
         counts in proptest::collection::vec(0u32..500, 2..32),
         seed in 0u64..1_000,
         len in 1usize..600,
@@ -27,16 +27,17 @@ proptest! {
         use rand::Rng;
         let symbols: Vec<usize> = (0..len).map(|_| rng.gen::<usize>() % alpha).collect();
         let mut enc = Encoder::new();
-        for &s in &symbols {
-            enc.encode(&table, s);
+        for (i, &s) in symbols.iter().enumerate() {
+            enc.encode(i % LANES, &table, s);
         }
         let bytes = enc.finish();
         let mut dec = Decoder::new(&bytes);
-        for &s in &symbols {
-            prop_assert_eq!(dec.decode(&table), s);
+        for (i, &s) in symbols.iter().enumerate() {
+            prop_assert_eq!(dec.decode(i % LANES, &table), s);
         }
         prop_assert_eq!(dec.bytes_consumed(), bytes.len());
         prop_assert_eq!(dec.overrun_bytes(), 0);
+        prop_assert!(dec.finished());
     }
 
     /// Anchor-delta split/merge is an exact inverse for any geometry.
@@ -130,7 +131,7 @@ proptest! {
                         .map(|_| {
                             // Exponent bits in [0x30, 0x6F]: always finite,
                             // positive, and exactly bf16-representable.
-                            cachegen_codec::encoder::wire_to_scale(
+                            cachegen_codec::container::wire_to_scale(
                                 0x3000 + (rng.gen::<u16>() % 0x4000),
                             )
                         })
@@ -144,10 +145,9 @@ proptest! {
             tokens,
             channels,
             group_size: group,
+            // Chunk payloads here are random bytes (the container layer
+            // never inspects them).
             delta_encoding: seed % 2 == 0,
-            // Exercise both live wire versions; chunk payloads here are
-            // random bytes (the container layer never inspects them).
-            entropy_version: if seed % 3 == 0 { 2 } else { 4 },
             k_chunks,
             v_chunks,
             scales,

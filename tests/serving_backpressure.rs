@@ -151,7 +151,7 @@ fn fec_on_lossy_links_suppresses_the_refetch_queue() {
     // 5% i.i.d. packet loss; dense parity (k=2) on the tiny schedules.
     let mut without = lossy_cluster(0.05, FecOverhead::Off, Vec::new());
     let off = run_lossy(&mut without, 77);
-    let mut with = lossy_cluster(0.05, FecOverhead::Uniform(2), Vec::new());
+    let mut with = lossy_cluster(0.05, FecOverhead::Rs { k: 2, r: 1 }, Vec::new());
     let on = run_lossy(&mut with, 77);
 
     let refetches = |r: &ServingReport| r.shards.iter().map(|s| s.refetches).sum::<u64>();
@@ -180,7 +180,7 @@ fn fec_on_lossy_links_suppresses_the_refetch_queue() {
     );
 
     // Deterministic replay, counters included.
-    let mut again = lossy_cluster(0.05, FecOverhead::Uniform(2), Vec::new());
+    let mut again = lossy_cluster(0.05, FecOverhead::Rs { k: 2, r: 1 }, Vec::new());
     let rerun = run_lossy(&mut again, 77);
     assert_eq!(on.outcomes, rerun.outcomes);
     for (a, b) in on.shards.iter().zip(rerun.shards.iter()) {
@@ -197,7 +197,7 @@ fn fec_on_lossy_links_suppresses_the_refetch_queue() {
 fn per_tenant_fec_knob_shows_up_in_shard_counters() {
     let tenant_fec = {
         let mut v: Vec<Option<FecOverhead>> = vec![None; TENANTS];
-        v[0] = Some(FecOverhead::Uniform(4));
+        v[0] = Some(FecOverhead::Rs { k: 4, r: 1 });
         v
     };
     let mut mixed = lossy_cluster(0.05, FecOverhead::Off, tenant_fec);
