@@ -22,12 +22,12 @@
 //! at the workspace root, with the parallel decoder's pool shape from
 //! one traced run, so CI can archive the perf trajectory.
 
-use cachegen::{CacheGenEngine, EngineConfig};
+use cachegen::CacheGenEngine;
+use cachegen_bench::harness::{context_fixture, CONTEXT_TOKENS};
 use cachegen_codec::symbol_model::FreqTable;
 use cachegen_codec::{rans, EncodedKv};
 use cachegen_llm::{KvCache, SimModelConfig, SimTransformer};
 use cachegen_telemetry::{workspace_root, JsonValue, Recorder};
-use cachegen_workloads::{workload_rng, Dataset};
 use criterion::{BenchmarkId, Criterion, Throughput};
 
 fn bench_entropy_coders(c: &mut Criterion) {
@@ -62,26 +62,6 @@ fn bench_entropy_coders(c: &mut Criterion) {
         })
     });
     g.finish();
-}
-
-/// Tokens of the measured context (16 stream chunks of 30).
-const CONTEXT_TOKENS: usize = 480;
-
-/// The engine every `kv_context` row runs on — the layered benchmark's
-/// fixture: default five-level ladder, profile from two 200-token
-/// LongChat contexts — plus one context's KV cache split into stream
-/// chunks.
-fn context_fixture() -> (CacheGenEngine, Vec<KvCache>) {
-    let model = SimModelConfig::llama7b_sim(42);
-    let vocab = model.vocab;
-    let mut rng = workload_rng(1);
-    let profile: Vec<Vec<usize>> = (0..2)
-        .map(|_| Dataset::LongChat.generate(&mut rng, vocab, 200).tokens)
-        .collect();
-    let engine = CacheGenEngine::build(model, EngineConfig::default(), &profile);
-    let context = Dataset::LongChat.generate(&mut rng, vocab, CONTEXT_TOKENS);
-    let chunks = engine.chunk_caches(&engine.calculate_kv(&context.tokens));
-    (engine, chunks)
 }
 
 /// Every chunk at every level, chunk-outer / level-inner.

@@ -1,20 +1,24 @@
-//! Perf ratchet over `BENCH_codec.json`: fails CI when a measured key
-//! falls below its pinned absolute floor.
+//! Perf ratchet over a committed `BENCH_*.json` snapshot: fails CI when
+//! a measured key falls below its pinned absolute floor.
 //!
 //! ```text
 //! cargo run -p cachegen-bench --release --bin ratchet -- \
 //!     --min kv_encode_melem_per_s=40 --min kv_decode_melem_per_s=60
+//! cargo run -p cachegen-bench --release --bin ratchet -- \
+//!     --file BENCH_net.json --min rs_parity_mb_per_s_r2=1200
 //! ```
 //!
-//! The floors are pinned in the workflow (not here) so loosening the
-//! ratchet is a visible CI-config change, not a silent code edit. Gate
-//! the `kv_*` rows — whole-context encode and decode with every level's
-//! tables live; the `micro_*` rows time one hot table, which is not
-//! traffic the codec ever sees, and are information only.
+//! `--file` is relative to the workspace root and defaults to
+//! `BENCH_codec.json`. The floors are pinned in the workflow (not here)
+//! so loosening the ratchet is a visible CI-config change, not a silent
+//! code edit. In `BENCH_codec.json` gate the `kv_*` rows — whole-context
+//! encode and decode with every level's tables live; the `micro_*` rows
+//! time one hot table, which is not traffic the codec ever sees, and are
+//! information only.
 
 use cachegen_telemetry::{json, workspace_root, JsonValue};
 
-const USAGE: &str = "usage: ratchet --min <key>=<floor> [--min <key>=<floor> ...]";
+const USAGE: &str = "usage: ratchet [--file <BENCH_x.json>] --min <key>=<floor> [--min ...]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("ratchet: {msg}");
@@ -23,6 +27,7 @@ fn fail(msg: &str) -> ! {
 
 fn main() {
     let mut floors: Vec<(String, f64)> = Vec::new();
+    let mut file = "BENCH_codec.json".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -38,6 +43,10 @@ fn main() {
                     _ => fail(&format!("'--min {spec}' is not <key>=<number>\n{USAGE}")),
                 }
             }
+            "--file" => match args.next() {
+                Some(name) => file = name,
+                None => fail(&format!("'--file' needs a path\n{USAGE}")),
+            },
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 return;
@@ -49,7 +58,7 @@ fn main() {
         fail(USAGE);
     }
 
-    let path = workspace_root().join("BENCH_codec.json");
+    let path = workspace_root().join(&file);
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
     let doc = json::parse(&text)
@@ -66,7 +75,7 @@ fn main() {
                 failed = true;
             }
             _ => {
-                eprintln!("ratchet: FAIL — BENCH_codec.json has no finite numeric '{key}'");
+                eprintln!("ratchet: FAIL — {file} has no finite numeric '{key}'");
                 failed = true;
             }
         }

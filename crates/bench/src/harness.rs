@@ -18,6 +18,27 @@ pub const F1_HORIZON: usize = 6;
 /// Continuation length for perplexity scoring.
 pub const PPL_HORIZON: usize = 12;
 
+/// Tokens of the context the `codec` and `fec` benches measure (16
+/// stream chunks of 30).
+pub const CONTEXT_TOKENS: usize = 480;
+
+/// The engine the `codec` and `fec` bench rows run on — the layered
+/// benchmark's fixture: default five-level ladder, profile from two
+/// 200-token LongChat contexts — plus one context's KV cache split into
+/// stream chunks.
+pub fn context_fixture() -> (CacheGenEngine, Vec<KvCache>) {
+    let model = SimModelConfig::llama7b_sim(42);
+    let vocab = model.vocab;
+    let mut rng = workload_rng(1);
+    let profile: Vec<Vec<usize>> = (0..2)
+        .map(|_| Dataset::LongChat.generate(&mut rng, vocab, 200).tokens)
+        .collect();
+    let engine = CacheGenEngine::build(model, EngineConfig::default(), &profile);
+    let context = Dataset::LongChat.generate(&mut rng, vocab, CONTEXT_TOKENS);
+    let chunks = engine.chunk_caches(&engine.calculate_kv(&context.tokens));
+    (engine, chunks)
+}
+
 /// A ready-to-measure bench fixture: an engine plus evaluation samples.
 pub struct Bench {
     /// The engine under test.

@@ -219,8 +219,9 @@ pub(crate) struct LayerCoding<'a> {
 /// channel. Full channel blocks go through [`rans::Decoder::decode4`] —
 /// four independent state updates the CPU overlaps — and the tail decodes
 /// singly on lane `c % LANES`, mirroring the encoder's lane assignment
-/// exactly.
-#[inline]
+/// exactly. Forced inline, with `decode4`, so the lane states stay in
+/// registers across a row and `reconstruct` specialises per call site.
+#[inline(always)]
 fn decode_row<F: Fn(usize, i32) -> f32>(
     dec: &mut rans::Decoder<'_>,
     tables: &[&FreqTable],

@@ -31,16 +31,20 @@
 //!   parity packets tolerate any `r` losses, data or parity alike.
 //! * **`r = 1` ≡ XOR** — row 0 being all-ones makes the first parity
 //!   packet the byte-wise XOR of the members, so single parity needs no
-//!   code of its own: [`RsCode::parity`] takes a multiply-free path for
-//!   coefficient 1, and `tests/fec_properties.rs` pins row 0 and
-//!   single-loss recovery byte-for-byte against an independent XOR
-//!   reference.
+//!   code of its own. Neither [`RsCode::parity`] nor [`RsCode::recover`]
+//!   branches on it: every payload byte goes through
+//!   [`gf256::mul_acc`], whose coefficient-1 case *is* the XOR loop, so
+//!   encoding row 0 and recovering from it are both multiply-free.
+//!   `tests/fec_properties.rs` pins row 0 and single-loss recovery
+//!   byte-for-byte against an independent XOR reference.
 //!
 //! Recovery solves the `s × s` system (`s` = lost data packets) given by
 //! any `s` surviving parity rows via Gauss–Jordan elimination — order-free
-//! and byte-identical. All arithmetic is table-driven [`crate::gf256`];
-//! there is no floating point, no randomness, and no iteration-order
-//! dependence anywhere in the path.
+//! and byte-identical. The system is tiny (`s ≤ r`); the cost of both
+//! directions is the `O(m · r)` passes over payload bytes, all of which
+//! are [`gf256::mul_acc`] calls. All arithmetic is table-driven
+//! [`crate::gf256`]; there is no floating point, no randomness, and no
+//! iteration-order dependence anywhere in the path.
 
 use crate::gf256;
 
@@ -125,9 +129,9 @@ impl std::error::Error for FecError {}
 pub struct RsCode {
     m: usize,
     r: usize,
-    /// `rows[j][i]` = coefficient of data symbol `i` in parity symbol `j`.
-    /// Row 0 is all-ones (the XOR row).
-    rows: Vec<Vec<u8>>,
+    /// `rows[j * m + i]` = coefficient of data symbol `i` in parity
+    /// symbol `j`. Row 0 is all-ones (the XOR row).
+    rows: Vec<u8>,
 }
 
 impl RsCode {
@@ -138,17 +142,20 @@ impl RsCode {
         }
         let x0 = m as u8;
         let rows = (0..r)
-            .map(|j| {
+            .flat_map(|j| {
                 let xj = (m + j) as u8;
-                (0..m)
-                    .map(|i| {
-                        let yi = i as u8;
-                        gf256::div(x0 ^ yi, xj ^ yi)
-                    })
-                    .collect()
+                (0..m).map(move |i| {
+                    let yi = i as u8;
+                    gf256::div(x0 ^ yi, xj ^ yi)
+                })
             })
             .collect();
         Ok(RsCode { m, r, rows })
+    }
+
+    /// Coefficients of parity symbol `j`, one per data symbol.
+    fn row(&self, j: usize) -> &[u8] {
+        &self.rows[j * self.m..][..self.m]
     }
 
     /// Number of data symbols `m`.
@@ -172,20 +179,11 @@ impl RsCode {
         assert_eq!(payloads.len(), self.m, "payload count != group size");
         let width = payloads.iter().map(|p| p.len()).max().unwrap_or(0);
         self.rows
-            .iter()
+            .chunks_exact(self.m)
             .map(|row| {
                 let mut out = vec![0u8; width];
-                for (i, p) in payloads.iter().enumerate() {
-                    let c = row[i];
-                    if c == 1 {
-                        for (slot, &b) in out.iter_mut().zip(p.iter()) {
-                            *slot ^= b;
-                        }
-                    } else {
-                        for (slot, &b) in out.iter_mut().zip(p.iter()) {
-                            *slot ^= gf256::mul(c, b);
-                        }
-                    }
+                for (p, &c) in payloads.iter().zip(row) {
+                    gf256::mul_acc(&mut out, p, c);
                 }
                 out
             })
@@ -214,109 +212,104 @@ impl RsCode {
         if lost.is_empty() {
             return Ok(Vec::new());
         }
-        let alive: Vec<usize> = (0..self.r).filter(|&j| parity[j].is_some()).collect();
-        if alive.len() < lost.len() {
+        let alive: Vec<(usize, &[u8])> = parity
+            .iter()
+            .enumerate()
+            .filter_map(|(j, p)| p.map(|p| (j, p)))
+            .collect();
+        let s = lost.len();
+        if alive.len() < s {
             return Err(FecError::NotEnoughParity {
-                lost: lost.len(),
+                lost: s,
                 parity: alive.len(),
             });
         }
-        let s = lost.len();
         // All parity payloads of a group share one width; survivors fit it.
-        let width = parity[alive[0]].map(|p| p.len()).unwrap_or(0);
-        for &j in &alive {
-            if let Some(p) = parity[j] {
-                if p.len() != width {
-                    return Err(FecError::ParityWidthMismatch {
-                        expected: width,
-                        got: p.len(),
-                    });
-                }
-            }
+        let width = alive[0].1.len();
+        if let Some((_, p)) = alive.iter().find(|(_, p)| p.len() != width) {
+            return Err(FecError::ParityWidthMismatch {
+                expected: width,
+                got: p.len(),
+            });
         }
-        for shard in data.iter().flatten() {
-            if shard.len() > width {
-                return Err(FecError::SurvivorExceedsParity {
-                    len: shard.len(),
-                    parity_len: width,
-                });
-            }
+        if let Some(shard) = data.iter().flatten().find(|shard| shard.len() > width) {
+            return Err(FecError::SurvivorExceedsParity {
+                len: shard.len(),
+                parity_len: width,
+            });
         }
+        // Any `s` surviving rows solve `s` losses (MDS); take the first.
+        let used = &alive[..s];
         // Syndromes: what each chosen parity row says the lost symbols
         // must sum to, after subtracting (= XOR-ing) the known members.
-        let mut synd: Vec<Vec<u8>> = Vec::with_capacity(s);
-        for &j in alive.iter().take(s) {
-            let mut acc = match parity[j] {
-                Some(p) => p.to_vec(),
-                None => return Err(FecError::SingularMatrix),
-            };
-            for (i, shard) in data.iter().enumerate() {
-                if let Some(p) = shard {
-                    let c = self.rows[j][i];
-                    for (slot, &b) in acc.iter_mut().zip(p.iter()) {
-                        *slot ^= gf256::mul(c, b);
+        let synd: Vec<Vec<u8>> = used
+            .iter()
+            .map(|&(j, p)| {
+                let mut acc = p.to_vec();
+                for (shard, &c) in data.iter().zip(self.row(j)) {
+                    if let Some(shard) = shard {
+                        gf256::mul_acc(&mut acc, shard, c);
                     }
                 }
-            }
-            synd.push(acc);
-        }
-        // Solve A · x = synd where A[t][u] = c[row_t][lost_u]; A is a
-        // (scaled) Cauchy submatrix, hence invertible.
-        let a: Vec<Vec<u8>> = alive
-            .iter()
-            .take(s)
-            .map(|&j| lost.iter().map(|&i| self.rows[j][i]).collect())
+                acc
+            })
             .collect();
-        let ainv = invert(a)?;
-        let mut out = Vec::with_capacity(s);
-        for (u, &i) in lost.iter().enumerate() {
-            let mut payload = vec![0u8; width];
-            for (t, syn) in synd.iter().enumerate() {
-                let c = ainv[u][t];
-                for (slot, &b) in payload.iter_mut().zip(syn.iter()) {
-                    *slot ^= gf256::mul(c, b);
-                }
+        // Solve A · x = synd where A[t][u] = c[row_t][lost_u]; A is a
+        // (scaled) Cauchy submatrix, hence invertible. Row t of the
+        // augmented matrix is A's row t followed by the identity's.
+        let mut aug = vec![0u8; 2 * s * s];
+        for (t, (row, &(j, _))) in aug.chunks_exact_mut(2 * s).zip(used).enumerate() {
+            for (slot, &i) in row.iter_mut().zip(&lost) {
+                *slot = self.row(j)[i];
             }
-            out.push((i, payload));
+            row[s + t] = 1;
         }
-        Ok(out)
+        invert(&mut aug, s)?;
+        // One loss under a coefficient-1 row (any single loss while
+        // parity 0 survives): the syndrome already is the payload.
+        if s == 1 && aug[1] == 1 {
+            return Ok(lost.into_iter().zip(synd).collect());
+        }
+        Ok(lost
+            .iter()
+            .zip(aug.chunks_exact(2 * s))
+            .map(|(&i, row)| {
+                let mut payload = vec![0u8; width];
+                for (syn, &c) in synd.iter().zip(&row[s..]) {
+                    gf256::mul_acc(&mut payload, syn, c);
+                }
+                (i, payload)
+            })
+            .collect())
     }
 }
 
-/// Gauss–Jordan inversion over GF(256). Returns [`FecError::SingularMatrix`]
-/// instead of panicking so the recovery path carries no `unwrap`.
-fn invert(mut a: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, FecError> {
-    let n = a.len();
-    let mut inv: Vec<Vec<u8>> = (0..n)
-        .map(|i| (0..n).map(|j| u8::from(i == j)).collect())
-        .collect();
+/// Gauss–Jordan inversion over GF(256), in place on the row-major
+/// `n × 2n` augmented matrix `[A | I]`: on success the left half is the
+/// identity and the right half is `A⁻¹`. Returns
+/// [`FecError::SingularMatrix`] instead of panicking so the recovery
+/// path carries no `unwrap`.
+fn invert(aug: &mut [u8], n: usize) -> Result<(), FecError> {
+    let w = 2 * n;
     for col in 0..n {
         let pivot = (col..n)
-            .find(|&row| a[row][col] != 0)
+            .find(|&row| aug[row * w + col] != 0)
             .ok_or(FecError::SingularMatrix)?;
-        a.swap(col, pivot);
-        inv.swap(col, pivot);
-        let p = gf256::inv(a[col][col]);
-        for x in a[col].iter_mut() {
+        for x in 0..w {
+            aug.swap(col * w + x, pivot * w + x);
+        }
+        let (above, rest) = aug.split_at_mut(col * w);
+        let (pivot_row, below) = rest.split_at_mut(w);
+        let p = gf256::inv(pivot_row[col]);
+        for x in pivot_row.iter_mut() {
             *x = gf256::mul(*x, p);
         }
-        for x in inv[col].iter_mut() {
-            *x = gf256::mul(*x, p);
-        }
-        for row in 0..n {
-            if row == col || a[row][col] == 0 {
-                continue;
-            }
-            let f = a[row][col];
-            for j in 0..n {
-                let av = a[col][j];
-                let iv = inv[col][j];
-                a[row][j] ^= gf256::mul(f, av);
-                inv[row][j] ^= gf256::mul(f, iv);
-            }
+        for row in above.chunks_exact_mut(w).chain(below.chunks_exact_mut(w)) {
+            let f = row[col];
+            gf256::mul_acc(row, pivot_row, f);
         }
     }
-    Ok(inv)
+    Ok(())
 }
 
 #[cfg(test)]
