@@ -135,7 +135,7 @@ impl Bench {
 /// One (quality, size) measurement.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QualityReport {
-    /// Dataset-metric quality (accuracy/F1 in [0,1]; perplexity ≥ 1,
+    /// Dataset-metric quality (accuracy/F1 in \[0, 1\]; perplexity ≥ 1,
     /// lower better).
     pub quality: f64,
     /// Compressed size in bits per KV element.

@@ -381,8 +381,8 @@ impl<E> BatchState<E> {
 /// `capacity` bounds the task queue; a submitter whose batch would
 /// overflow it blocks until workers drain the backlog — backpressure,
 /// not unbounded memory. Batches from concurrent submitters interleave
-/// on the queue but complete independently: [`run_batch`]
-/// (`PoolHandle::run_batch`) returns when *its* jobs are done, with the
+/// on the queue but complete independently: [`run_batch`](PoolHandle::run_batch)
+/// returns when *its* jobs are done, with the
 /// lowest-indexed failure (error or panic, carrying the panic message)
 /// if any. Do not submit from a pool worker itself: a full queue would
 /// then deadlock.

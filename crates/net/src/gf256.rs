@@ -1,6 +1,6 @@
 //! GF(2⁸) arithmetic for the Reed–Solomon erasure layer.
 //!
-//! The field is GF(2)[x] / (x⁸ + x⁴ + x³ + x² + 1) — reduction polynomial
+//! The field is GF(2)\[x\] / (x⁸ + x⁴ + x³ + x² + 1) — reduction polynomial
 //! `0x11D`, the conventional Reed–Solomon choice — with generator α = 2
 //! (`0x02` is primitive modulo `0x11D`, so its powers enumerate all 255
 //! non-zero elements). Addition is XOR. Everything is table-driven and

@@ -5,142 +5,30 @@
 //! the store), a local KV-bitstream cache, and a link; per-tenant bounded
 //! queues apply backpressure; and the event loop replays a multi-tenant
 //! arrival trace on one virtual clock, dispatching same-context batches
-//! whenever a shard goes idle.
+//! whenever a shard goes idle. The loop is both the oracle and the
+//! planner: every run returns its report *and* the [`ExecutionPlan`] of
+//! the decisions behind it.
 
 use cachegen::engine::{CacheGenEngine, EngineConfig};
 use cachegen::RepairPolicy;
 use cachegen_llm::SimModelConfig;
 use cachegen_net::Link;
-use cachegen_streamer::{AdaptPolicy, FecOverhead};
 use cachegen_telemetry::{Recorder, SpanCtx, Stage, NOOP};
 use cachegen_workloads::ServingRequest;
 
-use crate::backend::{
-    ExecutionBackend, ExecutionPlan, PlannedAdmission, PlannedBatch, PlannedChunk, PlannedQuery,
-    PlannedRefetch, PlannedWork,
-};
 use crate::clock::EventQueue;
-use crate::metrics::{Disposition, RequestOutcome, ServingReport};
-use crate::queue::{Admission, EntryKind, QueuedRequest};
+use crate::config::ServingConfig;
+use crate::metrics::{Disposition, RequestOutcome, ServingReport, ShardSummary};
+use crate::plan::{
+    ExecutionPlan, PlannedAdmission, PlannedBatch, PlannedQuery, PlannedRefetch, PlannedWork,
+};
+use crate::queue::{Admission, EntryKind, QueuedRequest, TenantQueues};
 use crate::ring::HashRing;
 use crate::shard::Shard;
+use crate::trace::{self, QueryTimes};
 
-/// Cluster-wide serving configuration.
-#[derive(Clone, Debug)]
-pub struct ServingConfig {
-    /// Number of shards.
-    pub num_shards: usize,
-    /// Number of tenants sharing the cluster.
-    pub num_tenants: usize,
-    /// Virtual nodes per shard on the placement ring.
-    pub virtual_nodes: usize,
-    /// Queue depth at which admission degrades the encoding level.
-    pub degrade_depth: usize,
-    /// Queue depth at which admission sheds requests.
-    pub shed_depth: usize,
-    /// Maximum requests per coalesced batch.
-    pub max_batch: usize,
-    /// Per-shard local KV-bitstream cache capacity, bytes.
-    pub cache_capacity_bytes: u64,
-    /// SLO on per-request context-loading time, seconds.
-    pub slo: Option<f64>,
-    /// Streaming policy for normally-admitted requests.
-    pub policy: AdaptPolicy,
-    /// Level forced on degraded requests (`None` = coarsest).
-    pub degraded_level: Option<usize>,
-    /// Prior throughput knowledge for each stream's first chunk, bits/s.
-    pub prior_throughput_bps: Option<f64>,
-    /// GPU decode throughput for compressed bitstreams, bytes/s.
-    pub decode_bytes_per_sec: f64,
-    /// GPU prefill-recompute speed, seconds per token (text fallback and
-    /// the query suffix's own prefill).
-    pub recompute_sec_per_token: f64,
-    /// Quality proxy per encoding level, finest first (text counts as 1).
-    pub level_quality: Vec<f64>,
-    /// How holes left by a lossy store link are repaired. Under
-    /// [`RepairPolicy::Refetch`] the cluster enqueues a re-fetch that
-    /// competes under the same admission watermarks as first fetches.
-    pub repair: RepairPolicy,
-    /// Packet retransmissions allowed per batch fetch before the repair
-    /// policy takes over (per-packet-fault links only).
-    pub retransmit_budget: usize,
-    /// Default forward-error-correction parity density on store→shard
-    /// links: XOR parity recovers single-loss groups before the
-    /// retransmit budget or the repair/refetch ladder is consulted, so a
-    /// lossy link stops flooding the shard queues with re-fetch entries.
-    pub fec_overhead: FecOverhead,
-    /// Per-tenant FEC overrides (`tenant_fec[t] = Some(knob)`), letting
-    /// tenants buy more (or less) parity than the cluster default. The
-    /// lead tenant of a batch decides the batch's parity.
-    pub tenant_fec: Vec<Option<FecOverhead>>,
-    /// Parity used for batches admitted *degraded*: under backpressure
-    /// admission can shrink parity (e.g. [`FecOverhead::Off`]) instead of
-    /// only coarsening the quantization level. `None` keeps the tenant's
-    /// normal knob.
-    pub degraded_fec: Option<FecOverhead>,
-}
-
-impl Default for ServingConfig {
-    fn default() -> Self {
-        ServingConfig {
-            num_shards: 2,
-            num_tenants: 4,
-            virtual_nodes: 16,
-            degrade_depth: 6,
-            shed_depth: 16,
-            max_batch: 8,
-            cache_capacity_bytes: 256 * 1024,
-            slo: None,
-            policy: AdaptPolicy::Adaptive,
-            degraded_level: None,
-            prior_throughput_bps: None,
-            decode_bytes_per_sec: 8.0e9,
-            recompute_sec_per_token: 1e-3,
-            // Matches the default 5-level ladder; coarser bins lose more.
-            level_quality: vec![0.995, 0.98, 0.95, 0.91, 0.86],
-            repair: RepairPolicy::AnchorInterpolate,
-            retransmit_budget: 1,
-            fec_overhead: FecOverhead::Off,
-            tenant_fec: Vec::new(),
-            degraded_fec: None,
-        }
-    }
-}
-
-impl ServingConfig {
-    /// Quality proxy of one encoding level (clamped to the table).
-    pub fn quality_of_level(&self, level: usize) -> f64 {
-        self.level_quality[level.min(self.level_quality.len() - 1)]
-    }
-
-    /// The FEC parity knob a batch runs with: the degraded override when
-    /// admission degraded the batch (parity is a backpressure dial too),
-    /// else the lead tenant's override, else the cluster default.
-    pub fn fec_for(&self, tenant: usize, degraded: bool) -> &FecOverhead {
-        if degraded {
-            if let Some(f) = &self.degraded_fec {
-                return f;
-            }
-        }
-        self.tenant_fec
-            .get(tenant)
-            .and_then(Option::as_ref)
-            .unwrap_or(&self.fec_overhead)
-    }
-
-    fn validate(&self) {
-        assert!(self.num_shards >= 1, "need at least one shard");
-        assert!(self.num_tenants >= 1, "need at least one tenant");
-        assert!(self.max_batch >= 1, "need at least one request per batch");
-        assert!(
-            self.degrade_depth >= 1 && self.degrade_depth <= self.shed_depth,
-            "watermarks must satisfy 1 <= degrade <= shed"
-        );
-        assert!(!self.level_quality.is_empty(), "need level qualities");
-        assert!(self.decode_bytes_per_sec > 0.0);
-        assert!(self.recompute_sec_per_token >= 0.0);
-    }
-}
+/// Virtual nodes per shard on the placement ring.
+const RING_VIRTUAL_NODES: usize = 16;
 
 /// Internal event type of the serving loop.
 enum Event {
@@ -148,6 +36,17 @@ enum Event {
     Arrival(usize),
     /// Shard `shard` finished its in-flight batch.
     BatchDone { shard: usize },
+}
+
+/// What one run of the event loop accumulates.
+struct Run<'a> {
+    recorder: &'a Recorder,
+    events: EventQueue<Event>,
+    outcomes: Vec<Option<RequestOutcome>>,
+    /// Re-fetch batches are not trace entries; their spans trace under
+    /// synthetic request ids starting past the trace length.
+    next_synthetic_id: u64,
+    plan: ExecutionPlan,
 }
 
 /// A sharded multi-tenant serving cluster.
@@ -180,7 +79,7 @@ impl ServingCluster {
             config.level_quality.len() >= engine_cfg.ladder.len(),
             "level_quality must cover the ladder"
         );
-        let ring = HashRing::new(config.num_shards, config.virtual_nodes);
+        let ring = HashRing::new(config.num_shards, RING_VIRTUAL_NODES);
         let shards = links
             .into_iter()
             .enumerate()
@@ -212,38 +111,10 @@ impl ServingCluster {
         &self.shards[id]
     }
 
-    /// All shards, in id order (execution backends walk these to reach
+    /// All shards, in id order (the thread backend walks these to reach
     /// each shard's engine and link).
     pub fn shards(&self) -> &[Shard] {
         &self.shards
-    }
-
-    /// Runs a trace through an [`ExecutionBackend`] — the seam both the
-    /// virtual-clock oracle and the OS-thread engine plug into.
-    pub fn run_on(
-        &mut self,
-        backend: &mut dyn ExecutionBackend,
-        requests: &[ServingRequest],
-        recorder: &Recorder,
-    ) -> ServingReport {
-        backend.run(self, requests, recorder)
-    }
-
-    /// Runs the virtual loop while capturing the full [`ExecutionPlan`] —
-    /// what a real backend replays. The report is the oracle's,
-    /// byte-identical to [`run`](Self::run), and `recorder` sees exactly
-    /// what [`run_traced`](Self::run_traced) would record (pass
-    /// [`NOOP`] for an untraced planning pass; a real backend passes a
-    /// scratch recorder to salvage the loop's live counters, e.g.
-    /// `cachegen.streamer.*`).
-    pub fn plan_run(
-        &mut self,
-        requests: &[ServingRequest],
-        recorder: &Recorder,
-    ) -> (ServingReport, ExecutionPlan) {
-        let mut plan = ExecutionPlan::default();
-        let report = self.run_plan(requests, recorder, Some(&mut plan));
-        (report, plan)
     }
 
     /// Stores a context on its owning shard (offline ingest path).
@@ -283,21 +154,18 @@ impl ServingCluster {
         requests: &[ServingRequest],
         recorder: &Recorder,
     ) -> ServingReport {
-        self.run_plan(requests, recorder, None)
+        self.plan_run(requests, recorder).0
     }
 
-    /// The discrete-event loop behind [`run_traced`](Self::run_traced),
-    /// optionally capturing every decision it makes into an
-    /// [`ExecutionPlan`]. With `plan = None` this *is* `run_traced` —
-    /// capture only appends to side vectors, so the event sequence,
-    /// recorder output, and report stay byte-identical either way (the
-    /// golden digests in `tests/backend_equivalence.rs` pin that).
-    fn run_plan(
+    /// The discrete-event loop behind [`run`](Self::run) and
+    /// [`run_traced`](Self::run_traced): returns the oracle's report
+    /// together with the [`ExecutionPlan`] — every admission decision and
+    /// dispatched batch, in order — that the thread backend replays.
+    pub fn plan_run(
         &mut self,
         requests: &[ServingRequest],
         recorder: &Recorder,
-        mut plan: Option<&mut ExecutionPlan>,
-    ) -> ServingReport {
+    ) -> (ServingReport, ExecutionPlan) {
         assert!(
             requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
             "requests must be sorted by arrival"
@@ -306,8 +174,8 @@ impl ServingCluster {
             .shards
             .iter_mut()
             .map(|shard| {
-                shard.stats = crate::metrics::ShardSummary::default();
-                shard.queues = crate::queue::TenantQueues::new(
+                shard.stats = ShardSummary::default();
+                shard.queues = TenantQueues::new(
                     self.config.num_tenants,
                     self.config.degrade_depth,
                     self.config.shed_depth,
@@ -317,7 +185,13 @@ impl ServingCluster {
                 shard.cache.stats()
             })
             .collect();
-        let mut events: EventQueue<Event> = EventQueue::new();
+        let mut run = Run {
+            recorder,
+            events: EventQueue::new(),
+            outcomes: vec![None; requests.len()],
+            next_synthetic_id: requests.len() as u64,
+            plan: ExecutionPlan::default(),
+        };
         for (i, r) in requests.iter().enumerate() {
             assert!(r.tenant < self.config.num_tenants, "tenant out of range");
             assert!(
@@ -325,16 +199,12 @@ impl ServingCluster {
                 "request references unstored context {}",
                 r.context_id
             );
-            events.push(r.arrival, Event::Arrival(i));
+            run.events.push(r.arrival, Event::Arrival(i));
         }
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; requests.len()];
-        // Re-fetch batches are not trace entries; their spans trace under
-        // synthetic request ids starting past the trace length.
-        let mut synthetic_id = requests.len() as u64;
 
-        while let Some((now, event)) = events.pop() {
+        while let Some((now, event)) = run.events.pop() {
             recorder.set_time(now);
-            match event {
+            let idle_shard = match event {
                 Event::Arrival(i) => {
                     let req = &requests[i];
                     let shard_id = self.ring.route(req.context_id);
@@ -348,20 +218,19 @@ impl ServingCluster {
                         degraded: false,
                         kind: EntryKind::Query,
                     });
-                    let ctx = SpanCtx::new(i as u64, req.tenant as u32, shard_id as u32);
-                    match decision {
-                        Admission::Shed => {
+                    if decision != Admission::Normal {
+                        let shed = decision == Admission::Shed;
+                        run.plan.admissions.push(PlannedAdmission {
+                            request: i,
+                            tenant: req.tenant,
+                            shard: shard_id,
+                            shed,
+                        });
+                        let ctx = SpanCtx::new(i as u64, req.tenant as u32, shard_id as u32);
+                        trace::admission_instant(recorder, ctx, now, shed);
+                        if shed {
                             shard.stats.shed += 1;
-                            if let Some(p) = plan.as_deref_mut() {
-                                p.admissions.push(PlannedAdmission {
-                                    request: i,
-                                    tenant: req.tenant,
-                                    shard: shard_id,
-                                    shed: true,
-                                });
-                            }
-                            recorder.instant_for(Stage::Admission, ctx, now, vec![("shed", 1.0)]);
-                            outcomes[i] = Some(RequestOutcome {
+                            run.outcomes[i] = Some(RequestOutcome {
                                 tenant: req.tenant,
                                 context_id: req.context_id,
                                 shard: shard_id,
@@ -370,56 +239,24 @@ impl ServingCluster {
                             });
                             continue;
                         }
-                        Admission::Degraded => {
-                            shard.stats.degraded_admissions += 1;
-                            if let Some(p) = plan.as_deref_mut() {
-                                p.admissions.push(PlannedAdmission {
-                                    request: i,
-                                    tenant: req.tenant,
-                                    shard: shard_id,
-                                    shed: false,
-                                });
-                            }
-                            recorder.instant_for(
-                                Stage::Admission,
-                                ctx,
-                                now,
-                                vec![("degraded", 1.0)],
-                            );
-                        }
-                        Admission::Normal => {}
+                        shard.stats.degraded_admissions += 1;
                     }
-                    if !self.shards[shard_id].busy {
-                        self.dispatch(
-                            shard_id,
-                            now,
-                            &mut outcomes,
-                            &mut events,
-                            recorder,
-                            &mut synthetic_id,
-                            plan.as_deref_mut(),
-                        );
+                    if shard.busy {
+                        continue;
                     }
+                    shard_id
                 }
                 Event::BatchDone { shard } => {
                     self.shards[shard].busy = false;
-                    if !self.shards[shard].queues.is_empty() {
-                        self.dispatch(
-                            shard,
-                            now,
-                            &mut outcomes,
-                            &mut events,
-                            recorder,
-                            &mut synthetic_id,
-                            plan.as_deref_mut(),
-                        );
-                    }
+                    shard
                 }
-            }
+            };
+            self.dispatch(idle_shard, now, &mut run);
         }
         // Last completion time, prompt prefill included (a run of pure
         // sheds has no completions and a zero makespan).
-        let makespan = outcomes
+        let makespan = run
+            .outcomes
             .iter()
             .flatten()
             .filter_map(|o| o.ttft().map(|t| o.arrival + t))
@@ -430,7 +267,8 @@ impl ServingCluster {
             shard.stats.peak_queue_depth = shard.queues.peak_depth();
         }
         let report = ServingReport {
-            outcomes: outcomes
+            outcomes: run
+                .outcomes
                 .into_iter()
                 // analyze: allow(no-lib-unwrap, "the event loop runs to quiescence, so every admitted request's slot is filled; an empty slot is a scheduler bug worth a loud stop")
                 .map(|o| o.expect("every request resolved"))
@@ -438,38 +276,40 @@ impl ServingCluster {
             shards: self.shards.iter().map(|s| s.stats).collect(),
             makespan,
         };
-        recorder.with_registry(|reg| {
-            report.fill_registry(reg);
-            for shard in &self.shards {
-                let s = shard.link.stats();
-                reg.add("cachegen.net.transfers", s.transfers);
-                reg.add("cachegen.net.packet_batches", s.packet_batches);
-                reg.add("cachegen.net.wire_bytes", s.wire_bytes);
-                reg.add("cachegen.net.delivered_bytes", s.delivered_bytes);
-                reg.add("cachegen.net.packets_sent", s.packets_sent);
-                reg.add("cachegen.net.packets_dropped", s.packets_dropped);
-                reg.add("cachegen.net.packets_truncated", s.packets_truncated);
-            }
-        });
-        report
+        trace::publish_run(recorder, &report, &self.shards, None);
+        (report, run.plan)
     }
 
-    /// Pops the next batch off a shard's queues and serves it, recording
-    /// outcomes and scheduling the completion event. A batch headed by a
-    /// re-fetch entry pulls the missing bytes instead of running a full
-    /// fetch; a query batch satisfies any re-fetch riders for free (the
-    /// fresh transfer re-delivers the context).
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        &mut self,
-        shard_id: usize,
-        now: f64,
-        outcomes: &mut [Option<RequestOutcome>],
-        events: &mut EventQueue<Event>,
-        recorder: &Recorder,
-        synthetic_id: &mut u64,
-        plan: Option<&mut ExecutionPlan>,
-    ) {
+    /// Pulls a context's missing bytes over the shard's link starting at
+    /// `start`, tracing the pull under the next synthetic request id.
+    /// Returns the planned re-fetch and when its bytes were in hand.
+    fn refetch(
+        shard: &mut Shard,
+        run: &mut Run<'_>,
+        context_id: u64,
+        tenant: usize,
+        (bytes, restore_quality): (u64, f64),
+        start: f64,
+    ) -> (PlannedRefetch, f64) {
+        let ready = shard.serve_refetch(context_id, bytes, restore_quality, start);
+        shard.stats.refetches += 1;
+        let ctx = SpanCtx::new(run.next_synthetic_id, tenant as u32, shard.id as u32);
+        run.next_synthetic_id += 1;
+        trace::refetch_tree(run.recorder, ctx, start, ready, bytes);
+        let planned = PlannedRefetch {
+            trace_request: ctx.request,
+            tenant,
+            bytes,
+        };
+        (planned, ready)
+    }
+
+    /// Pops the next batch off an idle shard's queues (if any) and serves
+    /// it, recording outcomes and scheduling the completion event. A batch
+    /// headed by a re-fetch entry pulls the missing bytes instead of
+    /// running a full fetch; a query batch satisfies any re-fetch riders
+    /// for free (the fresh transfer re-delivers the context).
+    fn dispatch(&mut self, shard_id: usize, now: f64, run: &mut Run<'_>) {
         let shard = &mut self.shards[shard_id];
         let batch = shard.queues.pop_batch(self.config.max_batch);
         if batch.is_empty() {
@@ -480,80 +320,9 @@ impl ServingCluster {
             .iter()
             .filter(|q| q.kind == EntryKind::Query)
             .collect();
-
-        if queries.is_empty() {
-            // Pure re-fetch batch: fill the holes a lossy transfer left.
-            let (bytes, restore) = batch
-                .iter()
-                .map(|q| match q.kind {
-                    EntryKind::Refetch {
-                        bytes,
-                        restore_quality,
-                    } => (bytes, restore_quality),
-                    EntryKind::Query => unreachable!("filtered above"),
-                })
-                .fold((0u64, 0.0f64), |(b, q), (nb, nq)| (b + nb, q.max(nq)));
-            let ready = shard.serve_refetch(context_id, bytes, restore, now);
-            shard.stats.refetches += 1;
-            shard.stats.busy_secs += ready - now;
-            shard.busy = true;
-            let ctx = SpanCtx::new(*synthetic_id, batch[0].tenant as u32, shard_id as u32);
-            *synthetic_id += 1;
-            if let Some(p) = plan {
-                p.batches.push(PlannedBatch {
-                    shard: shard_id,
-                    context_id,
-                    work: PlannedWork::Refetch(PlannedRefetch {
-                        trace_request: ctx.request,
-                        tenant: batch[0].tenant,
-                        bytes,
-                    }),
-                });
-            }
-            recorder.record_span_for(Stage::Request, ctx, now, ready, vec![("refetch", 1.0)]);
-            recorder.record_span_for(
-                Stage::Refetch,
-                ctx,
-                now,
-                ready,
-                vec![("bytes", bytes as f64)],
-            );
-            events.push(ready, Event::BatchDone { shard: shard_id });
-            return;
-        }
-
-        // A batch degrades if any member crossed the watermark: under
-        // saturation the whole transfer downshifts (the riders share it).
-        let degraded = queries.iter().any(|r| r.degraded);
-        let fec = self.config.fec_for(queries[0].tenant, degraded);
-        // The streamer's per-chunk wire/decode spans nest under the batch
-        // lead's request (the riders share the transfer; their own trees
-        // still tile their full TTFT below).
-        recorder.set_ctx(SpanCtx::new(
-            queries[0].index as u64,
-            queries[0].tenant as u32,
-            shard_id as u32,
-        ));
-        let planning = plan.is_some();
-        let mut chunk_work: Vec<PlannedChunk> = Vec::new();
-        let outcome = shard.serve_batch_planned(
-            context_id,
-            degraded,
-            now,
-            &self.config,
-            fec,
-            recorder,
-            planning.then_some(&mut chunk_work),
-        );
-        shard.stats.batches += 1;
-        shard.stats.coalesced_requests += (batch.len() - 1) as u64;
-
-        // Re-fetch riders: a *miss* re-fetched the whole context, which
-        // satisfies them for free — but a cache *hit* served the resident
-        // (repaired) bitstream without touching the link, so the rider's
-        // missing bytes must still be pulled before the shard goes idle.
-        let mut ready = outcome.ready;
-        let (rider_bytes, rider_restore) = batch
+        // What the batch's re-fetch entries ask for: missing bytes, and
+        // the quality the context recovers to once they land.
+        let missing = batch
             .iter()
             .filter_map(|q| match q.kind {
                 EntryKind::Refetch {
@@ -563,37 +332,56 @@ impl ServingCluster {
                 EntryKind::Query => None,
             })
             .fold((0u64, 0.0f64), |(b, q), (nb, nq)| (b + nb, q.max(nq)));
-        let mut planned_rider = None;
-        if rider_bytes > 0 && outcome.cache_hit {
-            ready = shard.serve_refetch(context_id, rider_bytes, rider_restore, ready);
-            shard.stats.refetches += 1;
-            // The rider's pull runs past the queries' first tokens, so it
-            // traces as its own synthetic request, not under a query root.
-            let ctx = SpanCtx::new(*synthetic_id, queries[0].tenant as u32, shard_id as u32);
-            *synthetic_id += 1;
-            planned_rider = Some(PlannedRefetch {
-                trace_request: ctx.request,
-                tenant: queries[0].tenant,
-                bytes: rider_bytes,
+        shard.busy = true;
+
+        let Some(lead) = queries.first() else {
+            // Pure re-fetch batch: fill the holes a lossy transfer left.
+            let (refetch, ready) =
+                Self::refetch(shard, run, context_id, batch[0].tenant, missing, now);
+            shard.stats.busy_secs += ready - now;
+            run.plan.batches.push(PlannedBatch {
+                shard: shard_id,
+                context_id,
+                work: PlannedWork::Refetch(refetch),
             });
-            recorder.record_span_for(
-                Stage::Request,
-                ctx,
-                outcome.ready,
-                ready,
-                vec![("refetch", 1.0)],
-            );
-            recorder.record_span_for(
-                Stage::Refetch,
-                ctx,
-                outcome.ready,
-                ready,
-                vec![("bytes", rider_bytes as f64)],
-            );
+            run.events.push(ready, Event::BatchDone { shard: shard_id });
+            return;
+        };
+
+        // A batch degrades if any member crossed the watermark: under
+        // saturation the whole transfer downshifts (the riders share it).
+        let degraded = queries.iter().any(|r| r.degraded);
+        let fec = self.config.fec_for(lead.tenant);
+        // The streamer's per-chunk wire/decode spans nest under the batch
+        // lead's request (the riders share the transfer; their own trees
+        // still tile their full TTFT below).
+        let recorder = run.recorder;
+        recorder.set_ctx(SpanCtx::new(
+            lead.index as u64,
+            lead.tenant as u32,
+            shard_id as u32,
+        ));
+        let (outcome, chunks) =
+            shard.serve_batch(context_id, degraded, now, &self.config, fec, recorder);
+        shard.stats.batches += 1;
+        shard.stats.coalesced_requests += (batch.len() - 1) as u64;
+
+        // Re-fetch riders: a *miss* re-fetched the whole context, which
+        // satisfies them for free — but a cache *hit* served the resident
+        // (repaired) bitstream without touching the link, so the rider's
+        // missing bytes must still be pulled before the shard goes idle.
+        // The pull runs past the queries' first tokens, so it traces as
+        // its own synthetic request, not under a query root.
+        let mut ready = outcome.ready;
+        let mut rider = None;
+        if missing.0 > 0 && outcome.cache_hit {
+            let (refetch, done) =
+                Self::refetch(shard, run, context_id, lead.tenant, missing, outcome.ready);
+            rider = Some(refetch);
+            ready = done;
         }
         shard.stats.busy_secs += ready - now;
-        shard.busy = true;
-        events.push(ready, Event::BatchDone { shard: shard_id });
+        run.events.push(ready, Event::BatchDone { shard: shard_id });
 
         // Wire the repair loop: bytes the lossy link never delivered are
         // re-requested through the *same* admission path as first fetches
@@ -602,7 +390,7 @@ impl ServingCluster {
         if outcome.lost_bytes > 0 && self.config.repair == RepairPolicy::Refetch {
             let decision = shard.queues.push(QueuedRequest {
                 index: usize::MAX,
-                tenant: queries[0].tenant,
+                tenant: lead.tenant,
                 context_id,
                 arrival: outcome.ready,
                 prompt_tokens: 0,
@@ -626,75 +414,56 @@ impl ServingCluster {
         }
 
         let coalesced = batch.len() > 1;
-        if let Some(p) = plan {
-            p.batches.push(PlannedBatch {
-                shard: shard_id,
-                context_id,
-                work: PlannedWork::Query {
-                    cache_hit: outcome.cache_hit,
-                    degraded,
-                    coalesced,
-                    quality: outcome.quality,
-                    chunks: chunk_work,
-                    queries: queries
-                        .iter()
-                        .map(|q| PlannedQuery {
-                            request: q.index,
-                            tenant: q.tenant,
-                            prompt_tokens: q.prompt_tokens,
-                        })
-                        .collect(),
-                    rider: planned_rider,
-                },
-            });
-        }
-        let load_stage = if outcome.cache_hit {
-            Stage::CacheDecode
-        } else {
-            Stage::StoreFetch
-        };
+        let mut planned = Vec::with_capacity(queries.len());
         for q in &queries {
             let prefill = q.prompt_tokens as f64 * self.config.recompute_sec_per_token;
-            let finish = outcome.ready + prefill;
-            // The request's span tree tiles its TTFT exactly:
-            // [arrival, now] queued + [now, ready] loading + [ready,
-            // finish] prefilling, under one root per request.
+            let times = QueryTimes {
+                arrival: q.arrival,
+                dispatch: now,
+                ready: outcome.ready,
+                finish: outcome.ready + prefill,
+            };
             let ctx = SpanCtx::new(q.index as u64, q.tenant as u32, shard_id as u32);
-            recorder.record_span_for(
-                Stage::Request,
+            trace::request_tree(
+                recorder,
                 ctx,
-                q.arrival,
-                finish,
-                vec![("ttft", finish - q.arrival), ("quality", outcome.quality)],
+                times,
+                outcome.cache_hit,
+                coalesced,
+                outcome.quality,
+                q.prompt_tokens,
             );
-            recorder.record_span_for(Stage::QueueWait, ctx, q.arrival, now, Vec::new());
-            recorder.record_span_for(
-                load_stage,
-                ctx,
-                now,
-                outcome.ready,
-                vec![("coalesced", f64::from(u8::from(coalesced)))],
-            );
-            recorder.record_span_for(
-                Stage::Prefill,
-                ctx,
-                outcome.ready,
-                finish,
-                vec![("tokens", q.prompt_tokens as f64)],
-            );
-            outcomes[q.index] = Some(RequestOutcome {
+            run.outcomes[q.index] = Some(RequestOutcome {
                 tenant: q.tenant,
                 context_id,
                 shard: shard_id,
                 arrival: q.arrival,
                 disposition: Disposition::Completed {
-                    ttft: finish - q.arrival,
+                    ttft: times.finish - q.arrival,
                     quality: outcome.quality,
                     degraded,
                     coalesced,
                 },
             });
+            planned.push(PlannedQuery {
+                request: q.index,
+                tenant: q.tenant,
+                prompt_tokens: q.prompt_tokens,
+            });
         }
+        run.plan.batches.push(PlannedBatch {
+            shard: shard_id,
+            context_id,
+            work: PlannedWork::Query {
+                cache_hit: outcome.cache_hit,
+                degraded,
+                coalesced,
+                quality: outcome.quality,
+                chunks,
+                queries: planned,
+                rider,
+            },
+        });
     }
 }
 
@@ -928,65 +697,6 @@ mod tests {
             quality > 0.9,
             "restored cache must serve undamaged quality, got {quality}"
         );
-    }
-
-    #[test]
-    fn fec_for_resolves_degraded_then_tenant_then_default() {
-        let cfg = ServingConfig {
-            fec_overhead: FecOverhead::Rs { k: 8, r: 1 },
-            tenant_fec: vec![None, Some(FecOverhead::Rs { k: 4, r: 1 }), None],
-            degraded_fec: Some(FecOverhead::Off),
-            ..ServingConfig::default()
-        };
-        // Normal admission: tenant override wins, else the cluster default.
-        assert_eq!(cfg.fec_for(0, false), &FecOverhead::Rs { k: 8, r: 1 });
-        assert_eq!(cfg.fec_for(1, false), &FecOverhead::Rs { k: 4, r: 1 });
-        assert_eq!(
-            cfg.fec_for(3, false),
-            &FecOverhead::Rs { k: 8, r: 1 },
-            "past the table"
-        );
-        // Degraded admission: parity shrinks regardless of tenant knob.
-        assert_eq!(cfg.fec_for(0, true), &FecOverhead::Off);
-        assert_eq!(cfg.fec_for(1, true), &FecOverhead::Off);
-        // Without a degraded override, degraded batches keep their knob.
-        let keep = ServingConfig {
-            tenant_fec: vec![Some(FecOverhead::Rs { k: 4, r: 1 })],
-            ..ServingConfig::default()
-        };
-        assert_eq!(keep.fec_for(0, true), &FecOverhead::Rs { k: 4, r: 1 });
-    }
-
-    #[test]
-    fn fec_for_carries_rs_and_adaptive_knobs() {
-        // Multi-erasure knobs flow through the same resolution chain as the
-        // XOR ones: a tenant can pin RS(k, r) parity while the cluster
-        // default adapts to the measured loss rate, and degraded admission
-        // shrinks parity depth (r = 2 → 1) instead of dropping FEC outright.
-        let cfg = ServingConfig {
-            fec_overhead: FecOverhead::adaptive_default(),
-            tenant_fec: vec![Some(FecOverhead::Rs { k: 10, r: 2 })],
-            degraded_fec: Some(FecOverhead::Rs { k: 10, r: 1 }),
-            ..ServingConfig::default()
-        };
-        assert_eq!(
-            cfg.fec_for(0, false),
-            &FecOverhead::Rs { k: 10, r: 2 },
-            "tenant pins full double-parity RS"
-        );
-        assert_eq!(
-            cfg.fec_for(1, false),
-            &FecOverhead::adaptive_default(),
-            "cluster default adapts (k, r) to the loss estimate"
-        );
-        // Degraded admission keeps the erasure code but sheds one repair
-        // symbol per group — cheaper than r = 2, stronger than Off.
-        assert_eq!(cfg.fec_for(0, true), &FecOverhead::Rs { k: 10, r: 1 });
-        let (k, r) = cfg
-            .fec_for(0, true)
-            .params_for(0, None)
-            .expect("degraded RS knob still groups");
-        assert_eq!((k, r), (10, 1));
     }
 
     #[test]

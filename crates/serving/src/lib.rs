@@ -22,17 +22,21 @@
 //!   slice of the store), an [`cachegen_kvstore::LruKvCache`] of fetched
 //!   bitstreams, and the store→shard link. A batch fetches once; cache
 //!   hits skip the link entirely.
+//! * [`config`] — [`ServingConfig`]: watermarks, batching, cache size,
+//!   streaming policy, repair policy and the FEC knobs.
 //! * [`cluster`] — [`ServingCluster`]: the ring + shards + event loop
-//!   that replays a [`cachegen_workloads::MultiTenantWorkload`] trace.
-//! * [`backend`] — the execution-backend split: [`ExecutionBackend`]
-//!   abstracts *how* a run executes. [`VirtualClockBackend`] is the
-//!   deterministic oracle (this crate's event loop, unchanged and
-//!   golden-pinned); the loop doubles as a *planner* that can capture
-//!   every decision into an [`ExecutionPlan`].
+//!   that replays a [`cachegen_workloads::MultiTenantWorkload`] trace —
+//!   the deterministic, golden-pinned oracle.
+//! * [`plan`] — the [`ExecutionPlan`] every run also returns
+//!   ([`ServingCluster::plan_run`]): each admission decision and
+//!   dispatched batch, as replayable data.
 //! * [`threads`] — [`ThreadBackend`]: the plan replayed on real OS
 //!   threads — per-shard worker pools behind bounded MPSC queues, chunk
-//!   decodes fanned out to the shared `codec::pool` executor — exporting
-//!   the same span taxonomy and registry keys with wall-clock durations.
+//!   decodes fanned out to the shared `codec::pool` executor — with
+//!   wall-clock durations.
+//! * [`trace`] — the one place request span trees are recorded and a
+//!   run's metrics are published ([`trace::METRICS`] names every key), so
+//!   both ways of running a trace export the same taxonomy.
 //! * [`metrics`] — per-tenant TTFT percentiles, QoE (MOS), shed/degrade
 //!   counts, and per-shard utilization/cache/batching summaries.
 //!
@@ -68,23 +72,26 @@
 //! assert!(report.ttft_percentile(None, 50.0).unwrap() > 0.0);
 //! ```
 
-pub mod backend;
 pub mod clock;
 pub mod cluster;
+pub mod config;
 pub mod metrics;
+pub mod plan;
 pub mod queue;
 pub mod ring;
 pub mod shard;
 pub mod threads;
+pub mod trace;
 
-pub use backend::{
-    ExecutionBackend, ExecutionPlan, PlannedAdmission, PlannedBatch, PlannedChunk, PlannedQuery,
-    PlannedRefetch, PlannedWork, VirtualClockBackend,
-};
 pub use cachegen_kvstore::ContextId;
 pub use clock::EventQueue;
-pub use cluster::{ServingCluster, ServingConfig};
+pub use cluster::ServingCluster;
+pub use config::ServingConfig;
 pub use metrics::{percentile, Disposition, RequestOutcome, ServingReport, ShardSummary};
+pub use plan::{
+    ExecutionPlan, PlannedAdmission, PlannedBatch, PlannedChunk, PlannedQuery, PlannedRefetch,
+    PlannedWork,
+};
 pub use queue::{Admission, EntryKind, QueuedRequest, TenantQueues};
 pub use ring::HashRing;
 pub use shard::{repair_effectiveness, BatchOutcome, Shard};

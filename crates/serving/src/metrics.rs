@@ -8,7 +8,6 @@
 
 use cachegen::qoe::QoeModel;
 use cachegen_kvstore::CacheStats;
-use cachegen_telemetry::MetricsRegistry;
 
 // The nearest-rank percentile lives in the telemetry crate now (every
 // crate that summarizes samples shares one definition); re-exported here
@@ -205,66 +204,6 @@ impl ServingReport {
             return 0.0;
         }
         samples.iter().sum::<f64>() / samples.len() as f64
-    }
-
-    /// Publishes the run under the `cachegen.serving.*` namespace:
-    /// per-request TTFT into a histogram (plus p50/p99 gauges for quick
-    /// reads), dispositions as counters, and the per-shard summaries
-    /// summed fleet-wide. Idempotent only in the sense of `add` semantics
-    /// — call it once per run on a fresh (or merged-into) registry.
-    pub fn fill_registry(&self, registry: &mut MetricsRegistry) {
-        self.fill_registry_with(registry, &self.ttfts(None), self.makespan);
-    }
-
-    /// [`fill_registry`](Self::fill_registry) with the time-dependent
-    /// inputs — TTFT samples and makespan — supplied by the caller. The
-    /// virtual oracle passes its own (`fill_registry` does exactly that);
-    /// a real execution backend passes wall-clock measurements of the
-    /// same requests, so both backends publish the identical key set with
-    /// identical counters and only the duration-valued entries differing.
-    pub fn fill_registry_with(&self, registry: &mut MetricsRegistry, ttfts: &[f64], makespan: f64) {
-        registry.add("cachegen.serving.requests", self.outcomes.len() as u64);
-        registry.add(
-            "cachegen.serving.completed",
-            self.completed().count() as u64,
-        );
-        registry.add("cachegen.serving.shed", self.shed_count() as u64);
-        registry.add("cachegen.serving.degraded", self.degraded_count() as u64);
-        registry.add("cachegen.serving.coalesced", self.coalesced_count() as u64);
-        for t in ttfts {
-            registry.observe("cachegen.serving.ttft_ms", t * 1e3);
-        }
-        if let Some(p50) = percentile(ttfts, 50.0) {
-            registry.gauge("cachegen.serving.ttft_p50_ms", p50 * 1e3);
-        }
-        if let Some(p99) = percentile(ttfts, 99.0) {
-            registry.gauge("cachegen.serving.ttft_p99_ms", p99 * 1e3);
-        }
-        if !self.outcomes.is_empty() {
-            let shed_rate = self.shed_count() as f64 / self.outcomes.len() as f64;
-            registry.gauge("cachegen.serving.shed_rate", shed_rate);
-        }
-        registry.gauge("cachegen.serving.mean_quality", self.mean_quality());
-        registry.gauge("cachegen.serving.makespan_s", makespan);
-        let mut peak_depth = 0usize;
-        for s in &self.shards {
-            registry.add("cachegen.serving.batches", s.batches);
-            registry.add("cachegen.serving.coalesced_requests", s.coalesced_requests);
-            registry.add("cachegen.serving.bytes_fetched", s.bytes_fetched);
-            registry.add("cachegen.serving.parity_bytes", s.parity_bytes);
-            registry.add(
-                "cachegen.serving.fec_recovered_packets",
-                s.fec_recovered_packets,
-            );
-            registry.add("cachegen.serving.lost_bytes", s.lost_bytes);
-            registry.add("cachegen.serving.refetches", s.refetches);
-            registry.add("cachegen.serving.refetch_shed", s.refetch_shed);
-            registry.add("cachegen.serving.refetched_bytes", s.refetched_bytes);
-            registry.add("cachegen.serving.cache_hits", s.cache.hits);
-            registry.add("cachegen.serving.cache_misses", s.cache.misses);
-            peak_depth = peak_depth.max(s.peak_queue_depth);
-        }
-        registry.gauge("cachegen.serving.peak_queue_depth", peak_depth as f64);
     }
 }
 

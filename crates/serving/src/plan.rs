@@ -1,72 +1,12 @@
-//! The execution-backend split: one serving semantics, two engines.
+//! The [`ExecutionPlan`]: one serving run's decisions, as data.
 //!
-//! [`ServingCluster`]'s discrete-event loop on the virtual clock is the
-//! *oracle*: deterministic, byte-reproducible, and the thing every test
-//! pins. [`ExecutionBackend`] abstracts *how* a run executes so a real
-//! OS-thread engine ([`crate::threads::ThreadBackend`]) can serve the
-//! identical workload and be diffed against the oracle span-for-span.
-//!
-//! The two backends meet through the [`ExecutionPlan`]: the virtual loop
-//! is also the *planner* — every admission decision, batch composition,
-//! chunk configuration, and loss-repair re-fetch it resolves is recorded
-//! as data. The thread backend replays that plan with real workers,
-//! bounded MPSC queues, and real entropy decodes on the shared
-//! `codec::pool` executor. Request outcomes, shed/degrade decisions, and
-//! final cache state are therefore identical *by construction*; what the
-//! thread backend measures is how long the plan takes on real silicon,
-//! exported in the same span taxonomy
-//! (`queue_wait`/`store_fetch`/`cache_decode`/`prefill` tilings) and the
-//! same `cachegen.<crate>.<metric>` registry — only durations differ.
-
-use cachegen_telemetry::Recorder;
-use cachegen_workloads::ServingRequest;
-
-use crate::cluster::ServingCluster;
-use crate::metrics::ServingReport;
-
-/// An engine that executes a serving run over a cluster.
-///
-/// Implementations must resolve the same workload to the same
-/// [`ServingReport`] outcomes (the virtual loop is the reference), and
-/// must export the request-lifecycle span taxonomy through `recorder`.
-/// Only the time base may differ: virtual seconds for the oracle, wall
-/// seconds for real backends.
-pub trait ExecutionBackend {
-    /// Short backend name for artifacts and logs (`"virtual"`,
-    /// `"threads"`).
-    fn name(&self) -> &'static str;
-
-    /// Executes `requests` against `cluster`, recording through
-    /// `recorder`.
-    fn run(
-        &mut self,
-        cluster: &mut ServingCluster,
-        requests: &[ServingRequest],
-        recorder: &Recorder,
-    ) -> ServingReport;
-}
-
-/// The deterministic discrete-event oracle — a zero-cost wrapper around
-/// [`ServingCluster::run_traced`], kept bit-identical to the
-/// pre-backend-split loop (the golden digests in
-/// `tests/backend_equivalence.rs` enforce exactly that).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct VirtualClockBackend;
-
-impl ExecutionBackend for VirtualClockBackend {
-    fn name(&self) -> &'static str {
-        "virtual"
-    }
-
-    fn run(
-        &mut self,
-        cluster: &mut ServingCluster,
-        requests: &[ServingRequest],
-        recorder: &Recorder,
-    ) -> ServingReport {
-        cluster.run_traced(requests, recorder)
-    }
-}
+//! [`ServingCluster::plan_run`](crate::cluster::ServingCluster::plan_run)
+//! — the virtual-clock event loop, the oracle every test pins — records
+//! here every admission decision, batch composition, chunk configuration
+//! and loss-repair re-fetch it resolves.
+//! [`ThreadBackend`](crate::threads::ThreadBackend) replays the plan
+//! instead of re-deciding, which is what makes its outcomes, shed/degrade
+//! decisions and final cache state the oracle's by construction.
 
 /// One admission decision the planner made at a request's arrival
 /// (normal admissions are implicit — only the degrade/shed instants are
@@ -173,20 +113,4 @@ pub struct ExecutionPlan {
     pub admissions: Vec<PlannedAdmission>,
     /// Dispatched batches, in dispatch order.
     pub batches: Vec<PlannedBatch>,
-}
-
-impl ExecutionPlan {
-    /// Total chunk-decode jobs across all planned batches.
-    pub fn decode_jobs(&self) -> usize {
-        self.batches
-            .iter()
-            .map(|b| match &b.work {
-                PlannedWork::Query { chunks, .. } => chunks
-                    .iter()
-                    .filter(|c| matches!(c, PlannedChunk::Decode { .. }))
-                    .count(),
-                PlannedWork::Refetch(_) => 0,
-            })
-            .sum()
-    }
 }

@@ -20,9 +20,9 @@ use cachegen_streamer::{
 };
 use cachegen_telemetry::Recorder;
 
-use crate::backend::PlannedChunk;
-use crate::cluster::ServingConfig;
+use crate::config::ServingConfig;
 use crate::metrics::ShardSummary;
+use crate::plan::PlannedChunk;
 use crate::queue::TenantQueues;
 
 /// How one batch was served.
@@ -125,12 +125,15 @@ impl Shard {
     }
 
     /// Serves one same-context batch starting at virtual time `now`,
-    /// returning when its KV was ready and at what quality. `degraded`
-    /// forces the backpressure level regardless of the adapter policy;
-    /// `fec` is the batch's parity knob (the cluster resolves the
-    /// per-tenant/degraded override before dispatch). Wire-level and
-    /// decode spans land on `recorder` under whatever span context the
-    /// caller set (pass [`cachegen_telemetry::NOOP`] to skip tracing).
+    /// returning when its KV was ready and at what quality, plus the
+    /// batch's per-chunk work (decode level per chunk, or text-recompute
+    /// token counts) — what the thread backend replays to run exactly the
+    /// load the virtual model accounted for. `degraded` forces the
+    /// coarsest level regardless of the adapter policy; `fec` is the
+    /// batch's parity knob (the cluster resolves the per-tenant override
+    /// before dispatch). Wire-level and decode spans land on `recorder`
+    /// under whatever span context the caller set (pass
+    /// [`cachegen_telemetry::NOOP`] to skip tracing).
     pub fn serve_batch(
         &mut self,
         context_id: ContextId,
@@ -139,28 +142,8 @@ impl Shard {
         cfg: &ServingConfig,
         fec: &FecOverhead,
         recorder: &Recorder,
-    ) -> BatchOutcome {
-        self.serve_batch_planned(context_id, degraded, now, cfg, fec, recorder, None)
-    }
-
-    /// [`serve_batch`](Self::serve_batch), optionally capturing the batch's
-    /// per-chunk work (decode level per chunk, or text-recompute token
-    /// counts) into `capture` — the data a real execution backend needs to
-    /// replay exactly the load the virtual model accounted for. Passing
-    /// `None` is the plain path and must stay byte-identical to it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_batch_planned(
-        &mut self,
-        context_id: ContextId,
-        degraded: bool,
-        now: f64,
-        cfg: &ServingConfig,
-        fec: &FecOverhead,
-        recorder: &Recorder,
-        capture: Option<&mut Vec<PlannedChunk>>,
-    ) -> BatchOutcome {
+    ) -> (BatchOutcome, Vec<PlannedChunk>) {
         let plan = &self.plans[&context_id];
-        let n_levels = self.engine.num_levels();
         let decode_rate = cfg.decode_bytes_per_sec;
         let decode_seconds = move |bytes: u64| bytes as f64 / decode_rate;
 
@@ -168,24 +151,22 @@ impl Shard {
             // Local hit: the bitstream fetched last time is resident;
             // only its decode is paid, at the quality it was fetched at.
             let meta = &self.cached[&context_id];
-            if let Some(cap) = capture {
-                *cap = meta.chunks.clone();
-            }
-            return BatchOutcome {
+            let outcome = BatchOutcome {
                 ready: now + decode_seconds(meta.bytes),
                 quality: meta.quality,
                 cache_hit: true,
                 lost_bytes: 0,
                 restore_quality: meta.quality,
             };
+            return (outcome, meta.chunks.clone());
         }
 
         // Miss: fetch over the shard's link at the adapter's choice —
         // once for the whole batch (the coalescing win). Backpressure
-        // degrades to a coarser encoding level; the text-fallback policy
+        // degrades to the coarsest encoding level; the text-fallback policy
         // has no levels to degrade to, so it stays text.
         let policy = if degraded && cfg.policy != AdaptPolicy::AlwaysText {
-            AdaptPolicy::FixedLevel(cfg.degraded_level.unwrap_or(n_levels - 1))
+            AdaptPolicy::FixedLevel(self.engine.num_levels() - 1)
         } else {
             cfg.policy
         };
@@ -269,17 +250,14 @@ impl Shard {
                 );
             }
         }
-        if let Some(cap) = capture {
-            *cap = chunk_work;
-        }
-
-        BatchOutcome {
+        let outcome = BatchOutcome {
             ready: out.finish,
             quality,
             cache_hit: false,
             lost_bytes: out.lost_bytes(),
             restore_quality,
-        }
+        };
+        (outcome, chunk_work)
     }
 
     /// Serves a loss-repair re-fetch: pulls the missing bytes over the
@@ -358,9 +336,13 @@ mod tests {
         let ctx: Vec<usize> = (0..90).map(|i| (i * 3) % 64).collect();
         s.store_context(5, &ctx);
         assert!(s.owns(5));
-        let miss = s.serve_batch(5, false, 0.0, &cfg, &cfg.fec_overhead, &NOOP);
+        let miss = s
+            .serve_batch(5, false, 0.0, &cfg, &cfg.fec_overhead, &NOOP)
+            .0;
         assert!(!miss.cache_hit);
-        let hit = s.serve_batch(5, false, miss.ready, &cfg, &cfg.fec_overhead, &NOOP);
+        let hit = s
+            .serve_batch(5, false, miss.ready, &cfg, &cfg.fec_overhead, &NOOP)
+            .0;
         assert!(hit.cache_hit);
         assert!(
             hit.ready - miss.ready < miss.ready,
@@ -378,12 +360,16 @@ mod tests {
         let mut s = shard(&cfg);
         let ctx: Vec<usize> = (0..90).map(|i| (i * 5) % 64).collect();
         s.store_context(9, &ctx);
-        let normal = s.serve_batch(9, false, 0.0, &cfg, &cfg.fec_overhead, &NOOP);
+        let normal = s
+            .serve_batch(9, false, 0.0, &cfg, &cfg.fec_overhead, &NOOP)
+            .0;
         let fetched_normal = s.stats.bytes_fetched;
 
         let mut s2 = shard(&cfg);
         s2.store_context(9, &ctx);
-        let degraded = s2.serve_batch(9, true, 0.0, &cfg, &cfg.fec_overhead, &NOOP);
+        let degraded = s2
+            .serve_batch(9, true, 0.0, &cfg, &cfg.fec_overhead, &NOOP)
+            .0;
         assert!(
             s2.stats.bytes_fetched < fetched_normal,
             "degraded fetch {} vs normal {}",
@@ -403,10 +389,14 @@ mod tests {
         let mut s = shard(&cfg);
         let ctx: Vec<usize> = (0..60).map(|i| (i * 11) % 64).collect();
         s.store_context(3, &ctx);
-        let first = s.serve_batch(3, false, 0.0, &cfg, &cfg.fec_overhead, &NOOP);
+        let first = s
+            .serve_batch(3, false, 0.0, &cfg, &cfg.fec_overhead, &NOOP)
+            .0;
         assert!(!first.cache_hit);
         assert!((first.quality - 1.0).abs() < 1e-9, "text is lossless");
-        let second = s.serve_batch(3, false, first.ready, &cfg, &cfg.fec_overhead, &NOOP);
+        let second = s
+            .serve_batch(3, false, first.ready, &cfg, &cfg.fec_overhead, &NOOP)
+            .0;
         assert!(!second.cache_hit, "text fallback leaves no bitstream");
     }
 }

@@ -21,12 +21,10 @@
 //!
 //! Because outcomes come from the plan, the two backends agree on
 //! everything but time: same dispositions, same shed/degrade decisions,
-//! same final cache state. The thread backend records the same span
-//! taxonomy (`request` roots tiled by `queue_wait` +
-//! `store_fetch`/`cache_decode` + `prefill`, re-fetches under the same
-//! synthetic ids) and publishes the same `cachegen.<crate>.<metric>`
-//! registry keys, with wall-clock durations where the oracle has virtual
-//! ones. `tests/backend_equivalence.rs` diffs exactly that.
+//! same final cache state. Span trees (re-fetches under the oracle's
+//! synthetic ids) and registry keys come from the [`crate::trace`] helpers
+//! the oracle itself calls, with wall-clock durations where the oracle has
+//! virtual ones. `tests/backend_equivalence.rs` diffs exactly that.
 //!
 //! This module is one of the two sanctioned `thread::spawn`/`scope`
 //! sites in the workspace (the other is `codec::pool`); the
@@ -37,13 +35,14 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use cachegen_codec::{EncodedKv, KvCodec, PoolHandle, PoolJob};
 use cachegen_kvstore::FetchedChunk;
-use cachegen_telemetry::{Clock, Recorder, SpanCtx, Stage, WallClock};
+use cachegen_telemetry::{Clock, Recorder, SpanCtx, Stage, WallClock, NOOP};
 use cachegen_workloads::ServingRequest;
 
-use crate::backend::{ExecutionBackend, PlannedBatch, PlannedChunk, PlannedRefetch, PlannedWork};
 use crate::cluster::ServingCluster;
 use crate::metrics::ServingReport;
+use crate::plan::{PlannedBatch, PlannedChunk, PlannedRefetch, PlannedWork};
 use crate::shard::Shard;
+use crate::trace::{self, QueryTimes};
 
 /// One chunk-level span measured inside a pool job: slot in the batch's
 /// chunk order (so records replay deterministically sorted), stage,
@@ -95,12 +94,6 @@ pub struct ThreadBackend {
     pub queue_capacity: usize,
 }
 
-impl Default for ThreadBackend {
-    fn default() -> Self {
-        ThreadBackend::new(2)
-    }
-}
-
 impl ThreadBackend {
     /// A backend with `workers` threads per shard, an equally sized
     /// shared decode pool, and a small bounded queue per shard.
@@ -125,11 +118,12 @@ impl ThreadBackend {
         assert!(self.decode_pool_workers >= 1, "need at least one decoder");
         assert!(self.queue_capacity >= 1, "need a positive queue bound");
 
-        // Phase 1: the oracle plans (and decides) everything. The scratch
-        // recorder catches the loop's live counters (`cachegen.streamer.*`)
-        // so the wall registry can carry the oracle's full counter set.
-        let planner = Recorder::new();
-        let (report, plan) = cluster.plan_run(requests, &planner);
+        // Phase 1: the oracle plans (and decides) everything. A recording
+        // run plans on a scratch recorder to catch the loop's live counters
+        // (`cachegen.streamer.*`) for the wall registry; an untraced run
+        // has no registry to carry them to and plans untraced.
+        let planner = recorder.is_enabled().then(Recorder::new);
+        let (report, plan) = cluster.plan_run(requests, planner.as_ref().unwrap_or(&NOOP));
 
         // Phase 2: replay the plan on real threads, measuring wall time.
         let clock = WallClock::start();
@@ -138,8 +132,7 @@ impl ThreadBackend {
         // the plan's, only their wall timestamps are ours.
         for a in &plan.admissions {
             let ctx = SpanCtx::new(a.request as u64, a.tenant as u32, a.shard as u32);
-            let arg = if a.shed { "shed" } else { "degraded" };
-            recorder.instant_for(Stage::Admission, ctx, clock.now(), vec![(arg, 1.0)]);
+            trace::admission_instant(recorder, ctx, clock.now(), a.shed);
         }
 
         let shards = cluster.shards();
@@ -157,7 +150,11 @@ impl ThreadBackend {
             self.decode_pool_workers,
             self.queue_capacity.max(self.decode_pool_workers),
         );
-        let accum = Mutex::new(Accum::default());
+        let stats = Mutex::new(ThreadRunStats {
+            workers_per_shard: self.workers_per_shard,
+            pool_workers: pool.workers(),
+            ..ThreadRunStats::default()
+        });
 
         std::thread::scope(|s| {
             let mut feeders = Vec::with_capacity(shards.len());
@@ -169,7 +166,7 @@ impl ThreadBackend {
                     let plan = &plan;
                     let codecs = &codecs[shard_id];
                     let pool = &pool;
-                    let accum = &accum;
+                    let stats = &stats;
                     // Sanctioned spawn site: the serving thread backend.
                     s.spawn(move || loop {
                         // Holding the lock across `recv` just serializes
@@ -187,7 +184,7 @@ impl ThreadBackend {
                             pool,
                             clock,
                             recorder,
-                            accum,
+                            stats,
                         );
                     });
                 }
@@ -200,96 +197,30 @@ impl ThreadBackend {
             }
             drop(feeders);
         });
-        let wall_secs = clock.now();
+        let mut stats = stats.into_inner().unwrap_or_else(PoisonError::into_inner);
+        stats.wall_secs = clock.now();
+        stats.wall_ttfts.sort_unstable_by_key(|(req, _)| *req);
 
-        let mut accum = accum.into_inner().unwrap_or_else(PoisonError::into_inner);
-        accum.wall_ttfts.sort_unstable_by_key(|(req, _)| *req);
-        let stats = ThreadRunStats {
-            workers_per_shard: self.workers_per_shard,
-            pool_workers: pool.workers(),
-            wall_secs,
-            batches: accum.batches,
-            refetch_batches: accum.refetch_batches,
-            decoded_chunks: accum.decoded_chunks,
-            text_chunks: accum.text_chunks,
-            decode_errors: accum.decode_errors,
-            wall_ttfts: accum.wall_ttfts,
-        };
-
-        // Same registry taxonomy as the oracle: identical counters from
-        // the shared report and link stats, wall-clock values for the
-        // duration-valued keys, plus this backend's own
-        // `cachegen.serving.threads.*` shape gauges.
-        let ttfts: Vec<f64> = stats.wall_ttfts.iter().map(|(_, t)| *t).collect();
-        let planner_registry = planner.registry_snapshot();
-        recorder.with_registry(|reg| {
-            report.fill_registry_with(reg, &ttfts, wall_secs);
-            // The streamer's counters were recorded live inside the
-            // planning loop; everything else below is recomputed here, so
-            // only that namespace is copied over.
-            for (name, value) in planner_registry.counters() {
-                if name.starts_with("cachegen.streamer.") {
-                    reg.add(name, value);
+        // Same registry taxonomy as the oracle, from the same publisher:
+        // wall-clock values for the duration-valued keys, plus this
+        // backend's own `cachegen.serving.threads.*` shape.
+        trace::publish_run(recorder, &report, cluster.shards(), Some(&stats));
+        // The streamer's counters were recorded live inside the planning
+        // loop; everything else is recomputed by `publish_run`, so only
+        // that namespace is copied over.
+        if let Some(planner) = planner {
+            let planned = planner.registry_snapshot();
+            recorder.with_registry(|reg| {
+                for (name, value) in planned.counters() {
+                    if name.starts_with("cachegen.streamer.") {
+                        reg.add(name, value);
+                    }
                 }
-            }
-            for shard in cluster.shards() {
-                let s = shard.link.stats();
-                reg.add("cachegen.net.transfers", s.transfers);
-                reg.add("cachegen.net.packet_batches", s.packet_batches);
-                reg.add("cachegen.net.wire_bytes", s.wire_bytes);
-                reg.add("cachegen.net.delivered_bytes", s.delivered_bytes);
-                reg.add("cachegen.net.packets_sent", s.packets_sent);
-                reg.add("cachegen.net.packets_dropped", s.packets_dropped);
-                reg.add("cachegen.net.packets_truncated", s.packets_truncated);
-            }
-            reg.gauge(
-                "cachegen.serving.threads.workers_per_shard",
-                stats.workers_per_shard as f64,
-            );
-            reg.gauge(
-                "cachegen.serving.threads.pool_workers",
-                stats.pool_workers as f64,
-            );
-            reg.add("cachegen.serving.threads.batches", stats.batches);
-            reg.add(
-                "cachegen.serving.threads.decoded_chunks",
-                stats.decoded_chunks,
-            );
-            reg.add("cachegen.serving.threads.text_chunks", stats.text_chunks);
-            reg.add(
-                "cachegen.serving.threads.decode_errors",
-                stats.decode_errors.len() as u64,
-            );
-        });
+            });
+        }
 
         (report, stats)
     }
-}
-
-impl ExecutionBackend for ThreadBackend {
-    fn name(&self) -> &'static str {
-        "threads"
-    }
-
-    fn run(
-        &mut self,
-        cluster: &mut ServingCluster,
-        requests: &[ServingRequest],
-        recorder: &Recorder,
-    ) -> ServingReport {
-        self.run_detailed(cluster, requests, recorder).0
-    }
-}
-
-/// Mutable run accounting shared by all shard workers.
-#[derive(Default)]
-struct Accum {
-    batches: u64,
-    refetch_batches: u64,
-    decoded_chunks: u64,
-    text_chunks: u64,
-    decode_errors: Vec<String>,
-    wall_ttfts: Vec<(usize, f64)>,
 }
 
 /// Locks a mutex, treating a poisoning panic elsewhere as survivable —
@@ -319,7 +250,7 @@ fn execute_batch(
     pool: &PoolHandle,
     clock: WallClock,
     recorder: &Recorder,
-    accum: &Mutex<Accum>,
+    stats: &Mutex<ThreadRunStats>,
 ) {
     let dequeued = clock.now();
     match &batch.work {
@@ -345,7 +276,7 @@ fn execute_batch(
                         let Some(FetchedChunk::Encoded(bytes)) =
                             shard.engine.get_kv(batch.context_id, chunk, level)
                         else {
-                            alock(accum).decode_errors.push(format!(
+                            alock(stats).decode_errors.push(format!(
                                 "context {} chunk {chunk} level {level} missing from store",
                                 batch.context_id
                             ));
@@ -390,7 +321,7 @@ fn execute_batch(
                 }
             }
             if let Err(e) = pool.run_batch(jobs, |shape| shape.report(recorder)) {
-                alock(accum).decode_errors.push(e.to_string());
+                alock(stats).decode_errors.push(e.to_string());
             }
             let loaded = clock.now();
 
@@ -414,44 +345,31 @@ fn execute_batch(
 
             // Per-query tiling: queue_wait + load + prefill under one
             // root, same shape the oracle emits.
-            let load_stage = if *cache_hit {
-                Stage::CacheDecode
-            } else {
-                Stage::StoreFetch
-            };
             let mut ttfts = Vec::with_capacity(queries.len());
             for q in queries {
                 spin(q.prompt_tokens as u64 * SPIN_PER_TOKEN);
-                let finish = clock.now();
+                let times = QueryTimes {
+                    arrival: enqueued,
+                    dispatch: dequeued,
+                    ready: loaded,
+                    finish: clock.now(),
+                };
                 let ctx = SpanCtx::new(q.request as u64, q.tenant as u32, batch.shard as u32);
-                recorder.record_span_for(
-                    Stage::Request,
+                trace::request_tree(
+                    recorder,
                     ctx,
-                    enqueued,
-                    finish,
-                    vec![("ttft", finish - enqueued), ("quality", *quality)],
+                    times,
+                    *cache_hit,
+                    *coalesced,
+                    *quality,
+                    q.prompt_tokens,
                 );
-                recorder.record_span_for(Stage::QueueWait, ctx, enqueued, dequeued, Vec::new());
-                recorder.record_span_for(
-                    load_stage,
-                    ctx,
-                    dequeued,
-                    loaded,
-                    vec![("coalesced", f64::from(u8::from(*coalesced)))],
-                );
-                recorder.record_span_for(
-                    Stage::Prefill,
-                    ctx,
-                    loaded,
-                    finish,
-                    vec![("tokens", q.prompt_tokens as f64)],
-                );
-                ttfts.push((q.request, finish - enqueued));
+                ttfts.push((q.request, times.finish - enqueued));
             }
             if let Some(r) = rider {
                 run_refetch(r, batch.shard, clock, recorder);
             }
-            let mut acc = alock(accum);
+            let mut acc = alock(stats);
             acc.batches += 1;
             acc.decoded_chunks += decoded;
             acc.text_chunks += texts;
@@ -462,7 +380,7 @@ fn execute_batch(
         }
         PlannedWork::Refetch(r) => {
             run_refetch(r, batch.shard, clock, recorder);
-            alock(accum).refetch_batches += 1;
+            alock(stats).refetch_batches += 1;
         }
     }
 }
@@ -474,20 +392,13 @@ fn run_refetch(r: &PlannedRefetch, shard: usize, clock: WallClock, recorder: &Re
     spin((r.bytes * SPIN_PER_REFETCH_BYTE).min(REFETCH_SPIN_CAP));
     let end = clock.now();
     let ctx = SpanCtx::new(r.trace_request, r.tenant as u32, shard as u32);
-    recorder.record_span_for(Stage::Request, ctx, start, end, vec![("refetch", 1.0)]);
-    recorder.record_span_for(
-        Stage::Refetch,
-        ctx,
-        start,
-        end,
-        vec![("bytes", r.bytes as f64)],
-    );
+    trace::refetch_tree(recorder, ctx, start, end, r.bytes);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ServingConfig;
+    use crate::config::ServingConfig;
     use cachegen::engine::EngineConfig;
     use cachegen_llm::SimModelConfig;
     use cachegen_net::{BandwidthTrace, Link};
@@ -547,8 +458,7 @@ mod tests {
             c.store_context(*id, tokens);
         }
         let recorder = Recorder::new_wall();
-        let mut backend = ThreadBackend::new(2);
-        let report = c.run_on(&mut backend, &w.requests, &recorder);
+        let (report, _) = ThreadBackend::new(2).run_detailed(&mut c, &w.requests, &recorder);
         let trace = cachegen_telemetry::chrome_trace_json(&recorder.spans(), &recorder.instants());
         let summary = cachegen_telemetry::validate_chrome_trace(&trace)
             .unwrap_or_else(|e| panic!("thread-backend trace invalid: {e}"));
@@ -571,5 +481,29 @@ mod tests {
         let one = run(1);
         let four = run(4);
         assert_eq!(one.outcomes, four.outcomes);
+    }
+
+    #[test]
+    fn untraced_run_matches_a_recording_run() {
+        // An untraced run plans untraced too (no scratch recorder); what it
+        // plans and executes must not depend on that.
+        let w = workload(40);
+        let run = |recorder: &Recorder| {
+            let mut c = cluster();
+            for (id, tokens) in &w.documents {
+                c.store_context(*id, tokens);
+            }
+            ThreadBackend::new(2).run_detailed(&mut c, &w.requests, recorder)
+        };
+        let (silent, silent_stats) = run(&NOOP);
+        let recorder = Recorder::new_wall();
+        let (traced, traced_stats) = run(&recorder);
+        assert_eq!(silent.outcomes, traced.outcomes);
+        assert_eq!(silent_stats.batches, traced_stats.batches);
+        assert_eq!(silent_stats.decoded_chunks, traced_stats.decoded_chunks);
+        assert!(recorder
+            .registry_snapshot()
+            .counter("cachegen.streamer.chunks")
+            .is_some_and(|n| n > 0));
     }
 }

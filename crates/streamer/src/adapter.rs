@@ -92,7 +92,7 @@ pub struct ChunkOutcome {
     pub ready: f64,
     /// Packets still missing after FEC recovery and the retransmit budget,
     /// with their per-request payload bytes — the holes a
-    /// [`cachegen-codec`] repair policy fills. Empty on clean links and
+    /// `cachegen-codec` repair policy fills. Empty on clean links and
     /// for text chunks.
     pub lost: Vec<(PacketId, u64)>,
     /// Packets the transport dropped but parity (XOR or Reed–Solomon)

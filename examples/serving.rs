@@ -10,12 +10,14 @@
 //! percentiles. It also replays the CacheGen run a second time to show
 //! the virtual-clock simulation is deterministic.
 //!
-//! A final traced replay exports the full request-lifecycle telemetry:
-//! `serving_trace.json` (Chrome trace-event format — load it in Perfetto
-//! or `chrome://tracing`; shards appear as processes, tenants as
-//! threads) and `BENCH_serving.json` (the metrics-registry snapshot with
-//! TTFT percentiles and shed rates), both at the workspace root and both
-//! byte-identical across same-seed runs.
+//! A final traced replay — on store links with 5% seeded packet loss and
+//! loss-adaptive FEC, so the packet and parity path is in the snapshot —
+//! exports the full request-lifecycle telemetry: `serving_trace.json`
+//! (Chrome trace-event format — load it in Perfetto or `chrome://tracing`;
+//! shards appear as processes, tenants as threads) and
+//! `BENCH_serving.json` (the metrics-registry snapshot with TTFT
+//! percentiles, shed rates and packet/FEC counters), both at the workspace
+//! root and both byte-identical across same-seed runs.
 //!
 //! Run with: `cargo run --release --example serving`
 //!
@@ -30,9 +32,9 @@
 use cachegen::qoe::QoeModel;
 use cachegen::EngineConfig;
 use cachegen_llm::SimModelConfig;
-use cachegen_net::{BandwidthTrace, Link};
+use cachegen_net::{BandwidthTrace, Link, PacketFaults};
 use cachegen_serving::{ServingCluster, ServingConfig, ServingReport, ThreadBackend};
-use cachegen_streamer::AdaptPolicy;
+use cachegen_streamer::{AdaptPolicy, FecOverhead};
 use cachegen_telemetry::{
     chrome_trace_json, metrics_snapshot_json, validate_chrome_trace, workspace_root, JsonValue,
     Recorder, Stage, NOOP,
@@ -44,6 +46,9 @@ const TENANTS: usize = 4;
 const SHARDS: usize = 2;
 const REQUESTS: usize = 160;
 const RATE_HZ: f64 = 15.0;
+
+/// Packet loss on the exported replay's store links.
+const EXPORT_LOSS: f64 = 0.05;
 
 fn config(policy: AdaptPolicy) -> ServingConfig {
     ServingConfig {
@@ -58,13 +63,24 @@ fn config(policy: AdaptPolicy) -> ServingConfig {
 }
 
 fn run(policy: AdaptPolicy, workload: &MultiTenantWorkload) -> ServingReport {
-    run_traced(policy, workload, &NOOP)
+    build_cluster(config(policy), None, workload).run(&workload.requests)
 }
 
-fn build_cluster(policy: AdaptPolicy, workload: &MultiTenantWorkload) -> ServingCluster {
-    let cfg = config(policy);
+/// A cluster with the corpus stored; `loss` puts seeded per-packet drops
+/// on every store link.
+fn build_cluster(
+    cfg: ServingConfig,
+    loss: Option<f64>,
+    workload: &MultiTenantWorkload,
+) -> ServingCluster {
     let links = (0..SHARDS)
-        .map(|_| Link::new(BandwidthTrace::constant(5e6), 0.0))
+        .map(|s| {
+            let link = Link::new(BandwidthTrace::constant(5e6), 0.0);
+            match loss {
+                Some(p) => link.with_packet_faults(PacketFaults::loss(p), SEED + s as u64),
+                None => link,
+            }
+        })
         .collect();
     let profile: Vec<Vec<usize>> = vec![(0..60).map(|i| (i * 7) % 64).collect()];
     let mut cluster = ServingCluster::build(
@@ -80,12 +96,16 @@ fn build_cluster(policy: AdaptPolicy, workload: &MultiTenantWorkload) -> Serving
     cluster
 }
 
-fn run_traced(
-    policy: AdaptPolicy,
-    workload: &MultiTenantWorkload,
-    recorder: &Recorder,
-) -> ServingReport {
-    build_cluster(policy, workload).run_traced(&workload.requests, recorder)
+/// The exported replay: the CacheGen run on lossy links, parity picked
+/// by the loss-adaptive ladder and no retransmits, so every drop is
+/// either rebuilt from parity or repaired.
+fn run_lossy(workload: &MultiTenantWorkload, recorder: &Recorder) -> ServingReport {
+    let cfg = ServingConfig {
+        fec_overhead: FecOverhead::adaptive_default(),
+        retransmit_budget: 0,
+        ..config(AdaptPolicy::Adaptive)
+    };
+    build_cluster(cfg, Some(EXPORT_LOSS), workload).run_traced(&workload.requests, recorder)
 }
 
 fn summarize(name: &str, report: &ServingReport) {
@@ -174,18 +194,20 @@ fn main() {
         "cached multi-tenant load must beat the text baseline"
     );
 
-    // Traced replay: the recorder observes, never perturbs — the traced
-    // run must resolve every request exactly like the untraced ones.
+    // Traced replay on the lossy links: the recorder observes, never
+    // perturbs — the traced run must resolve every request exactly like
+    // its untraced twin.
+    let untraced = run_lossy(&workload, &NOOP);
     let export = || {
         let recorder = Recorder::new();
-        let report = run_traced(AdaptPolicy::Adaptive, &workload, &recorder);
+        let report = run_lossy(&workload, &recorder);
         let trace = chrome_trace_json(&recorder.spans(), &recorder.instants());
         let metrics = metrics_snapshot_json(&recorder.registry_snapshot());
         (recorder, report, trace, metrics)
     };
     let (recorder, traced, trace, metrics) = export();
     assert_eq!(
-        traced.outcomes, cachegen.outcomes,
+        traced.outcomes, untraced.outcomes,
         "recording must be observation-only"
     );
     let (_, _, trace_again, metrics_again) = export();
@@ -290,7 +312,7 @@ fn run_threads_demo(workload: &MultiTenantWorkload, cores: usize) {
     for workers in 1..=cores {
         // A fresh cluster per point: every sweep entry replays the same
         // cold-start plan, so wall clocks are comparable.
-        let mut cluster = build_cluster(AdaptPolicy::Adaptive, workload);
+        let mut cluster = build_cluster(config(AdaptPolicy::Adaptive), None, workload);
         let recorder = Recorder::new_wall();
         let (report, stats) =
             ThreadBackend::new(workers).run_detailed(&mut cluster, &workload.requests, &recorder);

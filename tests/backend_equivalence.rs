@@ -1,20 +1,20 @@
 //! Backend-equivalence suite: the virtual-clock discrete-event loop is
-//! the oracle, and every other execution backend must agree with it on
-//! everything except wall-clock durations.
+//! the oracle, and the thread backend that replays its plan must agree
+//! with it on everything except wall-clock durations.
 //!
-//! Three layers of pinning:
+//! Four layers of pinning:
 //!
 //! 1. **Golden digests** — FNV-1a hashes of the traced virtual run's
-//!    Chrome-trace and metrics exports, captured on the pre-refactor
-//!    tree. The `ExecutionBackend` split must keep the oracle
-//!    byte-identical; if a digest moves, the refactor changed observable
-//!    behavior and the constant must only be re-baselined with a written
-//!    reason.
-//! 2. **Proptest over seeds** — `VirtualClockBackend` (the trait route)
-//!    and `ServingCluster::run_traced` (the direct route) must produce
-//!    byte-identical exports for arbitrary seeds, and replays of either
-//!    must be byte-identical to themselves.
-//! 3. **Cross-backend invariants** — the thread backend must reproduce
+//!    Chrome-trace and metrics exports. Any refactor of the serving path
+//!    must keep the oracle byte-identical; if a digest moves, observable
+//!    behavior changed and the constant must only be re-baselined with a
+//!    written reason.
+//! 2. **Proptest over seeds** — a replay of the oracle must be
+//!    byte-identical to itself for arbitrary seeds.
+//! 3. **The captured plan** — the `ExecutionPlan` every run returns must
+//!    account for every request, admission decision, re-fetch and decoded
+//!    chunk of the report beside it.
+//! 4. **Cross-backend invariants** — the thread backend must reproduce
 //!    the oracle's request outcomes, shed/degrade decisions, final cache
 //!    state, and per-request span-tree shapes; only durations differ.
 
@@ -23,11 +23,14 @@ use std::collections::BTreeMap;
 use cachegen::{EngineConfig, RepairPolicy};
 use cachegen_llm::SimModelConfig;
 use cachegen_net::{BandwidthTrace, Link, PacketFaults};
+use cachegen_serving::trace::METRICS;
 use cachegen_serving::{
-    ServingCluster, ServingConfig, ServingReport, ThreadBackend, VirtualClockBackend,
+    Disposition, PlannedChunk, PlannedWork, ServingCluster, ServingConfig, ServingReport,
+    ShardSummary, ThreadBackend,
 };
 use cachegen_telemetry::{
-    chrome_trace_json, metrics_snapshot_json, validate_chrome_trace, Recorder, Stage,
+    chrome_trace_json, metrics_snapshot_json, validate_chrome_trace, MetricsRegistry, Recorder,
+    Stage, NOOP,
 };
 use cachegen_workloads::{workload_rng, MultiTenantWorkload, SharedPrefixGen};
 use proptest::prelude::*;
@@ -81,30 +84,53 @@ fn workload(seed: u64, tenants: usize, n: usize, rate_hz: f64) -> MultiTenantWor
     SharedPrefixGen::new(64, 6, 90).generate(&mut workload_rng(seed), tenants, n, rate_hz)
 }
 
-/// One traced virtual run from a cold cluster: returns the report plus
-/// the two byte-deterministic exports.
-fn traced_virtual_run(
-    config: &ServingConfig,
-    bandwidth_bps: f64,
-    loss: Option<f64>,
-    seed: u64,
-    n: usize,
-    rate_hz: f64,
-) -> (ServingReport, String, String) {
-    let mut cluster = build_cluster(config, bandwidth_bps, loss);
-    let wl = workload(seed, config.num_tenants, n, rate_hz);
+/// A cold cluster with a scenario's documents stored, plus its trace.
+/// "clean" and "lossy" are the golden scenarios; "overload" runs the lossy
+/// one with tight watermarks and no coalescing on a starved link, so
+/// admission degrades and sheds.
+fn cold_cluster(label: &str, seed: u64) -> (ServingCluster, MultiTenantWorkload) {
+    let (config, bandwidth_bps, loss, rate_hz) = match label {
+        "clean" => (clean_config(), 5e6, None, 30.0),
+        "lossy" => (lossy_config(), 5e6, Some(0.25), 10.0),
+        "overload" => {
+            let tight = ServingConfig {
+                degrade_depth: 2,
+                shed_depth: 5,
+                max_batch: 1,
+                ..lossy_config()
+            };
+            (tight, 2e5, Some(0.25), 60.0)
+        }
+        other => panic!("unknown scenario {other}"),
+    };
+    let mut cluster = build_cluster(&config, bandwidth_bps, loss);
+    let wl = workload(seed, config.num_tenants, 80, rate_hz);
     for (id, tokens) in &wl.documents {
         cluster.store_context(*id, tokens);
     }
+    (cluster, wl)
+}
+
+/// The two byte-deterministic exports of a recorder.
+fn exports(recorder: &Recorder) -> (String, String) {
+    (
+        chrome_trace_json(&recorder.spans(), &recorder.instants()),
+        metrics_snapshot_json(&recorder.registry_snapshot()),
+    )
+}
+
+/// One traced virtual run of a scenario from a cold cluster: the report
+/// plus the trace and metrics exports.
+fn scenario(label: &str, seed: u64) -> (ServingReport, String, String) {
+    let (mut cluster, wl) = cold_cluster(label, seed);
     let recorder = Recorder::new();
     let report = cluster.run_traced(&wl.requests, &recorder);
-    let trace = chrome_trace_json(&recorder.spans(), &recorder.instants());
-    let metrics = metrics_snapshot_json(&recorder.registry_snapshot());
+    let (trace, metrics) = exports(&recorder);
     (report, trace, metrics)
 }
 
 /// (label, seed, trace digest, metrics digest). Originally captured from
-/// the pre-`ExecutionBackend` tree (commit b287965's behavior);
+/// the tree before the plan/thread-backend split (commit b287965's behavior);
 /// re-baselined when wire v3 (interleaved rANS) replaced the serial range
 /// coder — chunk payloads carry a 32-byte state flush, so every encoded
 /// size and therefore every virtual transfer timing legitimately moved.
@@ -121,14 +147,6 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     ("clean", 11, 0x34f48f67a36cbb5c, 0x5f8c577426515503),
     ("lossy", 11, 0x66f747a9d044c614, 0xd8bf4ae8ed78a53f),
 ];
-
-fn scenario(label: &str, seed: u64) -> (ServingReport, String, String) {
-    match label {
-        "clean" => traced_virtual_run(&clean_config(), 5e6, None, seed, 80, 30.0),
-        "lossy" => traced_virtual_run(&lossy_config(), 5e6, Some(0.25), seed, 80, 10.0),
-        other => panic!("unknown golden scenario {other}"),
-    }
-}
 
 #[test]
 fn virtual_backend_matches_pre_refactor_goldens() {
@@ -150,55 +168,115 @@ fn virtual_backend_matches_pre_refactor_goldens() {
     );
 }
 
-/// The same traced run through the `ExecutionBackend` trait object
-/// instead of `run_traced` directly — both routes must be one code path.
-fn traced_via_trait(
-    config: &ServingConfig,
-    bandwidth_bps: f64,
-    loss: Option<f64>,
-    seed: u64,
-    n: usize,
-    rate_hz: f64,
-) -> (ServingReport, String, String) {
-    let mut cluster = build_cluster(config, bandwidth_bps, loss);
-    let wl = workload(seed, config.num_tenants, n, rate_hz);
-    for (id, tokens) in &wl.documents {
-        cluster.store_context(*id, tokens);
-    }
-    let recorder = Recorder::new();
-    let report = cluster.run_on(&mut VirtualClockBackend, &wl.requests, &recorder);
-    let trace = chrome_trace_json(&recorder.spans(), &recorder.instants());
-    let metrics = metrics_snapshot_json(&recorder.registry_snapshot());
-    (report, trace, metrics)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Layer 2: for arbitrary seeds the virtual oracle is byte-identical
-    /// to its own replay, and the trait route (`run_on` +
-    /// `VirtualClockBackend`) is byte-identical to the direct route.
+    /// to its own replay.
     #[test]
-    fn virtual_backend_replay_and_trait_route_are_byte_identical(
+    fn virtual_backend_replay_is_byte_identical(
         seed in 0u64..10_000,
         lossy_coin in 0u8..2,
     ) {
-        let lossy = lossy_coin == 1;
-        let label = if lossy { "lossy" } else { "clean" };
+        let label = if lossy_coin == 1 { "lossy" } else { "clean" };
         let (r1, t1, m1) = scenario(label, seed);
         let (r2, t2, m2) = scenario(label, seed);
         prop_assert_eq!(&r1.outcomes, &r2.outcomes, "replay outcomes ({label})");
         prop_assert_eq!(&t1, &t2, "replay trace bytes ({label})");
         prop_assert_eq!(&m1, &m2, "replay metrics bytes ({label})");
+    }
+}
 
-        let (r3, t3, m3) = if lossy {
-            traced_via_trait(&lossy_config(), 5e6, Some(0.25), seed, 80, 10.0)
-        } else {
-            traced_via_trait(&clean_config(), 5e6, None, seed, 80, 30.0)
-        };
-        prop_assert_eq!(&r1.outcomes, &r3.outcomes, "trait-route outcomes ({label})");
-        prop_assert_eq!(&t1, &t3, "trait-route trace bytes ({label})");
-        prop_assert_eq!(&m1, &m3, "trait-route metrics bytes ({label})");
+/// Layer 3: the plan every run captures is a complete account of the
+/// report beside it, and capturing it is not a different way of running —
+/// `plan_run` records exactly what `run_traced` records.
+#[test]
+fn captured_plan_accounts_for_every_request_refetch_and_chunk() {
+    for (label, seed) in [("clean", 3), ("lossy", 11), ("overload", 5)] {
+        let (mut cluster, wl) = cold_cluster(label, seed);
+        let recorder = Recorder::new();
+        let (report, plan) = cluster.plan_run(&wl.requests, &recorder);
+        let (direct, trace, metrics) = scenario(label, seed);
+        assert_eq!(report.outcomes, direct.outcomes, "{label}: outcomes");
+        assert_eq!(exports(&recorder), (trace, metrics), "{label}: exports");
+
+        // Every completed request rides exactly one planned query; shed
+        // requests ride none.
+        let mut planned = vec![0usize; wl.requests.len()];
+        let (mut refetches, mut decodes) = (0u64, 0u64);
+        for batch in &plan.batches {
+            match &batch.work {
+                PlannedWork::Query {
+                    queries,
+                    chunks,
+                    rider,
+                    ..
+                } => {
+                    for q in queries {
+                        planned[q.request] += 1;
+                    }
+                    refetches += u64::from(rider.is_some());
+                    decodes += chunks
+                        .iter()
+                        .filter(|c| matches!(c, PlannedChunk::Decode { .. }))
+                        .count() as u64;
+                }
+                PlannedWork::Refetch(_) => refetches += 1,
+            }
+        }
+        for (i, o) in report.outcomes.iter().enumerate() {
+            let want = usize::from(o.disposition != Disposition::Shed);
+            assert_eq!(planned[i], want, "{label}: request {i} planned {o:?}");
+        }
+
+        // Admissions list exactly the shed requests (flag set) and the
+        // degraded admissions (flag clear); a request admitted degraded
+        // degrades the batch it rides.
+        let shed: Vec<usize> = (0..wl.requests.len())
+            .filter(|&i| report.outcomes[i].disposition == Disposition::Shed)
+            .collect();
+        let planned_shed: Vec<usize> = plan
+            .admissions
+            .iter()
+            .filter(|a| a.shed)
+            .map(|a| a.request)
+            .collect();
+        assert_eq!(planned_shed, shed, "{label}: shed admissions");
+        let degraded: Vec<_> = plan.admissions.iter().filter(|a| !a.shed).collect();
+        let shard_sum = |f: fn(&ShardSummary) -> u64| -> u64 { report.shards.iter().map(f).sum() };
+        assert_eq!(
+            degraded.len() as u64,
+            shard_sum(|s| s.degraded_admissions),
+            "{label}: degraded admissions"
+        );
+        for a in degraded {
+            assert!(
+                matches!(
+                    report.outcomes[a.request].disposition,
+                    Disposition::Completed { degraded: true, .. }
+                ),
+                "{label}: request {} was admitted degraded",
+                a.request
+            );
+        }
+        if label == "overload" {
+            assert!(!shed.is_empty(), "overload must shed");
+            assert!(report.degraded_count() > 0, "overload must degrade");
+        }
+
+        // Re-fetch batches plus riders are the shards' re-fetch count.
+        assert_eq!(refetches, shard_sum(|s| s.refetches), "{label}: refetches");
+        if label != "clean" {
+            assert!(refetches > 0, "{label}: lossy links must re-fetch");
+        }
+
+        // The thread backend decodes exactly the planned chunks.
+        let (mut thread_cluster, _) = cold_cluster(label, seed);
+        let (_, stats) =
+            ThreadBackend::new(2).run_detailed(&mut thread_cluster, &wl.requests, &NOOP);
+        assert!(stats.decode_errors.is_empty(), "{:?}", stats.decode_errors);
+        assert!(decodes > 0, "{label}: misses must decode chunks");
+        assert_eq!(stats.decoded_chunks, decodes, "{label}: decoded chunks");
     }
 }
 
@@ -312,4 +390,43 @@ fn thread_backend_agrees_with_the_oracle_on_everything_but_time() {
         tiling_shape(&thread_recorder.spans()),
         "per-request tiling span shapes diverged"
     );
+}
+
+/// The keys a registry holds in the namespaces `trace::publish_run` owns.
+fn published_keys(registry: &MetricsRegistry) -> Vec<String> {
+    let mut keys: Vec<String> = registry
+        .counters()
+        .map(|(k, _)| k)
+        .chain(registry.gauges().map(|(k, _)| k))
+        .chain(registry.histograms().map(|(k, _)| k))
+        .filter(|k| k.starts_with("cachegen.serving.") || k.starts_with("cachegen.net."))
+        .map(str::to_string)
+        .collect();
+    keys.sort();
+    keys
+}
+
+/// Both ways of running a trace publish exactly the `METRICS` table — the
+/// thread backend all of it, the oracle all but the thread backend's own
+/// `cachegen.serving.threads.*` rows — so the table is the documentation.
+#[test]
+fn both_backends_publish_exactly_the_metric_table() {
+    let mut table: Vec<&str> = METRICS.iter().map(|m| m.name).collect();
+    table.sort_unstable();
+    assert!(table.windows(2).all(|w| w[0] != w[1]), "duplicate key");
+
+    let (mut cluster, wl) = cold_cluster("lossy", 11);
+    let recorder = Recorder::new();
+    cluster.run_traced(&wl.requests, &recorder);
+    let oracle_rows: Vec<&str> = table
+        .iter()
+        .copied()
+        .filter(|k| !k.starts_with("cachegen.serving.threads."))
+        .collect();
+    assert_eq!(published_keys(&recorder.registry_snapshot()), oracle_rows);
+
+    let (mut cluster, wl) = cold_cluster("lossy", 11);
+    let recorder = Recorder::new_wall();
+    ThreadBackend::new(2).run_detailed(&mut cluster, &wl.requests, &recorder);
+    assert_eq!(published_keys(&recorder.registry_snapshot()), table);
 }
