@@ -56,7 +56,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "no-raw-spawn",
-        summary: "thread::spawn/scope banned outside the approved executor modules (codec::pool, serving::threads) — two places own OS threads",
+        summary: "thread::spawn/scope banned outside the approved executor modules — codec::pool is the one module that spawns; serving::threads only opens the scopes its pools live in",
     },
     RuleInfo {
         name: "no-hash-iter",
@@ -121,7 +121,7 @@ const TOKEN_RULES: &[TokenRule] = &[
     TokenRule {
         name: "no-raw-spawn",
         tokens: &["thread::spawn", "thread::scope"],
-        message: "raw thread spawn; route work through cachegen_codec::pool or cachegen_serving::threads (the approved executor modules)",
+        message: "raw thread spawn; route work through a cachegen_codec::pool::Pool — the one module that spawns (cachegen_serving::threads only opens the scopes its pools live in)",
     },
     TokenRule {
         name: "no-hash-iter",
@@ -140,9 +140,10 @@ const TOKEN_RULES: &[TokenRule] = &[
     },
 ];
 
-/// The approved executor modules — the only files allowed to spawn
-/// threads: the codec's bounded decode pool, and the serving crate's
-/// real OS-thread execution backend built on top of it.
+/// The approved executor modules: the codec's scoped bounded `Pool` —
+/// the one module that spawns threads — and the serving crate's real
+/// OS-thread execution backend, which only opens the `thread::scope`s
+/// its pools live in.
 pub const EXECUTOR_MODULES: &[&str] =
     &["crates/codec/src/pool.rs", "crates/serving/src/threads.rs"];
 

@@ -84,10 +84,7 @@ pub enum SymKind {
     Delta,
 }
 
-/// The CacheGen codec: a config plus a per-model profile. `Clone` is
-/// cheap enough to hand owned copies (behind an `Arc`) to the persistent
-/// decode pool, whose `'static` tasks cannot borrow an engine.
-#[derive(Clone)]
+/// The CacheGen codec: a config plus a per-model profile.
 pub struct KvCodec {
     config: CodecConfig,
     profile: CodecProfile,
@@ -283,41 +280,61 @@ fn clamp_symbol(s: i64) -> i32 {
     ))
 }
 
+/// Streams below this many KV elements (`2·layers·tokens·channels`)
+/// decode inline even on the pooled entry points: opening a scope and
+/// spawning its workers costs ~110 µs, more than it saves on a short
+/// stream. Measured crossover (2 vCPU, 7B-shaped sim model, serial vs
+/// pooled, p10 of 801 alternating calls): the engine's 30-token stream
+/// chunk (23,040 elements) 168 vs 282 µs and 120 tokens (92,160) 743 vs
+/// 869 µs — serial wins; 180 tokens (138,240) 1048 vs 995 µs — a tie;
+/// 240 tokens (184,320) 1401 vs 1357 µs and a whole 480-token context
+/// (368,640) 2725 vs 2179 µs — pooled wins.
+const POOLED_DECODE_MIN_ELEMENTS: usize = 150_000;
+
 /// One parallel-decode work item: an entropy chunk plus its disjoint slice
 /// of the output tensor.
-struct DecodeJob<'a> {
-    coding: &'a LayerCoding<'a>,
-    group: usize,
+pub(crate) struct DecodeJob<'a> {
+    pub(crate) coding: &'a LayerCoding<'a>,
+    pub(crate) group: usize,
     group_tokens: usize,
     stream: &'a [u8],
-    out: &'a mut [f32],
+    pub(crate) out: &'a mut [f32],
 }
 
-/// Splits a tensor's backing storage into per-(layer, group) output slices
-/// and queues one job per chunk. Group ranges tile the token axis in data
-/// order, so the split is a pure partition.
-fn push_decode_jobs<'a>(
-    jobs: &mut Vec<DecodeJob<'a>>,
-    mut data: &'a mut [f32],
-    chunks: &'a [Vec<Vec<u8>>],
-    codings: &'a [LayerCoding<'a>],
-    channels: usize,
+/// Splits both tensors' backing storage into per-(layer, group) output
+/// slices and returns one job per chunk, K then V in (layer, group) order.
+/// Group ranges tile the token axis in data order, so the split is a pure
+/// partition. Geometry must have been checked.
+pub(crate) fn decode_jobs<'a>(
+    enc: &'a EncodedKv,
+    codings: &'a [Vec<LayerCoding<'a>>; 2],
+    k: &'a mut Tensor,
+    v: &'a mut Tensor,
     layout: GroupLayout,
-) {
-    for (layer_chunks, coding) in chunks.iter().zip(codings) {
-        for (group, stream) in layer_chunks.iter().enumerate().take(layout.num_groups()) {
-            let (start, end) = layout.group_range(group);
-            let (head, tail) = data.split_at_mut((end - start) * channels);
-            data = tail;
-            jobs.push(DecodeJob {
-                coding,
-                group,
-                group_tokens: end - start,
-                stream,
-                out: head,
-            });
+) -> Vec<DecodeJob<'a>> {
+    let mut jobs = Vec::with_capacity(enc.num_chunks());
+    let sides = [
+        (k, &enc.k_chunks, &codings[0]),
+        (v, &enc.v_chunks, &codings[1]),
+    ];
+    for (tensor, chunks, codings) in sides {
+        let mut data = tensor.data_mut();
+        for (layer_chunks, coding) in chunks.iter().zip(codings) {
+            for (group, stream) in layer_chunks.iter().enumerate().take(layout.num_groups()) {
+                let (start, end) = layout.group_range(group);
+                let (head, tail) = data.split_at_mut((end - start) * enc.channels);
+                data = tail;
+                jobs.push(DecodeJob {
+                    coding,
+                    group,
+                    group_tokens: end - start,
+                    stream,
+                    out: head,
+                });
+            }
         }
     }
+    jobs
 }
 
 impl KvCodec {
@@ -528,7 +545,8 @@ impl KvCodec {
 
     /// Decodes with per-(layer, group) chunk parallelism over a bounded
     /// worker pool (the CPU analogue of the paper's per-token GPU decode
-    /// kernels). Bit-identical to [`KvCodec::decode`].
+    /// kernels); a stream too short to repay the pool decodes inline.
+    /// Bit-identical to [`KvCodec::decode`].
     ///
     /// Panics on malformed input; use [`KvCodec::try_decode_parallel`] to
     /// handle truncated or corrupted streams gracefully.
@@ -612,50 +630,46 @@ impl KvCodec {
         self.check_geometry(enc, layout)?;
         let mut k = Tensor::zeros(&[layers, tokens, channels]);
         let mut v = Tensor::zeros(&[layers, tokens, channels]);
-        let [k_codings, v_codings] = self.layer_codings(enc);
-        let mut jobs: Vec<DecodeJob<'_>> = Vec::with_capacity(enc.num_chunks());
-        push_decode_jobs(
-            &mut jobs,
-            k.data_mut(),
-            &enc.k_chunks,
-            &k_codings,
-            channels,
-            layout,
-        );
-        push_decode_jobs(
-            &mut jobs,
-            v.data_mut(),
-            &enc.v_chunks,
-            &v_codings,
-            channels,
-            layout,
-        );
-        let run = |job: &mut DecodeJob<'_>| -> Result<(), CodecError> {
-            self.decode_chunk(
-                job.coding,
-                job.stream,
-                job.group,
-                job.group_tokens,
-                enc.delta_encoding,
-                job.out,
-            )
-        };
+        let codings = self.layer_codings(enc);
+        let jobs = decode_jobs(enc, &codings, &mut k, &mut v, layout);
         if recorder.is_enabled() {
             recorder.add("cachegen.codec.decode_calls", 1);
             recorder.add("cachegen.codec.decode_chunks", jobs.len() as u64);
         }
         if parallel {
-            crate::pool::run_pooled_observed(
+            let workers = if 2 * layers * tokens * channels < POOLED_DECODE_MIN_ELEMENTS {
+                1
+            } else {
+                crate::pool::bounded_workers(jobs.len())
+            };
+            crate::pool::run_pooled_shaped(
                 jobs,
-                |_, mut job| run(&mut job),
+                workers,
+                |_, mut job| self.decode_job(&mut job, enc.delta_encoding),
                 |shape| shape.report(recorder),
             )?;
         } else {
             for mut job in jobs {
-                run(&mut job)?;
+                self.decode_job(&mut job, enc.delta_encoding)?;
             }
         }
         Ok(KvCache::from_tensors(k, v))
+    }
+
+    /// Decodes one queued job into the output slice it owns.
+    pub(crate) fn decode_job(
+        &self,
+        job: &mut DecodeJob<'_>,
+        delta_encoding: bool,
+    ) -> Result<(), CodecError> {
+        self.decode_chunk(
+            job.coding,
+            job.stream,
+            job.group,
+            job.group_tokens,
+            delta_encoding,
+            job.out,
+        )
     }
 
     /// Convenience: encode + decode in one step, returning the degraded

@@ -181,7 +181,7 @@ pub mod symbol_model;
 
 pub use container::{CodecError, EncodedKv};
 pub use encoder::{CodecConfig, KvCodec};
-pub use pool::{PoolError, PoolHandle, PoolJob, PoolShape};
+pub use pool::{Pool, PoolError, PoolJob, PoolShape};
 pub use profile::CodecProfile;
 pub use repair::{ChunkArrivalMap, ChunkRepair, RepairCause, RepairKind, RepairPolicy, RepairedKv};
 pub use symbol_model::ModelGranularity;

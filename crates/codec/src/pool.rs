@@ -1,32 +1,30 @@
-//! Pool-bounded execution — one of the workspace's two approved homes
-//! for OS threads.
+//! Pool-bounded execution — the one module in the workspace that spawns
+//! OS threads.
 //!
 //! Every headline number in this reproduction rests on the virtual-clock
 //! simulator being a bit-reproducible oracle, so real threads are
 //! quarantined: the `no-raw-spawn` rule in `cachegen-analyze` bans
-//! `thread::spawn`/`thread::scope` everywhere outside this module and
-//! the serving crate's thread backend (`serving::threads`, which feeds
-//! its decode fan-out back through *this* module's [`PoolHandle`]).
-//! Workers here never touch simulator state — they only drain a queue of
-//! independent, order-tagged jobs whose results are merged
-//! deterministically (the first failure *by job index* wins, matching
-//! what a serial loop would report; a worker panic is re-raised with the
-//! losing job's index, never silently swallowed).
+//! spawning or scoping threads everywhere outside this module and the
+//! serving crate's thread backend (`serving::threads`, which only opens
+//! the scopes its [`Pool`]s live in). Workers here never touch
+//! simulator state — they only drain a queue of independent tasks, and
+//! a batch of order-tagged jobs is merged deterministically (the first
+//! failure *by job index* wins, matching what a serial loop would
+//! report; a panic is reported with the losing job's index, never
+//! silently swallowed).
 //!
-//! Two executors live here:
-//!
-//! * [`run_pooled`] — scoped, borrowing workers for one batch of jobs
-//!   (the codec decode hot path).
-//! * [`PoolHandle`] — a persistent bounded-capacity pool that outlives
-//!   any one batch, for callers that submit many batches over a run (the
-//!   OS-thread serving backend shares one handle across its shards, so
-//!   decode fan-out never spawns per request).
+//! One executor lives here: [`Pool`], a bounded task queue drained by
+//! workers spawned into the caller's [`std::thread::scope`], so tasks
+//! borrow instead of owning. [`run_pooled`] opens a scope and a pool for
+//! one batch of jobs (the codec decode hot path); the OS-thread serving
+//! backend keeps one pool per shard plus a shared decode pool alive for
+//! a whole run, so neither batch dispatch nor decode fan-out spawns per
+//! request.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::Scope;
 
 use cachegen_telemetry::Recorder;
 
@@ -59,8 +57,8 @@ impl PoolShape {
     /// `workers` and `queue_depth` gauges plus a `jobs_per_worker`
     /// histogram sample. Both execution backends report through this one
     /// method, so their registries carry identical pool metric names
-    /// regardless of which executor ([`run_pooled`] or [`PoolHandle`])
-    /// did the work.
+    /// whether the batch ran through [`run_pooled`] or a long-lived
+    /// [`Pool`].
     pub fn report(&self, recorder: &Recorder) {
         if recorder.is_enabled() && self.jobs > 0 {
             recorder.gauge("cachegen.codec.pool.workers", self.workers as f64);
@@ -73,14 +71,6 @@ impl PoolShape {
     }
 }
 
-/// How one indexed job failed.
-enum Failure<E> {
-    /// The job returned `Err`.
-    Error(E),
-    /// The job panicked; the payload rendered to text.
-    Panicked(String),
-}
-
 /// Renders a panic payload for re-raising with job context. Payloads
 /// are almost always `&str` or `String` (from `panic!`/`assert!`);
 /// anything else is reported as opaque rather than lost.
@@ -91,28 +81,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
             Ok(s) => (*s).to_string(),
             Err(_) => "opaque panic payload".to_string(),
         },
-    }
-}
-
-/// Records `failure` for `idx` if it is the lowest-indexed failure seen.
-fn record_failure<E>(slot: &Mutex<Option<(usize, Failure<E>)>>, idx: usize, failure: Failure<E>) {
-    let mut slot = slot.lock();
-    if slot.as_ref().is_none_or(|(i, _)| idx < *i) {
-        *slot = Some((idx, failure));
-    }
-}
-
-/// Resolves a finished run: clean, the lowest-indexed error, or a
-/// re-raise of the lowest-indexed worker panic *with its job index and
-/// message* — a parallel run must never report less than the serial
-/// loop would.
-fn resolve<E>(failure: Option<(usize, Failure<E>)>) -> Result<(), E> {
-    match failure {
-        None => Ok(()),
-        Some((_, Failure::Error(e))) => Err(e),
-        Some((idx, Failure::Panicked(msg))) => {
-            panic!("pooled job {idx} panicked: {msg}")
-        }
     }
 }
 
@@ -160,7 +128,7 @@ where
 /// mutex-guarded queue just to replay the serial loop on another thread
 /// made `decode_parallel` *slower* than `decode` on single-core runners
 /// (4.40 ms vs 4.36 ms in the PR-8 `BENCH_codec.json`).
-fn run_pooled_shaped<T, E, F>(
+pub(crate) fn run_pooled_shaped<T, E, F>(
     jobs: Vec<T>,
     workers: usize,
     run: F,
@@ -189,38 +157,24 @@ where
         }
         return Ok(());
     }
-    observe(PoolShape {
-        jobs: jobs.len(),
-        workers,
+    let (run, capacity) = (&run, jobs.len());
+    let jobs = jobs.into_iter().enumerate();
+    let batch = std::thread::scope(|s| {
+        Pool::spawn_in(s, workers, capacity).run_batch(
+            jobs.map(|(idx, job)| move || run(idx, job)).collect(),
+            observe,
+        )
     });
-    let queue = Mutex::new(jobs.into_iter().enumerate());
-    let failure = Mutex::new(None::<(usize, Failure<E>)>);
-    let failed = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                // Once any job fails the run is doomed; don't pay for
-                // the remaining queue.
-                if failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let next = queue.lock().next();
-                let Some((idx, job)) = next else { break };
-                match catch_unwind(AssertUnwindSafe(|| run(idx, job))) {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        failed.store(true, Ordering::Relaxed);
-                        record_failure(&failure, idx, Failure::Error(e));
-                    }
-                    Err(payload) => {
-                        failed.store(true, Ordering::Relaxed);
-                        record_failure(&failure, idx, Failure::Panicked(panic_message(payload)));
-                    }
-                }
-            });
+    // A parallel run must never report less than the serial loop would:
+    // the lowest-indexed error, or the lowest-indexed panic re-raised
+    // *with its job index and message*.
+    match batch {
+        Ok(()) => Ok(()),
+        Err(PoolError::Job { error, .. }) => Err(error),
+        Err(PoolError::Panic { index, message }) => {
+            panic!("pooled job {index} panicked: {message}")
         }
-    });
-    resolve(failure.into_inner())
+    }
 }
 
 /// Infallible convenience wrapper around [`run_pooled`] for jobs that
@@ -241,7 +195,7 @@ where
     }
 }
 
-/// How one [`PoolHandle::run_batch`] job failed (ordered, deterministic:
+/// How one [`Pool::run_batch`] job failed (ordered, deterministic:
 /// always the lowest-indexed failure of the batch).
 #[derive(Debug, PartialEq, Eq)]
 pub enum PoolError<E> {
@@ -280,127 +234,152 @@ impl<E: std::fmt::Display> std::fmt::Display for PoolError<E> {
     }
 }
 
-/// An owned task on the persistent pool's queue.
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// A task on a pool's queue; it may borrow anything that outlives the
+/// scope the pool's workers were spawned into.
+type Task<'scope> = Box<dyn FnOnce() + Send + 'scope>;
 
-/// A fallible owned job submitted to [`PoolHandle::run_batch`].
-pub type PoolJob<E> = Box<dyn FnOnce() -> Result<(), E> + Send + 'static>;
+/// A boxed fallible job for [`Pool::run_batch`], for batches whose jobs
+/// are closures of different types.
+pub type PoolJob<'scope, E> = Box<dyn FnOnce() -> Result<(), E> + Send + 'scope>;
 
 /// Queue state behind the pool's mutex.
-struct PoolQueue {
-    tasks: VecDeque<Task>,
+struct PoolQueue<'scope> {
+    tasks: VecDeque<Task<'scope>>,
     shutdown: bool,
 }
 
-/// State shared between the handle and its workers.
-struct PoolShared {
-    queue: StdMutex<PoolQueue>,
+/// State shared between the pool's owner and its workers.
+struct PoolShared<'scope> {
+    queue: Mutex<PoolQueue<'scope>>,
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
 }
 
-/// Locks the pool queue, poisoned or not: tasks are unwind-caught, but a
-/// poisoned mutex from an unrelated panic must not wedge the pool.
-fn qlock(shared: &PoolShared) -> std::sync::MutexGuard<'_, PoolQueue> {
-    shared.queue.lock().unwrap_or_else(PoisonError::into_inner)
+/// Locks pool state, poisoned or not: tasks run outside every lock and
+/// each update under one is a single step, so a poisoned mutex from an
+/// unrelated panic must not wedge the pool.
+fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn worker_loop(shared: &PoolShared) {
+/// Drains the queue until shutdown. A panicking task must not take its
+/// worker down with it — a submitter blocked on a full queue whose
+/// workers died would never wake — so every task is unwind-caught, the
+/// worker keeps draining, and the first payload is re-raised once the
+/// queue is shut down: the scope's owner then fails exactly as it would
+/// for any panicked scoped thread.
+fn worker_loop(shared: &PoolShared<'_>) {
+    let mut first_panic = None;
     loop {
-        let task = {
-            let mut q = qlock(shared);
-            loop {
-                if let Some(task) = q.tasks.pop_front() {
-                    shared.not_full.notify_one();
-                    break Some(task);
-                }
-                if q.shutdown {
-                    break None;
-                }
-                q = shared
-                    .not_empty
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        match task {
-            Some(task) => task(),
-            None => return,
+        let task = shared
+            .not_empty
+            .wait_while(relock(&shared.queue), |q| q.tasks.is_empty() && !q.shutdown)
+            .unwrap_or_else(PoisonError::into_inner)
+            .tasks
+            .pop_front();
+        // Empty after the wait means shut down *and* drained.
+        let Some(task) = task else { break };
+        shared.not_full.notify_one();
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
+            first_panic.get_or_insert(payload);
         }
+    }
+    if let Some(payload) = first_panic {
+        resume_unwind(payload);
     }
 }
 
-/// Completion latch of one batch: counts jobs down and keeps the
-/// lowest-indexed failure.
-struct BatchState<E> {
-    inner: StdMutex<(usize, Option<PoolError<E>>)>,
+/// One batch on a pool: the jobs not yet started, in index order, the
+/// lowest-indexed failure so far, and how many drain tasks have yet to
+/// finish.
+struct Batch<J, E> {
+    inner: Mutex<BatchInner<J, E>>,
     done: Condvar,
 }
 
-impl<E> BatchState<E> {
-    fn new(jobs: usize) -> Self {
-        BatchState {
-            inner: StdMutex::new((jobs, None)),
-            done: Condvar::new(),
-        }
-    }
+struct BatchInner<J, E> {
+    jobs: std::iter::Enumerate<std::vec::IntoIter<J>>,
+    failure: Option<PoolError<E>>,
+    draining: usize,
+}
 
-    fn finish(&self, failure: Option<PoolError<E>>) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(f) = failure {
-            if inner.1.as_ref().is_none_or(|cur| f.index() < cur.index()) {
-                inner.1 = Some(f);
+impl<J: FnOnce() -> Result<(), E>, E> Batch<J, E> {
+    /// One drain task: runs jobs off the front of the batch until none is
+    /// left or one has failed. Jobs start in index order, so a recorded
+    /// failure sits below every job not yet started — they are skipped,
+    /// as the serial loop's `?` would skip them — while jobs already
+    /// running may still fail lower and take the report.
+    fn drain(&self) {
+        loop {
+            let next = {
+                let mut inner = relock(&self.inner);
+                match inner.failure {
+                    Some(_) => None,
+                    None => inner.jobs.next(),
+                }
+            };
+            let Some((index, job)) = next else { break };
+            let failure = match catch_unwind(AssertUnwindSafe(job)) {
+                Ok(Ok(())) => continue,
+                Ok(Err(error)) => PoolError::Job { index, error },
+                Err(payload) => PoolError::Panic {
+                    index,
+                    message: panic_message(payload),
+                },
+            };
+            let mut inner = relock(&self.inner);
+            if inner.failure.as_ref().is_none_or(|f| index < f.index()) {
+                inner.failure = Some(failure);
             }
         }
-        inner.0 -= 1;
-        if inner.0 == 0 {
+        let mut inner = relock(&self.inner);
+        inner.draining -= 1;
+        if inner.draining == 0 {
             self.done.notify_all();
         }
     }
 
     fn wait(&self) -> Result<(), PoolError<E>> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        while inner.0 > 0 {
-            inner = self
-                .done
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        match inner.1.take() {
+        let mut inner = self
+            .done
+            .wait_while(relock(&self.inner), |inner| inner.draining > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        match inner.failure.take() {
             Some(e) => Err(e),
             None => Ok(()),
         }
     }
 }
 
-/// A persistent bounded-capacity worker pool: the shared executor the
-/// OS-thread serving backend borrows for decode fan-out, so shards never
-/// spawn per request.
+/// A bounded-capacity worker pool spawned into a caller's
+/// [`std::thread::scope`] — the workspace's one executor.
 ///
-/// `capacity` bounds the task queue; a submitter whose batch would
-/// overflow it blocks until workers drain the backlog — backpressure,
-/// not unbounded memory. Batches from concurrent submitters interleave
-/// on the queue but complete independently: [`run_batch`](PoolHandle::run_batch)
-/// returns when *its* jobs are done, with the
-/// lowest-indexed failure (error or panic, carrying the panic message)
-/// if any. Do not submit from a pool worker itself: a full queue would
-/// then deadlock.
+/// `capacity` bounds the task queue; a submitter that would overflow it
+/// blocks until workers drain the backlog — backpressure, not unbounded
+/// memory. Batches from concurrent submitters interleave on the queue
+/// but complete independently: [`run_batch`](Pool::run_batch) returns
+/// when *its* jobs are done, with the lowest-indexed failure (error or
+/// panic, carrying the panic message) if any. A task may submit into a
+/// *different* pool; do not submit from a pool's worker into the same
+/// pool: a full queue would then deadlock.
 ///
-/// Dropping the handle drains queued tasks, then joins every worker.
-pub struct PoolHandle {
-    shared: Arc<PoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+/// Dropping the pool shuts the queue down: workers drain what is queued,
+/// then exit, and the scope joins them. A raw [`submit`](Pool::submit)
+/// task that panicked fails that join, hence the scope's owner.
+pub struct Pool<'scope> {
+    shared: Arc<PoolShared<'scope>>,
+    workers: usize,
 }
 
-impl PoolHandle {
-    /// A pool of `workers` OS threads with a task queue bounded at
-    /// `capacity` (both at least 1).
-    pub fn new(workers: usize, capacity: usize) -> Self {
+impl<'scope> Pool<'scope> {
+    /// Spawns `workers` threads into `scope`, fed by a task queue bounded
+    /// at `capacity` (both at least 1).
+    pub fn spawn_in(scope: &'scope Scope<'scope, '_>, workers: usize, capacity: usize) -> Self {
         assert!(workers >= 1, "need at least one pool worker");
         assert!(capacity >= 1, "need a positive queue capacity");
         let shared = Arc::new(PoolShared {
-            queue: StdMutex::new(PoolQueue {
+            queue: Mutex::new(PoolQueue {
                 tasks: VecDeque::new(),
                 shutdown: false,
             }),
@@ -408,97 +387,84 @@ impl PoolHandle {
             not_full: Condvar::new(),
             capacity,
         });
-        let workers = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        PoolHandle { shared, workers }
-    }
-
-    /// Worker thread count.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Task queue capacity (the backpressure bound).
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity
+        for _ in 0..workers {
+            let shared = Arc::clone(&shared);
+            scope.spawn(move || worker_loop(&shared));
+        }
+        Pool { shared, workers }
     }
 
     /// Tasks currently queued (racy by nature; for gauges, not control
     /// flow).
     pub fn queue_depth(&self) -> usize {
-        qlock(&self.shared).tasks.len()
+        relock(&self.shared.queue).tasks.len()
     }
 
     /// Enqueues one task, blocking while the queue is full.
-    fn submit(&self, task: Task) {
-        let mut q = qlock(&self.shared);
-        while q.tasks.len() >= self.shared.capacity {
-            q = self
-                .shared
-                .not_full
-                .wait(q)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        q.tasks.push_back(task);
+    pub fn submit(&self, task: impl FnOnce() + Send + 'scope) {
+        let capacity = self.shared.capacity;
+        let mut q = self
+            .shared
+            .not_full
+            .wait_while(relock(&self.shared.queue), |q| q.tasks.len() >= capacity)
+            .unwrap_or_else(PoisonError::into_inner);
+        q.tasks.push_back(Box::new(task));
         self.shared.not_empty.notify_one();
     }
 
-    /// Runs a batch of owned jobs on the pool and blocks until all of
-    /// them finished. `observe` receives the batch's [`PoolShape`]
-    /// before any job is queued (wire it to
-    /// [`PoolShape::report`] for the `cachegen.codec.pool.*` gauges).
-    /// Returns the lowest-indexed failure — an error or a caught worker
-    /// panic with its message — matching [`run_pooled`]'s deterministic
-    /// merge rule.
-    pub fn run_batch<E: Send + 'static>(
+    /// Runs a batch of jobs on the pool and blocks until all of them
+    /// finished. `observe` receives the batch's [`PoolShape`] before any
+    /// job starts (wire it to [`PoolShape::report`] for the
+    /// `cachegen.codec.pool.*` gauges). Returns the lowest-indexed
+    /// failure — an error or a caught panic with its message.
+    ///
+    /// The batch crosses the queue as at most one drain task per worker,
+    /// each pulling jobs off the batch in index order: a job costs one
+    /// lock, not a queue round-trip, so ~5 µs entropy-chunk decodes are
+    /// worth fanning out.
+    pub fn run_batch<E, J>(
         &self,
-        jobs: Vec<PoolJob<E>>,
+        jobs: Vec<J>,
         observe: impl FnOnce(PoolShape),
-    ) -> Result<(), PoolError<E>> {
+    ) -> Result<(), PoolError<E>>
+    where
+        E: Send + 'scope,
+        J: FnOnce() -> Result<(), E> + Send + 'scope,
+    {
         observe(PoolShape {
             jobs: jobs.len(),
-            workers: self.workers.len(),
+            workers: self.workers,
         });
-        if jobs.is_empty() {
-            return Ok(());
-        }
-        let batch = Arc::new(BatchState::<E>::new(jobs.len()));
-        for (index, job) in jobs.into_iter().enumerate() {
+        let draining = self.workers.min(jobs.len());
+        let batch = Arc::new(Batch {
+            inner: Mutex::new(BatchInner {
+                jobs: jobs.into_iter().enumerate(),
+                failure: None,
+                draining,
+            }),
+            done: Condvar::new(),
+        });
+        for _ in 0..draining {
             let batch = Arc::clone(&batch);
-            self.submit(Box::new(move || {
-                let failure = match catch_unwind(AssertUnwindSafe(job)) {
-                    Ok(Ok(())) => None,
-                    Ok(Err(error)) => Some(PoolError::Job { index, error }),
-                    Err(payload) => Some(PoolError::Panic {
-                        index,
-                        message: panic_message(payload),
-                    }),
-                };
-                batch.finish(failure);
-            }));
+            self.submit(move || batch.drain());
         }
         batch.wait()
     }
 }
 
-impl Drop for PoolHandle {
+impl Drop for Pool<'_> {
     fn drop(&mut self) {
-        qlock(&self.shared).shutdown = true;
+        relock(&self.shared.queue).shutdown = true;
         self.shared.not_empty.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn runs_every_job() {
@@ -688,109 +654,182 @@ mod tests {
         assert!(bounded_workers(10_000) >= 1);
     }
 
-    #[test]
-    fn pool_handle_runs_batches_and_reports_shape() {
-        let pool = PoolHandle::new(2, 4);
-        assert_eq!(pool.workers(), 2);
-        assert_eq!(pool.capacity(), 4);
-        let hits = Arc::new(AtomicUsize::new(0));
-        // A batch far larger than the queue capacity must still complete
-        // (submitters block on the backpressure bound, workers drain).
-        let jobs: Vec<PoolJob<String>> = (0..64)
-            .map(|_| {
-                let hits = Arc::clone(&hits);
-                Box::new(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                }) as PoolJob<String>
-            })
-            .collect();
-        let mut shape = None;
-        pool.run_batch(jobs, |s| shape = Some(s))
-            .expect("batch must succeed");
-        assert_eq!(hits.load(Ordering::Relaxed), 64);
-        assert_eq!(
-            shape,
-            Some(PoolShape {
-                jobs: 64,
-                workers: 2
-            })
-        );
-        // An empty batch is a no-op that still observes its shape.
-        let empty: Vec<PoolJob<String>> = Vec::new();
-        assert_eq!(pool.run_batch(empty, |_| {}), Ok(()));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The one merge rule, for any mix of outcomes on any pool shape:
+        /// the batch reports exactly the lowest failing index (error or
+        /// panic, whichever sits there), every job below it ran once, and
+        /// nothing ran twice — also behind a one-slot queue, where the
+        /// submitter of the batch's drain tasks blocks.
+        #[test]
+        fn run_batch_reports_exactly_the_lowest_failure(
+            outcomes in proptest::collection::vec(0u8..8, 0..24),
+            workers_pick in 0usize..3,
+            tight_queue in 0u8..2,
+        ) {
+            const ERR: u8 = 6;
+            const PANIC: u8 = 7;
+            let n = outcomes.len();
+            let workers = [1, 2, 4][workers_pick];
+            let capacity = if tight_queue == 1 { 1 } else { n.max(1) };
+            let ran: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let (ran_ref, outcomes_ref) = (&ran, &outcomes);
+            let mut shape = None;
+            let result = std::thread::scope(|s| {
+                let jobs = (0..n).map(|i| move || {
+                    ran_ref[i].fetch_add(1, Ordering::Relaxed);
+                    match outcomes_ref[i] {
+                        ERR => Err(i),
+                        PANIC => panic!("job {i} blew up"),
+                        _ => Ok(()),
+                    }
+                });
+                Pool::spawn_in(s, workers, capacity).run_batch(jobs.collect(), |s| shape = Some(s))
+            });
+            prop_assert_eq!(shape, Some(PoolShape { jobs: n, workers }));
+            let runs: Vec<usize> = ran.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+            prop_assert!(runs.iter().all(|&r| r <= 1), "a job ran twice: {runs:?}");
+            let first = outcomes.iter().position(|&o| o >= ERR);
+            let want = match first {
+                None => Ok(()),
+                Some(index) if outcomes[index] == ERR => Err(PoolError::Job { index, error: index }),
+                Some(index) => Err(PoolError::Panic {
+                    index,
+                    message: format!("job {index} blew up"),
+                }),
+            };
+            prop_assert_eq!(result, want);
+            let below = first.unwrap_or(n);
+            prop_assert!(runs[..below].iter().all(|&r| r == 1), "skipped below {below}: {runs:?}");
+        }
     }
 
     #[test]
-    fn pool_handle_reports_lowest_failure_with_panic_context() {
-        let pool = PoolHandle::new(3, 8);
-        let jobs: Vec<PoolJob<usize>> = (0..16usize)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 11 {
-                        panic!("job {i} hit a poisoned chunk");
-                    }
-                    if i == 4 {
-                        return Err(i);
-                    }
-                    Ok(())
-                }) as PoolJob<usize>
-            })
-            .collect();
-        // Error at 4 beats panic at 11 — lowest index wins across kinds.
-        assert_eq!(
-            pool.run_batch(jobs, |_| {}),
-            Err(PoolError::Job { index: 4, error: 4 })
-        );
-        // A lone panic is caught and surfaced with its index and text;
-        // the pool survives to run the next batch.
-        let jobs: Vec<PoolJob<usize>> = (0..4)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 2 {
-                        panic!("boom {i}");
-                    }
-                    Ok(())
-                }) as PoolJob<usize>
-            })
-            .collect();
-        let err = pool.run_batch(jobs, |_| {}).expect_err("panic must fail");
-        assert_eq!(
-            err,
-            PoolError::Panic {
-                index: 2,
-                message: "boom 2".to_string()
-            }
-        );
-        assert_eq!(err.to_string(), "pool job 2 panicked: boom 2");
-        let ok: Vec<PoolJob<usize>> = vec![Box::new(|| Ok(()))];
-        assert_eq!(pool.run_batch(ok, |_| {}), Ok(()));
+    fn pool_error_names_the_job() {
+        let panic: PoolError<String> = PoolError::Panic {
+            index: 2,
+            message: "boom 2".to_string(),
+        };
+        assert_eq!(panic.to_string(), "pool job 2 panicked: boom 2");
+        let job = PoolError::Job {
+            index: 4,
+            error: "short read",
+        };
+        assert_eq!(job.to_string(), "pool job 4 failed: short read");
     }
 
     #[test]
-    fn pool_handle_serves_concurrent_submitters() {
-        // Two scoped submitters share one pool; each batch completes
-        // independently with its own result.
-        let pool = PoolHandle::new(2, 2);
-        let count = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                let pool = &pool;
-                let count = Arc::clone(&count);
-                s.spawn(move || {
-                    let jobs: Vec<PoolJob<String>> = (0..32)
-                        .map(|_| {
-                            let count = Arc::clone(&count);
-                            Box::new(move || {
+    fn full_queue_blocks_the_submitter() {
+        // One worker held inside task 0, capacity 1: task 1 fills the
+        // queue and the submit of task 2 cannot return until the worker
+        // is released — the bound holds the whole time.
+        let gate = Barrier::new(2);
+        let started = AtomicBool::new(false);
+        let submitted = AtomicBool::new(false);
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|outer| {
+            let pool = Pool::spawn_in(outer, 1, 1);
+            pool.submit(|| {
+                started.store(true, Ordering::SeqCst);
+                gate.wait();
+                relock(&order).push(0);
+            });
+            std::thread::scope(|inner| {
+                inner.spawn(|| {
+                    pool.submit(|| relock(&order).push(1));
+                    pool.submit(|| relock(&order).push(2));
+                    submitted.store(true, Ordering::SeqCst);
+                });
+                while !started.load(Ordering::SeqCst) || pool.queue_depth() < 1 {
+                    std::thread::yield_now();
+                }
+                for _ in 0..2_000 {
+                    assert!(pool.queue_depth() <= 1, "queue grew past its capacity");
+                    assert!(
+                        !submitted.load(Ordering::SeqCst),
+                        "submit returned while the queue was full"
+                    );
+                    std::thread::yield_now();
+                }
+                gate.wait();
+            });
+            assert!(submitted.load(Ordering::SeqCst));
+        });
+        assert_eq!(*relock(&order), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn tasks_of_one_pool_submit_batches_into_another() {
+        // The serving shape: a long-lived decode pool in the outer scope,
+        // shard pools in an inner one whose tasks borrow `&decode` and
+        // fan batches out to it concurrently; each batch completes on its
+        // own.
+        let count = AtomicUsize::new(0);
+        let batches_ok = AtomicUsize::new(0);
+        std::thread::scope(|outer| {
+            let decode = Pool::spawn_in(outer, 2, 2);
+            std::thread::scope(|inner| {
+                let shards = [Pool::spawn_in(inner, 1, 1), Pool::spawn_in(inner, 2, 1)];
+                for task in 0..6 {
+                    let (decode, count, batches_ok) = (&decode, &count, &batches_ok);
+                    shards[task % 2].submit(move || {
+                        let jobs = (0..8).map(|_| {
+                            move || {
                                 count.fetch_add(1, Ordering::Relaxed);
-                                Ok(())
-                            }) as PoolJob<String>
-                        })
-                        .collect();
-                    pool.run_batch(jobs, |_| {}).expect("batch must succeed");
+                                Ok::<(), String>(())
+                            }
+                        });
+                        if decode.run_batch(jobs.collect(), |_| {}).is_ok() {
+                            batches_ok.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+            });
+        });
+        assert_eq!(batches_ok.load(Ordering::Relaxed), 6);
+        assert_eq!(count.load(Ordering::Relaxed), 48);
+    }
+
+    #[test]
+    fn drop_drains_queued_tasks() {
+        // Shutdown is flagged while the only worker is still held inside
+        // the first task: everything queued behind it must still run.
+        let gate = Barrier::new(2);
+        let ran = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            let pool = Pool::spawn_in(s, 1, 8);
+            pool.submit(|| {
+                gate.wait();
+            });
+            for _ in 0..5 {
+                pool.submit(|| {
+                    ran.fetch_add(1, Ordering::Relaxed);
                 });
             }
+            drop(pool);
+            gate.wait();
         });
-        assert_eq!(count.load(Ordering::Relaxed), 64);
+        assert_eq!(ran.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn panicking_task_fails_the_owner_without_wedging_submitters() {
+        // One worker, capacity 1: had the panic killed the worker, the
+        // later submits would block forever on a queue nobody drains.
+        let ran = AtomicUsize::new(0);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            std::thread::scope(|s| {
+                let pool = Pool::spawn_in(s, 1, 1);
+                pool.submit(|| panic!("raw task blew up"));
+                for _ in 0..3 {
+                    pool.submit(|| {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+            })
+        }));
+        assert!(outcome.is_err(), "the task's panic must reach the owner");
+        assert_eq!(ran.load(Ordering::Relaxed), 3);
     }
 }

@@ -32,7 +32,7 @@
 
 use crate::container::{CodecError, EncodedKv};
 use crate::delta::GroupLayout;
-use crate::encoder::KvCodec;
+use crate::encoder::{decode_jobs, KvCodec};
 use cachegen_llm::KvCache;
 use cachegen_tensor::Tensor;
 
@@ -285,64 +285,40 @@ impl KvCodec {
             vec![vec![false; groups]; layers],
         ];
 
-        for (side, (chunks, out)) in [(&enc.k_chunks, &mut k), (&enc.v_chunks, &mut v)]
-            .into_iter()
-            .enumerate()
-        {
-            let is_k = side == 0;
-            let data = out.data_mut();
-            for layer in 0..layers {
-                for group in 0..groups {
-                    let (start, end) = layout.group_range(group);
-                    let slice = &mut data[layer * tokens * channels + start * channels
-                        ..layer * tokens * channels + end * channels];
-                    if arrivals.is_lost(is_k, layer, group) {
-                        damaged[side][layer][group] = true;
-                        repairs.push(ChunkRepair {
-                            is_k,
-                            layer,
-                            group,
-                            cause: RepairCause::Lost,
-                            kind: RepairKind::ZeroFilled, // refined below
-                        });
-                        continue;
-                    }
-                    match self.decode_chunk(
-                        &codings[side][layer],
-                        &chunks[layer][group],
-                        group,
-                        end - start,
-                        enc.delta_encoding,
-                        slice,
-                    ) {
+        // Walk the plain decoder's work list: one job per chunk, holding
+        // its slice of the output.
+        for mut job in decode_jobs(enc, &codings, &mut k, &mut v, layout) {
+            let (is_k, layer, group) = (job.coding.is_k, job.coding.layer, job.group);
+            let record = |cause, kind| ChunkRepair {
+                is_k,
+                layer,
+                group,
+                cause,
+                kind,
+            };
+            let cause = if arrivals.is_lost(is_k, layer, group) {
+                RepairCause::Lost
+            } else {
+                match self.decode_job(&mut job, enc.delta_encoding) {
+                    Ok(()) => {
                         // An FEC-recovered chunk decoded byte-identically:
                         // record the recovery, charge no repair.
-                        Ok(()) if arrivals.is_recovered(is_k, layer, group) => {
-                            fec_recovered.push(ChunkRepair {
-                                is_k,
-                                layer,
-                                group,
-                                cause: RepairCause::RecoveredByFec,
-                                kind: RepairKind::Intact,
-                            });
+                        if arrivals.is_recovered(is_k, layer, group) {
+                            fec_recovered
+                                .push(record(RepairCause::RecoveredByFec, RepairKind::Intact));
                         }
-                        Ok(()) => {}
-                        Err(e) => {
-                            // The failed decode may have partially written
-                            // the slice; scrub it so corruption never leaks.
-                            slice.fill(0.0);
-                            damaged[side][layer][group] = true;
-                            repairs.push(ChunkRepair {
-                                is_k,
-                                layer,
-                                group,
-                                cause: RepairCause::Corrupt(e),
-                                kind: RepairKind::ZeroFilled, // refined below
-                            });
-                        }
+                        continue;
+                    }
+                    Err(e) => {
+                        // The failed decode may have partially written
+                        // the slice; scrub it so corruption never leaks.
+                        job.out.fill(0.0);
+                        RepairCause::Corrupt(e)
                     }
                 }
-            }
+            };
+            damaged[usize::from(!is_k)][layer][group] = true;
+            repairs.push(record(cause, RepairKind::ZeroFilled)); // refined below
         }
 
         // Repair pass: refine the provisional ZeroFilled records.

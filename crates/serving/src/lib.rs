@@ -31,9 +31,8 @@
 //!   ([`ServingCluster::plan_run`]): each admission decision and
 //!   dispatched batch, as replayable data.
 //! * [`threads`] — [`ThreadBackend`]: the plan replayed on real OS
-//!   threads — per-shard worker pools behind bounded MPSC queues, chunk
-//!   decodes fanned out to the shared `codec::pool` executor — with
-//!   wall-clock durations.
+//!   threads — one bounded `codec::pool::Pool` per shard, chunk decodes
+//!   fanned out to a shared decode `Pool` — with wall-clock durations.
 //! * [`trace`] — the one place request span trees are recorded and a
 //!   run's metrics are published ([`trace::METRICS`] names every key), so
 //!   both ways of running a trace export the same taxonomy.

@@ -9,15 +9,15 @@
 //!    chunk configuration of every context load, and each loss-repair
 //!    re-fetch (with the synthetic trace id the oracle assigned it). The
 //!    oracle's [`ServingReport`] is the authoritative outcome set.
-//! 2. **Execute** — the plan replays on real threads: each shard owns a
-//!    pool of `workers_per_shard` OS threads fed by one *bounded* MPSC
-//!    queue (a full queue blocks the feeder — real backpressure), and
-//!    every chunk decode fans out to one shared [`PoolHandle`] — the
-//!    workspace's single approved `codec::pool` executor — where the
-//!    *actual* entropy decode of the stored bitstream runs. Text-fallback
-//!    chunks, prompt prefill, and re-fetch bytes have no real GPU/NIC
-//!    behind them, so they are emulated as deterministic compute
-//!    proportional to the virtual model's inputs.
+//! 2. **Execute** — the plan replays on real threads, all owned by one
+//!    kind of executor, the codec crate's scoped bounded [`Pool`]: each
+//!    shard has a pool of `workers_per_shard` threads behind a queue
+//!    bounded at `queue_capacity` (a full queue blocks the feeder — real
+//!    backpressure), and every batch fans its chunk loads out to one
+//!    shared decode pool, where the *actual* entropy decode of the stored
+//!    bitstream runs. Text-fallback chunks, prompt prefill, and re-fetch
+//!    bytes have no real GPU/NIC behind them, so they are emulated as
+//!    deterministic compute proportional to the virtual model's inputs.
 //!
 //! Because outcomes come from the plan, the two backends agree on
 //! everything but time: same dispositions, same shed/degrade decisions,
@@ -26,14 +26,14 @@
 //! the oracle itself calls, with wall-clock durations where the oracle has
 //! virtual ones. `tests/backend_equivalence.rs` diffs exactly that.
 //!
-//! This module is one of the two sanctioned `thread::spawn`/`scope`
-//! sites in the workspace (the other is `codec::pool`); the
-//! `cachegen-analyze` no-raw-spawn rule enforces it.
+//! This module spawns nothing itself: it opens the two `thread::scope`s
+//! its pools live in (the decode pool in the outer one, so that shard
+//! tasks in the inner one can borrow it). `codec::pool` is the one spawn
+//! site; the `cachegen-analyze` no-raw-spawn rule enforces both.
 
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use cachegen_codec::{EncodedKv, KvCodec, PoolHandle, PoolJob};
+use cachegen_codec::{EncodedKv, Pool, PoolJob};
 use cachegen_kvstore::FetchedChunk;
 use cachegen_telemetry::{Clock, Recorder, SpanCtx, Stage, WallClock, NOOP};
 use cachegen_workloads::ServingRequest;
@@ -136,66 +136,34 @@ impl ThreadBackend {
         }
 
         let shards = cluster.shards();
-        // One decode codec per (shard, level), shareable into 'static
-        // pool jobs.
-        let codecs: Vec<Vec<Arc<KvCodec>>> = shards
-            .iter()
-            .map(|sh| {
-                (0..sh.engine.num_levels())
-                    .map(|l| Arc::new(sh.engine.codec(l).clone()))
-                    .collect()
-            })
-            .collect();
-        let pool = PoolHandle::new(
-            self.decode_pool_workers,
-            self.queue_capacity.max(self.decode_pool_workers),
-        );
         let stats = Mutex::new(ThreadRunStats {
             workers_per_shard: self.workers_per_shard,
-            pool_workers: pool.workers(),
+            pool_workers: self.decode_pool_workers,
             ..ThreadRunStats::default()
         });
 
-        std::thread::scope(|s| {
-            let mut feeders = Vec::with_capacity(shards.len());
-            for (shard_id, shard) in shards.iter().enumerate() {
-                let (tx, rx) = mpsc::sync_channel::<(usize, f64)>(self.queue_capacity);
-                let rx = Arc::new(Mutex::new(rx));
-                for _ in 0..self.workers_per_shard {
-                    let rx = Arc::clone(&rx);
-                    let plan = &plan;
-                    let codecs = &codecs[shard_id];
-                    let pool = &pool;
-                    let stats = &stats;
-                    // Sanctioned spawn site: the serving thread backend.
-                    s.spawn(move || loop {
-                        // Holding the lock across `recv` just serializes
-                        // the idle waiters — they would block in `recv`
-                        // anyway.
-                        let msg = alock(&rx).recv();
-                        let Ok((batch_idx, enqueued)) = msg else {
-                            break;
-                        };
-                        execute_batch(
-                            &plan.batches[batch_idx],
-                            enqueued,
-                            shard,
-                            codecs,
-                            pool,
-                            clock,
-                            recorder,
-                            stats,
-                        );
+        std::thread::scope(|outer| {
+            let decode = &Pool::spawn_in(
+                outer,
+                self.decode_pool_workers,
+                self.queue_capacity.max(self.decode_pool_workers),
+            );
+            let (plan, stats) = (&plan, &stats);
+            std::thread::scope(|inner| {
+                let pools: Vec<Pool<'_>> = shards
+                    .iter()
+                    .map(|_| Pool::spawn_in(inner, self.workers_per_shard, self.queue_capacity))
+                    .collect();
+                for batch in &plan.batches {
+                    let shard = &shards[batch.shard];
+                    let enqueued = clock.now();
+                    // A full shard queue blocks here: bounded-queue
+                    // backpressure at the dispatch seam.
+                    pools[batch.shard].submit(move || {
+                        execute_batch(batch, enqueued, shard, decode, clock, recorder, stats)
                     });
                 }
-                feeders.push(tx);
-            }
-            for (idx, b) in plan.batches.iter().enumerate() {
-                // A full shard queue blocks here: bounded-queue
-                // backpressure at the dispatch seam.
-                feeders[b.shard].send((idx, clock.now())).ok();
-            }
-            drop(feeders);
+            });
         });
         let mut stats = stats.into_inner().unwrap_or_else(PoisonError::into_inner);
         stats.wall_secs = clock.now();
@@ -240,14 +208,14 @@ fn spin(units: u64) -> u64 {
     std::hint::black_box(x)
 }
 
-/// Executes one planned batch on a shard worker thread.
-#[allow(clippy::too_many_arguments)]
-fn execute_batch(
+/// Executes one planned batch on a shard worker thread. Decode jobs
+/// outlive this call only in type — `run_batch` waits for them — so they
+/// borrow the shard's codecs for as long as the decode pool's scope.
+fn execute_batch<'scope>(
     batch: &PlannedBatch,
     enqueued: f64,
-    shard: &Shard,
-    codecs: &[Arc<KvCodec>],
-    pool: &PoolHandle,
+    shard: &'scope Shard,
+    decode: &Pool<'scope>,
     clock: WallClock,
     recorder: &Recorder,
     stats: &Mutex<ThreadRunStats>,
@@ -268,10 +236,10 @@ fn execute_batch(
             // bitstream; text chunks emulate their recompute.
             let spans: Arc<Mutex<Vec<ChunkSpan>>> =
                 Arc::new(Mutex::new(Vec::with_capacity(chunks.len())));
-            let mut jobs: Vec<PoolJob<String>> = Vec::with_capacity(chunks.len());
+            let mut jobs = Vec::with_capacity(chunks.len());
             let (mut decoded, mut texts) = (0u64, 0u64);
             for (slot, c) in chunks.iter().enumerate() {
-                match *c {
+                let (stage, arg, work): (_, _, PoolJob<'scope, String>) = match *c {
                     PlannedChunk::Decode { chunk, level } => {
                         let Some(FetchedChunk::Encoded(bytes)) =
                             shard.engine.get_kv(batch.context_id, chunk, level)
@@ -283,44 +251,35 @@ fn execute_batch(
                             continue;
                         };
                         decoded += 1;
-                        let codec = Arc::clone(&codecs[level]);
-                        let spans = Arc::clone(&spans);
-                        jobs.push(Box::new(move || {
-                            let start = clock.now();
+                        let codec = shard.engine.codec(level);
+                        let work = move || {
                             let enc = EncodedKv::from_bytes(&bytes)
                                 .map_err(|e| format!("chunk {chunk} level {level}: {e}"))?;
                             codec
                                 .try_decode(&enc)
                                 .map_err(|e| format!("chunk {chunk} level {level}: {e}"))?;
-                            alock(&spans).push((
-                                slot,
-                                Stage::ChunkDecode,
-                                start,
-                                clock.now(),
-                                chunk as f64,
-                            ));
                             Ok(())
-                        }));
+                        };
+                        (Stage::ChunkDecode, chunk as f64, Box::new(work))
                     }
                     PlannedChunk::Text { tokens } => {
                         texts += 1;
-                        let spans = Arc::clone(&spans);
-                        jobs.push(Box::new(move || {
-                            let start = clock.now();
+                        let work = move || {
                             spin(tokens as u64 * SPIN_PER_TOKEN);
-                            alock(&spans).push((
-                                slot,
-                                Stage::TextRecompute,
-                                start,
-                                clock.now(),
-                                tokens as f64,
-                            ));
                             Ok(())
-                        }));
+                        };
+                        (Stage::TextRecompute, tokens as f64, Box::new(work))
                     }
-                }
+                };
+                let spans = Arc::clone(&spans);
+                jobs.push(move || -> Result<(), String> {
+                    let start = clock.now();
+                    work()?;
+                    alock(&spans).push((slot, stage, start, clock.now(), arg));
+                    Ok(())
+                });
             }
-            if let Err(e) = pool.run_batch(jobs, |shape| shape.report(recorder)) {
+            if let Err(e) = decode.run_batch(jobs, |shape| shape.report(recorder)) {
                 alock(stats).decode_errors.push(e.to_string());
             }
             let loaded = clock.now();
@@ -481,6 +440,40 @@ mod tests {
         let one = run(1);
         let four = run(4);
         assert_eq!(one.outcomes, four.outcomes);
+    }
+
+    #[test]
+    fn pool_shape_does_not_change_what_runs() {
+        // Every way of owning the threads — down to one worker behind a
+        // one-slot queue, where feeder and shard tasks block the most —
+        // replays the same plan: same outcomes, same chunks decoded, no
+        // decode lost to a full queue.
+        let w = workload(30);
+        let run = |workers_per_shard, decode_pool_workers, queue_capacity| {
+            let mut c = cluster();
+            for (id, tokens) in &w.documents {
+                c.store_context(*id, tokens);
+            }
+            let backend = ThreadBackend {
+                workers_per_shard,
+                decode_pool_workers,
+                queue_capacity,
+            };
+            backend.run_detailed(&mut c, &w.requests, &NOOP)
+        };
+        let (base, base_stats) = run(1, 1, 1);
+        assert!(base_stats.decoded_chunks > 0);
+        for workers in [1, 2, 4] {
+            for decoders in [1, 2, 4] {
+                for capacity in [1, 2] {
+                    let shape = (workers, decoders, capacity);
+                    let (report, stats) = run(workers, decoders, capacity);
+                    assert_eq!(report.outcomes, base.outcomes, "{shape:?}");
+                    assert_eq!(stats.decoded_chunks, base_stats.decoded_chunks, "{shape:?}");
+                    assert_eq!(stats.decode_errors, Vec::<String>::new(), "{shape:?}");
+                }
+            }
+        }
     }
 
     #[test]
