@@ -18,17 +18,29 @@
 //! coder's arithmetic cost, and the last PR that tuned against them made
 //! the real traffic slower.
 //!
+//! The `load_*` rows time the layer above: one whole-context load on a
+//! clean link through the read path (`load_stored`: stored bytes →
+//! stream → parse → decode → concat) against the ingest + load
+//! convenience (`load_context`, which encodes all five levels first),
+//! each the median of [`LOAD_SAMPLES`] calls. `load_stored_per_s` is
+//! ratcheted, so a re-encode cannot creep back onto the read path.
+//!
 //! Beyond printing, the harness writes the numbers to `BENCH_codec.json`
 //! at the workspace root, with the parallel decoder's pool shape from
 //! one traced run, so CI can archive the perf trajectory.
 
-use cachegen::CacheGenEngine;
-use cachegen_bench::harness::{context_fixture, CONTEXT_TOKENS};
+use cachegen::{load_context, load_stored, CacheGenEngine, LoadParams};
+use cachegen_bench::harness::{context_fixture, median_secs, CONTEXT_TOKENS};
 use cachegen_codec::symbol_model::FreqTable;
 use cachegen_codec::{rans, EncodedKv};
 use cachegen_llm::{KvCache, SimModelConfig, SimTransformer};
-use cachegen_telemetry::{workspace_root, JsonValue, Recorder};
-use criterion::{BenchmarkId, Criterion, Throughput};
+use cachegen_net::trace::{BandwidthTrace, GBPS};
+use cachegen_net::Link;
+use cachegen_telemetry::{workspace_root, JsonValue, Recorder, NOOP};
+use criterion::{black_box, BenchmarkId, Criterion, Throughput};
+
+/// Timed calls per `load_*` row; the row reports their median.
+const LOAD_SAMPLES: usize = 31;
 
 fn bench_entropy_coders(c: &mut Criterion) {
     let table = FreqTable::from_counts(&vec![10u32; 256]);
@@ -138,10 +150,31 @@ fn pool_shape(engine: &CacheGenEngine, chunk: &KvCache) -> (f64, f64) {
     (workers, chunks)
 }
 
+/// Ingest once, then the median milliseconds of one `load_stored` and of
+/// one `load_context` of the same context over a clean 1 Gbps link.
+fn bench_loads(engine: &CacheGenEngine, tokens: &[usize], chunks: &[KvCache]) -> (f64, f64) {
+    let reference = KvCache::concat_tokens(chunks);
+    let plan = engine.store_prefilled(1, tokens, &reference);
+    let params = LoadParams::default();
+    let link = || Link::new(BandwidthTrace::constant(GBPS), 0.0);
+    let stored = median_secs(LOAD_SAMPLES, || {
+        let out = load_stored(engine, 1, &plan, &mut link(), &params, &NOOP);
+        black_box(out.expect("stored context loads"));
+    });
+    let ingest = median_secs(LOAD_SAMPLES, || {
+        black_box(load_context(engine, &reference, &mut link(), &params));
+    });
+    for (name, secs) in [("load_stored", stored), ("load_context", ingest)] {
+        println!("bench loads/{name:<34} {:>12.3} ms/iter", secs * 1e3);
+    }
+    (stored * 1e3, ingest * 1e3)
+}
+
 fn main() {
     let mut criterion = Criterion::default().configure_from_args();
-    let (engine, chunks) = context_fixture();
+    let (engine, tokens, chunks) = context_fixture();
     bench_kv_context(&mut criterion, &engine, &chunks);
+    let (load_stored_ms, load_context_ms) = bench_loads(&engine, &tokens, &chunks);
     bench_entropy_coders(&mut criterion);
     bench_prefill(&mut criterion);
 
@@ -186,6 +219,10 @@ fn main() {
             melem("entropy_coding/rans_encode_100k_symbols"),
         ),
         row("rans_lanes", JsonValue::Number(rans::LANES as f64)),
+        // Gated: the read path must stay an order below ingest + load.
+        row("load_stored_ms", JsonValue::Number(load_stored_ms)),
+        row("load_context_ms", JsonValue::Number(load_context_ms)),
+        row("load_stored_per_s", JsonValue::Number(1e3 / load_stored_ms)),
     ]);
     let path = workspace_root().join("BENCH_codec.json");
     let mut text = doc.to_compact();

@@ -15,12 +15,11 @@
 //! so that it runs for tens of microseconds at least. Rates are data
 //! bytes per second (parity bytes produced are not counted).
 
-use cachegen_bench::harness::{context_fixture, CONTEXT_TOKENS};
+use cachegen_bench::harness::{context_fixture, median_secs, CONTEXT_TOKENS};
 use cachegen_codec::EncodedKv;
 use cachegen_net::{gf256, RsCode};
 use cachegen_telemetry::{workspace_root, JsonValue};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Encoding level whose payloads are measured (the ladder's middle).
 const LEVEL: usize = 2;
@@ -34,21 +33,16 @@ const PASSES: usize = 16;
 /// Median MB/s over [`SAMPLES`] timed calls of `pass`, [`PASSES`]
 /// repetitions per call, `bytes` of data per repetition.
 fn mb_per_s<T>(bytes: usize, mut pass: impl FnMut() -> T) -> f64 {
-    let mut call = || {
-        let start = Instant::now();
+    let secs = median_secs(SAMPLES, || {
         for _ in 0..PASSES {
             black_box(pass());
         }
-        start.elapsed().as_secs_f64()
-    };
-    call(); // warm caches and the allocator
-    let mut secs: Vec<f64> = (0..SAMPLES).map(|_| call()).collect();
-    secs.sort_by(f64::total_cmp);
-    (PASSES * bytes) as f64 / 1e6 / secs[SAMPLES / 2]
+    });
+    (PASSES * bytes) as f64 / 1e6 / secs
 }
 
 fn main() {
-    let (engine, chunks) = context_fixture();
+    let (engine, _, chunks) = context_fixture();
     let encoded: Vec<EncodedKv> = chunks
         .iter()
         .map(|chunk| engine.encode_at_level(chunk, LEVEL))

@@ -42,11 +42,12 @@
 use crate::harness::section;
 use cachegen::qoe::QoeModel;
 use cachegen::{
-    load_context, CacheGenEngine, EngineConfig, FecOverhead, LoadOutcome, LoadParams, RepairPolicy,
+    load_stored, CacheGenEngine, EngineConfig, FecOverhead, LoadOutcome, LoadParams, RepairPolicy,
 };
-use cachegen_llm::SimModelConfig;
+use cachegen_llm::{KvCache, SimModelConfig};
 use cachegen_net::{BandwidthTrace, Link, PacketFaults};
-use cachegen_streamer::AdaptPolicy;
+use cachegen_streamer::{AdaptPolicy, ChunkPlan};
+use cachegen_telemetry::NOOP;
 
 /// Context-loading bandwidth: sized so the whole stream takes a few
 /// hundred ms — long-haul fetch territory, where retry round trips hurt.
@@ -56,10 +57,22 @@ const PROPAGATION: f64 = 0.1;
 /// Seed for the fault draws (the sweep is bit-reproducible).
 const SEED: u64 = 77;
 
-/// Shared scenario: an engine, a LongChat-style context of `tokens`
-/// tokens (token-wise locality is what makes neighbor interpolation
-/// informative, Insight 1), and its reference cache.
-pub(crate) fn scenario_sized(tokens: usize) -> (CacheGenEngine, cachegen_llm::KvCache) {
+/// Id the scenario's context is stored under.
+const ID: u64 = 1;
+
+/// Shared scenario: an engine with one LongChat-style context stored in
+/// it (ingested once; every cell of a sweep loads the stored bytes).
+pub(crate) struct Scenario {
+    engine: CacheGenEngine,
+    /// The context's full-precision cache, for scoring loaded ones.
+    reference: KvCache,
+    /// What `store_kv` returned for the context.
+    plan: ChunkPlan,
+}
+
+/// A scenario around a context of `tokens` tokens (token-wise locality is
+/// what makes neighbor interpolation informative, Insight 1).
+pub(crate) fn scenario_sized(tokens: usize) -> Scenario {
     use cachegen_workloads::{workload_rng, Dataset};
     let mut rng = workload_rng(900);
     let profile = Dataset::LongChat.generate(&mut rng, 512, tokens).tokens;
@@ -70,33 +83,29 @@ pub(crate) fn scenario_sized(tokens: usize) -> (CacheGenEngine, cachegen_llm::Kv
     );
     let ctx = Dataset::LongChat.generate(&mut rng, 512, tokens).tokens;
     let reference = engine.calculate_kv(&ctx);
-    (engine, reference)
+    let plan = engine.store_prefilled(ID, &ctx, &reference);
+    Scenario {
+        engine,
+        reference,
+        plan,
+    }
 }
 
 /// The full-size scenario used by the sweep and the acceptance tests.
-pub(crate) fn scenario() -> (CacheGenEngine, cachegen_llm::KvCache) {
+pub(crate) fn scenario() -> Scenario {
     scenario_sized(150)
 }
 
 /// Runs one (faults, policy, budget, fec) cell against an arbitrary
 /// fault model (i.i.d. loss or bursts).
 pub(crate) fn run_cell_faults(
-    engine: &CacheGenEngine,
-    reference: &cachegen_llm::KvCache,
+    s: &Scenario,
     faults: PacketFaults,
     repair: RepairPolicy,
     retransmit_budget: usize,
     fec: FecOverhead,
 ) -> LoadOutcome {
-    run_cell_faults_seeded(
-        engine,
-        reference,
-        faults,
-        repair,
-        retransmit_budget,
-        fec,
-        SEED,
-    )
+    run_cell_faults_seeded(s, faults, repair, retransmit_budget, fec, SEED)
 }
 
 /// [`run_cell_faults`] with an explicit fault seed. Arms with different
@@ -104,10 +113,8 @@ pub(crate) fn run_cell_faults(
 /// the per-packet fault draws — so *per-seed* cross-arm loss patterns are
 /// not comparable. Residual-hole comparisons between arms aggregate over
 /// a population of seeds instead.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_cell_faults_seeded(
-    engine: &CacheGenEngine,
-    reference: &cachegen_llm::KvCache,
+    s: &Scenario,
     faults: PacketFaults,
     repair: RepairPolicy,
     retransmit_budget: usize,
@@ -124,14 +131,13 @@ pub(crate) fn run_cell_faults_seeded(
         fec_overhead: fec,
         ..LoadParams::default()
     };
-    load_context(engine, reference, &mut link, &params)
+    load_stored(&s.engine, ID, &s.plan, &mut link, &params, &NOOP).expect("stored context loads")
 }
 
 /// Runs one (loss, policy, budget, fec) cell under i.i.d. loss. Exposed
 /// to the acceptance tests.
 pub(crate) fn run_cell_fec(
-    engine: &CacheGenEngine,
-    reference: &cachegen_llm::KvCache,
+    s: &Scenario,
     loss: f64,
     repair: RepairPolicy,
     retransmit_budget: usize,
@@ -142,15 +148,14 @@ pub(crate) fn run_cell_fec(
         reorder: 0.05,
         ..PacketFaults::none()
     };
-    run_cell_faults(engine, reference, faults, repair, retransmit_budget, fec)
+    run_cell_faults(s, faults, repair, retransmit_budget, fec)
 }
 
 /// Runs one burst-loss cell: drop bursts of `burst_len` consecutive
 /// packets start with probability `burst_start` per packet (expected
 /// loss ≈ `burst_start · burst_len`).
 pub(crate) fn run_cell_burst(
-    engine: &CacheGenEngine,
-    reference: &cachegen_llm::KvCache,
+    s: &Scenario,
     burst_start: f64,
     burst_len: usize,
     repair: RepairPolicy,
@@ -163,30 +168,22 @@ pub(crate) fn run_cell_burst(
         reorder: 0.05,
         ..PacketFaults::none()
     };
-    run_cell_faults(engine, reference, faults, repair, retransmit_budget, fec)
+    run_cell_faults(s, faults, repair, retransmit_budget, fec)
 }
 
 /// Legacy cell shape used by older callers: (TTFT, repaired fraction,
 /// MSE).
 pub(crate) fn run_cell(
-    engine: &CacheGenEngine,
-    reference: &cachegen_llm::KvCache,
+    s: &Scenario,
     loss: f64,
     repair: RepairPolicy,
     retransmit_budget: usize,
 ) -> (f64, f64, f32) {
-    let out = run_cell_fec(
-        engine,
-        reference,
-        loss,
-        repair,
-        retransmit_budget,
-        FecOverhead::Off,
-    );
+    let out = run_cell_fec(s, loss, repair, retransmit_budget, FecOverhead::Off);
     (
         out.stream.finish,
         out.repaired_fraction,
-        reference.mse(&out.cache),
+        s.reference.mse(&out.cache),
     )
 }
 
@@ -203,7 +200,7 @@ struct Arm {
 /// The `loss_sweep` experiment: the figures-binary entry point.
 pub fn loss_sweep() {
     section("Loss sweep: TTFT/QoE vs chunk loss — FEC vs repair vs retransmit (llama-7b sim)");
-    let (engine, reference) = scenario();
+    let s = scenario();
     let qoe = QoeModel::default();
     // Base quality of the fetched encoding level (level 2 of the default
     // ladder) for the MOS model.
@@ -278,7 +275,7 @@ pub fn loss_sweep() {
     ];
     let losses = [0.0, 0.02, 0.05, 0.10, 0.20, 0.25, 0.30];
 
-    let lossless_ttft = run_cell(&engine, &reference, 0.0, RepairPolicy::ZeroFill, 0).0;
+    let lossless_ttft = run_cell(&s, 0.0, RepairPolicy::ZeroFill, 0).0;
     println!("lossless TTFT (no FEC): {lossless_ttft:.3} s\n");
     println!(
         "{:<16} {:>6} {:>9} {:>9} {:>9} {:>7} {:>9} {:>7}",
@@ -290,25 +287,11 @@ pub fn loss_sweep() {
         // loss-induced stall (it is accounted in the overhead column).
         // At 0% loss the repair policy and budget are irrelevant, so one
         // lossless baseline per FEC config covers the arm.
-        let arm_lossless = run_cell_fec(
-            &engine,
-            &reference,
-            0.0,
-            RepairPolicy::ZeroFill,
-            0,
-            arm.fec.clone(),
-        )
-        .stream
-        .finish;
+        let arm_lossless = run_cell_fec(&s, 0.0, RepairPolicy::ZeroFill, 0, arm.fec.clone())
+            .stream
+            .finish;
         for &loss in &losses {
-            let out = run_cell_fec(
-                &engine,
-                &reference,
-                loss,
-                arm.repair,
-                arm.budget,
-                arm.fec.clone(),
-            );
+            let out = run_cell_fec(&s, loss, arm.repair, arm.budget, arm.fec.clone());
             let ttft = out.stream.finish;
             let overhead = out.parity_bytes as f64 / out.stream.bytes_sent.max(1) as f64;
             let mos = qoe.mos_with_repairs(
@@ -327,7 +310,7 @@ pub fn loss_sweep() {
                 out.fec_recovered.len(),
                 100.0 * overhead,
                 mos,
-                reference.mse(&out.cache),
+                s.reference.mse(&out.cache),
             );
         }
         println!();
@@ -349,15 +332,7 @@ pub fn loss_sweep() {
     ];
     for (name, fec) in &burst_arms {
         for start in [0.0125, 0.025, 0.05] {
-            let out = run_cell_burst(
-                &engine,
-                &reference,
-                start,
-                4,
-                RepairPolicy::Refetch,
-                0,
-                fec.clone(),
-            );
+            let out = run_cell_burst(&s, start, 4, RepairPolicy::Refetch, 0, fec.clone());
             let overhead = out.parity_bytes as f64 / out.stream.bytes_sent.max(1) as f64;
             println!(
                 "{:<16} {:>5.0}% {:>9.3} {:>8.1}% {:>7} {:>8.1}%",
@@ -394,15 +369,10 @@ pub(crate) struct Frontier {
     pub retransmit_lossless_ttft: f64,
 }
 
-pub(crate) fn frontier_at(
-    engine: &CacheGenEngine,
-    reference: &cachegen_llm::KvCache,
-    loss: f64,
-) -> Frontier {
+pub(crate) fn frontier_at(s: &Scenario, loss: f64) -> Frontier {
     let fec_cfg = FecOverhead::paper_default();
-    let cell = |l: f64, repair, budget, fec: &FecOverhead| {
-        run_cell_fec(engine, reference, l, repair, budget, fec.clone())
-    };
+    let cell =
+        |l: f64, repair, budget, fec: &FecOverhead| run_cell_fec(s, l, repair, budget, fec.clone());
     // At 0% loss the policy/budget are irrelevant: one lossless baseline
     // per distinct FEC config.
     let lossless_off = cell(0.0, RepairPolicy::ZeroFill, 0, &FecOverhead::Off)
@@ -444,10 +414,7 @@ pub(crate) struct RsFrontier {
 /// Seeds aggregated by the RS-vs-XOR residual comparison.
 pub(crate) const RS_FRONTIER_SEEDS: u64 = 8;
 
-pub(crate) fn rs_frontier_at_20(
-    engine: &CacheGenEngine,
-    reference: &cachegen_llm::KvCache,
-) -> RsFrontier {
+pub(crate) fn rs_frontier_at_20(s: &Scenario) -> RsFrontier {
     let rs_cfg = FecOverhead::Rs { k: 12, r: 2 };
     let xor_cfg = FecOverhead::paper_default();
     let iid = PacketFaults {
@@ -480,15 +447,7 @@ pub(crate) fn rs_frontier_at_20(
             ),
         ] {
             let cell = |faults: PacketFaults| {
-                run_cell_faults_seeded(
-                    engine,
-                    reference,
-                    faults,
-                    RepairPolicy::Refetch,
-                    0,
-                    cfg.clone(),
-                    seed,
-                )
+                run_cell_faults_seeded(s, faults, RepairPolicy::Refetch, 0, cfg.clone(), seed)
             };
             let i = cell(iid);
             let b = cell(burst);
@@ -502,25 +461,11 @@ pub(crate) fn rs_frontier_at_20(
         }
     }
     RsFrontier {
-        rs: run_cell_fec(
-            engine,
-            reference,
-            0.20,
-            RepairPolicy::Refetch,
-            0,
-            rs_cfg.clone(),
-        ),
-        rs_lossless_ttft: run_cell_fec(
-            engine,
-            reference,
-            0.0,
-            RepairPolicy::Refetch,
-            0,
-            rs_cfg.clone(),
-        )
-        .stream
-        .finish,
-        rs_burst: run_cell_burst(engine, reference, 0.05, 4, RepairPolicy::Refetch, 0, rs_cfg),
+        rs: run_cell_fec(s, 0.20, RepairPolicy::Refetch, 0, rs_cfg.clone()),
+        rs_lossless_ttft: run_cell_fec(s, 0.0, RepairPolicy::Refetch, 0, rs_cfg.clone())
+            .stream
+            .finish,
+        rs_burst: run_cell_burst(s, 0.05, 4, RepairPolicy::Refetch, 0, rs_cfg),
         rs_holes,
         xor_holes,
         rs_burst_holes,
@@ -535,8 +480,8 @@ pub(crate) fn rs_frontier_at_20(
 /// cannot silently regress.
 pub fn loss_sweep_fast() {
     section("Loss sweep (fast): FEC frontier invariants at 10%/20% packet loss (small corpus)");
-    let (engine, reference) = scenario_sized(90);
-    let f = frontier_at(&engine, &reference, 0.10);
+    let s = scenario_sized(90);
+    let f = frontier_at(&s, 0.10);
 
     // Loss-induced TTFT inflation per arm (each vs its own lossless
     // pace: parity wire time is bandwidth overhead, not a stall).
@@ -605,7 +550,7 @@ pub fn loss_sweep_fast() {
     // The 20%-loss multi-erasure frontier: RS(12, 2) holds where XOR-only
     // parity breaks down (double-hit groups), under both i.i.d. loss and
     // 4-packet drop bursts of the same expected rate.
-    let rf = rs_frontier_at_20(&engine, &reference);
+    let rf = rs_frontier_at_20(&s);
     let rs_infl = rf.rs.stream.finish / rf.rs_lossless_ttft;
     let rs_overhead = rf.rs.parity_bytes as f64 / rf.rs.stream.bytes_sent.max(1) as f64;
     println!(

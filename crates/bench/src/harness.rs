@@ -24,9 +24,9 @@ pub const CONTEXT_TOKENS: usize = 480;
 
 /// The engine the `codec` and `fec` bench rows run on — the layered
 /// benchmark's fixture: default five-level ladder, profile from two
-/// 200-token LongChat contexts — plus one context's KV cache split into
-/// stream chunks.
-pub fn context_fixture() -> (CacheGenEngine, Vec<KvCache>) {
+/// 200-token LongChat contexts — plus one context's tokens and its KV
+/// cache split into stream chunks.
+pub fn context_fixture() -> (CacheGenEngine, Vec<usize>, Vec<KvCache>) {
     let model = SimModelConfig::llama7b_sim(42);
     let vocab = model.vocab;
     let mut rng = workload_rng(1);
@@ -36,7 +36,23 @@ pub fn context_fixture() -> (CacheGenEngine, Vec<KvCache>) {
     let engine = CacheGenEngine::build(model, EngineConfig::default(), &profile);
     let context = Dataset::LongChat.generate(&mut rng, vocab, CONTEXT_TOKENS);
     let chunks = engine.chunk_caches(&engine.calculate_kv(&context.tokens));
-    (engine, chunks)
+    (engine, context.tokens, chunks)
+}
+
+/// Median wall seconds of `samples` timed calls of `call`, after one
+/// untimed call to warm caches and the allocator. The vendored criterion
+/// stand-in takes one timing per function; bench rows that are gated
+/// sample for themselves through this.
+pub fn median_secs(samples: usize, mut call: impl FnMut()) -> f64 {
+    let mut timed = || {
+        let start = std::time::Instant::now();
+        call();
+        start.elapsed().as_secs_f64()
+    };
+    timed();
+    let mut secs: Vec<f64> = (0..samples).map(|_| timed()).collect();
+    secs.sort_by(f64::total_cmp);
+    secs[samples / 2]
 }
 
 /// A ready-to-measure bench fixture: an engine plus evaluation samples.

@@ -28,7 +28,6 @@
 //!   (stand-in for the paper's per-token CUDA threads).
 //! * [`container`] — the wire format: [`EncodedKv`], its byte
 //!   serialisation, and the [`CodecError`]s a decode reports.
-//! * [`layered`] — the multi-level encoding used by the streamer (§5.3).
 //! * [`repair`] — hole-aware decoding over a chunk arrival map.
 //!
 //! The only lossy stage is quantization: `decode(encode(kv))` equals the
@@ -172,7 +171,6 @@
 pub mod container;
 pub mod delta;
 pub mod encoder;
-pub mod layered;
 pub mod pool;
 pub mod profile;
 pub mod rans;

@@ -15,6 +15,8 @@ use cachegen_streamer::schedule::PacketId;
 use cachegen_streamer::{ChunkPlan, ChunkSchedule, ChunkSizes, LevelLadder};
 use cachegen_telemetry::Recorder;
 
+use crate::pipeline::LoadError;
+
 /// Engine-wide configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -116,15 +118,6 @@ impl CacheGenEngine {
         self.codecs[level].encode(cache)
     }
 
-    /// Decodes an encoded chunk, assuming it was produced at the default
-    /// medium level. CacheGen ships the encoding level out of band (the
-    /// streaming adapter chose it), so when the level is known prefer
-    /// [`CacheGenEngine::decode_at_level`] — decoding with a mismatched
-    /// level mis-scales values (it stays total, but quality suffers).
-    pub fn decode(&self, enc: &EncodedKv) -> KvCache {
-        self.decode_at_level(enc, self.default_level())
-    }
-
     /// Decodes an encoded chunk produced by [`Self::encode_at_level`] with
     /// the same `level`.
     pub fn decode_at_level(&self, enc: &EncodedKv, level: usize) -> KvCache {
@@ -141,18 +134,6 @@ impl CacheGenEngine {
         level: usize,
     ) -> Result<KvCache, cachegen_codec::CodecError> {
         self.codecs[level].try_decode_parallel(enc)
-    }
-
-    /// [`Self::try_decode_at_level`] with codec hot-path profiling:
-    /// `cachegen.codec.*` counters and pool occupancy are reported to
-    /// `recorder`. Bit-identical output.
-    pub fn try_decode_at_level_traced(
-        &self,
-        enc: &EncodedKv,
-        level: usize,
-        recorder: &Recorder,
-    ) -> Result<KvCache, cachegen_codec::CodecError> {
-        self.codecs[level].try_decode_parallel_traced(enc, recorder)
     }
 
     /// Hole-aware decode: entropy chunks the transport did not deliver
@@ -266,8 +247,15 @@ impl CacheGenEngine {
     /// §6 `store_kv`: encodes every chunk at every level and stores the
     /// bitstreams (plus text fallbacks) on the storage server.
     pub fn store_kv(&self, id: ContextId, context: &[usize]) -> ChunkPlan {
-        let cache = self.calculate_kv(context);
-        let (encoded, plan) = self.encode_context(&cache);
+        self.store_prefilled(id, context, &self.calculate_kv(context))
+    }
+
+    /// The post-prefill half of [`Self::store_kv`], for callers that
+    /// already hold `cache = calculate_kv(context)` and should not run the
+    /// prefill twice.
+    pub fn store_prefilled(&self, id: ContextId, context: &[usize], cache: &KvCache) -> ChunkPlan {
+        assert_eq!(cache.tokens(), context.len(), "cache is not this context's");
+        let (encoded, plan) = self.encode_context(cache);
         let counts = self.chunk_counts(context.len());
         let mut stored = Vec::with_capacity(encoded.len());
         let mut start = 0usize;
@@ -293,6 +281,65 @@ impl CacheGenEngine {
     /// §6 `get_kv`: fetches one chunk's bitstream at a level.
     pub fn get_kv(&self, id: ContextId, chunk: usize, level: usize) -> Option<FetchedChunk> {
         self.store.get_kv(id, chunk, level)
+    }
+
+    /// Parses one stored stream chunk and checks it is the chunk the plan
+    /// (`tokens`), the model (layers, channels) and the codec (group size)
+    /// describe. Stored bytes are outside input: every defect is a typed
+    /// error, raised before any tensor is sized from the container's header.
+    pub(crate) fn parse_stored(&self, bytes: &[u8], tokens: usize) -> Result<EncodedKv, LoadError> {
+        let enc = EncodedKv::from_bytes(bytes).map_err(LoadError::Parse)?;
+        let model = self.model.config();
+        let group = self.config.codec.group_size;
+        let want = (tokens, model.n_layers, model.kv_channels(), group);
+        let got = (enc.tokens, enc.layers, enc.channels, enc.group_size);
+        if got != want {
+            return Err(LoadError::PlanMismatch(format!(
+                "stored chunk is {got:?} (tokens, layers, channels, group size), expected {want:?}"
+            )));
+        }
+        Ok(enc)
+    }
+
+    /// Stored bytes → KV cache: parse, check against the plan's `tokens`
+    /// and the model ([`LoadError::PlanMismatch`]), then the clean decode at
+    /// `level`, profiled through `recorder`. The one function every
+    /// receiver of a whole stored chunk decodes through.
+    pub fn decode_stored(
+        &self,
+        bytes: &[u8],
+        level: usize,
+        tokens: usize,
+        recorder: &Recorder,
+    ) -> Result<KvCache, LoadError> {
+        let enc = self.parse_stored(bytes, tokens)?;
+        Ok(self.codecs[level].try_decode_parallel_traced(&enc, recorder)?)
+    }
+
+    /// The token ids of one chunk's stored text fallback, checked against
+    /// the plan's token count and the model's vocabulary.
+    pub(crate) fn stored_text(
+        &self,
+        id: ContextId,
+        chunk: usize,
+        tokens: usize,
+    ) -> Result<Vec<usize>, LoadError> {
+        let Some(FetchedChunk::Text(text)) = self.store.get_text(id, chunk) else {
+            return Err(LoadError::NotStored {
+                id,
+                chunk,
+                level: None,
+            });
+        };
+        let word = |w: &[u8]| u32::from_le_bytes([w[0], w[1], w[2], w[3]]) as usize;
+        let ids: Vec<usize> = text.chunks_exact(4).map(word).collect();
+        let vocab = self.model.config().vocab;
+        if text.len() != 4 * tokens || ids.iter().any(|&t| t >= vocab) {
+            return Err(LoadError::PlanMismatch(format!(
+                "stored text of chunk {chunk} is not {tokens} tokens of the {vocab}-token vocabulary"
+            )));
+        }
+        Ok(ids)
     }
 
     /// Whether a context's KV is already stored (the LangChain integration

@@ -38,12 +38,17 @@
 //!
 //! * [`engine`] — [`CacheGenEngine`]: the §6 interfaces (`calculate_kv`,
 //!   `store_kv`, `get_kv`, `generate_with_kv`) plus multi-level encoding.
-//! * [`pipeline`] — functional end-to-end context loading: offline encode →
-//!   adaptive packetized streaming over a simulated link → the
-//!   FEC→repair→refetch recovery ladder (XOR parity recovers single
-//!   losses per group byte-identically; what remains is repaired per
-//!   [`RepairPolicy`], never stalled on) → reassembled (lossy) KV cache
-//!   ready for generation.
+//! * [`pipeline`] — functional end-to-end context loading, split as the
+//!   paper splits it. *Ingest* once: [`CacheGenEngine::store_kv`]
+//!   (prefill → encode every level → store bytes). *Load* many:
+//!   [`load_stored`] streams the stored plan adaptively over a simulated
+//!   link and reassembles the (lossy) KV cache from the stored bytes of
+//!   whatever arrived, through the FEC→repair→refetch recovery ladder
+//!   (erasure parity recovers losses byte-identically; what remains is
+//!   repaired per [`RepairPolicy`], never stalled on). Stored bytes are
+//!   outside input: anything wrong with them is a typed [`LoadError`].
+//!   [`load_context`] is ingest + load in one call, for when a context
+//!   is loaded once.
 //! * [`ttft`] — the analytic TTFT model at real-model scale (Figures 8,
 //!   11, 12, 19 are produced with it, using compression ratios measured on
 //!   the functional codec).
@@ -58,5 +63,5 @@ pub mod ttft;
 pub use cachegen_codec::repair::RepairPolicy;
 pub use cachegen_streamer::FecOverhead;
 pub use engine::{CacheGenEngine, EngineConfig};
-pub use pipeline::{load_context, load_context_traced, LoadOutcome, LoadParams};
+pub use pipeline::{load_context, load_stored, LoadError, LoadOutcome, LoadParams};
 pub use ttft::{LoadMethod, TtftBreakdown, TtftModel};

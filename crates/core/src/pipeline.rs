@@ -1,14 +1,17 @@
-//! End-to-end functional context loading: encode → packetized stream →
-//! hole-aware decode.
+//! End-to-end functional context loading, split along the paper's §6
+//! seam: *ingest* once ([`CacheGenEngine::store_kv`]: prefill → encode
+//! every level → store bytes), *load* many ([`load_stored`]).
 //!
-//! This glues the engine, the streaming adapter and the network simulator
-//! into the full CacheGen data path of Figure 2c: the context's KV
-//! bitstreams are fetched chunk-by-chunk over a (varying) link, each chunk
-//! at the encoding level the adapter chose, then decoded and concatenated
-//! into the lossy KV cache the LLM consumes. Text-fallback chunks
-//! contribute *exact* KV (the LLM recomputes them — we take the slice of
-//! the reference cache; the idealisation that preceding lossy chunks do not
-//! perturb the recomputed chunk is documented in DESIGN.md).
+//! [`load_stored`] is the read path, the CacheGen data path of Figure 2c:
+//! the stored plan is streamed chunk by chunk over a (varying) link, each
+//! chunk at the level the adapter chose; whatever arrived is fetched from
+//! the store, parsed, decoded and concatenated into the lossy KV cache the
+//! LLM consumes — no reference cache, no encode. Text-fallback chunks are
+//! *exact*: recomputed from the stored text (the idealisation that
+//! preceding lossy chunks do not perturb them is documented in DESIGN.md).
+//! Stored bytes are outside input: any defect is a typed [`LoadError`].
+//! [`load_context`] is "ingest + load": encode the reference, then the
+//! *same* body over the in-memory encodings instead of the store.
 //!
 //! On a per-packet-fault link every stream chunk travels as its packet
 //! schedule (one packet per (side, layer, group) entropy chunk), and the
@@ -26,13 +29,18 @@
 //! after the first decode (TTFT keeps the first-pass finish; the re-fetch
 //! restores fidelity afterwards).
 
+use std::borrow::Cow;
+use std::fmt;
+
 use crate::engine::CacheGenEngine;
 use cachegen_codec::repair::{ChunkArrivalMap, ChunkRepair, RepairPolicy};
+use cachegen_codec::{CodecError, EncodedKv};
+use cachegen_kvstore::{ContextId, FetchedChunk};
 use cachegen_llm::KvCache;
 use cachegen_net::Link;
 use cachegen_streamer::{
-    simulate_stream, AdaptPolicy, ChunkOutcome, FecOverhead, StreamConfig, StreamOutcome,
-    StreamParams,
+    simulate_stream, AdaptPolicy, ChunkOutcome, ChunkPlan, FecOverhead, StreamConfig,
+    StreamOutcome, StreamParams,
 };
 use cachegen_telemetry::{Recorder, Stage, NOOP};
 
@@ -120,33 +128,122 @@ pub struct LoadOutcome {
     pub refetch_finish: Option<f64>,
 }
 
-/// Loads a context's KV cache over `link` using the engine's offline
-/// encodings. `reference` must be the full-precision cache of the same
-/// context (produced by `calculate_kv`), used for chunk geometry and for
-/// the text-fallback chunks' exact KV.
+/// Why a load from stored bytes failed. The store is outside input: what
+/// is wrong with it is reported, never decoded as noise, never a panic.
+#[derive(Clone, Debug, PartialEq)]
+pub enum LoadError {
+    /// The store holds no such context, chunk or level.
+    NotStored {
+        /// Context asked for.
+        id: ContextId,
+        /// Chunk index within the plan.
+        chunk: usize,
+        /// Encoding level, or `None` for the chunk's text fallback.
+        level: Option<usize>,
+    },
+    /// The stored bytes are not a well-formed container.
+    Parse(String),
+    /// The container parsed but its bitstream does not decode.
+    Codec(CodecError),
+    /// Well-formed, but not the chunk the plan and the model describe
+    /// (tokens, layers, channels, group size or vocabulary disagree).
+    PlanMismatch(String),
+}
+
+impl fmt::Display for LoadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LoadError::NotStored { id, chunk, level } => {
+                write!(f, "context {id} chunk {chunk} level {level:?} not stored")
+            }
+            LoadError::Parse(msg) => write!(f, "malformed stored bytes: {msg}"),
+            LoadError::Codec(e) => write!(f, "{e}"),
+            LoadError::PlanMismatch(msg) => write!(f, "stored chunk is not the plan's: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for LoadError {}
+
+impl From<CodecError> for LoadError {
+    fn from(e: CodecError) -> Self {
+        LoadError::Codec(e)
+    }
+}
+
+/// The read path: loads the stored context `id` over `link`; `plan` is
+/// what [`CacheGenEngine::store_kv`] returned for it.
+///
+/// Telemetry goes to `recorder` under its ambient span context (the
+/// caller owns the request-root span): the stream's per-chunk wire/decode
+/// spans, a `store_fetch` span over the whole stream, repair-ladder and
+/// re-fetch records, and `cachegen.core.*` / `cachegen.codec.*` counters.
+/// [`NOOP`] is the untraced call — same outcome, zero recording cost.
+pub fn load_stored(
+    engine: &CacheGenEngine,
+    id: ContextId,
+    plan: &ChunkPlan,
+    link: &mut Link,
+    params: &LoadParams,
+    recorder: &Recorder,
+) -> Result<LoadOutcome, LoadError> {
+    let encoded = |chunk: usize, level: usize| match engine.get_kv(id, chunk, level) {
+        Some(FetchedChunk::Encoded(bytes)) => engine
+            .parse_stored(&bytes, plan.chunk(chunk).tokens)
+            .map(Cow::Owned),
+        _ => Err(LoadError::NotStored {
+            id,
+            chunk,
+            level: Some(level),
+        }),
+    };
+    // One prefill of the stored text per load: the model's prefill is
+    // causal, so the prefix it yields is what the whole context's prefill
+    // holds for those tokens.
+    let exact = |chunks: usize| {
+        let mut context = Vec::new();
+        for chunk in 0..chunks {
+            context.extend(engine.stored_text(id, chunk, plan.chunk(chunk).tokens)?);
+        }
+        Ok(Cow::Owned(engine.calculate_kv(&context)))
+    };
+    load(engine, plan, link, params, recorder, &encoded, &exact)
+}
+
+/// Ingest + load in one call: encodes `reference` (the full-precision
+/// cache of the context, produced by `calculate_kv`) at every level, then
+/// loads it over `link` exactly as [`load_stored`] would have from the
+/// store — same outcome, field for field. The encode dominates (≈ 7× the
+/// load); to load a context more than once, store it and use
+/// [`load_stored`].
 pub fn load_context(
     engine: &CacheGenEngine,
     reference: &KvCache,
     link: &mut Link,
     params: &LoadParams,
 ) -> LoadOutcome {
-    load_context_traced(engine, reference, link, params, &NOOP)
+    let (encoded, plan) = engine.encode_context(reference);
+    let stream_chunk = |chunk: usize, level: usize| Ok(Cow::Borrowed(&encoded[chunk][level]));
+    let exact = |_| Ok(Cow::Borrowed(reference));
+    load(engine, &plan, link, params, &NOOP, &stream_chunk, &exact)
+        // analyze: allow(no-lib-unwrap, "the source is the engine's own in-memory encoding of `reference`, never stored bytes, so a failure is a programming bug, not an input condition")
+        .expect("the engine's own encodings decode")
 }
 
-/// [`load_context`] with telemetry: the stream's per-chunk wire/decode
-/// spans, a `store_fetch` span over the whole stream, repair-ladder and
-/// re-fetch records, and `cachegen.core.*` / `cachegen.codec.*` counters
-/// are reported to `recorder` under its ambient span context (the caller
-/// owns the request-root span). With the disabled recorder this *is*
-/// [`load_context`] — same outcome, zero recording cost.
-pub fn load_context_traced(
+/// The one load body: stream `plan`, then reassemble the cache from what
+/// the chunk source yields — `encoded(chunk, level)`, a stream chunk's
+/// encoding, and `exact(n)`, exact KV covering (at least) the first `n`
+/// stream chunks, for the text-fallback chunks among them. The source is
+/// all that differs between the entry points.
+fn load<'a>(
     engine: &CacheGenEngine,
-    reference: &KvCache,
+    plan: &ChunkPlan,
     link: &mut Link,
     params: &LoadParams,
     recorder: &Recorder,
-) -> LoadOutcome {
-    let (encoded, plan) = engine.encode_context(reference);
+    encoded: &dyn Fn(usize, usize) -> Result<Cow<'a, EncodedKv>, LoadError>,
+    exact: &dyn Fn(usize) -> Result<Cow<'a, KvCache>, LoadError>,
+) -> Result<LoadOutcome, LoadError> {
     let decode_rate = params.decode_bytes_per_sec;
     let recompute = params.recompute_sec_per_token;
     let decode_seconds = move |bytes: u64| bytes as f64 / decode_rate;
@@ -163,7 +260,7 @@ pub fn load_context_traced(
         recompute_seconds: &recompute_seconds,
         recorder: Some(recorder),
     };
-    let stream = simulate_stream(&plan, link, &stream_params);
+    let stream = simulate_stream(plan, link, &stream_params);
     if recorder.is_enabled() {
         recorder.record_span_args(
             Stage::StoreFetch,
@@ -191,35 +288,33 @@ pub fn load_context_traced(
     // completed re-fetch zeroes its chunk's entry).
     let mut repaired_bytes = vec![0u64; plan.num_chunks()];
     let mut kv_bytes_total = 0u64;
-    let mut refetch: Vec<(usize, usize)> = Vec::new(); // (chunk index, level)
-                                                       // Clean decode of a stored stream chunk, profiled through `recorder`.
-    let decode_clean = |enc: &cachegen_codec::EncodedKv, l: usize| -> KvCache {
-        engine
-            .try_decode_at_level_traced(enc, l, recorder)
-            // analyze: allow(no-lib-unwrap, "the stream was produced from the engine's own stored encoding, so a geometry mismatch is a programming bug, not an input condition")
-            .expect("stored stream has valid geometry")
-    };
+    let mut refetch = Vec::new(); // (chunk index, level, encoding)
+                                  // Clean decode of a whole stream chunk, profiled through `recorder`.
+    let decode_clean =
+        |enc: &EncodedKv, l: usize| engine.codec(l).try_decode_parallel_traced(enc, recorder);
+    // Text-fallback chunks take their slice of one exact cache that
+    // reaches the last of them (recomputed at most once per load).
+    let is_text = |c: &ChunkOutcome| c.config == StreamConfig::Text;
+    let text_chunks = stream.chunks.iter().rposition(is_text).map_or(0, |i| i + 1);
+    let exact = exact(text_chunks)?;
     let mut start = 0usize;
     for outcome in &stream.chunks {
         let tokens = plan.chunk(outcome.index).tokens;
         let chunk = match outcome.config {
             StreamConfig::Level(l) => {
-                let enc = &encoded[outcome.index][l];
+                let enc = encoded(outcome.index, l)?;
                 kv_bytes_total += outcome.bytes;
                 if outcome.lost.is_empty() && outcome.fec_recovered.is_empty() {
-                    decode_clean(enc, l)
+                    decode_clean(&enc, l)?
                 } else {
-                    let repaired = engine
-                        .decode_with_repairs_at_level(
-                            enc,
-                            l,
-                            &arrival_map(enc.layers, enc.num_groups(), outcome),
-                            params.repair,
-                        )
-                        // analyze: allow(no-lib-unwrap, "the stream was produced from the engine's own stored encoding, so a geometry mismatch is a programming bug, not an input condition")
-                        .expect("stored stream has valid geometry");
+                    let repaired = engine.decode_with_repairs_at_level(
+                        &enc,
+                        l,
+                        &arrival_map(enc.layers, enc.num_groups(), outcome),
+                        params.repair,
+                    )?;
                     if !repaired.pending_refetch().is_empty() {
-                        refetch.push((outcome.index, l));
+                        refetch.push((outcome.index, l, enc));
                     }
                     repaired_bytes[outcome.index] = outcome.lost_bytes();
                     repairs.extend(repaired.repairs.into_iter().map(|r| (outcome.index, r)));
@@ -232,7 +327,7 @@ pub fn load_context_traced(
                     repaired.cache
                 }
             }
-            StreamConfig::Text => reference.slice_tokens(start, start + tokens),
+            StreamConfig::Text => exact.slice_tokens(start, start + tokens),
         };
         start += tokens;
         chunks.push(chunk);
@@ -257,7 +352,7 @@ pub fn load_context_traced(
         .map(|c| c.transfer_finish)
         .fold(0.0f64, f64::max);
     let refetch_start = t;
-    for (idx, level) in refetch {
+    for (idx, level, enc) in refetch {
         let lost = &stream.chunks[idx].lost;
         // Same batch scaling as the first pass: all B requests share the
         // wire, so a re-fetched packet carries B copies.
@@ -271,8 +366,7 @@ pub fn load_context_traced(
         }
         // All packets are now in hand: the chunk decodes bit-exact, and
         // no policy-reconstructed bytes remain in it.
-        let enc = &encoded[idx][level];
-        chunks[idx] = decode_clean(enc, level);
+        chunks[idx] = decode_clean(&enc, level)?;
         repaired_bytes[idx] = 0;
     }
     if let (true, Some(finish)) = (recorder.is_enabled(), refetch_finish) {
@@ -286,7 +380,7 @@ pub fn load_context_traced(
         repaired_bytes.iter().sum::<u64>() as f64 / kv_bytes_total as f64
     };
     let parity_bytes = stream.parity_bytes();
-    LoadOutcome {
+    Ok(LoadOutcome {
         cache: KvCache::concat_tokens(&chunks),
         stream,
         repairs,
@@ -294,7 +388,7 @@ pub fn load_context_traced(
         repaired_fraction,
         parity_bytes,
         refetch_finish,
-    }
+    })
 }
 
 /// Builds the codec's arrival map from a chunk outcome's lost and
@@ -416,20 +510,27 @@ mod tests {
         let cache = e.calculate_kv(&ctx);
         // Starved link: everything goes to text; the result equals the
         // reference exactly.
-        let mut link = Link::new(BandwidthTrace::constant(1e4), 0.0);
         let p = LoadParams {
             slo: Some(5.0),
             prior_throughput_bps: Some(1e4),
             recompute_sec_per_token: 1e-3,
             ..LoadParams::default()
         };
-        let out = load_context(&e, &cache, &mut link, &p);
-        assert!(out
-            .stream
-            .chunks
-            .iter()
-            .all(|c| c.config == StreamConfig::Text));
-        assert_eq!(out.cache, cache);
+        let starved = || Link::new(BandwidthTrace::constant(1e4), 0.0);
+        // Ingest + load slices the reference; the read path recomputes
+        // from the stored text. Both are exact.
+        let plan = e.store_prefilled(1, &ctx, &cache);
+        for out in [
+            load_context(&e, &cache, &mut starved(), &p),
+            load_stored(&e, 1, &plan, &mut starved(), &p, &NOOP).expect("stored context loads"),
+        ] {
+            assert!(out
+                .stream
+                .chunks
+                .iter()
+                .all(|c| c.config == StreamConfig::Text));
+            assert_eq!(out.cache, cache);
+        }
     }
 
     #[test]
@@ -490,7 +591,7 @@ mod tests {
         use cachegen_telemetry::Recorder;
         let e = engine();
         let ctx: Vec<usize> = (0..60).map(|i| (i * 11) % 64).collect();
-        let cache = e.calculate_kv(&ctx);
+        let plan = e.store_kv(1, &ctx);
         let p = LoadParams {
             repair: RepairPolicy::ZeroFill,
             ..LoadParams::default()
@@ -498,7 +599,7 @@ mod tests {
         let run = |rec: &Recorder| {
             let mut link = Link::new(BandwidthTrace::constant(GBPS), 0.0)
                 .with_packet_faults(PacketFaults::loss(0.25), 3);
-            load_context_traced(&e, &cache, &mut link, &p, rec)
+            load_stored(&e, 1, &plan, &mut link, &p, rec).expect("stored context loads")
         };
         let plain = run(&cachegen_telemetry::NOOP);
         let rec = Recorder::new();

@@ -33,7 +33,7 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use cachegen_codec::{EncodedKv, Pool, PoolJob};
+use cachegen_codec::{Pool, PoolJob};
 use cachegen_kvstore::FetchedChunk;
 use cachegen_telemetry::{Clock, Recorder, SpanCtx, Stage, WallClock, NOOP};
 use cachegen_workloads::ServingRequest;
@@ -210,7 +210,7 @@ fn spin(units: u64) -> u64 {
 
 /// Executes one planned batch on a shard worker thread. Decode jobs
 /// outlive this call only in type — `run_batch` waits for them — so they
-/// borrow the shard's codecs for as long as the decode pool's scope.
+/// borrow the shard's engine for as long as the decode pool's scope.
 fn execute_batch<'scope>(
     batch: &PlannedBatch,
     enqueued: f64,
@@ -251,14 +251,12 @@ fn execute_batch<'scope>(
                             continue;
                         };
                         decoded += 1;
-                        let codec = shard.engine.codec(level);
-                        let work = move || {
-                            let enc = EncodedKv::from_bytes(&bytes)
-                                .map_err(|e| format!("chunk {chunk} level {level}: {e}"))?;
-                            codec
-                                .try_decode(&enc)
-                                .map_err(|e| format!("chunk {chunk} level {level}: {e}"))?;
-                            Ok(())
+                        let (id, engine) = (batch.context_id, &shard.engine);
+                        let tokens = shard.plan(id).chunk(chunk).tokens;
+                        let work = move || match engine.decode_stored(&bytes, level, tokens, &NOOP)
+                        {
+                            Ok(_) => Ok(()),
+                            Err(e) => Err(format!("context {id} chunk {chunk} level {level}: {e}")),
                         };
                         (Stage::ChunkDecode, chunk as f64, Box::new(work))
                     }
@@ -473,6 +471,51 @@ mod tests {
                     assert_eq!(stats.decode_errors, Vec::<String>::new(), "{shape:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn corrupted_stored_version_ends_the_run_with_a_named_decode_error() {
+        use cachegen_kvstore::StoredChunk;
+        let w = workload(30);
+        let mut c = cluster();
+        for (id, tokens) in &w.documents {
+            c.store_context(*id, tokens);
+        }
+        // Truncate every stored version of every context the trace asks
+        // for, whichever level the planner picks: the oracle never reads
+        // the bytes, the execute phase must report each one it decodes.
+        for shard in c.shards() {
+            for &(id, _) in &w.documents {
+                if !shard.owns(id) {
+                    continue;
+                }
+                let (engine, plan) = (&shard.engine, shard.plan(id));
+                let fetch = |f: Option<FetchedChunk>| match f {
+                    Some(FetchedChunk::Encoded(b) | FetchedChunk::Text(b)) => b,
+                    None => panic!("context {id} is stored"),
+                };
+                let chunks = (0..plan.num_chunks())
+                    .map(|chunk| StoredChunk {
+                        tokens: plan.chunk(chunk).tokens,
+                        versions: (0..engine.num_levels())
+                            .map(|l| {
+                                let bytes = fetch(engine.get_kv(id, chunk, l));
+                                bytes.slice(0..bytes.len() / 2)
+                            })
+                            .collect(),
+                        text: fetch(engine.store().get_text(id, chunk)),
+                    })
+                    .collect();
+                engine.store().store_kv(id, chunks);
+            }
+        }
+        let (_, stats) = ThreadBackend::new(2).run_detailed(&mut c, &w.requests, &NOOP);
+        assert!(stats.decoded_chunks > 0);
+        assert!(!stats.decode_errors.is_empty(), "truncation must surface");
+        for e in &stats.decode_errors {
+            let named = ["context ", " chunk ", " level ", "malformed stored bytes"];
+            assert!(named.iter().all(|part| e.contains(part)), "got: {e}");
         }
     }
 

@@ -111,11 +111,6 @@ impl ChunkOutcome {
     pub fn lost_bytes(&self) -> u64 {
         self.lost.iter().map(|&(_, b)| b).sum()
     }
-
-    /// Per-request payload bytes FEC recovered without retransmission.
-    pub fn fec_recovered_bytes(&self) -> u64 {
-        self.fec_recovered.iter().map(|&(_, b)| b).sum()
-    }
 }
 
 /// Outcome of streaming a whole context.

@@ -16,7 +16,7 @@
 //! Run with: `cargo run --release --example adaptive_streaming`
 //! Override the fault injection: `-- --loss 0.05 --reorder 0.1`
 
-use cachegen::{load_context, CacheGenEngine, EngineConfig, LoadParams, RepairPolicy};
+use cachegen::{load_stored, CacheGenEngine, EngineConfig, LoadParams, RepairPolicy};
 use cachegen_llm::SimModelConfig;
 use cachegen_net::trace::{BandwidthTrace, GBPS};
 use cachegen_net::{Link, PacketFaults};
@@ -24,6 +24,7 @@ use cachegen_streamer::{
     simulate_stream, AdaptPolicy, ChunkPlan, ChunkSizes, FecOverhead, LevelLadder, StreamConfig,
     StreamParams,
 };
+use cachegen_telemetry::NOOP;
 
 fn figure7_adaptation() {
     // Paper-scale plan: a ~1 GB KV stream in 6 chunks, encoded at four
@@ -97,6 +98,8 @@ fn loss_resilient_streaming(loss: f64, reorder: f64) {
     );
     let ctx: Vec<usize> = (0..150).map(|i| (i * 13) % 512).collect();
     let reference = engine.calculate_kv(&ctx);
+    // Ingest once; both policies below load the same stored bytes.
+    let plan = engine.store_prefilled(1, &ctx, &reference);
 
     let faults = PacketFaults {
         loss: loss / 100.0,
@@ -111,7 +114,7 @@ fn loss_resilient_streaming(loss: f64, reorder: f64) {
             retransmit_budget: budget,
             ..LoadParams::default()
         };
-        load_context(&engine, &reference, &mut link, &params)
+        load_stored(&engine, 1, &plan, &mut link, &params, &NOOP).expect("stored context loads")
     };
 
     let stall = run(RepairPolicy::AnchorInterpolate, usize::MAX);

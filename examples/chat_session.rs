@@ -4,16 +4,25 @@
 //! §2.2's chat scenario: "during a chat session, early chat content keeps
 //! getting reused as part of the context for every later input". Each turn
 //! appends the exchange to the history; instead of re-prefilling the whole
-//! history, the engine reuses the stored KV and only prefills the new
-//! turn. The example prints, per turn, how many tokens were served from
-//! cache vs recomputed, and the cumulative prefill savings.
+//! history, the engine loads the stored KV (`load_stored`) and only
+//! prefills the new turn; the grown history is then re-stored (`store_kv`
+//! replaces the session's entry) for the next turn to load. The example
+//! prints, per turn, how many tokens were served from cache vs recomputed,
+//! and the cumulative prefill savings.
 //!
 //! Run with: `cargo run --release --example chat_session`
 
-use cachegen::{CacheGenEngine, EngineConfig};
-use cachegen_llm::{KvCache, SimModelConfig};
+use cachegen::{load_stored, CacheGenEngine, EngineConfig, LoadOutcome, LoadParams};
+use cachegen_llm::SimModelConfig;
+use cachegen_net::trace::{BandwidthTrace, GBPS};
+use cachegen_net::Link;
+use cachegen_streamer::ChunkPlan;
+use cachegen_telemetry::NOOP;
 use cachegen_workloads::{workload_rng, MarkovTextGen};
 use rand::Rng;
+
+/// Store id of the chat session's history.
+const SESSION: u64 = 1;
 
 fn main() {
     let mut rng = workload_rng(23);
@@ -26,8 +35,22 @@ fn main() {
         &profile,
     );
 
+    // Loads the session's stored history over a fresh 1 Gbps link.
+    let load = |plan: &ChunkPlan| -> LoadOutcome {
+        let mut link = Link::new(BandwidthTrace::constant(GBPS), 0.0);
+        load_stored(
+            &engine,
+            SESSION,
+            plan,
+            &mut link,
+            &LoadParams::default(),
+            &NOOP,
+        )
+        .expect("stored history loads")
+    };
+
     let mut history: Vec<usize> = Vec::new();
-    let mut cached: Option<KvCache> = None;
+    let mut stored: Option<ChunkPlan> = None;
     let mut tokens_prefetched = 0usize;
     let mut tokens_recomputed = 0usize;
 
@@ -39,20 +62,23 @@ fn main() {
         // The user says something on a turn-specific topic.
         let user_turn = gen.probe_prompt(&mut rng, turn % 8, 20);
 
-        // Reuse the cached KV of the history; prefill only the new turn.
-        let (from_cache, new_tokens) = match &cached {
-            Some(c) => (c.tokens(), user_turn.len()),
-            None => (0, user_turn.len()),
+        // Reuse the stored KV of the history (loaded from the store's
+        // bytes, nothing re-encoded); only the new turn is prefilled, as
+        // the prompt on top of it.
+        let cached = match &stored {
+            Some(plan) => load(plan).cache,
+            None => engine.calculate_kv(&[]),
         };
+        let (from_cache, new_tokens) = (cached.tokens(), user_turn.len());
         history.extend_from_slice(&user_turn);
-        // In a real serving stack only the delta is prefilled; the result
-        // is bit-identical to prefilling the whole history because prefill
-        // is causal (verified in the transformer's unit tests).
-        let full = engine.calculate_kv(&history);
-        let reply_prompt = [history[history.len() - 1], rng.gen::<usize>() % vocab];
-        let reply = engine.generate_with_kv(&full, &reply_prompt, 6);
+        let mut prompt = user_turn;
+        prompt.push(rng.gen::<usize>() % vocab);
+        let reply = engine.generate_with_kv(&cached, &prompt, 6);
         history.extend_from_slice(&reply);
-        cached = Some(engine.calculate_kv(&history));
+        // The history grew: re-store it under the same id. (In a real
+        // serving stack only the delta is prefilled and encoded; prefill
+        // is causal, so the result is the same.)
+        stored = Some(engine.store_kv(SESSION, &history));
 
         tokens_prefetched += from_cache;
         tokens_recomputed += new_tokens + reply.len();
@@ -75,8 +101,9 @@ fn main() {
         "\npaper-scale: re-prefilling a 9.4K-token history costs {:.1} s per query;",
         gpu.prefill_seconds(&model, 9_400)
     );
-    let enc = engine.encode_at_level(cached.as_ref().unwrap(), engine.default_level());
-    let ratio = cached.as_ref().unwrap().size_bytes(16.0) as f64 / enc.total_bytes() as f64;
+    // The last stored history is loaded once more — same bytes, no encode.
+    let last = load(stored.as_ref().expect("six turns were stored"));
+    let ratio = last.cache.size_bytes(16.0) as f64 / last.stream.bytes_sent as f64;
     println!(
         "CacheGen ships the same history at {:.1}x below fp16, so reuse stays network-cheap.",
         ratio

@@ -5,13 +5,17 @@
 //! 2. encode the KV cache into bitstreams at several quality levels,
 //! 3. compare wire sizes against the uniform-quantization baseline,
 //! 4. decode and generate, checking quality against the full-precision
-//!    reference.
+//!    reference,
+//! 5. ingest once (`store_kv`), load twice (`load_stored`) over two links.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use cachegen::{CacheGenEngine, EngineConfig};
+use cachegen::{load_stored, CacheGenEngine, EngineConfig, LoadParams};
 use cachegen_baselines::quantization_baseline;
 use cachegen_llm::{eval, SimModelConfig};
+use cachegen_net::trace::{BandwidthTrace, GBPS};
+use cachegen_net::Link;
+use cachegen_telemetry::NOOP;
 use cachegen_workloads::{workload_rng, Dataset};
 
 fn main() {
@@ -84,6 +88,33 @@ fn main() {
 
     let out = engine.generate_with_kv(&cache, &sample.prompt, 8);
     println!("\nreference generation from exact KV: {out:?}");
+
+    // 5. ingest once, load many: the encode above happens once per context
+    // (`store_kv`; the prefill from step 1 is reused); every later request
+    // streams the stored bytes — here over a fast and a 1000× slower link,
+    // where the 0.5 s SLO makes the adapter downshift (coarser levels, or
+    // text chunks the LLM recomputes exactly).
+    let plan = engine.store_prefilled(1, &sample.tokens, &cache);
+    let params = LoadParams {
+        slo: Some(0.5),
+        ..LoadParams::default()
+    };
+    println!(
+        "\n{:<22} {:>12} {:>12} {:>10}",
+        "link", "wire bytes", "load (ms)", "KV mse"
+    );
+    for (name, bps) in [("1 Gbps", GBPS), ("1 Mbps", GBPS / 1000.0)] {
+        let mut link = Link::new(BandwidthTrace::constant(bps), 0.0);
+        let loaded = load_stored(&engine, 1, &plan, &mut link, &params, &NOOP)
+            .expect("stored context loads");
+        println!(
+            "{:<22} {:>12} {:>12.2} {:>10.4}",
+            name,
+            loaded.stream.bytes_sent,
+            loaded.stream.finish * 1e3,
+            cache.mse(&loaded.cache)
+        );
+    }
 }
 
 fn sample_prompt(i: usize, vocab: usize) -> Vec<usize> {

@@ -3,17 +3,18 @@
 //! The paper's motivating deployment (§2.2): a knowledge base of documents
 //! lives on a storage service; when a query arrives, the relevant
 //! document's *KV cache* — not its text — is fetched to the inference
-//! server. This example stores a TriviaQA-like document with `store_kv`,
-//! serves three queries with `get_kv` + `generate_with_kv`, and prints the
-//! analytic TTFT comparison at real-model scale for the same workload.
+//! server. This example stores a TriviaQA-like document with `store_kv`
+//! (once), serves three queries with `load_stored` + `generate_with_kv`
+//! (each loads the stored bytes over a link; nothing is re-encoded), and
+//! prints the analytic TTFT comparison at real-model scale.
 //!
 //! Run with: `cargo run --release --example rag_document_qa`
 
-use cachegen::{CacheGenEngine, EngineConfig, LoadMethod, TtftModel};
-use cachegen_codec::EncodedKv;
-use cachegen_kvstore::FetchedChunk;
+use cachegen::{load_stored, CacheGenEngine, EngineConfig, LoadMethod, LoadParams, TtftModel};
 use cachegen_llm::{GpuSpec, ModelSpec, SimModelConfig};
-use cachegen_net::trace::GBPS;
+use cachegen_net::trace::{BandwidthTrace, GBPS};
+use cachegen_net::Link;
+use cachegen_telemetry::NOOP;
 use cachegen_workloads::{workload_rng, Dataset};
 
 fn main() {
@@ -39,26 +40,18 @@ fn main() {
         engine.store().context_bytes(doc_id).unwrap() as f64 / 1e3
     );
 
-    // Serve three queries by fetching the stored bitstreams.
-    let level = engine.default_level();
-    let mut chunks = Vec::new();
-    for c in 0..plan.num_chunks() {
-        let fetched = engine.get_kv(doc_id, c, level).expect("stored chunk");
-        let FetchedChunk::Encoded(bytes) = fetched else {
-            unreachable!("get_kv returns encoded bitstreams")
-        };
-        let enc = EncodedKv::from_bytes(&bytes).expect("well-formed bitstream");
-        chunks.push(engine.decode_at_level(&enc, level));
-    }
-    let cache = cachegen_llm::KvCache::concat_tokens(&chunks);
-    println!(
-        "fetched + decoded KV: {} tokens ready, prefill skipped",
-        cache.tokens()
-    );
-
+    // Serve three queries: each loads the stored bitstreams over the link
+    // (fetch → parse → decode → concat in one call) and skips prefill.
+    let params = LoadParams::default();
     for (qi, q) in [[3usize, 17], [41, 9], [77, 5]].iter().enumerate() {
-        let answer = engine.generate_with_kv(&cache, q, 6);
-        println!("  query {qi}: prompt {q:?} -> answer tokens {answer:?}");
+        let mut link = Link::new(BandwidthTrace::constant(3.0 * GBPS), 0.0);
+        let loaded = load_stored(&engine, doc_id, &plan, &mut link, &params, &NOOP)
+            .expect("stored document loads");
+        let answer = engine.generate_with_kv(&loaded.cache, q, 6);
+        let (tokens, ms) = (loaded.cache.tokens(), loaded.stream.finish * 1e3);
+        println!(
+            "  query {qi}: {tokens} tokens loaded in {ms:.2} ms, prompt {q:?} -> answer {answer:?}"
+        );
     }
 
     // Analytic TTFT at real-model scale for this deployment (Figure 8e

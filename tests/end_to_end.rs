@@ -1,12 +1,13 @@
 //! Cross-crate integration tests: the full CacheGen data path.
 
-use cachegen::{load_context, CacheGenEngine, EngineConfig, LoadParams};
+use cachegen::{load_stored, CacheGenEngine, EngineConfig, LoadParams};
 use cachegen_baselines::{h2o, lingua, quantization_baseline};
-use cachegen_codec::{CodecConfig, CodecProfile, EncodedKv, KvCodec};
-use cachegen_llm::{eval, KvCache, SimModelConfig, SimTransformer};
+use cachegen_codec::{CodecConfig, CodecProfile, KvCodec};
+use cachegen_llm::{eval, SimModelConfig, SimTransformer};
 use cachegen_net::trace::{BandwidthTrace, GBPS};
 use cachegen_net::Link;
 use cachegen_streamer::{AdaptPolicy, StreamConfig};
+use cachegen_telemetry::NOOP;
 use cachegen_workloads::{workload_rng, Dataset};
 
 fn build_engine(seed: u64) -> (CacheGenEngine, Vec<usize>) {
@@ -107,17 +108,14 @@ fn store_fetch_decode_generate_round_trip() {
     let (engine, ctx) = build_engine(300);
     let plan = engine.store_kv(5, &ctx);
     let level = 1;
-    let mut chunks = Vec::new();
-    for c in 0..plan.num_chunks() {
-        let fetched = engine.get_kv(5, c, level).expect("chunk stored");
-        let bytes = match fetched {
-            cachegen_kvstore::FetchedChunk::Encoded(b) => b,
-            other => panic!("unexpected fetch result {other:?}"),
-        };
-        let enc = EncodedKv::from_bytes(&bytes).expect("parse bitstream");
-        chunks.push(engine.decode_at_level(&enc, level));
-    }
-    let cache = KvCache::concat_tokens(&chunks);
+    let mut link = Link::new(BandwidthTrace::constant(GBPS), 0.0);
+    let p = LoadParams {
+        policy: AdaptPolicy::FixedLevel(level),
+        ..LoadParams::default()
+    };
+    let cache = load_stored(&engine, 5, &plan, &mut link, &p, &NOOP)
+        .expect("stored context loads")
+        .cache;
     assert_eq!(cache.tokens(), ctx.len());
     let out = engine.generate_with_kv(&cache, &[3, 9], 5);
     assert_eq!(out.len(), 5);
@@ -141,8 +139,7 @@ fn store_fetch_decode_generate_round_trip() {
 #[test]
 fn adaptive_streaming_beats_fixed_under_bandwidth_dip() {
     let (engine, ctx) = build_engine(400);
-    let cache = engine.calculate_kv(&ctx);
-    let (_, plan) = engine.encode_context(&cache);
+    let plan = engine.store_kv(4, &ctx);
     // Scale a figure-7-like trace to this plan: level 0 fits in 4 s at the
     // starting bandwidth, then the link dips 10× for 2 s.
     let level0 = plan.total_bytes_at_level(0) as f64 * 8.0;
@@ -158,7 +155,7 @@ fn adaptive_streaming_beats_fixed_under_bandwidth_dip() {
             recompute_sec_per_token: 0.2, // recompute unattractive
             ..LoadParams::default()
         };
-        load_context(&engine, &cache, &mut link, &p)
+        load_stored(&engine, 4, &plan, &mut link, &p, &NOOP).expect("stored context loads")
     };
     let fixed = run(AdaptPolicy::FixedLevel(0));
     let adaptive = run(AdaptPolicy::Adaptive);
@@ -185,8 +182,7 @@ fn adaptive_streaming_beats_fixed_under_bandwidth_dip() {
 #[test]
 fn fig13_adaptation_reduces_slo_violations() {
     let (engine, ctx) = build_engine(500);
-    let cache = engine.calculate_kv(&ctx);
-    let (_, plan) = engine.encode_context(&cache);
+    let plan = engine.store_kv(5, &ctx);
     let level0 = plan.total_bytes_at_level(0) as f64 * 8.0;
     let slo = 1.0;
     // Traces centred so level 0 sometimes fits and sometimes doesn't.
@@ -211,7 +207,10 @@ fn fig13_adaptation_reduces_slo_violations() {
                 recompute_sec_per_token: 0.2,
                 ..LoadParams::default()
             };
-            load_context(&engine, &cache, &mut link, &p).stream.slo_met
+            load_stored(&engine, 5, &plan, &mut link, &p, &NOOP)
+                .expect("stored context loads")
+                .stream
+                .slo_met
         };
         if !run(AdaptPolicy::FixedLevel(0)) {
             fixed_viol += 1;
@@ -280,7 +279,9 @@ fn gqa_model_full_path() {
     let enc = engine.encode_at_level(&cache, 1);
     let dec = engine.decode_at_level(&enc, 1);
     assert!(cache.mse(&dec) < 0.5);
+    let plan = engine.store_prefilled(7, &ctx, &cache);
     let mut link = Link::new(BandwidthTrace::constant(GBPS), 0.0);
-    let out = load_context(&engine, &cache, &mut link, &LoadParams::default());
+    let out = load_stored(&engine, 7, &plan, &mut link, &LoadParams::default(), &NOOP)
+        .expect("stored context loads");
     assert_eq!(out.cache.tokens(), ctx.len());
 }

@@ -4,12 +4,13 @@
 //! chance` options: the system must degrade predictably, never panic on
 //! malformed input, and keep its accounting consistent under faults.
 
-use cachegen::{load_context, CacheGenEngine, EngineConfig, LoadParams};
+use cachegen::{load_stored, CacheGenEngine, EngineConfig, LoadOutcome, LoadParams};
 use cachegen_codec::EncodedKv;
 use cachegen_llm::SimModelConfig;
 use cachegen_net::trace::{BandwidthTrace, GBPS};
 use cachegen_net::Link;
-use cachegen_streamer::AdaptPolicy;
+use cachegen_streamer::{AdaptPolicy, ChunkPlan};
+use cachegen_telemetry::NOOP;
 use cachegen_workloads::{workload_rng, Dataset};
 
 fn engine() -> (CacheGenEngine, Vec<usize>) {
@@ -24,16 +25,24 @@ fn engine() -> (CacheGenEngine, Vec<usize>) {
     (engine, ctx)
 }
 
+/// Id the load tests store their one context under.
+const ID: u64 = 1;
+
+/// Loads the context stored under [`ID`].
+fn load(engine: &CacheGenEngine, plan: &ChunkPlan, link: &mut Link, p: &LoadParams) -> LoadOutcome {
+    load_stored(engine, ID, plan, link, p, &NOOP).expect("stored context loads")
+}
+
 /// A slower trace costs time, never damage: the load still completes and
 /// the cache is bit-identical to the fast link's.
 #[test]
 fn slower_trace_costs_time_never_damage() {
     let (engine, ctx) = engine();
-    let cache = engine.calculate_kv(&ctx);
+    let plan = engine.store_kv(ID, &ctx);
     let mut clean = Link::new(BandwidthTrace::constant(GBPS), 0.0);
-    let t_clean = load_context(&engine, &cache, &mut clean, &LoadParams::default());
+    let t_clean = load(&engine, &plan, &mut clean, &LoadParams::default());
     let mut slow = Link::new(BandwidthTrace::constant(GBPS * 0.8), 0.0);
-    let t_slow = load_context(&engine, &cache, &mut slow, &LoadParams::default());
+    let t_slow = load(&engine, &plan, &mut slow, &LoadParams::default());
     assert_eq!(t_slow.cache.tokens(), ctx.len());
     assert!(
         t_slow.stream.finish > t_clean.stream.finish,
@@ -54,8 +63,7 @@ fn slower_trace_costs_time_never_damage() {
 #[test]
 fn adapter_compensates_for_loss() {
     let (engine, ctx) = engine();
-    let cache = engine.calculate_kv(&ctx);
-    let (_, plan) = engine.encode_context(&cache);
+    let plan = engine.store_kv(ID, &ctx);
     let bw = plan.total_bytes_at_level(0) as f64 * 8.0 / 0.9; // level 0 ≈ 0.9 s clean
     let p = LoadParams {
         slo: Some(1.0),
@@ -65,7 +73,7 @@ fn adapter_compensates_for_loss() {
         ..LoadParams::default()
     };
     let mut slow = Link::new(BandwidthTrace::constant(bw * 0.7), 0.0);
-    let out = load_context(&engine, &cache, &mut slow, &p);
+    let out = load(&engine, &plan, &mut slow, &p);
     assert!(
         out.stream.slo_met,
         "adapter should absorb a 30% goodput shortfall: finish {}",
@@ -81,9 +89,9 @@ fn packet_loss_degrades_instead_of_stalling() {
     use cachegen::RepairPolicy;
     use cachegen_net::PacketFaults;
     let (engine, ctx) = engine();
-    let cache = engine.calculate_kv(&ctx);
+    let plan = engine.store_kv(ID, &ctx);
     let mut clean = Link::new(BandwidthTrace::constant(GBPS), 0.0);
-    let t_clean = load_context(&engine, &cache, &mut clean, &LoadParams::default());
+    let t_clean = load(&engine, &plan, &mut clean, &LoadParams::default());
     let mut lossy = Link::new(BandwidthTrace::constant(GBPS), 0.0)
         .with_packet_faults(PacketFaults::loss(0.15), 77);
     let p = LoadParams {
@@ -91,7 +99,7 @@ fn packet_loss_degrades_instead_of_stalling() {
         retransmit_budget: 0,
         ..LoadParams::default()
     };
-    let t_lossy = load_context(&engine, &cache, &mut lossy, &p);
+    let t_lossy = load(&engine, &plan, &mut lossy, &p);
     assert_eq!(t_lossy.cache.tokens(), ctx.len());
     assert!(!t_lossy.repairs.is_empty(), "15% loss must need repairs");
     assert!(t_lossy.repaired_fraction > 0.0 && t_lossy.repaired_fraction < 1.0);
@@ -205,10 +213,10 @@ fn eviction_accounting_under_concurrency() {
 #[test]
 fn propagation_delay_monotonicity() {
     let (engine, ctx) = engine();
-    let cache = engine.calculate_kv(&ctx);
+    let plan = engine.store_kv(ID, &ctx);
     let run = |prop: f64| {
         let mut link = Link::new(BandwidthTrace::constant(GBPS), prop);
-        load_context(&engine, &cache, &mut link, &LoadParams::default())
+        load(&engine, &plan, &mut link, &LoadParams::default())
             .stream
             .finish
     };

@@ -23,15 +23,16 @@
 //!     to the pre-FEC transport — same packets, same fault draws, same
 //!     timeline, same losses;
 //! (d) the 10%-loss acceptance headline: with the default `fec_overhead`
-//!     and the FEC→repair→refetch ladder, `load_context` ends with
+//!     and the FEC→repair→refetch ladder, `load_stored` ends with
 //!     `repaired_fraction == 0` on ≥95% of contexts, loss-induced TTFT
 //!     inflation ≤1.05× the (same-config) lossless pace, parity overhead
 //!     ≤15%, and zero retransmit budget consumed.
 
-use cachegen::{load_context, CacheGenEngine, EngineConfig, FecOverhead, LoadParams, RepairPolicy};
+use cachegen::{load_stored, CacheGenEngine, EngineConfig, FecOverhead, LoadParams, RepairPolicy};
 use cachegen_llm::SimModelConfig;
 use cachegen_net::{gf256, BandwidthTrace, FecError, FecGroups, Link, PacketFaults, RsCode};
-use cachegen_streamer::{deliver_schedule, AdaptPolicy, ChunkSchedule, PacketId};
+use cachegen_streamer::{deliver_schedule, AdaptPolicy, ChunkPlan, ChunkSchedule, PacketId};
+use cachegen_telemetry::NOOP;
 use cachegen_workloads::{workload_rng, Dataset};
 use proptest::prelude::*;
 use rand::Rng;
@@ -571,8 +572,10 @@ proptest! {
 
 const BW_BPS: f64 = 1.0e6;
 const PROPAGATION: f64 = 0.1;
+/// Id the scenario's context is stored under (once; every run loads it).
+const ID: u64 = 1;
 
-fn scenario() -> (CacheGenEngine, cachegen_llm::KvCache) {
+fn scenario() -> (CacheGenEngine, cachegen_llm::KvCache, ChunkPlan) {
     let mut rng = workload_rng(900);
     let profile = Dataset::LongChat.generate(&mut rng, 512, 90).tokens;
     let engine = CacheGenEngine::build(
@@ -582,12 +585,13 @@ fn scenario() -> (CacheGenEngine, cachegen_llm::KvCache) {
     );
     let ctx = Dataset::LongChat.generate(&mut rng, 512, 90).tokens;
     let reference = engine.calculate_kv(&ctx);
-    (engine, reference)
+    let plan = engine.store_prefilled(ID, &ctx, &reference);
+    (engine, reference, plan)
 }
 
 fn run_ladder(
     engine: &CacheGenEngine,
-    reference: &cachegen_llm::KvCache,
+    plan: &ChunkPlan,
     loss: f64,
     seed: u64,
     fec: FecOverhead,
@@ -602,20 +606,20 @@ fn run_ladder(
         fec_overhead: fec,
         ..LoadParams::default()
     };
-    load_context(engine, reference, &mut link, &params)
+    load_stored(engine, ID, plan, &mut link, &params, &NOOP).expect("stored context loads")
 }
 
 /// The acceptance headline: at 10% seeded i.i.d. packet loss with the
 /// default `fec_overhead` and the FEC→repair→refetch ladder,
-/// `load_context` finishes with `repaired_fraction == 0` on ≥95% of
+/// `load_stored` finishes with `repaired_fraction == 0` on ≥95% of
 /// contexts, loss-induced TTFT inflation stays ≤1.05× the same-config
 /// lossless pace, measured parity overhead stays ≤15%, and the
 /// retransmit budget is never consumed.
 #[test]
 fn fec_ladder_acceptance_at_ten_percent_loss() {
-    let (engine, reference) = scenario();
+    let (engine, _, plan) = scenario();
     let fec = FecOverhead::paper_default();
-    let lossless = run_ladder(&engine, &reference, 0.0, 0, fec.clone());
+    let lossless = run_ladder(&engine, &plan, 0.0, 0, fec.clone());
     let lossless_ttft = lossless.stream.finish;
     assert!(lossless.parity_bytes > 0, "parity rides clean links too");
 
@@ -624,7 +628,7 @@ fn fec_ladder_acceptance_at_ten_percent_loss() {
     let mut total_recovered = 0usize;
     let mut total_repaired_at_ttft = 0usize;
     for &seed in &seeds {
-        let out = run_ladder(&engine, &reference, 0.10, seed, fec.clone());
+        let out = run_ladder(&engine, &plan, 0.10, seed, fec.clone());
         // TTFT: no NACK stalls — within 1.05× of the same-config
         // lossless pace (drops still spend wire time, so it can also be
         // marginally *faster* when a tail packet drops).
@@ -671,7 +675,7 @@ fn fec_ladder_acceptance_at_ten_percent_loss() {
 /// recovery does not depend on arrival order.
 #[test]
 fn fec_recovery_is_deterministic_under_reorder_and_duplicate() {
-    let (engine, reference) = scenario();
+    let (engine, _, plan) = scenario();
     let run = |seed: u64| {
         let faults = PacketFaults {
             loss: 0.08,
@@ -689,7 +693,7 @@ fn fec_recovery_is_deterministic_under_reorder_and_duplicate() {
             fec_overhead: FecOverhead::paper_default(),
             ..LoadParams::default()
         };
-        load_context(&engine, &reference, &mut link, &params)
+        load_stored(&engine, ID, &plan, &mut link, &params, &NOOP).expect("stored context loads")
     };
     let a = run(5);
     let b = run(5);
@@ -714,7 +718,7 @@ fn fec_recovery_is_deterministic_under_reorder_and_duplicate() {
 /// container and is ~10× a median packet), not by chunk count.
 #[test]
 fn repaired_fraction_is_byte_weighted() {
-    let (engine, reference) = scenario();
+    let (engine, reference, plan) = scenario();
     // No FEC, zero-fill, 10% loss: holes stay in the final cache.
     let mut link = Link::new(BandwidthTrace::constant(BW_BPS), PROPAGATION)
         .with_packet_faults(PacketFaults::loss(0.10), 2024);
@@ -726,7 +730,8 @@ fn repaired_fraction_is_byte_weighted() {
         fec_overhead: FecOverhead::Off,
         ..LoadParams::default()
     };
-    let out = load_context(&engine, &reference, &mut link, &params);
+    let out =
+        load_stored(&engine, ID, &plan, &mut link, &params, &NOOP).expect("stored context loads");
     assert!(!out.repairs.is_empty(), "seeded 10% loss leaves holes");
     // Expected value, recomputed from the stream outcome: lost payload
     // bytes over the KV payload bytes actually streamed.

@@ -9,17 +9,20 @@
 //! * reordered / partial delivery never panics and never silently decodes
 //!   noise — every repaired chunk carries provenance.
 
-use cachegen::{load_context, CacheGenEngine, EngineConfig, FecOverhead, LoadParams, RepairPolicy};
+use cachegen::{load_stored, CacheGenEngine, EngineConfig, FecOverhead, LoadParams, RepairPolicy};
 use cachegen_llm::SimModelConfig;
 use cachegen_net::{BandwidthTrace, Link, PacketFaults};
-use cachegen_streamer::{deliver_schedule, AdaptPolicy, ChunkSchedule, PacketId};
+use cachegen_streamer::{deliver_schedule, AdaptPolicy, ChunkPlan, ChunkSchedule, PacketId};
+use cachegen_telemetry::NOOP;
 use cachegen_workloads::{workload_rng, Dataset};
 
 const BW_BPS: f64 = 1.0e6;
 const PROPAGATION: f64 = 0.1;
 const SEED: u64 = 77;
+/// Id the scenario's context is stored under (once; every run loads it).
+const ID: u64 = 1;
 
-fn scenario() -> (CacheGenEngine, cachegen_llm::KvCache) {
+fn scenario() -> (CacheGenEngine, cachegen_llm::KvCache, ChunkPlan) {
     let mut rng = workload_rng(900);
     let profile = Dataset::LongChat.generate(&mut rng, 512, 150).tokens;
     let engine = CacheGenEngine::build(
@@ -29,12 +32,13 @@ fn scenario() -> (CacheGenEngine, cachegen_llm::KvCache) {
     );
     let ctx = Dataset::LongChat.generate(&mut rng, 512, 150).tokens;
     let reference = engine.calculate_kv(&ctx);
-    (engine, reference)
+    let plan = engine.store_prefilled(ID, &ctx, &reference);
+    (engine, reference, plan)
 }
 
 fn run(
     engine: &CacheGenEngine,
-    reference: &cachegen_llm::KvCache,
+    plan: &ChunkPlan,
     loss: f64,
     repair: RepairPolicy,
     budget: usize,
@@ -53,24 +57,18 @@ fn run(
         retransmit_budget: budget,
         ..LoadParams::default()
     };
-    load_context(engine, reference, &mut link, &params)
+    load_stored(engine, ID, plan, &mut link, &params, &NOOP).expect("stored context loads")
 }
 
 /// The headline acceptance numbers at 10% loss.
 #[test]
 fn repair_beats_stall_at_ten_percent_loss() {
-    let (engine, reference) = scenario();
-    let lossless = run(&engine, &reference, 0.0, RepairPolicy::AnchorInterpolate, 0);
-    let repaired = run(
-        &engine,
-        &reference,
-        0.10,
-        RepairPolicy::AnchorInterpolate,
-        0,
-    );
+    let (engine, reference, plan) = scenario();
+    let lossless = run(&engine, &plan, 0.0, RepairPolicy::AnchorInterpolate, 0);
+    let repaired = run(&engine, &plan, 0.10, RepairPolicy::AnchorInterpolate, 0);
     let stalled = run(
         &engine,
-        &reference,
+        &plan,
         0.10,
         RepairPolicy::AnchorInterpolate,
         usize::MAX,
@@ -110,14 +108,14 @@ fn repair_beats_stall_at_ten_percent_loss() {
 /// criterion).
 #[test]
 fn sweep_cells_are_deterministic() {
-    let (engine, reference) = scenario();
+    let (engine, _, plan) = scenario();
     for policy in [
         RepairPolicy::ZeroFill,
         RepairPolicy::AnchorInterpolate,
         RepairPolicy::Refetch,
     ] {
-        let a = run(&engine, &reference, 0.10, policy, 0);
-        let b = run(&engine, &reference, 0.10, policy, 0);
+        let a = run(&engine, &plan, 0.10, policy, 0);
+        let b = run(&engine, &plan, 0.10, policy, 0);
         assert_eq!(a.cache, b.cache, "{policy:?}");
         assert_eq!(a.repairs, b.repairs);
         assert_eq!(a.stream.chunks, b.stream.chunks);
@@ -267,7 +265,7 @@ fn multi_parity_interleaver_covers_bursts_up_to_stride_times_r() {
 /// interleaver stride.
 #[test]
 fn two_losses_in_a_group_fall_back_to_repair() {
-    let (engine, reference) = scenario();
+    let (engine, _, plan) = scenario();
     // i.i.d. 15% loss with FEC on: some parity group takes ≥2 losses
     // (seeded), so repairs and recoveries coexist and never overlap.
     let faults = PacketFaults::loss(0.15);
@@ -281,7 +279,8 @@ fn two_losses_in_a_group_fall_back_to_repair() {
         fec_overhead: FecOverhead::paper_default(),
         ..LoadParams::default()
     };
-    let out = load_context(&engine, &reference, &mut link, &params);
+    let out =
+        load_stored(&engine, ID, &plan, &mut link, &params, &NOOP).expect("stored context loads");
     assert!(
         !out.fec_recovered.is_empty(),
         "single-loss groups must recover"
@@ -315,7 +314,7 @@ fn two_losses_in_a_group_fall_back_to_repair() {
 /// carries provenance for everything that was repaired.
 #[test]
 fn hostile_delivery_never_panics_or_decodes_noise() {
-    let (engine, reference) = scenario();
+    let (engine, reference, plan) = scenario();
     let faults = PacketFaults {
         loss: 0.10,
         reorder: 0.4,
@@ -337,7 +336,8 @@ fn hostile_delivery_never_panics_or_decodes_noise() {
             retransmit_budget: 0,
             ..LoadParams::default()
         };
-        let out = load_context(&engine, &reference, &mut link, &params);
+        let out = load_stored(&engine, ID, &plan, &mut link, &params, &NOOP)
+            .expect("stored context loads");
         assert_eq!(out.cache.tokens(), reference.tokens());
         assert!(out.cache.k().data().iter().all(|x| x.is_finite()));
         assert!(out.cache.v().data().iter().all(|x| x.is_finite()));
@@ -353,7 +353,7 @@ fn hostile_delivery_never_panics_or_decodes_noise() {
             assert!(out.refetch_finish.is_some());
             // Refetch patched the holes: final cache matches the clean
             // decode of the same adapter choices.
-            assert_eq!(out.cache, run(&engine, &reference, 0.0, policy, 0).cache);
+            assert_eq!(out.cache, run(&engine, &plan, 0.0, policy, 0).cache);
         }
     }
 }

@@ -9,10 +9,11 @@
 //! (c) delivery order is irrelevant: reordered delivery decodes
 //!     byte-identically to in-order delivery.
 
-use cachegen::{load_context, CacheGenEngine, EngineConfig, LoadParams, RepairPolicy};
+use cachegen::{load_stored, CacheGenEngine, EngineConfig, LoadParams, RepairPolicy};
 use cachegen_codec::{ChunkArrivalMap, RepairKind};
 use cachegen_llm::SimModelConfig;
 use cachegen_net::{BandwidthTrace, Link, PacketFaults};
+use cachegen_telemetry::NOOP;
 use proptest::prelude::*;
 
 fn engine() -> CacheGenEngine {
@@ -171,11 +172,12 @@ proptest! {
 fn reorder_only_link_is_lossless_end_to_end() {
     let e = engine();
     let ctx: Vec<usize> = (0..60).map(|i| (i * 11) % 64).collect();
-    let cache = e.calculate_kv(&ctx);
-    let clean = {
-        let mut link = Link::new(BandwidthTrace::constant(1e9), 0.01);
-        load_context(&e, &cache, &mut link, &LoadParams::default())
+    let plan = e.store_kv(1, &ctx);
+    let load = |link: &mut Link| {
+        load_stored(&e, 1, &plan, link, &LoadParams::default(), &NOOP)
+            .expect("stored context loads")
     };
+    let clean = load(&mut Link::new(BandwidthTrace::constant(1e9), 0.01));
     for seed in [1u64, 7, 23] {
         let mut link = Link::new(BandwidthTrace::constant(1e9), 0.01).with_packet_faults(
             PacketFaults {
@@ -184,7 +186,7 @@ fn reorder_only_link_is_lossless_end_to_end() {
             },
             seed,
         );
-        let out = load_context(&e, &cache, &mut link, &LoadParams::default());
+        let out = load(&mut link);
         assert_eq!(out.cache, clean.cache, "seed {seed}");
         assert!(out.repairs.is_empty(), "reorder alone loses nothing");
     }
