@@ -1,19 +1,38 @@
-//! The ratcheting unwrap budget.
+//! The ratcheting per-crate budgets.
 //!
-//! `crates/analyze/unwrap_budget.txt` pins, per crate, the number of
-//! `.unwrap()`/`.expect(` sites allowed in library (non-test,
-//! non-bench) code. The gate fails when a crate exceeds its line; when
-//! a crate drops below it, the check reports slack so the baseline can
-//! be ratcheted down. The baseline may only ever shrink.
+//! A [`Budget`] pins, per crate, how many sites of one rule the
+//! workspace tolerates: `.unwrap()`/`.expect(` calls in library code
+//! ([`UNWRAP`]), public items nothing outside their file names
+//! ([`DEAD_PUB`]). The gate fails when a crate exceeds its line (a
+//! missing line means zero); when a crate drops below it, the check
+//! reports slack so the file can be ratcheted down. A budget file may
+//! only ever shrink.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Workspace-relative path of the baseline file.
-pub const BUDGET_FILE: &str = "crates/analyze/unwrap_budget.txt";
+/// One budget: the rule whose sites it counts and its checked-in file.
+pub struct Budget {
+    /// Rule the sites and the breaches are reported under.
+    pub rule: &'static str,
+    /// Workspace-relative path of the baseline file.
+    pub file: &'static str,
+}
+
+/// Library `.unwrap()`/`.expect(` sites.
+pub const UNWRAP: Budget = Budget {
+    rule: "no-lib-unwrap",
+    file: "crates/analyze/unwrap_budget.txt",
+};
+
+/// Public items (and declared dependencies) with no outside user.
+pub const DEAD_PUB: Budget = Budget {
+    rule: "dead-pub",
+    file: "crates/analyze/dead_pub_budget.txt",
+};
 
 /// Parses the baseline file: `<crate> <count>` per line, `#` comments.
-pub fn parse_baseline(text: &str) -> BTreeMap<String, usize> {
+fn parse_baseline(text: &str) -> BTreeMap<String, usize> {
     let mut out = BTreeMap::new();
     for line in text.lines() {
         let line = line.split('#').next().unwrap_or("").trim();
@@ -31,14 +50,15 @@ pub fn parse_baseline(text: &str) -> BTreeMap<String, usize> {
 }
 
 /// Renders a baseline map back into the checked-in file format.
-pub fn render_baseline(counts: &BTreeMap<String, usize>) -> String {
-    let mut out = String::from(
-        "# cachegen-analyze unwrap budget: max .unwrap()/.expect( sites per crate in\n\
-         # library (non-test, non-bench) code. Enforced by `cachegen-analyze check`\n\
-         # and `cargo test -p cachegen-analyze`. Ratchet DOWN only: lower a number\n\
-         # when you convert an unwrap to a typed error; never raise one — route new\n\
-         # fallibility through Result instead. Regenerate with\n\
-         # `cargo run -p cachegen-analyze -- baseline` after legitimate reductions.\n",
+pub fn render_baseline(budget: &Budget, counts: &BTreeMap<String, usize>) -> String {
+    let mut out = format!(
+        "# cachegen-analyze `{}` budget: the most sites of that rule each crate may\n\
+         # hold (`cachegen-analyze rules` says what a site is). Enforced by\n\
+         # `cachegen-analyze check` and `cargo test -p cachegen-analyze`. Ratchet DOWN\n\
+         # only: lower a number when a site goes, never raise one. A crate with no\n\
+         # line has budget 0. Regenerate with `cargo run -p cachegen-analyze --\n\
+         # baseline` after legitimate reductions.\n",
+        budget.rule
     );
     for (name, count) in counts {
         out.push_str(&format!("{name} {count}\n"));
@@ -47,8 +67,8 @@ pub fn render_baseline(counts: &BTreeMap<String, usize>) -> String {
 }
 
 /// Loads the checked-in baseline, or `None` when the file is missing.
-pub fn load_baseline(workspace_root: &Path) -> Option<BTreeMap<String, usize>> {
-    std::fs::read_to_string(workspace_root.join(BUDGET_FILE))
+pub fn load_baseline(workspace_root: &Path, budget: &Budget) -> Option<BTreeMap<String, usize>> {
+    std::fs::read_to_string(workspace_root.join(budget.file))
         .ok()
         .map(|t| parse_baseline(&t))
 }
@@ -72,7 +92,7 @@ pub fn compare(
         }
     }
     // A baseline entry for a crate with no measured sites is slack too:
-    // the crate went fully typed, pin it at zero.
+    // the crate went clean, pin it at zero.
     for (name, &budget) in baseline {
         if budget > 0 && !actual.contains_key(name) {
             slack.push((name.clone(), 0, budget));
@@ -90,8 +110,10 @@ mod tests {
         let mut counts = BTreeMap::new();
         counts.insert("codec".to_string(), 7);
         counts.insert("serving".to_string(), 2);
-        let parsed = parse_baseline(&render_baseline(&counts));
-        assert_eq!(parsed, counts);
+        for budget in [&UNWRAP, &DEAD_PUB] {
+            let parsed = parse_baseline(&render_baseline(budget, &counts));
+            assert_eq!(parsed, counts);
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Subcommands:
 //!
 //! - `check` — run every rule over the workspace's own source and the
-//!   unwrap budget against `crates/analyze/unwrap_budget.txt`; print
-//!   `file:line: [rule] message` per violation and exit non-zero if any.
-//! - `baseline` — regenerate the unwrap budget file from the current
-//!   measured counts (use after ratcheting unwraps down, never up).
+//!   two per-crate budgets against `crates/analyze/unwrap_budget.txt`
+//!   and `crates/analyze/dead_pub_budget.txt`; print
+//!   `file:line: [rule] message` per violation and exit non-zero if any,
+//!   and per-crate slack for both budgets.
+//! - `baseline` — regenerate both budget files from the current
+//!   measured counts (use after ratcheting a count down, never up).
 //! - `rules` — list every rule with its rationale.
 
 use std::path::PathBuf;
@@ -57,9 +59,9 @@ fn check() -> ExitCode {
     for finding in &report.findings {
         println!("{finding}");
     }
-    for (name, actual, budget) in &report.budget_slack {
+    for (file, name, actual, budget) in &report.budget_slack {
         eprintln!(
-            "note: crate `{name}` is under its unwrap budget ({actual} < {budget}) — ratchet crates/analyze/unwrap_budget.txt down"
+            "note: crate `{name}` is under its budget ({actual} < {budget}) — ratchet {file} down"
         );
     }
     if report.findings.is_empty() {
@@ -90,17 +92,22 @@ fn baseline() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let path = root.join(cachegen_analyze::budget::BUDGET_FILE);
-    let rendered = cachegen_analyze::budget::render_baseline(&report.unwrap_counts);
-    if let Err(e) = std::fs::write(&path, rendered) {
-        eprintln!("cachegen-analyze: cannot write {}: {e}", path.display());
-        return ExitCode::FAILURE;
+    use cachegen_analyze::budget::{render_baseline, DEAD_PUB, UNWRAP};
+    for (budget, counts) in [
+        (&UNWRAP, &report.unwrap_counts),
+        (&DEAD_PUB, &report.dead_pub_counts),
+    ] {
+        let path = root.join(budget.file);
+        if let Err(e) = std::fs::write(&path, render_baseline(budget, counts)) {
+            eprintln!("cachegen-analyze: cannot write {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+        println!(
+            "cachegen-analyze: wrote {} ({} crate(s) with sites)",
+            path.display(),
+            counts.len()
+        );
     }
-    println!(
-        "cachegen-analyze: wrote {} ({} crate(s) with library unwrap sites)",
-        path.display(),
-        report.unwrap_counts.len()
-    );
     ExitCode::SUCCESS
 }
 

@@ -75,6 +75,14 @@ pub const RULES: &[RuleInfo] = &[
         summary: "library-code .unwrap()/.expect( count is capped by a ratcheting baseline (crates/analyze/unwrap_budget.txt)",
     },
     RuleInfo {
+        name: "dead-pub",
+        summary: "public items in crates/*/src that no other file (crates, tests, examples, benchmark) names, and [dependencies] a crate never imports, are capped per crate by a down-only baseline (crates/analyze/dead_pub_budget.txt)",
+    },
+    RuleInfo {
+        name: "doc-anchor",
+        summary: "a Markdown file cited in a comment (a bare name or a root-relative path) must exist — documentation may not point at a file that was never written",
+    },
+    RuleInfo {
         name: "no-unjustified-allow",
         summary: "every suppression — analyze markers and #[allow(…)] attributes — must carry a written justification and actually suppress something",
     },
@@ -92,6 +100,9 @@ pub struct FileReport {
     /// Lines (1-based) of unsuppressed `.unwrap()`/`.expect(` sites in
     /// library scope; empty for files outside the budget's scope.
     pub unwrap_lines: Vec<usize>,
+    /// `(line, path)` of every unsuppressed `*.md` citation in a comment;
+    /// the workspace pass checks each against the repo root.
+    pub md_citations: Vec<(usize, String)>,
 }
 
 /// A parsed suppression marker.
@@ -164,7 +175,7 @@ const HASH_BANNED_CRATES: &[&str] = &[
     "telemetry",
 ];
 
-fn crate_of(rel_path: &str) -> Option<&str> {
+pub(crate) fn crate_of(rel_path: &str) -> Option<&str> {
     rel_path.strip_prefix("crates/")?.split('/').next()
 }
 
@@ -186,7 +197,7 @@ fn rule_applies(rule: &str, rel_path: &str) -> bool {
 /// Whether a file's unwraps count toward the library budget: crate
 /// sources only (`crates/<name>/src/…`), benches exempt, test modules
 /// masked separately.
-pub fn in_budget_scope(rel_path: &str) -> bool {
+fn in_budget_scope(rel_path: &str) -> bool {
     !is_bench(rel_path)
         && rel_path.starts_with("crates/")
         && rel_path.contains("/src/")
@@ -336,6 +347,24 @@ pub fn analyze_source(rel_path: &str, source: &str) -> FileReport {
             for _ in 0..sites {
                 if !try_suppress(&mut markers, "no-lib-unwrap", ln) {
                     report.unwrap_lines.push(ln);
+                }
+            }
+        }
+    }
+
+    // Markdown citations in comments of any kind: a maximal path-shaped
+    // token ending in `.md`. One starting with `.` is relative to the
+    // citing file, not the root, and is left alone.
+    for comment in &scrubbed.comments {
+        for (offset, line) in comment.text.lines().enumerate() {
+            let ln = comment.line + offset;
+            for token in line.split(|c: char| !(c.is_ascii_alphanumeric() || "_./-".contains(c))) {
+                let token = token.trim_end_matches('.');
+                if token.ends_with(".md")
+                    && !token.starts_with('.')
+                    && !try_suppress(&mut markers, "doc-anchor", ln)
+                {
+                    report.md_citations.push((ln, token.to_string()));
                 }
             }
         }

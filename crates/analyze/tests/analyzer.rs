@@ -3,6 +3,7 @@
 //! literals and comments inert.
 
 use cachegen_analyze::rules::{analyze_source, EXECUTOR_MODULES, WALL_CLOCK_MODULE};
+use std::path::Path;
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -193,4 +194,65 @@ fn allow_attributes_need_a_written_reason() {
     let src = fixture("bad_allow_attr.rs");
     let report = analyze_source("crates/core/src/fx.rs", &src);
     assert_eq!(lines_of(&report, "no-unjustified-allow"), vec![4]);
+}
+
+/// The workspace-level passes over `fixtures/dead_pub_ws`: three crates,
+/// a root test, an example and a benchmark source.
+fn fixture_workspace() -> cachegen_analyze::Report {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/dead_pub_ws");
+    cachegen_analyze::analyze_workspace(&root).expect("fixture workspace scans")
+}
+
+fn rendered(report: &cachegen_analyze::Report, rule: &str) -> Vec<String> {
+    let of_rule = report.findings.iter().filter(|f| f.rule == rule);
+    of_rule.map(ToString::to_string).collect()
+}
+
+#[test]
+fn dead_pub_is_what_no_other_file_names_charged_per_crate() {
+    let report = fixture_workspace();
+    // A name in a string, a comment or the defining file's own test
+    // module is not a caller; one in `tests/`, `examples/` or
+    // `benchmark/src` is. `pub(crate)` and `src/bin` are out of scope. A
+    // declared dependency counts when nothing in the crate imports it:
+    // `parking_lot` in codec, not in kvstore (which does).
+    let over = |krate: &str, actual: usize, budget: usize| {
+        format!("crates/analyze/dead_pub_budget.txt:0: [dead-pub] crate `{krate}` has {actual} `dead-pub` sites, budget {budget} — remove the new ones (the budget only ratchets down)")
+    };
+    assert_eq!(
+        rendered(&report, "dead-pub"),
+        vec![
+            // Over its line: fails, and names its sites.
+            over("codec", 3, 2),
+            // No line at all: budget 0.
+            over("net", 1, 0),
+            "crates/codec/Cargo.toml:6: [dead-pub] dependency `parking_lot` is imported nowhere in this crate".to_string(),
+            "crates/codec/src/lib.rs:4: [dead-pub] public item `only_in_prose` is named in no other file".to_string(),
+            "crates/codec/src/lib.rs:5: [dead-pub] public item `only_in_own_tests` is named in no other file".to_string(),
+            "crates/net/src/lib.rs:1: [dead-pub] public item `UNBUDGETED` is named in no other file".to_string(),
+        ]
+    );
+    // Under its line: passes, and reports the slack to ratchet away.
+    let counts: Vec<_> = report.dead_pub_counts.into_iter().collect();
+    let named = |name: &str, n| (name.to_string(), n);
+    assert_eq!(
+        counts,
+        [named("codec", 3), named("kvstore", 1), named("net", 1)]
+    );
+    let slack = (
+        "crates/analyze/dead_pub_budget.txt",
+        "kvstore".to_string(),
+        1,
+        2,
+    );
+    assert_eq!(report.budget_slack, [slack]);
+}
+
+#[test]
+fn cited_markdown_files_must_exist() {
+    // The fixture root has a README and nothing else.
+    assert_eq!(
+        rendered(&fixture_workspace(), "doc-anchor"),
+        vec!["crates/codec/src/lib.rs:1: [doc-anchor] comment cites `DESIGN.md`, which does not exist at the repo root — write it or repoint the citation"]
+    );
 }

@@ -17,6 +17,13 @@ fn workspace_satisfies_every_determinism_rule() {
         "determinism gate violations:\n{}",
         rendered.join("\n")
     );
+    // Down-only, enforced: a budget line above its crate's reading (one
+    // raised by hand, or left behind by a deletion) fails here.
+    assert!(
+        report.budget_slack.is_empty(),
+        "budget lines above their reading — lower them (`cachegen-analyze baseline`): {:?}",
+        report.budget_slack
+    );
     assert!(
         report.files_scanned > 50,
         "scan looks truncated: only {} files",

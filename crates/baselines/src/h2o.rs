@@ -32,11 +32,6 @@ impl H2oResult {
     pub fn wire_bytes(&self, bits_per_element: f64) -> u64 {
         self.cache.size_bytes(bits_per_element)
     }
-
-    /// Fraction of tokens kept.
-    pub fn keep_ratio(&self) -> f64 {
-        self.kept.len() as f64 / self.original_tokens as f64
-    }
 }
 
 /// Idealized H2O: prefill with attention-score recording, keep the
@@ -53,7 +48,7 @@ pub fn prune(model: &SimTransformer, context: &[usize], keep_ratio: f64) -> H2oR
 
 /// Pruning from an existing cache + score vector (lets callers reuse one
 /// prefill across keep ratios).
-pub fn prune_with_scores(cache: &KvCache, scores: &[f64], keep_ratio: f64) -> H2oResult {
+fn prune_with_scores(cache: &KvCache, scores: &[f64], keep_ratio: f64) -> H2oResult {
     assert_eq!(scores.len(), cache.tokens());
     let n = cache.tokens();
     let keep_count = ((n as f64 * keep_ratio).round() as usize).clamp(1, n);
@@ -83,7 +78,7 @@ mod tests {
         let r = prune(&m, &ctx, 0.5);
         assert_eq!(r.cache.tokens(), 20);
         assert_eq!(r.kept.len(), 20);
-        assert!((r.keep_ratio() - 0.5).abs() < 1e-9);
+        assert!((r.kept.len() as f64 / r.original_tokens as f64 - 0.5).abs() < 1e-9);
         assert!(r.wire_bytes(8.0) < m.prefill(&ctx).size_bytes(8.0));
     }
 

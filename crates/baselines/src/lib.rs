@@ -5,8 +5,10 @@
 //! * **Default quantization** — uniform per-channel quantization at 3/4/8
 //!   bits ([`quantization_baseline`], using `cachegen-quant`); ships
 //!   tensors, not bitstreams.
-//! * **Text context** — send raw text, recompute the KV cache
-//!   ([`TextContextBaseline`]); minimal bytes, maximal GPU time.
+//! * **Text context** — send raw text, recompute the KV cache; minimal
+//!   bytes, maximal GPU time. Pure accounting, so no code here:
+//!   [`cachegen_llm::ModelSpec::text_bytes`] on the wire, then
+//!   [`cachegen_llm::GpuSpec::prefill_seconds`] of recompute.
 //! * **Context compression** — [`h2o`] (drop tokens from the KV cache by
 //!   attention score) and [`lingua`] (drop tokens from the *text* before
 //!   prefill, LLMLingua-style).
@@ -48,35 +50,6 @@ pub fn quantization_baseline(cache: &KvCache, bits: u8) -> QuantBaselineResult {
         cache: q.round_trip_cache(cache),
         wire_bytes: q.wire_bytes(cache),
         bits,
-    }
-}
-
-/// The text-context baseline: wire size and recompute accounting. Quality
-/// is lossless by construction (the LLM re-prefills the exact text).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TextContextBaseline {
-    /// Context length in tokens.
-    pub tokens: u64,
-}
-
-impl TextContextBaseline {
-    /// Creates the baseline for a context of `tokens` tokens.
-    pub fn new(tokens: u64) -> Self {
-        TextContextBaseline { tokens }
-    }
-
-    /// Bytes on the wire (≈4 UTF-8 bytes/token).
-    pub fn wire_bytes(&self) -> u64 {
-        cachegen_llm::ModelSpec::text_bytes(self.tokens)
-    }
-
-    /// Seconds of GPU prefill needed after transfer.
-    pub fn recompute_seconds(
-        &self,
-        model: &cachegen_llm::ModelSpec,
-        gpu: &cachegen_llm::GpuSpec,
-    ) -> f64 {
-        gpu.prefill_seconds(model, self.tokens)
     }
 }
 
@@ -130,15 +103,15 @@ mod tests {
 
     #[test]
     fn text_baseline_accounting() {
-        let t = TextContextBaseline::new(9_400);
-        assert_eq!(t.wire_bytes(), 9_400 * 4);
+        let wire_bytes = cachegen_llm::ModelSpec::text_bytes(9_400);
+        assert_eq!(wire_bytes, 9_400 * 4);
         let model = cachegen_llm::ModelSpec::mistral_7b();
         let gpu = cachegen_llm::GpuSpec::default();
-        let s = t.recompute_seconds(&model, &gpu);
+        let s = gpu.prefill_seconds(&model, 9_400);
         assert!(s > 1.0, "9.4K prefill should take seconds: {s}");
         // The text wire size is tiny next to even a 3-bit quantized KV.
         let kv3 = model.kv_bytes(9_400, 3.0);
-        assert!(t.wire_bytes() * 100 < kv3);
+        assert!(wire_bytes * 100 < kv3);
     }
 
     #[test]

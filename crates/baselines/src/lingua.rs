@@ -25,17 +25,10 @@ pub struct LinguaResult {
     pub original_tokens: usize,
 }
 
-impl LinguaResult {
-    /// Compression ratio achieved (kept / original).
-    pub fn keep_ratio(&self) -> f64 {
-        self.tokens.len() as f64 / self.original_tokens as f64
-    }
-}
-
 /// Per-token importance: novelty-based surprisal proxy. A token scores
 /// high if it differs from its predecessor (not a repeat) and is globally
 /// rare; first occurrences get a bonus.
-pub fn importance_scores(tokens: &[usize]) -> Vec<f64> {
+fn importance_scores(tokens: &[usize]) -> Vec<f64> {
     let mut freq: HashMap<usize, usize> = HashMap::new();
     for &t in tokens {
         *freq.entry(t).or_insert(0) += 1;
@@ -87,7 +80,7 @@ mod tests {
         let tokens: Vec<usize> = (0..100).map(|i| (i * 3) % 50).collect();
         let r = compress(&tokens, 0.4);
         assert_eq!(r.tokens.len(), 40);
-        assert!((r.keep_ratio() - 0.4).abs() < 1e-9);
+        assert!((r.tokens.len() as f64 / r.original_tokens as f64 - 0.4).abs() < 1e-9);
     }
 
     #[test]

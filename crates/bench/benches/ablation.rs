@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md §6 calls out:
+//! Ablation benches for the design choices of the §5.2 codec:
 //! symbol-model granularity, anchor-group size, and layer-group count.
 //! Each reports the resulting *compressed size* as the benchmark's
 //! throughput denominator is fixed, so compare wall time and (printed once)

@@ -1,14 +1,15 @@
-//! One function per paper table/figure. See DESIGN.md §4 for the index.
+//! One function per paper table/figure; [`ALL`] is the index and [`run`]
+//! the dispatch.
 
-pub mod adaptation;
-pub mod cost;
-pub mod insights;
-pub mod intrusive;
-pub mod loss;
-pub mod overall;
-pub mod overheads;
-pub mod sensitivity;
-pub mod serving;
+mod adaptation;
+mod cost;
+mod insights;
+mod intrusive;
+mod loss;
+mod overall;
+mod overheads;
+mod sensitivity;
+mod serving;
 
 /// All experiment names, in paper order ("serving" and "loss_sweep"
 /// extend the paper with the sharded multi-tenant front and the

@@ -226,7 +226,10 @@ pub fn fig17() {
     );
     println!("ground truth (exact KV):        {reference:?}");
     let enc = bench.engine.encode_at_level(&cache, 1);
-    let dec = bench.engine.decode_at_level(&enc, 1);
+    let dec = bench
+        .engine
+        .try_decode_at_level(&enc, 1)
+        .expect("own encoding decodes");
     let cg_out = model.generate_with_kv(&dec, &s.prompt, 4);
     let match_cg = eval::token_f1(&cg_out, &reference);
     println!(

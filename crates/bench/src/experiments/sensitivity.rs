@@ -8,7 +8,7 @@ use cachegen_net::trace::GBPS;
 /// Measured CacheGen operating point used by the analytic sweeps:
 /// bits/element at level 1 on the Mistral-7B simulator (the same operating
 /// point Table 1 and Figure 8 report; see `figures fig9` for the source).
-pub const CACHEGEN_BPE: f64 = 3.6;
+const CACHEGEN_BPE: f64 = 3.6;
 
 fn model() -> TtftModel {
     TtftModel::new(ModelSpec::mistral_7b(), GpuSpec::default())

@@ -12,7 +12,7 @@ pub const SIM_CONTEXT_TOKENS: usize = 200;
 /// Contexts evaluated per (model, dataset) cell.
 pub const SIM_CONTEXTS_PER_CELL: usize = 3;
 /// Probe prompts per context for first-token accuracy.
-pub const PROBE_PROMPTS: usize = 16;
+const PROBE_PROMPTS: usize = 16;
 /// Greedy horizon for F1 scoring.
 pub const F1_HORIZON: usize = 6;
 /// Continuation length for perplexity scoring.
@@ -119,7 +119,10 @@ impl Bench {
         for s in &self.samples {
             let cache = self.engine.calculate_kv(&s.tokens);
             let enc = self.engine.encode_at_level(&cache, level);
-            let dec = self.engine.decode_at_level(&enc, level);
+            let dec = self
+                .engine
+                .try_decode_at_level(&enc, level)
+                .expect("own encoding decodes");
             quality += self.quality(&cache, &dec, s);
             bits += enc.total_bytes() as f64 * 8.0 / cache.num_elements() as f64;
         }
@@ -158,13 +161,6 @@ pub struct QualityReport {
     pub bits_per_element: f64,
 }
 
-impl QualityReport {
-    /// Paper-scale megabytes for a given real model and context length.
-    pub fn paper_mb(&self, model: &cachegen_llm::ModelSpec, tokens: u64) -> f64 {
-        model.kv_bytes(tokens, self.bits_per_element) as f64 / 1e6
-    }
-}
-
 /// Prints a section header for the figure output.
 pub fn section(title: &str) {
     println!("\n=== {title} ===");
@@ -199,7 +195,8 @@ mod tests {
             quality: 1.0,
             bits_per_element: 8.0,
         };
-        let mb = r.paper_mb(&cachegen_llm::ModelSpec::mistral_7b(), 9_400);
+        let mb =
+            cachegen_llm::ModelSpec::mistral_7b().kv_bytes(9_400, r.bits_per_element) as f64 / 1e6;
         assert!((mb - 616.0).abs() < 10.0);
     }
 }

@@ -5,7 +5,7 @@
 //! Criterion benches under `benches/` reuse the same builders for
 //! throughput measurements and ablations.
 //!
-//! Two measurement scales, per DESIGN.md §2:
+//! Two measurement scales (README.md, "Paper mapping", §7 evaluation):
 //! * **functional** — quality numbers (accuracy / F1 / perplexity) and
 //!   compression ratios are *measured* by running the simulator codec;
 //! * **analytic** — GB sizes and second-scale TTFTs apply those measured

@@ -37,12 +37,12 @@ impl GroupLayout {
     }
 
     /// Number of anchor tokens (= number of groups).
-    pub fn num_anchors(&self) -> usize {
+    fn num_anchors(&self) -> usize {
         self.num_groups()
     }
 
     /// Number of non-anchor (delta-coded) tokens.
-    pub fn num_delta_tokens(&self) -> usize {
+    fn num_delta_tokens(&self) -> usize {
         self.tokens - self.num_anchors()
     }
 
@@ -79,23 +79,6 @@ pub fn consecutive_deltas(t: &Tensor) -> Vec<f32> {
             for c in 0..channels {
                 out.push(slab[tok * channels + c] - slab[(tok - 1) * channels + c]);
             }
-        }
-    }
-    out
-}
-
-/// Same as [`consecutive_deltas`] but restricted to one layer.
-pub fn consecutive_deltas_layer(t: &Tensor, layer: usize) -> Vec<f32> {
-    assert_eq!(t.shape().len(), 3);
-    let (tokens, channels) = (t.shape()[1], t.shape()[2]);
-    if tokens < 2 {
-        return Vec::new();
-    }
-    let slab = t.slab(layer);
-    let mut out = Vec::with_capacity((tokens - 1) * channels);
-    for tok in 1..tokens {
-        for c in 0..channels {
-            out.push(slab[tok * channels + c] - slab[(tok - 1) * channels + c]);
         }
     }
     out
@@ -232,8 +215,8 @@ mod tests {
     fn per_layer_deltas_subset_of_all() {
         let t = Tensor::from_vec(&[2, 3, 1], vec![0.0, 1.0, 3.0, 10.0, 10.5, 12.0]);
         let all = consecutive_deltas(&t);
-        let l0 = consecutive_deltas_layer(&t, 0);
-        let l1 = consecutive_deltas_layer(&t, 1);
+        let layer = |l| consecutive_deltas(&Tensor::from_vec(&[1, 3, 1], t.slab(l).to_vec()));
+        let (l0, l1) = (layer(0), layer(1));
         assert_eq!(all, [l0.clone(), l1.clone()].concat());
         assert_eq!(l0, vec![1.0, 2.0]);
         assert_eq!(l1, vec![0.5, 1.5]);

@@ -61,7 +61,7 @@
 //! chunk count is stored. Every chunk is an independent entropy stream
 //! covering exactly one (layer, token-group) of K or V — its anchor row is
 //! in-stream, so a chunk decodes with no state from any other chunk. That
-//! is what lets [`KvCodec::decode_parallel`] schedule `2 × layers ×
+//! is what lets [`KvCodec::try_decode_parallel`] schedule `2 × layers ×
 //! groups` work items over a bounded pool, and what the loss-resilient
 //! transport relies on (damaged chunks degrade only their own token
 //! range; see [`CodecError`] for how length defects are reported).
@@ -188,7 +188,7 @@ pub use symbol_model::ModelGranularity;
 /// coding so the alphabet is a fixed 256 entries. With std-normalised values
 /// and bins ≥ 0.25 the clamp is ≥ 32σ out, so it essentially never binds;
 /// when it does, the error is bounded by the clamped magnitude.
-pub const SYMBOL_CLAMP: i32 = 127;
+const SYMBOL_CLAMP: i32 = 127;
 
 /// Alphabet size for the entropy coder (symbols −128..=127 → 0..=255).
 pub const ALPHABET: usize = 256;

@@ -15,8 +15,9 @@
 //!
 //! One executor lives here: [`Pool`], a bounded task queue drained by
 //! workers spawned into the caller's [`std::thread::scope`], so tasks
-//! borrow instead of owning. [`run_pooled`] opens a scope and a pool for
-//! one batch of jobs (the codec decode hot path); the OS-thread serving
+//! borrow instead of owning. [`run_pooled`] — the one batch entry point,
+//! under the codec's pooled decode and [`for_each_pooled`] — opens a
+//! scope and a pool for one batch of jobs; the OS-thread serving
 //! backend keeps one pool per shard plus a shared decode pool alive for
 //! a whole run, so neither batch dispatch nor decode fan-out spawns per
 //! request.
@@ -84,7 +85,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `jobs` to completion on a bounded pool of scoped workers.
+/// Runs `jobs` to completion on a bounded pool of `workers` scoped
+/// workers (see [`bounded_workers`] for the default count).
 ///
 /// Workers pull `(index, job)` pairs in submission order from a shared
 /// queue. The first failing job aborts the rest of the queue, and the
@@ -93,42 +95,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// same error the serial path would. A job that *panics* counts as a
 /// failure at its index too: the panic is caught and re-raised on the
 /// caller's thread as `pooled job <idx> panicked: <message>`, instead of
-/// surfacing as a bare scope abort. With zero or one job no thread is
-/// spawned.
-pub fn run_pooled<T, E, F>(jobs: Vec<T>, run: F) -> Result<(), E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize, T) -> Result<(), E> + Sync,
-{
-    run_pooled_observed(jobs, run, |_| {})
-}
-
-/// [`run_pooled`] with a pool-occupancy observer: `observe` receives the
-/// [`PoolShape`] on the caller's thread before any work starts, so the
-/// codec hot path can count worker occupancy without taking a lock in
-/// the workers themselves.
-pub fn run_pooled_observed<T, E, F>(
-    jobs: Vec<T>,
-    run: F,
-    observe: impl FnOnce(PoolShape),
-) -> Result<(), E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize, T) -> Result<(), E> + Sync,
-{
-    let workers = bounded_workers(jobs.len());
-    run_pooled_shaped(jobs, workers, run, observe)
-}
-
-/// [`run_pooled_observed`] with the worker count chosen by the caller —
-/// the testable core. A pool of one worker (or zero/one jobs) runs the
-/// whole queue inline on the caller's thread: spawning a scope plus a
-/// mutex-guarded queue just to replay the serial loop on another thread
-/// made `decode_parallel` *slower* than `decode` on single-core runners
-/// (4.40 ms vs 4.36 ms in the PR-8 `BENCH_codec.json`).
-pub(crate) fn run_pooled_shaped<T, E, F>(
+/// surfacing as a bare scope abort. `observe` receives the [`PoolShape`]
+/// on the caller's thread before any work starts, so the codec hot path
+/// can count worker occupancy without taking a lock in the workers
+/// themselves.
+///
+/// A pool of one worker (or zero/one jobs) runs the whole queue inline
+/// on the caller's thread: spawning a scope plus a mutex-guarded queue
+/// just to replay the serial loop on another thread made pooled decode
+/// *slower* than serial decode on single-core runners (4.40 ms vs
+/// 4.36 ms in the PR-8 `BENCH_codec.json`).
+pub fn run_pooled<T, E, F>(
     jobs: Vec<T>,
     workers: usize,
     run: F,
@@ -185,10 +162,12 @@ where
     T: Send,
     F: Fn(usize, T) + Sync,
 {
-    let result = run_pooled(jobs, |idx, job| {
+    let workers = bounded_workers(jobs.len());
+    let run = |idx, job| {
         run(idx, job);
         Ok::<(), std::convert::Infallible>(())
-    });
+    };
+    let result = run_pooled(jobs, workers, run, |_| {});
     match result {
         Ok(()) => {}
         Err(e) => match e {},
@@ -394,12 +373,6 @@ impl<'scope> Pool<'scope> {
         Pool { shared, workers }
     }
 
-    /// Tasks currently queued (racy by nature; for gauges, not control
-    /// flow).
-    pub fn queue_depth(&self) -> usize {
-        relock(&self.shared.queue).tasks.len()
-    }
-
     /// Enqueues one task, blocking while the queue is full.
     pub fn submit(&self, task: impl FnOnce() + Send + 'scope) {
         let capacity = self.shared.capacity;
@@ -484,13 +457,19 @@ mod tests {
         // Jobs 3 and 7 fail; whichever thread finishes first, the
         // reported error must be job 3's (the serial answer).
         for _ in 0..20 {
-            let result = run_pooled((0..32usize).collect(), |_, job| {
+            let fail_3_and_7 = |_, job| {
                 if job == 3 || job == 7 {
                     Err(job)
                 } else {
                     Ok(())
                 }
-            });
+            };
+            let result = run_pooled(
+                (0..32usize).collect(),
+                bounded_workers(32),
+                fail_3_and_7,
+                |_| {},
+            );
             assert_eq!(result, Err(3));
         }
     }
@@ -498,12 +477,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "pooled job 5 panicked: decode blew up on job 5")]
     fn worker_panic_surfaces_with_job_context() {
-        let _ = run_pooled((0..32usize).collect(), |_, job| {
+        let panic_on_5 = |_, job| {
             if job == 5 {
                 panic!("decode blew up on job {job}");
             }
             Ok::<(), usize>(())
-        });
+        };
+        let _ = run_pooled(
+            (0..32usize).collect(),
+            bounded_workers(32),
+            panic_on_5,
+            |_| {},
+        );
     }
 
     #[test]
@@ -511,7 +496,7 @@ mod tests {
         // Job 2 errors, job 9 panics: the error at the lower index must
         // win deterministically — no panic escapes.
         for _ in 0..10 {
-            let result = run_pooled((0..32usize).collect(), |_, job| {
+            let err_2_panic_9 = |_, job| {
                 if job == 9 {
                     panic!("higher-index panic must lose to the job-2 error");
                 }
@@ -519,14 +504,23 @@ mod tests {
                     return Err(job);
                 }
                 Ok(())
-            });
+            };
+            let result = run_pooled(
+                (0..32usize).collect(),
+                bounded_workers(32),
+                err_2_panic_9,
+                |_| {},
+            );
             assert_eq!(result, Err(2));
         }
     }
 
     #[test]
     fn empty_and_single_job_run_inline() {
-        assert_eq!(run_pooled(Vec::<usize>::new(), |_, _| Err(0usize)), Ok(()));
+        assert_eq!(
+            run_pooled(Vec::<usize>::new(), 1, |_, _| Err(0usize), |_| {}),
+            Ok(())
+        );
         let seen = AtomicUsize::new(0);
         for_each_pooled(vec![42usize], |idx, job| {
             assert_eq!((idx, job), (0, 42));
@@ -539,8 +533,9 @@ mod tests {
     fn observer_sees_shape_before_work() {
         let mut shape = None;
         let ran = AtomicUsize::new(0);
-        let result = run_pooled_observed(
+        let result = run_pooled(
             (0..8usize).collect(),
+            bounded_workers(8),
             |_, _| {
                 ran.fetch_add(1, Ordering::Relaxed);
                 Ok::<(), usize>(())
@@ -554,8 +549,9 @@ mod tests {
         assert_eq!(shape.workers, bounded_workers(8));
 
         let mut inline = None;
-        let _ = run_pooled_observed(
+        let _ = run_pooled(
             vec![1usize],
+            bounded_workers(1),
             |_, _| Ok::<(), usize>(()),
             |s| inline = Some(s),
         );
@@ -599,14 +595,14 @@ mod tests {
     #[test]
     fn one_worker_pool_runs_inline() {
         // Regression (PR-8 bench): with `pool_workers == 1`,
-        // `decode_parallel` paid for a thread scope plus a mutex queue
-        // only to replay the serial loop, landing slower than `decode`.
+        // pooled decode paid for a thread scope plus a mutex queue only
+        // to replay the serial loop, landing slower than serial decode.
         // A one-worker shape must short-circuit: every job runs on the
         // caller's thread, and the observed shape says one worker.
         let caller = std::thread::current().id();
         let on_caller = AtomicUsize::new(0);
         let mut shape = None;
-        let result = run_pooled_shaped(
+        let result = run_pooled(
             (0..8usize).collect(),
             1,
             |idx, job| {
@@ -633,7 +629,7 @@ mod tests {
         );
         // The serial merge rule is preserved: lowest-indexed error wins
         // (trivially, since the inline loop stops at the first failure).
-        let result = run_pooled_shaped(
+        let result = run_pooled(
             (0..8usize).collect(),
             1,
             |_, job| if job >= 3 { Err(job) } else { Ok(()) },
@@ -721,6 +717,7 @@ mod tests {
 
     #[test]
     fn full_queue_blocks_the_submitter() {
+        let queue_depth = |pool: &Pool<'_>| relock(&pool.shared.queue).tasks.len();
         // One worker held inside task 0, capacity 1: task 1 fills the
         // queue and the submit of task 2 cannot return until the worker
         // is released — the bound holds the whole time.
@@ -741,11 +738,11 @@ mod tests {
                     pool.submit(|| relock(&order).push(2));
                     submitted.store(true, Ordering::SeqCst);
                 });
-                while !started.load(Ordering::SeqCst) || pool.queue_depth() < 1 {
+                while !started.load(Ordering::SeqCst) || queue_depth(&pool) < 1 {
                     std::thread::yield_now();
                 }
                 for _ in 0..2_000 {
-                    assert!(pool.queue_depth() <= 1, "queue grew past its capacity");
+                    assert!(queue_depth(&pool) <= 1, "queue grew past its capacity");
                     assert!(
                         !submitted.load(Ordering::SeqCst),
                         "submit returned while the queue was full"

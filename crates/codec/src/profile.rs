@@ -7,12 +7,13 @@
 //! built once from sample KV caches of a model and shipped with the model —
 //! it does not count against per-context wire size.
 //!
-//! The profile holds, for K and V separately:
-//! * per-(layer, channel) **scales** (population std of anchor values and of
-//!   anchor-relative deltas), which normalise values before bin
-//!   quantization, and
-//! * **symbol distributions** for anchors and deltas at the configured
-//!   [`ModelGranularity`].
+//! The profile holds, for K and V separately, **symbol distributions**
+//! for anchors and deltas at the configured [`ModelGranularity`]. They
+//! are counted over samples normalised by per-(layer, channel) **scales**
+//! (population std of anchor values and of anchor-relative deltas) that
+//! only the build needs: at encode time each cache ships its own scales
+//! ([`single_cache_scales`]) in the container. (The delta scales are
+//! still stored, for the frozen benchmark's one read of them.)
 
 use crate::delta::GroupLayout;
 use crate::encoder::{walk_layer_symbols, CodecConfig, SymKind};
@@ -21,14 +22,13 @@ use cachegen_llm::KvCache;
 use cachegen_quant::BinQuantizer;
 use cachegen_tensor::Tensor;
 
-/// Per-model codec profile (scales + symbol models).
+/// Per-model codec profile (symbol models).
 #[derive(Clone, Debug)]
 pub struct CodecProfile {
     layers: usize,
     channels: usize,
     granularity: ModelGranularity,
-    // scales[0] = K, scales[1] = V; each [layer][channel]
-    anchor_scales: [Vec<Vec<f32>>; 2],
+    // [0] = K, [1] = V; scales are [layer][channel]
     delta_scales: [Vec<Vec<f32>>; 2],
     anchor_models: [SymbolModelSet; 2],
     delta_models: [SymbolModelSet; 2],
@@ -176,7 +176,6 @@ impl CodecProfile {
             layers,
             channels,
             granularity: cfg.granularity,
-            anchor_scales: [k_anchor_scales, v_anchor_scales],
             delta_scales: [k_delta_scales, v_delta_scales],
             anchor_models: [k_anchor_models, v_anchor_models],
             delta_models: [k_delta_models, v_delta_models],
@@ -206,12 +205,9 @@ impl CodecProfile {
         }
     }
 
-    /// Anchor scales for one layer of K or V.
-    pub fn anchor_scales(&self, is_k: bool, layer: usize) -> &[f32] {
-        &self.anchor_scales[Self::side(is_k)][layer]
-    }
-
-    /// Delta scales for one layer of K or V.
+    /// Delta scales for one layer of K or V, as profiled over the samples.
+    /// Encode does not read them (each cache ships its own scales); the
+    /// frozen `benchmark/` package does.
     pub fn delta_scales(&self, is_k: bool, layer: usize) -> &[f32] {
         &self.delta_scales[Self::side(is_k)][layer]
     }
@@ -242,12 +238,6 @@ impl CodecProfile {
     pub fn layer_alias_tables(&self, kind: SymKind, is_k: bool, layer: usize) -> Vec<&FreqTable> {
         self.layer_tables(kind, is_k, layer)
     }
-
-    /// Mean delta-model entropy, bits/symbol (diagnostic; lower = more
-    /// compressible).
-    pub fn mean_delta_entropy(&self) -> f64 {
-        (self.delta_models[0].mean_entropy_bits() + self.delta_models[1].mean_entropy_bits()) / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -270,17 +260,20 @@ mod tests {
         let p = CodecProfile::build(&cfg, &[&cache]);
         assert_eq!(p.layers(), cache.layers());
         assert_eq!(p.channels(), cache.channels());
-        assert_eq!(p.anchor_scales(true, 0).len(), cache.channels());
+        let (anchor_scales, _) = single_cache_scales(&cache, true, &cfg);
+        assert_eq!(anchor_scales[0].len(), cache.channels());
         assert_eq!(p.delta_scales(false, 1).len(), cache.channels());
     }
 
     #[test]
     fn scales_are_positive() {
         let cache = sample_cache(2, 30);
-        let p = CodecProfile::build(&CodecConfig::default(), &[&cache]);
+        let cfg = CodecConfig::default();
+        let p = CodecProfile::build(&cfg, &[&cache]);
         for l in 0..p.layers() {
             for is_k in [true, false] {
-                assert!(p.anchor_scales(is_k, l).iter().all(|&s| s > 0.0));
+                let (anchor_scales, _) = single_cache_scales(&cache, is_k, &cfg);
+                assert!(anchor_scales[l].iter().all(|&s| s > 0.0));
                 assert!(p.delta_scales(is_k, l).iter().all(|&s| s > 0.0));
             }
         }
@@ -311,10 +304,8 @@ mod tests {
         let cache = sample_cache(4, 40);
         let p = CodecProfile::build(&CodecConfig::default(), &[&cache]);
         // Deltas under std-normalised bins ≥ 0.5 concentrate on few symbols.
-        assert!(
-            p.mean_delta_entropy() < 5.0,
-            "entropy {:.2}",
-            p.mean_delta_entropy()
-        );
+        let mean_delta_entropy =
+            (p.delta_models[0].mean_entropy_bits() + p.delta_models[1].mean_entropy_bits()) / 2.0;
+        assert!(mean_delta_entropy < 5.0, "entropy {mean_delta_entropy:.2}");
     }
 }

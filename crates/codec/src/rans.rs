@@ -124,11 +124,6 @@ impl Encoder {
         });
     }
 
-    /// Symbols buffered so far.
-    pub fn symbols_buffered(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Runs the reverse-order rANS pass and returns the byte stream:
     /// a [`STATE_BYTES`] header of final lane states, then the
     /// renormalization words in decode order.

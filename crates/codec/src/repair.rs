@@ -113,29 +113,8 @@ impl ChunkArrivalMap {
     }
 
     /// Whether a chunk is marked FEC-recovered.
-    pub fn is_recovered(&self, is_k: bool, layer: usize, group: usize) -> bool {
+    fn is_recovered(&self, is_k: bool, layer: usize, group: usize) -> bool {
         self.recovered[usize::from(!is_k)][self.idx(layer, group)]
-    }
-
-    /// Number of chunks marked FEC-recovered.
-    pub fn recovered_count(&self) -> usize {
-        self.recovered
-            .iter()
-            .map(|side| side.iter().filter(|&&r| r).count())
-            .sum()
-    }
-
-    /// Number of chunks marked lost.
-    pub fn lost_count(&self) -> usize {
-        self.lost
-            .iter()
-            .map(|side| side.iter().filter(|&&l| l).count())
-            .sum()
-    }
-
-    /// Whether every chunk arrived.
-    pub fn all_arrived(&self) -> bool {
-        self.lost_count() == 0
     }
 
     /// Layer count of the map.
@@ -146,11 +125,6 @@ impl ChunkArrivalMap {
     /// Group count of the map.
     pub fn groups(&self) -> usize {
         self.groups
-    }
-
-    /// Total chunk count (`2 × layers × groups`).
-    pub fn total_chunks(&self) -> usize {
-        2 * self.layers * self.groups
     }
 }
 
@@ -224,12 +198,6 @@ pub struct RepairedKv {
 }
 
 impl RepairedKv {
-    /// Whether every chunk decoded from delivered (or FEC-recovered)
-    /// bytes — i.e. no policy-reconstructed content anywhere.
-    pub fn is_clean(&self) -> bool {
-        self.repairs.is_empty()
-    }
-
     /// Fraction of entropy chunks that needed repair, in `[0, 1]` — the
     /// quantity the QoE model charges as a quality penalty.
     pub fn repaired_fraction(&self) -> f64 {
@@ -437,9 +405,13 @@ mod tests {
             RepairPolicy::Refetch,
         ] {
             let out = codec.decode_with_repairs(&enc, &arrivals, policy).unwrap();
-            assert!(out.is_clean());
+            assert!(out.repairs.is_empty());
             assert_eq!(out.repaired_fraction(), 0.0);
-            assert_eq!(out.cache, codec.decode(&enc), "policy {policy:?}");
+            assert_eq!(
+                out.cache,
+                codec.try_decode(&enc).unwrap(),
+                "policy {policy:?}"
+            );
         }
     }
 
@@ -447,7 +419,7 @@ mod tests {
     fn zero_fill_blanks_only_the_lost_region() {
         let (cache, codec) = setup();
         let enc = codec.encode(&cache);
-        let clean = codec.decode(&enc);
+        let clean = codec.try_decode(&enc).unwrap();
         let mut arrivals = ChunkArrivalMap::full(enc.layers, enc.num_groups());
         arrivals.mark_lost(true, 0, 1);
         let out = codec
@@ -474,7 +446,7 @@ mod tests {
     fn interpolation_is_convex_between_neighbor_anchors() {
         let (cache, codec) = setup();
         let enc = codec.encode(&cache);
-        let clean = codec.decode(&enc);
+        let clean = codec.try_decode(&enc).unwrap();
         let mut arrivals = ChunkArrivalMap::full(enc.layers, enc.num_groups());
         arrivals.mark_lost(true, 1, 2);
         let out = codec
@@ -513,7 +485,7 @@ mod tests {
             m.prefill(&(0..50).map(|i| (i * 17) % 64).collect::<Vec<_>>())
         };
         let enc = codec.encode(&cache);
-        let clean = codec.decode(&enc);
+        let clean = codec.try_decode(&enc).unwrap();
         let mut arrivals = ChunkArrivalMap::full(enc.layers, enc.num_groups());
         arrivals.mark_lost(false, 0, 0);
         let out = codec
@@ -608,18 +580,20 @@ mod tests {
     fn fec_recovered_chunks_decode_intact_with_provenance() {
         let (cache, codec) = setup();
         let enc = codec.encode(&cache);
-        let clean = codec.decode(&enc);
+        let clean = codec.try_decode(&enc).unwrap();
         let mut arrivals = ChunkArrivalMap::full(enc.layers, enc.num_groups());
         arrivals.mark_recovered(true, 0, 1);
         arrivals.mark_recovered(false, 1, 2);
-        assert_eq!(arrivals.recovered_count(), 2);
         for policy in [
             RepairPolicy::ZeroFill,
             RepairPolicy::AnchorInterpolate,
             RepairPolicy::Refetch,
         ] {
             let out = codec.decode_with_repairs(&enc, &arrivals, policy).unwrap();
-            assert!(out.is_clean(), "recovery is not a repair ({policy:?})");
+            assert!(
+                out.repairs.is_empty(),
+                "recovery is not a repair ({policy:?})"
+            );
             assert_eq!(out.repaired_fraction(), 0.0);
             assert_eq!(out.cache, clean, "recovered bytes decode identically");
             assert_eq!(out.fec_recovered.len(), 2);
@@ -656,7 +630,6 @@ mod tests {
         let mut arrivals = ChunkArrivalMap::full(enc.layers, enc.num_groups());
         arrivals.mark_lost(true, 0, 0);
         arrivals.mark_lost(false, 1, 1);
-        assert_eq!(arrivals.lost_count(), 2);
         let out = codec
             .decode_with_repairs(&enc, &arrivals, RepairPolicy::ZeroFill)
             .unwrap();

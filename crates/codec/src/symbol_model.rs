@@ -223,22 +223,6 @@ impl FreqTable {
         };
         (s, self.cum[s], self.cum[s + 1] - self.cum[s])
     }
-
-    /// Empirical entropy of the table's distribution, bits/symbol.
-    pub fn entropy_bits(&self) -> f64 {
-        let total = self.total() as f64;
-        (0..self.len())
-            .map(|i| {
-                let (_, f) = self.span(i);
-                let p = f64::from(f) / total;
-                if p > 0.0 {
-                    -p * p.log2()
-                } else {
-                    0.0
-                }
-            })
-            .sum()
-    }
 }
 
 /// How symbol distributions are grouped when profiling (Figure 15 ablation;
@@ -316,17 +300,6 @@ impl SymbolModelSet {
     /// The profiling granularity.
     pub fn granularity(&self) -> ModelGranularity {
         self.granularity
-    }
-
-    /// Number of distinct tables held.
-    pub fn num_tables(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Mean entropy across tables, bits/symbol (weighted equally; used by
-    /// diagnostics).
-    pub fn mean_entropy_bits(&self) -> f64 {
-        self.tables.iter().map(|t| t.entropy_bits()).sum::<f64>() / self.tables.len() as f64
     }
 }
 
@@ -441,6 +414,33 @@ mod tests {
         }
     }
 
+    // Entropy diagnostics: what the tests below (and the profile's) read
+    // the built tables through.
+    impl FreqTable {
+        /// Empirical entropy of the table's distribution, bits/symbol.
+        fn entropy_bits(&self) -> f64 {
+            let total = self.total() as f64;
+            (0..self.len())
+                .map(|i| {
+                    let (_, f) = self.span(i);
+                    let p = f64::from(f) / total;
+                    if p > 0.0 {
+                        -p * p.log2()
+                    } else {
+                        0.0
+                    }
+                })
+                .sum()
+        }
+    }
+
+    impl SymbolModelSet {
+        /// Mean entropy across tables, bits/symbol (weighted equally).
+        pub(crate) fn mean_entropy_bits(&self) -> f64 {
+            self.tables.iter().map(|t| t.entropy_bits()).sum::<f64>() / self.tables.len() as f64
+        }
+    }
+
     #[test]
     fn uniform_entropy() {
         let t = FreqTable::uniform(8);
@@ -466,10 +466,10 @@ mod tests {
                 }
             })
         };
-        assert_eq!(build(ModelGranularity::Global).num_tables(), 1);
-        assert_eq!(build(ModelGranularity::PerLayer).num_tables(), 3);
-        assert_eq!(build(ModelGranularity::PerChannel).num_tables(), 4);
-        assert_eq!(build(ModelGranularity::PerChannelLayer).num_tables(), 12);
+        assert_eq!(build(ModelGranularity::Global).tables.len(), 1);
+        assert_eq!(build(ModelGranularity::PerLayer).tables.len(), 3);
+        assert_eq!(build(ModelGranularity::PerChannel).tables.len(), 4);
+        assert_eq!(build(ModelGranularity::PerChannelLayer).tables.len(), 12);
     }
 
     #[test]

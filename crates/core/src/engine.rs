@@ -14,6 +14,7 @@ use cachegen_llm::{KvCache, SimModelConfig, SimTransformer};
 use cachegen_streamer::schedule::PacketId;
 use cachegen_streamer::{ChunkPlan, ChunkSchedule, ChunkSizes, LevelLadder};
 use cachegen_telemetry::Recorder;
+use std::sync::Arc;
 
 use crate::pipeline::LoadError;
 
@@ -45,9 +46,11 @@ impl Default for EngineConfig {
 
 /// The CacheGen serving engine.
 pub struct CacheGenEngine {
-    model: SimTransformer,
+    // Immutable once built, so engines derived with `with_empty_store`
+    // share them instead of re-profiling.
+    model: Arc<SimTransformer>,
     config: EngineConfig,
-    codecs: Vec<KvCodec>,
+    codecs: Arc<[KvCodec]>,
     store: KvStore,
 }
 
@@ -81,9 +84,21 @@ impl CacheGenEngine {
             })
             .collect();
         CacheGenEngine {
-            model,
+            model: Arc::new(model),
             config,
             codecs,
+            store: KvStore::new(),
+        }
+    }
+
+    /// An engine over the *same* model and per-level codecs (shared, not
+    /// rebuilt) with its own empty store — one shard of a cluster whose
+    /// shards all serve one model.
+    pub fn with_empty_store(&self) -> Self {
+        CacheGenEngine {
+            model: Arc::clone(&self.model),
+            config: self.config.clone(),
+            codecs: Arc::clone(&self.codecs),
             store: KvStore::new(),
         }
     }
@@ -119,15 +134,10 @@ impl CacheGenEngine {
     }
 
     /// Decodes an encoded chunk produced by [`Self::encode_at_level`] with
-    /// the same `level`.
-    pub fn decode_at_level(&self, enc: &EncodedKv, level: usize) -> KvCache {
-        self.codecs[level].decode_parallel(enc)
-    }
-
-    /// Fallible variant of [`Self::decode_at_level`]: a truncated or
-    /// corrupted chunk is reported instead of decoded as noise, so a
-    /// serving front can fall back (re-fetch, or degrade to text) rather
-    /// than feed garbage KV to the model.
+    /// the same `level`. A truncated or corrupted chunk is reported
+    /// instead of decoded as noise, so a serving front can fall back
+    /// (re-fetch, or degrade to text) rather than feed garbage KV to the
+    /// model.
     pub fn try_decode_at_level(
         &self,
         enc: &EncodedKv,
@@ -342,13 +352,6 @@ impl CacheGenEngine {
         Ok(ids)
     }
 
-    /// Whether a context's KV is already stored (the LangChain integration
-    /// checks this before deciding between `generate_with_kv` and
-    /// `calculate_kv`, §6).
-    pub fn has_context(&self, id: ContextId) -> bool {
-        self.store.contains(id)
-    }
-
     /// The storage server (for accounting and eviction).
     pub fn store(&self) -> &KvStore {
         &self.store
@@ -389,7 +392,7 @@ mod tests {
         let mut last_err = -1.0f32;
         for level in 0..e.num_levels() {
             let enc = e.encode_at_level(&cache, level);
-            let dec = e.decode_at_level(&enc, level);
+            let dec = e.try_decode_at_level(&enc, level).unwrap();
             assert_eq!(dec.tokens(), cache.tokens());
             let err = cache.mse(&dec);
             assert!(
@@ -420,9 +423,9 @@ mod tests {
     fn store_and_get_kv() {
         let e = engine();
         let ctx: Vec<usize> = (0..60).map(|i| (i * 13) % 64).collect();
-        assert!(!e.has_context(99));
+        assert!(!e.store.contains(99));
         let plan = e.store_kv(99, &ctx);
-        assert!(e.has_context(99));
+        assert!(e.store.contains(99));
         assert_eq!(plan.num_chunks(), 2);
         let fetched = e.get_kv(99, 0, 1).expect("stored chunk");
         // The stored bytes parse back into a decodable bitstream.
@@ -431,7 +434,7 @@ mod tests {
             _ => panic!("expected encoded"),
         };
         let enc = cachegen_codec::EncodedKv::from_bytes(&bytes).expect("parse");
-        let dec = e.decode_at_level(&enc, 1);
+        let dec = e.try_decode_at_level(&enc, 1).unwrap();
         assert_eq!(dec.tokens(), 30);
     }
 
@@ -447,7 +450,7 @@ mod tests {
             .collect();
         let acc_at = |level: usize| {
             let enc = e.encode_at_level(&cache, level);
-            let dec = e.decode_at_level(&enc, level);
+            let dec = e.try_decode_at_level(&enc, level).unwrap();
             cachegen_llm::eval::first_token_accuracy(e.model(), &cache, &dec, &prompts)
         };
         let finest = acc_at(0);

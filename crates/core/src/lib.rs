@@ -29,9 +29,11 @@
 //! assert!(encoded.total_bytes() < cache.size_bytes(16.0));
 //!
 //! // Decode (same level the adapter chose) and generate, skipping prefill.
-//! let degraded = engine.decode_at_level(&encoded, 1);
+//! // A damaged chunk is a typed error the caller handles, never noise.
+//! let degraded = engine.try_decode_at_level(&encoded, 1)?;
 //! let out = engine.generate_with_kv(&degraded, &[1, 2], 4);
 //! assert_eq!(out.len(), 4);
+//! # Ok::<(), cachegen_codec::CodecError>(())
 //! ```
 //!
 //! ## Crate map

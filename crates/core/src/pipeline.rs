@@ -7,8 +7,8 @@
 //! chunk at the level the adapter chose; whatever arrived is fetched from
 //! the store, parsed, decoded and concatenated into the lossy KV cache the
 //! LLM consumes — no reference cache, no encode. Text-fallback chunks are
-//! *exact*: recomputed from the stored text (the idealisation that
-//! preceding lossy chunks do not perturb them is documented in DESIGN.md).
+//! *exact*: recomputed from the stored text (an idealisation: preceding
+//! lossy chunks are taken not to perturb them).
 //! Stored bytes are outside input: any defect is a typed [`LoadError`].
 //! [`load_context`] is "ingest + load": encode the reference, then the
 //! *same* body over the in-memory encodings instead of the store.

@@ -44,13 +44,6 @@ impl CacheStats {
         }
     }
 
-    /// Resident bytes implied by the counters (equals
-    /// [`LruKvCache::used_bytes`] at all times — the regression guard for
-    /// re-insert double-counting).
-    pub fn resident_bytes(&self) -> u64 {
-        self.admitted_bytes - self.freed_bytes
-    }
-
     /// Counter deltas since an `earlier` snapshot of the same cache —
     /// what happened between two observation points (e.g. one serving
     /// run on a cache that stays warm across runs).
@@ -102,16 +95,6 @@ impl LruKvCache {
                 stats: CacheStats::default(),
             }),
         }
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    /// Bytes currently resident.
-    pub fn used_bytes(&self) -> u64 {
-        self.inner.lock().used_bytes
     }
 
     /// Current statistics snapshot.
@@ -245,7 +228,7 @@ mod tests {
         c.insert(3, 300);
         let evicted = c.insert(4, 900);
         assert_eq!(evicted.len(), 3);
-        assert_eq!(c.used_bytes(), 900);
+        assert_eq!(c.inner.lock().used_bytes, 900);
     }
 
     #[test]
@@ -254,7 +237,7 @@ mod tests {
         let evicted = c.insert(1, 500);
         assert!(evicted.is_empty());
         assert!(!c.contains(1));
-        assert_eq!(c.used_bytes(), 0);
+        assert_eq!(c.inner.lock().used_bytes, 0);
     }
 
     #[test]
@@ -262,7 +245,7 @@ mod tests {
         let c = LruKvCache::new(1000);
         c.insert(1, 400);
         c.insert(1, 700);
-        assert_eq!(c.used_bytes(), 700);
+        assert_eq!(c.inner.lock().used_bytes, 700);
     }
 
     #[test]
@@ -275,8 +258,8 @@ mod tests {
         c.insert(1, 700); // grow
         c.insert(1, 200); // shrink
         let s = c.stats();
-        assert_eq!(c.used_bytes(), 200);
-        assert_eq!(s.resident_bytes(), c.used_bytes());
+        assert_eq!(c.inner.lock().used_bytes, 200);
+        assert_eq!(s.admitted_bytes - s.freed_bytes, c.inner.lock().used_bytes);
         assert_eq!(s.admitted_bytes, 400 + 400 + 700 + 200);
         assert_eq!(s.freed_bytes, 400 + 400 + 700);
         assert_eq!(s.evictions, 0, "replacement is not an eviction");
@@ -292,8 +275,8 @@ mod tests {
         let evicted = c.insert(1, 5000);
         assert!(evicted.is_empty());
         assert!(!c.contains(1));
-        assert_eq!(c.used_bytes(), 0);
-        assert_eq!(c.stats().resident_bytes(), 0);
+        assert_eq!(c.inner.lock().used_bytes, 0);
+        assert_eq!(c.stats().admitted_bytes - c.stats().freed_bytes, 0);
     }
 
     #[test]
@@ -305,7 +288,7 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.admitted_bytes, 1200);
         assert_eq!(s.freed_bytes, 1200);
-        assert_eq!(s.resident_bytes(), 0);
+        assert_eq!(s.admitted_bytes - s.freed_bytes, 0);
         assert_eq!(s.evictions, 1);
     }
 
@@ -315,7 +298,7 @@ mod tests {
         c.insert(1, 600);
         assert!(c.remove(1));
         assert!(!c.remove(1));
-        assert_eq!(c.used_bytes(), 0);
+        assert_eq!(c.inner.lock().used_bytes, 0);
     }
 
     #[test]
@@ -350,7 +333,7 @@ mod tests {
                 }
             }
         });
-        assert!(c.used_bytes() <= c.capacity_bytes());
+        assert!(c.inner.lock().used_bytes <= c.capacity_bytes);
         let s = c.stats();
         assert_eq!(s.hits + s.misses, 8 * 500);
     }

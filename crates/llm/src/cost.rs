@@ -55,18 +55,6 @@ impl ModelSpec {
         }
     }
 
-    /// Llama-2-13B.
-    pub fn llama_13b() -> Self {
-        ModelSpec {
-            name: "Llama-13B",
-            params: 1.3e10,
-            n_layers: 40,
-            d_model: 5120,
-            n_kv_heads: 40,
-            head_dim: 128,
-        }
-    }
-
     /// Llama/CodeLlama-34B (GQA 8 KV heads).
     pub fn llama_34b() -> Self {
         ModelSpec {
@@ -104,7 +92,7 @@ impl ModelSpec {
     }
 
     /// KV-cache elements per token (K and V, all layers).
-    pub fn kv_elements_per_token(&self) -> u64 {
+    fn kv_elements_per_token(&self) -> u64 {
         2 * self.n_layers as u64 * self.n_kv_heads as u64 * self.head_dim as u64
     }
 
@@ -159,16 +147,8 @@ impl Default for GpuSpec {
 }
 
 impl GpuSpec {
-    /// A default A40 with a given share of GPU cycles.
-    pub fn a40_with_share(share: f64) -> Self {
-        GpuSpec {
-            share,
-            ..Default::default()
-        }
-    }
-
     /// Effective FLOP/s available to this request.
-    pub fn effective_flops(&self) -> f64 {
+    fn effective_flops(&self) -> f64 {
         self.peak_flops * self.mfu * self.share
     }
 
@@ -232,8 +212,12 @@ mod tests {
     #[test]
     fn gpu_share_scales_time() {
         let m = ModelSpec::mistral_7b();
-        let full = GpuSpec::a40_with_share(1.0).prefill_seconds(&m, 9_000);
-        let tenth = GpuSpec::a40_with_share(0.1).prefill_seconds(&m, 9_000);
+        let with_share = |share| GpuSpec {
+            share,
+            ..Default::default()
+        };
+        let full = with_share(1.0).prefill_seconds(&m, 9_000);
+        let tenth = with_share(0.1).prefill_seconds(&m, 9_000);
         assert!((tenth / full - 10.0).abs() < 1e-6);
     }
 

@@ -12,21 +12,6 @@ use crate::kv::KvCache;
 use crate::transformer::SimTransformer;
 use std::collections::HashMap;
 
-/// Fraction of greedy-decoded tokens that match between generations from a
-/// reference cache and a degraded cache. `1.0` means the lossy cache is
-/// behaviourally indistinguishable over this horizon.
-pub fn token_match_rate(
-    model: &SimTransformer,
-    reference: &KvCache,
-    degraded: &KvCache,
-    prompt: &[usize],
-    steps: usize,
-) -> f64 {
-    let a = model.generate_with_kv(reference, prompt, steps);
-    let b = model.generate_with_kv(degraded, prompt, steps);
-    sequence_match_rate(&a, &b)
-}
-
 /// Position-wise match rate of two equal-length token sequences.
 pub fn sequence_match_rate(a: &[usize], b: &[usize]) -> f64 {
     assert_eq!(a.len(), b.len());
@@ -65,20 +50,6 @@ pub fn token_f1(candidate: &[usize], reference: &[usize]) -> f64 {
     let precision = overlap as f64 / candidate.len() as f64;
     let recall = overlap as f64 / reference.len() as f64;
     2.0 * precision * recall / (precision + recall)
-}
-
-/// F1 of generations from a degraded cache against the full-precision
-/// reference generation.
-pub fn generation_f1(
-    model: &SimTransformer,
-    reference: &KvCache,
-    degraded: &KvCache,
-    prompt: &[usize],
-    steps: usize,
-) -> f64 {
-    let a = model.generate_with_kv(reference, prompt, steps);
-    let b = model.generate_with_kv(degraded, prompt, steps);
-    token_f1(&b, &a)
 }
 
 /// First-token accuracy across a set of prompts: the fraction of prompts
@@ -157,8 +128,10 @@ mod tests {
     fn identical_cache_scores_perfect() {
         let m = tiny();
         let cache = m.prefill(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(token_match_rate(&m, &cache, &cache.clone(), &[9], 5), 1.0);
-        assert_eq!(generation_f1(&m, &cache, &cache.clone(), &[9], 5), 1.0);
+        let reference = m.generate_with_kv(&cache, &[9], 5);
+        let degraded = m.generate_with_kv(&cache.clone(), &[9], 5);
+        assert_eq!(sequence_match_rate(&reference, &degraded), 1.0);
+        assert_eq!(token_f1(&degraded, &reference), 1.0);
     }
 
     #[test]
@@ -167,7 +140,10 @@ mod tests {
         let ctx: Vec<usize> = (0..32).map(|i| (i * 11) % 64).collect();
         let cache = m.prefill(&ctx);
         let zeroed = KvCache::zeros(cache.layers(), cache.tokens(), cache.channels());
-        let acc = token_match_rate(&m, &cache, &zeroed, &[3, 5], 8);
+        let acc = sequence_match_rate(
+            &m.generate_with_kv(&cache, &[3, 5], 8),
+            &m.generate_with_kv(&zeroed, &[3, 5], 8),
+        );
         assert!(acc < 1.0, "zeroed cache should not match perfectly: {acc}");
     }
 

@@ -61,16 +61,6 @@ impl KvCache {
         &self.v
     }
 
-    /// Mutable key tensor.
-    pub fn k_mut(&mut self) -> &mut Tensor {
-        &mut self.k
-    }
-
-    /// Mutable value tensor.
-    pub fn v_mut(&mut self) -> &mut Tensor {
-        &mut self.v
-    }
-
     /// Total number of `f32` elements across K and V.
     pub fn num_elements(&self) -> usize {
         self.k.len() + self.v.len()
@@ -85,25 +75,6 @@ impl KvCache {
     /// Value of K at `(layer, token, channel)`.
     pub fn k_at(&self, layer: usize, token: usize, channel: usize) -> f32 {
         self.k.get(&[layer, token, channel])
-    }
-
-    /// Value of V at `(layer, token, channel)`.
-    pub fn v_at(&self, layer: usize, token: usize, channel: usize) -> f32 {
-        self.v.get(&[layer, token, channel])
-    }
-
-    /// The K row (all channels) for one `(layer, token)` pair.
-    pub fn k_row(&self, layer: usize, token: usize) -> &[f32] {
-        let c = self.channels();
-        let slab = self.k.slab(layer);
-        &slab[token * c..(token + 1) * c]
-    }
-
-    /// The V row (all channels) for one `(layer, token)` pair.
-    pub fn v_row(&self, layer: usize, token: usize) -> &[f32] {
-        let c = self.channels();
-        let slab = self.v.slab(layer);
-        &slab[token * c..(token + 1) * c]
     }
 
     /// Extracts tokens `[start, end)` as a new cache (a *context chunk* in
@@ -223,7 +194,7 @@ mod tests {
     #[test]
     fn row_access_matches_get() {
         let c = arange_cache(2, 3, 4);
-        let row = c.k_row(1, 2);
+        let row = &c.k().slab(1)[2 * 4..3 * 4];
         for (ch, &x) in row.iter().enumerate() {
             assert_eq!(x, c.k_at(1, 2, ch));
         }
@@ -248,7 +219,7 @@ mod tests {
             for t in 0..3 {
                 for ch in 0..3 {
                     assert_eq!(s.k_at(l, t, ch), c.k_at(l, t + 2, ch));
-                    assert_eq!(s.v_at(l, t, ch), c.v_at(l, t + 2, ch));
+                    assert_eq!(s.v().get(&[l, t, ch]), c.v().get(&[l, t + 2, ch]));
                 }
             }
         }

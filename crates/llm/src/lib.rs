@@ -3,7 +3,7 @@
 //! The CacheGen paper evaluates on Mistral-7B, Llama-34B and Llama-70B
 //! running on NVIDIA A40 GPUs. Neither the models nor the GPUs are available
 //! to this reproduction, so this crate substitutes them at two scales
-//! (documented in DESIGN.md §2):
+//! (README.md, "Paper mapping", §7 evaluation):
 //!
 //! 1. **Functional scale** — [`SimTransformer`]: a real decoder-only
 //!    transformer (multi-head attention with RoPE, RMSNorm, SwiGLU MLP)

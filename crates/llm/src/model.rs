@@ -42,18 +42,6 @@ impl SimModelConfig {
         self.n_kv_heads * self.head_dim()
     }
 
-    /// Approximate parameter count of the simulator model (embeddings
-    /// excluded, mirroring how model sizes are usually quoted).
-    pub fn approx_params(&self) -> usize {
-        let d = self.d_model;
-        let kv = self.kv_channels();
-        let per_layer = d * d      // Wq
-            + 2 * d * kv           // Wk, Wv
-            + d * d                // Wo
-            + 3 * d * self.d_ff; // W1, W2, W3
-        self.n_layers * per_layer
-    }
-
     /// Tiny model for unit tests: fast even in debug builds.
     pub fn tiny(seed: u64) -> Self {
         SimModelConfig {
@@ -180,6 +168,20 @@ mod tests {
             assert_eq!(cfg.d_model % cfg.n_heads, 0, "{}", cfg.name);
             assert_eq!(cfg.n_heads % cfg.n_kv_heads, 0, "{}", cfg.name);
             assert!(cfg.head_dim() >= 2, "{}", cfg.name);
+        }
+    }
+
+    impl SimModelConfig {
+        /// Approximate parameter count of the simulator model (embeddings
+        /// excluded, mirroring how model sizes are usually quoted).
+        fn approx_params(&self) -> usize {
+            let d = self.d_model;
+            let kv = self.kv_channels();
+            let per_layer = d * d      // Wq
+                + 2 * d * kv           // Wk, Wv
+                + d * d                // Wo
+                + 3 * d * self.d_ff; // W1, W2, W3
+            self.n_layers * per_layer
         }
     }
 

@@ -368,7 +368,7 @@ impl SimTransformer {
 }
 
 /// Index of the largest logit (ties resolve to the first).
-pub fn argmax(xs: &[f32]) -> usize {
+fn argmax(xs: &[f32]) -> usize {
     let mut best = 0;
     for (i, &x) in xs.iter().enumerate() {
         if x > xs[best] {

@@ -31,7 +31,7 @@
 //! * **Size-outlier exclusion** — parity must be as long as its group's
 //!   *longest* member, so one oversized packet (the container-bearing
 //!   head packet is ~10× the median at small scale) would blow the parity
-//!   budget of its whole group. Packets larger than [`OUTLIER_FACTOR`]×
+//!   budget of its whole group. Packets larger than `OUTLIER_FACTOR`×
 //!   the schedule's (lower) median are therefore left unprotected
 //!   ([`FecGroups::group_of`] returns `None`) and rely on the
 //!   retransmit/repair/refetch rungs instead; everyone else gets parity
@@ -52,7 +52,7 @@
 /// excluded from parity protection (see the module docs). At real scale
 /// only the container-bearing head packet (~10× the median) trips this;
 /// at toy scale the container amortizes enough to stay protected.
-pub const OUTLIER_FACTOR: u64 = 4;
+const OUTLIER_FACTOR: u64 = 4;
 
 /// Assignment of `n` data packets to striped parity groups, each carrying
 /// `r ≥ 1` repair (parity) packets.
@@ -79,7 +79,7 @@ impl FecGroups {
     }
 
     /// Striping over a sized schedule with outlier exclusion: packets
-    /// larger than [`OUTLIER_FACTOR`]× the median size stay unprotected
+    /// larger than `OUTLIER_FACTOR`× the median size stay unprotected
     /// (their parity would cost as much as resending them); the rest are
     /// striped with `r` parity packets per group. With `tiered` set, the
     /// *head* half of the protected sequence (the schedule's
@@ -113,6 +113,8 @@ impl FecGroups {
             if members.is_empty() {
                 return;
             }
+            // `k >= 1` makes `g <= members.len()`, so each residue class
+            // `0..g` below receives a member: no group is ever empty.
             let g = members.len().div_ceil(k);
             let base = groups.len();
             groups.extend(std::iter::repeat_with(Vec::new).take(g));
@@ -179,12 +181,7 @@ impl FecGroups {
         assert_eq!(data_sizes.len(), self.num_packets(), "size/packet mismatch");
         self.groups
             .iter()
-            .map(|m| {
-                // Invariant of `build`: striping assigns every residue
-                // class at least one member, so groups are never empty.
-                debug_assert!(!m.is_empty(), "empty parity group");
-                m.iter().map(|&i| data_sizes[i]).max().unwrap_or(0)
-            })
+            .map(|m| m.iter().map(|&i| data_sizes[i]).max().unwrap_or(0))
             .collect()
     }
 

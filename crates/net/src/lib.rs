@@ -62,15 +62,6 @@ impl ThroughputEstimator {
         }
     }
 
-    /// EWMA estimator with smoothing factor `alpha ∈ (0, 1]`.
-    pub fn with_alpha(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0);
-        ThroughputEstimator {
-            alpha,
-            estimate: None,
-        }
-    }
-
     /// Records a completed transfer.
     pub fn observe(&mut self, bytes: u64, seconds: f64) {
         if seconds <= 0.0 {
@@ -128,7 +119,7 @@ impl LossEstimator {
     }
 
     /// EWMA estimator with smoothing factor `alpha ∈ (0, 1]`.
-    pub fn with_alpha(alpha: f64) -> Self {
+    fn with_alpha(alpha: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0);
         LossEstimator {
             alpha,
@@ -188,7 +179,10 @@ mod tests {
 
     #[test]
     fn ewma_smooths() {
-        let mut e = ThroughputEstimator::with_alpha(0.5);
+        let mut e = ThroughputEstimator {
+            alpha: 0.5,
+            estimate: None,
+        };
         e.observe(1_000_000, 1.0); // 8 Mbps
         e.observe(1_000_000, 2.0); // sample 4 Mbps → estimate 6 Mbps
         assert!((e.bits_per_sec().unwrap() - 6e6).abs() < 1.0);

@@ -111,11 +111,6 @@ impl Link {
         self
     }
 
-    /// The per-packet fault configuration, if the link injects faults.
-    pub fn packet_faults(&self) -> Option<&PacketFaults> {
-        self.faults.as_ref()
-    }
-
     /// Whether the link injects per-packet faults (drop/reorder/duplicate/
     /// truncate) — the mode [`Link::send_packets`] models precisely.
     pub fn is_packet_mode(&self) -> bool {
@@ -253,12 +248,6 @@ impl Link {
             delivered_bytes,
             wire_bytes,
         }
-    }
-
-    /// Pure lookahead used by planners: seconds a transfer of `bytes` at
-    /// `start` would take with no fault injection.
-    pub fn ideal_seconds(&self, bytes: u64, start: f64) -> f64 {
-        self.trace.transfer_seconds(bytes, start) + self.propagation
     }
 }
 

@@ -158,16 +158,6 @@ impl RsCode {
         &self.rows[j * self.m..][..self.m]
     }
 
-    /// Number of data symbols `m`.
-    pub fn data_symbols(&self) -> usize {
-        self.m
-    }
-
-    /// Number of parity symbols `r`.
-    pub fn parity_symbols(&self) -> usize {
-        self.r
-    }
-
     /// Encodes the `r` parity payloads for one group. Each parity payload
     /// is as long as the *longest* member (shorter members count as
     /// zero-padded). Parity row 0 is the byte-wise XOR of the members.

@@ -72,14 +72,6 @@ impl BandwidthTrace {
         BandwidthTrace::from_segments(segments)
     }
 
-    /// Bandwidth available at time `t` (bits/second).
-    pub fn bandwidth_at(&self, t: f64) -> f64 {
-        assert!(t >= 0.0, "time must be non-negative");
-        // partition_point gives the first segment starting after t.
-        let idx = self.segments.partition_point(|&(s, _)| s <= t);
-        self.segments[idx - 1].1
-    }
-
     /// Seconds needed to transfer `bytes` starting at time `start`
     /// (integrates the rate across segment boundaries).
     pub fn transfer_seconds(&self, bytes: u64, start: f64) -> f64 {
@@ -138,6 +130,16 @@ impl BandwidthTrace {
 mod tests {
     use super::*;
     use cachegen_tensor::rng::seeded;
+
+    impl BandwidthTrace {
+        /// Bandwidth available at time `t` (bits/second).
+        fn bandwidth_at(&self, t: f64) -> f64 {
+            assert!(t >= 0.0, "time must be non-negative");
+            // partition_point gives the first segment starting after t.
+            let idx = self.segments.partition_point(|&(s, _)| s <= t);
+            self.segments[idx - 1].1
+        }
+    }
 
     #[test]
     fn constant_trace_lookup() {

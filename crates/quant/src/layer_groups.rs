@@ -55,7 +55,7 @@ impl LayerGroupBins {
 
     /// `n` groups spaced evenly over `[first, last]` (`first <= last`,
     /// both positive). With `n == 1` the single bin is the midpoint.
-    pub fn evenly_spanning(n: usize, first: f32, last: f32) -> Self {
+    fn evenly_spanning(n: usize, first: f32, last: f32) -> Self {
         assert!(n >= 1, "need at least one layer group");
         assert!(
             first > 0.0 && first <= last && last.is_finite(),

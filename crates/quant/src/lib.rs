@@ -20,7 +20,7 @@
 use cachegen_llm::KvCache;
 use cachegen_tensor::Tensor;
 
-pub mod layer_groups;
+mod layer_groups;
 pub use layer_groups::LayerGroupBins;
 
 /// Per-channel min–max uniform quantizer (the paper's baseline).
@@ -44,7 +44,7 @@ impl UniformQuantizer {
 
     /// Quantizes and immediately dequantizes one channel's values (lossy
     /// round trip). `values` are all elements of a single channel.
-    pub fn round_trip_slice(&self, values: &mut [f32]) {
+    fn round_trip_slice(&self, values: &mut [f32]) {
         if values.is_empty() {
             return;
         }

@@ -57,9 +57,10 @@ pub struct ServingCluster {
 }
 
 impl ServingCluster {
-    /// Builds the cluster: one engine per shard (each profiles its codecs
-    /// from `profile_contexts`) plus one store→shard link each. `links`
-    /// must have exactly `num_shards` entries.
+    /// Builds the cluster: the model and its codecs are built and profiled
+    /// from `profile_contexts` once; every shard gets an engine over them
+    /// with its own store, plus one store→shard link. `links` must have
+    /// exactly `num_shards` entries.
     pub fn build(
         model_cfg: SimModelConfig,
         engine_cfg: EngineConfig,
@@ -80,14 +81,13 @@ impl ServingCluster {
             "level_quality must cover the ladder"
         );
         let ring = HashRing::new(config.num_shards, RING_VIRTUAL_NODES);
+        // One model, one set of profiled codecs; each shard gets its own
+        // store over them.
+        let engine = CacheGenEngine::build(model_cfg, engine_cfg, profile_contexts);
         let shards = links
             .into_iter()
             .enumerate()
-            .map(|(id, link)| {
-                let engine =
-                    CacheGenEngine::build(model_cfg.clone(), engine_cfg.clone(), profile_contexts);
-                Shard::new(id, engine, link, &config)
-            })
+            .map(|(id, link)| Shard::new(id, engine.with_empty_store(), link, &config))
             .collect();
         ServingCluster {
             config,
@@ -134,33 +134,26 @@ impl ServingCluster {
     /// *contents* deliberately stay warm across runs, so a warm-up trace
     /// followed by a measured trace behaves like a long-lived deployment.
     pub fn run(&mut self, requests: &[ServingRequest]) -> ServingReport {
-        self.run_traced(requests, &NOOP)
+        self.plan_run(requests, &NOOP).0
     }
 
-    /// [`run`](Self::run) with request-lifecycle tracing: every event pop
-    /// advances the recorder's virtual clock, admission degrade/shed
-    /// decisions land as instants, and each completed request gets a span
-    /// tree that tiles its TTFT exactly — a `request` root over
-    /// `queue_wait` (arrival → dispatch), `store_fetch` or `cache_decode`
-    /// (dispatch → KV ready, with the streamer's per-chunk wire/decode
-    /// spans nested under the batch lead), and `prefill` (ready → first
-    /// token). Loss-repair re-fetch batches trace under synthetic request
-    /// ids past the trace length. Link-level packet counters drain into
-    /// the `cachegen.net.*` namespace and the report publishes itself
-    /// under `cachegen.serving.*`. Passing [`NOOP`] makes this identical
-    /// to `run` (the recorder is a no-op, not a different code path).
-    pub fn run_traced(
-        &mut self,
-        requests: &[ServingRequest],
-        recorder: &Recorder,
-    ) -> ServingReport {
-        self.plan_run(requests, recorder).0
-    }
-
-    /// The discrete-event loop behind [`run`](Self::run) and
-    /// [`run_traced`](Self::run_traced): returns the oracle's report
-    /// together with the [`ExecutionPlan`] — every admission decision and
-    /// dispatched batch, in order — that the thread backend replays.
+    /// The discrete-event loop behind [`run`](Self::run): returns the
+    /// oracle's report together with the [`ExecutionPlan`] — every
+    /// admission decision and dispatched batch, in order — that the
+    /// thread backend replays.
+    ///
+    /// `recorder` traces the request lifecycle: every event pop advances
+    /// its virtual clock, admission degrade/shed decisions land as
+    /// instants, and each completed request gets a span tree that tiles
+    /// its TTFT exactly — a `request` root over `queue_wait` (arrival →
+    /// dispatch), `store_fetch` or `cache_decode` (dispatch → KV ready,
+    /// with the streamer's per-chunk wire/decode spans nested under the
+    /// batch lead), and `prefill` (ready → first token). Loss-repair
+    /// re-fetch batches trace under synthetic request ids past the trace
+    /// length. Link-level packet counters drain into the `cachegen.net.*`
+    /// namespace and the report publishes itself under
+    /// `cachegen.serving.*`. Passing [`NOOP`] is what `run` does (the
+    /// recorder is a no-op, not a different code path).
     pub fn plan_run(
         &mut self,
         requests: &[ServingRequest],

@@ -96,7 +96,7 @@ impl TenantQueues {
     }
 
     /// The admission decision the current depth implies.
-    pub fn admission(&self) -> Admission {
+    fn admission(&self) -> Admission {
         if self.total >= self.shed_depth {
             Admission::Shed
         } else if self.total >= self.degrade_depth {
@@ -134,11 +134,6 @@ impl TenantQueues {
     /// Highest queue depth ever observed.
     pub fn peak_depth(&self) -> usize {
         self.peak
-    }
-
-    /// Depth of one tenant's queue.
-    pub fn tenant_depth(&self, tenant: usize) -> usize {
-        self.queues[tenant].len()
     }
 
     /// Pops the next batch: round-robin over tenants picks the head

@@ -155,22 +155,6 @@ impl StreamOutcome {
     pub fn parity_bytes(&self) -> u64 {
         self.chunks.iter().map(|c| c.parity_bytes).sum()
     }
-
-    /// Fraction of chunks sent at each configuration — a compact quality
-    /// proxy (text = lossless, finer levels = better).
-    pub fn config_histogram(&self, n_levels: usize) -> Vec<(StreamConfig, usize)> {
-        let mut counts: Vec<(StreamConfig, usize)> = StreamConfig::quality_order(n_levels)
-            .map(|c| (c, 0))
-            .collect();
-        for c in &self.chunks {
-            for entry in counts.iter_mut() {
-                if entry.0 == c.config {
-                    entry.1 += 1;
-                }
-            }
-        }
-        counts
-    }
 }
 
 /// Expected seconds to finish the remaining chunks (from `from`) at a
@@ -1162,12 +1146,11 @@ mod tests {
             &slow_recompute,
         );
         let out = simulate_stream(&plan, &mut link, &p);
-        let hist = out.config_histogram(3);
-        let level1 = hist
+        let level1 = out
+            .chunks
             .iter()
-            .find(|(c, _)| *c == StreamConfig::Level(1))
-            .unwrap()
-            .1;
+            .filter(|c| c.config == StreamConfig::Level(1))
+            .count();
         assert_eq!(level1, 4);
     }
 }

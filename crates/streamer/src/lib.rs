@@ -16,14 +16,14 @@
 //!   and shallow layers first), including the per-level FEC parity
 //!   density ([`FecOverhead`]: XOR, fixed Reed–Solomon `(k, r)`, or
 //!   loss-adaptive) and the parity-interleaved wire order.
-//! * [`adapter`] — Algorithm 1 plus the virtual-time streaming simulation
+//! * `adapter` (re-exported here) — Algorithm 1 plus the virtual-time streaming simulation
 //!   (transfer pipelined with decode, §6), concurrent-request batching
 //!   (Figure 12), and packetized delivery with parity FEC recovery (any
 //!   `r` losses per group) and a retransmit budget on per-packet-fault
 //!   links (whatever is still missing after both is reported per chunk
 //!   for the codec's repair policies).
 
-pub mod adapter;
+mod adapter;
 pub mod levels;
 pub mod plan;
 pub mod schedule;

@@ -14,9 +14,6 @@
 
 use crate::schedule::ChunkSchedule;
 
-/// Default chunk length in tokens (§5.3).
-pub const DEFAULT_CHUNK_TOKENS: usize = 1_500;
-
 /// Sizes of one chunk at every encoding level, plus its text form.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChunkSizes {
@@ -109,7 +106,7 @@ impl ChunkPlan {
 
     /// Splits `total_tokens` into chunk token counts of `chunk_tokens` each
     /// (last chunk may be short).
-    pub fn chunk_token_counts(total_tokens: usize, chunk_tokens: usize) -> Vec<usize> {
+    fn chunk_token_counts(total_tokens: usize, chunk_tokens: usize) -> Vec<usize> {
         assert!(total_tokens > 0 && chunk_tokens > 0);
         let mut out = Vec::new();
         let mut remaining = total_tokens;
@@ -121,7 +118,7 @@ impl ChunkPlan {
         out
     }
 
-    /// Like [`ChunkPlan::chunk_token_counts`], but rounds the chunk length
+    /// Like `chunk_token_counts`, but rounds the chunk length
     /// down to a multiple of the codec's anchor-group size whenever it fits
     /// at least one group (§5.2/§5.3: chunks are independently decodable
     /// *because* they are group-aligned; a mid-group boundary would split
@@ -183,15 +180,6 @@ impl ChunkPlan {
     /// Tokens remaining from chunk `from` onward.
     pub fn remaining_tokens(&self, from: usize) -> usize {
         self.chunks[from..].iter().map(|c| c.tokens).sum()
-    }
-
-    /// Offline storage cost of keeping *all* versions of every chunk
-    /// (Figure 14d): the sum of every level's bytes plus the text.
-    pub fn storage_bytes_all_versions(&self) -> u64 {
-        self.chunks
-            .iter()
-            .map(|c| c.level_bytes.iter().sum::<u64>() + c.text_bytes)
-            .sum()
     }
 }
 
@@ -260,13 +248,6 @@ mod tests {
         let p = plan3();
         assert_eq!(p.chunk(0).bytes_for(StreamConfig::Level(2)), 400);
         assert_eq!(p.chunk(0).bytes_for(StreamConfig::Text), 400);
-    }
-
-    #[test]
-    fn storage_counts_all_versions() {
-        let p = plan3();
-        // (1000+700+400+400) + (1100+750+420+400) + (600+380+210+200)
-        assert_eq!(p.storage_bytes_all_versions(), 2500 + 2670 + 1390);
     }
 
     #[test]

@@ -173,14 +173,6 @@ impl FecOverhead {
         FecOverhead::Adaptive(AdaptiveFec::paper_default())
     }
 
-    /// The parity group size at one encoding level (`None` = FEC off).
-    /// For [`FecOverhead::Adaptive`] this is the no-estimate (most
-    /// protective) rung; use [`FecOverhead::params_for`] with a live
-    /// loss estimate.
-    pub fn k_for_level(&self, level: usize) -> Option<usize> {
-        self.params_for(level, None).map(|(k, _)| k)
-    }
-
     /// The `(k, r)` parity shape at one encoding level under the given
     /// loss estimate (`None` estimate = first chunk / no data yet).
     /// Returns `None` when FEC is off. Only [`FecOverhead::Adaptive`]
@@ -642,10 +634,14 @@ mod tests {
     #[test]
     fn fec_overhead_selects_k_per_level() {
         let fec = FecOverhead::PerLevel(vec![4, 8]);
-        assert_eq!(fec.k_for_level(0), Some(4));
-        assert_eq!(fec.k_for_level(1), Some(8));
-        assert_eq!(fec.k_for_level(9), Some(8), "last entry reused");
-        assert_eq!(FecOverhead::Off.k_for_level(0), None);
+        assert_eq!(fec.params_for(0, None).map(|(k, _)| k), Some(4));
+        assert_eq!(fec.params_for(1, None).map(|(k, _)| k), Some(8));
+        assert_eq!(
+            fec.params_for(9, None).map(|(k, _)| k),
+            Some(8),
+            "last entry reused"
+        );
+        assert_eq!(FecOverhead::Off.params_for(0, None).map(|(k, _)| k), None);
         assert!(FecOverhead::Off.groups_for(0, &[100; 10]).is_none());
         let g = FecOverhead::Rs { k: 5, r: 1 }
             .groups_for(3, &[100; 10])

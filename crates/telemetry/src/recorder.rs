@@ -86,25 +86,13 @@ impl Recorder {
     }
 
     /// The disabled recorder (`const`, so it can back the [`NOOP`] static).
-    pub const fn disabled() -> Self {
+    const fn disabled() -> Self {
         Recorder { inner: None }
     }
 
     /// Whether this recorder actually records anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Whether this recorder stamps wall-clock time (false for the
-    /// virtual clock and for the disabled recorder).
-    pub fn is_wall(&self) -> bool {
-        matches!(
-            &self.inner,
-            Some(RecorderInner {
-                clock: ClockSource::Wall(_),
-                ..
-            })
-        )
     }
 
     /// Advances the injected clock to virtual time `t` seconds. A no-op
@@ -143,11 +131,6 @@ impl Recorder {
             Some(inner) => lock(&inner.state).ctx,
             None => SpanCtx::default(),
         }
-    }
-
-    /// Records a closed span under the ambient context.
-    pub fn record_span(&self, stage: Stage, start: f64, end: f64) {
-        self.record_span_args(stage, start, end, Vec::new());
     }
 
     /// Records a closed span with args under the ambient context.
@@ -324,7 +307,7 @@ mod tests {
     #[test]
     fn noop_records_nothing() {
         NOOP.set_time(5.0);
-        NOOP.record_span(Stage::Prefill, 0.0, 1.0);
+        NOOP.record_span_args(Stage::Prefill, 0.0, 1.0, Vec::new());
         NOOP.instant(Stage::Admission, 0.5, vec![("shed", 1.0)]);
         NOOP.add("c", 3);
         NOOP.observe("h", 1.0);
@@ -359,7 +342,7 @@ mod tests {
         let r = Recorder::new();
         let ctx = SpanCtx::new(3, 2, 1);
         r.set_ctx(ctx);
-        r.record_span(Stage::WireDelivery, 1.0, 2.0);
+        r.record_span_args(Stage::WireDelivery, 1.0, 2.0, Vec::new());
         r.instant(Stage::FecRecovery, 1.5, Vec::new());
         assert_eq!(r.spans()[0].ctx, ctx);
         assert_eq!(r.instants()[0].ctx, ctx);
@@ -368,9 +351,7 @@ mod tests {
     #[test]
     fn wall_recorder_ignores_set_time_and_moves_forward() {
         let r = Recorder::new_wall();
-        assert!(r.is_enabled() && r.is_wall());
-        assert!(!Recorder::new().is_wall());
-        assert!(!NOOP.is_wall());
+        assert!(r.is_enabled());
         let before = r.now();
         r.set_time(1_000.0); // must be a no-op on real time
         let after = r.now();

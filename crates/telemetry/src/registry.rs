@@ -200,31 +200,6 @@ impl MetricsRegistry {
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
-
-    /// Merges another registry into this one: counters add, gauges take
-    /// the other's value, histograms merge bucket-wise.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            let mine = self.histograms.entry(k.clone()).or_default();
-            for (&key, &n) in &h.buckets {
-                *mine.buckets.entry(key).or_insert(0) += n;
-            }
-            mine.count += h.count;
-            mine.sum += h.sum;
-            if h.min < mine.min {
-                mine.min = h.min;
-            }
-            if h.max > mine.max {
-                mine.max = h.max;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -296,21 +271,5 @@ mod tests {
         assert_eq!(r.gauge_value("cachegen.serving.shed_rate"), Some(0.25));
         assert_eq!(r.histogram("cachegen.serving.ttft_ms").unwrap().count(), 1);
         assert_eq!(r.counter("missing"), None);
-    }
-
-    #[test]
-    fn registry_merge_adds_counters_and_buckets() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        a.add("c", 1);
-        b.add("c", 2);
-        a.observe("h", 1.0);
-        b.observe("h", 2.0);
-        b.gauge("g", 7.0);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), Some(3));
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
-        assert_eq!(a.histogram("h").unwrap().sum(), 3.0);
-        assert_eq!(a.gauge_value("g"), Some(7.0));
     }
 }

@@ -77,11 +77,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its flat storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns the flat offset of a multi-dimensional index.
     fn offset(&self, index: &[usize]) -> usize {
         debug_assert_eq!(
@@ -143,32 +138,11 @@ impl Tensor {
         &mut self.data[i * stride..(i + 1) * stride]
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace<F: FnMut(f32) -> f32>(&mut self, mut f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Returns a new tensor with `f` applied to every element.
     pub fn map<F: FnMut(f32) -> f32>(&self, mut f: F) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// Element-wise `self - other`. Panics on shape mismatch.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape, other.shape, "sub: shape mismatch");
-        Tensor {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| a - b)
-                .collect(),
         }
     }
 
@@ -217,7 +191,7 @@ mod tests {
     fn from_vec_round_trips() {
         let data: Vec<f32> = (0..6).map(|i| i as f32).collect();
         let t = Tensor::from_vec(&[2, 3], data.clone());
-        assert_eq!(t.into_vec(), data);
+        assert_eq!(t.data(), data);
     }
 
     #[test]
@@ -248,8 +222,6 @@ mod tests {
         let a = Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]);
         let b = a.map(|v| v * 2.0);
         assert_eq!(b.data(), &[2.0, 4.0, 6.0]);
-        let d = b.sub(&a);
-        assert_eq!(d.data(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! Everything here is deterministic and allocation-explicit: no global state,
 //! no threading. Parallelism lives in higher crates (`cachegen-codec`).
 
-pub mod dense;
+mod dense;
 pub mod linalg;
 pub mod rng;
 pub mod stats;

@@ -2,33 +2,9 @@
 //!
 //! These are straightforward scalar implementations; the simulator models are
 //! intentionally small (≤ tens of layers, ≤ a few hundred channels), so naive
-//! `O(n³)` matmul is more than fast enough and keeps the code auditable.
+//! loops are more than fast enough and keep the code auditable.
 
 use crate::Tensor;
-
-/// `C = A × B` for row-major rank-2 tensors: `[m,k] × [k,n] -> [m,n]`.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.shape().len(), 2, "matmul: A must be rank-2");
-    assert_eq!(b.shape().len(), 2, "matmul: B must be rank-2");
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, k2, "matmul: inner dims differ ({k} vs {k2})");
-    let mut out = Tensor::zeros(&[m, n]);
-    for i in 0..m {
-        let arow = a.row(i);
-        let orow = out.row_mut(i);
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = b.row(p);
-            for (j, &bv) in brow.iter().enumerate() {
-                orow[j] += av * bv;
-            }
-        }
-    }
-    out
-}
 
 /// Dot product of two equal-length slices.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -52,13 +28,6 @@ pub fn softmax_inplace(xs: &mut [f32]) {
             *x /= sum;
         }
     }
-}
-
-/// Returns softmax of a slice as a new vector.
-pub fn softmax(xs: &[f32]) -> Vec<f32> {
-    let mut out = xs.to_vec();
-    softmax_inplace(&mut out);
-    out
 }
 
 /// RMS normalisation (as used by Llama-family models): scales `x` so its
@@ -114,6 +83,37 @@ mod tests {
 
     fn approx(a: f32, b: f32) -> bool {
         (a - b).abs() < 1e-5
+    }
+
+    /// The reference [`matvec`] is checked against: `C = A × B` for row-major rank-2 tensors: `[m,k] × [k,n] -> [m,n]`.
+    fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        assert_eq!(a.shape().len(), 2, "matmul: A must be rank-2");
+        assert_eq!(b.shape().len(), 2, "matmul: B must be rank-2");
+        let (m, k) = (a.shape()[0], a.shape()[1]);
+        let (k2, n) = (b.shape()[0], b.shape()[1]);
+        assert_eq!(k, k2, "matmul: inner dims differ ({k} vs {k2})");
+        let mut out = Tensor::zeros(&[m, n]);
+        for i in 0..m {
+            let arow = a.row(i);
+            let orow = out.row_mut(i);
+            for (p, &av) in arow.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let brow = b.row(p);
+                for (j, &bv) in brow.iter().enumerate() {
+                    orow[j] += av * bv;
+                }
+            }
+        }
+        out
+    }
+
+    /// Returns softmax of a slice as a new vector.
+    fn softmax(xs: &[f32]) -> Vec<f32> {
+        let mut out = xs.to_vec();
+        softmax_inplace(&mut out);
+        out
     }
 
     #[test]

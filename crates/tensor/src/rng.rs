@@ -2,8 +2,8 @@
 //!
 //! The workspace's offline dependency set includes `rand` but not
 //! `rand_distr`, so normal sampling is implemented here via the Box–Muller
-//! transform. All experiment code takes explicit seeds so every figure in
-//! EXPERIMENTS.md is reproducible bit-for-bit.
+//! transform. All experiment code takes explicit seeds so every figure the
+//! `figures` binary prints is reproducible bit-for-bit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

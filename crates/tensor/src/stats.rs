@@ -49,7 +49,7 @@ pub fn quantile(xs: &[f32], q: f32) -> f32 {
 }
 
 /// Shannon entropy (bits per element) of a sequence of discrete symbols.
-pub fn symbol_entropy(symbols: &[i32]) -> f64 {
+fn symbol_entropy(symbols: &[i32]) -> f64 {
     if symbols.is_empty() {
         return 0.0;
     }
@@ -96,25 +96,6 @@ pub fn grouped_entropy(values: &[f32], groups: &[usize], bin: f32) -> f64 {
         .filter(|b| !b.is_empty())
         .map(|b| quantized_entropy(b, bin) * b.len() as f64 / n)
         .sum()
-}
-
-/// An empirical CDF over `points` evaluation positions, returned as
-/// `(x, F(x))` pairs. Used for Figure 3's value-distribution plots.
-pub fn empirical_cdf(xs: &[f32], points: usize) -> Vec<(f32, f32)> {
-    assert!(points >= 2);
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f32::total_cmp);
-    let n = sorted.len();
-    (0..points)
-        .map(|i| {
-            let q = i as f32 / (points - 1) as f32;
-            let idx = ((q * (n - 1) as f32).round() as usize).min(n - 1);
-            (sorted[idx], (idx + 1) as f32 / n as f32)
-        })
-        .collect()
 }
 
 /// Histogram with `bins` equal-width buckets over `[lo, hi]`; values outside
@@ -193,17 +174,6 @@ mod tests {
         let ungrouped = quantized_entropy(&values, 1.0);
         let grouped = grouped_entropy(&values, &groups, 1.0);
         assert!((grouped - ungrouped).abs() < 0.01);
-    }
-
-    #[test]
-    fn cdf_is_monotone() {
-        let xs: Vec<f32> = (0..100).map(|i| (i as f32) * 0.1).collect();
-        let cdf = empirical_cdf(&xs, 10);
-        for w in cdf.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 >= w[0].1);
-        }
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl MarkovTextGen {
     }
 
     /// The vocabulary band `[lo, hi)` of a topic.
-    pub fn topic_band(&self, topic: usize) -> (usize, usize) {
+    fn topic_band(&self, topic: usize) -> (usize, usize) {
         let width = self.vocab / self.n_topics;
         let lo = (topic % self.n_topics) * width;
         (lo, lo + width)

@@ -99,15 +99,6 @@ impl IngestWorkload {
         out.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
         out
     }
-
-    /// Total tokens ingested across all sessions and rounds (base plus
-    /// every delta) — the write-side load the store absorbs.
-    pub fn ingested_tokens(&self) -> usize {
-        self.sessions
-            .iter()
-            .map(|s| s.base.len() + s.rounds.iter().map(|r| r.delta.len()).sum::<usize>())
-            .sum()
-    }
 }
 
 /// Generator for streaming-ingest chat traces.
@@ -152,13 +143,6 @@ impl ChatAppendGen {
     pub fn with_rounds(mut self, rounds: usize) -> Self {
         assert!(rounds >= 1);
         self.rounds = rounds;
-        self
-    }
-
-    /// Overrides the mean think time between rounds.
-    pub fn with_think_secs(mut self, secs: f64) -> Self {
-        assert!(secs > 0.0);
-        self.think_secs = secs;
         self
     }
 
@@ -259,7 +243,12 @@ mod tests {
     #[test]
     fn ingested_tokens_accounts_base_and_deltas() {
         let w = workload(11);
-        assert_eq!(w.ingested_tokens(), 4 * (60 + 3 * 20));
+        let ingested: usize = w
+            .sessions
+            .iter()
+            .map(|s| s.base.len() + s.rounds.iter().map(|r| r.delta.len()).sum::<usize>())
+            .sum();
+        assert_eq!(ingested, 4 * (60 + 3 * 20));
     }
 
     #[test]

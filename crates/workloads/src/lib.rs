@@ -14,7 +14,7 @@
 //! *paper scale* and produces structured token sequences at *functional
 //! scale* (topic-segmented Markov text, so KV caches exhibit the token-wise
 //! locality real text induces). Quality is measured against the
-//! full-precision reference generation per DESIGN.md §2: accuracy =
+//! full-precision reference generation (`cachegen_llm::eval`): accuracy =
 //! greedy-token exact-match rate, F1 = bag-of-token overlap, perplexity =
 //! exp(mean NLL) of the reference continuation — the same *degradation*
 //! measurement the paper makes, on a substrate we can run.
@@ -30,7 +30,6 @@ pub use multitenant::{MultiTenantWorkload, ServingRequest, SharedPrefixGen};
 pub use stats::LengthStats;
 
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// The four evaluation datasets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -107,7 +106,7 @@ impl Dataset {
     /// Samples one paper-scale context length (tokens), clipped to the
     /// plausible range seen in Table 2 (min 1.4K, max 16K — §1 "662
     /// contexts with 1.4K to 16K tokens").
-    pub fn sample_paper_length(&self, rng: &mut StdRng) -> u64 {
+    fn sample_paper_length(&self, rng: &mut StdRng) -> u64 {
         let (median, std) = self.target_stats();
         let x = cachegen_tensor::rng::normal(rng, median as f32, std as f32) as f64;
         // NarrativeQA / TriviaQA are capped at 15-16K by the models' window.
@@ -169,12 +168,6 @@ pub fn paper_length_sample(dataset: Dataset, seed: u64, n: usize) -> Vec<u64> {
     (0..n)
         .map(|_| dataset.sample_paper_length(&mut rng))
         .collect()
-}
-
-/// A quick uniform-random prompt, used where the task identity does not
-/// matter (e.g. microbenchmarks).
-pub fn random_prompt(rng: &mut StdRng, vocab: usize, len: usize) -> Vec<usize> {
-    (0..len).map(|_| rng.gen::<usize>() % vocab).collect()
 }
 
 #[cfg(test)]

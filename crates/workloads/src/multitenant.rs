@@ -48,20 +48,7 @@ pub struct MultiTenantWorkload {
     pub num_tenants: usize,
 }
 
-impl MultiTenantWorkload {
-    /// Requests issued by one tenant, in arrival order.
-    pub fn tenant_requests(&self, tenant: usize) -> impl Iterator<Item = &ServingRequest> {
-        self.requests.iter().filter(move |r| r.tenant == tenant)
-    }
-
-    /// Number of distinct documents actually requested.
-    pub fn distinct_contexts_requested(&self) -> usize {
-        let mut ids: Vec<u64> = self.requests.iter().map(|r| r.context_id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
-}
+impl MultiTenantWorkload {}
 
 /// Shared-prefix (RAG fan-out) workload generator.
 #[derive(Clone, Debug)]
@@ -96,40 +83,22 @@ impl SharedPrefixGen {
         }
     }
 
-    /// Overrides the Zipf popularity exponent (0 = uniform).
-    pub fn with_zipf(mut self, s: f64) -> Self {
-        assert!(s >= 0.0, "zipf exponent must be non-negative");
-        self.zipf_s = s;
-        self
-    }
-
-    /// Overrides the per-query suffix length.
-    pub fn with_prompt_tokens(mut self, n: usize) -> Self {
-        assert!(n >= 1);
-        self.prompt_tokens = n;
-        self
-    }
-
-    /// Number of documents in the corpus.
-    pub fn num_documents(&self) -> usize {
-        self.n_documents
-    }
-
-    /// Cumulative Zipf popularity weights, built once per trace.
-    fn popularity_cdf(&self) -> Vec<f64> {
+    /// Cumulative Zipf popularity weights and their total (the last
+    /// weight; `new` guarantees a document), built once per trace.
+    fn popularity_cdf(&self) -> (Vec<f64>, f64) {
         let mut acc = 0.0;
-        (0..self.n_documents)
+        let cdf = (0..self.n_documents)
             .map(|k| {
                 acc += 1.0 / ((k + 1) as f64).powf(self.zipf_s);
                 acc
             })
-            .collect()
+            .collect();
+        (cdf, acc)
     }
 
     /// Samples a document index from a precomputed cumulative
-    /// distribution.
-    fn sample_document(cdf: &[f64], rng: &mut StdRng) -> usize {
-        let total = *cdf.last().expect("at least one document");
+    /// distribution summing to `total`.
+    fn sample_document(cdf: &[f64], total: f64, rng: &mut StdRng) -> usize {
         let u = rng.gen::<f64>() * total;
         cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
     }
@@ -149,7 +118,7 @@ impl SharedPrefixGen {
         let documents: Vec<(u64, Vec<usize>)> = (0..self.n_documents)
             .map(|i| (i as u64, self.text.generate(rng, self.doc_tokens)))
             .collect();
-        let cdf = self.popularity_cdf();
+        let (cdf, total) = self.popularity_cdf();
         let mut t = 0.0f64;
         let mut requests = Vec::with_capacity(n_requests);
         for i in 0..n_requests {
@@ -157,7 +126,7 @@ impl SharedPrefixGen {
             // away from 1.0 so ln() stays finite.
             let u = rng.gen::<f64>().min(1.0 - 1e-12);
             t += -(1.0 - u).ln() / rate_hz;
-            let doc = Self::sample_document(&cdf, rng);
+            let doc = Self::sample_document(&cdf, total, rng);
             // Mix tenants without letting one tenant own one document:
             // rotate a random tenant offset per request.
             let tenant = (i + rng.gen::<usize>() % num_tenants) % num_tenants;
@@ -227,7 +196,8 @@ mod tests {
 
     #[test]
     fn uniform_popularity_when_zipf_zero() {
-        let g = SharedPrefixGen::new(64, 4, 120).with_zipf(0.0);
+        let mut g = SharedPrefixGen::new(64, 4, 120);
+        g.zipf_s = 0.0;
         let w = g.generate(&mut workload_rng(9), 2, 400, 10.0);
         let mut counts = [0usize; 4];
         for r in &w.requests {
@@ -242,11 +212,8 @@ mod tests {
     fn every_tenant_gets_traffic() {
         let w = workload(11);
         for t in 0..4 {
-            assert!(
-                w.tenant_requests(t).count() > 10,
-                "tenant {t} starved: {}",
-                w.tenant_requests(t).count()
-            );
+            let issued = w.requests.iter().filter(|r| r.tenant == t).count();
+            assert!(issued > 10, "tenant {t} starved: {issued}");
         }
     }
 
@@ -263,6 +230,8 @@ mod tests {
             assert_eq!(r.prompt.len(), 4);
             assert!(r.prompt.iter().all(|&t| t < 64));
         }
-        assert_eq!(w.distinct_contexts_requested(), 6);
+        let distinct: std::collections::BTreeSet<u64> =
+            w.requests.iter().map(|r| r.context_id).collect();
+        assert_eq!(distinct.len(), 6);
     }
 }

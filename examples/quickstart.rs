@@ -77,7 +77,9 @@ fn main() {
     println!("\n{:<22} {:>18}", "method", "first-token acc");
     for level in [0, engine.default_level(), engine.num_levels() - 1] {
         let enc = engine.encode_at_level(&cache, level);
-        let dec = engine.decode_at_level(&enc, level);
+        let dec = engine
+            .try_decode_at_level(&enc, level)
+            .expect("own encoding decodes");
         let acc = eval::first_token_accuracy(engine.model(), &cache, &dec, &prompts);
         println!(
             "{:<22} {:>17.0}%",

@@ -105,7 +105,9 @@ fn run_lossy(workload: &MultiTenantWorkload, recorder: &Recorder) -> ServingRepo
         retransmit_budget: 0,
         ..config(AdaptPolicy::Adaptive)
     };
-    build_cluster(cfg, Some(EXPORT_LOSS), workload).run_traced(&workload.requests, recorder)
+    build_cluster(cfg, Some(EXPORT_LOSS), workload)
+        .plan_run(&workload.requests, recorder)
+        .0
 }
 
 fn summarize(name: &str, report: &ServingReport) {

@@ -124,7 +124,7 @@ fn exports(recorder: &Recorder) -> (String, String) {
 fn scenario(label: &str, seed: u64) -> (ServingReport, String, String) {
     let (mut cluster, wl) = cold_cluster(label, seed);
     let recorder = Recorder::new();
-    let report = cluster.run_traced(&wl.requests, &recorder);
+    let report = cluster.plan_run(&wl.requests, &recorder).0;
     let (trace, metrics) = exports(&recorder);
     (report, trace, metrics)
 }
@@ -168,6 +168,33 @@ fn virtual_backend_matches_pre_refactor_goldens() {
     );
 }
 
+/// `ServingCluster::build` builds and profiles once: every shard's engine
+/// is the same model and the same per-level codecs (by address) over a
+/// store of its own. Nothing observable moves with the sharing — the
+/// `GOLDEN` digests above date from one full engine build per shard.
+#[test]
+fn shards_share_one_model_and_codecs_but_not_a_store() {
+    let (cluster, wl) = cold_cluster("clean", 1);
+    let first = &cluster.shard(0).engine;
+    for shard in &cluster.shards()[1..] {
+        assert!(std::ptr::eq(first.model(), shard.engine.model()));
+        for level in 0..first.num_levels() {
+            assert!(std::ptr::eq(first.codec(level), shard.engine.codec(level)));
+        }
+    }
+    for (id, _) in &wl.documents {
+        let holders = cluster
+            .shards()
+            .iter()
+            .filter(|s| s.engine.store().contains(*id));
+        assert_eq!(
+            holders.count(),
+            1,
+            "context {id} lives on its owning shard only"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -189,7 +216,7 @@ proptest! {
 
 /// Layer 3: the plan every run captures is a complete account of the
 /// report beside it, and capturing it is not a different way of running —
-/// `plan_run` records exactly what `run_traced` records.
+/// the pair `plan_run` returns records exactly what a report-only run does.
 #[test]
 fn captured_plan_accounts_for_every_request_refetch_and_chunk() {
     for (label, seed) in [("clean", 3), ("lossy", 11), ("overload", 5)] {
@@ -319,7 +346,7 @@ fn thread_backend_agrees_with_the_oracle_on_everything_but_time() {
         virtual_cluster.store_context(*id, tokens);
     }
     let virtual_recorder = Recorder::new();
-    let oracle = virtual_cluster.run_traced(&wl.requests, &virtual_recorder);
+    let oracle = virtual_cluster.plan_run(&wl.requests, &virtual_recorder).0;
 
     let mut thread_cluster = build_cluster(&config, 5e6, None);
     for (id, tokens) in &wl.documents {
@@ -417,7 +444,7 @@ fn both_backends_publish_exactly_the_metric_table() {
 
     let (mut cluster, wl) = cold_cluster("lossy", 11);
     let recorder = Recorder::new();
-    cluster.run_traced(&wl.requests, &recorder);
+    cluster.plan_run(&wl.requests, &recorder);
     let oracle_rows: Vec<&str> = table
         .iter()
         .copied()

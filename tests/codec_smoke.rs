@@ -83,13 +83,13 @@ fn decode_of_encode_equals_quantized_cache_exactly() {
     let profile = CodecProfile::build(&cfg, &[&cache]);
     let codec = KvCodec::new(cfg.clone(), profile);
     let enc = codec.encode(&cache);
-    let dec = codec.decode(&enc);
+    let dec = codec.try_decode(&enc).unwrap();
     assert_bit_identical(&dec, &quantized_reference(&cache, &cfg, &enc));
     // Parallel decode is bit-identical too, and the wire container is
     // transparent.
-    assert_bit_identical(&codec.decode_parallel(&enc), &dec);
+    assert_bit_identical(&codec.try_decode_parallel(&enc).unwrap(), &dec);
     let wired = EncodedKv::from_bytes(&enc.to_bytes()).expect("container parses");
-    assert_bit_identical(&codec.decode(&wired), &dec);
+    assert_bit_identical(&codec.try_decode(&wired).unwrap(), &dec);
 }
 
 /// A raw entropy-coder sanity check at the workspace level: the entropy
@@ -183,9 +183,9 @@ proptest! {
         let profile = CodecProfile::build(&cfg, &[&cache]);
         let codec = KvCodec::new(cfg.clone(), profile);
         let enc = codec.encode(&cache);
-        let dec = codec.decode(&enc);
+        let dec = codec.try_decode(&enc).unwrap();
         assert_bit_identical(&dec, &quantized_reference(&cache, &cfg, &enc));
-        assert_bit_identical(&codec.decode_parallel(&enc), &dec);
+        assert_bit_identical(&codec.try_decode_parallel(&enc).unwrap(), &dec);
         // And the loss that remains is exactly the bounded quantization
         // loss: anchors err at most half an anchor step; other tokens at
         // most half a delta step, because their delta is taken against the

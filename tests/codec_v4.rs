@@ -263,12 +263,12 @@ proptest! {
         let profile = CodecProfile::build(&cfg, &[&cache]);
         let codec = KvCodec::new(cfg, profile);
         let enc = codec.encode(&cache);
-        let dec = codec.decode(&enc);
-        prop_assert_eq!(&dec, &codec.decode_parallel(&enc));
+        let dec = codec.try_decode(&enc).unwrap();
+        prop_assert_eq!(&dec, &codec.try_decode_parallel(&enc).unwrap());
         let bytes = enc.to_bytes();
         prop_assert_eq!(bytes[4], 4);
         let back = EncodedKv::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(&codec.decode(&back), &dec);
+        prop_assert_eq!(&codec.try_decode(&back).unwrap(), &dec);
     }
 
     /// Truncating any v4 chunk to any proper prefix is always detected,
@@ -357,7 +357,7 @@ proptest! {
         at in 0usize..10_000,
     ) {
         let (codec, enc) = encode_small(seed, len, true);
-        let clean = codec.decode(&enc);
+        let clean = codec.try_decode(&enc).unwrap();
         let layout = GroupLayout::new(enc.group_size, enc.tokens);
         let groups = layout.num_groups();
         let (is_k, layer, group) = pick_chunk(&enc, pick);

@@ -43,7 +43,7 @@ fn table1_cachegen_beats_8bit_at_matched_quality() {
     let acc_q8 = eval::first_token_accuracy(engine.model(), &cache, &q8.cache, &ps);
 
     let enc = engine.encode_at_level(&cache, 1); // paper-default bins
-    let dec = engine.decode_at_level(&enc, 1);
+    let dec = engine.try_decode_at_level(&enc, 1).unwrap();
     let acc_cg = eval::first_token_accuracy(engine.model(), &cache, &dec, &ps);
 
     let ratio = q8.wire_bytes as f64 / enc.total_bytes() as f64;
@@ -82,7 +82,7 @@ fn fig10_cachegen_on_h2o_and_lingua() {
         h2o_bytes
     );
     // Decode still reconstructs a usable cache.
-    let dec = codec.decode_parallel(&enc);
+    let dec = codec.try_decode_parallel(&enc).unwrap();
     assert_eq!(dec.tokens(), pruned.cache.tokens());
 
     // LLMLingua compresses the text; the (smaller) recomputed cache still
@@ -125,7 +125,7 @@ fn store_fetch_decode_generate_round_trip() {
     // own vectorwise scales, §5.3).
     let reference = engine.calculate_kv(&ctx);
     let enc_whole = engine.encode_at_level(&reference, level);
-    let dec_whole = engine.decode_at_level(&enc_whole, level);
+    let dec_whole = engine.try_decode_at_level(&enc_whole, level).unwrap();
     let whole_mse = reference.mse(&dec_whole);
     let streamed_mse = reference.mse(&cache);
     assert!(
@@ -238,7 +238,7 @@ fn fig9_quality_size_frontier() {
     let mut accs = Vec::new();
     for level in 0..engine.num_levels() {
         let enc = engine.encode_at_level(&cache, level);
-        let dec = engine.decode_at_level(&enc, level);
+        let dec = engine.try_decode_at_level(&enc, level).unwrap();
         sizes.push(enc.total_bytes());
         accs.push(eval::first_token_accuracy(
             engine.model(),
@@ -277,7 +277,7 @@ fn gqa_model_full_path() {
                 .kv_channels()
     );
     let enc = engine.encode_at_level(&cache, 1);
-    let dec = engine.decode_at_level(&enc, 1);
+    let dec = engine.try_decode_at_level(&enc, 1).unwrap();
     assert!(cache.mse(&dec) < 0.5);
     let plan = engine.store_prefilled(7, &ctx, &cache);
     let mut link = Link::new(BandwidthTrace::constant(GBPS), 0.0);

@@ -141,7 +141,7 @@ fn corrupted_payload_decodes_or_reports_without_panic() {
     let cache = engine.calculate_kv(&ctx);
     let chunk = cache.slice_tokens(0, 30);
     let enc = engine.encode_at_level(&chunk, 1);
-    let reference = engine.decode_at_level(&enc, 1);
+    let reference = engine.try_decode_at_level(&enc, 1).unwrap();
     let mut corrupted = enc.clone();
     let payload = &mut corrupted.k_chunks[0][0];
     let mid = payload.len() / 2;

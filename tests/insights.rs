@@ -123,7 +123,7 @@ fn insight3_channel_layer_grouping_beats_token_grouping() {
     // grouping help more, and the combined (channel, layer) grouping that
     // CacheGen's symbol models use helps most. (Real LLMs show a larger
     // channel-only gap than our random-weight simulator, which lacks the
-    // outlier-channel phenomenon — DESIGN.md §2.)
+    // outlier-channel phenomenon.)
     assert!(
         channel_gain > 0.5 * token_gain,
         "channel gain {channel_gain:.3} vs token gain {token_gain:.3}"

@@ -181,14 +181,14 @@ proptest! {
         let profile = CodecProfile::build(&cfg, &[&cache]);
         let codec = KvCodec::new(cfg, profile);
         let enc = codec.encode(&cache);
-        let dec1 = codec.decode(&enc);
-        let dec2 = codec.decode_parallel(&enc);
+        let dec1 = codec.try_decode(&enc).unwrap();
+        let dec2 = codec.try_decode_parallel(&enc).unwrap();
         prop_assert_eq!(&dec1, &dec2);
         // Lossy only through quantization: bounded reconstruction error.
         prop_assert!(cache.mse(&dec1) < 1.0, "mse {}", cache.mse(&dec1));
         // Serialized form survives the wire.
         let back = EncodedKv::from_bytes(&enc.to_bytes()).unwrap();
-        prop_assert_eq!(codec.decode(&back), dec1);
+        prop_assert_eq!(codec.try_decode(&back).unwrap(), dec1);
     }
 
     /// Chunk-independent encoding: slicing at any group-aligned boundary
@@ -207,10 +207,10 @@ proptest! {
         let cfg = CodecConfig::default();
         let profile = CodecProfile::build(&cfg, &[&cache]);
         let codec = KvCodec::new(cfg, profile);
-        let whole = codec.decode(&codec.encode(&cache));
+        let whole = codec.try_decode(&codec.encode(&cache)).unwrap();
         let cut = groups_in_first * 10;
-        let a = codec.decode(&codec.encode(&cache.slice_tokens(0, cut)));
-        let b = codec.decode(&codec.encode(&cache.slice_tokens(cut, len)));
+        let a = codec.try_decode(&codec.encode(&cache.slice_tokens(0, cut))).unwrap();
+        let b = codec.try_decode(&codec.encode(&cache.slice_tokens(cut, len))).unwrap();
         let merged = KvCache::concat_tokens(&[a, b]);
         // Per-chunk vectorwise scales differ from whole-cache scales, so
         // require same-order loss rather than bit-identity.

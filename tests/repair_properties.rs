@@ -69,7 +69,7 @@ proptest! {
         prop_assert!(out.cache.k().data().iter().all(|x| x.is_finite()));
         prop_assert!(out.cache.v().data().iter().all(|x| x.is_finite()));
         if expected_lost == 0 {
-            prop_assert_eq!(&out.cache, &e.decode_at_level(&enc, 1));
+            prop_assert_eq!(&out.cache, &e.try_decode_at_level(&enc, 1).unwrap());
         }
     }
 
@@ -87,7 +87,7 @@ proptest! {
         let ctx: Vec<usize> = (0..40).map(|_| rng.gen::<usize>() % 64).collect();
         let cache = e.calculate_kv(&ctx);
         let enc = e.encode_at_level(&cache, 0);
-        let clean = e.decode_at_level(&enc, 0);
+        let clean = e.try_decode_at_level(&enc, 0).unwrap();
         let layout = enc.layout();
         let lost_groups: std::collections::BTreeSet<usize> =
             lost_groups_raw.into_iter().collect();

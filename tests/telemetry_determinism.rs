@@ -52,7 +52,7 @@ fn run_once(recorder: &Recorder) -> ServingReport {
     for (id, tokens) in &workload.documents {
         cluster.store_context(*id, tokens);
     }
-    cluster.run_traced(&workload.requests, recorder)
+    cluster.plan_run(&workload.requests, recorder).0
 }
 
 #[test]
