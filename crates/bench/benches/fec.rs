@@ -9,36 +9,34 @@
 //! lose the first `r` members of every group (the most a group
 //! survives) with all parity alive.
 //!
-//! The vendored criterion stand-in takes one timing per function, so
-//! this harness times for itself: every row is the median of
-//! [`SAMPLES`] calls, each call [`PASSES`] passes over the whole context
-//! so that it runs for tens of microseconds at least. Rates are data
-//! bytes per second (parity bytes produced are not counted).
+//! Every row is [`SAMPLES`] timed calls through `harness::sample`, each
+//! call [`PASSES`] passes over the whole context so that it runs for tens
+//! of microseconds at least. Rates are data bytes per second (parity
+//! bytes produced are not counted).
 
-use cachegen_bench::harness::{context_fixture, median_secs, CONTEXT_TOKENS};
+use cachegen_bench::harness::{context_fixture, sample, Snapshot, Summary, CONTEXT_TOKENS};
 use cachegen_codec::EncodedKv;
 use cachegen_net::{gf256, RsCode};
-use cachegen_telemetry::{workspace_root, JsonValue};
 use std::hint::black_box;
 
 /// Encoding level whose payloads are measured (the ladder's middle).
 const LEVEL: usize = 2;
 /// Data packets per parity group.
 const GROUP: usize = 12;
-/// Timed calls per row; the row reports their median.
+/// Timed calls per row.
 const SAMPLES: usize = 31;
 /// Passes over the context's payloads per timed call.
 const PASSES: usize = 16;
 
-/// Median MB/s over [`SAMPLES`] timed calls of `pass`, [`PASSES`]
-/// repetitions per call, `bytes` of data per repetition.
-fn mb_per_s<T>(bytes: usize, mut pass: impl FnMut() -> T) -> f64 {
-    let secs = median_secs(SAMPLES, || {
+/// MB/s over [`SAMPLES`] timed calls of `pass`, [`PASSES`] repetitions
+/// per call, `bytes` of data per repetition.
+fn mb_per_s<T>(bytes: usize, mut pass: impl FnMut() -> T) -> Summary {
+    let secs = sample(SAMPLES, || {
         for _ in 0..PASSES {
             black_box(pass());
         }
     });
-    (PASSES * bytes) as f64 / 1e6 / secs
+    secs.rate((PASSES * bytes) as f64 / 1e6)
 }
 
 fn main() {
@@ -55,11 +53,7 @@ fn main() {
     let groups: Vec<&[&[u8]]> = payloads.chunks_exact(GROUP).collect();
     let grouped_bytes: usize = groups.iter().flat_map(|g| g.iter()).map(|p| p.len()).sum();
 
-    let mut rows: Vec<(String, JsonValue)> = Vec::new();
-    let mut row = |key: String, value: f64| {
-        println!("bench {key:<40} {value:>12.1}");
-        rows.push((key, JsonValue::Number(value)));
-    };
+    let mut snap = Snapshot::new("net", SAMPLES);
 
     // The kernel alone: every payload accumulated into one buffer.
     let total_bytes: usize = payloads.iter().map(|p| p.len()).sum();
@@ -72,7 +66,7 @@ fn main() {
             }
             acc[0]
         });
-        row(format!("gf256_mul_acc_mb_per_s_{name}"), rate);
+        snap.row(&format!("gf256_mul_acc_mb_per_s_{name}"), "MB/s", rate);
     }
 
     for r in [1usize, 2, 4] {
@@ -80,7 +74,7 @@ fn main() {
         let rate = mb_per_s(grouped_bytes, || {
             groups.iter().map(|g| code.parity(g).len()).sum::<usize>()
         });
-        row(format!("rs_parity_mb_per_s_r{r}"), rate);
+        snap.row(&format!("rs_parity_mb_per_s_r{r}"), "MB/s", rate);
 
         let sent: Vec<Vec<Vec<u8>>> = groups.iter().map(|g| code.parity(g)).collect();
         type Shards<'a> = Vec<Option<&'a [u8]>>;
@@ -99,7 +93,7 @@ fn main() {
                 .map(|(data, parity)| code.recover(data, parity).map_or(0, |out| out.len()))
                 .sum::<usize>()
         });
-        row(format!("rs_recover_mb_per_s_r{r}"), rate);
+        snap.row(&format!("rs_recover_mb_per_s_r{r}"), "MB/s", rate);
         for ((data, parity), g) in received.iter().zip(&groups) {
             let rebuilt = code.recover(data, parity).expect("r losses, r parity");
             assert_eq!(rebuilt.len(), r);
@@ -109,20 +103,10 @@ fn main() {
         }
     }
 
-    let count = |n: usize| JsonValue::Number(n as f64);
-    let mut doc = vec![
-        ("bench".to_string(), JsonValue::String("net".to_string())),
-        ("context_tokens".to_string(), count(CONTEXT_TOKENS)),
-        ("level".to_string(), count(LEVEL)),
-        ("group_size".to_string(), count(GROUP)),
-        ("groups".to_string(), count(groups.len())),
-        ("payload_bytes".to_string(), count(grouped_bytes)),
-        ("samples_per_row".to_string(), count(SAMPLES)),
-    ];
-    doc.extend(rows);
-    let path = workspace_root().join("BENCH_net.json");
-    let mut text = JsonValue::Object(doc).to_compact();
-    text.push('\n');
-    std::fs::write(&path, text).expect("write BENCH_net.json");
-    println!("wrote {}", path.display());
+    snap.info("context_tokens", CONTEXT_TOKENS as f64);
+    snap.info("level", LEVEL as f64);
+    snap.info("group_size", GROUP as f64);
+    snap.info("groups", groups.len() as f64);
+    snap.info("payload_bytes", grouped_bytes as f64);
+    snap.write("BENCH_net.json");
 }

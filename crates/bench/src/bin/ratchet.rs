@@ -1,5 +1,7 @@
-//! Perf ratchet over a committed `BENCH_*.json` snapshot: fails CI when
-//! a measured key falls below its pinned absolute floor.
+//! Perf ratchet over a `BENCH_*.json` snapshot (`harness::Snapshot`):
+//! fails CI when a row's median falls below its pinned absolute floor, or
+//! when the row carries no noise estimate — no `mad`, or fewer samples
+//! than the snapshot declares.
 //!
 //! ```text
 //! cargo run -p cachegen-bench --release --bin ratchet -- \
@@ -66,16 +68,10 @@ fn main() {
 
     let mut failed = false;
     for (key, floor) in &floors {
-        match doc.get(key).and_then(JsonValue::as_f64) {
-            Some(v) if v.is_finite() && v >= *floor => {
-                println!("ratchet: {key} = {v:.2} >= {floor:.2}");
-            }
-            Some(v) if v.is_finite() => {
-                eprintln!("ratchet: FAIL — {key} = {v:.2} is below the pinned floor {floor:.2}");
-                failed = true;
-            }
-            _ => {
-                eprintln!("ratchet: FAIL — {file} has no finite numeric '{key}'");
+        match gate(&doc, key, *floor) {
+            Ok(line) => println!("ratchet: {line}"),
+            Err(why) => {
+                eprintln!("ratchet: FAIL — {why}");
                 failed = true;
             }
         }
@@ -84,4 +80,61 @@ fn main() {
         std::process::exit(1);
     }
     println!("ratchet: OK");
+}
+
+/// One `--min` verdict on snapshot `doc`: the passing line to print, or
+/// why row `key` fails.
+fn gate(doc: &JsonValue, key: &str, floor: f64) -> Result<String, String> {
+    let number = |value: Option<&JsonValue>| value.and_then(JsonValue::as_f64);
+    let row = doc.get("rows").and_then(|rows| rows.get(key));
+    let field = |name: &str| number(row.and_then(|r| r.get(name))).filter(|v| v.is_finite());
+    let median = field("median").ok_or(format!("no row '{key}' with a finite median"))?;
+    let mad = field("mad").ok_or(format!("row '{key}' has no mad"))?;
+    let declared = number(doc.get("samples")).ok_or("snapshot declares no sample count")?;
+    let n = field("n").unwrap_or(0.0);
+    if n < declared {
+        return Err(format!(
+            "row '{key}' has {n} samples, the snapshot declares {declared}"
+        ));
+    }
+    if median < floor {
+        return Err(format!(
+            "{key} = {median:.2} ± {mad:.2} is below the pinned floor {floor:.2}"
+        ));
+    }
+    Ok(format!(
+        "{key} = {median:.2} ± {mad:.2} (MAD) >= {floor:.2}"
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn snapshot(row: &str) -> JsonValue {
+        json::parse(&format!(r#"{{"samples":31,"rows":{{"k":{row}}}}}"#)).expect("valid JSON")
+    }
+
+    #[test]
+    fn gates_the_median_and_prints_the_mad() {
+        let doc = snapshot(r#"{"median":80.5,"mad":1.25,"n":31,"unit":"x"}"#);
+        assert_eq!(
+            gate(&doc, "k", 40.0).as_deref(),
+            Ok("k = 80.50 ± 1.25 (MAD) >= 40.00")
+        );
+        assert!(gate(&doc, "k", 81.0).unwrap_err().contains("below"));
+        assert!(gate(&doc, "absent", 1.0).unwrap_err().contains("no row"));
+    }
+
+    #[test]
+    fn rejects_a_row_without_a_noise_estimate() {
+        let no_mad = snapshot(r#"{"median":80.5,"n":31,"unit":"x"}"#);
+        assert!(gate(&no_mad, "k", 40.0).unwrap_err().contains("no mad"));
+        let few = snapshot(r#"{"median":80.5,"mad":1.25,"n":4,"unit":"x"}"#);
+        assert!(gate(&few, "k", 40.0).unwrap_err().contains("4 samples"));
+        let uncounted = snapshot(r#"{"median":80.5,"mad":1.25,"unit":"x"}"#);
+        assert!(gate(&uncounted, "k", 40.0)
+            .unwrap_err()
+            .contains("0 samples"));
+    }
 }

@@ -171,22 +171,6 @@ pub(crate) fn run_cell_burst(
     run_cell_faults(s, faults, repair, retransmit_budget, fec)
 }
 
-/// Legacy cell shape used by older callers: (TTFT, repaired fraction,
-/// MSE).
-pub(crate) fn run_cell(
-    s: &Scenario,
-    loss: f64,
-    repair: RepairPolicy,
-    retransmit_budget: usize,
-) -> (f64, f64, f32) {
-    let out = run_cell_fec(s, loss, repair, retransmit_budget, FecOverhead::Off);
-    (
-        out.stream.finish,
-        out.repaired_fraction,
-        s.reference.mse(&out.cache),
-    )
-}
-
 /// One arm of the sweep.
 struct Arm {
     name: &'static str,
@@ -275,7 +259,9 @@ pub fn loss_sweep() {
     ];
     let losses = [0.0, 0.02, 0.05, 0.10, 0.20, 0.25, 0.30];
 
-    let lossless_ttft = run_cell(&s, 0.0, RepairPolicy::ZeroFill, 0).0;
+    let lossless_ttft = run_cell_fec(&s, 0.0, RepairPolicy::ZeroFill, 0, FecOverhead::Off)
+        .stream
+        .finish;
     println!("lossless TTFT (no FEC): {lossless_ttft:.3} s\n");
     println!(
         "{:<16} {:>6} {:>9} {:>9} {:>9} {:>7} {:>9} {:>7}",

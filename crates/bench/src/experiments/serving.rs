@@ -9,14 +9,12 @@
 //! how much of the run each shard spent serving.
 
 use cachegen::qoe::QoeModel;
-use cachegen::EngineConfig;
-use cachegen_llm::SimModelConfig;
 use cachegen_net::{BandwidthTrace, Link};
-use cachegen_serving::{percentile, ServingCluster, ServingConfig, ServingReport};
+use cachegen_serving::{percentile, ServingConfig, ServingReport};
 use cachegen_streamer::AdaptPolicy;
 use cachegen_workloads::{workload_rng, MultiTenantWorkload, SharedPrefixGen};
 
-use crate::harness::section;
+use crate::harness::{section, serving_cluster};
 
 const TENANTS: usize = 4;
 const SHARDS: usize = 2;
@@ -46,18 +44,7 @@ fn run_variant(v: &Variant, workload: &MultiTenantWorkload) -> ServingReport {
     let links = (0..SHARDS)
         .map(|_| Link::new(BandwidthTrace::constant(LINK_BPS), 0.0))
         .collect();
-    let profile: Vec<Vec<usize>> = vec![(0..60).map(|i| (i * 7) % 64).collect()];
-    let mut cluster = ServingCluster::build(
-        SimModelConfig::tiny(42),
-        EngineConfig::default(),
-        config,
-        &profile,
-        links,
-    );
-    for (id, tokens) in &workload.documents {
-        cluster.store_context(*id, tokens);
-    }
-    cluster.run(&workload.requests)
+    serving_cluster(config, links, workload).run(&workload.requests)
 }
 
 /// The serving experiment: sharded multi-tenant load, three variants.

@@ -1,9 +1,18 @@
 //! Engine/workload builders and quality measurement shared by all
-//! experiments.
+//! experiments, plus the sampling primitive ([`sample`], [`Summary`]) and
+//! snapshot writer ([`Snapshot`]) every bench target measures through.
 
 use cachegen::{CacheGenEngine, EngineConfig};
 use cachegen_llm::{eval, KvCache, SimModelConfig};
-use cachegen_workloads::{workload_rng, ContextSample, Dataset, Metric};
+use cachegen_net::{BandwidthTrace, Link, PacketFaults};
+use cachegen_serving::{ServingCluster, ServingConfig};
+use cachegen_streamer::AdaptPolicy;
+use cachegen_telemetry::{workspace_root, JsonValue};
+use cachegen_workloads::{
+    workload_rng, ContextSample, Dataset, Metric, MultiTenantWorkload, SharedPrefixGen,
+};
+use std::hint::black_box;
+use std::time::Instant;
 
 /// Standard functional-scale experiment sizes. Kept modest so the full
 /// `figures all` run completes in minutes on a laptop CPU; raise for
@@ -39,20 +48,261 @@ pub fn context_fixture() -> (CacheGenEngine, Vec<usize>, Vec<KvCache>) {
     (engine, context.tokens, chunks)
 }
 
-/// Median wall seconds of `samples` timed calls of `call`, after one
-/// untimed call to warm caches and the allocator. The vendored criterion
-/// stand-in takes one timing per function; bench rows that are gated
-/// sample for themselves through this.
-pub fn median_secs(samples: usize, mut call: impl FnMut()) -> f64 {
-    let mut timed = || {
-        let start = std::time::Instant::now();
-        call();
+/// The `serving` example's scenario, which the `serving` bench replays on
+/// OS threads: four tenants fire 160 Zipf-skewed queries at ~15 req/s
+/// against eight shared 120-token documents stored on a two-shard cluster
+/// behind 5 Mbps store links.
+pub struct ServingDemo {
+    /// The seeded request trace and the documents it queries.
+    pub workload: MultiTenantWorkload,
+}
+
+impl ServingDemo {
+    /// Tenants issuing requests.
+    pub const TENANTS: usize = 4;
+    /// Shards in the cluster.
+    pub const SHARDS: usize = 2;
+    /// Requests in the trace.
+    pub const REQUESTS: usize = 160;
+    /// Mean arrival rate of the trace.
+    pub const RATE_HZ: f64 = 15.0;
+    const SEED: u64 = 24;
+
+    /// Generates the trace.
+    pub fn generate() -> ServingDemo {
+        let workload = SharedPrefixGen::new(64, 8, 120).generate(
+            &mut workload_rng(Self::SEED),
+            Self::TENANTS,
+            Self::REQUESTS,
+            Self::RATE_HZ,
+        );
+        ServingDemo { workload }
+    }
+
+    /// The cluster configuration under streaming policy `policy`.
+    pub fn config(policy: AdaptPolicy) -> ServingConfig {
+        ServingConfig {
+            num_shards: Self::SHARDS,
+            num_tenants: Self::TENANTS,
+            slo: Some(0.15),
+            policy,
+            prior_throughput_bps: Some(5e6),
+            recompute_sec_per_token: 2e-3,
+            ..ServingConfig::default()
+        }
+    }
+
+    /// A cold cluster with the corpus stored; `loss` puts seeded
+    /// per-packet drops on every store link.
+    pub fn cluster(&self, cfg: ServingConfig, loss: Option<f64>) -> ServingCluster {
+        let links = (0..Self::SHARDS)
+            .map(|s| {
+                let link = Link::new(BandwidthTrace::constant(5e6), 0.0);
+                match loss {
+                    Some(p) => {
+                        link.with_packet_faults(PacketFaults::loss(p), Self::SEED + s as u64)
+                    }
+                    None => link,
+                }
+            })
+            .collect();
+        serving_cluster(cfg, links, &self.workload)
+    }
+}
+
+/// A cluster of tiny sim-model shards, one per link, with every document
+/// of `workload` stored.
+pub fn serving_cluster(
+    cfg: ServingConfig,
+    links: Vec<Link>,
+    workload: &MultiTenantWorkload,
+) -> ServingCluster {
+    let profile: Vec<Vec<usize>> = vec![(0..60).map(|i| (i * 7) % 64).collect()];
+    let mut cluster = ServingCluster::build(
+        SimModelConfig::tiny(42),
+        EngineConfig::default(),
+        cfg,
+        &profile,
+        links,
+    );
+    for (id, tokens) in &workload.documents {
+        cluster.store_context(*id, tokens);
+    }
+    cluster
+}
+
+/// Median, spread and size of one sample — the statistics of the layered
+/// benchmark's `stats::Summary`: linearly interpolated quartiles and the
+/// median absolute deviation from the median.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Summary {
+    /// Number of values.
+    pub n: usize,
+    /// Median.
+    pub median: f64,
+    /// First quartile.
+    pub q1: f64,
+    /// Third quartile.
+    pub q3: f64,
+    /// Median absolute deviation from the median.
+    pub mad: f64,
+}
+
+/// Quartiles and median of an unsorted sample (which must hold no NaN).
+fn quartiles(values: &[f64]) -> [f64; 3] {
+    assert!(!values.is_empty(), "summary of an empty sample");
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|p| {
+        let rank = p * (sorted.len() - 1) as f64;
+        let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+    })
+}
+
+impl Summary {
+    /// Summarises an unsorted sample.
+    pub fn of(values: &[f64]) -> Summary {
+        let [q1, median, q3] = quartiles(values);
+        let deviations: Vec<f64> = values.iter().map(|v| (v - median).abs()).collect();
+        Summary {
+            n: values.len(),
+            median,
+            q1,
+            q3,
+            mad: quartiles(&deviations)[1],
+        }
+    }
+
+    /// The same sample in another linear unit (`factor` > 0): seconds to
+    /// milliseconds is `scaled(1e3)`.
+    pub fn scaled(&self, factor: f64) -> Summary {
+        Summary {
+            n: self.n,
+            median: self.median * factor,
+            q1: self.q1 * factor,
+            q3: self.q3 * factor,
+            mad: self.mad * factor,
+        }
+    }
+
+    /// A seconds-per-call sample as `units` of work per second. The
+    /// quantiles map exactly (in reverse order); the MAD keeps its share
+    /// of the median, which is exact to first order in the spread.
+    pub fn rate(&self, units: f64) -> Summary {
+        let median = units / self.median;
+        Summary {
+            n: self.n,
+            median,
+            q1: units / self.q3,
+            q3: units / self.q1,
+            mad: median * self.mad / self.median,
+        }
+    }
+}
+
+/// The workspace's one timing primitive: seconds per call of `call`, over
+/// `n` timed calls after one untimed call that warms caches, lazy tables
+/// and the allocator. Results pass through `black_box`. `call` should run
+/// for tens of microseconds at least, so the clock's own cost stays
+/// negligible.
+///
+/// A further `n / 3` samples time four back-to-back calls: a call the
+/// optimiser deleted takes as long four times over as once, so a median
+/// ratio under 2 fails the bench instead of reporting a fantastic rate.
+pub fn sample<T>(n: usize, mut call: impl FnMut() -> T) -> Summary {
+    assert!(n >= 3, "a median needs at least three samples");
+    let mut timed = |calls: usize| {
+        let start = Instant::now();
+        for _ in 0..calls {
+            black_box(call());
+        }
         start.elapsed().as_secs_f64()
     };
-    timed();
-    let mut secs: Vec<f64> = (0..samples).map(|_| timed()).collect();
-    secs.sort_by(f64::total_cmp);
-    secs[samples / 2]
+    timed(1);
+    let single: Vec<f64> = (0..n).map(|_| timed(1)).collect();
+    let fourfold: Vec<f64> = (0..n.div_ceil(3)).map(|_| timed(4)).collect();
+    let secs = Summary::of(&single);
+    let scaling = Summary::of(&fourfold).median / secs.median;
+    assert!(
+        scaling >= 2.0,
+        "four calls took {scaling:.2}x one: the timed work does not scale"
+    );
+    secs
+}
+
+/// Prints one measured row: median ± MAD in `unit` over `n` samples.
+pub fn report(key: &str, unit: &str, s: Summary) {
+    println!(
+        "bench {key:<40} {:>12.3} ± {:<10.3} {unit} (n = {})",
+        s.median, s.mad, s.n
+    );
+}
+
+fn number(key: &str, value: f64) -> (String, JsonValue) {
+    (key.to_string(), JsonValue::Number(value))
+}
+
+/// The one `BENCH_*.json` perf document:
+/// `{bench, host_cores, samples, rows: {key: {median, mad, n, unit}},
+/// info: {key: number}}`. `rows` are measurements, each from at least
+/// `samples` timed samples; `info` describes the input they ran on.
+pub struct Snapshot {
+    bench: &'static str,
+    samples: usize,
+    rows: Vec<(String, JsonValue)>,
+    info: Vec<(String, JsonValue)>,
+}
+
+impl Snapshot {
+    /// An empty document for bench `bench`, whose every row will carry
+    /// at least `samples` samples.
+    pub fn new(bench: &'static str, samples: usize) -> Snapshot {
+        Snapshot {
+            bench,
+            samples,
+            rows: Vec::new(),
+            info: Vec::new(),
+        }
+    }
+
+    /// Prints and records one measured row.
+    pub fn row(&mut self, key: &str, unit: &str, s: Summary) {
+        assert!(s.n >= self.samples, "row {key} has only {} samples", s.n);
+        report(key, unit, s);
+        let unit = ("unit".to_string(), JsonValue::String(unit.to_string()));
+        let fields = vec![
+            number("median", s.median),
+            number("mad", s.mad),
+            number("n", s.n as f64),
+            unit,
+        ];
+        self.rows.push((key.to_string(), JsonValue::Object(fields)));
+    }
+
+    /// Records one fact about the measured input.
+    pub fn info(&mut self, key: &str, value: f64) {
+        self.info.push(number(key, value));
+    }
+
+    /// Writes the document to `file` at the workspace root.
+    pub fn write(self, file: &str) {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let doc = JsonValue::Object(vec![
+            (
+                "bench".to_string(),
+                JsonValue::String(self.bench.to_string()),
+            ),
+            number("host_cores", cores as f64),
+            number("samples", self.samples as f64),
+            ("rows".to_string(), JsonValue::Object(self.rows)),
+            ("info".to_string(), JsonValue::Object(self.info)),
+        ]);
+        let path = workspace_root().join(file);
+        std::fs::write(&path, doc.to_compact() + "\n")
+            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        println!("wrote {}", path.display());
+    }
 }
 
 /// A ready-to-measure bench fixture: an engine plus evaluation samples.
@@ -169,6 +419,91 @@ pub fn section(title: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn summary_of_odd_and_even_samples() {
+        // Odd n: the numbers `benchmark/src/stats.rs` pins for its twin.
+        let s = Summary::of(&[4.0, 1.0, 3.0, 2.0, 5.0]);
+        assert_eq!((s.n, s.median, s.q1, s.q3, s.mad), (5, 3.0, 2.0, 4.0, 1.0));
+        // Even n interpolates: deviations from 2.5 are {0.5, 0.5, 1.5, 1.5}.
+        let s = Summary::of(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!(
+            (s.n, s.median, s.q1, s.q3, s.mad),
+            (4, 2.5, 1.75, 3.25, 1.0)
+        );
+        let one = Summary::of(&[7.0]);
+        assert_eq!((one.median, one.q1, one.q3, one.mad), (7.0, 7.0, 7.0, 0.0));
+    }
+
+    #[test]
+    fn summary_changes_unit() {
+        let secs = Summary::of(&[0.5, 0.25, 1.0]);
+        assert_eq!((secs.median, secs.mad), (0.5, 0.25));
+        assert_eq!(secs.scaled(1e3), Summary::of(&[500.0, 250.0, 1000.0]));
+        let rate = secs.rate(2.0);
+        assert_eq!((rate.n, rate.median, rate.mad), (3, 4.0, 2.0));
+        assert_eq!((rate.q1, rate.q3), (2.0 / 0.75, 2.0 / 0.375));
+    }
+
+    #[test]
+    fn sample_counts_calls_and_sees_work_scale() {
+        let data: Vec<u64> = (0..200_000).collect();
+        let mut calls = 0;
+        let secs = sample(9, || {
+            calls += 1;
+            data.iter().fold(0u64, |a, &x| a ^ x.rotate_left(7))
+        });
+        assert_eq!(calls, 1 + 9 + 3 * 4);
+        assert_eq!(secs.n, 9);
+        assert!(secs.median > 0.0 && secs.q1 <= secs.median && secs.median <= secs.q3);
+    }
+
+    /// README "Benchmarks" lists exactly the committed snapshots' rows:
+    /// one line per row, in snapshot order, the median to three
+    /// significant digits (none below the unit) and the MAD to one
+    /// decimal more.
+    #[test]
+    fn readme_bench_rows_match_snapshots() {
+        let readme = include_str!("../../../README.md");
+        let rows: Vec<&str> = readme
+            .lines()
+            .filter(|l| l.starts_with("| `BENCH_"))
+            .collect();
+        let mut table = Vec::new();
+        for (file, text) in [
+            (
+                "BENCH_codec.json",
+                include_str!("../../../BENCH_codec.json"),
+            ),
+            ("BENCH_net.json", include_str!("../../../BENCH_net.json")),
+            (
+                "BENCH_serving_threads.json",
+                include_str!("../../../BENCH_serving_threads.json"),
+            ),
+        ] {
+            let doc = cachegen_telemetry::json::parse(text).expect("snapshot parses");
+            let Some(JsonValue::Object(snapshot_rows)) = doc.get("rows") else {
+                panic!("{file} has no rows");
+            };
+            for (key, row) in snapshot_rows {
+                let number = |name| row.get(name).and_then(JsonValue::as_f64).expect(name);
+                let median = number("median");
+                let decimals = match median {
+                    m if m >= 100.0 => 0,
+                    m if m >= 10.0 => 1,
+                    _ => 2,
+                };
+                table.push(format!(
+                    "| `{file}` | `{key}` | {} | {median:.decimals$} | {:.*} | {} |",
+                    row.get("unit").and_then(JsonValue::as_str).expect("unit"),
+                    decimals + 1,
+                    number("mad"),
+                    number("n"),
+                ));
+            }
+        }
+        assert_eq!(rows, table, "paste:\n{}", table.join("\n"));
+    }
 
     #[test]
     fn bench_fixture_builds_and_reports() {

@@ -2,8 +2,9 @@
 //!
 //! The `figures` binary (`cargo run -p cachegen-bench --release --bin
 //! figures -- <experiment>|all`) drives the functions in this crate; the
-//! Criterion benches under `benches/` reuse the same builders for
-//! throughput measurements and ablations.
+//! bench targets under `benches/` reuse the same builders and time every
+//! row through one primitive, [`harness::sample`], writing the
+//! `BENCH_*.json` snapshots through one writer, [`harness::Snapshot`].
 //!
 //! Two measurement scales (README.md, "Paper mapping", §7 evaluation):
 //! * **functional** — quality numbers (accuracy / F1 / perplexity) and

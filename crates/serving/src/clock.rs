@@ -4,7 +4,7 @@
 //! link model: every event carries an `f64` time in seconds, and the queue
 //! pops events in time order. Ties are broken by insertion sequence so a
 //! run is a pure function of its inputs — the same trace always replays
-//! the same schedule, which is what makes the acceptance criterion
+//! the same schedule, which is what makes the determinism requirement
 //! ("same seed ⇒ same per-tenant TTFT percentiles") checkable.
 
 use std::cmp::Ordering;

@@ -40,9 +40,10 @@ pub struct ServingConfig {
     /// policy takes over (per-packet-fault links only).
     pub retransmit_budget: usize,
     /// Default forward-error-correction parity density on store→shard
-    /// links: XOR parity recovers single-loss groups before the
-    /// retransmit budget or the repair/refetch ladder is consulted, so a
-    /// lossy link stops flooding the shard queues with re-fetch entries.
+    /// links: erasure parity (XOR at r = 1) recovers groups that lost no
+    /// more packets than they carry parity before the retransmit budget
+    /// or the repair/refetch ladder is consulted, so a lossy link stops
+    /// flooding the shard queues with re-fetch entries.
     pub fec_overhead: FecOverhead,
     /// Per-tenant FEC overrides (`tenant_fec[t] = Some(knob)`), letting
     /// tenants buy more (or less) parity than the cluster default. The

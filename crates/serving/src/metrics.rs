@@ -73,11 +73,12 @@ pub struct ShardSummary {
     /// Bytes fetched from the store over the shard's link (FEC parity
     /// included — it occupies the same wire).
     pub bytes_fetched: u64,
-    /// XOR parity bytes sent on top of the data (the FEC bandwidth
-    /// overhead; zero with FEC off).
+    /// Erasure parity (XOR at r = 1) bytes sent on top of the data (the
+    /// FEC bandwidth overhead; zero with FEC off).
     pub parity_bytes: u64,
     /// Packets dropped by the link but reconstructed byte-identically by
-    /// XOR parity — losses that never became repairs or re-fetches.
+    /// erasure parity (XOR at r = 1) — losses that never became repairs
+    /// or re-fetches.
     pub fec_recovered_packets: u64,
     /// Bytes a lossy transfer never delivered (repaired per policy).
     pub lost_bytes: u64,

@@ -145,7 +145,8 @@ impl StreamOutcome {
         self.chunks.iter().map(|c| c.retransmits).sum()
     }
 
-    /// Packets recovered by XOR parity across all chunks.
+    /// Packets recovered by erasure parity (XOR at r = 1) across all
+    /// chunks.
     pub fn fec_recovered_packets(&self) -> usize {
         self.chunks.iter().map(|c| c.fec_recovered.len()).sum()
     }

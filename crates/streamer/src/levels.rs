@@ -69,22 +69,6 @@ pub enum StreamConfig {
     Text,
 }
 
-impl StreamConfig {
-    /// Quality rank for Algorithm 1's "least compression loss" ordering:
-    /// text (lossless) ranks above every level; among levels, finer wins.
-    pub fn quality_rank(&self, n_levels: usize) -> usize {
-        match self {
-            StreamConfig::Text => 0,
-            StreamConfig::Level(id) => 1 + *id.min(&(n_levels - 1)),
-        }
-    }
-
-    /// Iterator over all configurations in quality order (best first).
-    pub fn quality_order(n_levels: usize) -> impl Iterator<Item = StreamConfig> {
-        std::iter::once(StreamConfig::Text).chain((0..n_levels).map(StreamConfig::Level))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,27 +79,6 @@ mod tests {
         assert_eq!(l.len(), 5);
         assert!(l.factors().windows(2).all(|w| w[0] < w[1]));
         assert_eq!(l.default_medium(), 2);
-    }
-
-    #[test]
-    fn quality_order_starts_with_text_then_finest() {
-        let order: Vec<_> = StreamConfig::quality_order(3).collect();
-        assert_eq!(
-            order,
-            vec![
-                StreamConfig::Text,
-                StreamConfig::Level(0),
-                StreamConfig::Level(1),
-                StreamConfig::Level(2)
-            ]
-        );
-    }
-
-    #[test]
-    fn quality_rank_is_consistent_with_order() {
-        let order: Vec<_> = StreamConfig::quality_order(4).collect();
-        let ranks: Vec<_> = order.iter().map(|c| c.quality_rank(4)).collect();
-        assert!(ranks.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -23,90 +23,40 @@
 //!
 //! With `--backend threads [--cores N]` the identical workload instead
 //! runs on the real OS-thread execution backend: the virtual-clock
-//! oracle plans the run, then real per-shard workers replay it (chunk
-//! decodes on the shared codec pool), sweeping 1→N workers per shard.
-//! Outcomes are asserted identical to the oracle's; the sweep's
-//! wall-clock throughput lands in `BENCH_serving_threads.json` and the
-//! final run's trace in `serving_trace_threads.json`.
+//! oracle plans the run, then N real workers per shard replay it (chunk
+//! decodes on the shared codec pool). Outcomes are asserted identical to
+//! the oracle's and the run's wall-clock trace lands in
+//! `serving_trace_threads.json`. The 1→N throughput sweep is
+//! `cargo bench --bench serving`.
 
 use cachegen::qoe::QoeModel;
-use cachegen::EngineConfig;
-use cachegen_llm::SimModelConfig;
-use cachegen_net::{BandwidthTrace, Link, PacketFaults};
-use cachegen_serving::{ServingCluster, ServingConfig, ServingReport, ThreadBackend};
+use cachegen_bench::harness::ServingDemo;
+use cachegen_serving::{ServingConfig, ServingReport, ThreadBackend};
 use cachegen_streamer::{AdaptPolicy, FecOverhead};
 use cachegen_telemetry::{
-    chrome_trace_json, metrics_snapshot_json, validate_chrome_trace, workspace_root, JsonValue,
-    Recorder, Stage, NOOP,
+    chrome_trace_json, metrics_snapshot_json, validate_chrome_trace, workspace_root, Recorder,
+    Stage, NOOP,
 };
-use cachegen_workloads::{workload_rng, MultiTenantWorkload, SharedPrefixGen};
-
-const SEED: u64 = 24;
-const TENANTS: usize = 4;
-const SHARDS: usize = 2;
-const REQUESTS: usize = 160;
-const RATE_HZ: f64 = 15.0;
 
 /// Packet loss on the exported replay's store links.
 const EXPORT_LOSS: f64 = 0.05;
 
-fn config(policy: AdaptPolicy) -> ServingConfig {
-    ServingConfig {
-        num_shards: SHARDS,
-        num_tenants: TENANTS,
-        slo: Some(0.15),
-        policy,
-        prior_throughput_bps: Some(5e6),
-        recompute_sec_per_token: 2e-3,
-        ..ServingConfig::default()
-    }
-}
-
-fn run(policy: AdaptPolicy, workload: &MultiTenantWorkload) -> ServingReport {
-    build_cluster(config(policy), None, workload).run(&workload.requests)
-}
-
-/// A cluster with the corpus stored; `loss` puts seeded per-packet drops
-/// on every store link.
-fn build_cluster(
-    cfg: ServingConfig,
-    loss: Option<f64>,
-    workload: &MultiTenantWorkload,
-) -> ServingCluster {
-    let links = (0..SHARDS)
-        .map(|s| {
-            let link = Link::new(BandwidthTrace::constant(5e6), 0.0);
-            match loss {
-                Some(p) => link.with_packet_faults(PacketFaults::loss(p), SEED + s as u64),
-                None => link,
-            }
-        })
-        .collect();
-    let profile: Vec<Vec<usize>> = vec![(0..60).map(|i| (i * 7) % 64).collect()];
-    let mut cluster = ServingCluster::build(
-        SimModelConfig::tiny(42),
-        EngineConfig::default(),
-        cfg,
-        &profile,
-        links,
-    );
-    for (id, tokens) in &workload.documents {
-        cluster.store_context(*id, tokens);
-    }
-    cluster
+fn run(policy: AdaptPolicy, demo: &ServingDemo) -> ServingReport {
+    demo.cluster(ServingDemo::config(policy), None)
+        .run(&demo.workload.requests)
 }
 
 /// The exported replay: the CacheGen run on lossy links, parity picked
 /// by the loss-adaptive ladder and no retransmits, so every drop is
 /// either rebuilt from parity or repaired.
-fn run_lossy(workload: &MultiTenantWorkload, recorder: &Recorder) -> ServingReport {
+fn run_lossy(demo: &ServingDemo, recorder: &Recorder) -> ServingReport {
     let cfg = ServingConfig {
         fec_overhead: FecOverhead::adaptive_default(),
         retransmit_budget: 0,
-        ..config(AdaptPolicy::Adaptive)
+        ..ServingDemo::config(AdaptPolicy::Adaptive)
     };
-    build_cluster(cfg, Some(EXPORT_LOSS), workload)
-        .plan_run(&workload.requests, recorder)
+    demo.cluster(cfg, Some(EXPORT_LOSS))
+        .plan_run(&demo.workload.requests, recorder)
         .0
 }
 
@@ -117,7 +67,7 @@ fn summarize(name: &str, report: &ServingReport) {
         "  {:>7} {:>10} {:>10} {:>10}",
         "tenant", "requests", "p50 TTFT", "p95 TTFT"
     );
-    for t in 0..TENANTS {
+    for t in 0..ServingDemo::TENANTS {
         let n = report.ttfts(Some(t)).len();
         println!(
             "  {:>7} {:>10} {:>9.0}ms {:>9.0}ms",
@@ -153,29 +103,28 @@ fn summarize(name: &str, report: &ServingReport) {
 
 fn main() {
     let (backend, cores) = parse_args();
-    let gen = SharedPrefixGen::new(64, 8, 120);
-    let workload = gen.generate(&mut workload_rng(SEED), TENANTS, REQUESTS, RATE_HZ);
+    let demo = ServingDemo::generate();
     println!(
         "{} requests, {} tenants, {} shared documents, {} shards, ~{:.0} req/s, backend {}\n",
-        REQUESTS,
-        TENANTS,
-        workload.documents.len(),
-        SHARDS,
-        RATE_HZ,
+        ServingDemo::REQUESTS,
+        ServingDemo::TENANTS,
+        demo.workload.documents.len(),
+        ServingDemo::SHARDS,
+        ServingDemo::RATE_HZ,
         backend,
     );
     if backend == "threads" {
-        run_threads_demo(&workload, cores);
+        run_threads_demo(&demo, cores);
         return;
     }
 
-    let cachegen = run(AdaptPolicy::Adaptive, &workload);
+    let cachegen = run(AdaptPolicy::Adaptive, &demo);
     summarize("CacheGen (KV streaming + cache + batching)", &cachegen);
 
-    let text = run(AdaptPolicy::AlwaysText, &workload);
+    let text = run(AdaptPolicy::AlwaysText, &demo);
     summarize("Text fallback baseline (re-prefill every context)", &text);
 
-    let replay = run(AdaptPolicy::Adaptive, &workload);
+    let replay = run(AdaptPolicy::Adaptive, &demo);
     let deterministic = replay.outcomes == cachegen.outcomes;
     println!(
         "deterministic replay (same seed, same percentiles): {}",
@@ -199,10 +148,10 @@ fn main() {
     // Traced replay on the lossy links: the recorder observes, never
     // perturbs — the traced run must resolve every request exactly like
     // its untraced twin.
-    let untraced = run_lossy(&workload, &NOOP);
+    let untraced = run_lossy(&demo, &NOOP);
     let export = || {
         let recorder = Recorder::new();
-        let report = run_lossy(&workload, &recorder);
+        let report = run_lossy(&demo, &recorder);
         let trace = chrome_trace_json(&recorder.spans(), &recorder.instants());
         let metrics = metrics_snapshot_json(&recorder.registry_snapshot());
         (recorder, report, trace, metrics)
@@ -291,13 +240,11 @@ fn parse_args() -> (String, usize) {
     (backend, cores)
 }
 
-/// The thread-backend path: oracle reference first, then a 1→`cores`
-/// workers-per-shard wall-clock sweep over the identical workload, with
-/// outcome equality asserted at every point. Artifacts:
-/// `BENCH_serving_threads.json` (the sweep) and
-/// `serving_trace_threads.json` (the final run's wall-clock trace).
-fn run_threads_demo(workload: &MultiTenantWorkload, cores: usize) {
-    let oracle = run(AdaptPolicy::Adaptive, workload);
+/// The thread-backend path: oracle reference first, then one wall-clock
+/// replay of the identical workload at `workers` workers per shard, with
+/// outcome equality asserted. Artifact: `serving_trace_threads.json`.
+fn run_threads_demo(demo: &ServingDemo, workers: usize) {
+    let oracle = run(AdaptPolicy::Adaptive, demo);
     println!(
         "virtual oracle: {} completed, makespan {:.2}s (virtual), p50 {:.0} ms",
         oracle.completed().count(),
@@ -305,88 +252,35 @@ fn run_threads_demo(workload: &MultiTenantWorkload, cores: usize) {
         oracle.ttft_percentile(None, 50.0).unwrap_or(f64::NAN) * 1e3,
     );
 
-    let mut sweep = Vec::new();
-    let mut final_artifacts = None;
-    println!(
-        "\n  {:>7} {:>10} {:>12} {:>14}",
-        "workers", "wall", "req/s", "chunks decoded"
+    let mut cluster = demo.cluster(ServingDemo::config(AdaptPolicy::Adaptive), None);
+    let recorder = Recorder::new_wall();
+    let (report, stats) =
+        ThreadBackend::new(workers).run_detailed(&mut cluster, &demo.workload.requests, &recorder);
+    assert_eq!(
+        report.outcomes, oracle.outcomes,
+        "thread backend ({workers} workers) diverged from the oracle"
     );
-    for workers in 1..=cores {
-        // A fresh cluster per point: every sweep entry replays the same
-        // cold-start plan, so wall clocks are comparable.
-        let mut cluster = build_cluster(config(AdaptPolicy::Adaptive), None, workload);
-        let recorder = Recorder::new_wall();
-        let (report, stats) =
-            ThreadBackend::new(workers).run_detailed(&mut cluster, &workload.requests, &recorder);
-        assert_eq!(
-            report.outcomes, oracle.outcomes,
-            "thread backend ({workers} workers) diverged from the oracle"
-        );
-        assert!(
-            stats.decode_errors.is_empty(),
-            "decode errors: {:?}",
-            stats.decode_errors
-        );
-        let completed = report.completed().count();
-        let rps = completed as f64 / stats.wall_secs.max(1e-9);
-        println!(
-            "  {:>7} {:>9.3}s {:>12.0} {:>14}",
-            workers, stats.wall_secs, rps, stats.decoded_chunks
-        );
-        sweep.push(JsonValue::Object(vec![
-            ("workers".to_string(), JsonValue::Number(workers as f64)),
-            ("wall_secs".to_string(), JsonValue::Number(stats.wall_secs)),
-            ("requests_per_sec".to_string(), JsonValue::Number(rps)),
-            (
-                "decoded_chunks".to_string(),
-                JsonValue::Number(stats.decoded_chunks as f64),
-            ),
-            (
-                "pool_workers".to_string(),
-                JsonValue::Number(stats.pool_workers as f64),
-            ),
-        ]));
-        final_artifacts = Some((recorder, report));
-    }
-    let (recorder, report) = final_artifacts.expect("cores >= 1, so the sweep ran at least once");
+    assert!(
+        stats.decode_errors.is_empty(),
+        "decode errors: {:?}",
+        stats.decode_errors
+    );
+    println!(
+        "{workers} workers per shard: {:.3}s wall, {} chunks decoded",
+        stats.wall_secs, stats.decoded_chunks
+    );
 
     // The wall-clock trace carries the same taxonomy as the oracle's and
     // must satisfy the same structural contract.
     let trace = chrome_trace_json(&recorder.spans(), &recorder.instants());
     let summary = validate_chrome_trace(&trace).expect("thread-backend trace must validate");
-    let metrics = metrics_snapshot_json(&recorder.registry_snapshot());
-
-    let root = workspace_root();
-    let trace_path = root.join("serving_trace_threads.json");
+    let trace_path = workspace_root().join("serving_trace_threads.json");
     std::fs::write(&trace_path, &trace).expect("write serving_trace_threads.json");
-    let doc = JsonValue::Object(vec![
-        (
-            "bench".to_string(),
-            JsonValue::String("serving_threads".to_string()),
-        ),
-        ("cores".to_string(), JsonValue::Number(cores as f64)),
-        ("requests".to_string(), JsonValue::Number(REQUESTS as f64)),
-        (
-            "completed".to_string(),
-            JsonValue::Number(report.completed().count() as f64),
-        ),
-        (
-            "virtual_makespan_s".to_string(),
-            JsonValue::Number(oracle.makespan),
-        ),
-        ("sweep".to_string(), JsonValue::Array(sweep)),
-    ]);
-    let bench_path = root.join("BENCH_serving_threads.json");
-    let mut text = doc.to_compact();
-    text.push('\n');
-    std::fs::write(&bench_path, text).expect("write BENCH_serving_threads.json");
     println!(
-        "\noutcomes identical to the oracle at every sweep point; \
-         {} spans, {} request roots — wrote {} and {}",
+        "\noutcomes identical to the oracle; {} spans, {} request roots — wrote {}",
         summary.spans,
         summary.requests,
         trace_path.display(),
-        bench_path.display(),
     );
-    println!("{}", metrics);
+    println!("{}", metrics_snapshot_json(&recorder.registry_snapshot()));
 }
