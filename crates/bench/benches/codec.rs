@@ -11,7 +11,14 @@
 //! channel) model set live at once, which is the traffic the entropy
 //! stage actually sees: 7,680 tables walked round-robin, ~10 symbols per
 //! table per chunk. The rows are in Melem/s of KV elements and ratcheted
-//! against absolute floors by the `ratchet` bin.
+//! against absolute floors by the `ratchet` bin. Beside the encode row,
+//! `kv_encode_scales_us` and `kv_encode_quantize_us` time the write
+//! path's first two stages alone — the per-cache scales pass and the
+//! quantise stage, through the functions `KvCodec::encode` calls — over
+//! the same 80 (chunk, level) calls, per call; `info` carries the whole
+//! call (`kv_encode_us`) and the remainder (`kv_encode_entropy_us`: table
+//! resolution, the reverse rANS pass and container assembly), so the
+//! three shares add up.
 //!
 //! The `micro_rans_*` rows run the 4-lane interleaved rANS coder
 //! (`cachegen_codec::rans`) on one 100k-symbol stream under **one hot
@@ -28,7 +35,10 @@
 //! onto the read path.
 
 use cachegen::{load_context, load_stored, CacheGenEngine, LoadParams};
-use cachegen_bench::harness::{context_fixture, sample, Snapshot, CONTEXT_TOKENS};
+use cachegen_bench::harness::{context_fixture, sample, Snapshot, Summary, CONTEXT_TOKENS};
+use cachegen_codec::delta::GroupLayout;
+use cachegen_codec::profile::single_cache_scales;
+use cachegen_codec::quantize::{channel_steps, quantize_layer};
 use cachegen_codec::symbol_model::FreqTable;
 use cachegen_codec::{rans, EncodedKv};
 use cachegen_llm::{KvCache, SimModelConfig, SimTransformer};
@@ -52,6 +62,76 @@ fn encode_context(engine: &CacheGenEngine, chunks: &[KvCache]) -> Vec<Vec<Encode
         .collect()
 }
 
+/// One side's (anchor, delta) scales, `[layer][channel]` each.
+type SideScales = (Vec<Vec<f32>>, Vec<Vec<f32>>);
+
+/// Both sides' scales of one chunk under one level's config: the first
+/// stage of `KvCodec::encode`.
+fn chunk_scales(engine: &CacheGenEngine, chunk: &KvCache, level: usize) -> [SideScales; 2] {
+    [true, false].map(|is_k| single_cache_scales(chunk, is_k, engine.codec(level).config()))
+}
+
+/// The scales and quantise stages of the write path, in µs per
+/// `KvCodec::encode` call, over the (chunk, level) calls of
+/// [`encode_context`] in the same order.
+fn bench_encode_stages(
+    snap: &mut Snapshot,
+    engine: &CacheGenEngine,
+    chunks: &[KvCache],
+) -> [Summary; 2] {
+    let levels = engine.num_levels();
+    let per_call = 1e6 / (chunks.len() * levels) as f64;
+    let scales = sample(SAMPLES, || {
+        for chunk in chunks {
+            for l in 0..levels {
+                black_box(chunk_scales(engine, chunk, l));
+            }
+        }
+    })
+    .scaled(per_call);
+    // Per (chunk, level, side, layer): the slab and its two step rows,
+    // resolved outside the timed call as `encode` resolves them per layer.
+    let mut layers = Vec::new();
+    for chunk in chunks {
+        for l in 0..levels {
+            let cfg = engine.codec(l).config();
+            let sides = [chunk.k(), chunk.v()];
+            for (tensor, (anchor, delta)) in sides.into_iter().zip(chunk_scales(engine, chunk, l)) {
+                for layer in 0..chunk.layers() {
+                    let delta_bin = cfg.bins.bin_for_layer(layer, chunk.layers());
+                    layers.push((
+                        tensor.slab(layer),
+                        GroupLayout::new(cfg.group_size, chunk.tokens()),
+                        cfg.delta_encoding,
+                        channel_steps(cfg.anchor_bin, &anchor[layer]),
+                        channel_steps(delta_bin, &delta[layer]),
+                    ));
+                }
+            }
+        }
+    }
+    let channels = chunks[0].channels();
+    let quantize = sample(SAMPLES, || {
+        for (slab, layout, delta_encoding, anchor_steps, delta_steps) in &layers {
+            quantize_layer(
+                slab,
+                channels,
+                *layout,
+                *delta_encoding,
+                anchor_steps,
+                delta_steps,
+                |indices| {
+                    black_box(indices);
+                },
+            );
+        }
+    })
+    .scaled(per_call);
+    snap.row("kv_encode_scales_us", "us", scales);
+    snap.row("kv_encode_quantize_us", "us", quantize);
+    [scales, quantize]
+}
+
 fn bench_kv_context(snap: &mut Snapshot, engine: &CacheGenEngine, chunks: &[KvCache]) {
     let encoded = encode_context(engine, chunks);
     let decode_all = |parallel: bool| {
@@ -69,10 +149,14 @@ fn bench_kv_context(snap: &mut Snapshot, engine: &CacheGenEngine, chunks: &[KvCa
     };
     let elements: usize = chunks.iter().map(KvCache::num_elements).sum();
     let melem = (elements * engine.num_levels()) as f64 / 1e6;
-    snap.row(
-        "kv_encode_melem_per_s",
-        "Melem/s",
-        sample(SAMPLES, || encode_context(engine, chunks)).rate(melem),
+    let encode = sample(SAMPLES, || encode_context(engine, chunks));
+    snap.row("kv_encode_melem_per_s", "Melem/s", encode.rate(melem));
+    let [scales, quantize] = bench_encode_stages(snap, engine, chunks);
+    let encode_us = encode.median * 1e6 / (chunks.len() * engine.num_levels()) as f64;
+    snap.info("kv_encode_us", encode_us);
+    snap.info(
+        "kv_encode_entropy_us",
+        encode_us - scales.median - quantize.median,
     );
     for (key, parallel) in [
         ("kv_decode_melem_per_s", false),

@@ -1,13 +1,20 @@
 //! The end-to-end KV-cache encoder/decoder.
 //!
 //! Encoding a chunk (§5.2):
-//! 1. split each layer's token axis into anchor groups ([`crate::delta`]);
-//! 2. quantize anchor rows at high precision (8-bit-equivalent bin) and
-//!    delta rows with the layer group's bin ([`cachegen_quant`]);
-//! 3. entropy-code the symbols with per-(layer, channel) distributions
-//!    from an offline [`CodecProfile`] ([`crate::rans`]) — one
-//!    **independently decodable stream per (layer, token-group)** of K
-//!    and of V.
+//! 1. compute the cache's own per-(layer, channel) scales in one pass
+//!    ([`crate::profile::single_cache_scales`]) and split each layer's
+//!    token axis into anchor groups ([`crate::delta`]);
+//! 2. quantize one group at a time into a buffer of alphabet indices
+//!    ([`crate::quantize`]): the anchor row at high precision
+//!    (8-bit-equivalent bin), then the delta rows against the
+//!    reconstructed anchor with the layer group's bin
+//!    ([`cachegen_quant`]);
+//! 3. entropy-code that buffer **backwards, in one pass**, with
+//!    per-(layer, channel) distributions from an offline [`CodecProfile`]
+//!    ([`crate::rans`]: rANS is last-in-first-out, so the
+//!    encoder walks last row → anchor row and writes its words straight
+//!    into decode order) — one **independently decodable stream per
+//!    (layer, token-group)** of K and of V.
 //!
 //! Per-(layer, group) streams are the CPU stand-in for the paper's
 //! per-token CUDA threads (§5.2, §7): [`KvCodec::try_decode_parallel`]
@@ -22,12 +29,13 @@
 
 use crate::container::{scale_to_wire, wire_to_scale, CodecError, EncodedKv};
 use crate::delta::GroupLayout;
+use crate::index_to_symbol;
 use crate::profile::CodecProfile;
+use crate::quantize::{channel_steps, quantize_layer};
 use crate::rans;
 use crate::symbol_model::{FreqTable, ModelGranularity};
-use crate::{index_to_symbol, symbol_to_index};
 use cachegen_llm::KvCache;
-use cachegen_quant::{round_half_away, BinQuantizer, LayerGroupBins};
+use cachegen_quant::LayerGroupBins;
 use cachegen_telemetry::{Recorder, NOOP};
 use cachegen_tensor::Tensor;
 
@@ -88,115 +96,6 @@ pub enum SymKind {
 pub struct KvCodec {
     config: CodecConfig,
     profile: CodecProfile,
-}
-
-/// Walks the symbols of one token group (`[start, end)` of a layer slab) in
-/// canonical order, quantizing with pre-resolved per-channel steps and
-/// invoking `emit(kind, channel, symbol)` per symbol. This is the unit the
-/// per-(layer, group) chunk encoder covers; profiling walks the same
-/// routine group by group so their orders can never drift.
-#[allow(clippy::too_many_arguments)] // mirrors the encode pipeline stages
-pub(crate) fn walk_group_symbols<F>(
-    slab: &[f32],
-    channels: usize,
-    start: usize,
-    end: usize,
-    delta_encoding: bool,
-    anchor_steps: &[f32],
-    delta_steps: &[f32],
-    mut emit: F,
-) where
-    F: FnMut(SymKind, usize, i32),
-{
-    if delta_encoding {
-        let arow = &slab[start * channels..(start + 1) * channels];
-        let mut recon_anchor = vec![0.0f32; channels];
-        for c in 0..channels {
-            let sym = clamp_symbol(round_half_away(arow[c] / anchor_steps[c]));
-            emit(SymKind::Anchor, c, sym);
-            recon_anchor[c] = sym as f32 * anchor_steps[c];
-        }
-        for t in start + 1..end {
-            let row = &slab[t * channels..(t + 1) * channels];
-            quantize_delta_row(row, &recon_anchor, delta_steps, &mut emit);
-        }
-    } else {
-        // Ablation arm: raw values, delta distribution/bins.
-        let zero = vec![0.0f32; channels];
-        for t in start..end {
-            let row = &slab[t * channels..(t + 1) * channels];
-            quantize_delta_row(row, &zero, delta_steps, &mut emit);
-        }
-    }
-}
-
-/// Quantizes one token row against a base row, emitting one delta symbol
-/// per channel in channel order. The inner loop is unrolled four-wide with
-/// independent accumulator chains (matching the decoder's lane width), so
-/// the divide/round chains of four channels overlap instead of
-/// serializing — the batched-quantize half of the interleaved-rANS work.
-#[inline]
-fn quantize_delta_row<F>(row: &[f32], base: &[f32], steps: &[f32], emit: &mut F)
-where
-    F: FnMut(SymKind, usize, i32),
-{
-    let channels = row.len();
-    let blocks = channels & !(rans::LANES - 1);
-    let mut c = 0;
-    while c < blocks {
-        let s0 = clamp_symbol(round_half_away((row[c] - base[c]) / steps[c]));
-        let s1 = clamp_symbol(round_half_away((row[c + 1] - base[c + 1]) / steps[c + 1]));
-        let s2 = clamp_symbol(round_half_away((row[c + 2] - base[c + 2]) / steps[c + 2]));
-        let s3 = clamp_symbol(round_half_away((row[c + 3] - base[c + 3]) / steps[c + 3]));
-        emit(SymKind::Delta, c, s0);
-        emit(SymKind::Delta, c + 1, s1);
-        emit(SymKind::Delta, c + 2, s2);
-        emit(SymKind::Delta, c + 3, s3);
-        c += rans::LANES;
-    }
-    while c < channels {
-        let d = row[c] - base[c];
-        emit(
-            SymKind::Delta,
-            c,
-            clamp_symbol(round_half_away(d / steps[c])),
-        );
-        c += 1;
-    }
-}
-
-/// Walks one whole layer slab group by group (see [`walk_group_symbols`]).
-/// Shared by profiling (counting) and encoding so their orders can never
-/// drift.
-#[allow(clippy::too_many_arguments)] // one call site each in profile/encode
-pub(crate) fn walk_layer_symbols<F>(
-    slab: &[f32],
-    channels: usize,
-    layout: GroupLayout,
-    delta_encoding: bool,
-    anchor_q: BinQuantizer,
-    delta_q: BinQuantizer,
-    anchor_scales: &[f32],
-    delta_scales: &[f32],
-    mut emit: F,
-) where
-    F: FnMut(SymKind, usize, i32),
-{
-    let anchor_steps: Vec<f32> = anchor_scales.iter().map(|&s| anchor_q.step(s)).collect();
-    let delta_steps: Vec<f32> = delta_scales.iter().map(|&s| delta_q.step(s)).collect();
-    for g in 0..layout.num_groups() {
-        let (start, end) = layout.group_range(g);
-        walk_group_symbols(
-            slab,
-            channels,
-            start,
-            end,
-            delta_encoding,
-            &anchor_steps,
-            &delta_steps,
-            &mut emit,
-        );
-    }
 }
 
 /// What chunk coding needs that is fixed per (side, layer): the
@@ -270,14 +169,6 @@ fn decode_rows(
             });
         }
     }
-}
-
-fn clamp_symbol(s: i64) -> i32 {
-    // Round-trip through the alphabet clamp so encoder-side reconstruction
-    // matches what the decoder will produce.
-    index_to_symbol(symbol_to_index(
-        s.clamp(i32::MIN as i64, i32::MAX as i64) as i32
-    ))
 }
 
 /// Streams below this many KV elements (`2·layers·tokens·channels`)
@@ -359,13 +250,6 @@ impl KvCodec {
         &self.profile
     }
 
-    fn quantizers(&self, layer: usize, n_layers: usize) -> (BinQuantizer, BinQuantizer) {
-        (
-            BinQuantizer::new(self.config.anchor_bin),
-            BinQuantizer::new(self.config.bins.bin_for_layer(layer, n_layers)),
-        )
-    }
-
     /// Resolves the steps and tables of one (side, layer) against a
     /// container's scale sets ([`EncodedKv::scales`] order).
     fn layer_coding(
@@ -375,14 +259,13 @@ impl KvCodec {
         n_layers: usize,
         scales: &[Vec<Vec<f32>>; 4],
     ) -> LayerCoding<'_> {
-        let (anchor_q, delta_q) = self.quantizers(layer, n_layers);
         let set = if is_k { 0 } else { 2 };
-        let steps = |q: BinQuantizer, scales: &[f32]| scales.iter().map(|&s| q.step(s)).collect();
+        let delta_bin = self.config.bins.bin_for_layer(layer, n_layers);
         LayerCoding {
             is_k,
             layer,
-            anchor_steps: steps(anchor_q, &scales[set][layer]),
-            delta_steps: steps(delta_q, &scales[set + 1][layer]),
+            anchor_steps: channel_steps(self.config.anchor_bin, &scales[set][layer]),
+            delta_steps: channel_steps(delta_bin, &scales[set + 1][layer]),
             anchor_tables: self.profile.layer_tables(SymKind::Anchor, is_k, layer),
             delta_tables: self.profile.layer_tables(SymKind::Delta, is_k, layer),
         }
@@ -398,36 +281,46 @@ impl KvCodec {
         })
     }
 
-    /// Encodes one layer into its per-group chunks. Frequency tables and
-    /// quantization steps are resolved once per layer, outside the symbol
-    /// loop. Lane = channel mod [`rans::LANES`], so each row's channel
-    /// blocks align with the decoder's batched four-wide loop.
-    fn encode_layer_chunks(&self, slab: &[f32], coding: &LayerCoding<'_>) -> Vec<Vec<u8>> {
+    /// Encodes one layer into its per-group chunks: each group is
+    /// quantised into alphabet indices and entropy-coded from that buffer
+    /// in one reverse pass. Frequency tables and quantization steps are
+    /// resolved once per layer, outside the symbol loop. Lane = channel
+    /// mod [`rans::LANES`], so each row's channel blocks align with the
+    /// decoder's batched four-wide loop. `words` is the entropy stage's
+    /// scratch, shared by every chunk of an encode call.
+    fn encode_layer_chunks(
+        &self,
+        slab: &[f32],
+        coding: &LayerCoding<'_>,
+        words: &mut Vec<u32>,
+    ) -> Vec<Vec<u8>> {
         let channels = self.profile.channels();
         let layout = GroupLayout::new(self.config.group_size, slab.len() / channels);
-        (0..layout.num_groups())
-            .map(|g| {
-                let (start, end) = layout.group_range(g);
-                let mut enc = rans::Encoder::with_capacity((end - start) * channels);
-                walk_group_symbols(
-                    slab,
-                    channels,
-                    start,
-                    end,
-                    self.config.delta_encoding,
-                    &coding.anchor_steps,
-                    &coding.delta_steps,
-                    |kind, c, sym| {
-                        let table = match kind {
-                            SymKind::Anchor => coding.anchor_tables[c],
-                            SymKind::Delta => coding.delta_tables[c],
-                        };
-                        enc.encode(c % rans::LANES, table, symbol_to_index(sym));
-                    },
-                );
-                enc.finish()
-            })
-            .collect()
+        let delta_encoding = self.config.delta_encoding;
+        // Without delta encoding no row is an anchor.
+        let head = if delta_encoding {
+            &coding.anchor_tables
+        } else {
+            &coding.delta_tables
+        };
+        let mut chunks = Vec::with_capacity(layout.num_groups());
+        quantize_layer(
+            slab,
+            channels,
+            layout,
+            delta_encoding,
+            &coding.anchor_steps,
+            &coding.delta_steps,
+            |indices| {
+                chunks.push(rans::encode_rows(
+                    indices,
+                    head,
+                    &coding.delta_tables,
+                    words,
+                ))
+            },
+        );
+        chunks
     }
 
     /// Decodes one (layer, group) chunk into its output slice, verifying
@@ -513,11 +406,12 @@ impl KvCodec {
             wire_round(va),
             wire_round(vd),
         ];
-        let encode_side = |is_k: bool, tensor: &Tensor| -> Vec<Vec<Vec<u8>>> {
+        let mut words = Vec::new();
+        let mut encode_side = |is_k: bool, tensor: &Tensor| -> Vec<Vec<Vec<u8>>> {
             (0..n_layers)
                 .map(|l| {
                     let coding = self.layer_coding(is_k, l, n_layers, &scales);
-                    self.encode_layer_chunks(tensor.slab(l), &coding)
+                    self.encode_layer_chunks(tensor.slab(l), &coding, &mut words)
                 })
                 .collect()
         };
@@ -794,7 +688,7 @@ mod tests {
         );
         let coding = codec.layer_coding(true, 0, cache.layers(), &enc.scales);
         let replacement = codec
-            .encode_layer_chunks(zero_cache.k().slab(0), &coding)
+            .encode_layer_chunks(zero_cache.k().slab(0), &coding, &mut Vec::new())
             .remove(1);
         damaged.k_chunks[0][1] = replacement;
         let dec = codec.try_decode(&damaged).expect("all chunks well-formed");

@@ -22,8 +22,11 @@
 //! * [`delta`] — anchor-group delta transform (group size 10, §5.2).
 //! * [`profile`] — offline per-model profiling of scales and symbol
 //!   distributions (one profile per LLM, reused across contexts, §5.2).
+//! * [`quantize`] — the quantise stage: a layer slab to alphabet
+//!   indices, group by group; what the encoder codes and the profile
+//!   counts.
 //! * [`encoder`] — the end-to-end encoder/decoder over [`KvCache`]s:
-//!   the quantise walk, per-chunk entropy coding and [`KvCodec`],
+//!   per-chunk entropy coding and [`KvCodec`],
 //!   including chunk-parallel decode over the bounded worker [`pool`]
 //!   (stand-in for the paper's per-token CUDA threads).
 //! * [`container`] — the wire format: [`EncodedKv`], its byte
@@ -173,6 +176,7 @@ pub mod delta;
 pub mod encoder;
 pub mod pool;
 pub mod profile;
+pub mod quantize;
 pub mod rans;
 pub mod repair;
 pub mod symbol_model;

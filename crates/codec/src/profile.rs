@@ -16,10 +16,10 @@
 //! still stored, for the frozen benchmark's one read of them.)
 
 use crate::delta::GroupLayout;
-use crate::encoder::{walk_layer_symbols, CodecConfig, SymKind};
-use crate::symbol_model::{FreqTable, ModelGranularity, SymbolModelSet};
+use crate::encoder::{CodecConfig, SymKind};
+use crate::quantize::{channel_steps, quantize_layer};
+use crate::symbol_model::{FreqTable, ModelGranularity, SymbolCounts, SymbolModelSet};
 use cachegen_llm::KvCache;
-use cachegen_quant::BinQuantizer;
 use cachegen_tensor::Tensor;
 
 /// Per-model codec profile (symbol models).
@@ -62,34 +62,6 @@ fn profile_scales(
 ) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
     let layers = samples[0].layers();
     let channels = samples[0].channels();
-    // Welford-free accumulation: sums and sums of squares per (layer, chan).
-    let mut acc = vec![vec![[0.0f64; 5]; channels]; layers]; // [a_sum, a_sq, d_sum, d_sq, counts-in-[4]]
-    let mut a_counts = vec![0u64; layers];
-    let mut d_counts = vec![0u64; layers];
-    for cache in samples {
-        let t = tensor_of(cache, is_k);
-        let layout = GroupLayout::new(cfg.group_size, cache.tokens());
-        for l in 0..layers {
-            let slab = t.slab(l);
-            for (anchor, members) in layout.groups() {
-                let arow = &slab[anchor * channels..(anchor + 1) * channels];
-                for (c, &a) in arow.iter().enumerate() {
-                    acc[l][c][0] += a as f64;
-                    acc[l][c][1] += (a as f64) * (a as f64);
-                }
-                a_counts[l] += 1;
-                for tok in members {
-                    let row = &slab[tok * channels..(tok + 1) * channels];
-                    for c in 0..channels {
-                        let d = (row[c] - arow[c]) as f64;
-                        acc[l][c][2] += d;
-                        acc[l][c][3] += d * d;
-                    }
-                    d_counts[l] += 1;
-                }
-            }
-        }
-    }
     let std_of = |sum: f64, sq: f64, n: u64| -> f32 {
         if n == 0 {
             return cfg.scale_floor;
@@ -98,13 +70,52 @@ fn profile_scales(
         let var = (sq / n as f64 - mean * mean).max(0.0);
         (var.sqrt() as f32).max(cfg.scale_floor)
     };
-    let mut anchor_scales = vec![vec![0.0f32; channels]; layers];
-    let mut delta_scales = vec![vec![0.0f32; channels]; layers];
+    // Welford-free accumulation: a sum and a sum of squares per channel,
+    // each statistic its own flat array so the channel loop is four
+    // independent streams of `f64` adds and vectorises. A channel's terms
+    // are added in (sample, group, token) order whatever the loop shape,
+    // which is what keeps the scales — and every byte coded under them —
+    // reproducible.
+    let mut acc = vec![0.0f64; 4 * channels];
+    let mut anchor_scales = Vec::with_capacity(layers);
+    let mut delta_scales = Vec::with_capacity(layers);
     for l in 0..layers {
-        for c in 0..channels {
-            anchor_scales[l][c] = std_of(acc[l][c][0], acc[l][c][1], a_counts[l]);
-            delta_scales[l][c] = std_of(acc[l][c][2], acc[l][c][3], d_counts[l]);
+        acc.fill(0.0);
+        let (a_sum, rest) = acc.split_at_mut(channels);
+        let (a_sq, rest) = rest.split_at_mut(channels);
+        let (d_sum, d_sq) = rest.split_at_mut(channels);
+        let (mut anchors, mut deltas) = (0u64, 0u64);
+        for cache in samples {
+            let slab = tensor_of(cache, is_k).slab(l);
+            let layout = GroupLayout::new(cfg.group_size, cache.tokens());
+            for (anchor, members) in layout.groups() {
+                let arow = &slab[anchor * channels..(anchor + 1) * channels];
+                for ((sum, sq), &a) in a_sum.iter_mut().zip(a_sq.iter_mut()).zip(arow) {
+                    let a = f64::from(a);
+                    *sum += a;
+                    *sq += a * a;
+                }
+                anchors += 1;
+                for tok in members {
+                    let row = &slab[tok * channels..(tok + 1) * channels];
+                    let terms = d_sum.iter_mut().zip(d_sq.iter_mut());
+                    for ((sum, sq), (&x, &a)) in terms.zip(row.iter().zip(arow)) {
+                        let d = f64::from(x - a);
+                        *sum += d;
+                        *sq += d * d;
+                    }
+                    deltas += 1;
+                }
+            }
         }
+        let stds = |sums: &[f64], sqs: &[f64], n: u64| -> Vec<f32> {
+            sums.iter()
+                .zip(sqs)
+                .map(|(&s, &q)| std_of(s, q, n))
+                .collect()
+        };
+        anchor_scales.push(stds(a_sum, a_sq, anchors));
+        delta_scales.push(stds(d_sum, d_sq, deltas));
     }
     (anchor_scales, delta_scales)
 }
@@ -126,45 +137,35 @@ impl CodecProfile {
         let (v_anchor_scales, v_delta_scales) = profile_scales(samples, false, cfg);
 
         let build_models = |is_k: bool,
-                            anchor_scales: &Vec<Vec<f32>>,
-                            delta_scales: &Vec<Vec<f32>>|
+                            anchor_scales: &[Vec<f32>],
+                            delta_scales: &[Vec<f32>]|
          -> (SymbolModelSet, SymbolModelSet) {
-            // Collect symbol occurrences by walking every sample in encode
-            // order with the same routine the encoder uses.
-            let mut anchor_obs: Vec<(usize, usize, i32)> = Vec::new();
-            let mut delta_obs: Vec<(usize, usize, i32)> = Vec::new();
+            // Count every sample's symbols out of the quantise stage the
+            // encoder runs, so the tables describe exactly what it codes.
+            let mut anchors = SymbolCounts::new(cfg.granularity, layers, channels);
+            let mut deltas = SymbolCounts::new(cfg.granularity, layers, channels);
+            let anchor_len = if cfg.delta_encoding { channels } else { 0 };
             for cache in samples {
                 let t = tensor_of(cache, is_k);
                 let layout = GroupLayout::new(cfg.group_size, cache.tokens());
                 for l in 0..layers {
                     let delta_bin = cfg.bins.bin_for_layer(l, layers);
-                    walk_layer_symbols(
+                    quantize_layer(
                         t.slab(l),
                         channels,
                         layout,
                         cfg.delta_encoding,
-                        BinQuantizer::new(cfg.anchor_bin),
-                        BinQuantizer::new(delta_bin),
-                        &anchor_scales[l],
-                        &delta_scales[l],
-                        |kind, c, sym| match kind {
-                            SymKind::Anchor => anchor_obs.push((l, c, sym)),
-                            SymKind::Delta => delta_obs.push((l, c, sym)),
+                        &channel_steps(cfg.anchor_bin, &anchor_scales[l]),
+                        &channel_steps(delta_bin, &delta_scales[l]),
+                        |indices| {
+                            let (anchor_row, delta_rows) = indices.split_at(anchor_len);
+                            anchors.record_rows(l, anchor_row);
+                            deltas.record_rows(l, delta_rows);
                         },
                     );
                 }
             }
-            let anchors = SymbolModelSet::build(cfg.granularity, layers, channels, |rec| {
-                for &(l, c, s) in &anchor_obs {
-                    rec(l, c, s);
-                }
-            });
-            let deltas = SymbolModelSet::build(cfg.granularity, layers, channels, |rec| {
-                for &(l, c, s) in &delta_obs {
-                    rec(l, c, s);
-                }
-            });
-            (anchors, deltas)
+            (anchors.into_models(), deltas.into_models())
         };
 
         let (k_anchor_models, k_delta_models) =
@@ -297,6 +298,41 @@ mod tests {
             "cross-context encoding blew up: {bits:.2} bits/elem"
         );
         assert!(c.mse(&dec) < 1.0);
+    }
+
+    #[test]
+    fn every_profiled_hot_reciprocal_divides_exactly() {
+        // Every reciprocal a real profile's tables hold — both kinds, both
+        // sides, every (layer, channel) — against the hardware divide, in
+        // release builds too (debug builds assert it on every symbol coded).
+        let cache = sample_cache(6, 40);
+        let p = CodecProfile::build(&CodecConfig::default(), &[&cache]);
+        let mut reciprocals = 0;
+        for kind in [SymKind::Anchor, SymKind::Delta] {
+            for is_k in [true, false] {
+                for l in 0..p.layers() {
+                    for t in p.layer_tables(kind, is_k, l) {
+                        for i in 0..t.len() {
+                            let code = t.code(i);
+                            if !code.has_reciprocal() {
+                                continue;
+                            }
+                            reciprocals += 1;
+                            for x in code.quotient_probes() {
+                                assert_eq!(
+                                    code.quotient(x),
+                                    x / u64::from(code.freq),
+                                    "f = {}, x = {x}",
+                                    code.freq
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Fifteen per table: 2 kinds × 2 sides × layers × channels tables.
+        assert_eq!(reciprocals, 15 * 4 * p.layers() * p.channels());
     }
 
     #[test]

@@ -12,21 +12,27 @@
 //!   decodes where a range coder serializes one.
 //! * **Division-free decode.** Frequency totals are exactly
 //!   `2^TOTAL_BITS` ([`crate::symbol_model::MAX_TOTAL`]), so the state
-//!   split is a mask/shift and the update is one multiply-add —
-//!   the per-symbol division lives only on the encode side.
+//!   split is a mask/shift and the update is one multiply-add. The
+//!   encoder's `x / f` is a division by a *table constant*, so for the
+//!   symbols that carry the traffic — each table's fifteen-symbol hot
+//!   window — it is one multiply-high by a reciprocal the table holds
+//!   ([`FreqTable`]); only the rare symbols outside the window reach the
+//!   hardware divider.
 //! * **The plain cumulative symbol layout.** A symbol `s` with
 //!   cumulative start `c` and frequency `f` owns the scaled values
 //!   `[c, c + f)`: encoding is `x' = (x / f) << TOTAL_BITS + c + x % f`,
 //!   decoding resolves `x mod 2^TOTAL_BITS` to its symbol through
 //!   [`FreqTable`]'s hot window and two-level rank, then
 //!   `x' = f · (x >> TOTAL_BITS) + (x mod 2^TOTAL_BITS) − c`. The encoder
-//!   reads two adjacent table words per symbol and needs no inverse
-//!   search.
-//! * **Single-`if` renormalization** in whole `u32` words. The state
+//!   reads a symbol's start and frequency (and, in the hot window, its
+//!   reciprocal) and needs no inverse search.
+//! * **Single-step renormalization** in whole `u32` words. The state
 //!   invariant `x ∈ [RANS_L, 2^63)` guarantees at most one word is
 //!   emitted (encode) or refilled (decode) per symbol, and that the
 //!   encoder's word sequence, reversed, is exactly the decoder's read
-//!   sequence.
+//!   sequence. Whether a symbol moves a word is near a coin flip, so both
+//!   sides select instead of branching: the decoder's batched refill, and
+//!   the encoder's store-always, keep-if-needed word.
 //!
 //! # Why the alias layout left (wire v3 → v4)
 //!
@@ -45,12 +51,18 @@
 //! v3 streams are rejected by version, never decoded (nothing persisted
 //! them — the store is in-memory and re-encodes on start).
 //!
-//! rANS is last-in-first-out: the encoder buffers each symbol's
-//! `(start, frequency, lane)` as it arrives and runs the actual state
-//! arithmetic *in reverse* inside [`Encoder::finish`]. A finished stream
-//! is the four final lane states (32 bytes, little-endian — the decoder's
-//! *initial* states) followed by the renormalization words in decode
-//! order.
+//! rANS is last-in-first-out: the state arithmetic has to run over the
+//! symbols *in reverse*. The codec's kernel (`encode_rows`) is handed a
+//! token group's symbols already quantised into a buffer, so it simply
+//! walks that buffer backwards — last row first, last channel first —
+//! in a single pass, and every renormalization word lands directly at
+//! its place in decode order. [`Encoder`] takes symbols one at a time in
+//! forward order instead, buffers their spans, and replays them backwards
+//! through the same state update with the hardware divide for every
+//! quotient; it is the reference the kernel is tested against. A finished
+//! stream is the four final lane states (32 bytes,
+//! little-endian — the decoder's *initial* states) followed by the
+//! renormalization words in decode order.
 //!
 //! Truncation and corruption are detectable without trusting the payload:
 //! the decoder counts synthetic zero bytes past the end of input
@@ -59,7 +71,7 @@
 //! every lane to exactly [`RANS_L`] — [`Decoder::finished`] is the
 //! per-lane final-state check the v4 container verifies per chunk.
 
-use crate::symbol_model::{FreqTable, MAX_TOTAL, TOTAL_BITS};
+use crate::symbol_model::{FreqTable, SymbolCode, MAX_TOTAL, TOTAL_BITS};
 
 /// Number of interleaved rANS states. Four matches the independent
 /// execution ports of commodity cores; the wire format fixes it (a v4
@@ -79,25 +91,103 @@ pub const STATE_BYTES: usize = LANES * 8;
 /// mass.
 const MASK: u32 = (MAX_TOTAL - 1) as u32;
 
-/// One buffered symbol: everything the reverse pass needs, so it never
-/// touches a table.
-#[derive(Clone, Copy)]
-struct Pending {
-    /// Cumulative start (low `TOTAL_BITS`) with the lane above it.
-    start_lane: u32,
-    /// Frequency, `1..=2^TOTAL_BITS`.
-    freq: u32,
+/// The encode-side state update — the only one: `x` with one symbol coded
+/// onto it, after at most one renormalization word. `words` is the part of
+/// the word buffer not yet written, filled from its top down; what comes
+/// back is the part still unwritten after this symbol.
+///
+/// The word is always stored and kept only when it was needed (whether a
+/// symbol renormalizes is near a coin flip, like the decoder's refill),
+/// and `x / f` is [`SymbolCode::quotient`]: a multiply-high for a hot
+/// symbol. `x < 2^63` before the step; after the shift `x < RANS_L`, below
+/// every `x_max` again, so one word is the most a symbol emits.
+#[inline(always)]
+fn put(x: u64, code: SymbolCode, words: &mut [u32]) -> (u64, &mut [u32]) {
+    let f = u64::from(code.freq);
+    let need = x >= f << (32 + 31 - TOTAL_BITS);
+    let unwritten = words.len();
+    words[unwritten - 1] = x as u32;
+    let x = if need { x >> 32 } else { x };
+    let q = code.quotient(x);
+    (
+        (q << TOTAL_BITS) + (x - q * f) + u64::from(code.start),
+        &mut words[..unwritten - usize::from(need)],
+    )
 }
 
-/// Buffered four-lane rANS encoder.
+/// A finished stream: the [`STATE_BYTES`] header of final lane states,
+/// then the renormalization words in decode order.
+fn stream(states: [u64; LANES], words: &[u32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(STATE_BYTES + words.len() * 4);
+    for s in states {
+        out.extend_from_slice(&s.to_le_bytes());
+    }
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+    out
+}
+
+/// Entropy-codes whole rows of alphabet indices — the codec's encode
+/// kernel. `indices` is row-major, one index per channel per row; row 0 is
+/// coded under `head`'s per-channel tables and every later row under
+/// `tail`'s, on lane `channel % LANES`. `words` is scratch, reused across
+/// calls.
 ///
-/// [`Encoder::encode`] looks the symbol up and records it; the state
-/// arithmetic happens in reverse order inside [`Encoder::finish`]
-/// (rANS is LIFO). The decoder must be driven with the same `(lane,
-/// table)` sequence in the same forward order.
+/// rANS is last-in-first-out, so the rows are walked **backwards** — last
+/// row first, last channel first — and each word lands directly at its
+/// place in decode order, filling `words` from the top down.
+/// Byte-identical to buffering the same symbols forwards through
+/// [`Encoder`].
+///
+/// The lane states live in an array indexed by `channel % LANES`, not in
+/// four locals across a four-channel block as [`Decoder::decode4`] holds
+/// them: an encode step has more live values than a decode step (start,
+/// frequency, reciprocal, shift, the word cursor), and with four states
+/// pinned as well the block form spilled more than the array costs
+/// (`KvCodec::encode` of a 30-token stream chunk: 188 µs against 179 on
+/// the 2-vCPU reference host).
+pub(crate) fn encode_rows(
+    indices: &[u8],
+    head: &[&FreqTable],
+    tail: &[&FreqTable],
+    words: &mut Vec<u32>,
+) -> Vec<u8> {
+    let channels = head.len();
+    assert!(
+        channels > 0 && tail.len() == channels && indices.len().is_multiple_of(channels),
+        "rows do not match the tables"
+    );
+    // One word per symbol at most; what an earlier call left is overwritten.
+    if words.len() < indices.len() {
+        words.resize(indices.len(), 0);
+    }
+    let mut unwritten = &mut words[..];
+    let mut states = [RANS_L; LANES];
+    for (r, row) in indices.chunks_exact(channels).enumerate().rev() {
+        let tables = if r == 0 { head } else { tail };
+        for (c, (&i, t)) in row.iter().zip(tables).enumerate().rev() {
+            (states[c % LANES], unwritten) =
+                put(states[c % LANES], t.code(usize::from(i)), unwritten);
+        }
+    }
+    let first = unwritten.len();
+    stream(states, &words[first..])
+}
+
+/// Forward-order four-lane rANS encoder: buffers each symbol's span as it
+/// arrives and replays the buffer backwards through the same state update
+/// as the codec's kernel — but from the spans alone, so every `x / f` is
+/// the hardware divide. That makes it the reference the reverse,
+/// reciprocal-multiplying kernel is tested against byte for byte, and the
+/// entry point for a symbol sequence that is not rows of channels. The
+/// decoder must be driven with the same `(lane, table)` sequence in the
+/// same forward order.
 #[derive(Default)]
 pub struct Encoder {
-    pending: Vec<Pending>,
+    /// Per symbol: cumulative start (low `TOTAL_BITS`) with the lane above
+    /// it, and the frequency.
+    pending: Vec<(u32, u32)>,
 }
 
 impl Encoder {
@@ -106,22 +196,13 @@ impl Encoder {
         Self::default()
     }
 
-    /// Creates an encoder with room for `symbols` buffered symbols.
-    pub fn with_capacity(symbols: usize) -> Self {
-        Encoder {
-            pending: Vec::with_capacity(symbols),
-        }
-    }
-
     /// Buffers one alphabet index on `lane` under the given table.
     #[inline]
     pub fn encode(&mut self, lane: usize, table: &FreqTable, index: usize) {
         assert!(lane < LANES, "lane out of range");
         let (start, freq) = table.span(index);
-        self.pending.push(Pending {
-            start_lane: start | (lane as u32) << TOTAL_BITS,
-            freq,
-        });
+        self.pending
+            .push((start | (lane as u32) << TOTAL_BITS, freq));
     }
 
     /// Runs the reverse-order rANS pass and returns the byte stream:
@@ -129,28 +210,15 @@ impl Encoder {
     /// renormalization words in decode order.
     pub fn finish(self) -> Vec<u8> {
         let mut states = [RANS_L; LANES];
-        let mut words: Vec<u32> = Vec::with_capacity(self.pending.len());
-        for p in self.pending.iter().rev() {
-            let f = u64::from(p.freq);
-            let lane = (p.start_lane >> TOTAL_BITS) as usize % LANES;
-            let mut x = states[lane];
-            // One word out at most: x < 2^63 before, and after the shift
-            // x < RANS_L < x_max again.
-            let x_max = f << (32 + 31 - TOTAL_BITS);
-            if x >= x_max {
-                words.push(x as u32);
-                x >>= 32;
-            }
-            states[lane] = ((x / f) << TOTAL_BITS) + x % f + u64::from(p.start_lane & MASK);
+        let mut words = vec![0u32; self.pending.len()];
+        let mut unwritten = &mut words[..];
+        for &(start_lane, freq) in self.pending.iter().rev() {
+            let lane = (start_lane >> TOTAL_BITS) as usize;
+            let code = SymbolCode::by_division(start_lane & MASK, freq);
+            (states[lane], unwritten) = put(states[lane], code, unwritten);
         }
-        let mut out = Vec::with_capacity(STATE_BYTES + words.len() * 4);
-        for s in states {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
-        for w in words.iter().rev() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out
+        let first = unwritten.len();
+        stream(states, &words[first..])
     }
 }
 
@@ -379,6 +447,80 @@ mod tests {
         assert!(dec.finished());
         assert_eq!(scalar, symbols);
         assert_eq!(batched, symbols);
+    }
+
+    /// The forward `Encoder` over the same rows — every quotient the
+    /// hardware's: the reference [`encode_rows`] must equal byte for byte.
+    fn forward(indices: &[u8], head: &[&FreqTable], tail: &[&FreqTable]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        for (r, row) in indices.chunks(head.len()).enumerate() {
+            let tables = if r == 0 { head } else { tail };
+            for (c, &i) in row.iter().enumerate() {
+                enc.encode(c % LANES, tables[c], usize::from(i));
+            }
+        }
+        enc.finish()
+    }
+
+    #[test]
+    fn reverse_kernel_matches_the_forward_encoder() {
+        // Alphabets around the hot window's fifteen symbols (shorter,
+        // exactly, one more) and the codec's 256, peaked and uniform; one
+        // to nine channels, so every lane-tail length behind zero, one and
+        // two full blocks; one to five rows. `words` is shared across all
+        // of it, as the codec shares it across chunks.
+        let mut rng = cachegen_tensor::rng::seeded(23);
+        let mut words = Vec::new();
+        for alpha in [1usize, 2, 14, 15, 16, 256] {
+            let peaked = |mode: usize| -> FreqTable {
+                let counts: Vec<u32> = (0..alpha)
+                    .map(|i| 2_000_000u32 >> (2 * i.abs_diff(mode)).min(31))
+                    .collect();
+                table(&counts)
+            };
+            let pool = [
+                FreqTable::uniform(alpha),
+                peaked(0),
+                peaked(alpha / 2),
+                peaked(alpha - 1),
+            ];
+            for channels in 1..=9usize {
+                for rows in 1..=5usize {
+                    let pick = |rng: &mut rand::rngs::StdRng| -> Vec<&FreqTable> {
+                        (0..channels)
+                            .map(|_| &pool[rng.gen::<usize>() % pool.len()])
+                            .collect()
+                    };
+                    let (head, tail) = (pick(&mut rng), pick(&mut rng));
+                    let indices: Vec<u8> = (0..rows * channels)
+                        .map(|_| (rng.gen::<usize>() % alpha) as u8)
+                        .collect();
+                    let bytes = encode_rows(&indices, &head, &tail, &mut words);
+                    assert_eq!(
+                        bytes,
+                        forward(&indices, &head, &tail),
+                        "alphabet {alpha}, {rows} rows × {channels} channels"
+                    );
+                    let mut dec = Decoder::new(&bytes);
+                    for (r, row) in indices.chunks(channels).enumerate() {
+                        let tables = if r == 0 { &head } else { &tail };
+                        for (c, &i) in row.iter().enumerate() {
+                            assert_eq!(dec.decode(c % LANES, tables[c]), usize::from(i));
+                        }
+                    }
+                    assert!(dec.finished() && dec.bytes_consumed() == bytes.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "symbol outside the alphabet")]
+    fn reverse_kernel_rejects_an_index_past_a_short_alphabet() {
+        // Index 3 of a three-symbol table is inside the hot window's
+        // fifteen slots but names no symbol.
+        let t = table(&[5, 1, 2]);
+        encode_rows(&[0, 3], &[&t, &t], &[&t, &t], &mut Vec::new());
     }
 
     #[test]

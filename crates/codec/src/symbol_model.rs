@@ -8,7 +8,7 @@
 //! [`ModelGranularity`] enum exposes the intermediate strategies so the
 //! Figure 15 ablation can be regenerated.
 
-use crate::{symbol_to_index, ALPHABET};
+use crate::ALPHABET;
 
 /// Every table's total frequency mass, exactly: `2^TOTAL_BITS`. A fixed
 /// power-of-two total turns the rANS decoder's split of a state into
@@ -52,10 +52,10 @@ fn rank16(bounds: &[u32; LINE], v: u32) -> usize {
 ///
 /// Frequencies are stored as a `u32` cumulative array `cum[0..=n]` with
 /// `cum[i+1] > cum[i]` guaranteed (every symbol gets at least one count —
-/// Laplace smoothing — so unseen symbols remain encodable). Encoding
-/// reads `cum[s]` and `cum[s+1]` and nothing else. Decoding inverts a
-/// scaled code value to its symbol ([`FreqTable::find`]) without
-/// scanning and without touching more than two or three cache lines:
+/// Laplace smoothing — so unseen symbols remain encodable). Decoding
+/// inverts a scaled code value to its symbol ([`FreqTable::find`])
+/// without scanning and without touching more than two or three cache
+/// lines:
 ///
 /// * the **hot window** — the sixteen boundaries around the heaviest
 ///   fifteen consecutive symbols, held inline in the table's first cache
@@ -66,9 +66,16 @@ fn rank16(bounds: &[u32; LINE], v: u32) -> usize {
 ///   sixteen 16-symbol blocks of `cum`, and a second rank inside the
 ///   block picks the symbol. Alphabets beyond 256 binary-search `cum`.
 ///
-/// The whole table is ~1.2 KB, so a level's full per-(layer, channel)
-/// model set stays cache-resident while an entropy chunk walks it
-/// round-robin.
+/// Encoding (`FreqTable::code`) reads a symbol's start and frequency —
+/// from the hot window when the symbol is in it, else `cum[s]` and
+/// `cum[s+1]` — and, **for the hot window only**, a precomputed 64-bit
+/// reciprocal and shift that turn the rANS step's `x / f` into one
+/// multiply-high (`HotReciprocals`, boxed: the table itself stays the
+/// three lines decode walks).
+///
+/// The whole table is ~1.4 KB with its heap parts, so a level's full
+/// per-(layer, channel) model set stays cache-resident while an entropy
+/// chunk walks it round-robin.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[repr(C, align(64))]
 pub struct FreqTable {
@@ -85,6 +92,112 @@ pub struct FreqTable {
     /// `cum[0..=n]`, padded with the total to a whole number of lines
     /// past index 0 so every block slice is a full sixteen entries.
     cum: Vec<u32>,
+    /// Encode-side only, and behind a pointer so that it is.
+    reciprocals: Box<HotReciprocals>,
+}
+
+/// The encode-side part of a [`FreqTable`]: for each symbol of its hot
+/// window, the 64-bit reciprocal and shift that turn the rANS step's
+/// `x / f` into one multiply-high.
+///
+/// Only the window: fifteen reciprocals are 136 bytes, a reciprocal for
+/// every symbol would be 2–4 KB per table and lose to cold-table misses
+/// the way the alias layout did (the codec walks 128 of 7,680 tables per
+/// entropy chunk), so the ~11% of symbols outside the window keep the
+/// hardware divide. And out of line: held inline, these bytes took a
+/// table from 192 to 320 and whole-context *decode* got 1.4% slower
+/// (`load_clean`, 5 of 6 alternating pairs; +0.8% with decode's lines
+/// moved together) — a model set is an array of tables, and decode walks
+/// it at whatever stride a table has. Behind the box a table is still
+/// the three lines it was, at ~3% of an encode call.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct HotReciprocals {
+    /// `ceil(log2 f)` of hot symbol `i`'s frequency `f`; see `rcp`.
+    shift: [u8; HOT_SYMBOLS],
+    /// `ceil(2^(63 + shift) / f)` of hot symbol `i`'s frequency, so that
+    /// `x / f == mulhi(2x, rcp) >> shift` for every `x < 2^63`
+    /// (`SymbolCode::quotient`). A valid reciprocal is at least `2^63`;
+    /// zero marks a slot past the end of an alphabet shorter than the
+    /// window, where there is no symbol and `f` is 0.
+    rcp: [u64; HOT_SYMBOLS],
+}
+
+impl HotReciprocals {
+    /// The reciprocals of a hot window, given its sixteen boundaries.
+    fn of(hot: &[u32; LINE]) -> Self {
+        let codes: [Option<SymbolCode>; HOT_SYMBOLS] = std::array::from_fn(|i| {
+            let f = hot[i + 1] - hot[i];
+            (f > 0).then(|| SymbolCode::with_reciprocal(hot[i], f))
+        });
+        HotReciprocals {
+            shift: codes.map(|c| c.map_or(0, |c| c.shift as u8)),
+            rcp: codes.map(|c| c.map_or(0, |c| c.rcp)),
+        }
+    }
+}
+
+/// What the rANS encode step needs of one symbol: its slice `[start,
+/// start + freq)` of the probability mass and, when the table holds one,
+/// the reciprocal that replaces the division by `freq`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct SymbolCode {
+    pub(crate) start: u32,
+    /// `1..=2^TOTAL_BITS`.
+    pub(crate) freq: u32,
+    /// Zero: none held, divide.
+    rcp: u64,
+    shift: u32,
+}
+
+impl SymbolCode {
+    /// The code of a symbol of frequency `freq` at `start` with no
+    /// reciprocal: [`SymbolCode::quotient`] divides in hardware.
+    pub(crate) fn by_division(start: u32, freq: u32) -> Self {
+        SymbolCode {
+            start,
+            freq,
+            rcp: 0,
+            shift: 0,
+        }
+    }
+
+    /// The code of a symbol of frequency `freq` at `start`, reciprocal
+    /// included. Alverson's round-up reciprocal: with `s = ceil(log2 f)`
+    /// and `m = ceil(2^(63+s) / f)`, the error `m·f − 2^(63+s)` is below
+    /// `f ≤ 2^s`, so `floor(x·m / 2^(63+s))` is `floor(x / f)` for every
+    /// `x < 2^63` — and a rANS state is below `2^63` when it is divided.
+    /// `m` is in `[2^63, 2^64)`; doubling `x` instead of halving the
+    /// shift lets `f = 1` (`s = 0`, `m = 2^63`) through the same formula.
+    fn with_reciprocal(start: u32, freq: u32) -> Self {
+        assert!(
+            freq >= 1 && u64::from(freq) <= MAX_TOTAL,
+            "frequency out of range"
+        );
+        let shift = u32::BITS - (freq - 1).leading_zeros();
+        let f = u128::from(freq);
+        let rcp = (1u128 << (63 + shift)).div_ceil(f);
+        SymbolCode {
+            start,
+            freq,
+            rcp: rcp as u64,
+            shift,
+        }
+    }
+
+    /// `x / freq` for a rANS state `x < 2^63`: one multiply-high when the
+    /// table held a reciprocal for this symbol, the hardware divide when
+    /// not.
+    #[inline(always)]
+    pub(crate) fn quotient(self, x: u64) -> u64 {
+        debug_assert!(x < 1 << 63);
+        let q = if self.rcp != 0 {
+            ((u128::from(x << 1) * u128::from(self.rcp)) >> 64) as u64 >> self.shift
+        } else {
+            x / u64::from(self.freq)
+        };
+        debug_assert_eq!(q, x / u64::from(self.freq));
+        q
+    }
 }
 
 impl FreqTable {
@@ -143,12 +256,14 @@ impl FreqTable {
         let hot_base = (0..=n.saturating_sub(HOT_SYMBOLS))
             .max_by_key(|&b| (at(b + HOT_SYMBOLS) - cum[b], std::cmp::Reverse(b)))
             .unwrap_or(0);
+        let hot = std::array::from_fn(|i| at(hot_base + i));
         FreqTable {
-            hot: std::array::from_fn(|i| at(hot_base + i)),
+            hot,
             pivots: std::array::from_fn(|j| at(LINE * (j + 1))),
             hot_base: hot_base as u32,
             len: n as u32,
             cum,
+            reciprocals: Box::new(HotReciprocals::of(&hot)),
         }
     }
 
@@ -178,12 +293,32 @@ impl FreqTable {
         (u64::from(start), u64::from(start) + u64::from(freq))
     }
 
-    /// `(start, frequency)` of a symbol index — all the rANS encoder
-    /// reads of a table: two adjacent words of `cum`.
+    /// `(start, frequency)` of a symbol index: two adjacent words of
+    /// `cum`.
     #[inline]
     pub(crate) fn span(&self, index: usize) -> (u32, u32) {
         assert!(index < self.len(), "symbol outside the alphabet");
         (self.cum[index], self.cum[index + 1] - self.cum[index])
+    }
+
+    /// What the rANS encoder reads of a table for one symbol index. A hot
+    /// symbol comes with its reciprocal; every other index — cold, or past
+    /// the end of an alphabet shorter than the window, whose slots hold no
+    /// reciprocal — goes through [`FreqTable::span`] and its alphabet
+    /// assert.
+    #[inline(always)]
+    pub(crate) fn code(&self, index: usize) -> SymbolCode {
+        let k = index.wrapping_sub(self.hot_base as usize);
+        if k < HOT_SYMBOLS && self.reciprocals.rcp[k] != 0 {
+            return SymbolCode {
+                start: self.hot[k],
+                freq: self.hot[k + 1] - self.hot[k],
+                rcp: self.reciprocals.rcp[k],
+                shift: u32::from(self.reciprocals.shift[k]),
+            };
+        }
+        let (start, freq) = self.span(index);
+        SymbolCode::by_division(start, freq)
     }
 
     /// Finds the symbol whose cumulative range contains `scaled`.
@@ -249,42 +384,65 @@ pub struct SymbolModelSet {
     tables: Vec<FreqTable>,
 }
 
-impl SymbolModelSet {
-    /// Builds a model set by counting symbols. `observe` must call the
-    /// provided closure once per (layer, channel, symbol) occurrence.
-    pub fn build<F>(
-        granularity: ModelGranularity,
-        layers: usize,
-        channels: usize,
-        observe: F,
-    ) -> Self
-    where
-        F: FnOnce(&mut dyn FnMut(usize, usize, i32)),
-    {
+/// Symbol occurrence counts at a chosen granularity — what profiling
+/// accumulates, row of alphabet indices by row, and then turns into a
+/// [`SymbolModelSet`].
+pub(crate) struct SymbolCounts {
+    granularity: ModelGranularity,
+    layers: usize,
+    channels: usize,
+    counts: Vec<[u32; ALPHABET]>,
+}
+
+impl SymbolCounts {
+    pub(crate) fn new(granularity: ModelGranularity, layers: usize, channels: usize) -> Self {
         let ntables = match granularity {
             ModelGranularity::Global => 1,
             ModelGranularity::PerLayer => layers,
             ModelGranularity::PerChannel => channels,
             ModelGranularity::PerChannelLayer => layers * channels,
         };
-        let mut counts = vec![vec![0u32; ALPHABET]; ntables];
-        {
-            let mut record = |layer: usize, channel: usize, symbol: i32| {
-                let t = table_index(granularity, layers, channels, layer, channel);
-                let idx = symbol_to_index(symbol);
-                counts[t][idx] = counts[t][idx].saturating_add(1);
-            };
-            observe(&mut record);
-        }
-        let tables = counts.iter().map(|c| FreqTable::from_counts(c)).collect();
-        SymbolModelSet {
+        SymbolCounts {
             granularity,
             layers,
             channels,
-            tables,
+            counts: vec![[0u32; ALPHABET]; ntables],
         }
     }
 
+    /// Counts one occurrence of alphabet index `index` at (layer, channel).
+    pub(crate) fn record(&mut self, layer: usize, channel: usize, index: u8) {
+        let t = table_index(self.granularity, self.layers, self.channels, layer, channel);
+        let count = &mut self.counts[t][usize::from(index)];
+        *count = count.saturating_add(1);
+    }
+
+    /// Counts whole rows of one layer: index `i` of `rows` belongs to
+    /// channel `i % channels`.
+    pub(crate) fn record_rows(&mut self, layer: usize, rows: &[u8]) {
+        for row in rows.chunks(self.channels) {
+            for (channel, &index) in row.iter().enumerate() {
+                self.record(layer, channel, index);
+            }
+        }
+    }
+
+    /// One [`FreqTable`] per count table.
+    pub(crate) fn into_models(self) -> SymbolModelSet {
+        SymbolModelSet {
+            granularity: self.granularity,
+            layers: self.layers,
+            channels: self.channels,
+            tables: self
+                .counts
+                .iter()
+                .map(|c| FreqTable::from_counts(c))
+                .collect(),
+        }
+    }
+}
+
+impl SymbolModelSet {
     /// The table to use for a given (layer, channel).
     pub fn table(&self, layer: usize, channel: usize) -> &FreqTable {
         &self.tables[table_index(self.granularity, self.layers, self.channels, layer, channel)]
@@ -321,6 +479,7 @@ fn table_index(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbol_to_index;
 
     #[test]
     fn cumulative_ranges_partition_total() {
@@ -370,9 +529,22 @@ mod tests {
         assert!((hi0 - lo0) > 1000 * (hi1 - lo1));
     }
 
+    /// A model set counted from `observe`'s `(layer, channel, symbol)`
+    /// calls.
+    fn build_set(
+        granularity: ModelGranularity,
+        layers: usize,
+        channels: usize,
+        observe: impl FnOnce(&mut dyn FnMut(usize, usize, i32)),
+    ) -> SymbolModelSet {
+        let mut counts = SymbolCounts::new(granularity, layers, channels);
+        observe(&mut |l, c, sym| counts.record(l, c, symbol_to_index(sym) as u8));
+        counts.into_models()
+    }
+
     #[test]
     fn layer_tables_match_per_channel_lookup() {
-        let set = SymbolModelSet::build(ModelGranularity::PerChannelLayer, 3, 5, |rec| {
+        let set = build_set(ModelGranularity::PerChannelLayer, 3, 5, |rec| {
             for l in 0..3 {
                 for c in 0..5 {
                     rec(l, c, (l * 5 + c) as i32);
@@ -412,6 +584,100 @@ mod tests {
                 assert!(lo <= v && v < hi, "bucket edge {v} mapped to {i}");
             }
         }
+    }
+
+    // What the reciprocal tests here and in the profile's module read a
+    // code through.
+    impl SymbolCode {
+        pub(crate) fn has_reciprocal(self) -> bool {
+            self.rcp != 0
+        }
+
+        /// The states the rANS encoder can divide by this code's `f`, at
+        /// the ends of the range and either side of a multiple of `f`:
+        /// `[RANS_L, f · 2³⁹)` after renormalization (the reciprocal is
+        /// exact up to `2⁶³`), and `x / f` steps exactly at `k · f`.
+        pub(crate) fn quotient_probes(self) -> Vec<u64> {
+            let f = u64::from(self.freq);
+            let x_max = f << (63 - TOTAL_BITS);
+            let mut xs = vec![1 << 31, x_max - 1, (1 << 63) - 1];
+            for k in [1, 2, 3, (1 << 31) / f + 1, 1 << 20, (1 << 39) - 1, 1 << 39] {
+                xs.extend([k * f - 1, k * f, k * f + 1]);
+            }
+            xs.retain(|&x| x < 1 << 63);
+            xs
+        }
+    }
+
+    #[test]
+    fn a_table_is_the_three_lines_decode_walks() {
+        // Hot window, pivots, and one line of scalars: the encode-side
+        // reciprocals must stay behind their box (see `HotReciprocals`).
+        assert_eq!(std::mem::size_of::<FreqTable>(), 3 * 64);
+        assert_eq!(std::mem::align_of::<FreqTable>(), 64);
+    }
+
+    #[test]
+    fn multiply_high_quotient_is_the_division() {
+        let mut freqs = vec![1u32, 2, 3, (1 << 24) - 255, (1 << 24) - 1, 1 << 24];
+        for k in 1..24 {
+            freqs.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        for f in freqs {
+            let code = SymbolCode::with_reciprocal(7, f);
+            assert!(
+                code.rcp >= 1 << 63,
+                "f = {f}: a valid reciprocal has its top bit set"
+            );
+            assert!(f <= 1 << code.shift && (code.shift == 0 || f > 1 << (code.shift - 1)));
+            for x in code.quotient_probes() {
+                assert_eq!(code.quotient(x), x / u64::from(f), "f = {f}, x = {x}");
+            }
+        }
+        // The two ends of the issue's list by name: f = 1 is the formula's
+        // s = 0, m = 2⁶³ case, not a special one, and f = 2²⁴ is the whole
+        // mass of a one-symbol table.
+        let one = SymbolCode::with_reciprocal(0, 1);
+        assert_eq!((one.rcp, one.shift), (1 << 63, 0));
+        let only = FreqTable::from_counts(&[9]).code(0);
+        assert_eq!((only.freq, only.rcp, only.shift), (1 << 24, 1 << 63, 24));
+    }
+
+    #[test]
+    fn hot_window_codes_agree_with_span_and_padding_holds_no_reciprocal() {
+        for t in [
+            FreqTable::from_counts(&[2, 3, 1, 10]),
+            FreqTable::from_counts(&[1_000_000, 0, 0, 1, 7, 0, 900]),
+            FreqTable::uniform(14),
+            FreqTable::uniform(15),
+            FreqTable::uniform(16),
+            FreqTable::uniform(256),
+            FreqTable::from_counts(&[1]),
+        ] {
+            let hot = t.hot_base as usize..(t.hot_base as usize + HOT_SYMBOLS).min(t.len());
+            for i in 0..t.len() {
+                let code = t.code(i);
+                assert_eq!((code.start, code.freq), t.span(i), "symbol {i}");
+                assert_eq!(
+                    code.has_reciprocal(),
+                    hot.contains(&i),
+                    "symbol {i} of {}",
+                    t.len()
+                );
+            }
+            // Slots past a short alphabet have frequency 0: no reciprocal,
+            // so `code` falls through to `span`'s assert.
+            for k in hot.len()..HOT_SYMBOLS {
+                let (rcp, shift) = (t.reciprocals.rcp[k], t.reciprocals.shift[k]);
+                assert_eq!((rcp, shift), (0, 0), "slot {k}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "symbol outside the alphabet")]
+    fn code_past_a_short_alphabet_panics_like_span() {
+        FreqTable::uniform(14).code(14);
     }
 
     // Entropy diagnostics: what the tests below (and the profile's) read
@@ -457,7 +723,7 @@ mod tests {
     #[test]
     fn model_set_granularities() {
         let build = |g| {
-            SymbolModelSet::build(g, 3, 4, |rec| {
+            build_set(g, 3, 4, |rec| {
                 for l in 0..3 {
                     for c in 0..4 {
                         // Symbol depends on layer only.
@@ -485,14 +751,14 @@ mod tests {
                 }
             }
         };
-        let global = SymbolModelSet::build(ModelGranularity::Global, 4, 4, observe);
-        let per_layer = SymbolModelSet::build(ModelGranularity::PerLayer, 4, 4, observe);
+        let global = build_set(ModelGranularity::Global, 4, 4, observe);
+        let per_layer = build_set(ModelGranularity::PerLayer, 4, 4, observe);
         assert!(per_layer.mean_entropy_bits() < global.mean_entropy_bits());
     }
 
     #[test]
     fn table_lookup_routes_correctly() {
-        let set = SymbolModelSet::build(ModelGranularity::PerChannelLayer, 2, 2, |rec| {
+        let set = build_set(ModelGranularity::PerChannelLayer, 2, 2, |rec| {
             rec(0, 0, -5);
             rec(1, 1, 5);
         });

@@ -157,12 +157,31 @@ fn away_from_zero(v: f32) -> f32 {
     v + 0.499_999_97_f32.copysign(v)
 }
 
-/// `v.round() as i64` without the call: `f32::round` is a libm `roundf`
-/// on the baseline x86-64 target and was a measurable share of the encode
-/// walk, which rounds once per KV element.
+/// `v` rounded to nearest, ties away from zero, saturated to `i8`: what
+/// `(v.round() as i64).clamp(-128, 127)` computes (NaN → 0, ±∞ → the
+/// ends), without the libm `roundf` call and without an `as` integer
+/// cast. A saturating cast is four compare-and-branch sequences per
+/// vector on the baseline x86-64 target, which is what kept the encode
+/// walk — one rounding per KV element — scalar; every step here is a
+/// lane-wise SSE2 operation, so a loop over a row vectorises.
+///
+/// The magnitude is `|v| + 0.49999997`, capped at 128 (a compare
+/// NaN fails, so NaN becomes 0). Adding 2²³, where an `f32`'s ulp is 1,
+/// rounds it to an integer; one compare takes back the step up when that
+/// rounding went up, which makes it a truncation. The signed, clamped
+/// integer is then read out of the mantissa of a second 2²³-based sum.
 #[inline]
-pub fn round_half_away(v: f32) -> i64 {
-    away_from_zero(v) as i64
+pub fn round_half_away_i8(v: f32) -> i8 {
+    const ULP_ONE: f32 = 8_388_608.0;
+    let a = v.abs() + 0.499_999_97;
+    let a = if a > 0.0 { a } else { 0.0 };
+    let a = if a < 128.0 { a } else { 128.0 };
+    let r = (a + ULP_ONE) - ULP_ONE;
+    let t = r - if r > a { 1.0 } else { 0.0 };
+    let s = t.copysign(v);
+    let s = if s < 127.0 { s } else { 127.0 };
+    // s + 128 ∈ 0..=255 sits in the low mantissa byte; the xor re-centres.
+    ((s + (ULP_ONE + 128.0)).to_bits() as u8 ^ 0x80) as i8
 }
 
 /// Computes the per-`(layer, channel)` scale (population std, floored to a
@@ -200,15 +219,20 @@ mod tests {
     use cachegen_llm::{SimModelConfig, SimTransformer};
 
     /// Every `f32` in the given bit-pattern range, both signs, against
-    /// libm rounding — on both integer widths the callers cast to.
+    /// libm rounding — the `i32` cast `BinQuantizer::quantize` makes and
+    /// the cast-free `i8` form the codec's quantise loop runs.
     fn assert_rounds_like_libm(bits: impl Iterator<Item = u32>) {
         for b in bits {
             for v in [f32::from_bits(b), -f32::from_bits(b)] {
-                assert_eq!(round_half_away(v), v.round() as i64, "{v:e} ({b:#x})");
                 assert_eq!(
                     away_from_zero(v) as i32,
                     v.round() as i32,
                     "{v:e} ({b:#x}) as i32"
+                );
+                assert_eq!(
+                    i64::from(round_half_away_i8(v)),
+                    (v.round() as i64).clamp(-128, 127),
+                    "{v:e} ({b:#x}) as i8"
                 );
             }
         }
@@ -217,13 +241,16 @@ mod tests {
     #[test]
     fn libm_free_rounding_matches_round_at_the_boundaries() {
         // A window of bit patterns either side of every tie n + 0.5 up to
-        // 300, of zero, of the 2²² / 2²³ / 2²⁴ ulp changes and of the
+        // 300 (past the i8 saturation points on both sides), of zero and
+        // the subnormals, of the 2²² / 2²³ / 2²⁴ ulp changes and of the
         // i32 / i64 saturation points; then NaN and ±∞.
         let ties = (0..300).map(|n| n as f32 + 0.5);
         let edges = [
             0.0f32,
             f32::MIN_POSITIVE,
             1.0,
+            127.0,
+            128.0,
             4_194_304.0,
             8_388_608.0,
             16_777_216.0,
@@ -235,9 +262,20 @@ mod tests {
             let b = centre.to_bits();
             assert_rounds_like_libm(b.saturating_sub(64)..=b.saturating_add(64).min(0x7F7F_FFFF));
         }
-        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            assert_eq!(round_half_away(v), v.round() as i64);
+        for v in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             assert_eq!(away_from_zero(v) as i32, v.round() as i32);
+            assert_eq!(
+                i64::from(round_half_away_i8(v)),
+                (v.round() as i64).clamp(-128, 127)
+            );
+        }
+        // Every NaN payload is a zero, not whatever its mantissa holds.
+        for payload in [1u32, 0x7F, 0x80, 0x3F_FFFF, 0x40_0001, 0x7F_FFFF] {
+            for sign in [0u32, 1 << 31] {
+                let nan = f32::from_bits(sign | 0x7F80_0000 | payload);
+                assert!(nan.is_nan());
+                assert_eq!(round_half_away_i8(nan), 0);
+            }
         }
         let q = BinQuantizer::new(0.5);
         assert_eq!(

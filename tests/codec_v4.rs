@@ -9,7 +9,8 @@ use cachegen_codec::rans::{self, LANES, RANS_L, STATE_BYTES};
 use cachegen_codec::repair::{ChunkArrivalMap, RepairCause, RepairPolicy};
 use cachegen_codec::symbol_model::{FreqTable, MAX_TOTAL, TOTAL_BITS};
 use cachegen_codec::{CodecConfig, CodecError, CodecProfile, EncodedKv, KvCodec};
-use cachegen_llm::{SimModelConfig, SimTransformer};
+use cachegen_llm::{KvCache, SimModelConfig, SimTransformer};
+use cachegen_tensor::Tensor;
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -401,4 +402,92 @@ proptest! {
             }
         }
     }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A synthetic chunk whose shape exercises what a model's cache does not:
+/// seven channels (a three-channel lane tail after one four-wide block),
+/// a short last token group, a profile taken from a *different* sample (so
+/// symbols the tables never saw are coded), and outliers far past the
+/// alphabet clamp on both sides.
+fn synthetic_cache(seed: u64) -> KvCache {
+    let (layers, tokens, channels) = (3usize, 43usize, 7usize);
+    let mut rng = cachegen_tensor::rng::seeded(seed);
+    let mut side = || {
+        let mut t = Tensor::zeros(&[layers, tokens, channels]);
+        for (i, v) in t.data_mut().iter_mut().enumerate() {
+            let (c, tok) = (i % channels, (i / channels) % tokens);
+            let slow = ((tok / 10) as f32 * 0.7 + c as f32).sin() * (1.0 + c as f32);
+            let noise = rng.gen::<f32>() - 0.5;
+            *v = slow + noise * 0.3 * (1.0 + (c % 3) as f32);
+            if rng.gen::<u32>() % 97 == 0 {
+                *v = if rng.gen::<bool>() { 1.0e6 } else { -1.0e6 };
+            }
+        }
+        t
+    };
+    let k = side();
+    KvCache::from_tensors(k, side())
+}
+
+/// `EncodedKv::to_bytes()` digests of two fixed chunks at the engine's five
+/// levels and in the `delta_encoding: false` arm, **recorded at the commit
+/// before the encode kernel was rewritten** (two-pass walk + hardware
+/// divide → quantise buffer + reverse multiply-high pass). A rewrite of
+/// the encoder that decodes correctly but moves one byte fails here, not
+/// only through the serving digests.
+#[test]
+fn container_bytes_are_pinned_at_every_level_and_without_delta() {
+    const WANT: [[u64; 6]; 2] = [
+        [
+            0x2aef_2bcf_dee0_2efd,
+            0x621a_e189_5eec_4f9c,
+            0x9827_17c2_9271_b84a,
+            0x9138_9556_303b_8e25,
+            0x9875_059c_94d7_87f1,
+            0xfbce_a8bd_eb8a_0018,
+        ],
+        [
+            0xddad_2572_7569_0a0b,
+            0xe199_4714_4a77_8ada,
+            0x8c91_8107_7b4d_70e0,
+            0xfe89_24f7_bad5_939a,
+            0x0190_6de7_c0bb_6c67,
+            0x2199_8037_6fde_f34a,
+        ],
+    ];
+    let model = SimTransformer::new(SimModelConfig::tiny(7));
+    let prefill = |seed: u64| {
+        let mut rng = cachegen_tensor::rng::seeded(seed);
+        model.prefill(&(0..43).map(|_| rng.gen::<usize>() % 64).collect::<Vec<_>>())
+    };
+    let fixtures = [
+        (prefill(1), prefill(2)),
+        (synthetic_cache(1), synthetic_cache(2)),
+    ];
+    let mut got = [[0u64; 6]; 2];
+    for ((sample, chunk), row) in fixtures.iter().zip(&mut got) {
+        let base = CodecConfig::default();
+        let mut arms: Vec<CodecConfig> = [0.3f32, 0.6, 1.0, 1.8, 3.0]
+            .iter()
+            .map(|&f| base.with_bin_factor(f))
+            .collect();
+        arms.push(CodecConfig {
+            delta_encoding: false,
+            ..base
+        });
+        for (cfg, slot) in arms.into_iter().zip(row) {
+            let profile = CodecProfile::build(&cfg, &[sample]);
+            let codec = KvCodec::new(cfg, profile);
+            let enc = codec.encode(chunk);
+            assert_eq!(codec.try_decode(&enc).unwrap().tokens(), chunk.tokens());
+            *slot = fnv1a(&enc.to_bytes());
+        }
+    }
+    assert_eq!(got, WANT, "container digests moved: {got:#x?}");
 }
