@@ -422,7 +422,7 @@ mod tests {
         let full = m.prefill(&[7, 8, 9, 10, 11, 12]);
         let prefix = m.prefill(&[7, 8, 9]);
         let sliced = full.slice_tokens(0, 3);
-        assert!(prefix.max_abs_diff(&sliced) < 1e-5);
+        assert_eq!(prefix, sliced);
     }
 
     #[test]
