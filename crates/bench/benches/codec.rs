@@ -33,6 +33,11 @@
 //! convenience (`load_context`, which encodes all five levels first).
 //! `load_stored_per_s` is ratcheted, so a re-encode cannot creep back
 //! onto the read path.
+//!
+//! The `prefill_*` rows time `SimTransformer::prefill` on the same model at
+//! 50–480 tokens; `prefill_ktoken_per_s` (the 480-token row as a rate) is
+//! ratcheted, so a strictly ordered scalar `dot` cannot creep back into the
+//! numeric core.
 
 use cachegen::{load_context, load_stored, CacheGenEngine, LoadParams};
 use cachegen_bench::harness::{context_fixture, sample, Snapshot, Summary, CONTEXT_TOKENS};
@@ -221,11 +226,20 @@ fn bench_entropy_coders(snap: &mut Snapshot) {
 
 fn bench_prefill(snap: &mut Snapshot) {
     // The compute CacheGen avoids: prefill grows superlinearly (Figure 14b).
+    // `CONTEXT_TOKENS` is the length of every context the layered benchmark
+    // prefills in set-up; its rate is the row the ratchet gates.
     let model = SimTransformer::new(SimModelConfig::llama7b_sim(42));
-    for len in [50usize, 100, 200] {
+    for len in [50usize, 100, 200, CONTEXT_TOKENS] {
         let ctx: Vec<usize> = (0..len).map(|i| (i * 7) % 512).collect();
         let secs = sample(SAMPLES, || model.prefill(&ctx));
         snap.row(&format!("prefill_ms_{len}_tokens"), "ms", secs.scaled(1e3));
+        if len == CONTEXT_TOKENS {
+            snap.row(
+                "prefill_ktoken_per_s",
+                "ktoken/s",
+                secs.rate(len as f64 / 1e3),
+            );
+        }
     }
 }
 

@@ -19,7 +19,8 @@
 use crate::kv::KvCache;
 use crate::model::SimModelConfig;
 use cachegen_tensor::linalg::{
-    add_inplace, dot, matvec, rms_norm, rope_inplace, silu, softmax_inplace,
+    add_inplace, matvec_t, rms_norm, rope_freqs, rope_rotate, rope_sin_cos, silu, softmax_inplace,
+    weighted_row_sum,
 };
 use cachegen_tensor::rng::{fill_normal, seeded};
 use cachegen_tensor::Tensor;
@@ -27,15 +28,16 @@ use rand::Rng;
 
 const RMS_EPS: f32 = 1e-6;
 
-/// Per-layer weights.
+/// Per-layer weights. Every matrix is held input-major (`[fan_in,
+/// fan_out]`), the one layout [`matvec_t`] reads.
 struct LayerWeights {
     wq: Tensor, // [d_model, d_model]
-    wk: Tensor, // [kv_channels, d_model]
-    wv: Tensor, // [kv_channels, d_model]
+    wk: Tensor, // [d_model, kv_channels]
+    wv: Tensor, // [d_model, kv_channels]
     wo: Tensor, // [d_model, d_model]
-    w1: Tensor, // [d_ff, d_model]   (gate)
-    w3: Tensor, // [d_ff, d_model]   (up)
-    w2: Tensor, // [d_model, d_ff]   (down)
+    w1: Tensor, // [d_model, d_ff]   (gate)
+    w3: Tensor, // [d_model, d_ff]   (up)
+    w2: Tensor, // [d_ff, d_model]   (down)
     attn_norm: Vec<f32>,
     mlp_norm: Vec<f32>,
 }
@@ -43,58 +45,84 @@ struct LayerWeights {
 /// The functional transformer simulator.
 pub struct SimTransformer {
     cfg: SimModelConfig,
-    embed: Tensor, // [vocab, d_model]
+    embed: Tensor, // [d_model, vocab]: input-major, for the tied logits
     layers: Vec<LayerWeights>,
     final_norm: Vec<f32>,
+    rope_freqs: Vec<f32>,
 }
 
-/// Mutable per-generation KV state (flat row storage for cheap appends).
+/// Mutable per-generation KV state with room for `capacity` tokens. K is
+/// held channel-major, so scoring a query against every cached position is
+/// one [`matvec_t`]; V stays token-major, the order its rows are summed in.
 struct KvState {
-    k: Vec<Vec<f32>>, // per layer, tokens × channels flattened
-    v: Vec<Vec<f32>>,
+    kt: Vec<Vec<f32>>, // per layer, channels × capacity
+    v: Vec<Vec<f32>>,  // per layer, tokens × channels flattened
     tokens: usize,
     channels: usize,
+    capacity: usize,
 }
 
 impl KvState {
-    fn empty(layers: usize, channels: usize) -> Self {
+    fn empty(layers: usize, channels: usize, capacity: usize) -> Self {
         KvState {
-            k: vec![Vec::new(); layers],
-            v: vec![Vec::new(); layers],
+            kt: vec![vec![0.0; channels * capacity]; layers],
+            v: vec![Vec::with_capacity(capacity * channels); layers],
             tokens: 0,
             channels,
+            capacity,
         }
     }
 
-    fn from_cache(cache: &KvCache) -> Self {
-        let layers = cache.layers();
-        let channels = cache.channels();
-        let mut st = KvState::empty(layers, channels);
-        for l in 0..layers {
-            st.k[l].extend_from_slice(cache.k().slab(l));
-            st.v[l].extend_from_slice(cache.v().slab(l));
+    /// The state holding `cache`, with room for `extra` more tokens.
+    fn from_cache(cache: &KvCache, extra: usize) -> Self {
+        let mut st = KvState::empty(cache.layers(), cache.channels(), cache.tokens() + extra);
+        for l in 0..cache.layers() {
+            let (k, v) = (cache.k().slab(l), cache.v().slab(l));
+            for (t, (k, v)) in k
+                .chunks_exact(st.channels)
+                .zip(v.chunks_exact(st.channels))
+                .enumerate()
+            {
+                st.put(l, t, k, v);
+            }
         }
         st.tokens = cache.tokens();
         st
     }
 
+    /// Stores token `t`'s K/V rows of `layer`; V rows arrive in order.
+    fn put(&mut self, layer: usize, t: usize, k: &[f32], v: &[f32]) {
+        debug_assert_eq!(self.v[layer].len(), t * self.channels);
+        for (c, &x) in k.iter().enumerate() {
+            self.kt[layer][c * self.capacity + t] = x;
+        }
+        self.v[layer].extend_from_slice(v);
+    }
+
     fn into_cache(self) -> KvCache {
-        let layers = self.k.len();
+        let layers = self.kt.len();
         let mut k = Tensor::zeros(&[layers, self.tokens, self.channels]);
         let mut v = Tensor::zeros(&[layers, self.tokens, self.channels]);
         for l in 0..layers {
-            k.slab_mut(l).copy_from_slice(&self.k[l]);
+            for (t, row) in k.slab_mut(l).chunks_exact_mut(self.channels).enumerate() {
+                for (c, x) in row.iter_mut().enumerate() {
+                    *x = self.kt[l][c * self.capacity + t];
+                }
+            }
             v.slab_mut(l).copy_from_slice(&self.v[l]);
         }
         KvCache::from_tensors(k, v)
     }
 }
 
+/// An input-major `[cols, rows]` matrix: the transpose of a `[rows, cols]`
+/// matrix of `N(0, 1/√cols)` entries drawn in row-major order (the order
+/// that fixes which model a seed denotes).
 fn random_matrix(rng: &mut rand::rngs::StdRng, rows: usize, cols: usize) -> Tensor {
     let mut t = Tensor::zeros(&[rows, cols]);
     let std = 1.0 / (cols as f32).sqrt();
     fill_normal(rng, t.data_mut(), 0.0, std);
-    t
+    t.transposed()
 }
 
 impl SimTransformer {
@@ -123,8 +151,8 @@ impl SimTransformer {
                 let mut wk = random_matrix(&mut rng, kv, d);
                 let mut wv = random_matrix(&mut rng, kv, d);
                 for t in [&mut wk, &mut wv] {
-                    for (r, g) in channel_gains.iter().enumerate() {
-                        for x in t.row_mut(r) {
+                    for per_input in t.data_mut().chunks_exact_mut(kv) {
+                        for (x, g) in per_input.iter_mut().zip(&channel_gains) {
                             *x *= layer_gain * g;
                         }
                     }
@@ -143,11 +171,13 @@ impl SimTransformer {
             })
             .collect();
         let final_norm = vec![1.0; d];
+        let rope_freqs = rope_freqs(cfg.head_dim(), cfg.rope_theta);
         SimTransformer {
             cfg,
             embed,
             layers,
             final_norm,
+            rope_freqs,
         }
     }
 
@@ -156,127 +186,125 @@ impl SimTransformer {
         &self.cfg
     }
 
-    /// Runs one token through the model at the contiguous next position,
-    /// appending its K/V rows to `state` and (optionally) accumulating the
-    /// attention mass each cached token receives into `attn_mass`. Returns
-    /// the final hidden state (pre-logits).
-    fn forward_token(
+    /// Runs `tokens` through the model at RoPE positions `rope_start..`,
+    /// appending their K/V rows to `state`, and returns the residual stream
+    /// after the last layer, `[tokens.len(), d_model]` flattened (pre final
+    /// norm). `rope_start` may exceed the cache length: a token-pruned cache
+    /// holds fewer rows than its rotary positions imply, and attention runs
+    /// over the rows actually present.
+    ///
+    /// The batch goes through one layer at a time — a token's layer-`l` step
+    /// needs only its own layer-`l − 1` output and the earlier tokens'
+    /// layer-`l` K/V rows — so each weight matrix is streamed once per call
+    /// and every scratch vector is allocated once. Per output element the
+    /// arithmetic, and so every bit, is that of a token-at-a-time pass.
+    ///
+    /// `attn_mass`, when given, accumulates the attention each cached token
+    /// receives, in layer → token → head order: `f64` sums are order-
+    /// sensitive too, so a caller that pins them feeds one token per call.
+    fn forward(
         &self,
-        token: usize,
-        pos: usize,
+        tokens: &[usize],
+        rope_start: usize,
         state: &mut KvState,
-        attn_mass: Option<&mut Vec<f64>>,
+        mut attn_mass: Option<&mut [f64]>,
     ) -> Vec<f32> {
-        assert_eq!(pos, state.tokens, "position must equal cache length");
-        self.forward_token_at(token, pos, state, attn_mass)
-    }
-
-    /// Like [`Self::forward_token`] but with an explicit RoPE position,
-    /// allowing the cache to hold fewer rows than the rotary position
-    /// implies (token-dropping baselines).
-    fn forward_token_at(
-        &self,
-        token: usize,
-        rope_pos: usize,
-        state: &mut KvState,
-        mut attn_mass: Option<&mut Vec<f64>>,
-    ) -> Vec<f32> {
-        assert!(token < self.cfg.vocab, "token id {token} out of vocab");
-        let pos = rope_pos;
-        let d = self.cfg.d_model;
-        let head_dim = self.cfg.head_dim();
-        let n_heads = self.cfg.n_heads;
-        let n_kv = self.cfg.n_kv_heads;
-        let group = n_heads / n_kv;
+        let cfg = &self.cfg;
+        let (d, d_ff, vocab) = (cfg.d_model, cfg.d_ff, cfg.vocab);
+        let head_dim = cfg.head_dim();
+        let group = cfg.n_heads / cfg.n_kv_heads;
         let scale = 1.0 / (head_dim as f32).sqrt();
+        let kc = state.channels;
+        let cap = state.capacity;
+        let base = state.tokens;
+        let total = base + tokens.len();
+        assert!(total <= cap, "KV state has no room for the batch");
 
-        let mut x = self.embed.row(token).to_vec();
+        let mut residual = vec![0.0f32; tokens.len() * d];
+        for (row, &token) in residual.chunks_exact_mut(d).zip(tokens) {
+            assert!(token < vocab, "token id {token} out of vocab");
+            for (o, per_input) in row.iter_mut().zip(self.embed.data().chunks_exact(vocab)) {
+                *o = per_input[token];
+            }
+        }
+        let half = self.rope_freqs.len();
+        let mut sin_cos = vec![(0.0f32, 0.0f32); tokens.len() * half];
+        for t in 0..tokens.len() {
+            let sc = &mut sin_cos[t * half..(t + 1) * half];
+            rope_sin_cos(&self.rope_freqs, rope_start + t, sc);
+        }
+
+        let mut h = vec![0.0f32; d];
+        let mut q = vec![0.0f32; d];
+        let mut k = vec![0.0f32; kc];
+        let mut v = vec![0.0f32; kc];
+        let mut scores = vec![0.0f32; total];
+        let mut attn_out = vec![0.0f32; d];
+        let mut proj = vec![0.0f32; d];
+        let mut gate = vec![0.0f32; d_ff];
+        let mut up = vec![0.0f32; d_ff];
 
         for (l, lw) in self.layers.iter().enumerate() {
-            // --- attention block ---
-            let h = rms_norm(&x, &lw.attn_norm, RMS_EPS);
-            let mut q = matvec(&lw.wq, &h);
-            let mut k = matvec(&lw.wk, &h);
-            let v = matvec(&lw.wv, &h);
-            for hh in 0..n_heads {
-                rope_inplace(
-                    &mut q[hh * head_dim..(hh + 1) * head_dim],
-                    pos,
-                    self.cfg.rope_theta,
-                );
-            }
-            for hh in 0..n_kv {
-                rope_inplace(
-                    &mut k[hh * head_dim..(hh + 1) * head_dim],
-                    pos,
-                    self.cfg.rope_theta,
-                );
-            }
-            state.k[l].extend_from_slice(&k);
-            state.v[l].extend_from_slice(&v);
+            for (t, x) in residual.chunks_exact_mut(d).enumerate() {
+                // --- attention block ---
+                rms_norm(x, &lw.attn_norm, RMS_EPS, &mut h);
+                matvec_t(lw.wq.data(), d, &h, &mut q);
+                matvec_t(lw.wk.data(), kc, &h, &mut k);
+                matvec_t(lw.wv.data(), kc, &h, &mut v);
+                let sc = &sin_cos[t * half..(t + 1) * half];
+                rope_rotate(&mut q, head_dim, sc);
+                rope_rotate(&mut k, head_dim, sc);
+                state.put(l, base + t, &k, &v);
 
-            // Attend over the rows actually present (which may be fewer
-            // than rope_pos+1 when the cache was token-pruned).
-            let ntok = state.tokens + 1;
-            let kc = state.channels;
-            let mut attn_out = vec![0.0f32; d];
-            for hh in 0..n_heads {
-                let kvh = hh / group;
-                let qh = &q[hh * head_dim..(hh + 1) * head_dim];
-                let mut scores: Vec<f32> = (0..ntok)
-                    .map(|t| {
-                        let krow =
-                            &state.k[l][t * kc + kvh * head_dim..t * kc + (kvh + 1) * head_dim];
-                        dot(qh, krow) * scale
-                    })
-                    .collect();
-                softmax_inplace(&mut scores);
-                if let Some(mass) = attn_mass.as_deref_mut() {
-                    for (t, &s) in scores.iter().enumerate() {
-                        mass[t] += s as f64;
+                // Attend over the rows actually present.
+                let s = &mut scores[..base + t + 1];
+                for (hh, out) in attn_out.chunks_exact_mut(head_dim).enumerate() {
+                    let kv_head = (hh / group) * head_dim;
+                    let q_head = &q[hh * head_dim..(hh + 1) * head_dim];
+                    matvec_t(&state.kt[l][kv_head * cap..], cap, q_head, s);
+                    for p in s.iter_mut() {
+                        *p *= scale;
                     }
+                    softmax_inplace(s);
+                    if let Some(mass) = attn_mass.as_deref_mut() {
+                        for (m, &p) in mass.iter_mut().zip(s.iter()) {
+                            *m += p as f64;
+                        }
+                    }
+                    weighted_row_sum(&state.v[l][kv_head..], kc, s, out);
                 }
-                for (t, &s) in scores.iter().enumerate() {
-                    if s == 0.0 {
-                        continue;
-                    }
-                    let vrow = &state.v[l][t * kc + kvh * head_dim..t * kc + (kvh + 1) * head_dim];
-                    for (o, &vv) in attn_out[hh * head_dim..(hh + 1) * head_dim]
-                        .iter_mut()
-                        .zip(vrow)
-                    {
-                        *o += s * vv;
-                    }
-                }
-            }
-            let proj = matvec(&lw.wo, &attn_out);
-            add_inplace(&mut x, &proj);
+                matvec_t(lw.wo.data(), d, &attn_out, &mut proj);
+                add_inplace(x, &proj);
 
-            // --- MLP block (SwiGLU) ---
-            let h2 = rms_norm(&x, &lw.mlp_norm, RMS_EPS);
-            let gate = matvec(&lw.w1, &h2);
-            let up = matvec(&lw.w3, &h2);
-            let act: Vec<f32> = gate.iter().zip(&up).map(|(&g, &u)| silu(g) * u).collect();
-            let down = matvec(&lw.w2, &act);
-            add_inplace(&mut x, &down);
+                // --- MLP block (SwiGLU) ---
+                rms_norm(x, &lw.mlp_norm, RMS_EPS, &mut h);
+                matvec_t(lw.w1.data(), d_ff, &h, &mut gate);
+                matvec_t(lw.w3.data(), d_ff, &h, &mut up);
+                for (g, &u) in gate.iter_mut().zip(&up) {
+                    *g = silu(*g) * u;
+                }
+                matvec_t(lw.w2.data(), d, &gate, &mut proj);
+                add_inplace(x, &proj);
+            }
         }
-        state.tokens += 1;
-        rms_norm(&x, &self.final_norm, RMS_EPS)
+        state.tokens = total;
+        residual
     }
 
-    /// Logits over the vocabulary for a final hidden state (tied embedding).
-    fn logits(&self, hidden: &[f32]) -> Vec<f32> {
-        (0..self.cfg.vocab)
-            .map(|t| dot(self.embed.row(t), hidden))
-            .collect()
+    /// Logits over the vocabulary (tied embedding) for one token's row of
+    /// [`Self::forward`]'s residual stream.
+    fn logits(&self, x: &[f32]) -> Vec<f32> {
+        let mut hidden = vec![0.0f32; x.len()];
+        rms_norm(x, &self.final_norm, RMS_EPS, &mut hidden);
+        let mut logits = vec![0.0f32; self.cfg.vocab];
+        matvec_t(self.embed.data(), self.cfg.vocab, &hidden, &mut logits);
+        logits
     }
 
     /// Prefill: computes the KV cache of a context (`calculate_kv` in §6).
     pub fn prefill(&self, tokens: &[usize]) -> KvCache {
-        let mut state = KvState::empty(self.cfg.n_layers, self.cfg.kv_channels());
-        for (pos, &tok) in tokens.iter().enumerate() {
-            self.forward_token(tok, pos, &mut state, None);
-        }
+        let mut state = KvState::empty(self.cfg.n_layers, self.cfg.kv_channels(), tokens.len());
+        self.forward(tokens, 0, &mut state, None);
         state.into_cache()
     }
 
@@ -284,10 +312,11 @@ impl SimTransformer {
     /// token received (summed over layers, heads and later query positions).
     /// This is the importance signal used by the idealized H2O baseline.
     pub fn prefill_with_scores(&self, tokens: &[usize]) -> (KvCache, Vec<f64>) {
-        let mut state = KvState::empty(self.cfg.n_layers, self.cfg.kv_channels());
+        let mut state = KvState::empty(self.cfg.n_layers, self.cfg.kv_channels(), tokens.len());
         let mut mass = vec![0.0f64; tokens.len()];
-        for (pos, &tok) in tokens.iter().enumerate() {
-            self.forward_token(tok, pos, &mut state, Some(&mut mass));
+        // One token per call: each token's mass is summed query-major.
+        for (pos, tok) in tokens.iter().enumerate() {
+            self.forward(std::slice::from_ref(tok), pos, &mut state, Some(&mut mass));
         }
         (state.into_cache(), mass)
     }
@@ -317,24 +346,18 @@ impl SimTransformer {
             start_pos >= cache.tokens(),
             "start position cannot precede the cached tokens"
         );
-        let mut state = KvState::from_cache(cache);
-        let mut hidden = Vec::new();
-        let mut rope_pos = start_pos;
-        for &tok in prompt {
-            hidden = self.forward_token_at(tok, rope_pos, &mut state, None);
-            rope_pos += 1;
-        }
         assert!(
-            !hidden.is_empty(),
+            !prompt.is_empty(),
             "generate_with_kv requires at least one prompt token"
         );
+        let d = self.cfg.d_model;
+        let mut state = KvState::from_cache(cache, prompt.len() + steps);
+        let mut x = self.forward(prompt, start_pos, &mut state, None);
         let mut out = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            let logits = self.logits(&hidden);
-            let next = argmax(&logits);
+        for rope_pos in (start_pos + prompt.len()..).take(steps) {
+            let next = argmax(&self.logits(&x[x.len() - d..]));
             out.push(next);
-            hidden = self.forward_token_at(next, rope_pos, &mut state, None);
-            rope_pos += 1;
+            x = self.forward(&[next], rope_pos, &mut state, None);
         }
         out
     }
@@ -348,20 +371,17 @@ impl SimTransformer {
         prompt: &[usize],
         continuation: &[usize],
     ) -> f64 {
-        let mut state = KvState::from_cache(cache);
-        let mut hidden = Vec::new();
-        let mut pos = state.tokens;
-        for &tok in prompt {
-            hidden = self.forward_token(tok, pos, &mut state, None);
-            pos += 1;
-        }
-        assert!(!hidden.is_empty(), "need at least one prompt token");
+        assert!(!prompt.is_empty(), "need at least one prompt token");
+        // Token `i` of the continuation is predicted from the position
+        // before it, so the last one is scored but never fed.
+        let fed = continuation.len().saturating_sub(1);
+        let sequence = [prompt, &continuation[..fed]].concat();
+        let mut state = KvState::from_cache(cache, sequence.len());
+        let x = self.forward(&sequence, cache.tokens(), &mut state, None);
+        let predictors = x.chunks_exact(self.cfg.d_model).skip(prompt.len() - 1);
         let mut nll = 0.0f64;
-        for &tok in continuation {
-            let logits = self.logits(&hidden);
-            nll += -log_softmax_at(&logits, tok);
-            hidden = self.forward_token(tok, pos, &mut state, None);
-            pos += 1;
+        for (x, &tok) in predictors.zip(continuation) {
+            nll += -log_softmax_at(&self.logits(x), tok);
         }
         nll
     }

@@ -138,6 +138,19 @@ impl Tensor {
         &mut self.data[i * stride..(i + 1) * stride]
     }
 
+    /// The `[cols, rows]` transpose of a rank-2 `[rows, cols]` tensor.
+    pub fn transposed(&self) -> Tensor {
+        assert_eq!(self.shape.len(), 2, "transposed() requires rank 2");
+        let (rows, cols) = (self.shape[0], self.shape[1]);
+        let mut out = Tensor::zeros(&[cols, rows]);
+        for r in 0..rows {
+            for c in 0..cols {
+                out.data[c * rows + r] = self.data[r * cols + c];
+            }
+        }
+        out
+    }
+
     /// Returns a new tensor with `f` applied to every element.
     pub fn map<F: FnMut(f32) -> f32>(&self, mut f: F) -> Tensor {
         Tensor {
@@ -215,6 +228,15 @@ mod tests {
         assert_eq!(t.row(1), &[3.0, 4.0, 5.0]);
         let t3 = Tensor::from_vec(&[2, 2, 2], (0..8).map(|i| i as f32).collect());
         assert_eq!(t3.slab(1), &[4.0, 5.0, 6.0, 7.0]);
+    }
+
+    #[test]
+    fn transposed_swaps_axes() {
+        let t = Tensor::from_vec(&[2, 3], (0..6).map(|i| i as f32).collect());
+        let tt = t.transposed();
+        assert_eq!(tt.shape(), &[3, 2]);
+        assert_eq!(tt.data(), &[0.0, 3.0, 1.0, 4.0, 2.0, 5.0]);
+        assert_eq!(tt.transposed(), t);
     }
 
     #[test]
