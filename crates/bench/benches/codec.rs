@@ -18,7 +18,11 @@
 //! the same 80 (chunk, level) calls, per call; `info` carries the whole
 //! call (`kv_encode_us`) and the remainder (`kv_encode_entropy_us`: table
 //! resolution, the reverse rANS pass and container assembly), so the
-//! three shares add up.
+//! three shares add up. Beside the decode rows, `kv_decode_entropy_us`
+//! and `kv_decode_reconstruct_us` split the read path the same way, per
+//! decode call of the same 80: the rANS stage writing every row's
+//! alphabet indices, and the pass turning them into values (checked
+//! against `try_decode` bit for bit).
 //!
 //! The `micro_rans_*` rows run the 4-lane interleaved rANS coder
 //! (`cachegen_codec::rans`) on one 100k-symbol stream under **one hot
@@ -42,10 +46,11 @@
 use cachegen::{load_context, load_stored, CacheGenEngine, LoadParams};
 use cachegen_bench::harness::{context_fixture, sample, Snapshot, Summary, CONTEXT_TOKENS};
 use cachegen_codec::delta::GroupLayout;
+use cachegen_codec::encoder::SymKind;
 use cachegen_codec::profile::single_cache_scales;
 use cachegen_codec::quantize::{channel_steps, quantize_layer};
 use cachegen_codec::symbol_model::FreqTable;
-use cachegen_codec::{rans, EncodedKv};
+use cachegen_codec::{index_to_symbol, rans, EncodedKv};
 use cachegen_llm::{KvCache, SimModelConfig, SimTransformer};
 use cachegen_net::trace::{BandwidthTrace, GBPS};
 use cachegen_net::Link;
@@ -137,6 +142,157 @@ fn bench_encode_stages(
     [scales, quantize]
 }
 
+/// What one (side, layer) of a decode call hands the decode stages: its
+/// entropy chunks with their row counts, the tables and steps of both
+/// row kinds, and buffers for its alphabet indices and values.
+struct LayerStages<'a> {
+    delta_encoding: bool,
+    streams: Vec<(&'a [u8], usize)>,
+    tables: [Vec<&'a FreqTable>; 2],
+    steps: [Vec<f32>; 2],
+    indices: Vec<u8>,
+    values: Vec<f32>,
+}
+
+impl LayerStages<'_> {
+    /// Stage one: every row's alphabet indices out of the rANS streams.
+    fn entropy(&mut self) {
+        let channels = self.steps[0].len();
+        let mut rows = self.indices.chunks_exact_mut(channels);
+        for &(stream, group_rows) in &self.streams {
+            let mut dec = rans::Decoder::new(stream);
+            for (r, row) in rows.by_ref().take(group_rows).enumerate() {
+                let anchor = self.delta_encoding && r == 0;
+                entropy_row(&mut dec, &self.tables[usize::from(!anchor)], row);
+            }
+        }
+    }
+
+    /// Stage two: every row's values out of its indices.
+    fn reconstruct(&mut self) {
+        let channels = self.steps[0].len();
+        let mut at = 0;
+        for &(_, group_rows) in &self.streams {
+            let group = at..at + group_rows * channels;
+            let indices = &self.indices[group.clone()];
+            let values = &mut self.values[group];
+            let (anchor, members) =
+                values.split_at_mut(if self.delta_encoding { channels } else { 0 });
+            reconstruct_row(&indices[..anchor.len()], &self.steps[0], None, anchor);
+            for (row, out) in indices[anchor.len()..]
+                .chunks_exact(channels)
+                .zip(members.chunks_exact_mut(channels))
+            {
+                let base = self.delta_encoding.then_some(&*anchor);
+                reconstruct_row(row, &self.steps[1], base, out);
+            }
+            at += group_rows * channels;
+        }
+    }
+}
+
+/// One row of alphabet indices, as the decoder walks a row: four-lane
+/// blocks, then the tail one symbol at a time on lane `channel % LANES`.
+fn entropy_row(dec: &mut rans::Decoder<'_>, tables: &[&FreqTable], out: &mut [u8]) {
+    let blocks = out.len() & !(rans::LANES - 1);
+    for c in (0..blocks).step_by(rans::LANES) {
+        let syms = dec.decode4([tables[c], tables[c + 1], tables[c + 2], tables[c + 3]]);
+        for (o, s) in out[c..c + rans::LANES].iter_mut().zip(syms) {
+            *o = s as u8;
+        }
+    }
+    for c in blocks..out.len() {
+        out[c] = dec.decode(c % rans::LANES, tables[c]) as u8;
+    }
+}
+
+/// One row of values from its indices: `symbol × step`, plus the anchor
+/// row's value for a delta row — the decoder's arithmetic, as a pass.
+fn reconstruct_row(indices: &[u8], steps: &[f32], anchor: Option<&[f32]>, out: &mut [f32]) {
+    for (c, (o, &i)) in out.iter_mut().zip(indices).enumerate() {
+        let value = index_to_symbol(usize::from(i)) as f32 * steps[c];
+        *o = anchor.map_or(value, |a| a[c] + value);
+    }
+}
+
+/// The decode path's two stages alone, in µs per `KvCodec` decode call,
+/// over the (chunk, level) calls of [`encode_context`]: the rANS stage
+/// writing alphabet indices and the reconstruct stage turning them into
+/// values. Tables and steps are resolved outside the timed calls, as the
+/// codec resolves them once per call. The two stages together must
+/// reproduce `try_decode` bit for bit.
+fn bench_decode_stages(snap: &mut Snapshot, engine: &CacheGenEngine, encoded: &[Vec<EncodedKv>]) {
+    let mut layers = Vec::new();
+    let mut calls = 0;
+    for versions in encoded {
+        for (level, enc) in versions.iter().enumerate() {
+            calls += 1;
+            let codec = engine.codec(level);
+            let cfg = codec.config();
+            let layout = enc.layout();
+            let rows: Vec<usize> = (0..layout.num_groups())
+                .map(|g| layout.group_range(g))
+                .map(|(start, end)| end - start)
+                .collect();
+            for (side, (is_k, chunks)) in [(true, &enc.k_chunks), (false, &enc.v_chunks)]
+                .into_iter()
+                .enumerate()
+            {
+                for (layer, streams) in chunks.iter().enumerate() {
+                    let bin = cfg.bins.bin_for_layer(layer, enc.layers);
+                    let tables = [SymKind::Anchor, SymKind::Delta]
+                        .map(|kind| codec.profile().layer_tables(kind, is_k, layer));
+                    layers.push(LayerStages {
+                        delta_encoding: enc.delta_encoding,
+                        streams: streams
+                            .iter()
+                            .map(Vec::as_slice)
+                            .zip(rows.iter().copied())
+                            .collect(),
+                        tables,
+                        steps: [
+                            channel_steps(cfg.anchor_bin, &enc.scales[2 * side][layer]),
+                            channel_steps(bin, &enc.scales[2 * side + 1][layer]),
+                        ],
+                        indices: vec![0; enc.tokens * enc.channels],
+                        values: vec![0.0; enc.tokens * enc.channels],
+                    });
+                }
+            }
+        }
+    }
+    let per_call = 1e6 / calls as f64;
+    let entropy = sample(SAMPLES, || layers.iter_mut().for_each(LayerStages::entropy));
+    let reconstruct = sample(SAMPLES, || {
+        layers.iter_mut().for_each(LayerStages::reconstruct)
+    });
+    let mut staged = layers.iter();
+    for (level, enc) in encoded.iter().flat_map(|v| v.iter().enumerate()) {
+        let cache = engine
+            .codec(level)
+            .try_decode(enc)
+            .expect("self-encoded stream decodes");
+        for tensor in [cache.k(), cache.v()] {
+            for layer in 0..enc.layers {
+                let values = &staged.next().expect("one staged layer per layer").values;
+                assert!(
+                    values
+                        .iter()
+                        .zip(tensor.slab(layer))
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "the staged decode must reproduce try_decode bit for bit"
+                );
+            }
+        }
+    }
+    snap.row("kv_decode_entropy_us", "us", entropy.scaled(per_call));
+    snap.row(
+        "kv_decode_reconstruct_us",
+        "us",
+        reconstruct.scaled(per_call),
+    );
+}
+
 fn bench_kv_context(snap: &mut Snapshot, engine: &CacheGenEngine, chunks: &[KvCache]) {
     let encoded = encode_context(engine, chunks);
     let decode_all = |parallel: bool| {
@@ -170,6 +326,7 @@ fn bench_kv_context(snap: &mut Snapshot, engine: &CacheGenEngine, chunks: &[KvCa
         let secs = sample(SAMPLES, || decode_all(parallel));
         snap.row(key, "Melem/s", secs.rate(melem));
     }
+    bench_decode_stages(snap, engine, &encoded);
 }
 
 /// Ingest once, then one `load_stored` and one `load_context` of the
