@@ -48,9 +48,9 @@ use cachegen_bench::harness::{context_fixture, sample, Snapshot, Summary, CONTEX
 use cachegen_codec::delta::GroupLayout;
 use cachegen_codec::encoder::SymKind;
 use cachegen_codec::profile::single_cache_scales;
-use cachegen_codec::quantize::{channel_steps, quantize_layer};
+use cachegen_codec::quantize::{channel_steps, dequantize_row, quantize_layer};
 use cachegen_codec::symbol_model::FreqTable;
-use cachegen_codec::{index_to_symbol, rans, EncodedKv};
+use cachegen_codec::{rans, EncodedKv};
 use cachegen_llm::{KvCache, SimModelConfig, SimTransformer};
 use cachegen_net::trace::{BandwidthTrace, GBPS};
 use cachegen_net::Link;
@@ -163,7 +163,12 @@ impl LayerStages<'_> {
             let mut dec = rans::Decoder::new(stream);
             for (r, row) in rows.by_ref().take(group_rows).enumerate() {
                 let anchor = self.delta_encoding && r == 0;
-                entropy_row(&mut dec, &self.tables[usize::from(!anchor)], row);
+                let kind = if anchor {
+                    SymKind::Anchor
+                } else {
+                    SymKind::Delta
+                };
+                dec.decode_row(kind, &self.tables[usize::from(!anchor)], row);
             }
         }
     }
@@ -178,49 +183,27 @@ impl LayerStages<'_> {
             let values = &mut self.values[group];
             let (anchor, members) =
                 values.split_at_mut(if self.delta_encoding { channels } else { 0 });
-            reconstruct_row(&indices[..anchor.len()], &self.steps[0], None, anchor);
+            dequantize_row(&indices[..anchor.len()], &self.steps[0], None, anchor);
             for (row, out) in indices[anchor.len()..]
                 .chunks_exact(channels)
                 .zip(members.chunks_exact_mut(channels))
             {
                 let base = self.delta_encoding.then_some(&*anchor);
-                reconstruct_row(row, &self.steps[1], base, out);
+                dequantize_row(row, &self.steps[1], base, out);
             }
             at += group_rows * channels;
         }
     }
 }
 
-/// One row of alphabet indices, as the decoder walks a row: four-lane
-/// blocks, then the tail one symbol at a time on lane `channel % LANES`.
-fn entropy_row(dec: &mut rans::Decoder<'_>, tables: &[&FreqTable], out: &mut [u8]) {
-    let blocks = out.len() & !(rans::LANES - 1);
-    for c in (0..blocks).step_by(rans::LANES) {
-        let syms = dec.decode4([tables[c], tables[c + 1], tables[c + 2], tables[c + 3]]);
-        for (o, s) in out[c..c + rans::LANES].iter_mut().zip(syms) {
-            *o = s as u8;
-        }
-    }
-    for c in blocks..out.len() {
-        out[c] = dec.decode(c % rans::LANES, tables[c]) as u8;
-    }
-}
-
-/// One row of values from its indices: `symbol × step`, plus the anchor
-/// row's value for a delta row — the decoder's arithmetic, as a pass.
-fn reconstruct_row(indices: &[u8], steps: &[f32], anchor: Option<&[f32]>, out: &mut [f32]) {
-    for (c, (o, &i)) in out.iter_mut().zip(indices).enumerate() {
-        let value = index_to_symbol(usize::from(i)) as f32 * steps[c];
-        *o = anchor.map_or(value, |a| a[c] + value);
-    }
-}
-
 /// The decode path's two stages alone, in µs per `KvCodec` decode call,
-/// over the (chunk, level) calls of [`encode_context`]: the rANS stage
-/// writing alphabet indices and the reconstruct stage turning them into
-/// values. Tables and steps are resolved outside the timed calls, as the
-/// codec resolves them once per call. The two stages together must
-/// reproduce `try_decode` bit for bit.
+/// over the (chunk, level) calls of [`encode_context`], through the
+/// functions the decoder calls per row: the rANS stage writing alphabet
+/// indices (`rans::Decoder::decode_row`) and the reconstruct stage turning
+/// them into values (`quantize::dequantize_row`). Tables and steps are
+/// resolved outside the timed calls, as the codec resolves them once per
+/// call. The two stages together must reproduce `try_decode` bit for
+/// bit.
 fn bench_decode_stages(snap: &mut Snapshot, engine: &CacheGenEngine, encoded: &[Vec<EncodedKv>]) {
     let mut layers = Vec::new();
     let mut calls = 0;

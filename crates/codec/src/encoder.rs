@@ -16,6 +16,16 @@
 //!    into decode order) — one **independently decodable stream per
 //!    (layer, token-group)** of K and of V.
 //!
+//! Decoding a chunk runs two stages per token row. The rANS stage
+//! ([`rans::Decoder::decode_row`]) writes the row's alphabet indices into
+//! a stack buffer: the anchor row through each table's two-level rank, a
+//! delta row hot window first. The reconstruct stage
+//! ([`crate::quantize::dequantize_row`]) turns them into values, `symbol
+//! × step` and, for a delta row, the decoded anchor row's value plus
+//! that. Those are the operations, in the order, of reconstructing each
+//! symbol as it is decoded, so the two are bit-identical (a fused
+//! reference in this module's tests holds the stages to it).
+//!
 //! Per-(layer, group) streams are the CPU stand-in for the paper's
 //! per-token CUDA threads (§5.2, §7): [`KvCodec::try_decode_parallel`]
 //! schedules `2 × layers × groups` work items across a bounded worker pool
@@ -29,9 +39,8 @@
 
 use crate::container::{scale_to_wire, wire_to_scale, CodecError, EncodedKv};
 use crate::delta::GroupLayout;
-use crate::index_to_symbol;
 use crate::profile::CodecProfile;
-use crate::quantize::{channel_steps, quantize_layer};
+use crate::quantize::{channel_steps, dequantize_row, quantize_layer};
 use crate::rans;
 use crate::symbol_model::{FreqTable, ModelGranularity};
 use cachegen_llm::KvCache;
@@ -111,38 +120,46 @@ pub(crate) struct LayerCoding<'a> {
     delta_tables: Vec<&'a FreqTable>,
 }
 
-/// Decodes one token row, written as `reconstruct(channel, symbol)` per
-/// channel. Full channel blocks go through [`rans::Decoder::decode4`] —
-/// four independent state updates the CPU overlaps — and the tail decodes
-/// singly on lane `c % LANES`, mirroring the encoder's lane assignment
-/// exactly. Forced inline, with `decode4`, so the lane states stay in
-/// registers across a row and `reconstruct` specialises per call site.
+/// Channels of a row decoded per piece: the size of stage one's stack
+/// buffer of alphabet indices. Every row of the sim models fits one
+/// piece; a multiple of [`rans::LANES`], so a piece boundary never splits
+/// a lane block.
+const ROW_PIECE: usize = 256;
+const _: () = assert!(ROW_PIECE.is_multiple_of(rans::LANES));
+
+/// Decodes one token row in two stages per piece: the rANS stage writes
+/// the piece's alphabet indices into `indices`
+/// ([`rans::Decoder::decode_row`], resolving as `kind` says), then
+/// [`dequantize_row`] turns them into values — `symbol × step`, after
+/// `anchor[c] +` for a delta row. Kept apart, the entropy loop carries no
+/// float work between its dependent steps and the float work runs four
+/// channels wide.
 #[inline(always)]
-fn decode_row<F: Fn(usize, i32) -> f32>(
+fn decode_row(
     dec: &mut rans::Decoder<'_>,
+    kind: SymKind,
     tables: &[&FreqTable],
+    steps: &[f32],
+    anchor: Option<&[f32]>,
+    indices: &mut [u8; ROW_PIECE],
     row: &mut [f32],
-    reconstruct: F,
 ) {
-    let channels = row.len();
-    let blocks = channels & !(rans::LANES - 1);
-    let mut c = 0;
-    while c < blocks {
-        let syms = dec.decode4([tables[c], tables[c + 1], tables[c + 2], tables[c + 3]]);
-        row[c] = reconstruct(c, index_to_symbol(syms[0]));
-        row[c + 1] = reconstruct(c + 1, index_to_symbol(syms[1]));
-        row[c + 2] = reconstruct(c + 2, index_to_symbol(syms[2]));
-        row[c + 3] = reconstruct(c + 3, index_to_symbol(syms[3]));
-        c += rans::LANES;
-    }
-    while c < channels {
-        let sym = index_to_symbol(dec.decode(c % rans::LANES, tables[c]));
-        row[c] = reconstruct(c, sym);
-        c += 1;
+    for (at, out) in (0..).step_by(ROW_PIECE).zip(row.chunks_mut(ROW_PIECE)) {
+        let piece = at..at + out.len();
+        let indices = &mut indices[..out.len()];
+        dec.decode_row(kind, &tables[piece.clone()], indices);
+        dequantize_row(
+            indices,
+            &steps[piece.clone()],
+            anchor.map(|a| &a[piece]),
+            out,
+        );
     }
 }
 
-/// Decodes every row of one chunk from `dec` into `out`.
+/// Decodes every row of one chunk from `dec` into `out`: with delta
+/// encoding, the anchor row under the anchor tables, then every later row
+/// as a delta against it; without, every row as a delta against zero.
 fn decode_rows(
     dec: &mut rans::Decoder<'_>,
     coding: &LayerCoding<'_>,
@@ -150,24 +167,34 @@ fn decode_rows(
     channels: usize,
     out: &mut [f32],
 ) {
-    let delta_steps = &coding.delta_steps;
-    if delta_encoding {
-        let anchor_steps = &coding.anchor_steps;
-        let (anchor_row, rest) = out.split_at_mut(channels);
-        decode_row(dec, &coding.anchor_tables, anchor_row, |c, sym| {
-            sym as f32 * anchor_steps[c]
-        });
-        for row in rest.chunks_mut(channels) {
-            decode_row(dec, &coding.delta_tables, row, |c, sym| {
-                anchor_row[c] + sym as f32 * delta_steps[c]
-            });
-        }
+    let mut indices = [0u8; ROW_PIECE];
+    let (anchor, rest) = if delta_encoding {
+        let (anchor, rest) = out.split_at_mut(channels);
+        let (tables, steps) = (&coding.anchor_tables, &coding.anchor_steps);
+        decode_row(
+            dec,
+            SymKind::Anchor,
+            tables,
+            steps,
+            None,
+            &mut indices,
+            anchor,
+        );
+        (Some(&*anchor), rest)
     } else {
-        for row in out.chunks_mut(channels) {
-            decode_row(dec, &coding.delta_tables, row, |c, sym| {
-                sym as f32 * delta_steps[c]
-            });
-        }
+        (None, out)
+    };
+    let (tables, steps) = (&coding.delta_tables, &coding.delta_steps);
+    for row in rest.chunks_mut(channels) {
+        decode_row(
+            dec,
+            SymKind::Delta,
+            tables,
+            steps,
+            anchor,
+            &mut indices,
+            row,
+        );
     }
 }
 
@@ -938,6 +965,123 @@ mod tests {
             merged_mse <= 2.0 * whole_mse + 1e-6,
             "chunked loss {merged_mse} vs whole loss {whole_mse}"
         );
+    }
+
+    /// The row decode before it split into stages, kept as the reference
+    /// the two-stage decode must equal bit for bit: every symbol is
+    /// reconstructed as it is decoded, by `reconstruct(channel, symbol)`.
+    fn fused_decode_row<F: Fn(usize, i32) -> f32>(
+        dec: &mut rans::Decoder<'_>,
+        tables: &[&FreqTable],
+        row: &mut [f32],
+        reconstruct: F,
+    ) {
+        let channels = row.len();
+        let blocks = channels & !(rans::LANES - 1);
+        let symbol = |index: usize| crate::index_to_symbol(index as u8);
+        let mut c = 0;
+        while c < blocks {
+            let syms = dec.decode4([tables[c], tables[c + 1], tables[c + 2], tables[c + 3]]);
+            row[c] = reconstruct(c, symbol(syms[0]));
+            row[c + 1] = reconstruct(c + 1, symbol(syms[1]));
+            row[c + 2] = reconstruct(c + 2, symbol(syms[2]));
+            row[c + 3] = reconstruct(c + 3, symbol(syms[3]));
+            c += rans::LANES;
+        }
+        while c < channels {
+            let sym = symbol(dec.decode(c % rans::LANES, tables[c]));
+            row[c] = reconstruct(c, sym);
+            c += 1;
+        }
+    }
+
+    /// `decode_rows` as it was, over [`fused_decode_row`].
+    fn fused_decode_rows(
+        dec: &mut rans::Decoder<'_>,
+        coding: &LayerCoding<'_>,
+        delta_encoding: bool,
+        channels: usize,
+        out: &mut [f32],
+    ) {
+        let delta_steps = &coding.delta_steps;
+        if delta_encoding {
+            let anchor_steps = &coding.anchor_steps;
+            let (anchor_row, rest) = out.split_at_mut(channels);
+            fused_decode_row(dec, &coding.anchor_tables, anchor_row, |c, sym| {
+                sym as f32 * anchor_steps[c]
+            });
+            for row in rest.chunks_mut(channels) {
+                fused_decode_row(dec, &coding.delta_tables, row, |c, sym| {
+                    anchor_row[c] + sym as f32 * delta_steps[c]
+                });
+            }
+        } else {
+            for row in out.chunks_mut(channels) {
+                fused_decode_row(dec, &coding.delta_tables, row, |c, sym| {
+                    sym as f32 * delta_steps[c]
+                });
+            }
+        }
+    }
+
+    /// A cache of `channels` channels whose values the profile in
+    /// [`two_stage_decode_equals_the_fused_row_decode`] did not see, with
+    /// outliers past the alphabet clamp on both sides.
+    fn noisy_cache(seed: u64, tokens: usize, channels: usize) -> KvCache {
+        use rand::Rng;
+        let mut rng = cachegen_tensor::rng::seeded(seed);
+        let mut side = || {
+            let mut t = Tensor::zeros(&[2, tokens, channels]);
+            for (i, v) in t.data_mut().iter_mut().enumerate() {
+                let c = i % channels;
+                *v = (rng.gen::<f32>() - 0.5) * (1.0 + (c % 5) as f32);
+                if rng.gen::<u32>() % 89 == 0 {
+                    *v = if rng.gen::<bool>() { 1.0e5 } else { -1.0e5 };
+                }
+            }
+            t
+        };
+        let k = side();
+        KvCache::from_tensors(k, side())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// The two-stage row decode (indices, then values) equals the
+        /// fused one bit for bit, for lane tails of every length, rows
+        /// wider than one lane block, and both ablation arms. The bins of
+        /// the engine's finest level make every step a full-mantissa
+        /// float, so `symbol × step` rounds and a changed operation order
+        /// shows.
+        #[test]
+        fn two_stage_decode_equals_the_fused_row_decode(
+            seed in 0u64..1_000,
+            tokens in 1usize..33,
+        ) {
+            for channels in [1usize, 3, 4, 5, 64, 67] {
+                for delta_encoding in [true, false] {
+                    let base = CodecConfig { delta_encoding, ..CodecConfig::default() };
+                    let cfg = base.with_bin_factor(0.3);
+                    let profile = CodecProfile::build(&cfg, &[&noisy_cache(seed + 1, 24, channels)]);
+                    let codec = KvCodec::new(cfg, profile);
+                    let enc = codec.encode(&noisy_cache(seed, tokens, channels));
+                    let staged = codec.try_decode(&enc).unwrap();
+                    let mut k = Tensor::zeros(&[2, tokens, channels]);
+                    let mut v = Tensor::zeros(&[2, tokens, channels]);
+                    let codings = codec.layer_codings(&enc);
+                    for job in decode_jobs(&enc, &codings, &mut k, &mut v, enc.layout()) {
+                        let mut dec = rans::Decoder::new(job.stream);
+                        fused_decode_rows(&mut dec, job.coding, delta_encoding, channels, job.out);
+                        proptest::prop_assert!(dec.finished());
+                    }
+                    for (got, want) in [(staged.k(), &k), (staged.v(), &v)] {
+                        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        proptest::prop_assert_eq!(bits(got), bits(want), "{} channels, delta {}", channels, delta_encoding);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,16 +15,17 @@
 //!   symbol layout). Lossless by construction, with exact consumed-byte
 //!   accounting and a per-lane final-state check.
 //! * [`symbol_model`] — the frequency-table type the coder reads (a
-//!   ~1.2 KB cumulative table with an inline hot window and block
-//!   pivots), at four context granularities (global / per-layer /
-//!   per-channel / per-channel-layer) for the Figure 15 ablation; the
-//!   paper's choice is per-channel-layer.
+//!   ~1.2 KB cumulative table with an inline hot window, its 32-slot
+//!   index and block pivots), at four context granularities (global /
+//!   per-layer / per-channel / per-channel-layer) for the Figure 15
+//!   ablation; the paper's choice is per-channel-layer.
 //! * [`delta`] — anchor-group delta transform (group size 10, §5.2).
 //! * [`profile`] — offline per-model profiling of scales and symbol
 //!   distributions (one profile per LLM, reused across contexts, §5.2).
 //! * [`quantize`] — the quantise stage: a layer slab to alphabet
 //!   indices, group by group; what the encoder codes and the profile
-//!   counts.
+//!   counts. Its inverse, a row of indices back to values, is the
+//!   decoder's second stage.
 //! * [`encoder`] — the end-to-end encoder/decoder over [`KvCache`]s:
 //!   per-chunk entropy coding and [`KvCodec`],
 //!   including chunk-parallel decode over the bounded worker [`pool`]
@@ -202,10 +203,10 @@ pub fn symbol_to_index(s: i32) -> usize {
     (s.clamp(-(SYMBOL_CLAMP + 1), SYMBOL_CLAMP) + SYMBOL_CLAMP + 1) as usize
 }
 
-/// Inverse of [`symbol_to_index`].
-pub fn index_to_symbol(i: usize) -> i32 {
-    debug_assert!(i < ALPHABET);
-    i as i32 - (SYMBOL_CLAMP + 1)
+/// Inverse of [`symbol_to_index`]; total, since an alphabet index is a
+/// byte.
+pub fn index_to_symbol(i: u8) -> i32 {
+    i32::from(i) - (SYMBOL_CLAMP + 1)
 }
 
 #[cfg(test)]
@@ -215,13 +216,16 @@ mod tests {
     #[test]
     fn symbol_index_round_trip() {
         for s in -128..=127 {
-            assert_eq!(index_to_symbol(symbol_to_index(s)), s);
+            assert_eq!(index_to_symbol(symbol_to_index(s) as u8), s);
+        }
+        for i in 0..=u8::MAX {
+            assert_eq!(symbol_to_index(index_to_symbol(i)), usize::from(i));
         }
     }
 
     #[test]
     fn out_of_range_symbols_clamp() {
-        assert_eq!(index_to_symbol(symbol_to_index(1_000)), 127);
-        assert_eq!(index_to_symbol(symbol_to_index(-1_000)), -128);
+        assert_eq!(index_to_symbol(symbol_to_index(1_000) as u8), 127);
+        assert_eq!(index_to_symbol(symbol_to_index(-1_000) as u8), -128);
     }
 }

@@ -1,11 +1,14 @@
 //! The quantise stage: one layer slab to alphabet indices, token group by
-//! token group.
+//! token group — and its inverse, one row of indices back to values.
 //!
 //! This is the one place values become symbols. [`crate::KvCodec::encode`]
 //! entropy-codes each group's indices, [`crate::CodecProfile::build`]
 //! counts them, and both go through [`quantize_layer`], so the order and
 //! the rounding a profile was counted under are the ones the encoder
-//! codes under.
+//! codes under. It is also the one place symbols become values again:
+//! [`dequantize_row`] reconstructs the anchor row the encoder takes
+//! deltas against and every row the decoder writes, so the two sides
+//! agree on the anchor bit for bit by construction.
 
 use crate::delta::GroupLayout;
 use crate::{index_to_symbol, symbol_to_index};
@@ -31,6 +34,41 @@ fn quantize_row(row: &[f32], base: &[f32], steps: &[f32], out: &mut [u8]) {
     for (((index, &value), &base), &step) in out.iter_mut().zip(row).zip(base).zip(steps) {
         let symbol = round_half_away_i8((value - base) / step);
         *index = symbol_to_index(i32::from(symbol)) as u8;
+    }
+}
+
+/// Reconstructs one token row from its alphabet indices: per channel,
+/// `symbol as f32 × step`, and for a delta row `anchor[c] +` that, in
+/// that order — the order every stored container's values are defined
+/// by, so it must not change (no fused multiply-add, no reassociation).
+/// The decoder's second stage (the first writes the row's indices out of
+/// the rANS stream), and how [`quantize_layer`] reconstructs an anchor.
+/// The loop has no branch and no call, so it runs four channels per
+/// instruction on the baseline SSE2 target; never inlined for the reason
+/// `quantize_row` is not.
+///
+/// # Panics
+///
+/// If `indices`, `steps` or `anchor` differ in length from `out`.
+#[inline(never)]
+pub fn dequantize_row(indices: &[u8], steps: &[f32], anchor: Option<&[f32]>, out: &mut [f32]) {
+    let n = out.len();
+    assert!(
+        indices.len() == n && steps.len() == n && anchor.is_none_or(|a| a.len() == n),
+        "row lengths differ"
+    );
+    let values = out.iter_mut().zip(indices).zip(steps);
+    match anchor {
+        None => {
+            for ((value, &index), &step) in values {
+                *value = index_to_symbol(index) as f32 * step;
+            }
+        }
+        Some(anchor) => {
+            for (((value, &index), &step), &base) in values.zip(anchor) {
+                *value = base + index_to_symbol(index) as f32 * step;
+            }
+        }
     }
 }
 
@@ -69,9 +107,7 @@ pub fn quantize_layer(
         let (anchor_out, member_out) = indices.split_at_mut(anchor_len);
         let base = if delta_encoding {
             quantize_row(anchor_values, &zero, anchor_steps, anchor_out);
-            for ((a, &index), &step) in anchor.iter_mut().zip(&*anchor_out).zip(anchor_steps) {
-                *a = index_to_symbol(usize::from(index)) as f32 * step;
-            }
+            dequantize_row(anchor_out, anchor_steps, None, &mut anchor);
             &anchor
         } else {
             &zero
@@ -180,12 +216,7 @@ mod tests {
                 &steps,
                 &steps,
                 |indices| {
-                    groups.push(
-                        indices
-                            .iter()
-                            .map(|&i| index_to_symbol(usize::from(i)))
-                            .collect(),
-                    );
+                    groups.push(indices.iter().map(|&i| index_to_symbol(i)).collect());
                 },
             );
             groups

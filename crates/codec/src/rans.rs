@@ -22,10 +22,24 @@
 //!   cumulative start `c` and frequency `f` owns the scaled values
 //!   `[c, c + f)`: encoding is `x' = (x / f) << TOTAL_BITS + c + x % f`,
 //!   decoding resolves `x mod 2^TOTAL_BITS` to its symbol through
-//!   [`FreqTable`]'s hot window and two-level rank, then
+//!   [`FreqTable`], then
 //!   `x' = f · (x >> TOTAL_BITS) + (x mod 2^TOTAL_BITS) − c`. The encoder
 //!   reads a symbol's start and frequency (and, in the hot window, its
 //!   reciprocal) and needs no inverse search.
+//! * **A resolve per row kind, chosen statically.** A delta row's tables
+//!   are peaked, so its symbols resolve hot window first — an index slot
+//!   and two compares for most values, the window's four-step rank for
+//!   the rest, and the two-level rank out of line for the ~11% outside
+//!   the window. An anchor row's tables are wide (8-bit precision) and
+//!   most of their symbols miss the window, so a window-first resolve
+//!   would branch on a coin flip; anchor rows take the branch-free
+//!   two-level rank directly. [`Decoder::decode_row`] picks one per row
+//!   through a `const` parameter, and the loop it instantiates carries no
+//!   branch on the kind.
+//! * **Symbols, not values.** The decoder writes alphabet indices, one
+//!   byte each, and nothing else: the codec turns a row of them into
+//!   values in a separate pass ([`crate::quantize::dequantize_row`]), so
+//!   no float work sits between the dependent steps of a lane.
 //! * **Single-step renormalization** in whole `u32` words. The state
 //!   invariant `x ∈ [RANS_L, 2^63)` guarantees at most one word is
 //!   emitted (encode) or refilled (decode) per symbol, and that the
@@ -71,6 +85,7 @@
 //! every lane to exactly [`RANS_L`] — [`Decoder::finished`] is the
 //! per-lane final-state check the v4 container verifies per chunk.
 
+use crate::encoder::SymKind;
 use crate::symbol_model::{FreqTable, SymbolCode, MAX_TOTAL, TOTAL_BITS};
 
 /// Number of interleaved rANS states. Four matches the independent
@@ -223,11 +238,17 @@ impl Encoder {
 }
 
 /// One decode step before renormalization: the symbol the state's low
-/// bits address, and the state with that symbol removed.
+/// bits address, and the state with that symbol removed. `HOT_FIRST`
+/// picks the resolve: the table's hot window first (delta rows), or its
+/// two-level rank alone (anchor rows).
 #[inline(always)]
-fn advance(table: &FreqTable, x: u64) -> (usize, u64) {
+fn advance<const HOT_FIRST: bool>(table: &FreqTable, x: u64) -> (usize, u64) {
     let scaled = (x as u32) & MASK;
-    let (sym, start, f) = table.resolve(scaled);
+    let (sym, start, f) = if HOT_FIRST {
+        table.resolve(scaled)
+    } else {
+        table.rank(scaled)
+    };
     (
         sym,
         u64::from(f) * (x >> TOTAL_BITS) + u64::from(scaled - start),
@@ -296,10 +317,18 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Decodes one alphabet index on `lane` under the given table.
+    /// Decodes one alphabet index on `lane` under the given table,
+    /// resolving hot window first.
     #[inline]
     pub fn decode(&mut self, lane: usize, table: &FreqTable) -> usize {
-        let (sym, mut x) = advance(table, self.states[lane]);
+        self.decode_with::<true>(lane, table)
+    }
+
+    /// [`Decoder::decode`] through the resolve `HOT_FIRST` picks (see
+    /// `advance`).
+    #[inline(always)]
+    fn decode_with<const HOT_FIRST: bool>(&mut self, lane: usize, table: &FreqTable) -> usize {
+        let (sym, mut x) = advance::<HOT_FIRST>(table, self.states[lane]);
         if x < RANS_L {
             x = (x << 32) | u64::from(self.next_word());
         }
@@ -308,7 +337,53 @@ impl<'a> Decoder<'a> {
     }
 
     /// Decodes one symbol per lane, lanes `0..LANES` in order — the
-    /// batched inner-loop form of four [`Decoder::decode`] calls. The
+    /// batched inner-loop form of four [`Decoder::decode`] calls, hot
+    /// window first.
+    #[inline(always)]
+    pub fn decode4(&mut self, tables: [&FreqTable; LANES]) -> [usize; LANES] {
+        self.decode4_with::<true>(tables)
+    }
+
+    /// Decodes one row of alphabet indices, `out[c]` under `tables[c]` on
+    /// lane `c % LANES` (the codec's lane assignment) — stage one of the
+    /// codec's row decode, which turns the indices into values in a
+    /// separate pass. Full four-channel blocks go through the batched
+    /// step, the tail one symbol at a time. `kind` picks the resolve once
+    /// per row: an anchor row's wide tables go through the two-level rank
+    /// alone, a delta row's peaked ones through the hot window first.
+    ///
+    /// Every table must have at most 256 symbols (the codec's alphabet):
+    /// an index is written as a `u8`.
+    ///
+    /// # Panics
+    ///
+    /// If `tables` and `out` differ in length.
+    #[inline(always)]
+    pub fn decode_row(&mut self, kind: SymKind, tables: &[&FreqTable], out: &mut [u8]) {
+        match kind {
+            SymKind::Anchor => self.decode_row_with::<false>(tables, out),
+            SymKind::Delta => self.decode_row_with::<true>(tables, out),
+        }
+    }
+
+    #[inline(always)]
+    fn decode_row_with<const HOT_FIRST: bool>(&mut self, tables: &[&FreqTable], out: &mut [u8]) {
+        assert_eq!(tables.len(), out.len(), "one table per symbol");
+        let mut blocks = tables.chunks_exact(LANES);
+        let mut block_out = out.chunks_exact_mut(LANES);
+        for (t, o) in (&mut blocks).zip(&mut block_out) {
+            let syms = self.decode4_with::<HOT_FIRST>([t[0], t[1], t[2], t[3]]);
+            for (o, s) in o.iter_mut().zip(syms) {
+                *o = s as u8;
+            }
+        }
+        let tail = blocks.remainder().iter().zip(block_out.into_remainder());
+        for (lane, (t, o)) in tail.enumerate() {
+            *o = self.decode_with::<HOT_FIRST>(lane, t) as u8;
+        }
+    }
+
+    /// [`Decoder::decode4`] through the resolve `HOT_FIRST` picks. The
     /// four state updates are independent, so the CPU overlaps them;
     /// refills happen in lane order, matching the encoder's word order.
     ///
@@ -317,12 +392,15 @@ impl<'a> Decoder<'a> {
     /// the result array then round-trip through memory every four symbols
     /// (whole-context load −8% with the call gone).
     #[inline(always)]
-    pub fn decode4(&mut self, tables: [&FreqTable; LANES]) -> [usize; LANES] {
+    fn decode4_with<const HOT_FIRST: bool>(
+        &mut self,
+        tables: [&FreqTable; LANES],
+    ) -> [usize; LANES] {
         let [x0, x1, x2, x3] = self.states;
-        let (s0, x0) = advance(tables[0], x0);
-        let (s1, x1) = advance(tables[1], x1);
-        let (s2, x2) = advance(tables[2], x2);
-        let (s3, x3) = advance(tables[3], x3);
+        let (s0, x0) = advance::<HOT_FIRST>(tables[0], x0);
+        let (s1, x1) = advance::<HOT_FIRST>(tables[1], x1);
+        let (s2, x2) = advance::<HOT_FIRST>(tables[2], x2);
+        let (s3, x3) = advance::<HOT_FIRST>(tables[3], x3);
         let mut xs = [x0, x1, x2, x3];
         if let Some(ahead) = self.buf[self.pos..].first_chunk::<{ LANES * 4 }>() {
             // Whether a lane refills is near a coin flip per symbol, so
@@ -509,6 +587,16 @@ mod tests {
                         }
                     }
                     assert!(dec.finished() && dec.bytes_consumed() == bytes.len());
+                    // Whole rows, through either resolve.
+                    for kind in [SymKind::Anchor, SymKind::Delta] {
+                        let mut dec = Decoder::new(&bytes);
+                        let mut out = vec![0u8; channels];
+                        for (r, row) in indices.chunks(channels).enumerate() {
+                            dec.decode_row(kind, if r == 0 { &head } else { &tail }, &mut out);
+                            assert_eq!(out, row, "{kind:?} row {r}");
+                        }
+                        assert!(dec.finished() && dec.bytes_consumed() == bytes.len());
+                    }
                 }
             }
         }

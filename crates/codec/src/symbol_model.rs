@@ -31,6 +31,49 @@ const RANKED: usize = LINE * LINE;
 /// Symbols the hot window covers: `LINE` boundaries enclose `LINE - 1`.
 const HOT_SYMBOLS: usize = LINE - 1;
 
+/// Slices of the hot window's index: its span in this many equal
+/// power-of-two slices.
+const BUCKETS: usize = 32;
+
+/// An index entry whose slice straddles more than three window symbols:
+/// the slice is resolved by [`rank16`].
+const WIDE: u8 = u8::MAX;
+
+/// The hot window's index: the shift that cuts `[hot[0], hot[15])` into
+/// [`BUCKETS`] equal slices (the smallest that fits), and per slice the
+/// window rank `k ≤ 13` of its first value when every value of the slice
+/// has rank `k`, `k + 1` or `k + 2`, else [`WIDE`].
+///
+/// One merge pass: the ranks of a slice's first and last value only move
+/// forward as the slices do.
+fn hot_index(hot: &[u32; LINE]) -> (u8, [u8; BUCKETS]) {
+    let span = hot[LINE - 1] - hot[0];
+    let over = (span - 1) >> BUCKETS.ilog2();
+    let shift = u32::BITS - over.leading_zeros();
+    let mut index = [WIDE; BUCKETS];
+    // Offsets from hot[0]: `offset[k]` is where window rank k begins.
+    let offset = hot.map(|h| h - hot[0]);
+    let (mut first_rank, mut last_rank) = (0, 0);
+    for (j, entry) in (0u32..).zip(&mut index) {
+        let first = j << shift;
+        if first >= span {
+            break;
+        }
+        let last = (first + ((1 << shift) - 1)).min(span - 1);
+        while offset[first_rank + 1] <= first {
+            first_rank += 1;
+        }
+        last_rank = last_rank.max(first_rank);
+        while offset[last_rank + 1] <= last {
+            last_rank += 1;
+        }
+        if last_rank - first_rank <= 2 {
+            *entry = first_rank.min(LINE - 3) as u8;
+        }
+    }
+    (shift as u8, index)
+}
+
 /// How many of a line's ascending boundaries are `≤ v`, given that the
 /// last one is not (every caller passes a line whose sixteenth entry
 /// bounds `v` from above, so it is never read). A fixed-depth binary
@@ -53,18 +96,31 @@ fn rank16(bounds: &[u32; LINE], v: u32) -> usize {
 /// Frequencies are stored as a `u32` cumulative array `cum[0..=n]` with
 /// `cum[i+1] > cum[i]` guaranteed (every symbol gets at least one count —
 /// Laplace smoothing — so unseen symbols remain encodable). Decoding
-/// inverts a scaled code value to its symbol ([`FreqTable::find`])
-/// without scanning and without touching more than two or three cache
-/// lines:
+/// inverts a scaled code value to its symbol without scanning, through one
+/// of two resolves, each touching at most three cache lines:
 ///
-/// * the **hot window** — the sixteen boundaries around the heaviest
-///   fifteen consecutive symbols, held inline in the table's first cache
+/// * the **hot window** (`FreqTable::resolve`, delta rows) — the sixteen
+///   boundaries around the heaviest fifteen consecutive symbols (the
+///   first such run on ties), held inline in the table's first cache
 ///   line. A peaked distribution (every delta table; ~89% of all symbols
 ///   of a context) resolves there, and the same line yields the symbol's
-///   start and frequency;
-/// * the **two-level rank** — sixteen inline block pivots pick one of
+///   start and frequency. A 32-slot `u8` index over the window's span
+///   `[hot[0], hot[15])`, in equal slices of `2^shift` values (the
+///   smallest `shift` that fits the span), names for most slices a rank
+///   within two of every value in it, so two compares finish the
+///   resolve; a slice that straddles more symbols falls back to a
+///   four-step rank of the whole window;
+/// * the **two-level rank** ([`FreqTable::find`], anchor rows and
+///   whatever misses the window) — sixteen inline block pivots pick one of
 ///   sixteen 16-symbol blocks of `cum`, and a second rank inside the
 ///   block picks the symbol. Alphabets beyond 256 binary-search `cum`.
+///
+/// Three lines, 192 bytes: the window, the pivots, and one line holding
+/// the window's first symbol and the alphabet size (`u16` each), the
+/// index's shift, the boxed `cum`, the boxed encode-side reciprocals and
+/// the 32-slot index. A model set is an array of tables and decode walks
+/// it at whatever stride a table has, so the index took the slack of the
+/// third line rather than a fourth.
 ///
 /// Encoding (`FreqTable::code`) reads a symbol's start and frequency —
 /// from the hot window when the symbol is in it, else `cum[s]` and
@@ -86,14 +142,19 @@ pub struct FreqTable {
     /// ends where pivot `j` begins.
     pivots: [u32; LINE],
     /// First symbol of the hot window.
-    hot_base: u32,
+    hot_base: u16,
     /// Alphabet size `n`.
-    len: u32,
+    len: u16,
+    /// Slice `j` of the hot window's index holds the values `hot[0] + (j
+    /// << shift) ..` (see `hot_index`).
+    shift: u8,
     /// `cum[0..=n]`, padded with the total to a whole number of lines
     /// past index 0 so every block slice is a full sixteen entries.
-    cum: Vec<u32>,
+    cum: Box<[u32]>,
     /// Encode-side only, and behind a pointer so that it is.
     reciprocals: Box<HotReciprocals>,
+    /// The hot window's index (see `hot_index`).
+    buckets: [u8; BUCKETS],
 }
 
 /// The encode-side part of a [`FreqTable`]: for each symbol of its hot
@@ -257,13 +318,16 @@ impl FreqTable {
             .max_by_key(|&b| (at(b + HOT_SYMBOLS) - cum[b], std::cmp::Reverse(b)))
             .unwrap_or(0);
         let hot = std::array::from_fn(|i| at(hot_base + i));
+        let (shift, buckets) = hot_index(&hot);
         FreqTable {
             hot,
             pivots: std::array::from_fn(|j| at(LINE * (j + 1))),
-            hot_base: hot_base as u32,
-            len: n as u32,
-            cum,
+            hot_base: hot_base as u16,
+            len: n as u16,
+            shift,
+            cum: cum.into_boxed_slice(),
             reciprocals: Box::new(HotReciprocals::of(&hot)),
+            buckets,
         }
     }
 
@@ -308,7 +372,7 @@ impl FreqTable {
     /// assert.
     #[inline(always)]
     pub(crate) fn code(&self, index: usize) -> SymbolCode {
-        let k = index.wrapping_sub(self.hot_base as usize);
+        let k = index.wrapping_sub(usize::from(self.hot_base));
         if k < HOT_SYMBOLS && self.reciprocals.rcp[k] != 0 {
             return SymbolCode {
                 start: self.hot[k],
@@ -321,27 +385,63 @@ impl FreqTable {
         SymbolCode::by_division(start, freq)
     }
 
-    /// Finds the symbol whose cumulative range contains `scaled`.
-    #[inline]
+    /// Finds the symbol whose cumulative range contains `scaled`, through
+    /// the two-level rank (the resolve anchor rows decode with).
+    ///
+    /// # Panics
+    ///
+    /// If `scaled` is not below [`MAX_TOTAL`].
     pub fn find(&self, scaled: u64) -> usize {
-        debug_assert!(scaled < MAX_TOTAL);
-        self.resolve(scaled as u32).0
+        assert!(scaled < MAX_TOTAL, "scaled value outside the table's mass");
+        self.rank(scaled as u32).0
     }
 
-    /// Resolves a scaled code value to `(symbol, start, frequency)` — the
-    /// decoder's per-symbol hot path.
+    /// Resolves a scaled code value to `(symbol, start, frequency)`, hot
+    /// window first — the per-symbol path of a delta row, whose peaked
+    /// tables resolve there ~89% of the time.
+    ///
+    /// In the window, the index slice of `scaled` names a rank `k` and two
+    /// compares against `hot[k + 1]` and `hot[k + 2]` finish; a
+    /// [`WIDE`] slice ranks the whole window. Outside it, the two-level
+    /// rank runs out of line: kept inline, its instructions crowd the hot
+    /// path of every symbol for the ~11% that need them.
     #[inline(always)]
     pub(crate) fn resolve(&self, scaled: u32) -> (usize, u32, u32) {
         let hot = &self.hot;
-        if scaled.wrapping_sub(hot[0]) < hot[LINE - 1] - hot[0] {
-            // hot[0] ≤ scaled < hot[15]: the rank is in 1..=15.
-            let k = rank16(hot, scaled) - 1;
-            return (
-                self.hot_base as usize + k,
-                hot[k],
-                hot[(k + 1) % LINE] - hot[k],
-            );
+        let offset = scaled.wrapping_sub(hot[0]);
+        if offset < hot[LINE - 1] - hot[0] {
+            // hot[0] ≤ scaled < hot[15]: the rank is in 0..=14, and an
+            // index entry is at most 13 (`hot_index`), so the masks below
+            // only spare the bounds checks.
+            let k = match self.buckets[(offset >> self.shift) as usize % BUCKETS] {
+                WIDE => rank16(hot, scaled) - 1,
+                k => {
+                    let k = usize::from(k);
+                    k + usize::from(hot[(k + 1) % LINE] <= scaled)
+                        + usize::from(hot[(k + 2) % LINE] <= scaled)
+                }
+            };
+            let (start, end) = (hot[k % LINE], hot[(k + 1) % LINE]);
+            return (usize::from(self.hot_base) + k, start, end - start);
         }
+        self.rank_cold(scaled)
+    }
+
+    /// [`FreqTable::rank`] out of line, for the values a delta row's hot
+    /// window misses.
+    #[cold]
+    #[inline(never)]
+    fn rank_cold(&self, scaled: u32) -> (usize, u32, u32) {
+        self.rank(scaled)
+    }
+
+    /// Resolves a scaled code value to `(symbol, start, frequency)` through
+    /// the two-level rank alone — the per-symbol path of an anchor row.
+    /// Anchor tables are wide (8-bit precision), so more than half their
+    /// symbols would miss the hot window and a window-first resolve would
+    /// branch on a coin flip; this path has no data-dependent branch.
+    #[inline(always)]
+    pub(crate) fn rank(&self, scaled: u32) -> (usize, u32, u32) {
         let n = self.len();
         let s = if n <= RANKED {
             // Pivots and block entries at or past `cum[n]` equal the
@@ -561,6 +661,65 @@ mod tests {
     }
 
     #[test]
+    fn hot_index_names_a_rank_within_two_of_its_whole_slice() {
+        let peaked = |n: usize, mode: usize, decay: u32| -> FreqTable {
+            let counts: Vec<u32> = (0..n)
+                .map(|i| 1_000_000u32 >> (decay * i.abs_diff(mode) as u32).min(31))
+                .collect();
+            FreqTable::from_counts(&counts)
+        };
+        let tables = [
+            FreqTable::from_counts(&[2, 3, 1, 10]),
+            FreqTable::from_counts(&[1_000_000, 0, 0, 1, 7, 0, 900]),
+            FreqTable::from_counts(&[1]),
+            FreqTable::uniform(14),
+            FreqTable::uniform(15),
+            FreqTable::uniform(16),
+            FreqTable::uniform(256),
+            peaked(256, 128, 1),
+            peaked(256, 0, 1),
+            peaked(256, 255, 2),
+            peaked(40, 20, 3),
+        ];
+        for t in &tables {
+            let span = t.hot[LINE - 1] - t.hot[0];
+            let fits = |shift: u32| (span - 1) >> shift < BUCKETS as u32;
+            let shift = u32::from(t.shift);
+            assert!(
+                fits(shift) && (shift == 0 || !fits(shift - 1)),
+                "smallest shift"
+            );
+            // The window rank of `hot[0] + offset`, and what both resolves
+            // say about it.
+            let rank = |offset: u32| rank16(&t.hot, t.hot[0] + offset) - 1;
+            for (j, &entry) in (0u32..).zip(&t.buckets) {
+                let first = j << shift;
+                if first >= span {
+                    assert_eq!(entry, WIDE, "slice {j} is past the window");
+                    continue;
+                }
+                let last = (first + ((1 << shift) - 1)).min(span - 1);
+                let (lo, hi) = (rank(first), rank(last));
+                if entry == WIDE {
+                    assert!(hi - lo > 2, "slice {j}: ranks {lo}..={hi} fit two compares");
+                } else {
+                    let k = usize::from(entry);
+                    assert!(
+                        k <= LINE - 3 && k <= lo && hi <= k + 2,
+                        "slice {j}: {k} vs {lo}..={hi}"
+                    );
+                }
+                for offset in [first.wrapping_sub(1), first, last, last + 1] {
+                    let v = t.hot[0].wrapping_add(offset);
+                    if u64::from(v) < MAX_TOTAL {
+                        assert_eq!(t.resolve(v), t.rank(v), "value {v}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn find_inverts_range() {
         // Boundaries are where the bucket LUT can go wrong; probe each
         // symbol's first/last/middle values plus the bucket edges.
@@ -611,8 +770,9 @@ mod tests {
 
     #[test]
     fn a_table_is_the_three_lines_decode_walks() {
-        // Hot window, pivots, and one line of scalars: the encode-side
-        // reciprocals must stay behind their box (see `HotReciprocals`).
+        // Hot window, pivots, and one line of scalars, boxes and the hot
+        // window's index: the encode-side reciprocals must stay behind
+        // their box (see `HotReciprocals`).
         assert_eq!(std::mem::size_of::<FreqTable>(), 3 * 64);
         assert_eq!(std::mem::align_of::<FreqTable>(), 64);
     }

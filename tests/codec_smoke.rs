@@ -22,7 +22,7 @@ use proptest::prelude::*;
 fn quantized_reference(cache: &KvCache, cfg: &CodecConfig, enc: &EncodedKv) -> KvCache {
     let (layers, tokens, channels) = (cache.layers(), cache.tokens(), cache.channels());
     let layout = GroupLayout::new(enc.group_size, tokens);
-    let clamp = |s: f32| index_to_symbol(symbol_to_index(s.round() as i32)) as f32;
+    let clamp = |s: f32| index_to_symbol(symbol_to_index(s.round() as i32) as u8) as f32;
     let mut out_k = Tensor::zeros(&[layers, tokens, channels]);
     let mut out_v = Tensor::zeros(&[layers, tokens, channels]);
     for (is_k, src, dst) in [

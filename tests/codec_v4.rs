@@ -5,6 +5,7 @@
 //! chunk-local damage containment, and rejection of the retired wires.
 
 use cachegen_codec::delta::GroupLayout;
+use cachegen_codec::encoder::SymKind;
 use cachegen_codec::rans::{self, LANES, RANS_L, STATE_BYTES};
 use cachegen_codec::repair::{ChunkArrivalMap, RepairCause, RepairPolicy};
 use cachegen_codec::symbol_model::{FreqTable, MAX_TOTAL, TOTAL_BITS};
@@ -145,6 +146,116 @@ fn optimised_rans_matches_the_reference_coder() {
             assert!(dec.finished() && dec.bytes_consumed() == bytes.len());
         }
     }
+}
+
+/// `cum[0..=n]` of a table, read through its public ranges.
+fn cumulative(table: &FreqTable) -> Vec<u64> {
+    std::iter::once(0)
+        .chain((0..table.len()).map(|s| table.range(s).1))
+        .collect()
+}
+
+/// Where the hot window's index cuts a table's scaled values, as the
+/// `FreqTable` docs define it: the window is the heaviest run of fifteen
+/// consecutive symbols (the first on ties; a shorter alphabet whole), and
+/// its span is cut into 32 slices of the smallest power-of-two width that
+/// fits it. Returns the 33 slice boundaries.
+fn index_boundaries(cum: &[u64]) -> Vec<u64> {
+    let n = cum.len() - 1;
+    let at = |i: usize| cum[i.min(n)];
+    let base = (0..=n.saturating_sub(15))
+        .max_by_key(|&b| (at(b + 15) - cum[b], std::cmp::Reverse(b)))
+        .expect("a table has a symbol");
+    let (lo, hi) = (cum[base], at(base + 15));
+    let width = (0..TOTAL_BITS)
+        .map(|s| 1u64 << s)
+        .find(|w| hi - lo <= 32 * w)
+        .expect("the total fits");
+    (0..=32).map(|j| lo + j * width).collect()
+}
+
+/// What the hot-window-first resolve reads: the symbols
+/// `rans::Decoder::decode4` takes out of four lane states whose low
+/// `TOTAL_BITS` are `scaled` (the states' upper bits are immaterial).
+fn hot_first(table: &FreqTable, scaled: [u64; LANES]) -> [usize; LANES] {
+    let header: Vec<u8> = scaled
+        .iter()
+        .flat_map(|&s| ((RANS_L << TOTAL_BITS) | s).to_le_bytes())
+        .collect();
+    rans::Decoder::new(&header).decode4([table; LANES])
+}
+
+/// Checks both resolves of `table` against a linear scan of its
+/// cumulative array: every symbol boundary and every index slice boundary
+/// ±1, plus `random` uniform values. The probes are sorted, so one scan
+/// of `cum` answers them all.
+fn check_resolves(table: &FreqTable, random: usize, rng: &mut rand::rngs::StdRng, name: &str) {
+    let cum = cumulative(table);
+    let mut probes: Vec<u64> = cum
+        .iter()
+        .chain(&index_boundaries(&cum))
+        .flat_map(|&b| [b.wrapping_sub(1), b, b + 1])
+        .chain((0..random).map(|_| rng.gen::<u64>() % MAX_TOTAL))
+        .filter(|&v| v < MAX_TOTAL)
+        .collect();
+    probes.sort_unstable();
+    probes.resize(probes.len().next_multiple_of(LANES), MAX_TOTAL - 1);
+    let mut want = 0;
+    for four in probes.chunks_exact(LANES) {
+        let four: [u64; LANES] = four.try_into().expect("four probes");
+        let hot = hot_first(table, four);
+        for (&v, hot) in four.iter().zip(hot) {
+            while cum[want + 1] <= v {
+                want += 1;
+            }
+            assert_eq!(table.find(v), want, "{name}: ranked resolve of {v}");
+            assert_eq!(hot, want, "{name}: hot-first resolve of {v}");
+        }
+    }
+}
+
+#[test]
+fn both_resolves_equal_a_linear_scan() {
+    let mut rng = cachegen_tensor::rng::seeded(27);
+    // Alphabets shorter than the fifteen-symbol window, exactly it, one
+    // either side, the codec's 256 and past the two-level rank's reach;
+    // `distributions` clips the window at either end.
+    for n in [1usize, 2, 7, 14, 15, 16, 17, 255, 256, 257, 4096] {
+        for (name, counts) in distributions(n) {
+            check_resolves(
+                &FreqTable::from_counts(&counts),
+                10_000,
+                &mut rng,
+                &format!("{name}/{n}"),
+            );
+        }
+    }
+    // Every table of a real five-level profile: anchor and delta, K and
+    // V, every (layer, channel), at the engine's five bin factors.
+    let model = SimTransformer::new(SimModelConfig::tiny(7));
+    let sample = model.prefill(&(0..60).map(|i| (i * 7) % 64).collect::<Vec<_>>());
+    for factor in [0.3f32, 0.6, 1.0, 1.8, 3.0] {
+        let cfg = CodecConfig::default().with_bin_factor(factor);
+        let profile = CodecProfile::build(&cfg, &[&sample]);
+        for kind in [SymKind::Anchor, SymKind::Delta] {
+            for is_k in [true, false] {
+                for layer in 0..profile.layers() {
+                    for channel in 0..profile.channels() {
+                        let table = profile.table(kind, is_k, layer, channel);
+                        let name = format!("×{factor} {kind:?} k={is_k} ({layer}, {channel})");
+                        check_resolves(table, 100, &mut rng, &name);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_table_stays_three_cache_lines() {
+    // Decode strides over arrays of tables: the hot window's index lives
+    // in the third line's slack, not in a fourth line.
+    assert_eq!(std::mem::size_of::<FreqTable>(), 192);
 }
 
 #[test]
