@@ -70,8 +70,11 @@ pub fn fig14() {
         let _ = bench.engine.encode_at_level(&cache, level);
     }
     let encode_ms = t1.elapsed().as_secs_f64() * 1e3;
-    println!("quantization round trip: {quant_ms:>8.1} ms");
-    println!(
+    // Wall-clock readings go to stderr: stdout is the checked-in
+    // `FIGURES.txt` and must come out byte-identical run to run.
+    println!("(wall-timed: quantization round trip and CacheGen encode, on stderr)");
+    eprintln!("quantization round trip: {quant_ms:>8.1} ms");
+    eprintln!(
         "CacheGen encode ({} levels): {encode_ms:>8.1} ms (one-time, offline)",
         bench.engine.num_levels()
     );
