@@ -46,7 +46,7 @@
 use cachegen::{load_context, load_stored, CacheGenEngine, LoadParams};
 use cachegen_bench::harness::{context_fixture, sample, Snapshot, Summary, CONTEXT_TOKENS};
 use cachegen_codec::delta::GroupLayout;
-use cachegen_codec::encoder::SymKind;
+use cachegen_codec::encoder::{SymKind, ANCHOR_BIN};
 use cachegen_codec::profile::single_cache_scales;
 use cachegen_codec::quantize::{channel_steps, dequantize_row, quantize_layer};
 use cachegen_codec::symbol_model::FreqTable;
@@ -113,7 +113,7 @@ fn bench_encode_stages(
                         tensor.slab(layer),
                         GroupLayout::new(cfg.group_size, chunk.tokens()),
                         cfg.delta_encoding,
-                        channel_steps(cfg.anchor_bin, &anchor[layer]),
+                        channel_steps(ANCHOR_BIN, &anchor[layer]),
                         channel_steps(delta_bin, &delta[layer]),
                     ));
                 }
@@ -234,7 +234,7 @@ fn bench_decode_stages(snap: &mut Snapshot, engine: &CacheGenEngine, encoded: &[
                             .collect(),
                         tables,
                         steps: [
-                            channel_steps(cfg.anchor_bin, &enc.scales[2 * side][layer]),
+                            channel_steps(ANCHOR_BIN, &enc.scales[2 * side][layer]),
                             channel_steps(bin, &enc.scales[2 * side + 1][layer]),
                         ],
                         indices: vec![0; enc.tokens * enc.channels],

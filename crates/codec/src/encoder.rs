@@ -48,24 +48,25 @@ use cachegen_quant::LayerGroupBins;
 use cachegen_telemetry::{Recorder, NOOP};
 use cachegen_tensor::Tensor;
 
+/// Anchor-token bin in scale units, at every level: 1/16 ≈ 8-bit
+/// precision over ±8σ (256 symbols before the alphabet clamp binds) —
+/// §5.2's anchors are kept at high precision, not scaled with the level.
+pub const ANCHOR_BIN: f32 = 1.0 / 16.0;
+
 /// Configuration of the CacheGen codec (one *encoding level* — the streamer
-/// holds several, produced by scaling `bins`).
+/// holds several, produced by scaling `bins`). The anchor bin
+/// ([`ANCHOR_BIN`]) and the floor under profiled scales are fixed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CodecConfig {
     /// Tokens per anchor group (§5.2 default: 10).
     pub group_size: usize,
     /// Per-layer-group delta quantization bins (§C.2 default: 0.5/1.0/1.5).
     pub bins: LayerGroupBins,
-    /// Anchor-token bin in scale units; 1/16 ≈ 8-bit precision over ±8σ
-    /// (256 symbols before the alphabet clamp binds).
-    pub anchor_bin: f32,
     /// Symbol-distribution grouping (paper: per channel-layer).
     pub granularity: ModelGranularity,
     /// If false, skip the delta transform and code raw quantized values
     /// (the "Quant + AC" ablation arm of Figure 15).
     pub delta_encoding: bool,
-    /// Floor applied to profiled scales, guards near-constant channels.
-    pub scale_floor: f32,
 }
 
 impl Default for CodecConfig {
@@ -73,10 +74,8 @@ impl Default for CodecConfig {
         CodecConfig {
             group_size: crate::delta::DEFAULT_GROUP_SIZE,
             bins: LayerGroupBins::paper_default(),
-            anchor_bin: 1.0 / 16.0,
             granularity: ModelGranularity::PerChannelLayer,
             delta_encoding: true,
-            scale_floor: 1e-4,
         }
     }
 }
@@ -291,7 +290,7 @@ impl KvCodec {
         LayerCoding {
             is_k,
             layer,
-            anchor_steps: channel_steps(self.config.anchor_bin, &scales[set][layer]),
+            anchor_steps: channel_steps(ANCHOR_BIN, &scales[set][layer]),
             delta_steps: channel_steps(delta_bin, &scales[set + 1][layer]),
             anchor_tables: self.profile.layer_tables(SymKind::Anchor, is_k, layer),
             delta_tables: self.profile.layer_tables(SymKind::Delta, is_k, layer),
@@ -632,7 +631,6 @@ mod tests {
         let group = codec.config().group_size;
         for l in 0..n_layers {
             let delta_bin = codec.config().bins.bin_for_layer(l, n_layers);
-            let anchor_bin = codec.config().anchor_bin;
             for (is_k, orig) in [(true, cache.k()), (false, cache.v())] {
                 let d_scales: &[f32] = if is_k {
                     &enc.scales[1][l]
@@ -656,7 +654,7 @@ mod tests {
                         // get a clamp allowance for values whose symbol
                         // exceeds ±127 alphabet slots.
                         let step = if is_anchor {
-                            anchor_bin * a_scales[c]
+                            ANCHOR_BIN * a_scales[c]
                         } else {
                             delta_bin * d_scales[c]
                         };

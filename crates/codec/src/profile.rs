@@ -16,7 +16,7 @@
 //! still stored, for the frozen benchmark's one read of them.)
 
 use crate::delta::GroupLayout;
-use crate::encoder::{CodecConfig, SymKind};
+use crate::encoder::{CodecConfig, SymKind, ANCHOR_BIN};
 use crate::quantize::{channel_steps, quantize_layer};
 use crate::symbol_model::{FreqTable, ModelGranularity, SymbolCounts, SymbolModelSet};
 use cachegen_llm::KvCache;
@@ -42,6 +42,10 @@ fn tensor_of(cache: &KvCache, is_k: bool) -> &Tensor {
     }
 }
 
+/// Floor under every computed scale: guards near-constant channels, whose
+/// zero std would make a zero quantization step.
+const SCALE_FLOOR: f32 = 1e-4;
+
 /// Per-(layer, channel) scales of one cache: what the encoder computes at
 /// encode time (vectorwise quantization derives scales from the tensor
 /// itself, after LLM.int8) and ships in the bitstream header.
@@ -64,11 +68,11 @@ fn profile_scales(
     let channels = samples[0].channels();
     let std_of = |sum: f64, sq: f64, n: u64| -> f32 {
         if n == 0 {
-            return cfg.scale_floor;
+            return SCALE_FLOOR;
         }
         let mean = sum / n as f64;
         let var = (sq / n as f64 - mean * mean).max(0.0);
-        (var.sqrt() as f32).max(cfg.scale_floor)
+        (var.sqrt() as f32).max(SCALE_FLOOR)
     };
     // Welford-free accumulation: a sum and a sum of squares per channel,
     // each statistic its own flat array so the channel loop is four
@@ -155,7 +159,7 @@ impl CodecProfile {
                         channels,
                         layout,
                         cfg.delta_encoding,
-                        &channel_steps(cfg.anchor_bin, &anchor_scales[l]),
+                        &channel_steps(ANCHOR_BIN, &anchor_scales[l]),
                         &channel_steps(delta_bin, &delta_scales[l]),
                         |indices| {
                             let (anchor_row, delta_rows) = indices.split_at(anchor_len);

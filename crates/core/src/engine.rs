@@ -18,11 +18,11 @@ use std::sync::Arc;
 
 use crate::pipeline::LoadError;
 
-/// Engine-wide configuration.
+/// Engine-wide configuration. The codec is not a setting: every level's
+/// codec is [`CodecConfig::default`] with its delta bins scaled by the
+/// ladder's factor.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Base codec configuration (level factors scale its bins).
-    pub codec: CodecConfig,
     /// Encoding-level ladder (finest first).
     pub ladder: LevelLadder,
     /// Chunk length in tokens for streaming (§5.3; scaled down for the
@@ -36,7 +36,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            codec: CodecConfig::default(),
             ladder: LevelLadder::paper_default(),
             chunk_tokens: 30,
             text_bytes_per_token: 4,
@@ -73,12 +72,13 @@ impl CacheGenEngine {
             .map(|ctx| model.prefill(ctx))
             .collect();
         let sample_refs: Vec<&KvCache> = samples.iter().collect();
+        let base = CodecConfig::default();
         let codecs = config
             .ladder
             .factors()
             .iter()
             .map(|&f| {
-                let cfg = config.codec.with_bin_factor(f);
+                let cfg = base.with_bin_factor(f);
                 let profile = CodecProfile::build(&cfg, &sample_refs);
                 KvCodec::new(cfg, profile)
             })
@@ -188,6 +188,11 @@ impl CacheGenEngine {
         self.config.ladder.default_medium()
     }
 
+    /// Tokens per anchor group, the same at every level.
+    fn group_size(&self) -> usize {
+        self.codecs[0].config().group_size
+    }
+
     /// The chunk token counts used for a context of `total_tokens` —
     /// chunk boundaries are forced onto anchor-group multiples so every
     /// stored chunk is independently decodable and the codec's
@@ -196,7 +201,7 @@ impl CacheGenEngine {
         ChunkPlan::chunk_token_counts_aligned(
             total_tokens,
             self.config.chunk_tokens,
-            self.config.codec.group_size,
+            self.group_size(),
         )
     }
 
@@ -300,7 +305,7 @@ impl CacheGenEngine {
     pub(crate) fn parse_stored(&self, bytes: &[u8], tokens: usize) -> Result<EncodedKv, LoadError> {
         let enc = EncodedKv::from_bytes(bytes).map_err(LoadError::Parse)?;
         let model = self.model.config();
-        let group = self.config.codec.group_size;
+        let group = self.group_size();
         let want = (tokens, model.n_layers, model.kv_channels(), group);
         let got = (enc.tokens, enc.layers, enc.channels, enc.group_size);
         if got != want {

@@ -65,5 +65,7 @@ pub mod ttft;
 pub use cachegen_codec::repair::RepairPolicy;
 pub use cachegen_streamer::FecOverhead;
 pub use engine::{CacheGenEngine, EngineConfig};
-pub use pipeline::{load_context, load_stored, LoadError, LoadOutcome, LoadParams};
+pub use pipeline::{
+    load_context, load_stored, LoadError, LoadOutcome, LoadParams, DECODE_BYTES_PER_SEC,
+};
 pub use ttft::{LoadMethod, TtftBreakdown, TtftModel};

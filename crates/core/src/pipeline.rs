@@ -44,6 +44,11 @@ use cachegen_streamer::{
 };
 use cachegen_telemetry::{Recorder, Stage, NOOP};
 
+/// The simulated GPU's decode rate for compressed bitstreams, bytes/s:
+/// the one rate the simulation path prices decode at
+/// ([`LoadParams::default`] and every serving batch).
+pub const DECODE_BYTES_PER_SEC: f64 = 8.0e9;
+
 /// Parameters for a context-loading run.
 #[derive(Clone, Debug)]
 pub struct LoadParams {
@@ -55,7 +60,9 @@ pub struct LoadParams {
     pub prior_throughput_bps: Option<f64>,
     /// Concurrent requests sharing the link/GPU.
     pub concurrent_requests: usize,
-    /// GPU decode throughput for compressed bitstreams, bytes/s.
+    /// GPU decode throughput for compressed bitstreams, bytes/s
+    /// ([`DECODE_BYTES_PER_SEC`] by default, the rate serving batches
+    /// decode at).
     pub decode_bytes_per_sec: f64,
     /// GPU prefill-recompute speed for text chunks, seconds per token.
     pub recompute_sec_per_token: f64,
@@ -69,8 +76,8 @@ pub struct LoadParams {
     /// recovery ladder. [`FecOverhead::Off`] (the default) reproduces the
     /// pre-FEC transport bit for bit; `PerLevel` adds one XOR repair
     /// per group; `Rs { k, r }` adds `r` GF(256) Reed–Solomon
-    /// repairs per group; `Adaptive` selects `(k, r)` per chunk from the
-    /// measured channel loss rate.
+    /// repairs per group; `Adaptive` selects `(k, r)` per chunk from a
+    /// fixed ladder by the measured channel loss rate.
     pub fec_overhead: FecOverhead,
 }
 
@@ -81,7 +88,7 @@ impl Default for LoadParams {
             policy: AdaptPolicy::Adaptive,
             prior_throughput_bps: None,
             concurrent_requests: 1,
-            decode_bytes_per_sec: 8.0e9,
+            decode_bytes_per_sec: DECODE_BYTES_PER_SEC,
             recompute_sec_per_token: 1e-3,
             repair: RepairPolicy::AnchorInterpolate,
             retransmit_budget: 0,
@@ -344,7 +351,10 @@ fn load<'a>(
 
     // Refetch second pass: re-request the missing packets after the first
     // decode. The stream (and its TTFT) is already complete — this
-    // restores fidelity, competing for the same link.
+    // restores fidelity, competing for the same link. A round's failures
+    // are resent once the receiver's NACK is back (last arrival plus one
+    // propagation delay), as in `deliver_schedule` and the serving
+    // re-fetch.
     let mut refetch_finish = None;
     let mut t = stream
         .chunks
@@ -363,6 +373,9 @@ fn load<'a>(
             t = res.wire_finish;
             refetch_finish = Some(refetch_finish.unwrap_or(0.0f64).max(res.last_arrival));
             pending = res.failed().iter().map(|&i| pending[i]).collect();
+            if !pending.is_empty() {
+                t = t.max(res.last_arrival + link.propagation());
+            }
         }
         // All packets are now in hand: the chunk decodes bit-exact, and
         // no policy-reconstructed bytes remain in it.
@@ -561,6 +574,69 @@ mod tests {
         assert_eq!(out.cache, clean.cache);
         let refetched = out.refetch_finish.expect("refetch pass ran");
         assert!(refetched >= out.stream.finish);
+    }
+
+    #[test]
+    fn refetch_rounds_wait_for_the_nack() {
+        use cachegen_net::PacketFaults;
+        let e = engine();
+        let ctx: Vec<usize> = (0..90).map(|i| (i * 7) % 64).collect();
+        let plan = e.store_kv(1, &ctx);
+        let p = LoadParams {
+            repair: RepairPolicy::Refetch,
+            retransmit_budget: 0,
+            ..LoadParams::default()
+        };
+        let link = || {
+            Link::new(BandwidthTrace::constant(GBPS), 0.01)
+                .with_packet_faults(PacketFaults::loss(0.4), 5)
+        };
+        let out = load_stored(&e, 1, &plan, &mut link(), &p, &NOOP).expect("stored context loads");
+
+        // Replay by hand on the same seeded link: the same stream, then
+        // every damaged chunk's lost packets resent round by round, each
+        // round's failures only once their NACK is back at the sender.
+        let mut link = link();
+        let decode_seconds = |bytes: u64| bytes as f64 / DECODE_BYTES_PER_SEC;
+        let recompute_seconds = |tokens: usize| tokens as f64 * p.recompute_sec_per_token;
+        let params = StreamParams {
+            slo: p.slo,
+            policy: p.policy,
+            prior_throughput_bps: p.prior_throughput_bps,
+            concurrent_requests: 1,
+            retransmit_budget: 0,
+            fec_overhead: FecOverhead::Off,
+            ladder: &e.config().ladder,
+            decode_seconds: &decode_seconds,
+            recompute_seconds: &recompute_seconds,
+            recorder: None,
+        };
+        let stream = simulate_stream(&plan, &mut link, &params);
+        assert_eq!(stream, out.stream);
+        let mut t = stream
+            .chunks
+            .iter()
+            .map(|c| c.transfer_finish)
+            .fold(0.0f64, f64::max);
+        let mut finish = None;
+        let mut dropped_again = false;
+        for chunk in stream.chunks.iter().filter(|c| !c.lost.is_empty()) {
+            let mut pending: Vec<u64> = chunk.lost.iter().map(|&(_, b)| b).collect();
+            let mut start = t;
+            loop {
+                let res = link.send_packets(&pending, start);
+                t = res.wire_finish;
+                finish = Some(finish.unwrap_or(0.0f64).max(res.last_arrival));
+                pending = res.failed().iter().map(|&i| pending[i]).collect();
+                if pending.is_empty() {
+                    break;
+                }
+                dropped_again = true;
+                start = res.last_arrival + link.propagation();
+            }
+        }
+        assert!(dropped_again, "no re-fetched packet was dropped again");
+        assert_eq!(out.refetch_finish, finish);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   Reed–Solomon ([`RsCode`]) recovering any `r` losses per group, whose
 //!   first parity row is plain XOR.
 //! * [`ThroughputEstimator`] — the streamer's bandwidth estimate: the
-//!   measured throughput of the previous chunk (§5.3), optionally smoothed.
+//!   measured throughput of the previous chunk (§5.3).
 //! * [`LossEstimator`] — the matching packet-loss estimate (EWMA over
 //!   per-chunk delivery outcomes) that drives loss-rate-adaptive (k, r)
 //!   parity selection in the streamer.
@@ -44,87 +44,59 @@ pub use trace::BandwidthTrace;
 
 /// The streamer's bandwidth estimator (§5.3): "CacheGen estimates the
 /// bandwidth by measuring the throughput of the previous chunk. It assumes
-/// this throughput will remain constant for the remaining chunks."
-#[derive(Clone, Debug)]
+/// this throughput will remain constant for the remaining chunks." The
+/// estimate is the last sample, unsmoothed.
+#[derive(Clone, Debug, Default)]
 pub struct ThroughputEstimator {
-    /// Exponential smoothing factor: 1.0 = use only the last sample
-    /// (the paper's behaviour), smaller values average history.
-    alpha: f64,
     estimate: Option<f64>,
 }
 
 impl ThroughputEstimator {
-    /// Paper-default estimator (last sample wins).
+    /// An estimator with no sample yet.
     pub fn new() -> Self {
-        ThroughputEstimator {
-            alpha: 1.0,
-            estimate: None,
-        }
+        Self::default()
     }
 
-    /// Records a completed transfer.
+    /// Records a completed transfer; its throughput replaces the estimate.
     pub fn observe(&mut self, bytes: u64, seconds: f64) {
         if seconds <= 0.0 {
             return;
         }
-        let sample = bytes as f64 * 8.0 / seconds; // bits per second
-        self.estimate = Some(match self.estimate {
-            None => sample,
-            Some(prev) => self.alpha * sample + (1.0 - self.alpha) * prev,
-        });
+        self.estimate = Some(bytes as f64 * 8.0 / seconds); // bits per second
     }
 
     /// Current estimate in bits/second, if any transfer has been observed.
     pub fn bits_per_sec(&self) -> Option<f64> {
         self.estimate
     }
-
-    /// Seeds the estimator with prior knowledge (the paper uses prior
-    /// throughput knowledge for the first chunk when available, §5.3).
-    pub fn seed(&mut self, bits_per_sec: f64) {
-        self.estimate = Some(bits_per_sec);
-    }
 }
 
-impl Default for ThroughputEstimator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Weight of the newest chunk in [`LossEstimator`]'s EWMA: bursty
+/// channels move the estimate fast, one clean chunk does not erase the
+/// history.
+const LOSS_ALPHA: f64 = 0.5;
 
-/// Packet-loss estimator mirroring [`ThroughputEstimator`]: an EWMA over
-/// per-chunk delivery outcomes (`lost / total` data packets on the
-/// channel, *before* FEC recovery — recovery hides losses from the
-/// application, not from the estimator). The streamer feeds each chunk's
-/// outcome in and asks for the current estimate before scheduling the
-/// next chunk, so parity depth adapts one chunk behind the channel —
-/// the same one-chunk feedback lag the paper's bandwidth estimator
-/// accepts (§5.3).
+/// Packet-loss estimator mirroring [`ThroughputEstimator`]: an EWMA (each
+/// chunk weighted 0.5 against the history) over per-chunk delivery
+/// outcomes (`lost / total` data packets on the channel, *before* FEC
+/// recovery — recovery hides losses from the application, not from the
+/// estimator). The streamer feeds each chunk's outcome in and asks for the
+/// current estimate before scheduling the next chunk, so parity depth
+/// adapts one chunk behind the channel — the same one-chunk feedback lag
+/// the paper's bandwidth estimator accepts (§5.3).
 ///
 /// The estimate is exposed in integer **per-mille** (`0..=1000`) so the
 /// adaptive FEC policy thresholds stay exactly comparable (`Eq`-derivable
 /// configs, no float compares in the decision path).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LossEstimator {
-    /// Exponential smoothing factor: 1.0 = use only the last chunk.
-    alpha: f64,
     estimate: Option<f64>,
 }
 
 impl LossEstimator {
-    /// Default estimator: `alpha = 0.5` — bursty channels move the
-    /// estimate fast, one clean chunk doesn't erase the history.
+    /// An estimator with no chunk observed yet.
     pub fn new() -> Self {
-        Self::with_alpha(0.5)
-    }
-
-    /// EWMA estimator with smoothing factor `alpha ∈ (0, 1]`.
-    fn with_alpha(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0);
-        LossEstimator {
-            alpha,
-            estimate: None,
-        }
+        Self::default()
     }
 
     /// Records one chunk's channel outcome: `lost` of `total` data
@@ -136,7 +108,7 @@ impl LossEstimator {
         let sample = lost as f64 / total as f64;
         self.estimate = Some(match self.estimate {
             None => sample,
-            Some(prev) => self.alpha * sample + (1.0 - self.alpha) * prev,
+            Some(prev) => LOSS_ALPHA * sample + (1.0 - LOSS_ALPHA) * prev,
         });
     }
 
@@ -145,17 +117,6 @@ impl LossEstimator {
     pub fn loss_permille(&self) -> Option<u32> {
         self.estimate
             .map(|e| (e.clamp(0.0, 1.0) * 1000.0).round() as u32)
-    }
-
-    /// Seeds the estimator with prior channel knowledge.
-    pub fn seed(&mut self, loss_fraction: f64) {
-        self.estimate = Some(loss_fraction.clamp(0.0, 1.0));
-    }
-}
-
-impl Default for LossEstimator {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -178,28 +139,10 @@ mod tests {
     }
 
     #[test]
-    fn ewma_smooths() {
-        let mut e = ThroughputEstimator {
-            alpha: 0.5,
-            estimate: None,
-        };
-        e.observe(1_000_000, 1.0); // 8 Mbps
-        e.observe(1_000_000, 2.0); // sample 4 Mbps → estimate 6 Mbps
-        assert!((e.bits_per_sec().unwrap() - 6e6).abs() < 1.0);
-    }
-
-    #[test]
     fn zero_duration_ignored() {
         let mut e = ThroughputEstimator::new();
         e.observe(100, 0.0);
         assert!(e.bits_per_sec().is_none());
-    }
-
-    #[test]
-    fn seeding() {
-        let mut e = ThroughputEstimator::new();
-        e.seed(2e9);
-        assert_eq!(e.bits_per_sec(), Some(2e9));
     }
 
     #[test]
@@ -213,11 +156,9 @@ mod tests {
     }
 
     #[test]
-    fn loss_estimator_ignores_empty_chunks_and_clamps_seed() {
+    fn loss_estimator_ignores_empty_chunks() {
         let mut e = LossEstimator::new();
         e.observe(0, 0);
         assert_eq!(e.loss_permille(), None);
-        e.seed(2.0);
-        assert_eq!(e.loss_permille(), Some(1000));
     }
 }

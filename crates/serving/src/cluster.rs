@@ -17,7 +17,7 @@ use cachegen_telemetry::{Recorder, SpanCtx, Stage, NOOP};
 use cachegen_workloads::ServingRequest;
 
 use crate::clock::EventQueue;
-use crate::config::ServingConfig;
+use crate::config::{ServingConfig, LEVEL_QUALITY};
 use crate::metrics::{Disposition, RequestOutcome, ServingReport, ShardSummary};
 use crate::plan::{
     ExecutionPlan, PlannedAdmission, PlannedBatch, PlannedQuery, PlannedRefetch, PlannedWork,
@@ -77,8 +77,8 @@ impl ServingCluster {
             config.num_shards
         );
         assert!(
-            config.level_quality.len() >= engine_cfg.ladder.len(),
-            "level_quality must cover the ladder"
+            LEVEL_QUALITY.len() >= engine_cfg.ladder.len(),
+            "the level quality table must cover the ladder"
         );
         let ring = HashRing::new(config.num_shards, RING_VIRTUAL_NODES);
         // One model, one set of profiled codecs; each shard gets its own
@@ -344,7 +344,6 @@ impl ServingCluster {
         // A batch degrades if any member crossed the watermark: under
         // saturation the whole transfer downshifts (the riders share it).
         let degraded = queries.iter().any(|r| r.degraded);
-        let fec = self.config.fec_for(lead.tenant);
         // The streamer's per-chunk wire/decode spans nest under the batch
         // lead's request (the riders share the transfer; their own trees
         // still tile their full TTFT below).
@@ -355,7 +354,7 @@ impl ServingCluster {
             shard_id as u32,
         ));
         let (outcome, chunks) =
-            shard.serve_batch(context_id, degraded, now, &self.config, fec, recorder);
+            shard.serve_batch(context_id, degraded, now, &self.config, recorder);
         shard.stats.batches += 1;
         shard.stats.coalesced_requests += (batch.len() - 1) as u64;
 
@@ -689,6 +688,27 @@ mod tests {
         assert!(
             quality > 0.9,
             "restored cache must serve undamaged quality, got {quality}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "level quality table must cover the ladder")]
+    fn a_ladder_longer_than_the_quality_table_is_rejected() {
+        let engine_cfg = EngineConfig {
+            ladder: cachegen_streamer::LevelLadder::new(vec![0.3, 0.6, 1.0, 1.8, 3.0, 5.0]),
+            ..EngineConfig::default()
+        };
+        let config = ServingConfig::default();
+        let links = (0..config.num_shards)
+            .map(|_| Link::new(BandwidthTrace::constant(5e6), 0.0))
+            .collect();
+        let profile: Vec<Vec<usize>> = vec![(0..60).map(|i| (i * 7) % 64).collect()];
+        ServingCluster::build(
+            SimModelConfig::tiny(42),
+            engine_cfg,
+            config,
+            &profile,
+            links,
         );
     }
 

@@ -3,7 +3,20 @@
 use cachegen::RepairPolicy;
 use cachegen_streamer::{AdaptPolicy, FecOverhead};
 
-/// Cluster-wide serving configuration.
+/// Quality proxy per encoding level, finest first (text counts as 1):
+/// coarser bins lose more. Matches the default 5-level ladder, which
+/// [`crate::ServingCluster::build`] checks.
+pub(crate) const LEVEL_QUALITY: [f64; 5] = [0.995, 0.98, 0.95, 0.91, 0.86];
+
+/// Quality proxy of one encoding level (clamped to [`LEVEL_QUALITY`]).
+pub(crate) fn quality_of_level(level: usize) -> f64 {
+    LEVEL_QUALITY[level.min(LEVEL_QUALITY.len() - 1)]
+}
+
+/// Cluster-wide serving configuration: topology, admission watermarks,
+/// the streaming policy and the loss-recovery ladder. The GPU decode rate
+/// ([`cachegen::DECODE_BYTES_PER_SEC`]) and the per-level quality proxy
+/// are fixed, not settings.
 #[derive(Clone, Debug)]
 pub struct ServingConfig {
     /// Number of shards.
@@ -25,13 +38,9 @@ pub struct ServingConfig {
     pub policy: AdaptPolicy,
     /// Prior throughput knowledge for each stream's first chunk, bits/s.
     pub prior_throughput_bps: Option<f64>,
-    /// GPU decode throughput for compressed bitstreams, bytes/s.
-    pub decode_bytes_per_sec: f64,
     /// GPU prefill-recompute speed, seconds per token (text fallback and
     /// the query suffix's own prefill).
     pub recompute_sec_per_token: f64,
-    /// Quality proxy per encoding level, finest first (text counts as 1).
-    pub level_quality: Vec<f64>,
     /// How holes left by a lossy store link are repaired. Under
     /// [`RepairPolicy::Refetch`] the cluster enqueues a re-fetch that
     /// competes under the same admission watermarks as first fetches.
@@ -39,16 +48,12 @@ pub struct ServingConfig {
     /// Packet retransmissions allowed per batch fetch before the repair
     /// policy takes over (per-packet-fault links only).
     pub retransmit_budget: usize,
-    /// Default forward-error-correction parity density on store→shard
-    /// links: erasure parity (XOR at r = 1) recovers groups that lost no
+    /// Forward-error-correction parity on store→shard links, for every
+    /// batch: erasure parity (XOR at r = 1) recovers groups that lost no
     /// more packets than they carry parity before the retransmit budget
     /// or the repair/refetch ladder is consulted, so a lossy link stops
     /// flooding the shard queues with re-fetch entries.
     pub fec_overhead: FecOverhead,
-    /// Per-tenant FEC overrides (`tenant_fec[t] = Some(knob)`), letting
-    /// tenants buy more (or less) parity than the cluster default. The
-    /// lead tenant of a batch decides the batch's parity.
-    pub tenant_fec: Vec<Option<FecOverhead>>,
 }
 
 impl Default for ServingConfig {
@@ -63,33 +68,15 @@ impl Default for ServingConfig {
             slo: None,
             policy: AdaptPolicy::Adaptive,
             prior_throughput_bps: None,
-            decode_bytes_per_sec: 8.0e9,
             recompute_sec_per_token: 1e-3,
-            // Matches the default 5-level ladder; coarser bins lose more.
-            level_quality: vec![0.995, 0.98, 0.95, 0.91, 0.86],
             repair: RepairPolicy::AnchorInterpolate,
             retransmit_budget: 1,
             fec_overhead: FecOverhead::Off,
-            tenant_fec: Vec::new(),
         }
     }
 }
 
 impl ServingConfig {
-    /// Quality proxy of one encoding level (clamped to the table).
-    pub fn quality_of_level(&self, level: usize) -> f64 {
-        self.level_quality[level.min(self.level_quality.len() - 1)]
-    }
-
-    /// The FEC parity knob a batch runs with: the lead tenant's override,
-    /// else the cluster default.
-    pub fn fec_for(&self, tenant: usize) -> &FecOverhead {
-        self.tenant_fec
-            .get(tenant)
-            .and_then(Option::as_ref)
-            .unwrap_or(&self.fec_overhead)
-    }
-
     pub(crate) fn validate(&self) {
         assert!(self.num_shards >= 1, "need at least one shard");
         assert!(self.num_tenants >= 1, "need at least one tenant");
@@ -98,8 +85,6 @@ impl ServingConfig {
             self.degrade_depth >= 1 && self.degrade_depth <= self.shed_depth,
             "watermarks must satisfy 1 <= degrade <= shed"
         );
-        assert!(!self.level_quality.is_empty(), "need level qualities");
-        assert!(self.decode_bytes_per_sec > 0.0);
         assert!(self.recompute_sec_per_token >= 0.0);
     }
 }
@@ -107,48 +92,17 @@ impl ServingConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachegen_streamer::LevelLadder;
 
     #[test]
-    fn fec_for_resolves_tenant_then_default() {
-        let cfg = ServingConfig {
-            fec_overhead: FecOverhead::Rs { k: 8, r: 1 },
-            tenant_fec: vec![None, Some(FecOverhead::Rs { k: 4, r: 1 }), None],
-            ..ServingConfig::default()
-        };
-        // The tenant override wins, else the cluster default.
-        assert_eq!(cfg.fec_for(0), &FecOverhead::Rs { k: 8, r: 1 });
-        assert_eq!(cfg.fec_for(1), &FecOverhead::Rs { k: 4, r: 1 });
+    fn level_quality_covers_the_default_ladder_and_never_increases() {
+        assert!(LEVEL_QUALITY.len() >= LevelLadder::paper_default().len());
+        assert!(LEVEL_QUALITY.windows(2).all(|w| w[0] >= w[1]));
+        assert!(LEVEL_QUALITY.iter().all(|&q| q > 0.0 && q <= 1.0));
+        // Past the table, the coarsest entry is reused.
         assert_eq!(
-            cfg.fec_for(3),
-            &FecOverhead::Rs { k: 8, r: 1 },
-            "past the table"
+            quality_of_level(LEVEL_QUALITY.len()),
+            LEVEL_QUALITY[LEVEL_QUALITY.len() - 1]
         );
-    }
-
-    #[test]
-    fn fec_for_carries_rs_and_adaptive_knobs() {
-        // Multi-erasure knobs flow through the same resolution chain as the
-        // XOR ones: a tenant can pin RS(k, r) parity while the cluster
-        // default adapts to the measured loss rate.
-        let cfg = ServingConfig {
-            fec_overhead: FecOverhead::adaptive_default(),
-            tenant_fec: vec![Some(FecOverhead::Rs { k: 10, r: 2 })],
-            ..ServingConfig::default()
-        };
-        assert_eq!(
-            cfg.fec_for(0),
-            &FecOverhead::Rs { k: 10, r: 2 },
-            "tenant pins full double-parity RS"
-        );
-        assert_eq!(
-            cfg.fec_for(1),
-            &FecOverhead::adaptive_default(),
-            "cluster default adapts (k, r) to the loss estimate"
-        );
-        let (k, r) = cfg
-            .fec_for(0)
-            .params_for(0, None)
-            .expect("a pinned RS knob groups");
-        assert_eq!((k, r), (10, 2));
     }
 }

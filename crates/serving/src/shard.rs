@@ -12,15 +12,13 @@
 use std::collections::BTreeMap;
 
 use cachegen::engine::CacheGenEngine;
-use cachegen::RepairPolicy;
+use cachegen::{RepairPolicy, DECODE_BYTES_PER_SEC};
 use cachegen_kvstore::{ContextId, LruKvCache};
 use cachegen_net::Link;
-use cachegen_streamer::{
-    simulate_stream_from, AdaptPolicy, ChunkPlan, FecOverhead, StreamConfig, StreamParams,
-};
+use cachegen_streamer::{simulate_stream_from, AdaptPolicy, ChunkPlan, StreamConfig, StreamParams};
 use cachegen_telemetry::Recorder;
 
-use crate::config::ServingConfig;
+use crate::config::{quality_of_level, ServingConfig};
 use crate::metrics::ShardSummary;
 use crate::plan::PlannedChunk;
 use crate::queue::TenantQueues;
@@ -129,10 +127,10 @@ impl Shard {
     /// batch's per-chunk work (decode level per chunk, or text-recompute
     /// token counts) — what the thread backend replays to run exactly the
     /// load the virtual model accounted for. `degraded` forces the
-    /// coarsest level regardless of the adapter policy; `fec` is the
-    /// batch's parity knob (the cluster resolves the per-tenant override
-    /// before dispatch). Wire-level and decode spans land on `recorder`
-    /// under whatever span context the caller set (pass
+    /// coarsest level regardless of the adapter policy; the fetch carries
+    /// `cfg.fec_overhead` parity and decodes at
+    /// [`cachegen::DECODE_BYTES_PER_SEC`]. Wire-level and decode spans land
+    /// on `recorder` under whatever span context the caller set (pass
     /// [`cachegen_telemetry::NOOP`] to skip tracing).
     pub fn serve_batch(
         &mut self,
@@ -140,12 +138,10 @@ impl Shard {
         degraded: bool,
         now: f64,
         cfg: &ServingConfig,
-        fec: &FecOverhead,
         recorder: &Recorder,
     ) -> (BatchOutcome, Vec<PlannedChunk>) {
         let plan = &self.plans[&context_id];
-        let decode_rate = cfg.decode_bytes_per_sec;
-        let decode_seconds = move |bytes: u64| bytes as f64 / decode_rate;
+        let decode_seconds = |bytes: u64| bytes as f64 / DECODE_BYTES_PER_SEC;
 
         if self.cache.touch(context_id) {
             // Local hit: the bitstream fetched last time is resident;
@@ -178,7 +174,7 @@ impl Shard {
             prior_throughput_bps: cfg.prior_throughput_bps,
             concurrent_requests: 1,
             retransmit_budget: cfg.retransmit_budget,
-            fec_overhead: fec.clone(),
+            fec_overhead: cfg.fec_overhead.clone(),
             ladder: &self.engine.config().ladder,
             decode_seconds: &decode_seconds,
             recompute_seconds: &recompute_seconds,
@@ -215,7 +211,7 @@ impl Shard {
                         chunk: c.index,
                         level: l,
                     });
-                    let base = cfg.quality_of_level(l);
+                    let base = quality_of_level(l);
                     let lost_frac = if c.bytes == 0 {
                         0.0
                     } else {
@@ -262,10 +258,11 @@ impl Shard {
 
     /// Serves a loss-repair re-fetch: pulls the missing bytes over the
     /// shard's link and, if the context is still resident, restores its
-    /// cached quality. Returns when the re-fetched data was in hand. On a
-    /// per-packet-fault link the re-fetch rides the same faulty wire as
-    /// first fetches (resent until it lands — the re-fetch is the
-    /// reliability layer, so *it* stalls, never the original stream).
+    /// cached quality. Returns when the re-fetched data was in hand. Only
+    /// a per-packet-fault link loses bytes, so a re-fetch always rides
+    /// that faulty wire, as one packet resent until it lands — the
+    /// re-fetch is the reliability layer, so *it* stalls, never the
+    /// original stream.
     pub fn serve_refetch(
         &mut self,
         context_id: ContextId,
@@ -273,25 +270,19 @@ impl Shard {
         restore_quality: f64,
         now: f64,
     ) -> f64 {
-        let finish = if self.link.is_packet_mode() {
-            let mut t = now;
-            let mut arrival = now;
-            loop {
-                let res = self.link.send_packets(&[bytes], t);
-                t = res.wire_finish;
-                arrival = arrival.max(res.last_arrival);
-                self.stats.bytes_fetched += bytes;
-                if res.all_delivered() {
-                    break;
-                }
-                // NACK round trip before the resend, as in the streamer.
-                t = t.max(res.last_arrival + self.link.propagation());
-            }
-            arrival
-        } else {
+        let mut t = now;
+        let mut finish = now;
+        loop {
+            let res = self.link.send_packets(&[bytes], t);
+            t = res.wire_finish;
+            finish = finish.max(res.last_arrival);
             self.stats.bytes_fetched += bytes;
-            self.link.send(bytes, now).finish
-        };
+            if res.all_delivered() {
+                break;
+            }
+            // NACK round trip before the resend, as in the streamer.
+            t = t.max(res.last_arrival + self.link.propagation());
+        }
         self.stats.refetched_bytes += bytes;
         if let Some(meta) = self.cached.get_mut(&context_id) {
             meta.quality = meta.quality.max(restore_quality);
@@ -336,13 +327,9 @@ mod tests {
         let ctx: Vec<usize> = (0..90).map(|i| (i * 3) % 64).collect();
         s.store_context(5, &ctx);
         assert!(s.owns(5));
-        let miss = s
-            .serve_batch(5, false, 0.0, &cfg, &cfg.fec_overhead, &NOOP)
-            .0;
+        let miss = s.serve_batch(5, false, 0.0, &cfg, &NOOP).0;
         assert!(!miss.cache_hit);
-        let hit = s
-            .serve_batch(5, false, miss.ready, &cfg, &cfg.fec_overhead, &NOOP)
-            .0;
+        let hit = s.serve_batch(5, false, miss.ready, &cfg, &NOOP).0;
         assert!(hit.cache_hit);
         assert!(
             hit.ready - miss.ready < miss.ready,
@@ -355,21 +342,31 @@ mod tests {
     }
 
     #[test]
+    fn cache_hit_decodes_at_the_simulated_gpu_rate() {
+        let cfg = ServingConfig::default();
+        let mut s = shard(&cfg);
+        let ctx: Vec<usize> = (0..90).map(|i| (i * 3) % 64).collect();
+        s.store_context(5, &ctx);
+        s.serve_batch(5, false, 0.0, &cfg, &NOOP);
+        let hit = s.serve_batch(5, false, 1.0, &cfg, &NOOP).0;
+        assert!(hit.cache_hit);
+        // A hit pays the decode of the resident bytes and nothing else.
+        let decode = s.cached_bytes() as f64 / DECODE_BYTES_PER_SEC;
+        assert_eq!(hit.ready, 1.0 + decode);
+    }
+
+    #[test]
     fn degraded_batch_fetches_fewer_bytes_at_lower_quality() {
         let cfg = ServingConfig::default();
         let mut s = shard(&cfg);
         let ctx: Vec<usize> = (0..90).map(|i| (i * 5) % 64).collect();
         s.store_context(9, &ctx);
-        let normal = s
-            .serve_batch(9, false, 0.0, &cfg, &cfg.fec_overhead, &NOOP)
-            .0;
+        let normal = s.serve_batch(9, false, 0.0, &cfg, &NOOP).0;
         let fetched_normal = s.stats.bytes_fetched;
 
         let mut s2 = shard(&cfg);
         s2.store_context(9, &ctx);
-        let degraded = s2
-            .serve_batch(9, true, 0.0, &cfg, &cfg.fec_overhead, &NOOP)
-            .0;
+        let degraded = s2.serve_batch(9, true, 0.0, &cfg, &NOOP).0;
         assert!(
             s2.stats.bytes_fetched < fetched_normal,
             "degraded fetch {} vs normal {}",
@@ -389,14 +386,41 @@ mod tests {
         let mut s = shard(&cfg);
         let ctx: Vec<usize> = (0..60).map(|i| (i * 11) % 64).collect();
         s.store_context(3, &ctx);
-        let first = s
-            .serve_batch(3, false, 0.0, &cfg, &cfg.fec_overhead, &NOOP)
-            .0;
+        let first = s.serve_batch(3, false, 0.0, &cfg, &NOOP).0;
         assert!(!first.cache_hit);
         assert!((first.quality - 1.0).abs() < 1e-9, "text is lossless");
-        let second = s
-            .serve_batch(3, false, first.ready, &cfg, &cfg.fec_overhead, &NOOP)
-            .0;
+        let second = s.serve_batch(3, false, first.ready, &cfg, &NOOP).0;
         assert!(!second.cache_hit, "text fallback leaves no bitstream");
+    }
+
+    #[test]
+    fn refetch_resends_after_each_nack_until_delivered() {
+        use cachegen_net::PacketFaults;
+        let lossy = || {
+            Link::new(BandwidthTrace::constant(1e6), 0.01)
+                .with_packet_faults(PacketFaults::loss(0.6), 3)
+        };
+        let cfg = ServingConfig::default();
+        let mut s = shard(&cfg);
+        s.link = lossy();
+        let finish = s.serve_refetch(1, 1_000, 0.9, 0.5);
+
+        // The same link driven by hand: one packet, resent one NACK round
+        // trip after each failed send's last arrival.
+        let mut link = lossy();
+        let (mut t, mut sends) = (0.5, 0u64);
+        let expected = loop {
+            let res = link.send_packets(&[1_000], t);
+            sends += 1;
+            if res.all_delivered() {
+                break res.last_arrival;
+            }
+            t = res.last_arrival + link.propagation();
+        };
+        assert!(sends >= 2, "the seeded link must drop the first send");
+        assert_eq!(finish, expected);
+        // Every send is fetched bytes; the re-fetch itself counts once.
+        assert_eq!(s.stats.bytes_fetched, sends * 1_000);
+        assert_eq!(s.stats.refetched_bytes, 1_000);
     }
 }

@@ -57,8 +57,9 @@ pub struct StreamParams<'a> {
     /// *before* the retransmit budget or the repair policies are
     /// consulted (`r = 1` XOR for the fixed policies, Reed–Solomon
     /// `r ≥ 2` for [`FecOverhead::Rs`]/[`FecOverhead::Adaptive`]).
-    /// [`FecOverhead::Adaptive`] re-picks `(k, r)` before every chunk
-    /// from an EWMA of the previous chunks' observed channel loss.
+    /// [`FecOverhead::Adaptive`] re-picks `(k, r)` from its fixed ladder
+    /// before every chunk, by an EWMA (each chunk weighted 0.5) of the
+    /// previous chunks' observed channel loss.
     /// [`FecOverhead::Off`] reproduces the pre-FEC transport bit for bit.
     pub fec_overhead: FecOverhead,
     /// Level ladder (for quality ordering / default medium level).

@@ -34,4 +34,4 @@ pub use adapter::{
 };
 pub use levels::{LevelLadder, StreamConfig};
 pub use plan::{ChunkPlan, ChunkSizes};
-pub use schedule::{AdaptiveFec, ChunkSchedule, FecOverhead, FecRung, PacketId, WirePacket};
+pub use schedule::{AdaptiveFec, ChunkSchedule, FecOverhead, PacketId, WirePacket};

@@ -30,94 +30,63 @@
 
 use cachegen_net::FecGroups;
 
-/// One rung of the loss-adaptive FEC policy: the `(k, r)` parity shape
-/// used while the estimated channel loss stays at or below
-/// `max_loss_permille`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FecRung {
-    /// Upper loss bound (inclusive) this rung covers, in per-mille —
-    /// integer so the policy stays `Eq`-comparable with no float compares.
-    pub max_loss_permille: u32,
-    /// Parity group size: each group covers at most `k` data packets.
-    pub k: usize,
-    /// Repair packets per group: any `r` losses per group are recoverable.
-    pub r: usize,
+/// One rung of [`AdaptiveFec`]'s ladder: the `(k, r)` parity shape used
+/// while the estimated channel loss stays at or below
+/// `max_loss_permille` (an integer, so the policy makes no float
+/// compares).
+#[derive(Clone, Copy)]
+struct FecRung {
+    max_loss_permille: u32,
+    k: usize,
+    r: usize,
 }
 
-/// Loss-rate-adaptive parity ladder: rungs sorted by ascending
-/// `max_loss_permille`, the first rung whose bound covers the current
-/// loss estimate wins. With no estimate yet (first chunk of a stream)
-/// the *last* (most protective) rung is used — mis-guessing low on a
-/// lossy channel costs a retransmit round trip on the head chunk, which
-/// is exactly the TTFT the ladder exists to protect; mis-guessing high
-/// on a clean channel costs one chunk of extra parity bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AdaptiveFec {
-    rungs: Vec<FecRung>,
-}
+/// The adaptive ladder, ascending by loss bound, the last rung covering
+/// total loss: near-lossless channels pay ~7% single-XOR parity, mild
+/// loss densifies the stripe, and past 8% estimated loss RS `r = 2` keeps
+/// double hits per group recoverable without a retransmit round trip.
+const RUNGS: [FecRung; 3] = [
+    FecRung {
+        max_loss_permille: 20,
+        k: 14,
+        r: 1,
+    },
+    FecRung {
+        max_loss_permille: 80,
+        k: 10,
+        r: 1,
+    },
+    FecRung {
+        max_loss_permille: 1000,
+        k: 12,
+        r: 2,
+    },
+];
+
+/// The loss-rate-adaptive parity policy over one fixed ladder of `(k, r)`
+/// shapes: the first rung whose loss bound covers the current estimate
+/// wins (≤ 2% → RS(14, 1), ≤ 8% → RS(10, 1), beyond → RS(12, 2)). With
+/// no estimate yet (first chunk of a stream) the *last* (most protective)
+/// rung is used — mis-guessing low on a lossy channel costs a retransmit
+/// round trip on the head chunk, which is exactly the TTFT the ladder
+/// exists to protect; mis-guessing high on a clean channel costs one
+/// chunk of extra parity bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AdaptiveFec;
 
 impl AdaptiveFec {
-    /// Builds a ladder from rungs sorted ascending by
-    /// `max_loss_permille`; the last rung must cover `1000` (total loss)
-    /// so every estimate maps to a shape.
-    pub fn new(rungs: Vec<FecRung>) -> Self {
-        assert!(!rungs.is_empty(), "adaptive FEC needs at least one rung");
-        assert!(
-            rungs
-                .windows(2)
-                .all(|w| w[0].max_loss_permille < w[1].max_loss_permille),
-            "rungs must be sorted ascending by max_loss_permille"
-        );
-        let last = rungs[rungs.len() - 1];
-        assert!(
-            last.max_loss_permille >= 1000,
-            "last rung must cover 1000 per-mille"
-        );
-        assert!(rungs.iter().all(|r| r.k >= 1 && r.r >= 1));
-        AdaptiveFec { rungs }
-    }
-
-    /// The workspace default ladder: near-lossless channels pay ~7%
-    /// single-XOR parity, mild loss densifies the stripe, and past ~8%
-    /// estimated loss the ladder switches to RS `r = 2` so double hits
-    /// per group stay recoverable without a retransmit round trip.
-    pub fn paper_default() -> Self {
-        AdaptiveFec::new(vec![
-            FecRung {
-                max_loss_permille: 20,
-                k: 14,
-                r: 1,
-            },
-            FecRung {
-                max_loss_permille: 80,
-                k: 10,
-                r: 1,
-            },
-            FecRung {
-                max_loss_permille: 1000,
-                k: 12,
-                r: 2,
-            },
-        ])
-    }
-
     /// The `(k, r)` for a loss estimate (`None` = no estimate yet →
     /// most protective rung).
-    pub fn params(&self, loss_permille: Option<u32>) -> (usize, usize) {
+    fn params(&self, loss_permille: Option<u32>) -> (usize, usize) {
+        let last = RUNGS[RUNGS.len() - 1];
         let rung = match loss_permille {
-            None => self.rungs[self.rungs.len() - 1],
-            Some(loss) => *self
-                .rungs
-                .iter()
+            None => last,
+            Some(loss) => RUNGS
+                .into_iter()
                 .find(|r| loss <= r.max_loss_permille)
-                .unwrap_or(&self.rungs[self.rungs.len() - 1]),
+                .unwrap_or(last),
         };
         (rung.k, rung.r)
-    }
-
-    /// The ladder's rungs, ascending by loss bound.
-    pub fn rungs(&self) -> &[FecRung] {
-        &self.rungs
     }
 }
 
@@ -149,10 +118,11 @@ pub enum FecOverhead {
         /// Repair packets per group.
         r: usize,
     },
-    /// Loss-rate-adaptive `(k, r)`: the streamer's [`cachegen_net::
-    /// LossEstimator`] picks the rung before each chunk's schedule is
-    /// built, so parity density follows the channel one chunk behind —
-    /// the same feedback lag the paper's bandwidth estimator accepts.
+    /// Loss-rate-adaptive `(k, r)` from [`AdaptiveFec`]'s fixed ladder:
+    /// the streamer's [`cachegen_net::LossEstimator`] picks the rung
+    /// before each chunk's schedule is built, so parity density follows
+    /// the channel one chunk behind — the same feedback lag the paper's
+    /// bandwidth estimator accepts.
     Adaptive(AdaptiveFec),
 }
 
@@ -166,11 +136,11 @@ impl FecOverhead {
         FecOverhead::PerLevel(vec![8, 10, 12, 12, 14])
     }
 
-    /// The loss-adaptive default ([`AdaptiveFec::paper_default`]): the
-    /// frontier configuration for channels past ~10% loss, holding the
-    /// 20%-loss TTFT within the repair ladder at ≤ 20% parity overhead.
+    /// The loss-adaptive policy ([`AdaptiveFec`]): the frontier
+    /// configuration for channels past ~10% loss, holding the 20%-loss
+    /// TTFT within the repair ladder at ≤ 20% parity overhead.
     pub fn adaptive_default() -> Self {
-        FecOverhead::Adaptive(AdaptiveFec::paper_default())
+        FecOverhead::Adaptive(AdaptiveFec)
     }
 
     /// The `(k, r)` parity shape at one encoding level under the given
@@ -588,17 +558,35 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_ladder_is_well_formed() {
+        // Bounds strictly ascending, the last covering total loss, and
+        // every shape a valid RS code over GF(256).
+        assert!(RUNGS
+            .windows(2)
+            .all(|w| w[0].max_loss_permille < w[1].max_loss_permille));
+        assert!(RUNGS[RUNGS.len() - 1].max_loss_permille >= 1000);
+        assert!(RUNGS
+            .iter()
+            .all(|r| r.k >= 1 && r.r >= 1 && r.k + r.r <= 256));
+    }
+
+    #[test]
     fn adaptive_fec_picks_rungs_by_loss_estimate() {
-        let ladder = AdaptiveFec::paper_default();
-        let fec = FecOverhead::Adaptive(ladder.clone());
+        let fec = FecOverhead::adaptive_default();
         // No estimate yet → most protective rung.
         assert_eq!(fec.params_for(0, None), Some((12, 2)));
         // Clean channel → lightest rung; mild loss → denser XOR stripe;
-        // heavy loss → RS r = 2.
-        assert_eq!(fec.params_for(0, Some(0)), Some((14, 1)));
-        assert_eq!(fec.params_for(0, Some(50)), Some((10, 1)));
-        assert_eq!(fec.params_for(0, Some(200)), Some((12, 2)));
-        assert_eq!(fec.params_for(0, Some(1000)), Some((12, 2)));
+        // heavy loss → RS r = 2. Each bound is inclusive.
+        for (loss, shape) in [
+            (0, (14, 1)),
+            (20, (14, 1)),
+            (21, (10, 1)),
+            (80, (10, 1)),
+            (81, (12, 2)),
+            (1000, (12, 2)),
+        ] {
+            assert_eq!(fec.params_for(0, Some(loss)), Some(shape), "{loss}‰");
+        }
         // Fixed policies ignore the estimate.
         assert_eq!(
             FecOverhead::Rs { k: 9, r: 3 }.params_for(0, Some(0)),
@@ -612,23 +600,6 @@ mod tests {
         let g = fec.groups_for_with_loss(0, &[100; 24], Some(500)).unwrap();
         assert_eq!(g.num_groups(), 2);
         assert!((0..2).all(|j| g.repairs_of(j) == 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted ascending")]
-    fn adaptive_rungs_must_be_sorted() {
-        let _ = AdaptiveFec::new(vec![
-            FecRung {
-                max_loss_permille: 100,
-                k: 10,
-                r: 1,
-            },
-            FecRung {
-                max_loss_permille: 50,
-                k: 8,
-                r: 2,
-            },
-        ]);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! is lossless end to end.
 
 use cachegen_codec::delta::GroupLayout;
+use cachegen_codec::{encoder::ANCHOR_BIN, profile::CodecProfile, rans};
 use cachegen_codec::{index_to_symbol, symbol_to_index, CodecConfig, EncodedKv, KvCodec};
-use cachegen_codec::{profile::CodecProfile, rans};
 use cachegen_llm::{KvCache, SimModelConfig, SimTransformer};
 use cachegen_quant::BinQuantizer;
 use cachegen_tensor::Tensor;
@@ -35,7 +35,7 @@ fn quantized_reference(cache: &KvCache, cfg: &CodecConfig, enc: &EncodedKv) -> K
             (&enc.scales[2], &enc.scales[3])
         };
         for l in 0..layers {
-            let anchor_q = BinQuantizer::new(cfg.anchor_bin);
+            let anchor_q = BinQuantizer::new(ANCHOR_BIN);
             let delta_q = BinQuantizer::new(cfg.bins.bin_for_layer(l, layers));
             let slab = src.slab(l);
             let out = dst.slab_mut(l);
@@ -200,7 +200,7 @@ proptest! {
                 (&enc.scales[2], &enc.scales[3])
             };
             for l in 0..layers {
-                let anchor_q = BinQuantizer::new(cfg.anchor_bin);
+                let anchor_q = BinQuantizer::new(ANCHOR_BIN);
                 let delta_q = BinQuantizer::new(cfg.bins.bin_for_layer(l, layers));
                 for (anchor, members) in layout.groups() {
                     for c in 0..channels {

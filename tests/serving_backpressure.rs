@@ -103,18 +103,13 @@ fn overloaded_shard_sheds_and_degrades_instead_of_queueing_unboundedly() {
 
 /// Builds a cluster whose store links inject seeded packet loss, with a
 /// configurable FEC knob.
-fn lossy_cluster(
-    loss: f64,
-    fec: FecOverhead,
-    tenant_fec: Vec<Option<FecOverhead>>,
-) -> ServingCluster {
+fn lossy_cluster(loss: f64, fec: FecOverhead) -> ServingCluster {
     let cfg = ServingConfig {
         num_shards: SHARDS,
         num_tenants: TENANTS,
         repair: RepairPolicy::Refetch,
         retransmit_budget: 0,
         fec_overhead: fec,
-        tenant_fec,
         ..ServingConfig::default()
     };
     let links = (0..SHARDS)
@@ -149,9 +144,9 @@ fn run_lossy(cluster: &mut ServingCluster, seed: u64) -> ServingReport {
 #[test]
 fn fec_on_lossy_links_suppresses_the_refetch_queue() {
     // 5% i.i.d. packet loss; dense parity (k=2) on the tiny schedules.
-    let mut without = lossy_cluster(0.05, FecOverhead::Off, Vec::new());
+    let mut without = lossy_cluster(0.05, FecOverhead::Off);
     let off = run_lossy(&mut without, 77);
-    let mut with = lossy_cluster(0.05, FecOverhead::Rs { k: 2, r: 1 }, Vec::new());
+    let mut with = lossy_cluster(0.05, FecOverhead::Rs { k: 2, r: 1 });
     let on = run_lossy(&mut with, 77);
 
     let refetches = |r: &ServingReport| r.shards.iter().map(|s| s.refetches).sum::<u64>();
@@ -180,7 +175,7 @@ fn fec_on_lossy_links_suppresses_the_refetch_queue() {
     );
 
     // Deterministic replay, counters included.
-    let mut again = lossy_cluster(0.05, FecOverhead::Rs { k: 2, r: 1 }, Vec::new());
+    let mut again = lossy_cluster(0.05, FecOverhead::Rs { k: 2, r: 1 });
     let rerun = run_lossy(&mut again, 77);
     assert_eq!(on.outcomes, rerun.outcomes);
     for (a, b) in on.shards.iter().zip(rerun.shards.iter()) {
@@ -188,36 +183,6 @@ fn fec_on_lossy_links_suppresses_the_refetch_queue() {
         assert_eq!(a.fec_recovered_packets, b.fec_recovered_packets);
         assert_eq!(a.refetches, b.refetches);
     }
-}
-
-/// The FEC knob is per-tenant: a cluster whose default is Off but whose
-/// tenant 0 buys parity shows parity bytes exactly when tenant-0-led
-/// batches fetch.
-#[test]
-fn per_tenant_fec_knob_shows_up_in_shard_counters() {
-    let tenant_fec = {
-        let mut v: Vec<Option<FecOverhead>> = vec![None; TENANTS];
-        v[0] = Some(FecOverhead::Rs { k: 4, r: 1 });
-        v
-    };
-    let mut mixed = lossy_cluster(0.05, FecOverhead::Off, tenant_fec);
-    let report = run_lossy(&mut mixed, 91);
-    let parity: u64 = report.shards.iter().map(|s| s.parity_bytes).sum();
-    assert!(
-        parity > 0,
-        "tenant 0 leads some batches, so its parity must appear"
-    );
-    // All-Off control: same workload, no parity anywhere.
-    let mut plain = lossy_cluster(0.05, FecOverhead::Off, Vec::new());
-    let control = run_lossy(&mut plain, 91);
-    assert_eq!(
-        control.shards.iter().map(|s| s.parity_bytes).sum::<u64>(),
-        0
-    );
-    // A tenant buying parity means the cluster fetches *more* bytes (the
-    // overhead) but recovers packets the control could only refetch.
-    let recovered: u64 = report.shards.iter().map(|s| s.fec_recovered_packets).sum();
-    assert!(recovered > 0);
 }
 
 #[test]
