@@ -21,7 +21,8 @@
 //!     end-to-end result deterministic;
 //! (c) backward compatibility: FEC off (`k = ∞`) delivers bit-identically
 //!     to the pre-FEC transport — same packets, same fault draws, same
-//!     timeline, same losses;
+//!     timeline, same losses — and FEC on equals the same hand-driven
+//!     oracle with its recovery rung in front of the retransmit rounds;
 //! (d) the 10%-loss acceptance headline: with the default `fec_overhead`
 //!     and the FEC→repair→refetch ladder, `load_stored` ends with
 //!     `repaired_fraction == 0` on ≥95% of contexts, loss-induced TTFT
@@ -31,7 +32,9 @@
 use cachegen::{load_stored, CacheGenEngine, EngineConfig, FecOverhead, LoadParams, RepairPolicy};
 use cachegen_llm::SimModelConfig;
 use cachegen_net::{gf256, BandwidthTrace, FecError, FecGroups, Link, PacketFaults, RsCode};
-use cachegen_streamer::{deliver_schedule, AdaptPolicy, ChunkPlan, ChunkSchedule, PacketId};
+use cachegen_streamer::{
+    deliver_schedule, AdaptPolicy, ChunkPlan, ChunkSchedule, PacketId, WirePacket,
+};
 use cachegen_telemetry::NOOP;
 use cachegen_workloads::{workload_rng, Dataset};
 use proptest::prelude::*;
@@ -474,48 +477,140 @@ fn empty_members_and_all_empty_groups_recover_exactly() {
 }
 
 // ---------------------------------------------------------------------
-// (c): FEC off is bit-identical to the pre-FEC transport.
+// (c): FEC off is bit-identical to the pre-FEC transport; FEC on equals
+// the same oracle with its recovery rung.
 // ---------------------------------------------------------------------
+
+/// What the hand-driven delivery below observed.
+struct Replay {
+    finish: f64,
+    wire_free: f64,
+    lost: Vec<(PacketId, u64)>,
+    fec_recovered: Vec<(PacketId, u64)>,
+    parity_bytes: u64,
+    retransmits: u32,
+    delivered_bytes: u64,
+}
 
 /// The PR 4 delivery loop, reimplemented verbatim as the compatibility
 /// oracle: send the schedule, NACK-gated retransmit rounds while the
-/// budget lasts, report the rest lost.
+/// budget lasts, report the rest lost. With `fec` on, the first round
+/// sends the wire order (parity after its group), and a group that lost
+/// no more data packets than it kept parity packets is recovered before
+/// the remaining failures enter the same rounds. Parity is never resent,
+/// and only data payload counts as delivered.
 fn pre_fec_delivery(
     sched: &ChunkSchedule,
     link: &mut Link,
     start: f64,
     batch: u64,
     mut budget: usize,
-) -> (f64, f64, Vec<(PacketId, u64)>, u32, u64) {
-    let mut pending: Vec<(PacketId, u64)> = sched.entries().to_vec();
+    fec: Option<&FecGroups>,
+) -> Replay {
+    let wire = sched.wire_packets(fec);
+    let parity_bytes = wire
+        .iter()
+        .filter(|p| matches!(p, WirePacket::Parity { .. }))
+        .map(WirePacket::bytes)
+        .sum();
+    let mut pending: Vec<WirePacket> = wire;
     let mut wire_t = start;
     let mut finish = start;
     let mut lost = Vec::new();
+    let mut fec_recovered = Vec::new();
     let mut retransmits = 0u32;
     let mut delivered_bytes = 0u64;
+    let mut first_round = true;
+    let entry = |p: &WirePacket| match *p {
+        WirePacket::Data { id, bytes, .. } => (id, bytes),
+        WirePacket::Parity { .. } => unreachable!("parity is never resent"),
+    };
     loop {
-        let sizes: Vec<u64> = pending.iter().map(|&(_, b)| b * batch).collect();
+        let sizes: Vec<u64> = pending.iter().map(|p| p.bytes() * batch).collect();
         let res = link.send_packets(&sizes, wire_t);
         wire_t = res.wire_finish;
         finish = finish.max(res.last_arrival);
-        delivered_bytes += res.delivered_bytes;
-        let failed = res.failed();
+        let mut failed = Vec::new();
+        let mut parity_kept = vec![0usize; fec.map_or(0, FecGroups::num_groups)];
+        for (p, d) in pending.iter().zip(&res.deliveries) {
+            match (*p, d.status.is_delivered()) {
+                (WirePacket::Data { bytes, .. }, true) => delivered_bytes += bytes * batch,
+                (WirePacket::Data { .. }, false) => failed.push(d.index),
+                (WirePacket::Parity { group, .. }, true) => parity_kept[group] += 1,
+                (WirePacket::Parity { .. }, false) => {}
+            }
+        }
+        if std::mem::take(&mut first_round) {
+            if let Some(fec) = fec {
+                let data_index = |i: usize| match pending[i] {
+                    WirePacket::Data { index, .. } => index,
+                    WirePacket::Parity { .. } => unreachable!("only data fails here"),
+                };
+                let group = |i: usize| fec.group_of(data_index(i));
+                let lost_in = |g: usize| failed.iter().filter(|&&i| group(i) == Some(g)).count();
+                let fits = |i: usize| group(i).is_some_and(|g| lost_in(g) <= parity_kept[g]);
+                let (recovered, rest): (Vec<usize>, Vec<usize>) =
+                    failed.iter().partition(|&&i| fits(i));
+                fec_recovered.extend(recovered.iter().map(|&i| entry(&pending[i])));
+                fec_recovered.sort_by_key(|&(id, _)| id);
+                failed = rest;
+            }
+        }
         if failed.is_empty() {
             break;
         }
         if budget == 0 {
-            lost.extend(failed.iter().map(|&i| pending[i]));
+            lost.extend(failed.iter().map(|&i| entry(&pending[i])));
             break;
         }
         let nack_at = res.last_arrival + link.propagation();
         let resend = failed.len().min(budget);
-        lost.extend(failed[resend..].iter().map(|&i| pending[i]));
+        lost.extend(failed[resend..].iter().map(|&i| entry(&pending[i])));
         pending = failed[..resend].iter().map(|&i| pending[i]).collect();
         budget -= resend;
         retransmits += resend as u32;
         wire_t = wire_t.max(nack_at);
     }
-    (finish, wire_t, lost, retransmits, delivered_bytes)
+    Replay {
+        finish,
+        wire_free: wire_t,
+        lost,
+        fec_recovered,
+        parity_bytes,
+        retransmits,
+        delivered_bytes,
+    }
+}
+
+/// A schedule of `n` packets with uneven sizes, and a link with every
+/// per-packet fault at the given percentages.
+fn replay_case(
+    seed: u64,
+    n: usize,
+    [loss, reorder, dup, trunc]: [usize; 4],
+) -> (ChunkSchedule, impl Fn() -> Link) {
+    let entries: Vec<(PacketId, u64)> = (0..n)
+        .map(|i| {
+            (
+                PacketId {
+                    group: i / 4,
+                    layer: i % 4,
+                    is_k: i % 2 == 0,
+                },
+                500 + 37 * i as u64,
+            )
+        })
+        .collect();
+    let faults = PacketFaults {
+        loss: loss as f64 / 100.0,
+        reorder: reorder as f64 / 100.0,
+        duplicate: dup as f64 / 100.0,
+        truncate: trunc as f64 / 100.0,
+        ..PacketFaults::none()
+    };
+    let link =
+        move || Link::new(BandwidthTrace::constant(1e7), 0.01).with_packet_faults(faults, seed);
+    (ChunkSchedule::priority_ordered(entries), link)
 }
 
 proptest! {
@@ -534,35 +629,48 @@ proptest! {
         dup_pct in 0usize..20,
         trunc_pct in 0usize..20,
     ) {
-        let entries: Vec<(PacketId, u64)> = (0..n)
-            .map(|i| {
-                (
-                    PacketId { group: i / 4, layer: i % 4, is_k: i % 2 == 0 },
-                    500 + 37 * i as u64,
-                )
-            })
-            .collect();
-        let sched = ChunkSchedule::priority_ordered(entries);
-        let faults = PacketFaults {
-            loss: loss_pct as f64 / 100.0,
-            reorder: reorder_pct as f64 / 100.0,
-            duplicate: dup_pct as f64 / 100.0,
-            truncate: trunc_pct as f64 / 100.0,
-            ..PacketFaults::none()
-        };
-        let mk_link = || {
-            Link::new(BandwidthTrace::constant(1e7), 0.01).with_packet_faults(faults, seed)
-        };
+        let faults = [loss_pct, reorder_pct, dup_pct, trunc_pct];
+        let (sched, mk_link) = replay_case(seed, n, faults);
         let d = deliver_schedule(&sched, &mut mk_link(), 1.5, 2, budget, None);
-        let (finish, wire_free, lost, retransmits, delivered) =
-            pre_fec_delivery(&sched, &mut mk_link(), 1.5, 2, budget);
-        prop_assert_eq!(d.finish, finish);
-        prop_assert_eq!(d.wire_free, wire_free);
-        prop_assert_eq!(&d.lost, &lost);
-        prop_assert_eq!(d.retransmits, retransmits);
-        prop_assert_eq!(d.delivered_bytes, delivered);
+        let want = pre_fec_delivery(&sched, &mut mk_link(), 1.5, 2, budget, None);
+        prop_assert_eq!(d.finish, want.finish);
+        prop_assert_eq!(d.wire_free, want.wire_free);
+        prop_assert_eq!(&d.lost, &want.lost);
+        prop_assert_eq!(d.retransmits, want.retransmits);
+        prop_assert_eq!(d.delivered_bytes, want.delivered_bytes);
         prop_assert_eq!(d.parity_bytes, 0);
         prop_assert!(d.fec_recovered.is_empty());
+    }
+
+    /// With FEC on, delivery still equals the hand-driven oracle: every
+    /// group that lost no more data packets than it kept surviving parity
+    /// is recovered, the rest enter the same NACK-gated budget rounds,
+    /// and the parity overhead is what the wire order carried. `k = 0`
+    /// stands for FEC off.
+    #[test]
+    fn fec_on_delivery_matches_the_hand_driven_oracle(
+        seed in 0u64..100_000,
+        n in 1usize..24,
+        k in 0usize..7,
+        r in 1usize..4,
+        budget in 0usize..4,
+        loss_pct in 0usize..40,
+        reorder_pct in 0usize..30,
+        dup_pct in 0usize..20,
+        trunc_pct in 0usize..20,
+    ) {
+        let faults = [loss_pct, reorder_pct, dup_pct, trunc_pct];
+        let (sched, mk_link) = replay_case(seed, n, faults);
+        let fec = (k > 0).then(|| FecGroups::striped_rs(n, k, r));
+        let d = deliver_schedule(&sched, &mut mk_link(), 1.5, 2, budget, fec.as_ref());
+        let want = pre_fec_delivery(&sched, &mut mk_link(), 1.5, 2, budget, fec.as_ref());
+        prop_assert_eq!(d.finish, want.finish);
+        prop_assert_eq!(d.wire_free, want.wire_free);
+        prop_assert_eq!(&d.lost, &want.lost);
+        prop_assert_eq!(&d.fec_recovered, &want.fec_recovered);
+        prop_assert_eq!(d.parity_bytes, want.parity_bytes);
+        prop_assert_eq!(d.retransmits, want.retransmits);
+        prop_assert_eq!(d.delivered_bytes, want.delivered_bytes);
     }
 }
 
