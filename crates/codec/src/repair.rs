@@ -51,8 +51,8 @@ pub enum RepairPolicy {
 
 /// Which per-(side, layer, group) entropy chunks of one [`EncodedKv`]
 /// arrived intact. Built by the transport (lost, late, or truncated
-/// packets are marked lost; packets reconstructed by erasure parity (XOR
-/// at r = 1) are marked recovered), consumed by
+/// packets are marked lost; packets reconstructed by erasure parity, any
+/// `r` losses per group, are marked recovered), consumed by
 /// [`KvCodec::decode_with_repairs`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkArrivalMap {
@@ -98,7 +98,7 @@ impl ChunkArrivalMap {
     }
 
     /// Marks one chunk as FEC-recovered: its packet was dropped but
-    /// erasure parity (XOR at r = 1) reconstructed the bytes exactly, so
+    /// erasure parity reconstructed the bytes exactly, so
     /// it decodes like an arrival and only provenance is recorded. A
     /// chunk already marked lost stays lost.
     pub fn mark_recovered(&mut self, is_k: bool, layer: usize, group: usize) {
@@ -137,8 +137,8 @@ pub enum RepairCause {
     Lost,
     /// It arrived but failed to decode; the defect is attached.
     Corrupt(CodecError),
-    /// Its packet was dropped but erasure parity (XOR at r = 1)
-    /// reconstructed the bytes exactly before decoding — no repair
+    /// Its packet was dropped but erasure parity (any `r` losses per
+    /// group) reconstructed the bytes exactly before decoding — no repair
     /// happened, no quality penalty applies; the record exists so the
     /// recovery is auditable.
     RecoveredByFec,
@@ -219,8 +219,8 @@ impl RepairedKv {
 impl KvCodec {
     /// Decodes a stream of which only the chunks marked arrived in
     /// `arrivals` are trusted, applying `policy` to the rest. Chunks
-    /// marked FEC-recovered decode like arrivals (erasure parity, XOR at
-    /// r = 1, reconstructed their bytes exactly) and are reported as
+    /// marked FEC-recovered decode like arrivals (erasure parity
+    /// reconstructed their bytes exactly) and are reported as
     /// [`RepairCause::RecoveredByFec`] provenance. See the module docs
     /// for the per-policy semantics. Errors only on container geometry
     /// defects (a malformed *map or container*, not a damaged chunk —

@@ -351,10 +351,9 @@ fn load<'a>(
 
     // Refetch second pass: re-request the missing packets after the first
     // decode. The stream (and its TTFT) is already complete — this
-    // restores fidelity, competing for the same link. A round's failures
-    // are resent once the receiver's NACK is back (last arrival plus one
-    // propagation delay), as in `deliver_schedule` and the serving
-    // re-fetch.
+    // restores fidelity, competing for the same link, under the one
+    // resend rule (`Link::resend`: a round's failures go out again once
+    // the receiver's NACK is back), with no budget.
     let mut refetch_finish = None;
     let mut t = stream
         .chunks
@@ -362,21 +361,14 @@ fn load<'a>(
         .map(|c| c.transfer_finish)
         .fold(0.0f64, f64::max);
     let refetch_start = t;
+    // Same batch scaling as the first pass: all B requests share the
+    // wire, so a re-fetched packet carries B copies.
+    let batch = params.concurrent_requests as u64;
     for (idx, level, enc) in refetch {
-        let lost = &stream.chunks[idx].lost;
-        // Same batch scaling as the first pass: all B requests share the
-        // wire, so a re-fetched packet carries B copies.
-        let batch = params.concurrent_requests as u64;
-        let mut pending: Vec<u64> = lost.iter().map(|&(_, b)| b * batch).collect();
-        while !pending.is_empty() {
-            let res = link.send_packets(&pending, t);
-            t = res.wire_finish;
-            refetch_finish = Some(refetch_finish.unwrap_or(0.0f64).max(res.last_arrival));
-            pending = res.failed().iter().map(|&i| pending[i]).collect();
-            if !pending.is_empty() {
-                t = t.max(res.last_arrival + link.propagation());
-            }
-        }
+        let lost = stream.chunks[idx].lost.clone();
+        let resent = link.resend(lost, |(_, b)| b * batch, t, None, usize::MAX);
+        t = resent.wire_free;
+        refetch_finish = Some(refetch_finish.unwrap_or(0.0f64).max(resent.finish));
         // All packets are now in hand: the chunk decodes bit-exact, and
         // no policy-reconstructed bytes remain in it.
         chunks[idx] = decode_clean(&enc, level)?;
@@ -576,67 +568,73 @@ mod tests {
         assert!(refetched >= out.stream.finish);
     }
 
-    #[test]
-    fn refetch_rounds_wait_for_the_nack() {
-        use cachegen_net::PacketFaults;
-        let e = engine();
-        let ctx: Vec<usize> = (0..90).map(|i| (i * 7) % 64).collect();
-        let plan = e.store_kv(1, &ctx);
-        let p = LoadParams {
-            repair: RepairPolicy::Refetch,
-            retransmit_budget: 0,
-            ..LoadParams::default()
-        };
-        let link = || {
-            Link::new(BandwidthTrace::constant(GBPS), 0.01)
-                .with_packet_faults(PacketFaults::loss(0.4), 5)
-        };
-        let out = load_stored(&e, 1, &plan, &mut link(), &p, &NOOP).expect("stored context loads");
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
 
-        // Replay by hand on the same seeded link: the same stream, then
-        // every damaged chunk's lost packets resent round by round, each
-        // round's failures only once their NACK is back at the sender.
-        let mut link = link();
-        let decode_seconds = |bytes: u64| bytes as f64 / DECODE_BYTES_PER_SEC;
-        let recompute_seconds = |tokens: usize| tokens as f64 * p.recompute_sec_per_token;
-        let params = StreamParams {
-            slo: p.slo,
-            policy: p.policy,
-            prior_throughput_bps: p.prior_throughput_bps,
-            concurrent_requests: 1,
-            retransmit_budget: 0,
-            fec_overhead: FecOverhead::Off,
-            ladder: &e.config().ladder,
-            decode_seconds: &decode_seconds,
-            recompute_seconds: &recompute_seconds,
-            recorder: None,
-        };
-        let stream = simulate_stream(&plan, &mut link, &params);
-        assert_eq!(stream, out.stream);
-        let mut t = stream
-            .chunks
-            .iter()
-            .map(|c| c.transfer_finish)
-            .fold(0.0f64, f64::max);
-        let mut finish = None;
-        let mut dropped_again = false;
-        for chunk in stream.chunks.iter().filter(|c| !c.lost.is_empty()) {
-            let mut pending: Vec<u64> = chunk.lost.iter().map(|&(_, b)| b).collect();
-            let mut start = t;
-            loop {
-                let res = link.send_packets(&pending, start);
-                t = res.wire_finish;
-                finish = Some(finish.unwrap_or(0.0f64).max(res.last_arrival));
-                pending = res.failed().iter().map(|&i| pending[i]).collect();
-                if pending.is_empty() {
-                    break;
+        /// Replays a lossy load by hand on the same seeded link: the same
+        /// stream, then every damaged chunk's lost packets resent round
+        /// by round, each round's failures only once their NACK is back
+        /// at the sender.
+        #[test]
+        fn refetch_rounds_wait_for_the_nack(seed in 0u64..10_000) {
+            use cachegen_net::PacketFaults;
+            let e = engine();
+            let ctx: Vec<usize> = (0..90).map(|i| (i * 7) % 64).collect();
+            let plan = e.store_kv(1, &ctx);
+            let p = LoadParams {
+                repair: RepairPolicy::Refetch,
+                retransmit_budget: 0,
+                ..LoadParams::default()
+            };
+            let link = || {
+                Link::new(BandwidthTrace::constant(GBPS), 0.01)
+                    .with_packet_faults(PacketFaults::loss(0.4), seed)
+            };
+            let out =
+                load_stored(&e, 1, &plan, &mut link(), &p, &NOOP).expect("stored context loads");
+
+            let mut link = link();
+            let decode_seconds = |bytes: u64| bytes as f64 / DECODE_BYTES_PER_SEC;
+            let recompute_seconds = |tokens: usize| tokens as f64 * p.recompute_sec_per_token;
+            let params = StreamParams {
+                slo: p.slo,
+                policy: p.policy,
+                prior_throughput_bps: p.prior_throughput_bps,
+                concurrent_requests: 1,
+                retransmit_budget: 0,
+                fec_overhead: FecOverhead::Off,
+                ladder: &e.config().ladder,
+                decode_seconds: &decode_seconds,
+                recompute_seconds: &recompute_seconds,
+                recorder: None,
+            };
+            let stream = simulate_stream(&plan, &mut link, &params);
+            proptest::prop_assert_eq!(&stream, &out.stream);
+            let mut t = stream
+                .chunks
+                .iter()
+                .map(|c| c.transfer_finish)
+                .fold(0.0f64, f64::max);
+            let mut finish = None;
+            let mut dropped_again = false;
+            for chunk in stream.chunks.iter().filter(|c| !c.lost.is_empty()) {
+                let mut pending: Vec<u64> = chunk.lost.iter().map(|&(_, b)| b).collect();
+                let mut start = t;
+                loop {
+                    let res = link.send_packets(&pending, start);
+                    t = res.wire_finish;
+                    finish = Some(finish.unwrap_or(0.0f64).max(res.last_arrival));
+                    pending = res.failed().iter().map(|&i| pending[i]).collect();
+                    if pending.is_empty() {
+                        break;
+                    }
+                    dropped_again = true;
+                    start = res.last_arrival + link.propagation();
                 }
-                dropped_again = true;
-                start = res.last_arrival + link.propagation();
             }
+            proptest::prop_assert!(dropped_again, "no re-fetched packet was dropped again");
+            proptest::prop_assert_eq!(out.refetch_finish, finish);
         }
-        assert!(dropped_again, "no re-fetched packet was dropped again");
-        assert_eq!(out.refetch_finish, finish);
     }
 
     #[test]

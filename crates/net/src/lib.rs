@@ -13,7 +13,10 @@
 //!   seeded per-packet fault injection (drop/reorder/duplicate/truncate of
 //!   individually addressed chunk packets — the loss-resilient transport
 //!   substrate). Opaque transfers are always exact; a slow link is a
-//!   slower trace.
+//!   slower trace. [`Link::resend`] is the one resend rule (streamer
+//!   retransmits, the read path's Refetch pass, serving re-fetches):
+//!   rounds gated on the receiver's NACK (last arrival plus one
+//!   propagation delay), highest priority first, under a packet budget.
 //! * [`packet`] — packet batch delivery records ([`PacketFaults`],
 //!   [`Link::send_packets`]) consumed by the streamer's chunk schedule and
 //!   the codec's repair policies, including burst drops (consecutive
@@ -37,7 +40,7 @@ pub mod rs;
 pub mod trace;
 
 pub use fec::FecGroups;
-pub use link::{Link, LinkStats, TransferResult};
+pub use link::{Link, LinkStats, Resent, TransferResult};
 pub use packet::{PacketBatchResult, PacketDelivery, PacketFaults, PacketStatus};
 pub use rs::{FecError, RsCode};
 pub use trace::BandwidthTrace;

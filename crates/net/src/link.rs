@@ -65,6 +65,23 @@ pub struct LinkStats {
     pub packets_truncated: u64,
 }
 
+/// What a [`Link::resend`] did.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Resent<T> {
+    /// The packets that never arrived, in the order the budget gave up
+    /// on them (round by round, each round's in priority order).
+    pub missing: Vec<T>,
+    /// Packets put on the wire: the budget spent.
+    pub packets: usize,
+    /// Payload bytes that arrived complete.
+    pub delivered_bytes: u64,
+    /// Virtual time the wire went idle (`wire_free` if nothing was sent).
+    pub wire_free: f64,
+    /// Latest arrival of any round or of the caller's (`last_arrival`,
+    /// else `wire_free`).
+    pub finish: f64,
+}
+
 /// A simulated link.
 #[derive(Debug)]
 pub struct Link {
@@ -249,6 +266,53 @@ impl Link {
             wire_bytes,
         }
     }
+
+    /// Resends `pending` (failed packets, highest priority first,
+    /// `size(p)` bytes each) in rounds of [`Link::send_packets`] until all
+    /// arrive or `budget` packets are spent (`usize::MAX` = unbounded);
+    /// a round sends what the budget still covers and gives up on the
+    /// rest. A round starts at `max(wire idle, last arrival +
+    /// propagation)`: the wire is idle from `wire_free` on, and the
+    /// receiver's NACK for the round that lost the packets (it ended at
+    /// `last_arrival`; `None` for a fresh request) must be back.
+    pub fn resend<T: Copy>(
+        &mut self,
+        mut pending: Vec<T>,
+        size: impl Fn(T) -> u64,
+        wire_free: f64,
+        mut last_arrival: Option<f64>,
+        mut budget: usize,
+    ) -> Resent<T> {
+        let mut out = Resent {
+            missing: Vec::new(),
+            packets: 0,
+            delivered_bytes: 0,
+            wire_free,
+            finish: last_arrival.unwrap_or(wire_free),
+        };
+        while !pending.is_empty() && budget > 0 {
+            let send = pending.len().min(budget);
+            out.missing.extend(pending.drain(send..));
+            budget -= send;
+            out.packets += send;
+            let nack = last_arrival.map_or(out.wire_free, |t| t + self.propagation);
+            let sizes: Vec<u64> = pending.iter().map(|&p| size(p)).collect();
+            let res = self.send_packets(&sizes, out.wire_free.max(nack));
+            out.wire_free = res.wire_finish;
+            out.finish = out.finish.max(res.last_arrival);
+            out.delivered_bytes += res.delivered_bytes;
+            last_arrival = Some(res.last_arrival);
+            pending = res.failed().iter().map(|&i| pending[i]).collect();
+        }
+        // Moved, not copied, when nothing was given up earlier: a zero
+        // budget allocates nothing.
+        if out.missing.is_empty() {
+            out.missing = pending;
+        } else {
+            out.missing.extend(pending);
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -421,6 +485,119 @@ mod tests {
         assert_eq!(s.transfers, 2);
         assert_eq!(s.wire_bytes, 3_000);
         assert_eq!(s.delivered_bytes, 3_000);
+    }
+
+    #[test]
+    fn zero_budget_sends_nothing_and_keeps_the_wire_clock() {
+        let mut link = Link::new(BandwidthTrace::constant(GBPS), 0.01)
+            .with_packet_faults(PacketFaults::loss(0.5), 1);
+        // The caller's round left the wire at 1.2 and its last packet
+        // landed at 1.5; a resend would have waited for 1.5 + 0.01.
+        let r = link.resend(vec![3usize, 1, 4], |_| 1_000, 1.2, Some(1.5), 0);
+        let untouched = Resent {
+            missing: vec![3, 1, 4],
+            packets: 0,
+            delivered_bytes: 0,
+            wire_free: 1.2,
+            finish: 1.5,
+        };
+        assert_eq!(r, untouched);
+        assert_eq!(link.stats(), LinkStats::default());
+    }
+
+    #[test]
+    fn a_short_budget_resends_the_first_failures_and_gives_up_in_order() {
+        let size = |i: usize| 1_000 * (i as u64 + 1);
+        // Clean link: the budget alone decides what goes out.
+        let mut link = Link::new(BandwidthTrace::constant(GBPS), 0.01);
+        let r = link.resend((0..5).collect(), size, 0.0, None, 2);
+        assert_eq!(r.missing, vec![2, 3, 4]);
+        assert_eq!(r.packets, 2);
+        assert_eq!(r.delivered_bytes, size(0) + size(1));
+        assert_eq!(link.stats().packets_sent, 2);
+        // Lossy link: the first round's leftovers come first, then each
+        // later round's failures, each run in priority order.
+        let mut link = Link::new(BandwidthTrace::constant(GBPS), 0.01)
+            .with_packet_faults(PacketFaults::loss(0.5), 7);
+        let r = link.resend((0..8).collect(), size, 0.0, None, 6);
+        assert_eq!(r.packets, 6);
+        assert_eq!(r.missing[..2], [6, 7]);
+        assert!(r.missing[2..].iter().all(|&i| i < 6), "{:?}", r.missing);
+        assert!(r.missing.len() > 2, "seeded 50% loss fails some resend");
+        let delivered: u64 = (0..8).filter(|i| !r.missing.contains(i)).map(size).sum();
+        assert_eq!(r.delivered_bytes, delivered);
+    }
+
+    #[test]
+    fn each_round_waits_for_the_previous_rounds_nack() {
+        // One packet, resent until it lands: every round is wire time
+        // plus one propagation delay to arrive, and the next round starts
+        // one more propagation delay later (the NACK's trip back).
+        let (prop, bytes) = (0.01, 125_000u64);
+        let tx = bytes as f64 * 8.0 / GBPS;
+        let mut most_rounds = 0;
+        for seed in 0..16 {
+            let mut link = Link::new(BandwidthTrace::constant(GBPS), prop)
+                .with_packet_faults(PacketFaults::loss(0.6), seed);
+            let r = link.resend(vec![bytes], |b| b, 1.0, Some(0.995), usize::MAX);
+            assert!(r.missing.is_empty());
+            most_rounds = most_rounds.max(r.packets);
+            // The first round waits for the caller's round's NACK too.
+            let first = 0.995 + prop;
+            let rounds = r.packets as f64;
+            let want = first + rounds * (tx + prop) + (rounds - 1.0) * prop;
+            assert!(
+                (r.finish - want).abs() < 1e-9,
+                "seed {seed}: {} vs {want}",
+                r.finish
+            );
+            assert!((r.wire_free - (want - prop)).abs() < 1e-9, "seed {seed}");
+        }
+        assert!(most_rounds >= 3, "seeded 60% loss drops some packet twice");
+    }
+
+    #[test]
+    fn unbounded_resend_equals_a_hand_driven_loop() {
+        let faults = PacketFaults {
+            loss: 0.3,
+            reorder: 0.2,
+            duplicate: 0.1,
+            truncate: 0.1,
+            ..PacketFaults::none()
+        };
+        let lossy =
+            || Link::new(BandwidthTrace::constant(GBPS), 0.02).with_packet_faults(faults, 29);
+        let size = |i: usize| 2_000 + 300 * i as u64;
+        let mut link = lossy();
+        let r = link.resend((0..20).collect(), size, 0.5, None, usize::MAX);
+
+        let mut hand = lossy();
+        let mut pending: Vec<usize> = (0..20).collect();
+        let (mut t, mut finish, mut sent, mut delivered) = (0.5f64, 0.5f64, 0, 0);
+        let mut nack: Option<f64> = None;
+        let mut rounds = 0;
+        while !pending.is_empty() {
+            let start = nack.map_or(t, |a| t.max(a + hand.propagation()));
+            let sizes: Vec<u64> = pending.iter().map(|&i| size(i)).collect();
+            let res = hand.send_packets(&sizes, start);
+            sent += pending.len();
+            delivered += res.delivered_bytes;
+            t = res.wire_finish;
+            finish = finish.max(res.last_arrival);
+            nack = Some(res.last_arrival);
+            pending = res.failed().iter().map(|&i| pending[i]).collect();
+            rounds += 1;
+        }
+        assert!(rounds >= 3, "the seeded link fails some resends too");
+        let want = Resent {
+            missing: Vec::new(),
+            packets: sent,
+            delivered_bytes: delivered,
+            wire_free: t,
+            finish,
+        };
+        assert_eq!(r, want);
+        assert_eq!(link.stats(), hand.stats());
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub struct ServingConfig {
     /// policy takes over (per-packet-fault links only).
     pub retransmit_budget: usize,
     /// Forward-error-correction parity on store→shard links, for every
-    /// batch: erasure parity (XOR at r = 1) recovers groups that lost no
-    /// more packets than they carry parity before the retransmit budget
+    /// batch: erasure parity recovers groups that lost no more packets
+    /// than they carry parity before the retransmit budget
     /// or the repair/refetch ladder is consulted, so a lossy link stops
     /// flooding the shard queues with re-fetch entries.
     pub fec_overhead: FecOverhead,

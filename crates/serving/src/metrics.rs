@@ -70,15 +70,15 @@ pub struct ShardSummary {
     pub degraded_admissions: u64,
     /// Virtual seconds the shard was serving.
     pub busy_secs: f64,
-    /// Bytes fetched from the store over the shard's link (FEC parity
-    /// included — it occupies the same wire).
+    /// Bytes the shard's link carried from the store: every byte on the
+    /// wire, FEC parity, retransmissions and re-fetches included.
     pub bytes_fetched: u64,
-    /// Erasure parity (XOR at r = 1) bytes sent on top of the data (the
-    /// FEC bandwidth overhead; zero with FEC off).
+    /// Erasure parity bytes sent on top of the data (the FEC bandwidth
+    /// overhead; zero with FEC off).
     pub parity_bytes: u64,
     /// Packets dropped by the link but reconstructed byte-identically by
-    /// erasure parity (XOR at r = 1) — losses that never became repairs
-    /// or re-fetches.
+    /// erasure parity (any `r` losses per group) — losses that never
+    /// became repairs or re-fetches.
     pub fec_recovered_packets: u64,
     /// Bytes a lossy transfer never delivered (repaired per policy).
     pub lost_bytes: u64,

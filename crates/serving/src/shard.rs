@@ -180,8 +180,9 @@ impl Shard {
             recompute_seconds: &recompute_seconds,
             recorder: Some(recorder),
         };
+        let wire_before = self.link.stats().wire_bytes;
         let out = simulate_stream_from(plan, &mut self.link, &params, now);
-        self.stats.bytes_fetched += out.bytes_sent + out.parity_bytes();
+        self.stats.bytes_fetched += self.link.stats().wire_bytes - wire_before;
         self.stats.parity_bytes += out.parity_bytes();
         self.stats.fec_recovered_packets += out.fec_recovered_packets() as u64;
         self.stats.lost_bytes += out.lost_bytes();
@@ -260,9 +261,10 @@ impl Shard {
     /// shard's link and, if the context is still resident, restores its
     /// cached quality. Returns when the re-fetched data was in hand. Only
     /// a per-packet-fault link loses bytes, so a re-fetch always rides
-    /// that faulty wire, as one packet resent until it lands — the
-    /// re-fetch is the reliability layer, so *it* stalls, never the
-    /// original stream.
+    /// that faulty wire, as one packet resent under the link's one resend
+    /// rule ([`Link::resend`], unbounded) until it lands — the re-fetch
+    /// is the reliability layer, so *it* stalls, never the original
+    /// stream.
     pub fn serve_refetch(
         &mut self,
         context_id: ContextId,
@@ -270,24 +272,14 @@ impl Shard {
         restore_quality: f64,
         now: f64,
     ) -> f64 {
-        let mut t = now;
-        let mut finish = now;
-        loop {
-            let res = self.link.send_packets(&[bytes], t);
-            t = res.wire_finish;
-            finish = finish.max(res.last_arrival);
-            self.stats.bytes_fetched += bytes;
-            if res.all_delivered() {
-                break;
-            }
-            // NACK round trip before the resend, as in the streamer.
-            t = t.max(res.last_arrival + self.link.propagation());
-        }
+        let wire_before = self.link.stats().wire_bytes;
+        let resent = self.link.resend(vec![bytes], |b| b, now, None, usize::MAX);
+        self.stats.bytes_fetched += self.link.stats().wire_bytes - wire_before;
         self.stats.refetched_bytes += bytes;
         if let Some(meta) = self.cached.get_mut(&context_id) {
             meta.quality = meta.quality.max(restore_quality);
         }
-        finish
+        resent.finish
     }
 }
 
@@ -393,34 +385,85 @@ mod tests {
         assert!(!second.cache_hit, "text fallback leaves no bitstream");
     }
 
-    #[test]
-    fn refetch_resends_after_each_nack_until_delivered() {
-        use cachegen_net::PacketFaults;
-        let lossy = || {
-            Link::new(BandwidthTrace::constant(1e6), 0.01)
-                .with_packet_faults(PacketFaults::loss(0.6), 3)
-        };
-        let cfg = ServingConfig::default();
-        let mut s = shard(&cfg);
-        s.link = lossy();
-        let finish = s.serve_refetch(1, 1_000, 0.9, 0.5);
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
-        // The same link driven by hand: one packet, resent one NACK round
-        // trip after each failed send's last arrival.
-        let mut link = lossy();
-        let (mut t, mut sends) = (0.5, 0u64);
-        let expected = loop {
-            let res = link.send_packets(&[1_000], t);
-            sends += 1;
-            if res.all_delivered() {
-                break res.last_arrival;
-            }
-            t = res.last_arrival + link.propagation();
-        };
-        assert!(sends >= 2, "the seeded link must drop the first send");
-        assert_eq!(finish, expected);
-        // Every send is fetched bytes; the re-fetch itself counts once.
-        assert_eq!(s.stats.bytes_fetched, sends * 1_000);
-        assert_eq!(s.stats.refetched_bytes, 1_000);
+        /// The same seeded link driven by hand: one packet, resent one
+        /// NACK round trip after each failed send's last arrival.
+        #[test]
+        fn refetch_resends_after_each_nack_until_delivered(seed in 0u64..10_000) {
+            use cachegen_net::PacketFaults;
+            let lossy = || {
+                Link::new(BandwidthTrace::constant(1e6), 0.01)
+                    .with_packet_faults(PacketFaults::loss(0.6), seed)
+            };
+            let cfg = ServingConfig::default();
+            let mut s = shard(&cfg);
+            s.link = lossy();
+            let finish = s.serve_refetch(1, 1_000, 0.9, 0.5);
+
+            let mut link = lossy();
+            let (mut t, mut sends) = (0.5, 0u64);
+            let expected = loop {
+                let res = link.send_packets(&[1_000], t);
+                sends += 1;
+                if res.all_delivered() {
+                    break res.last_arrival;
+                }
+                t = res.last_arrival + link.propagation();
+            };
+            proptest::prop_assert_eq!(finish, expected);
+            // Every send is fetched bytes; the re-fetch itself counts once.
+            proptest::prop_assert_eq!(s.stats.bytes_fetched, sends * 1_000);
+            proptest::prop_assert_eq!(s.stats.refetched_bytes, 1_000);
+        }
+    }
+
+    #[test]
+    fn bytes_fetched_is_everything_the_links_carried() {
+        use cachegen_net::PacketFaults;
+        use cachegen_workloads::ServingRequest;
+        // The default config retransmits once per batch, so a lossy link
+        // carries resends on top of every fetch and re-fetch.
+        let cfg = ServingConfig::default();
+        let links = (0..cfg.num_shards)
+            .map(|i| {
+                Link::new(BandwidthTrace::constant(1e6), 0.01)
+                    .with_packet_faults(PacketFaults::loss(0.2), 40 + i as u64)
+            })
+            .collect();
+        let profile: Vec<usize> = (0..60).map(|i| (i * 7) % 64).collect();
+        let mut cluster = crate::ServingCluster::build(
+            SimModelConfig::tiny(42),
+            EngineConfig::default(),
+            cfg.clone(),
+            &[profile],
+            links,
+        );
+        let contexts = 6u64;
+        for id in 0..contexts {
+            let ctx: Vec<usize> = (0..90).map(|i| (i * (id as usize + 3)) % 64).collect();
+            cluster.store_context(id, &ctx);
+        }
+        let requests: Vec<ServingRequest> = (0..24)
+            .map(|i| ServingRequest {
+                arrival: i as f64 * 0.05,
+                tenant: i % cfg.num_tenants,
+                context_id: i as u64 % contexts,
+                prompt: vec![1, 2, 3],
+            })
+            .collect();
+        let report = cluster.run(&requests);
+        let fetched: u64 = report.shards.iter().map(|s| s.bytes_fetched).sum();
+        let wire: u64 = cluster
+            .shards()
+            .iter()
+            .map(|s| s.link.stats().wire_bytes)
+            .sum();
+        assert!(
+            report.shards.iter().any(|s| s.lost_bytes > 0),
+            "20% loss must leave holes"
+        );
+        assert_eq!(fetched, wire);
     }
 }

@@ -50,7 +50,7 @@ metric_table! {
     MAKESPAN_S = "cachegen.serving.makespan_s", "s", "time of the last completion";
     BATCHES = "cachegen.serving.batches", "count", "query batches dispatched";
     COALESCED_REQUESTS = "cachegen.serving.coalesced_requests", "count", "requests beyond the first in their batch";
-    BYTES_FETCHED = "cachegen.serving.bytes_fetched", "bytes", "store-link bytes pulled, parity and re-fetches included";
+    BYTES_FETCHED = "cachegen.serving.bytes_fetched", "bytes", "store-link wire bytes, parity, retransmissions and re-fetches included";
     PARITY_BYTES = "cachegen.serving.parity_bytes", "bytes", "FEC parity bytes sent on top of the data";
     FEC_RECOVERED_PACKETS = "cachegen.serving.fec_recovered_packets", "packets", "dropped packets rebuilt from parity";
     LOST_BYTES = "cachegen.serving.lost_bytes", "bytes", "bytes a transfer never delivered (repaired per policy)";

@@ -14,10 +14,11 @@
 //! `concurrent_requests = B`, per-chunk delays scale by B (§5.3's batched
 //! streaming: every chunk index is shared by all B requests).
 
+use crate::delivery::{deliver_schedule, ScheduleDelivery};
 use crate::levels::{LevelLadder, StreamConfig};
 use crate::plan::ChunkPlan;
-use crate::schedule::{ChunkSchedule, FecOverhead, PacketId, WirePacket};
-use cachegen_net::{FecGroups, Link, LossEstimator, ThroughputEstimator};
+use crate::schedule::{ChunkSchedule, FecOverhead, PacketId};
+use cachegen_net::{Link, LossEstimator, ThroughputEstimator};
 use cachegen_telemetry::{Recorder, Stage};
 
 /// How the streamer picks per-chunk configurations.
@@ -146,8 +147,7 @@ impl StreamOutcome {
         self.chunks.iter().map(|c| c.retransmits).sum()
     }
 
-    /// Packets recovered by erasure parity (XOR at r = 1) across all
-    /// chunks.
+    /// Packets recovered by erasure parity across all chunks.
     pub fn fec_recovered_packets(&self) -> usize {
         self.chunks.iter().map(|c| c.fec_recovered.len()).sum()
     }
@@ -244,171 +244,6 @@ fn choose_config(
     }
 }
 
-/// Result of delivering one chunk's packet schedule over a lossy link.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ScheduleDelivery {
-    /// Virtual time the chunk's data was in hand (last surviving arrival).
-    pub finish: f64,
-    /// Virtual time the wire went idle (next transfer may start).
-    pub wire_free: f64,
-    /// Packets (and their per-request bytes) still missing after FEC
-    /// recovery and the retransmit budget.
-    pub lost: Vec<(PacketId, u64)>,
-    /// Packets parity recovered byte-identically (no retransmission,
-    /// no repair).
-    pub fec_recovered: Vec<(PacketId, u64)>,
-    /// Per-request parity payload bytes put on the wire.
-    pub parity_bytes: u64,
-    /// Retransmissions spent.
-    pub retransmits: u32,
-    /// Data packets sent on the first round — the denominator of the
-    /// channel-loss observation the adaptive FEC policy consumes.
-    pub channel_data_packets: usize,
-    /// Data packets the channel dropped on the first round, *before* FEC
-    /// recovery (recovery hides losses from the application, not from
-    /// the loss estimator).
-    pub channel_data_losses: usize,
-    /// Data payload bytes that arrived complete (batch-scaled, parity
-    /// excluded — the elapsed time still covers the parity
-    /// transmissions, so the throughput estimator measures effective
-    /// *data* goodput and level predictions price the overhead in).
-    pub delivered_bytes: u64,
-}
-
-/// Delivers one chunk schedule packet by packet: send the whole wire
-/// order (data in priority order, each FEC group's parity staggered
-/// after its last member), recover at the receiver every parity group
-/// that lost no more data packets than it kept parity packets (XOR at
-/// `r = 1`, Reed–Solomon beyond — [`cachegen_net::rs`] proves the
-/// recovery byte-identical and order-free), then — only for what FEC
-/// could not reconstruct — learn the failures one NACK round trip after
-/// the batch lands and resend the highest-priority ones while the budget
-/// lasts. Whatever remains is reported as lost for the codec's repair
-/// policies. The priority order means the context's early token groups
-/// are both sent and repaired first; with `fec = None` the delivery is
-/// bit-identical to the pre-FEC transport (same packets, same fault
-/// draws, same timeline).
-pub fn deliver_schedule(
-    sched: &ChunkSchedule,
-    link: &mut Link,
-    start: f64,
-    batch: u64,
-    mut budget: usize,
-    fec: Option<&FecGroups>,
-) -> ScheduleDelivery {
-    let wire = sched.wire_packets(fec);
-    let parity_bytes = wire
-        .iter()
-        .filter(|p| matches!(p, WirePacket::Parity { .. }))
-        .map(WirePacket::bytes)
-        .sum();
-    let mut lost = Vec::new();
-    let mut fec_recovered = Vec::new();
-    let mut retransmits = 0u32;
-
-    // Round 0: the full wire order, parity included.
-    let sizes: Vec<u64> = wire.iter().map(|p| p.bytes() * batch).collect();
-    let res = link.send_packets(&sizes, start);
-    let mut wire_t = res.wire_finish;
-    let mut finish = start.max(res.last_arrival);
-    let mut last_arrival = res.last_arrival;
-    // Only *data* payload counts as delivered: the elapsed time still
-    // includes the parity transmissions, so the throughput estimator
-    // measures effective data goodput and the adapter's level choices
-    // automatically price the parity overhead in.
-    let mut delivered_bytes = 0u64;
-
-    let mut parity_surviving = fec.map(|f| vec![0usize; f.num_groups()]);
-    let mut failed_data: Vec<usize> = Vec::new();
-    let mut channel_data_packets = 0usize;
-    for (slot, d) in wire.iter().zip(&res.deliveries) {
-        match *slot {
-            WirePacket::Data { index, bytes, .. } => {
-                channel_data_packets += 1;
-                if d.status.is_delivered() {
-                    delivered_bytes += bytes * batch;
-                } else {
-                    failed_data.push(index);
-                }
-            }
-            WirePacket::Parity { group, .. } => {
-                if let (true, Some(surv)) = (d.status.is_delivered(), parity_surviving.as_mut()) {
-                    surv[group] += 1;
-                }
-            }
-        }
-    }
-    let channel_data_losses = failed_data.len();
-
-    // FEC recovery pass, *before* any retransmission: a group that lost
-    // no more data members than it kept parity packets is reconstructed
-    // at the receiver — no NACK, no budget (XOR at one loss + one
-    // parity, Reed–Solomon for multi-loss groups; `cachegen_net::rs`
-    // proves recovery byte-identical for any such pattern). Groups
-    // beyond their surviving parity budget fall through to
-    // retransmit/repair.
-    let mut pending: Vec<(PacketId, u64)> = match (fec, parity_surviving.as_ref()) {
-        (Some(f), Some(surv)) => {
-            let mut lost_in_group: Vec<Vec<usize>> = vec![Vec::new(); f.num_groups()];
-            let mut still = Vec::new();
-            for &i in &failed_data {
-                match f.group_of(i) {
-                    Some(g) => lost_in_group[g].push(i),
-                    // Unprotected size outlier: straight to the
-                    // retransmit/repair rungs.
-                    None => still.push(i),
-                }
-            }
-            for (g, members) in lost_in_group.into_iter().enumerate() {
-                if !members.is_empty() && members.len() <= surv[g] {
-                    fec_recovered.extend(members.into_iter().map(|i| sched.entry(i)));
-                } else {
-                    still.extend(members);
-                }
-            }
-            still.sort_unstable();
-            still.into_iter().map(|i| sched.entry(i)).collect()
-        }
-        _ => failed_data.into_iter().map(|i| sched.entry(i)).collect(),
-    };
-    fec_recovered.sort_unstable_by_key(|&(id, _)| id);
-
-    // Retransmit rounds: the sender only learns what failed after the
-    // receiver has seen the batch and a NACK traveled back — that round
-    // trip is what makes stall-and-retry expensive on long-haul links.
-    // Parity is fire-and-forget; only data is retransmitted.
-    while !pending.is_empty() {
-        if budget == 0 {
-            lost.extend(pending);
-            break;
-        }
-        let nack_at = last_arrival + link.propagation();
-        let resend = pending.len().min(budget);
-        lost.extend(pending.drain(resend..));
-        budget -= resend;
-        retransmits += resend as u32;
-        wire_t = wire_t.max(nack_at);
-        let sizes: Vec<u64> = pending.iter().map(|&(_, b)| b * batch).collect();
-        let res = link.send_packets(&sizes, wire_t);
-        wire_t = res.wire_finish;
-        finish = finish.max(res.last_arrival);
-        last_arrival = res.last_arrival;
-        delivered_bytes += res.delivered_bytes;
-        pending = res.failed().iter().map(|&i| pending[i]).collect();
-    }
-    ScheduleDelivery {
-        finish,
-        wire_free: wire_t,
-        lost,
-        fec_recovered,
-        parity_bytes,
-        retransmits,
-        delivered_bytes,
-        channel_data_packets,
-        channel_data_losses,
-    }
-}
-
 /// Streams a planned context over a link starting at virtual time zero.
 pub fn simulate_stream(
     plan: &ChunkPlan,
@@ -455,7 +290,7 @@ pub fn simulate_stream_from(
         // All B requests share the link, so the wire carries B copies of
         // this chunk index before the next (§5.3 batching).
         let transfer_start = t;
-        let (finish, wire_free, lost, fec_recovered, parity_bytes, retransmits) = match cfg {
+        let d = match cfg {
             StreamConfig::Level(l) if link.is_packet_mode() => {
                 let fallback = ChunkSchedule::single(bytes);
                 let sched = chunk.schedule_for(l).unwrap_or(&fallback);
@@ -474,26 +309,23 @@ pub fn simulate_stream_from(
                 );
                 estimator.observe(d.delivered_bytes, (d.wire_free - t).max(1e-12));
                 loss_estimator.observe(d.channel_data_losses, d.channel_data_packets);
-                (
-                    d.finish,
-                    d.wire_free,
-                    d.lost,
-                    d.fec_recovered,
-                    d.parity_bytes,
-                    d.retransmits,
-                )
+                d
             }
             _ => {
                 let result = link.send(bytes * batch, t);
                 estimator.observe(result.bytes, result.seconds());
-                (result.finish, result.finish, Vec::new(), Vec::new(), 0, 0)
+                ScheduleDelivery {
+                    finish: result.finish,
+                    wire_free: result.finish,
+                    ..ScheduleDelivery::default()
+                }
             }
         };
         let ready = match cfg {
             StreamConfig::Level(_) => {
                 // Decode pipelines with the next transfer but serialises on
                 // the decode kernel (§6).
-                let decode_start = finish.max(decoder_free);
+                let decode_start = d.finish.max(decoder_free);
                 let done = decode_start + (params.decode_seconds)(bytes) * batch as f64;
                 decoder_free = done;
                 if let Some(rec) = params.recorder {
@@ -507,7 +339,7 @@ pub fn simulate_stream_from(
                 done
             }
             StreamConfig::Text => {
-                let recompute_start = finish.max(gpu_free);
+                let recompute_start = d.finish.max(gpu_free);
                 let done =
                     recompute_start + (params.recompute_seconds)(chunk.tokens) * batch as f64;
                 gpu_free = done;
@@ -522,52 +354,45 @@ pub fn simulate_stream_from(
                 done
             }
         };
-        if let Some(rec) = params.recorder {
-            rec.record_span_args(
-                Stage::WireDelivery,
-                transfer_start,
-                finish,
-                vec![
-                    ("chunk", i as f64),
-                    ("bytes", (bytes * batch) as f64),
-                    ("retransmits", retransmits as f64),
-                    ("lost_packets", lost.len() as f64),
-                ],
-            );
-            if !fec_recovered.is_empty() {
-                rec.instant(
-                    Stage::FecRecovery,
-                    finish,
-                    vec![("chunk", i as f64), ("packets", fec_recovered.len() as f64)],
-                );
-            }
-            rec.add("cachegen.streamer.chunks", 1);
-            rec.add("cachegen.streamer.bytes_sent", bytes);
-            rec.add("cachegen.streamer.parity_bytes", parity_bytes);
-            rec.add("cachegen.streamer.retransmits", retransmits as u64);
-            rec.add(
-                "cachegen.streamer.fec_recovered_packets",
-                fec_recovered.len() as u64,
-            );
-            rec.add(
-                "cachegen.streamer.lost_bytes",
-                lost.iter().map(|&(_, b)| b).sum(),
-            );
-        }
-        chunks.push(ChunkOutcome {
+        let c = ChunkOutcome {
             index: i,
             config: cfg,
             bytes,
             transfer_start,
-            transfer_finish: finish,
+            transfer_finish: d.finish,
             ready,
-            lost,
-            fec_recovered,
-            parity_bytes,
-            retransmits,
-        });
+            lost: d.lost,
+            fec_recovered: d.fec_recovered,
+            parity_bytes: d.parity_bytes,
+            retransmits: d.retransmits,
+        };
+        if let Some(rec) = params.recorder {
+            rec.record_span_args(
+                Stage::WireDelivery,
+                transfer_start,
+                d.finish,
+                vec![
+                    ("chunk", i as f64),
+                    ("bytes", (bytes * batch) as f64),
+                    ("retransmits", c.retransmits as f64),
+                    ("lost_packets", c.lost.len() as f64),
+                ],
+            );
+            let recovered = c.fec_recovered.len();
+            if recovered > 0 {
+                let args = vec![("chunk", i as f64), ("packets", recovered as f64)];
+                rec.instant(Stage::FecRecovery, d.finish, args);
+            }
+            rec.add("cachegen.streamer.chunks", 1);
+            rec.add("cachegen.streamer.bytes_sent", bytes);
+            rec.add("cachegen.streamer.parity_bytes", c.parity_bytes);
+            rec.add("cachegen.streamer.retransmits", c.retransmits as u64);
+            rec.add("cachegen.streamer.fec_recovered_packets", recovered as u64);
+            rec.add("cachegen.streamer.lost_bytes", c.lost_bytes());
+        }
+        chunks.push(c);
         bytes_sent += bytes;
-        t = wire_free;
+        t = d.wire_free;
     }
     let finish = chunks.iter().map(|c| c.ready).fold(start, f64::max);
     let slo_met = params.slo.map(|s| finish - start <= s).unwrap_or(true);

@@ -16,22 +16,25 @@
 //!   and shallow layers first), including the per-level FEC parity
 //!   density ([`FecOverhead`]: XOR, fixed Reed–Solomon `(k, r)`, or
 //!   loss-adaptive) and the parity-interleaved wire order.
-//! * `adapter` (re-exported here) — Algorithm 1 plus the virtual-time streaming simulation
-//!   (transfer pipelined with decode, §6), concurrent-request batching
-//!   (Figure 12), and packetized delivery with parity FEC recovery (any
-//!   `r` losses per group) and a retransmit budget on per-packet-fault
-//!   links (whatever is still missing after both is reported per chunk
-//!   for the codec's repair policies).
+//! * `adapter` (re-exported here) — Algorithm 1 plus the virtual-time
+//!   streaming simulation (transfer pipelined with decode, §6) and
+//!   concurrent-request batching (Figure 12).
+//! * `delivery` (re-exported here) — packetized delivery of one chunk
+//!   schedule on per-packet-fault links: parity FEC recovery (any `r`
+//!   losses per group), then the retransmit budget through
+//!   [`cachegen_net::Link::resend`]; whatever is still missing after both
+//!   is reported per chunk for the codec's repair policies.
 
 mod adapter;
+mod delivery;
 pub mod levels;
 pub mod plan;
 pub mod schedule;
 
 pub use adapter::{
-    deliver_schedule, simulate_stream, simulate_stream_from, AdaptPolicy, ChunkOutcome,
-    ScheduleDelivery, StreamOutcome, StreamParams,
+    simulate_stream, simulate_stream_from, AdaptPolicy, ChunkOutcome, StreamOutcome, StreamParams,
 };
+pub use delivery::{deliver_schedule, ScheduleDelivery};
 pub use levels::{LevelLadder, StreamConfig};
 pub use plan::{ChunkPlan, ChunkSizes};
 pub use schedule::{AdaptiveFec, ChunkSchedule, FecOverhead, PacketId, WirePacket};
