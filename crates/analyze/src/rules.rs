@@ -56,7 +56,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "no-raw-spawn",
-        summary: "thread::spawn/scope banned outside the approved executor modules — codec::pool is the one module that spawns; serving::threads only opens the scopes its pools live in",
+        summary: "thread::spawn/scope banned outside the approved executor modules — tensor::pool is the one module that spawns; serving::threads only opens the scopes its pools live in",
     },
     RuleInfo {
         name: "no-hash-iter",
@@ -132,7 +132,7 @@ const TOKEN_RULES: &[TokenRule] = &[
     TokenRule {
         name: "no-raw-spawn",
         tokens: &["thread::spawn", "thread::scope"],
-        message: "raw thread spawn; route work through a cachegen_codec::pool::Pool — the one module that spawns (cachegen_serving::threads only opens the scopes its pools live in)",
+        message: "raw thread spawn; route work through cachegen_tensor::pool (run_pooled or a Pool) — the one module that spawns (cachegen_serving::threads only opens the scopes its pools live in)",
     },
     TokenRule {
         name: "no-hash-iter",
@@ -151,12 +151,13 @@ const TOKEN_RULES: &[TokenRule] = &[
     },
 ];
 
-/// The approved executor modules: the codec's scoped bounded `Pool` —
-/// the one module that spawns threads — and the serving crate's real
+/// The approved executor modules: the tensor crate's scoped bounded
+/// `Pool` — the one module that spawns threads, at the bottom of the
+/// crate graph so every crate can reach it — and the serving crate's real
 /// OS-thread execution backend, which only opens the `thread::scope`s
 /// its pools live in.
 pub const EXECUTOR_MODULES: &[&str] =
-    &["crates/codec/src/pool.rs", "crates/serving/src/threads.rs"];
+    &["crates/tensor/src/pool.rs", "crates/serving/src/threads.rs"];
 
 /// The one module allowed to read the wall clock outside `crates/bench`:
 /// `telemetry::WallClock`, the sanctioned time source real execution

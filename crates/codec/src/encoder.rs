@@ -549,7 +549,7 @@ impl KvCodec {
                 jobs,
                 workers,
                 |_, mut job| self.decode_job(&mut job, enc.delta_encoding),
-                |shape| shape.report(recorder),
+                |shape| crate::pool::report_shape(shape, recorder),
             )?;
         } else {
             for mut job in jobs {

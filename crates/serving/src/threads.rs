@@ -10,7 +10,7 @@
 //!    re-fetch (with the synthetic trace id the oracle assigned it). The
 //!    oracle's [`ServingReport`] is the authoritative outcome set.
 //! 2. **Execute** — the plan replays on real threads, all owned by one
-//!    kind of executor, the codec crate's scoped bounded [`Pool`]: each
+//!    kind of executor, the workspace's scoped bounded [`Pool`]: each
 //!    shard has a pool of `workers_per_shard` threads behind a queue
 //!    bounded at `queue_capacity` (a full queue blocks the feeder — real
 //!    backpressure), and every batch fans its chunk loads out to one
@@ -28,12 +28,13 @@
 //!
 //! This module spawns nothing itself: it opens the two `thread::scope`s
 //! its pools live in (the decode pool in the outer one, so that shard
-//! tasks in the inner one can borrow it). `codec::pool` is the one spawn
-//! site; the `cachegen-analyze` no-raw-spawn rule enforces both.
+//! tasks in the inner one can borrow it). `tensor::pool` (reached here
+//! through its `codec::pool` re-export) is the one spawn site; the
+//! `cachegen-analyze` no-raw-spawn rule enforces both.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use cachegen_codec::{Pool, PoolJob};
+use cachegen_codec::pool::{report_shape, Pool, PoolJob};
 use cachegen_kvstore::FetchedChunk;
 use cachegen_telemetry::{Clock, Recorder, SpanCtx, Stage, WallClock, NOOP};
 use cachegen_workloads::ServingRequest;
@@ -277,7 +278,7 @@ fn execute_batch<'scope>(
                     Ok(())
                 });
             }
-            if let Err(e) = decode.run_batch(jobs, |shape| shape.report(recorder)) {
+            if let Err(e) = decode.run_batch(jobs, |shape| report_shape(shape, recorder)) {
                 alock(stats).decode_errors.push(e.to_string());
             }
             let loaded = clock.now();

@@ -10,13 +10,18 @@
 //! * [`stats`] — entropy / variance / quantile / CDF estimators used to
 //!   reproduce the paper's distributional insights (§5.1, Figures 3 and 5),
 //! * [`rng`] — deterministic seeded random sampling (normal / uniform)
-//!   without pulling in `rand_distr`.
+//!   without pulling in `rand_distr`,
+//! * [`pool`] — the workspace's one executor, a bounded queue drained by
+//!   scoped workers; the only module here that spawns threads.
 //!
-//! Everything here is deterministic and allocation-explicit: no global state,
-//! no threading. Parallelism lives in higher crates (`cachegen-codec`).
+//! Everything else is deterministic, single-threaded and
+//! allocation-explicit: no global state. The executor only ever runs
+//! independent jobs, so what a batch computes does not depend on how many
+//! workers ran it.
 
 mod dense;
 pub mod linalg;
+pub mod pool;
 pub mod rng;
 pub mod stats;
 
