@@ -1,6 +1,6 @@
 //! Streaming adaptation: Figure 7 (timeline) and Figure 13 (SLO sweep).
 
-use crate::harness::{section, Bench, SIM_CONTEXTS_PER_CELL};
+use crate::harness::{cachegen_level, quantized, section, Bench, SIM_CONTEXTS_PER_CELL};
 use cachegen_llm::{ModelSpec, SimModelConfig};
 use cachegen_net::trace::{BandwidthTrace, GBPS};
 use cachegen_net::Link;
@@ -53,7 +53,11 @@ pub fn fig7() {
     section("Figure 7: adaptation under a bandwidth dip (SLO 4 s)");
     let bench = Bench::new(SimModelConfig::mistral7b_sim(42), Dataset::LongChat, 7, 1);
     let bpe: Vec<f64> = (0..bench.engine.num_levels())
-        .map(|l| bench.level_report(l).bits_per_element)
+        .map(|l| {
+            bench
+                .score(cachegen_level(&bench.engine, l))
+                .bits_per_element
+        })
         .collect();
     let plan = paper_plan(&bpe);
     let ladder = bench.engine.config().ladder.clone();
@@ -122,10 +126,10 @@ pub fn fig13() {
         SIM_CONTEXTS_PER_CELL,
     );
     let reports: Vec<_> = (0..bench.engine.num_levels())
-        .map(|l| bench.level_report(l))
+        .map(|l| bench.score(cachegen_level(&bench.engine, l)))
         .collect();
     let bpe: Vec<f64> = reports.iter().map(|r| r.bits_per_element).collect();
-    let q8 = bench.quant_report(8);
+    let q8 = bench.score(quantized(8));
     let plan = paper_plan(&bpe);
     let ladder = bench.engine.config().ladder.clone();
     let one_level = LevelLadder::new(vec![1.0]);

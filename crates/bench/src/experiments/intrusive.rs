@@ -1,9 +1,9 @@
 //! Figure 18: CacheGen vs more intrusive methods (Appendix B).
 
-use crate::harness::{section, Bench, SIM_CONTEXTS_PER_CELL};
+use crate::harness::{cachegen_level, section, Bench, SIM_CONTEXTS_PER_CELL};
 use cachegen_baselines::{gisting, scissorhands};
-use cachegen_llm::{eval, ModelSpec, SimModelConfig, SimTransformer};
-use cachegen_workloads::{workload_rng, Dataset};
+use cachegen_llm::{ModelSpec, SimModelConfig, SimTransformer};
+use cachegen_workloads::Dataset;
 
 /// Figure 18: smaller models (left), token selection (middle), gisting
 /// (right) — all vs CacheGen's size/quality frontier.
@@ -34,7 +34,7 @@ fn smaller_model() {
     );
     // CacheGen on the big model at each level.
     for level in [0usize, 2, 4] {
-        let r = bench.level_report(level);
+        let r = bench.score(cachegen_level(&bench.engine, level));
         println!(
             "{:<26} {:>10.0} {:>12.2}",
             format!("CacheGen level {level}"),
@@ -44,18 +44,13 @@ fn smaller_model() {
     }
     // The smaller model: its KV is smaller, but it models the big model's
     // text (the reference continuation) far worse.
-    let mut ppl = 0.0;
-    for s in &bench.samples {
-        let big_cache = bench.engine.calculate_kv(&s.tokens);
-        let cont = bench.engine.model().generate_with_kv(
-            &big_cache,
-            &s.prompt,
-            crate::harness::PPL_HORIZON,
-        );
-        let small_cache = small.prefill(&s.tokens);
-        ppl += eval::perplexity(&small, &small_cache, &s.prompt, &cont);
-    }
-    ppl /= bench.samples.len() as f64;
+    let ppl = bench
+        .samples
+        .iter()
+        .zip(&bench.references)
+        .map(|(s, r)| r.quality(&small, s, &small.prefill(&s.tokens)))
+        .sum::<f64>()
+        / bench.samples.len() as f64;
     for bits in [8.0f64, 4.0, 3.0] {
         println!(
             "{:<26} {:>10.0} {:>12.2}",
@@ -79,7 +74,7 @@ fn token_selection() {
     let tokens = 9_400u64;
     println!("{:<26} {:>10} {:>8}", "operating point", "MB", "F1");
     for level in [0usize, 2, 4] {
-        let r = bench.level_report(level);
+        let r = bench.score(cachegen_level(&bench.engine, level));
         println!(
             "{:<26} {:>10.0} {:>8.2}",
             format!("CacheGen level {level}"),
@@ -89,27 +84,16 @@ fn token_selection() {
     }
     let model = bench.engine.model();
     for keep in [0.7f64, 0.5, 0.3] {
-        let mut f1 = 0.0;
-        let mut bits = 0.0;
-        for s in &bench.samples {
-            let cache = bench.engine.calculate_kv(&s.tokens);
+        let r = bench.score(|s, _| {
             let pruned = scissorhands::prune(model, &s.tokens, keep);
-            let a = model.generate_with_kv(&cache, &s.prompt, crate::harness::F1_HORIZON);
-            let b = model.generate_with_kv_at(
-                &pruned.cache,
-                s.tokens.len(),
-                &s.prompt,
-                crate::harness::F1_HORIZON,
-            );
-            f1 += eval::token_f1(&b, &a);
-            bits += pruned.wire_bytes(8.0) as f64 * 8.0 / cache.num_elements() as f64;
-        }
-        let n = bench.samples.len() as f64;
+            let bytes = pruned.wire_bytes(8.0);
+            (pruned.cache, bytes)
+        });
         println!(
             "{:<26} {:>10.0} {:>8.2}",
             format!("Scissorhands* keep {keep:.1}"),
-            spec.kv_bytes(tokens, bits / n) as f64 / 1e6,
-            f1 / n
+            spec.kv_bytes(tokens, r.bits_per_element) as f64 / 1e6,
+            r.quality
         );
     }
 }
@@ -127,7 +111,7 @@ fn gist() {
     let tokens = 512u64; // the public gisting model caps at 512 tokens (App. B)
     println!("{:<26} {:>10} {:>10}", "operating point", "MB", "accuracy");
     for level in [0usize, 2, 4] {
-        let r = bench.level_report(level);
+        let r = bench.score(cachegen_level(&bench.engine, level));
         println!(
             "{:<26} {:>10.1} {:>10.2}",
             format!("CacheGen level {level}"),
@@ -135,33 +119,17 @@ fn gist() {
             r.quality
         );
     }
-    let model = bench.engine.model();
-    let mut rng = workload_rng(77);
-    let _ = &mut rng;
     for span in [2usize, 4, 8] {
-        let mut acc = 0.0;
-        let mut bits = 0.0;
-        for s in &bench.samples {
-            let cache = bench.engine.calculate_kv(&s.tokens);
-            let g = gisting::pool(&cache, span);
-            let prompts = bench.probe_prompts(model.config().vocab);
-            let hits = prompts
-                .iter()
-                .filter(|p| {
-                    let a = model.generate_with_kv(&cache, p, 1);
-                    let b = model.generate_with_kv_at(&g.cache, s.tokens.len(), p, 1);
-                    a == b
-                })
-                .count();
-            acc += hits as f64 / prompts.len() as f64;
-            bits += g.wire_bytes(16.0) as f64 * 8.0 / cache.num_elements() as f64;
-        }
-        let n = bench.samples.len() as f64;
+        let r = bench.score(|_, r| {
+            let g = gisting::pool(&r.cache, span);
+            let bytes = g.wire_bytes(16.0);
+            (g.cache, bytes)
+        });
         println!(
             "{:<26} {:>10.1} {:>10.2}",
             format!("Gisting span {span}"),
-            spec.kv_bytes(tokens, bits / n) as f64 / 1e6,
-            acc / n
+            spec.kv_bytes(tokens, r.bits_per_element) as f64 / 1e6,
+            r.quality
         );
     }
 }

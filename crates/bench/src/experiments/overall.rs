@@ -1,12 +1,12 @@
 //! Headline results: Table 1 and Figures 8, 9, 10.
 
-use crate::harness::{section, Bench, SIM_CONTEXTS_PER_CELL};
+use crate::harness::{cachegen_level, quantized, section, Bench, SIM_CONTEXTS_PER_CELL};
 use cachegen::{LoadMethod, TtftModel};
 use cachegen_baselines::{h2o, lingua};
 use cachegen_codec::{CodecConfig, CodecProfile, KvCodec};
-use cachegen_llm::{GpuSpec, ModelSpec, SimModelConfig};
+use cachegen_llm::{GpuSpec, KvCache, ModelSpec, SimModelConfig};
 use cachegen_net::trace::GBPS;
-use cachegen_workloads::{Dataset, Metric};
+use cachegen_workloads::Dataset;
 
 const PAPER_TOKENS: u64 = 9_400;
 
@@ -21,68 +21,27 @@ pub fn table1() {
         SIM_CONTEXTS_PER_CELL,
     );
     let spec = ModelSpec::mistral_7b();
-    let q8 = bench.quant_report(8);
-    let cg = bench.level_report(1);
+    let model = bench.engine.model();
+    let q8 = bench.score(quantized(8));
+    let cg = bench.score(cachegen_level(&bench.engine, 1));
 
-    // H2O and CacheGen∘H2O (keep 50% of tokens).
-    let keep = 0.5;
-    let mut h2o_bits = 0.0;
-    let mut h2o_q = 0.0;
+    // H2O keeps 50% of tokens, LLMLingua 60%. CacheGen layered on either
+    // encodes the smaller cache and takes its accuracy (CacheGen on top is
+    // near-lossless); all bits are per element of the *full* cache.
     let mut cg_h2o_bits = 0.0;
-    let mut cg_h2o_q = 0.0;
-    let mut lingua_bits = 0.0;
-    let mut lingua_q = 0.0;
+    let h2o = bench.score(|s, r| {
+        let pruned = h2o::prune(model, &s.tokens, 0.5);
+        cg_h2o_bits += encoded_bytes(&pruned.cache) as f64 * 8.0 / r.cache.num_elements() as f64;
+        let bytes = pruned.wire_bytes(8.0);
+        (pruned.cache, bytes)
+    });
     let mut cg_lingua_bits = 0.0;
-    let mut cg_lingua_q = 0.0;
-    for s in &bench.samples {
-        let model = bench.engine.model();
-        let cache = bench.engine.calculate_kv(&s.tokens);
-        let full_elems = cache.num_elements() as f64;
-
-        let pruned = h2o::prune(model, &s.tokens, keep);
-        // Wire bits normalised by the *full* cache's elements so sizes are
-        // comparable across methods.
-        h2o_bits += pruned.wire_bytes(8.0) as f64 * 8.0 / full_elems;
-        let prompts = bench.probe_prompts(model.config().vocab);
-        let h2o_acc = {
-            let hits = prompts
-                .iter()
-                .filter(|p| {
-                    let a = model.generate_with_kv(&cache, p, 1);
-                    let b = model.generate_with_kv_at(&pruned.cache, s.tokens.len(), p, 1);
-                    a == b
-                })
-                .count();
-            hits as f64 / prompts.len() as f64
-        };
-        h2o_q += h2o_acc;
-        let cfg = CodecConfig::default();
-        let profile = CodecProfile::build(&cfg, &[&pruned.cache]);
-        let enc = KvCodec::new(cfg, profile).encode(&pruned.cache);
-        cg_h2o_bits += enc.total_bytes() as f64 * 8.0 / full_elems;
-        cg_h2o_q += h2o_acc; // CacheGen on H2O is near-lossless on top
-
-        let compressed = lingua::compress(&s.tokens, 0.6);
-        let small = model.prefill(&compressed.tokens);
-        lingua_bits += small.size_bytes(8.0) as f64 * 8.0 / full_elems;
-        let lingua_acc = {
-            let hits = prompts
-                .iter()
-                .filter(|p| {
-                    let a = model.generate_with_kv(&cache, p, 1);
-                    let b = model.generate_with_kv_at(&small, s.tokens.len(), p, 1);
-                    a == b
-                })
-                .count();
-            hits as f64 / prompts.len() as f64
-        };
-        lingua_q += lingua_acc;
-        let cfg2 = CodecConfig::default();
-        let profile2 = CodecProfile::build(&cfg2, &[&small]);
-        let enc2 = KvCodec::new(cfg2, profile2).encode(&small);
-        cg_lingua_bits += enc2.total_bytes() as f64 * 8.0 / full_elems;
-        cg_lingua_q += lingua_acc;
-    }
+    let lingua = bench.score(|s, r| {
+        let small = model.prefill(&lingua::compress(&s.tokens, 0.6).tokens);
+        cg_lingua_bits += encoded_bytes(&small) as f64 * 8.0 / r.cache.num_elements() as f64;
+        let bytes = small.size_bytes(8.0);
+        (small, bytes)
+    });
     let n = bench.samples.len() as f64;
     let mb = |bits: f64| spec.kv_bytes(PAPER_TOKENS, bits) as f64 / 1e6;
     let norm = q8.quality.max(1e-9);
@@ -93,14 +52,22 @@ pub fn table1() {
     let rows: Vec<(&str, f64, f64)> = vec![
         ("8-bit quantization", q8.bits_per_element, q8.quality),
         ("CacheGen (this paper)", cg.bits_per_element, cg.quality),
-        ("H2O", h2o_bits / n, h2o_q / n),
-        ("CacheGen on H2O", cg_h2o_bits / n, cg_h2o_q / n),
-        ("LLMLingua", lingua_bits / n, lingua_q / n),
-        ("CacheGen on LLMLingua", cg_lingua_bits / n, cg_lingua_q / n),
+        ("H2O", h2o.bits_per_element, h2o.quality),
+        ("CacheGen on H2O", cg_h2o_bits / n, h2o.quality),
+        ("LLMLingua", lingua.bits_per_element, lingua.quality),
+        ("CacheGen on LLMLingua", cg_lingua_bits / n, lingua.quality),
     ];
     for (name, bits, q) in rows {
         println!("{:<26} {:>10.0} {:>10.2}", name, mb(bits), q / norm);
     }
+}
+
+/// Bytes of `cache` under a default codec profiled on that cache alone —
+/// CacheGen layered on a context-compression baseline.
+fn encoded_bytes(cache: &KvCache) -> u64 {
+    let cfg = CodecConfig::default();
+    let profile = CodecProfile::build(&cfg, &[cache]);
+    KvCodec::new(cfg, profile).encode(cache).total_bytes()
 }
 
 /// Figure 8: TTFT vs quality across three models and four datasets.
@@ -115,8 +82,8 @@ pub fn fig8() {
     for (sim, spec) in models {
         for dataset in Dataset::all() {
             let bench = Bench::new(sim.clone(), dataset, 8, SIM_CONTEXTS_PER_CELL);
-            let cg = bench.level_report(1);
-            let q8 = bench.quant_report(8);
+            let cg = bench.score(cachegen_level(&bench.engine, 1));
+            let q8 = bench.score(quantized(8));
             let ttft = TtftModel::new(spec.clone(), GpuSpec::default());
             let t_text = ttft.ttft(LoadMethod::TextContext, PAPER_TOKENS, bw).total();
             let t_q8 = ttft
@@ -131,20 +98,16 @@ pub fn fig8() {
                     bw,
                 )
                 .total();
-            let (qt, q8q, cgq) = match dataset.metric() {
-                Metric::Perplexity => (1.0, q8.quality, cg.quality),
-                _ => (1.0, q8.quality, cg.quality),
-            };
             println!(
                 "{:<14} {:<12} text {:>5.2}s/{:>4.2}  quant8 {:>5.2}s/{:>4.2}  CacheGen {:>5.2}s/{:>4.2}",
                 spec.name,
                 dataset.name(),
                 t_text,
-                qt,
+                1.0,
                 t_q8,
-                q8q,
+                q8.quality,
                 t_cg,
-                cgq
+                cg.quality
             );
         }
     }
@@ -167,7 +130,7 @@ pub fn fig9() {
             "operating point", "bits/elem", "quality"
         );
         for bits in [8u8, 4, 3] {
-            let r = bench.quant_report(bits);
+            let r = bench.score(quantized(bits));
             println!(
                 "{:<22} {:>12.2} {:>10.2}",
                 format!("quant {bits}-bit"),
@@ -176,7 +139,7 @@ pub fn fig9() {
             );
         }
         for level in 0..bench.engine.num_levels() {
-            let r = bench.level_report(level);
+            let r = bench.score(cachegen_level(&bench.engine, level));
             println!(
                 "{:<22} {:>12.2} {:>10.2}",
                 format!("CacheGen level {level}"),
@@ -204,18 +167,11 @@ pub fn fig10() {
     for keep in [0.3f64, 0.5, 0.7] {
         let mut pruned_bits = 0.0;
         let mut cg_bits = 0.0;
-        for s in &bench.samples {
-            let cache = bench.engine.calculate_kv(&s.tokens);
-            let full = cache.num_elements() as f64;
+        for (s, r) in bench.samples.iter().zip(&bench.references) {
+            let full = r.cache.num_elements() as f64;
             let pruned = h2o::prune(model, &s.tokens, keep);
             pruned_bits += pruned.wire_bytes(8.0) as f64 * 8.0 / full;
-            let cfg = CodecConfig::default();
-            let profile = CodecProfile::build(&cfg, &[&pruned.cache]);
-            cg_bits += KvCodec::new(cfg, profile)
-                .encode(&pruned.cache)
-                .total_bytes() as f64
-                * 8.0
-                / full;
+            cg_bits += encoded_bytes(&pruned.cache) as f64 * 8.0 / full;
         }
         let n = bench.samples.len() as f64;
         println!(
@@ -228,15 +184,11 @@ pub fn fig10() {
     for keep in [0.4f64, 0.6, 0.8] {
         let mut base_bits = 0.0;
         let mut cg_bits = 0.0;
-        for s in &bench.samples {
-            let cache = bench.engine.calculate_kv(&s.tokens);
-            let full = cache.num_elements() as f64;
-            let compressed = lingua::compress(&s.tokens, keep);
-            let small = model.prefill(&compressed.tokens);
+        for (s, r) in bench.samples.iter().zip(&bench.references) {
+            let full = r.cache.num_elements() as f64;
+            let small = model.prefill(&lingua::compress(&s.tokens, keep).tokens);
             base_bits += small.size_bytes(8.0) as f64 * 8.0 / full;
-            let cfg = CodecConfig::default();
-            let profile = CodecProfile::build(&cfg, &[&small]);
-            cg_bits += KvCodec::new(cfg, profile).encode(&small).total_bytes() as f64 * 8.0 / full;
+            cg_bits += encoded_bytes(&small) as f64 * 8.0 / full;
         }
         let n = bench.samples.len() as f64;
         println!(

@@ -1,6 +1,6 @@
 //! Overheads and micro-benchmarks: Figures 14–17.
 
-use crate::harness::{section, Bench, SIM_CONTEXTS_PER_CELL};
+use crate::harness::{cachegen_level, quantized, section, Bench, SIM_CONTEXTS_PER_CELL};
 use cachegen::qoe::QoeModel;
 use cachegen::{LoadMethod, TtftModel};
 use cachegen_codec::{CodecConfig, CodecProfile, KvCodec, ModelGranularity};
@@ -15,7 +15,7 @@ const PAPER_TOKENS: u64 = 9_400;
 /// Figure 14: TTFT breakdown, compute breakdown, offline delay, storage.
 pub fn fig14() {
     let bench = Bench::new(SimModelConfig::mistral7b_sim(42), Dataset::LongChat, 14, 1);
-    let cg = bench.level_report(1);
+    let cg = bench.score(cachegen_level(&bench.engine, 1));
     let spec = ModelSpec::mistral_7b();
     let gpu = GpuSpec::default();
     let ttft = TtftModel::new(spec.clone(), gpu.clone());
@@ -60,14 +60,13 @@ pub fn fig14() {
     );
 
     section("Figure 14c: offline encoding delay (functional measurement)");
-    let sample = &bench.samples[0];
-    let cache = bench.engine.calculate_kv(&sample.tokens);
+    let cache = &bench.references[0].cache;
     let t0 = Instant::now();
-    let _ = UniformQuantizer::new(8).round_trip_cache(&cache);
+    let _ = UniformQuantizer::new(8).round_trip_cache(cache);
     let quant_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = Instant::now();
     for level in 0..bench.engine.num_levels() {
-        let _ = bench.engine.encode_at_level(&cache, level);
+        let _ = bench.engine.encode_at_level(cache, level);
     }
     let encode_ms = t1.elapsed().as_secs_f64() * 1e3;
     // Wall-clock readings go to stderr: stdout is the checked-in
@@ -84,7 +83,7 @@ pub fn fig14() {
     let q8 = spec.kv_bytes(PAPER_TOKENS, 8.0) as f64 / 1e9;
     let all_levels: f64 = (0..bench.engine.num_levels())
         .map(|l| {
-            let r = bench.level_report(l);
+            let r = bench.score(cachegen_level(&bench.engine, l));
             spec.kv_bytes(PAPER_TOKENS, r.bits_per_element) as f64 / 1e9
         })
         .sum();
@@ -105,27 +104,12 @@ pub fn fig15() {
     // Arms build up CacheGen: uniform quant (tensor wire) → + AC with
     // channel-layer models → + change-based (delta) encoding → + layer-wise
     // quantization = CacheGen.
-    let arm = |name: &str, cfg: Option<CodecConfig>| -> (String, f64, f64) {
-        match cfg {
-            None => {
-                let r = bench.quant_report(4);
-                (name.to_string(), r.bits_per_element, r.quality)
-            }
-            Some(cfg) => {
-                let mut bits = 0.0;
-                let mut quality = 0.0;
-                for s in &bench.samples {
-                    let cache = bench.engine.calculate_kv(&s.tokens);
-                    let profile = CodecProfile::build(&cfg, &[&cache]);
-                    let codec = KvCodec::new(cfg.clone(), profile);
-                    let (dec, bytes) = codec.round_trip(&cache);
-                    bits += bytes as f64 * 8.0 / cache.num_elements() as f64;
-                    quality += bench.quality(&cache, &dec, s);
-                }
-                let n = bench.samples.len() as f64;
-                (name.to_string(), bits / n, quality / n)
-            }
-        }
+    // Each codec arm is profiled on the context it encodes.
+    let arm = |cfg: CodecConfig| {
+        bench.score(|_, r| {
+            let profile = CodecProfile::build(&cfg, &[&r.cache]);
+            KvCodec::new(cfg.clone(), profile).round_trip(&r.cache)
+        })
     };
     let base = CodecConfig {
         bins: LayerGroupBins::uniform(1.0),
@@ -133,28 +117,26 @@ pub fn fig15() {
         granularity: ModelGranularity::PerChannelLayer,
         ..CodecConfig::default()
     };
-    let rows = vec![
-        arm("Default quant (4-bit)", None),
-        arm("+ AC (channel-layer)", Some(base.clone())),
-        arm(
-            "+ change-based encoding",
-            Some(CodecConfig {
-                delta_encoding: true,
-                ..base.clone()
-            }),
-        ),
-        arm(
-            "+ layer-wise quant = CacheGen",
-            Some(CodecConfig {
-                delta_encoding: true,
-                bins: LayerGroupBins::paper_default(),
-                ..base
-            }),
-        ),
+    let delta = CodecConfig {
+        delta_encoding: true,
+        ..base.clone()
+    };
+    let layered = CodecConfig {
+        bins: LayerGroupBins::paper_default(),
+        ..delta.clone()
+    };
+    let rows = [
+        ("Default quant (4-bit)", bench.score(quantized(4))),
+        ("+ AC (channel-layer)", arm(base)),
+        ("+ change-based encoding", arm(delta)),
+        ("+ layer-wise quant = CacheGen", arm(layered)),
     ];
     println!("{:<32} {:>12} {:>10}", "arm", "bits/elem", "quality");
-    for (name, bits, q) in rows {
-        println!("{name:<32} {bits:>12.2} {q:>10.2}");
+    for (name, r) in rows {
+        println!(
+            "{name:<32} {:>12.2} {:>10.2}",
+            r.bits_per_element, r.quality
+        );
     }
 
     // Group-count sweep (ROADMAP "Quant sweep depth"): how many layer
@@ -169,10 +151,13 @@ pub fn fig15() {
             granularity: ModelGranularity::PerChannelLayer,
             ..CodecConfig::default()
         };
-        let (_, bits, q) = arm("", Some(cfg));
+        let r = arm(cfg);
         let ns = n.to_string();
         let label: &str = if n == 3 { "3 (paper)" } else { &ns };
-        println!("{label:<12} {bits:>12.2} {q:>10.2}");
+        println!(
+            "{label:<12} {:>12.2} {:>10.2}",
+            r.bits_per_element, r.quality
+        );
     }
 }
 
@@ -184,8 +169,8 @@ pub fn fig16() {
     let ttft = TtftModel::new(spec, GpuSpec::default());
     let bw = 3.0 * GBPS;
     let qoe = QoeModel::default();
-    let cg = bench.level_report(1);
-    let q3 = bench.quant_report(3);
+    let cg = bench.score(cachegen_level(&bench.engine, 1));
+    let q3 = bench.score(quantized(3));
     println!(
         "{:<10} {:>10} {:>10} {:>10}",
         "sample", "Original", "Quant-3", "CacheGen"
@@ -221,14 +206,14 @@ pub fn fig17() {
     let bench = Bench::new(SimModelConfig::mistral7b_sim(42), Dataset::LongChat, 17, 1);
     let s = &bench.samples[0];
     let model = bench.engine.model();
-    let cache = bench.engine.calculate_kv(&s.tokens);
-    let reference = model.generate_with_kv(&cache, &s.prompt, 4);
+    let cache = &bench.references[0].cache;
+    let reference = model.generate_with_kv(cache, &s.prompt, 4);
     println!(
         "prompt (probes the FIRST topic's vocabulary band): {:?}",
         s.prompt
     );
     println!("ground truth (exact KV):        {reference:?}");
-    let enc = bench.engine.encode_at_level(&cache, 1);
+    let enc = bench.engine.encode_at_level(cache, 1);
     let dec = bench
         .engine
         .try_decode_at_level(&enc, 1)
@@ -243,7 +228,7 @@ pub fn fig17() {
             "✗"
         }
     );
-    let q3 = UniformQuantizer::new(3).round_trip_cache(&cache);
+    let q3 = UniformQuantizer::new(3).round_trip_cache(cache);
     let q3_out = model.generate_with_kv(&q3, &s.prompt, 4);
     let match_q3 = eval::token_f1(&q3_out, &reference);
     println!(

@@ -3,7 +3,7 @@
 //! snapshot writer ([`Snapshot`]) every bench target measures through.
 
 use cachegen::{CacheGenEngine, EngineConfig};
-use cachegen_llm::{eval, KvCache, SimModelConfig};
+use cachegen_llm::{eval, KvCache, SimModelConfig, SimTransformer};
 use cachegen_net::{BandwidthTrace, Link, PacketFaults};
 use cachegen_serving::{ServingCluster, ServingConfig};
 use cachegen_streamer::AdaptPolicy;
@@ -23,9 +23,9 @@ pub const SIM_CONTEXTS_PER_CELL: usize = 3;
 /// Probe prompts per context for first-token accuracy.
 const PROBE_PROMPTS: usize = 16;
 /// Greedy horizon for F1 scoring.
-pub const F1_HORIZON: usize = 6;
+const F1_HORIZON: usize = 6;
 /// Continuation length for perplexity scoring.
-pub const PPL_HORIZON: usize = 12;
+const PPL_HORIZON: usize = 12;
 
 /// Tokens of the context the `codec` and `fec` benches measure (16
 /// stream chunks of 30).
@@ -305,19 +305,21 @@ impl Snapshot {
     }
 }
 
-/// A ready-to-measure bench fixture: an engine plus evaluation samples.
+/// A ready-to-measure bench fixture: an engine, evaluation samples and
+/// each sample's full-precision [`Reference`], computed once.
 pub struct Bench {
     /// The engine under test.
     pub engine: CacheGenEngine,
     /// Evaluation contexts.
     pub samples: Vec<ContextSample>,
-    /// Which dataset generated the samples.
-    pub dataset: Dataset,
+    /// One reference per sample, in sample order.
+    pub references: Vec<Reference>,
 }
 
 impl Bench {
     /// Builds a fixture: profiles the codec on two held-out contexts of
-    /// the same dataset, then generates `n` evaluation contexts.
+    /// the same dataset, generates `n` evaluation contexts, then prefills
+    /// each and records its reference answers.
     pub fn new(model: SimModelConfig, dataset: Dataset, seed: u64, n: usize) -> Self {
         let vocab = model.vocab;
         let mut rng = workload_rng(seed);
@@ -326,55 +328,33 @@ impl Bench {
             .collect();
         let engine = CacheGenEngine::build(model, EngineConfig::default(), &profile);
         let samples = dataset.generate_set(&mut rng, vocab, SIM_CONTEXT_TOKENS, n);
+        let references = samples
+            .iter()
+            .map(|s| Reference::new(engine.model(), dataset.metric(), s))
+            .collect();
         Bench {
             engine,
             samples,
-            dataset,
+            references,
         }
     }
 
-    /// Probe prompts for first-token accuracy, deterministic per index.
-    pub fn probe_prompts(&self, vocab: usize) -> Vec<Vec<usize>> {
-        (0..PROBE_PROMPTS)
-            .map(|p| vec![(p * 13 + 1) % vocab, (p * 37 + 5) % vocab])
-            .collect()
-    }
-
-    /// Measures dataset-appropriate quality of a degraded cache against
-    /// the full-precision reference for one sample.
-    pub fn quality(&self, reference: &KvCache, degraded: &KvCache, sample: &ContextSample) -> f64 {
+    /// The one quality measurement: mean quality and mean bits/element,
+    /// over the samples, of the caches `degrade` makes. It gets each
+    /// sample and its reference and returns the degraded cache and its
+    /// size on the wire in bytes. Bits are per element of the
+    /// full-precision cache, so methods that drop tokens stay comparable.
+    pub fn score(
+        &self,
+        mut degrade: impl FnMut(&ContextSample, &Reference) -> (KvCache, u64),
+    ) -> QualityReport {
         let model = self.engine.model();
-        let vocab = model.config().vocab;
-        match self.dataset.metric() {
-            Metric::Accuracy => {
-                eval::first_token_accuracy(model, reference, degraded, &self.probe_prompts(vocab))
-            }
-            Metric::F1 => {
-                let a = model.generate_with_kv(reference, &sample.prompt, F1_HORIZON);
-                let b = model.generate_with_kv(degraded, &sample.prompt, F1_HORIZON);
-                eval::token_f1(&b, &a)
-            }
-            Metric::Perplexity => {
-                let cont = model.generate_with_kv(reference, &sample.prompt, PPL_HORIZON);
-                eval::perplexity(model, degraded, &sample.prompt, &cont)
-            }
-        }
-    }
-
-    /// Mean quality and mean compressed bits/element at one encoding
-    /// level, across all samples.
-    pub fn level_report(&self, level: usize) -> QualityReport {
         let mut quality = 0.0;
         let mut bits = 0.0;
-        for s in &self.samples {
-            let cache = self.engine.calculate_kv(&s.tokens);
-            let enc = self.engine.encode_at_level(&cache, level);
-            let dec = self
-                .engine
-                .try_decode_at_level(&enc, level)
-                .expect("own encoding decodes");
-            quality += self.quality(&cache, &dec, s);
-            bits += enc.total_bytes() as f64 * 8.0 / cache.num_elements() as f64;
+        for (s, r) in self.samples.iter().zip(&self.references) {
+            let (cache, bytes) = degrade(s, r);
+            quality += r.quality(model, s, &cache);
+            bits += bytes as f64 * 8.0 / r.cache.num_elements() as f64;
         }
         let n = self.samples.len() as f64;
         QualityReport {
@@ -382,21 +362,96 @@ impl Bench {
             bits_per_element: bits / n,
         }
     }
+}
 
-    /// Mean quality and bits/element of the uniform-quantization baseline.
-    pub fn quant_report(&self, bits: u8) -> QualityReport {
-        let mut quality = 0.0;
-        let mut bpe = 0.0;
-        for s in &self.samples {
-            let cache = self.engine.calculate_kv(&s.tokens);
-            let q = cachegen_baselines::quantization_baseline(&cache, bits);
-            quality += self.quality(&cache, &q.cache, s);
-            bpe += q.wire_bytes as f64 * 8.0 / cache.num_elements() as f64;
+/// The degradation of CacheGen at encoding `level`: the decoded cache and
+/// the encoded bytes.
+pub fn cachegen_level(
+    engine: &CacheGenEngine,
+    level: usize,
+) -> impl Fn(&ContextSample, &Reference) -> (KvCache, u64) + '_ {
+    move |_, r| {
+        let enc = engine.encode_at_level(&r.cache, level);
+        let dec = engine
+            .try_decode_at_level(&enc, level)
+            .expect("own encoding decodes");
+        (dec, enc.total_bytes())
+    }
+}
+
+/// The degradation of the uniform-quantization baseline at `bits`.
+pub fn quantized(bits: u8) -> impl Fn(&ContextSample, &Reference) -> (KvCache, u64) {
+    move |_, r| {
+        let q = cachegen_baselines::quantization_baseline(&r.cache, bits);
+        (q.cache, q.wire_bytes)
+    }
+}
+
+/// Probe prompt `p` of first-token accuracy, deterministic per index.
+fn probe(p: usize, vocab: usize) -> [usize; 2] {
+    [(p * 13 + 1) % vocab, (p * 37 + 5) % vocab]
+}
+
+/// One sample's full-precision side: its prefilled KV cache and what the
+/// model answers with that cache under the dataset's metric.
+pub struct Reference {
+    /// The context's full-precision KV cache.
+    pub cache: KvCache,
+    metric: Metric,
+    /// The first greedy token after each probe prompt (accuracy), or the
+    /// greedy continuation of the sample's prompt: [`F1_HORIZON`] tokens
+    /// (F1) or [`PPL_HORIZON`] (perplexity).
+    answers: Vec<usize>,
+}
+
+impl Reference {
+    /// Prefills `sample` and generates the answers `metric` scores against.
+    fn new(model: &SimTransformer, metric: Metric, sample: &ContextSample) -> Reference {
+        let cache = model.prefill(&sample.tokens);
+        let vocab = model.config().vocab;
+        let answers = match metric {
+            Metric::Accuracy => (0..PROBE_PROMPTS)
+                .map(|p| model.generate_with_kv(&cache, &probe(p, vocab), 1)[0])
+                .collect(),
+            Metric::F1 => model.generate_with_kv(&cache, &sample.prompt, F1_HORIZON),
+            Metric::Perplexity => model.generate_with_kv(&cache, &sample.prompt, PPL_HORIZON),
+        };
+        Reference {
+            cache,
+            metric,
+            answers,
         }
-        let n = self.samples.len() as f64;
-        QualityReport {
-            quality: quality / n,
-            bits_per_element: bpe / n,
+    }
+
+    /// Quality under `model` of `degraded` against this reference: the
+    /// probe hit rate, the answer's token F1, or the continuation's
+    /// perplexity (≥ 1, lower better). Generation starts at the sample's
+    /// length, so a cache that dropped tokens keeps its keys' positions;
+    /// perplexity needs every token.
+    pub fn quality(
+        &self,
+        model: &SimTransformer,
+        sample: &ContextSample,
+        degraded: &KvCache,
+    ) -> f64 {
+        let start = sample.tokens.len();
+        let answers = &self.answers;
+        match self.metric {
+            Metric::Accuracy => {
+                let vocab = model.config().vocab;
+                let hit = |(p, &first): &(usize, &usize)| {
+                    model.generate_with_kv_at(degraded, start, &probe(*p, vocab), 1)[0] == first
+                };
+                answers.iter().enumerate().filter(hit).count() as f64 / answers.len() as f64
+            }
+            Metric::F1 => {
+                let out = model.generate_with_kv_at(degraded, start, &sample.prompt, F1_HORIZON);
+                eval::token_f1(&out, answers)
+            }
+            Metric::Perplexity => {
+                assert_eq!(degraded.tokens(), start, "perplexity needs every token");
+                eval::perplexity(model, degraded, &sample.prompt, answers)
+            }
         }
     }
 }
@@ -505,23 +560,63 @@ mod tests {
         assert_eq!(rows, table, "paste:\n{}", table.join("\n"));
     }
 
+    /// `Bench::score` against the direct computation: accuracy on LongChat
+    /// and F1 on TriviaQA, on a codec or quantized cache and on an H2O cache
+    /// generated from the sample's original length.
     #[test]
     fn bench_fixture_builds_and_reports() {
+        use cachegen_baselines::{h2o, quantization_baseline};
         let b = Bench::new(SimModelConfig::tiny(5), Dataset::LongChat, 1, 1);
-        let r = b.level_report(1);
-        assert!(r.quality >= 0.0 && r.quality <= 1.0);
-        assert!(r.bits_per_element > 0.0 && r.bits_per_element < 16.0);
-        let q8 = b.quant_report(8);
-        assert!(q8.bits_per_element > 8.0); // payload + scale overhead
+        let (s, r, model) = (&b.samples[0], &b.references[0], b.engine.model());
+        assert_eq!(r.cache, b.engine.calculate_kv(&s.tokens));
+        let prompts: Vec<Vec<usize>> = (0..PROBE_PROMPTS)
+            .map(|p| probe(p, model.config().vocab).to_vec())
+            .collect();
+        let cg = b.score(cachegen_level(&b.engine, 1));
+        let enc = b.engine.encode_at_level(&r.cache, 1);
+        let dec = b.engine.try_decode_at_level(&enc, 1).unwrap();
+        let direct = eval::first_token_accuracy(model, &r.cache, &dec, &prompts);
+        assert_eq!(cg.quality, direct);
+        let bits = enc.total_bytes() as f64 * 8.0 / r.cache.num_elements() as f64;
+        assert_eq!(cg.bits_per_element, bits);
+        assert!(bits < 16.0 && b.score(quantized(8)).bits_per_element > 8.0);
+        let pruned = h2o::prune(model, &s.tokens, 0.3).cache;
+        let hits = prompts.iter().filter(|p| {
+            model.generate_with_kv(&r.cache, p, 1)
+                == model.generate_with_kv_at(&pruned, s.tokens.len(), p, 1)
+        });
+        let direct = hits.count() as f64 / prompts.len() as f64;
+        assert_eq!(b.score(|_, _| (pruned.clone(), 0)).quality, direct);
+        assert!(direct < 1.0, "pruning must cost accuracy");
+
+        let b = Bench::new(SimModelConfig::tiny(5), Dataset::TriviaQa, 3, 1);
+        let (s, r, model) = (&b.samples[0], &b.references[0], b.engine.model());
+        let answer = model.generate_with_kv(&r.cache, &s.prompt, F1_HORIZON);
+        let f1 = |cache: &KvCache| {
+            let out = model.generate_with_kv_at(cache, s.tokens.len(), &s.prompt, F1_HORIZON);
+            eval::token_f1(&out, &answer)
+        };
+        let q3 = quantization_baseline(&r.cache, 3).cache;
+        assert_eq!(b.score(quantized(3)).quality, f1(&q3));
+        let pruned = h2o::prune(model, &s.tokens, 0.3).cache;
+        assert_eq!(b.score(|_, _| (pruned.clone(), 0)).quality, f1(&pruned));
+        assert!(f1(&pruned) < 1.0, "pruning must cost F1");
     }
 
+    /// Perplexity on WikiText: the reference scores itself at ≥ 1, and a
+    /// quantized cache scores what `eval::perplexity` computes.
     #[test]
     fn perplexity_metric_path() {
         let b = Bench::new(SimModelConfig::tiny(6), Dataset::WikiText, 2, 1);
-        let s = &b.samples[0];
-        let cache = b.engine.calculate_kv(&s.tokens);
-        let q = b.quality(&cache, &cache.clone(), s);
-        assert!(q >= 1.0, "self-perplexity must be ≥ 1, got {q}");
+        let (s, r, model) = (&b.samples[0], &b.references[0], b.engine.model());
+        let cont = model.generate_with_kv(&r.cache, &s.prompt, PPL_HORIZON);
+        let ppl = |cache: &KvCache| eval::perplexity(model, cache, &s.prompt, &cont);
+        let own = b.score(|_, r| (r.cache.clone(), 0)).quality;
+        assert_eq!(own, ppl(&r.cache));
+        assert!(own >= 1.0, "self-perplexity must be ≥ 1, got {own}");
+        let q3 = cachegen_baselines::quantization_baseline(&r.cache, 3).cache;
+        assert_eq!(b.score(quantized(3)).quality, ppl(&q3));
+        assert_ne!(ppl(&q3), own);
     }
 
     #[test]
