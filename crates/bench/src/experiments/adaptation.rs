@@ -51,7 +51,7 @@ fn recompute_secs(tokens: usize) -> f64 {
 /// nominally fills the 4 s SLO — same geometry as the original figure).
 pub fn fig7() {
     section("Figure 7: adaptation under a bandwidth dip (SLO 4 s)");
-    let bench = Bench::new(SimModelConfig::mistral7b_sim(42), Dataset::LongChat, 7, 1);
+    let bench = Bench::new(SimModelConfig::mistral7b_sim(42), Dataset::LongChat, 1);
     let bpe: Vec<f64> = (0..bench.engine.num_levels())
         .map(|l| {
             bench
@@ -122,7 +122,6 @@ pub fn fig13() {
     let bench = Bench::new(
         SimModelConfig::mistral7b_sim(42),
         Dataset::LongChat,
-        13,
         SIM_CONTEXTS_PER_CELL,
     );
     let reports: Vec<_> = (0..bench.engine.num_levels())

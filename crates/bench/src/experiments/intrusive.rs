@@ -20,7 +20,6 @@ fn smaller_model() {
     let bench = Bench::new(
         SimModelConfig::llama7b_sim(42),
         Dataset::WikiText,
-        18,
         SIM_CONTEXTS_PER_CELL,
     );
     let big_spec = ModelSpec::llama_7b();
@@ -67,7 +66,6 @@ fn token_selection() {
     let bench = Bench::new(
         SimModelConfig::llama7b_sim(42),
         Dataset::TriviaQa,
-        19,
         SIM_CONTEXTS_PER_CELL,
     );
     let spec = ModelSpec::llama_7b();
@@ -104,7 +102,6 @@ fn gist() {
     let bench = Bench::new(
         SimModelConfig::llama7b_sim(42),
         Dataset::LongChat,
-        20,
         SIM_CONTEXTS_PER_CELL,
     );
     let spec = ModelSpec::llama_7b();

@@ -17,7 +17,6 @@ pub fn table1() {
     let bench = Bench::new(
         SimModelConfig::mistral7b_sim(42),
         Dataset::LongChat,
-        1,
         SIM_CONTEXTS_PER_CELL,
     );
     let spec = ModelSpec::mistral_7b();
@@ -81,7 +80,7 @@ pub fn fig8() {
     let bw = 3.0 * GBPS;
     for (sim, spec) in models {
         for dataset in Dataset::all() {
-            let bench = Bench::new(sim.clone(), dataset, 8, SIM_CONTEXTS_PER_CELL);
+            let bench = Bench::new(sim.clone(), dataset, SIM_CONTEXTS_PER_CELL);
             let cg = bench.score(cachegen_level(&bench.engine, 1));
             let q8 = bench.score(quantized(8));
             let ttft = TtftModel::new(spec.clone(), GpuSpec::default());
@@ -99,11 +98,10 @@ pub fn fig8() {
                 )
                 .total();
             println!(
-                "{:<14} {:<12} text {:>5.2}s/{:>4.2}  quant8 {:>5.2}s/{:>4.2}  CacheGen {:>5.2}s/{:>4.2}",
+                "{:<14} {:<12} text {:>5.2}s/1.00  quant8 {:>5.2}s/{:>4.2}  CacheGen {:>5.2}s/{:>4.2}",
                 spec.name,
                 dataset.name(),
                 t_text,
-                1.0,
                 t_q8,
                 q8.quality,
                 t_cg,
@@ -123,7 +121,7 @@ pub fn fig9() {
         SimModelConfig::llama70b_sim(42),
     ] {
         let name = sim.name.clone();
-        let bench = Bench::new(sim, Dataset::LongChat, 9, SIM_CONTEXTS_PER_CELL);
+        let bench = Bench::new(sim, Dataset::LongChat, SIM_CONTEXTS_PER_CELL);
         println!("\n{name}:");
         println!(
             "{:<22} {:>12} {:>10}",
@@ -156,7 +154,6 @@ pub fn fig10() {
     let bench = Bench::new(
         SimModelConfig::mistral7b_sim(42),
         Dataset::LongChat,
-        10,
         SIM_CONTEXTS_PER_CELL,
     );
     let model = bench.engine.model();

@@ -14,7 +14,7 @@ const PAPER_TOKENS: u64 = 9_400;
 
 /// Figure 14: TTFT breakdown, compute breakdown, offline delay, storage.
 pub fn fig14() {
-    let bench = Bench::new(SimModelConfig::mistral7b_sim(42), Dataset::LongChat, 14, 1);
+    let bench = Bench::new(SimModelConfig::mistral7b_sim(42), Dataset::LongChat, 1);
     let cg = bench.score(cachegen_level(&bench.engine, 1));
     let spec = ModelSpec::mistral_7b();
     let gpu = GpuSpec::default();
@@ -98,7 +98,6 @@ pub fn fig15() {
     let bench = Bench::new(
         SimModelConfig::mistral7b_sim(42),
         Dataset::LongChat,
-        15,
         SIM_CONTEXTS_PER_CELL,
     );
     // Arms build up CacheGen: uniform quant (tensor wire) → + AC with
@@ -164,7 +163,7 @@ pub fn fig15() {
 /// Figure 16: quality-of-experience (MOS model over three samples).
 pub fn fig16() {
     section("Figure 16: QoE (mean opinion score model)");
-    let bench = Bench::new(SimModelConfig::mistral7b_sim(42), Dataset::LongChat, 16, 3);
+    let bench = Bench::new(SimModelConfig::mistral7b_sim(42), Dataset::LongChat, 3);
     let spec = ModelSpec::mistral_7b();
     let ttft = TtftModel::new(spec, GpuSpec::default());
     let bw = 3.0 * GBPS;
@@ -203,7 +202,7 @@ pub fn fig16() {
 /// Figure 17: a qualitative example — first-topic retrieval.
 pub fn fig17() {
     section("Figure 17: qualitative example (LongChat first-topic retrieval)");
-    let bench = Bench::new(SimModelConfig::mistral7b_sim(42), Dataset::LongChat, 17, 1);
+    let bench = Bench::new(SimModelConfig::mistral7b_sim(42), Dataset::LongChat, 1);
     let s = &bench.samples[0];
     let model = bench.engine.model();
     let cache = &bench.references[0].cache;

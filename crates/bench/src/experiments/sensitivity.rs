@@ -1,23 +1,28 @@
 //! Sensitivity sweeps: Figures 11, 12 and the Figure 19 heatmap.
 
-use crate::harness::section;
+use crate::harness::{cachegen_level, section, Bench, SIM_CONTEXTS_PER_CELL};
 use cachegen::{LoadMethod, TtftModel};
-use cachegen_llm::{GpuSpec, ModelSpec};
+use cachegen_llm::{GpuSpec, ModelSpec, SimModelConfig};
 use cachegen_net::trace::GBPS;
+use cachegen_workloads::Dataset;
 
-/// Measured CacheGen operating point used by the analytic sweeps:
-/// bits/element at level 1 on the Mistral-7B simulator (the same operating
-/// point Table 1 and Figure 8 report; see `figures fig9` for the source).
-const CACHEGEN_BPE: f64 = 3.6;
-
-fn model() -> TtftModel {
-    TtftModel::new(ModelSpec::mistral_7b(), GpuSpec::default())
+/// The Mistral-7B TTFT model, and CacheGen loading at its level-1
+/// bits/element measured on the Mistral-7B sim × LongChat cell (the
+/// operating point Table 1 and Figs. 8 and 9 report).
+fn model() -> (TtftModel, LoadMethod) {
+    let sim = SimModelConfig::mistral7b_sim(42);
+    let bench = Bench::new(sim, Dataset::LongChat, SIM_CONTEXTS_PER_CELL);
+    let bits_per_element = bench
+        .score(cachegen_level(&bench.engine, 1))
+        .bits_per_element;
+    let ttft = TtftModel::new(ModelSpec::mistral_7b(), GpuSpec::default());
+    (ttft, LoadMethod::CacheGen { bits_per_element })
 }
 
 /// Figure 11: TTFT under bandwidths from 0.4 to 400 Gbps (16K context).
 pub fn fig11() {
     section("Figure 11: TTFT vs bandwidth (Mistral-7B, 16K tokens)");
-    let m = model();
+    let (m, cachegen) = model();
     let tokens = 16_000;
     println!(
         "{:>10} {:>10} {:>10} {:>10}",
@@ -29,15 +34,7 @@ pub fn fig11() {
         let q = m
             .ttft(LoadMethod::Quantized { bits: 8.0 }, tokens, bw)
             .total();
-        let c = m
-            .ttft(
-                LoadMethod::CacheGen {
-                    bits_per_element: CACHEGEN_BPE,
-                },
-                tokens,
-                bw,
-            )
-            .total();
+        let c = m.ttft(cachegen, tokens, bw).total();
         println!("{gbps:>10.1} {t:>10.2} {q:>10.2} {c:>10.2}");
     }
     println!("(CacheGen wins below ~20 Gbps; gaps shrink at very high bandwidth — paper Fig 11)");
@@ -47,7 +44,7 @@ pub fn fig11() {
 /// (right).
 pub fn fig12() {
     section("Figure 12 left: TTFT vs concurrent requests (9.6K tokens, 3 Gbps)");
-    let m = model();
+    let (m, cachegen) = model();
     let bw = 3.0 * GBPS;
     println!(
         "{:>6} {:>10} {:>10} {:>10}",
@@ -60,16 +57,7 @@ pub fn fig12() {
         let q = m
             .ttft_concurrent(LoadMethod::Quantized { bits: 8.0 }, 9_600, bw, n)
             .total();
-        let c = m
-            .ttft_concurrent(
-                LoadMethod::CacheGen {
-                    bits_per_element: CACHEGEN_BPE,
-                },
-                9_600,
-                bw,
-                n,
-            )
-            .total();
+        let c = m.ttft_concurrent(cachegen, 9_600, bw, n).total();
         println!("{n:>6} {t:>10.2} {q:>10.2} {c:>10.2}");
     }
 
@@ -83,15 +71,7 @@ pub fn fig12() {
         let q = m
             .ttft(LoadMethod::Quantized { bits: 8.0 }, tokens, bw)
             .total();
-        let c = m
-            .ttft(
-                LoadMethod::CacheGen {
-                    bits_per_element: CACHEGEN_BPE,
-                },
-                tokens,
-                bw,
-            )
-            .total();
+        let c = m.ttft(cachegen, tokens, bw).total();
         // "CacheGen automatically reverts to text when that is faster"
         // (short contexts — §7.3).
         let auto = c.min(t);
@@ -103,7 +83,7 @@ pub fn fig12() {
 /// across bandwidth × GPU share.
 pub fn fig19() {
     section("Figure 19: TTFT gain over best baseline (rows: concurrency, cols: Gbps)");
-    let m = model();
+    let (m, cachegen) = model();
     let tokens = 9_600;
     let bands = [0.4, 1.0, 3.0, 10.0, 30.0, 100.0, 400.0];
     print!("{:>6}", "reqs");
@@ -116,16 +96,7 @@ pub fn fig19() {
         for gbps in bands {
             let bw = gbps * GBPS;
             let best = m.best_baseline_ttft(tokens, bw, n);
-            let cg = m
-                .ttft_concurrent(
-                    LoadMethod::CacheGen {
-                        bits_per_element: CACHEGEN_BPE,
-                    },
-                    tokens,
-                    bw,
-                    n,
-                )
-                .total();
+            let cg = m.ttft_concurrent(cachegen, tokens, bw, n).total();
             print!(" {:>6.1}x", best / cg);
         }
         println!();
