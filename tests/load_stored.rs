@@ -4,6 +4,9 @@
 //! * across clean, lossy, bursty, FEC, refetch, text-fallback and batched
 //!   loads, both entry points return the same outcome field for field, and
 //!   loading the same stored context again returns it again;
+//! * on the same matrix, the loaded cache equals one assembled
+//!   independently of the load body, chunk by chunk through the public
+//!   per-chunk API, bit for bit;
 //! * a hostile store — missing entries, truncated or bit-flipped
 //!   containers, a well-formed chunk that is not the plan's — yields the
 //!   matching [`LoadError`], never a panic.
@@ -13,9 +16,9 @@ use cachegen::{
     load_context, load_stored, CacheGenEngine, EngineConfig, FecOverhead, LoadError, LoadOutcome,
     LoadParams, RepairPolicy,
 };
-use cachegen_codec::CodecError;
+use cachegen_codec::{ChunkArrivalMap, CodecError, EncodedKv};
 use cachegen_kvstore::{FetchedChunk, StoredChunk};
-use cachegen_llm::SimModelConfig;
+use cachegen_llm::{KvCache, SimModelConfig};
 use cachegen_net::{BandwidthTrace, Link, PacketFaults};
 use cachegen_streamer::{AdaptPolicy, ChunkPlan, StreamConfig};
 use cachegen_telemetry::NOOP;
@@ -50,9 +53,73 @@ fn assert_same(a: &LoadOutcome, b: &LoadOutcome, what: &str) {
     assert_eq!(a.refetch_finish, b.refetch_finish, "{what}: refetch_finish");
 }
 
+/// The cache a load should return, rebuilt from its stream outcome with
+/// the public per-chunk API and nothing of the load body: each stream
+/// chunk decoded on its own, then the chunks concatenated. A clean chunk
+/// is a plain decode of its stored bytes; a lossy one the repair decode
+/// over its arrival map, or, when the Refetch pass re-requested its
+/// holes, the plain decode again; a text chunk its rows of the exact
+/// prefill `reference`.
+fn assemble(
+    engine: &CacheGenEngine,
+    reference: &KvCache,
+    plan: &ChunkPlan,
+    out: &LoadOutcome,
+    params: &LoadParams,
+) -> KvCache {
+    let mut start = 0;
+    let mut chunks = Vec::new();
+    for c in &out.stream.chunks {
+        let tokens = plan.chunk(c.index).tokens;
+        let chunk = match c.config {
+            StreamConfig::Text => reference.slice_tokens(start, start + tokens),
+            StreamConfig::Level(l) => {
+                let Some(FetchedChunk::Encoded(bytes)) = engine.get_kv(ID, c.index, l) else {
+                    panic!("chunk {} level {l} is stored", c.index);
+                };
+                let enc = EncodedKv::from_bytes(&bytes).expect("stored container parses");
+                let clean = || {
+                    engine
+                        .codec(l)
+                        .try_decode(&enc)
+                        .expect("stored chunk decodes")
+                };
+                if c.lost.is_empty() && c.fec_recovered.is_empty() {
+                    clean()
+                } else {
+                    let mut map = ChunkArrivalMap::full(enc.layers, enc.num_groups());
+                    for (id, _) in &c.lost {
+                        map.mark_lost(id.is_k, id.layer, id.group);
+                    }
+                    for (id, _) in &c.fec_recovered {
+                        map.mark_recovered(id.is_k, id.layer, id.group);
+                    }
+                    let repaired = engine
+                        .decode_with_repairs_at_level(&enc, l, &map, params.repair)
+                        .expect("repair decode");
+                    if repaired.pending_refetch().is_empty() {
+                        repaired.cache
+                    } else {
+                        clean()
+                    }
+                }
+            }
+        };
+        start += tokens;
+        chunks.push(chunk);
+    }
+    KvCache::concat_tokens(&chunks)
+}
+
+/// Bit patterns of both tensors: equal caches, bit for bit.
+fn bits(cache: &KvCache) -> Vec<u32> {
+    let (k, v) = (cache.k().data(), cache.v().data());
+    k.iter().chain(v).map(|x| x.to_bits()).collect()
+}
+
 /// Every arm of the one load body, over three fault seeds: the read path
-/// equals ingest + load, and a second load of the same stored bytes equals
-/// the first.
+/// equals ingest + load and an independent chunk-by-chunk assembly, and a
+/// second load of the same stored bytes equals the first.
 #[test]
 fn load_stored_equals_load_context_and_repeats() {
     let (engine, ctx) = engine_and_context();
@@ -146,6 +213,12 @@ fn load_stored_equals_load_context_and_repeats() {
             let ingest = load_context(&engine, &reference, &mut link(), params);
             let first = stored(&what);
             assert_same(&first, &ingest, &what);
+            let assembled = assemble(&engine, &reference, &plan, &first, params);
+            assert_eq!(assembled.k().shape(), first.cache.k().shape(), "{what}");
+            assert!(
+                bits(&assembled) == bits(&first.cache),
+                "{what}: the loaded cache is not the chunk-by-chunk assembly"
+            );
             assert_same(&stored(&what), &first, &format!("{what}, second load"));
             assert_eq!(first.cache.tokens(), ctx.len());
         }
