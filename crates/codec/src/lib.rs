@@ -173,6 +173,7 @@
 //!    finish and fidelity is restored when the re-fetch lands.
 
 pub mod container;
+pub mod decode;
 pub mod delta;
 pub mod encoder;
 pub mod pool;

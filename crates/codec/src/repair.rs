@@ -31,8 +31,9 @@
 //! makes that detection reliable.
 
 use crate::container::{CodecError, EncodedKv};
+use crate::decode::decode_jobs;
 use crate::delta::GroupLayout;
-use crate::encoder::{decode_jobs, KvCodec};
+use crate::encoder::KvCodec;
 use cachegen_llm::KvCache;
 use cachegen_tensor::Tensor;
 
