@@ -383,15 +383,16 @@ fn bench_prefill(snap: &mut Snapshot) {
     }
 }
 
-/// One traced parallel decode, for the pool-shape facts the timing rows
+/// One traced in-place decode, for the pool-shape facts the timing rows
 /// can't show (worker count, jobs per worker).
 fn pool_shape(engine: &CacheGenEngine, chunk: &KvCache) -> (f64, f64) {
     let level = engine.default_level();
     let enc = engine.encode_at_level(chunk, level);
     let recorder = Recorder::new();
+    let mut out = KvCache::zeros(enc.layers, enc.tokens, enc.channels);
     engine
         .codec(level)
-        .try_decode_parallel_traced(&enc, &recorder)
+        .decode_into(&enc, &mut out, 0, &recorder)
         .expect("self-encoded stream decodes");
     let snap = recorder.registry_snapshot();
     let workers = snap

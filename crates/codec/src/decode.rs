@@ -1,14 +1,29 @@
-//! The decoder: a KV bitstream back into a (quantized) KV cache.
+//! The decoder: KV bitstreams back into (quantized) KV caches.
+//!
+//! Decoding a chunk runs two stages per token row. The rANS stage
+//! ([`rans::Decoder::decode_row`]) writes the row's alphabet indices into
+//! a stack buffer: the anchor row through each table's two-level rank, a
+//! delta row hot window first. The reconstruct stage
+//! ([`crate::quantize::dequantize_row`]) turns them into values, `symbol
+//! × step` and, for a delta row, the decoded anchor row's value plus
+//! that. Those are the operations, in the order, of reconstructing each
+//! symbol as it is decoded, so the two are bit-identical (a fused
+//! reference in this module's tests holds the stages to it).
+//!
+//! Per-(layer, group) streams are the CPU stand-in for the paper's
+//! per-token CUDA threads (§5.2, §7): a decode is one walk of `2 × layers
+//! × groups` jobs, each an entropy chunk and its disjoint output rows, on
+//! a bounded worker pool, so parallelism scales with context length.
+//! [`KvCodec::decode_into`] places those rows at a token offset of a
+//! cache the caller owns: a load decodes every stream chunk into one.
 
 use crate::container::{CodecError, EncodedKv};
-use crate::delta::GroupLayout;
 use crate::encoder::{KvCodec, LayerCoding, SymKind};
 use crate::quantize::dequantize_row;
 use crate::rans;
 use crate::symbol_model::FreqTable;
 use cachegen_llm::KvCache;
 use cachegen_telemetry::{Recorder, NOOP};
-use cachegen_tensor::Tensor;
 
 /// Channels of a row decoded per piece: the size of stage one's stack
 /// buffer of alphabet indices. Every row of the sim models fits one
@@ -99,8 +114,8 @@ fn decode_rows(
 /// (368,640) 2725 vs 2179 µs — pooled wins.
 const POOLED_DECODE_MIN_ELEMENTS: usize = 150_000;
 
-/// One parallel-decode work item: an entropy chunk plus its disjoint slice
-/// of the output tensor.
+/// One decode work item: an entropy chunk plus its disjoint slice of the
+/// output tensor.
 pub(crate) struct DecodeJob<'a> {
     pub(crate) coding: &'a LayerCoding<'a>,
     pub(crate) group: usize,
@@ -109,26 +124,31 @@ pub(crate) struct DecodeJob<'a> {
     pub(crate) out: &'a mut [f32],
 }
 
-/// Splits both tensors' backing storage into per-(layer, group) output
-/// slices and returns one job per chunk, K then V in (layer, group) order.
-/// Group ranges tile the token axis in data order, so the split is a pure
-/// partition. Geometry must have been checked.
+/// Splits `out`'s token rows `at..at + enc.tokens` into per-(layer, group)
+/// output slices and returns one job per chunk, K then V in (layer, group)
+/// order. Group ranges tile that token range in data order, so the split
+/// is a pure partition and leaves every other row of `out` alone.
+/// Geometry and placement must have been checked.
 pub(crate) fn decode_jobs<'a>(
     enc: &'a EncodedKv,
     codings: &'a [Vec<LayerCoding<'a>>; 2],
-    k: &'a mut Tensor,
-    v: &'a mut Tensor,
-    layout: GroupLayout,
+    out: &'a mut KvCache,
+    at: usize,
 ) -> Vec<DecodeJob<'a>> {
+    let layout = enc.layout();
+    let slab = (out.tokens() * enc.channels).max(1);
+    let rows = at * enc.channels..(at + enc.tokens) * enc.channels;
+    let (k, v) = out.data_mut();
     let mut jobs = Vec::with_capacity(enc.num_chunks());
     let sides = [
         (k, &enc.k_chunks, &codings[0]),
         (v, &enc.v_chunks, &codings[1]),
     ];
-    for (tensor, chunks, codings) in sides {
-        let mut data = tensor.data_mut();
-        for (layer_chunks, coding) in chunks.iter().zip(codings) {
-            for (group, stream) in layer_chunks.iter().enumerate().take(layout.num_groups()) {
+    for (side, chunks, codings) in sides {
+        let layers = side.chunks_mut(slab).zip(chunks).zip(codings);
+        for ((slab, layer_chunks), coding) in layers {
+            let mut data = &mut slab[rows.clone()];
+            for (group, stream) in layer_chunks.iter().enumerate() {
                 let (start, end) = layout.group_range(group);
                 let (head, tail) = data.split_at_mut((end - start) * enc.channels);
                 data = tail;
@@ -146,21 +166,19 @@ pub(crate) fn decode_jobs<'a>(
 }
 
 impl KvCodec {
-    /// Decodes one (layer, group) chunk into its output slice, verifying
-    /// exact byte consumption against the chunk frame. Truncation
-    /// surfaces as synthetic input, in-place corruption as lanes that
-    /// fail to return to the normalization base, trailing slack as a
-    /// length mismatch — a damaged chunk is always reported, never
-    /// decoded as noise.
+    /// Decodes one (layer, group) chunk into the output slice its job
+    /// owns, verifying exact byte consumption against the chunk frame.
+    /// Truncation surfaces as synthetic input, in-place corruption as
+    /// lanes that fail to return to the normalization base, trailing
+    /// slack as a length mismatch — a damaged chunk is always reported,
+    /// never decoded as noise.
     pub(crate) fn decode_chunk(
         &self,
-        coding: &LayerCoding<'_>,
-        stream: &[u8],
-        group: usize,
-        group_tokens: usize,
+        job: &mut DecodeJob<'_>,
         delta_encoding: bool,
-        out: &mut [f32],
     ) -> Result<(), CodecError> {
+        let (coding, stream, group_tokens) = (job.coding, job.stream, job.group_tokens);
+        let (out, group) = (&mut *job.out, job.group);
         let channels = self.profile().channels();
         let (is_k, layer) = (coding.is_k, coding.layer);
         if out.len() != group_tokens * channels {
@@ -200,7 +218,7 @@ impl KvCodec {
     /// Serial decode of a KV bitstream back into a (quantized) KV cache:
     /// reports truncated/corrupted chunks instead of decoding noise.
     pub fn try_decode(&self, enc: &EncodedKv) -> Result<KvCache, CodecError> {
-        self.decode_impl(enc, false, &NOOP)
+        self.decode_whole(enc, false)
     }
 
     /// Decodes with per-(layer, group) chunk parallelism over a bounded
@@ -208,26 +226,73 @@ impl KvCodec {
     /// kernels); a stream too short to repay the pool decodes inline.
     /// Bit-identical to [`KvCodec::try_decode`].
     pub fn try_decode_parallel(&self, enc: &EncodedKv) -> Result<KvCache, CodecError> {
-        self.decode_impl(enc, true, &NOOP)
+        self.decode_whole(enc, true)
     }
 
-    /// [`KvCodec::try_decode_parallel`] with hot-path profiling:
-    /// `cachegen.codec.*` counters plus a pool-occupancy histogram are
-    /// reported to `recorder`. Bit-identical output; with a disabled
-    /// recorder this *is* `try_decode_parallel`.
-    pub fn try_decode_parallel_traced(
+    /// Decodes `enc` in place into token rows `at..at + enc.tokens` of
+    /// `out` and no others, bit-identical to those rows of
+    /// [`KvCodec::try_decode_parallel`]'s cache. `cachegen.codec.*`
+    /// counters and the pool shape go to `recorder`.
+    pub fn decode_into(
         &self,
         enc: &EncodedKv,
+        out: &mut KvCache,
+        at: usize,
         recorder: &Recorder,
-    ) -> Result<KvCache, CodecError> {
-        self.decode_impl(enc, true, recorder)
+    ) -> Result<(), CodecError> {
+        self.decode_walk(enc, out, at, true, recorder)
     }
 
-    pub(crate) fn check_geometry(
+    fn decode_whole(&self, enc: &EncodedKv, pooled: bool) -> Result<KvCache, CodecError> {
+        // Checked before a tensor is sized from the header.
+        self.check_geometry(enc)?;
+        let mut out = KvCache::zeros(enc.layers, enc.tokens, enc.channels);
+        self.decode_walk(enc, &mut out, 0, pooled, &NOOP)
+            .map(|()| out)
+    }
+
+    /// The one decode walk: one job per entropy chunk on
+    /// [`run_pooled`](crate::pool::run_pooled), inline unless `pooled` and
+    /// the stream holds at least [`POOLED_DECODE_MIN_ELEMENTS`].
+    fn decode_walk(
         &self,
         enc: &EncodedKv,
-        layout: GroupLayout,
+        out: &mut KvCache,
+        at: usize,
+        pooled: bool,
+        recorder: &Recorder,
     ) -> Result<(), CodecError> {
+        self.check_geometry(enc)?;
+        let end = at.saturating_add(enc.tokens);
+        if end > out.tokens() || (out.layers(), out.channels()) != (enc.layers, enc.channels) {
+            return Err(CodecError::Geometry(format!(
+                "a {}-token stream does not fit at token {at} of a {:?} cache",
+                enc.tokens,
+                out.k().shape()
+            )));
+        }
+        let codings = self.layer_codings(enc);
+        let jobs = decode_jobs(enc, &codings, out, at);
+        if recorder.is_enabled() {
+            recorder.add("cachegen.codec.decode_calls", 1);
+            recorder.add("cachegen.codec.decode_chunks", jobs.len() as u64);
+        }
+        let elements = 2 * enc.layers * enc.tokens * enc.channels;
+        let pooled = pooled && elements >= POOLED_DECODE_MIN_ELEMENTS;
+        let workers = if pooled {
+            crate::pool::bounded_workers(jobs.len())
+        } else {
+            1
+        };
+        crate::pool::run_pooled(
+            jobs,
+            workers,
+            |_, mut job| self.decode_chunk(&mut job, enc.delta_encoding),
+            |shape| crate::pool::report_shape(shape, recorder),
+        )
+    }
+
+    pub(crate) fn check_geometry(&self, enc: &EncodedKv) -> Result<(), CodecError> {
         let err = |msg: String| Err(CodecError::Geometry(msg));
         if enc.channels != self.profile().channels() || enc.layers != self.profile().layers() {
             return err(format!(
@@ -238,7 +303,7 @@ impl KvCodec {
                 self.profile().channels()
             ));
         }
-        let groups = layout.num_groups();
+        let groups = enc.num_groups();
         for (side, chunks) in [("K", &enc.k_chunks), ("V", &enc.v_chunks)] {
             if chunks.len() != enc.layers {
                 return err(format!(
@@ -263,76 +328,15 @@ impl KvCodec {
         }
         Ok(())
     }
-
-    fn decode_impl(
-        &self,
-        enc: &EncodedKv,
-        parallel: bool,
-        recorder: &Recorder,
-    ) -> Result<KvCache, CodecError> {
-        let (layers, tokens, channels) = (enc.layers, enc.tokens, enc.channels);
-        let layout = GroupLayout::new(enc.group_size, tokens);
-        self.check_geometry(enc, layout)?;
-        let mut k = Tensor::zeros(&[layers, tokens, channels]);
-        let mut v = Tensor::zeros(&[layers, tokens, channels]);
-        let codings = self.layer_codings(enc);
-        let jobs = decode_jobs(enc, &codings, &mut k, &mut v, layout);
-        if recorder.is_enabled() {
-            recorder.add("cachegen.codec.decode_calls", 1);
-            recorder.add("cachegen.codec.decode_chunks", jobs.len() as u64);
-        }
-        if parallel {
-            let workers = if 2 * layers * tokens * channels < POOLED_DECODE_MIN_ELEMENTS {
-                1
-            } else {
-                crate::pool::bounded_workers(jobs.len())
-            };
-            crate::pool::run_pooled(
-                jobs,
-                workers,
-                |_, mut job| self.decode_job(&mut job, enc.delta_encoding),
-                |shape| crate::pool::report_shape(shape, recorder),
-            )?;
-        } else {
-            for mut job in jobs {
-                self.decode_job(&mut job, enc.delta_encoding)?;
-            }
-        }
-        Ok(KvCache::from_tensors(k, v))
-    }
-
-    /// Decodes one queued job into the output slice it owns.
-    pub(crate) fn decode_job(
-        &self,
-        job: &mut DecodeJob<'_>,
-        delta_encoding: bool,
-    ) -> Result<(), CodecError> {
-        self.decode_chunk(
-            job.coding,
-            job.stream,
-            job.group,
-            job.group_tokens,
-            delta_encoding,
-            job.out,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoder::tests::setup;
     use crate::encoder::CodecConfig;
     use crate::profile::CodecProfile;
-    use cachegen_llm::{SimModelConfig, SimTransformer};
-
-    fn setup() -> (SimTransformer, KvCache, KvCodec) {
-        let m = SimTransformer::new(SimModelConfig::tiny(21));
-        let ctx: Vec<usize> = (0..40).map(|i| (i * 17) % 64).collect();
-        let cache = m.prefill(&ctx);
-        let cfg = CodecConfig::default();
-        let profile = CodecProfile::build(&cfg, &[&cache]);
-        (m, cache, KvCodec::new(cfg, profile))
-    }
+    use cachegen_tensor::Tensor;
 
     #[test]
     fn mis_sized_output_slice_is_a_geometry_error() {
@@ -340,15 +344,32 @@ mod tests {
         let enc = codec.encode(&cache);
         let [k_codings, _] = codec.layer_codings(&enc);
         let mut out = vec![0.0f32; 9 * cache.channels()];
-        let got = codec.decode_chunk(
-            &k_codings[0],
-            &enc.k_chunks[0][0],
-            0,
-            10,
-            enc.delta_encoding,
-            &mut out,
-        );
+        let mut job = DecodeJob {
+            coding: &k_codings[0],
+            group: 0,
+            group_tokens: 10,
+            stream: &enc.k_chunks[0][0],
+            out: &mut out,
+        };
+        let got = codec.decode_chunk(&mut job, enc.delta_encoding);
         assert!(matches!(got, Err(CodecError::Geometry(_))), "got {got:?}");
+    }
+
+    #[test]
+    fn decode_into_writes_only_its_rows() {
+        let (_, cache, codec) = setup();
+        let enc = codec.encode(&cache.slice_tokens(10, 30));
+        let mut want = cache.clone();
+        want.copy_tokens(15, &codec.try_decode(&enc).unwrap(), 0, 20);
+        let mut out = cache.clone();
+        codec.decode_into(&enc, &mut out, 15, &NOOP).unwrap();
+        assert_eq!(out, want);
+        // A stream that does not fit where it is placed is refused.
+        let mut wide = KvCache::zeros(cache.layers(), 40, cache.channels() + 1);
+        for (out, at) in [(&mut out, 21), (&mut want, usize::MAX), (&mut wide, 0)] {
+            let got = codec.decode_into(&enc, out, at, &NOOP);
+            assert!(matches!(got, Err(CodecError::Geometry(_))), "got {got:?}");
+        }
     }
 
     /// The row decode before it split into stages, kept as the reference
@@ -451,15 +472,14 @@ mod tests {
                     let codec = KvCodec::new(cfg, profile);
                     let enc = codec.encode(&noisy_cache(seed, tokens, channels));
                     let staged = codec.try_decode(&enc).unwrap();
-                    let mut k = Tensor::zeros(&[2, tokens, channels]);
-                    let mut v = Tensor::zeros(&[2, tokens, channels]);
+                    let mut fused = KvCache::zeros(2, tokens, channels);
                     let codings = codec.layer_codings(&enc);
-                    for job in decode_jobs(&enc, &codings, &mut k, &mut v, enc.layout()) {
+                    for job in decode_jobs(&enc, &codings, &mut fused, 0) {
                         let mut dec = rans::Decoder::new(job.stream);
                         fused_decode_rows(&mut dec, job.coding, delta_encoding, channels, job.out);
                         proptest::prop_assert!(dec.finished());
                     }
-                    for (got, want) in [(staged.k(), &k), (staged.v(), &v)] {
+                    for (got, want) in [(staged.k(), fused.k()), (staged.v(), fused.v())] {
                         let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         proptest::prop_assert_eq!(bits(got), bits(want), "{} channels, delta {}", channels, delta_encoding);
                     }

@@ -1,4 +1,4 @@
-//! The end-to-end KV-cache encoder/decoder.
+//! The KV-cache encoder: [`KvCodec`] and its [`CodecConfig`].
 //!
 //! Encoding a chunk (§5.2):
 //! 1. compute the cache's own per-(layer, channel) scales in one pass
@@ -16,26 +16,13 @@
 //!    into decode order) — one **independently decodable stream per
 //!    (layer, token-group)** of K and of V.
 //!
-//! Decoding a chunk runs two stages per token row. The rANS stage
-//! ([`rans::Decoder::decode_row`]) writes the row's alphabet indices into
-//! a stack buffer: the anchor row through each table's two-level rank, a
-//! delta row hot window first. The reconstruct stage
-//! ([`crate::quantize::dequantize_row`]) turns them into values, `symbol
-//! × step` and, for a delta row, the decoded anchor row's value plus
-//! that. Those are the operations, in the order, of reconstructing each
-//! symbol as it is decoded, so the two are bit-identical (a fused
-//! reference in this module's tests holds the stages to it).
-//!
-//! Per-(layer, group) streams are the CPU stand-in for the paper's
-//! per-token CUDA threads (§5.2, §7): [`KvCodec::try_decode_parallel`]
-//! schedules `2 × layers × groups` work items across a bounded worker pool
-//! sized by `std::thread::available_parallelism`, so parallelism scales
-//! with context length, not just model depth. Deltas are taken against the
-//! *reconstructed* (quantized) anchor, so anchor quantization error does
-//! not leak into member tokens — total error per element is bounded by
-//! half the applicable quantization step. The anchor of every group lives
-//! in the group's own stream, so a chunk decodes with no state from any
-//! other chunk (the property multiple-description loss robustness needs).
+//! Deltas are taken against the *reconstructed* (quantized) anchor, so
+//! anchor quantization error does not leak into member tokens — total
+//! error per element is bounded by half the applicable quantization step.
+//! The anchor of every group lives in the group's own stream, so a chunk
+//! decodes with no state from any other chunk (the property
+//! multiple-description loss robustness needs). The decode half is
+//! [`crate::decode`].
 
 use crate::container::{scale_to_wire, wire_to_scale, EncodedKv};
 use crate::delta::GroupLayout;
@@ -280,13 +267,13 @@ impl KvCodec {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::container::CodecError;
     use crate::profile::CodecProfile;
     use cachegen_llm::{SimModelConfig, SimTransformer};
 
-    fn setup() -> (SimTransformer, KvCache, KvCodec) {
+    pub(crate) fn setup() -> (SimTransformer, KvCache, KvCodec) {
         let m = SimTransformer::new(SimModelConfig::tiny(21));
         let ctx: Vec<usize> = (0..40).map(|i| (i * 17) % 64).collect();
         let cache = m.prefill(&ctx);
@@ -621,8 +608,8 @@ mod tests {
 
     #[test]
     fn chunked_encoding_concats_to_whole() {
-        // §5.3: chunks encoded independently, decoded, then concatenated,
-        // reconstruct the whole context. Each chunk derives its own
+        // §5.3: chunks encoded independently, decoded, then copied into
+        // one cache, reconstruct the whole context. Each chunk derives its own
         // vectorwise scales, so the merge is not bit-identical to whole-
         // cache encoding — but its loss must be of the same order.
         let (_, cache, codec) = setup();
@@ -632,7 +619,9 @@ mod tests {
         let c2 = cache.slice_tokens(2 * g, cache.tokens());
         let d1 = codec.round_trip(&c1).0;
         let d2 = codec.round_trip(&c2).0;
-        let merged = KvCache::concat_tokens(&[d1, d2]);
+        let mut merged = KvCache::zeros(cache.layers(), cache.tokens(), cache.channels());
+        merged.copy_tokens(0, &d1, 0, d1.tokens());
+        merged.copy_tokens(d1.tokens(), &d2, 0, d2.tokens());
         assert_eq!(merged.tokens(), cache.tokens());
         let whole_mse = cache.mse(&whole);
         let merged_mse = cache.mse(&merged);

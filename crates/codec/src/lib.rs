@@ -26,10 +26,10 @@
 //!   indices, group by group; what the encoder codes and the profile
 //!   counts. Its inverse, a row of indices back to values, is the
 //!   decoder's second stage.
-//! * [`encoder`] — the end-to-end encoder/decoder over [`KvCache`]s:
-//!   per-chunk entropy coding and [`KvCodec`],
-//!   including chunk-parallel decode over the bounded worker [`pool`]
-//!   (stand-in for the paper's per-token CUDA threads).
+//! * [`encoder`] — [`KvCodec`] and the encoder over [`KvCache`]s.
+//! * [`decode`] — the decoder: one chunk-parallel walk over the bounded
+//!   worker [`pool`] (stand-in for the paper's per-token CUDA threads),
+//!   in place at a token offset ([`KvCodec::decode_into`]).
 //! * [`container`] — the wire format: [`EncodedKv`], its byte
 //!   serialisation, and the [`CodecError`]s a decode reports.
 //! * [`repair`] — hole-aware decoding over a chunk arrival map.
@@ -65,8 +65,8 @@
 //! chunk count is stored. Every chunk is an independent entropy stream
 //! covering exactly one (layer, token-group) of K or V — its anchor row is
 //! in-stream, so a chunk decodes with no state from any other chunk. That
-//! is what lets [`KvCodec::try_decode_parallel`] schedule `2 × layers ×
-//! groups` work items over a bounded pool, and what the loss-resilient
+//! is what lets [`KvCodec::decode_into`] schedule `2 × layers × groups`
+//! work items over a bounded pool, and what the loss-resilient
 //! transport relies on (damaged chunks degrade only their own token
 //! range; see [`CodecError`] for how length defects are reported).
 //!

@@ -35,7 +35,6 @@ use crate::decode::decode_jobs;
 use crate::delta::GroupLayout;
 use crate::encoder::KvCodec;
 use cachegen_llm::KvCache;
-use cachegen_tensor::Tensor;
 
 /// How the decoder fills entropy chunks that did not arrive intact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -233,8 +232,8 @@ impl KvCodec {
         policy: RepairPolicy,
     ) -> Result<RepairedKv, CodecError> {
         let (layers, tokens, channels) = (enc.layers, enc.tokens, enc.channels);
-        let layout = GroupLayout::new(enc.group_size, tokens);
-        self.check_geometry(enc, layout)?;
+        let layout = enc.layout();
+        self.check_geometry(enc)?;
         let groups = layout.num_groups();
         if arrivals.layers() != layers || arrivals.groups() != groups {
             return Err(CodecError::Geometry(format!(
@@ -244,8 +243,7 @@ impl KvCodec {
             )));
         }
         let codings = self.layer_codings(enc);
-        let mut k = Tensor::zeros(&[layers, tokens, channels]);
-        let mut v = Tensor::zeros(&[layers, tokens, channels]);
+        let mut cache = KvCache::zeros(layers, tokens, channels);
         let mut repairs: Vec<ChunkRepair> = Vec::new();
         let mut fec_recovered: Vec<ChunkRepair> = Vec::new();
         // `damaged[side][layer][group]`: lost chunks plus arrived-but-
@@ -258,7 +256,7 @@ impl KvCodec {
 
         // Walk the plain decoder's work list: one job per chunk, holding
         // its slice of the output.
-        for mut job in decode_jobs(enc, &codings, &mut k, &mut v, layout) {
+        for mut job in decode_jobs(enc, &codings, &mut cache, 0) {
             let (is_k, layer, group) = (job.coding.is_k, job.coding.layer, job.group);
             let record = |cause, kind| ChunkRepair {
                 is_k,
@@ -270,7 +268,7 @@ impl KvCodec {
             let cause = if arrivals.is_lost(is_k, layer, group) {
                 RepairCause::Lost
             } else {
-                match self.decode_job(&mut job, enc.delta_encoding) {
+                match self.decode_chunk(&mut job, enc.delta_encoding) {
                     Ok(()) => {
                         // An FEC-recovered chunk decoded byte-identically:
                         // record the recovery, charge no repair.
@@ -302,8 +300,10 @@ impl KvCodec {
                     let row = &damaged[side][r.layer];
                     let left = (0..r.group).rev().find(|&g| !row[g]);
                     let right = (r.group + 1..groups).find(|&g| !row[g]);
-                    let out = if r.is_k { &mut k } else { &mut v };
-                    interpolate_group(out, layout, channels, r.layer, r.group, left, right);
+                    let (k, v) = cache.data_mut();
+                    let side = if r.is_k { k } else { v };
+                    let slab = &mut side[r.layer * tokens * channels..][..tokens * channels];
+                    interpolate_group(slab, layout, channels, r.group, left, right);
                     r.kind = if left.is_some() || right.is_some() {
                         RepairKind::Interpolated { left, right }
                     } else {
@@ -314,7 +314,7 @@ impl KvCodec {
         }
 
         Ok(RepairedKv {
-            cache: KvCache::from_tensors(k, v),
+            cache,
             repairs,
             fec_recovered,
             total_chunks: 2 * layers * groups,
@@ -332,50 +332,32 @@ impl KvCodec {
 /// convex combination of the two boundary rows, which is what bounds the
 /// reconstruction error by the neighbor-row distance.
 fn interpolate_group(
-    out: &mut Tensor,
+    slab: &mut [f32],
     layout: GroupLayout,
     channels: usize,
-    layer: usize,
     group: usize,
     left: Option<usize>,
     right: Option<usize>,
 ) {
-    let (start, end) = layout.group_range(group);
-    let tokens = layout.tokens;
-    let row_at = |data: &[f32], t: usize| -> Vec<f32> {
-        data[layer * tokens * channels + t * channels
-            ..layer * tokens * channels + (t + 1) * channels]
-            .to_vec()
-    };
-    let data = out.data_mut();
-    let (l_row, r_row, l_pos, r_pos) = match (left, right) {
-        (Some(l), Some(r)) => {
-            let lp = layout.group_range(l).1 - 1; // left neighbor's last row
-            let rp = layout.group_range(r).0; // right neighbor's anchor row
-            (row_at(data, lp), row_at(data, rp), lp, rp)
-        }
-        (Some(l), None) => {
-            let lp = layout.group_range(l).1 - 1;
-            let lr = row_at(data, lp);
-            (lr.clone(), lr, lp, lp)
-        }
-        (None, Some(r)) => {
-            let rp = layout.group_range(r).0;
-            let rr = row_at(data, rp);
-            (rr.clone(), rr, rp, rp)
-        }
+    let row = |t: usize| t * channels..(t + 1) * channels;
+    let last = |g: usize| layout.group_range(g).1 - 1;
+    let anchor = |g: usize| layout.group_range(g).0;
+    let (l_pos, r_pos) = match (left, right) {
+        (Some(l), Some(r)) => (last(l), anchor(r)),
+        (Some(l), None) => (last(l), last(l)),
+        (None, Some(r)) => (anchor(r), anchor(r)),
         (None, None) => return,
     };
+    let (l_row, r_row) = (slab[row(l_pos)].to_vec(), slab[row(r_pos)].to_vec());
     let span = (r_pos as f32 - l_pos as f32).max(1.0);
+    let (start, end) = layout.group_range(group);
     for t in start..end {
         let alpha = if r_pos == l_pos {
             0.0
         } else {
             ((t as f32 - l_pos as f32) / span).clamp(0.0, 1.0)
         };
-        let row = &mut data[layer * tokens * channels + t * channels
-            ..layer * tokens * channels + (t + 1) * channels];
-        for (c, slot) in row.iter_mut().enumerate() {
+        for (c, slot) in slab[row(t)].iter_mut().enumerate() {
             *slot = (1.0 - alpha) * l_row[c] + alpha * r_row[c];
         }
     }

@@ -13,7 +13,6 @@ use cachegen_kvstore::{ContextId, FetchedChunk, KvStore, StoredChunk};
 use cachegen_llm::{KvCache, SimModelConfig, SimTransformer};
 use cachegen_streamer::schedule::PacketId;
 use cachegen_streamer::{ChunkPlan, ChunkSchedule, ChunkSizes, LevelLadder};
-use cachegen_telemetry::Recorder;
 use std::sync::Arc;
 
 use crate::pipeline::LoadError;
@@ -318,17 +317,16 @@ impl CacheGenEngine {
 
     /// Stored bytes → KV cache: parse, check against the plan's `tokens`
     /// and the model ([`LoadError::PlanMismatch`]), then the clean decode at
-    /// `level`, profiled through `recorder`. The one function every
-    /// receiver of a whole stored chunk decodes through.
+    /// `level`. The one function every receiver of a whole stored chunk
+    /// decodes through.
     pub fn decode_stored(
         &self,
         bytes: &[u8],
         level: usize,
         tokens: usize,
-        recorder: &Recorder,
     ) -> Result<KvCache, LoadError> {
         let enc = self.parse_stored(bytes, tokens)?;
-        Ok(self.codecs[level].try_decode_parallel_traced(&enc, recorder)?)
+        Ok(self.codecs[level].try_decode_parallel(&enc)?)
     }
 
     /// The token ids of one chunk's stored text fallback, checked against
@@ -506,9 +504,11 @@ mod tests {
         let cache = e.calculate_kv(&(0..64).collect::<Vec<_>>());
         let chunks = e.chunk_caches(&cache);
         assert_eq!(chunks.len(), 3);
-        let total: usize = chunks.iter().map(|c| c.tokens()).sum();
-        assert_eq!(total, 64);
-        let merged = KvCache::concat_tokens(&chunks);
-        assert_eq!(merged, cache);
+        let mut at = 0;
+        for chunk in &chunks {
+            assert_eq!(*chunk, cache.slice_tokens(at, at + chunk.tokens()));
+            at += chunk.tokens();
+        }
+        assert_eq!(at, 64);
     }
 }

@@ -5,10 +5,12 @@
 //! [`load_stored`] is the read path, the CacheGen data path of Figure 2c:
 //! the stored plan is streamed chunk by chunk over a (varying) link, each
 //! chunk at the level the adapter chose; whatever arrived is fetched from
-//! the store, parsed, decoded and concatenated into the lossy KV cache the
-//! LLM consumes — no reference cache, no encode. Text-fallback chunks are
-//! *exact*: recomputed from the stored text (an idealisation: preceding
-//! lossy chunks are taken not to perturb them).
+//! the store, parsed and decoded in place into its rows of the one lossy
+//! KV cache the LLM consumes ([`cachegen_codec::KvCodec::decode_into`]),
+//! sized once from the plan — no reference cache, no encode, no concat.
+//! Text-fallback chunks are *exact*: copied from one prefill of the
+//! stored text (an idealisation: preceding lossy chunks are taken not to
+//! perturb them).
 //! Stored bytes are outside input: any defect is a typed [`LoadError`].
 //! [`load_context`] is "ingest + load": encode the reference, then the
 //! *same* body over the in-memory encodings instead of the store.
@@ -281,13 +283,15 @@ fn load<'a>(
         recorder.add("cachegen.core.loads", 1);
     }
 
-    // Reassemble the cache chunk by chunk at the configurations chosen.
+    // Assemble the one output in place, chunk by chunk at the
+    // configurations chosen.
     // Recovery ladder, in order: packets erasure parity (XOR or RS)
     // already reconstructed decode intact (FEC provenance only); what is
     // still missing after the retransmit budget — only parity groups
     // whose losses exceeded their repair depth `r` — is repaired per
     // policy; Refetch holes are restored in a second pass below.
-    let mut chunks = Vec::with_capacity(stream.chunks.len());
+    let model = engine.model().config();
+    let mut cache = KvCache::zeros(model.n_layers, plan.total_tokens(), model.kv_channels());
     let mut repairs: Vec<(usize, ChunkRepair)> = Vec::new();
     let mut fec_recovered: Vec<(usize, ChunkRepair)> = Vec::new();
     // Per stream chunk: payload bytes whose content is currently
@@ -295,11 +299,9 @@ fn load<'a>(
     // completed re-fetch zeroes its chunk's entry).
     let mut repaired_bytes = vec![0u64; plan.num_chunks()];
     let mut kv_bytes_total = 0u64;
-    let mut refetch = Vec::new(); // (chunk index, level, encoding)
-                                  // Clean decode of a whole stream chunk, profiled through `recorder`.
-    let decode_clean =
-        |enc: &EncodedKv, l: usize| engine.codec(l).try_decode_parallel_traced(enc, recorder);
-    // Text-fallback chunks take their slice of one exact cache that
+    // Chunks to re-fetch: (chunk index, first token, level, encoding).
+    let mut refetch = Vec::new();
+    // Text-fallback chunks take their rows of one exact cache that
     // reaches the last of them (recomputed at most once per load).
     let is_text = |c: &ChunkOutcome| c.config == StreamConfig::Text;
     let text_chunks = stream.chunks.iter().rposition(is_text).map_or(0, |i| i + 1);
@@ -307,12 +309,14 @@ fn load<'a>(
     let mut start = 0usize;
     for outcome in &stream.chunks {
         let tokens = plan.chunk(outcome.index).tokens;
-        let chunk = match outcome.config {
+        match outcome.config {
             StreamConfig::Level(l) => {
                 let enc = encoded(outcome.index, l)?;
                 kv_bytes_total += outcome.bytes;
                 if outcome.lost.is_empty() && outcome.fec_recovered.is_empty() {
-                    decode_clean(&enc, l)?
+                    engine
+                        .codec(l)
+                        .decode_into(&enc, &mut cache, start, recorder)?;
                 } else {
                     let repaired = engine.decode_with_repairs_at_level(
                         &enc,
@@ -320,8 +324,9 @@ fn load<'a>(
                         &arrival_map(enc.layers, enc.num_groups(), outcome),
                         params.repair,
                     )?;
+                    cache.copy_tokens(start, &repaired.cache, 0, tokens);
                     if !repaired.pending_refetch().is_empty() {
-                        refetch.push((outcome.index, l, enc));
+                        refetch.push((outcome.index, start, l, enc));
                     }
                     repaired_bytes[outcome.index] = outcome.lost_bytes();
                     repairs.extend(repaired.repairs.into_iter().map(|r| (outcome.index, r)));
@@ -331,13 +336,11 @@ fn load<'a>(
                             .into_iter()
                             .map(|r| (outcome.index, r)),
                     );
-                    repaired.cache
                 }
             }
-            StreamConfig::Text => exact.slice_tokens(start, start + tokens),
-        };
+            StreamConfig::Text => cache.copy_tokens(start, &exact, start, tokens),
+        }
         start += tokens;
-        chunks.push(chunk);
     }
 
     if recorder.is_enabled() && !repairs.is_empty() {
@@ -364,14 +367,16 @@ fn load<'a>(
     // Same batch scaling as the first pass: all B requests share the
     // wire, so a re-fetched packet carries B copies.
     let batch = params.concurrent_requests as u64;
-    for (idx, level, enc) in refetch {
+    for (idx, at, level, enc) in refetch {
         let lost = stream.chunks[idx].lost.clone();
         let resent = link.resend(lost, |(_, b)| b * batch, t, None, usize::MAX);
         t = resent.wire_free;
         refetch_finish = Some(refetch_finish.unwrap_or(0.0f64).max(resent.finish));
-        // All packets are now in hand: the chunk decodes bit-exact, and
-        // no policy-reconstructed bytes remain in it.
-        chunks[idx] = decode_clean(&enc, level)?;
+        // All packets are now in hand: the chunk decodes bit-exact over
+        // its rows, and no policy-reconstructed bytes remain in it.
+        engine
+            .codec(level)
+            .decode_into(&enc, &mut cache, at, recorder)?;
         repaired_bytes[idx] = 0;
     }
     if let (true, Some(finish)) = (recorder.is_enabled(), refetch_finish) {
@@ -386,7 +391,7 @@ fn load<'a>(
     };
     let parity_bytes = stream.parity_bytes();
     Ok(LoadOutcome {
-        cache: KvCache::concat_tokens(&chunks),
+        cache,
         stream,
         repairs,
         fec_recovered,

@@ -6,7 +6,7 @@
 //! (§2.1 of the paper). [`KvCache`] stores K and V as two rank-3 tensors
 //! `[layers, tokens, channels]` and provides the slicing operations the
 //! streamer needs: splitting along the token axis into context chunks and
-//! concatenating independently-decoded chunks back together (§5.3).
+//! copying independently-decoded chunks back into one cache (§5.3).
 
 use cachegen_tensor::Tensor;
 
@@ -77,48 +77,48 @@ impl KvCache {
         self.k.get(&[layer, token, channel])
     }
 
+    /// K's and V's elements, mutably, for a decoder that writes rows in
+    /// place.
+    pub fn data_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (self.k.data_mut(), self.v.data_mut())
+    }
+
+    /// Copies `n` token rows of `src`, from its token `from`, into this
+    /// cache's rows `at..at + n`, in every layer of K and V. The caches
+    /// must agree on layers and channels.
+    pub fn copy_tokens(&mut self, at: usize, src: &KvCache, from: usize, n: usize) {
+        assert_eq!(src.layers(), self.layers(), "layer count mismatch");
+        assert_eq!(src.channels(), self.channels(), "channel count mismatch");
+        let c = self.channels();
+        for l in 0..self.layers() {
+            self.k.slab_mut(l)[at * c..(at + n) * c]
+                .copy_from_slice(&src.k.slab(l)[from * c..(from + n) * c]);
+            self.v.slab_mut(l)[at * c..(at + n) * c]
+                .copy_from_slice(&src.v.slab(l)[from * c..(from + n) * c]);
+        }
+    }
+
     /// Extracts tokens `[start, end)` as a new cache (a *context chunk* in
     /// the paper's terminology, §5.3).
     pub fn slice_tokens(&self, start: usize, end: usize) -> KvCache {
         assert!(start <= end && end <= self.tokens(), "slice out of range");
-        let (layers, channels) = (self.layers(), self.channels());
-        let ntok = end - start;
-        let mut k = Tensor::zeros(&[layers, ntok, channels]);
-        let mut v = Tensor::zeros(&[layers, ntok, channels]);
-        for l in 0..layers {
-            let ks = self.k.slab(l);
-            let vs = self.v.slab(l);
-            k.slab_mut(l)
-                .copy_from_slice(&ks[start * channels..end * channels]);
-            v.slab_mut(l)
-                .copy_from_slice(&vs[start * channels..end * channels]);
-        }
-        KvCache { k, v }
+        let mut out = KvCache::zeros(self.layers(), end - start, self.channels());
+        out.copy_tokens(0, self, start, end - start);
+        out
     }
 
     /// Concatenates chunks along the token axis, inverse of
     /// [`KvCache::slice_tokens`]. All chunks must agree on layers/channels.
     pub fn concat_tokens(chunks: &[KvCache]) -> KvCache {
         assert!(!chunks.is_empty(), "concat of zero chunks");
-        let layers = chunks[0].layers();
-        let channels = chunks[0].channels();
+        let total = chunks.iter().map(|c| c.tokens()).sum();
+        let mut out = KvCache::zeros(chunks[0].layers(), total, chunks[0].channels());
+        let mut at = 0;
         for c in chunks {
-            assert_eq!(c.layers(), layers, "layer count mismatch in concat");
-            assert_eq!(c.channels(), channels, "channel count mismatch in concat");
+            out.copy_tokens(at, c, 0, c.tokens());
+            at += c.tokens();
         }
-        let total: usize = chunks.iter().map(|c| c.tokens()).sum();
-        let mut k = Tensor::zeros(&[layers, total, channels]);
-        let mut v = Tensor::zeros(&[layers, total, channels]);
-        for l in 0..layers {
-            let mut off = 0;
-            for c in chunks {
-                let n = c.tokens() * channels;
-                k.slab_mut(l)[off..off + n].copy_from_slice(c.k.slab(l));
-                v.slab_mut(l)[off..off + n].copy_from_slice(c.v.slab(l));
-                off += n;
-            }
-        }
-        KvCache { k, v }
+        out
     }
 
     /// Keeps only the tokens whose indices appear in `keep` (sorted,

@@ -254,8 +254,7 @@ fn execute_batch<'scope>(
                         decoded += 1;
                         let (id, engine) = (batch.context_id, &shard.engine);
                         let tokens = shard.plan(id).chunk(chunk).tokens;
-                        let work = move || match engine.decode_stored(&bytes, level, tokens, &NOOP)
-                        {
+                        let work = move || match engine.decode_stored(&bytes, level, tokens) {
                             Ok(_) => Ok(()),
                             Err(e) => Err(format!("context {id} chunk {chunk} level {level}: {e}")),
                         };
