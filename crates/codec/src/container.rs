@@ -213,11 +213,11 @@ impl EncodedKv {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
-            if *pos + n > bytes.len() {
+            let Some(end) = pos.checked_add(n).filter(|&end| end <= bytes.len()) else {
                 return Err(format!("truncated at offset {pos}", pos = *pos));
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
+            };
+            let s = &bytes[*pos..end];
+            *pos = end;
             Ok(s)
         };
         if take(&mut pos, 4)? != b"CGKV" {
@@ -261,6 +261,15 @@ impl EncodedKv {
             }
         }
         let groups = GroupLayout::new(group_size, tokens).num_groups();
+        // Every chunk costs at least its one length byte: a table larger
+        // than the bytes left is refused before anything is sized from it.
+        let chunks = layers.saturating_mul(groups).saturating_mul(2);
+        if chunks > bytes.len() - pos {
+            return Err(format!(
+                "{chunks} chunks cannot fit in the {} bytes left at offset {pos}",
+                bytes.len() - pos
+            ));
+        }
         let mut sides: [Vec<Vec<Vec<u8>>>; 2] = Default::default();
         for side in &mut sides {
             for _ in 0..layers {

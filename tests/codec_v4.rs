@@ -602,3 +602,68 @@ fn container_bytes_are_pinned_at_every_level_and_without_delta() {
     }
     assert_eq!(got, WANT, "container digests moved: {got:#x?}");
 }
+
+/// A container's fixed-width header: magic, version 4, the delta flag,
+/// then layers, tokens, channels and group size.
+fn header(layers: u16, tokens: u32, channels: u16, group_size: u16) -> Vec<u8> {
+    let mut bytes = b"CGKV".to_vec();
+    bytes.extend([4, 1]);
+    bytes.extend(layers.to_le_bytes());
+    bytes.extend(tokens.to_le_bytes());
+    bytes.extend(channels.to_le_bytes());
+    bytes.extend(group_size.to_le_bytes());
+    bytes
+}
+
+/// Two hostile containers that used to take the parser down: a chunk
+/// length whose end overflows the offset arithmetic (a panic), and a
+/// header whose chunk table (2³² − 1 groups) was allocated before a byte
+/// of it was read (an abort). Both are typed errors.
+#[test]
+fn hostile_container_sizes_are_typed_errors() {
+    // One layer, one token, one channel, group size 1: 8 scale bytes,
+    // then a first chunk length of `usize::MAX`, 34 bytes in all.
+    let mut overflow = header(1, 1, 1, 1);
+    overflow.extend([0; 8]);
+    overflow.extend([0xFF; 9]);
+    overflow.push(0x01);
+    assert_eq!(overflow.len(), 34);
+    // `u32::MAX` tokens at group size 1 and their 8 scale bytes: 24 bytes.
+    let mut table = header(1, u32::MAX, 1, 1);
+    table.extend([0; 8]);
+    assert_eq!(table.len(), 24);
+    for bytes in [overflow, table] {
+        let got = EncodedKv::from_bytes(&bytes);
+        assert!(got.is_err(), "{} bytes parsed: {got:?}", bytes.len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Random header fields, each over its whole range or small enough
+    /// that the chunk table is walked, followed by random bytes too few
+    /// for the scale tables plus one length byte per chunk: never a
+    /// panic, never an abort, always a typed error.
+    #[test]
+    fn short_containers_are_typed_errors(
+        small in 0u8..16,
+        layers in 1u32..65_536,
+        tokens in 1u64..(1 << 32),
+        channels in 0u32..65_536,
+        group_size in 0u32..65_536,
+        body in proptest::collection::vec(0u16..256, 0..96),
+    ) {
+        let shrink = |bit: u8, x: u64, to: u64| if small >> bit & 1 == 1 { x % to } else { x };
+        let layers = shrink(0, u64::from(layers), 4).max(1) as u16;
+        let tokens = shrink(1, tokens, 40).max(1) as u32;
+        let channels = shrink(2, u64::from(channels), 5) as u16;
+        let group_size = shrink(3, u64::from(group_size), 12) as u16;
+        let groups = (tokens as usize).div_ceil(usize::from(group_size.max(1)));
+        let least = 8 * usize::from(layers) * usize::from(channels)
+            + 2 * usize::from(layers) * groups;
+        let mut bytes = header(layers, tokens, channels, group_size);
+        bytes.extend(body.iter().take(least - 1).map(|&b| b as u8));
+        prop_assert!(EncodedKv::from_bytes(&bytes).is_err());
+    }
+}
