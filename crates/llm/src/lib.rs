@@ -31,3 +31,16 @@ pub use cost::{GpuSpec, ModelSpec};
 pub use kv::KvCache;
 pub use model::SimModelConfig;
 pub use transformer::SimTransformer;
+
+/// Tier-1 builds this crate optimised (the dev profile in the root
+/// `Cargo.toml`): optimising must not switch a check off.
+#[cfg(test)]
+#[test]
+#[should_panic(expected = "attempt to add with overflow")]
+fn optimised_dev_build_keeps_its_checks() {
+    assert!(
+        std::hint::black_box(cfg!(debug_assertions)),
+        "debug assertions are off"
+    );
+    let _ = std::hint::black_box(u8::MAX) + 1;
+}

@@ -164,4 +164,16 @@ mod tests {
         e.observe(0, 0);
         assert_eq!(e.loss_permille(), None);
     }
+
+    /// Tier-1 builds this crate optimised (the dev profile in the root
+    /// `Cargo.toml`): optimising must not switch a check off.
+    #[test]
+    #[should_panic(expected = "attempt to add with overflow")]
+    fn optimised_dev_build_keeps_its_checks() {
+        assert!(
+            std::hint::black_box(cfg!(debug_assertions)),
+            "debug assertions are off"
+        );
+        let _ = std::hint::black_box(u8::MAX) + 1;
+    }
 }
