@@ -56,7 +56,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "no-raw-spawn",
-        summary: "thread::spawn/scope banned outside the approved executor modules — tensor::pool is the one module that spawns; serving::threads only opens the scopes its pools live in",
+        summary: "thread::spawn/scope banned outside the approved executor modules — tensor::pool is the one module that spawns; serving::threads only opens the scope its shard pools live in",
     },
     RuleInfo {
         name: "no-hash-iter",
@@ -132,7 +132,7 @@ const TOKEN_RULES: &[TokenRule] = &[
     TokenRule {
         name: "no-raw-spawn",
         tokens: &["thread::spawn", "thread::scope"],
-        message: "raw thread spawn; route work through cachegen_tensor::pool (run_pooled or a Pool) — the one module that spawns (cachegen_serving::threads only opens the scopes its pools live in)",
+        message: "raw thread spawn; route work through cachegen_tensor::pool (run_pooled or a Pool) — the one module that spawns (cachegen_serving::threads only opens the scope its shard pools live in)",
     },
     TokenRule {
         name: "no-hash-iter",

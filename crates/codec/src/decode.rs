@@ -217,6 +217,13 @@ impl KvCodec {
 
     /// Serial decode of a KV bitstream back into a (quantized) KV cache:
     /// reports truncated/corrupted chunks instead of decoding noise.
+    ///
+    /// The cache is sized from the header only once the container's
+    /// layers, channels and group size are the codec's. A container
+    /// [`EncodedKv::from_bytes`] parsed carries at least one byte per
+    /// (side, layer, group) chunk, each of which decodes to `group_size ×
+    /// channels` `f32`s, so the output is at most `4 × channels ×
+    /// group_size` bytes per input byte.
     pub fn try_decode(&self, enc: &EncodedKv) -> Result<KvCache, CodecError> {
         self.decode_whole(enc, false)
     }
@@ -240,6 +247,7 @@ impl KvCodec {
         at: usize,
         recorder: &Recorder,
     ) -> Result<(), CodecError> {
+        self.check_geometry(enc)?;
         self.decode_walk(enc, out, at, true, recorder)
     }
 
@@ -253,7 +261,8 @@ impl KvCodec {
 
     /// The one decode walk: one job per entropy chunk on
     /// [`run_pooled`](crate::pool::run_pooled), inline unless `pooled` and
-    /// the stream holds at least [`POOLED_DECODE_MIN_ELEMENTS`].
+    /// the stream holds at least [`POOLED_DECODE_MIN_ELEMENTS`]. Geometry
+    /// must have been checked.
     fn decode_walk(
         &self,
         enc: &EncodedKv,
@@ -262,7 +271,6 @@ impl KvCodec {
         pooled: bool,
         recorder: &Recorder,
     ) -> Result<(), CodecError> {
-        self.check_geometry(enc)?;
         let end = at.saturating_add(enc.tokens);
         if end > out.tokens() || (out.layers(), out.channels()) != (enc.layers, enc.channels) {
             return Err(CodecError::Geometry(format!(
@@ -292,6 +300,9 @@ impl KvCodec {
         )
     }
 
+    /// Checks a container against the codec (layers, channels and group
+    /// size) and its chunk and scale tables against its own header, before
+    /// a decode sizes anything from it.
     pub(crate) fn check_geometry(&self, enc: &EncodedKv) -> Result<(), CodecError> {
         let err = |msg: String| Err(CodecError::Geometry(msg));
         if enc.channels != self.profile().channels() || enc.layers != self.profile().layers() {
@@ -301,6 +312,13 @@ impl KvCodec {
                 enc.channels,
                 self.profile().layers(),
                 self.profile().channels()
+            ));
+        }
+        if enc.group_size != self.config().group_size {
+            return err(format!(
+                "stream has group size {} but the codec's is {}",
+                enc.group_size,
+                self.config().group_size
             ));
         }
         let groups = enc.num_groups();

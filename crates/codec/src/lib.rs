@@ -185,7 +185,6 @@ pub mod symbol_model;
 
 pub use container::{CodecError, EncodedKv};
 pub use encoder::{CodecConfig, KvCodec};
-pub use pool::{Pool, PoolJob};
 pub use profile::CodecProfile;
 pub use repair::{ChunkArrivalMap, ChunkRepair, RepairCause, RepairKind, RepairPolicy, RepairedKv};
 pub use symbol_model::ModelGranularity;

@@ -4,17 +4,16 @@
 //! telemetry (the executor itself is `std`-only, so that the sim
 //! transformer's prefill can run on it too).
 
-pub use cachegen_tensor::pool::{
-    bounded_workers, for_each_pooled, run_pooled, Pool, PoolError, PoolJob, PoolShape,
-};
+pub use cachegen_tensor::pool::{bounded_workers, for_each_pooled, run_pooled, Pool, PoolShape};
 
 use cachegen_telemetry::Recorder;
 
 /// Publishes `shape` under the `cachegen.codec.pool.*` namespace:
 /// `workers` and `queue_depth` gauges plus a `jobs_per_worker` histogram
-/// sample. Both execution backends report through this one function, so
-/// their registries carry identical pool metric names whether the batch
-/// ran through [`run_pooled`] or a long-lived [`Pool`].
+/// sample. Every [`run_pooled`] caller that reports, the codec's decode
+/// and the thread backend's chunk loads, reports through this one
+/// function, so both execution backends' registries carry identical pool
+/// metric names.
 pub fn report_shape(shape: PoolShape, recorder: &Recorder) {
     if recorder.is_enabled() && shape.jobs > 0 {
         recorder.gauge("cachegen.codec.pool.workers", shape.workers as f64);

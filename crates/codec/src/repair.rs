@@ -224,16 +224,18 @@ impl KvCodec {
     /// [`RepairCause::RecoveredByFec`] provenance. See the module docs
     /// for the per-policy semantics. Errors only on container geometry
     /// defects (a malformed *map or container*, not a damaged chunk —
-    /// damage is repaired and reported, never fatal).
+    /// damage is repaired and reported, never fatal). As for
+    /// [`KvCodec::try_decode`], the output is at most `4 × channels ×
+    /// group_size` bytes per input byte of a parsed container.
     pub fn decode_with_repairs(
         &self,
         enc: &EncodedKv,
         arrivals: &ChunkArrivalMap,
         policy: RepairPolicy,
     ) -> Result<RepairedKv, CodecError> {
+        self.check_geometry(enc)?;
         let (layers, tokens, channels) = (enc.layers, enc.tokens, enc.channels);
         let layout = enc.layout();
-        self.check_geometry(enc)?;
         let groups = layout.num_groups();
         if arrivals.layers() != layers || arrivals.groups() != groups {
             return Err(CodecError::Geometry(format!(

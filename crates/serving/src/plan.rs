@@ -27,8 +27,7 @@ pub struct PlannedAdmission {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlannedChunk {
     /// Decode the stored bitstream of `chunk` at encoding `level` (the
-    /// thread backend runs the *real* entropy decode on the shared
-    /// codec pool).
+    /// thread backend runs the *real* entropy decode).
     Decode {
         /// Chunk index within the context's plan.
         chunk: usize,

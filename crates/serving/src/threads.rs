@@ -13,11 +13,13 @@
 //!    kind of executor, the workspace's scoped bounded [`Pool`]: each
 //!    shard has a pool of `workers_per_shard` threads behind a queue
 //!    bounded at `queue_capacity` (a full queue blocks the feeder — real
-//!    backpressure), and every batch fans its chunk loads out to one
-//!    shared decode pool, where the *actual* entropy decode of the stored
-//!    bitstream runs. Text-fallback chunks, prompt prefill, and re-fetch
-//!    bytes have no real GPU/NIC behind them, so they are emulated as
-//!    deterministic compute proportional to the virtual model's inputs.
+//!    backpressure), and the shard worker that runs a batch fans its chunk
+//!    loads out with [`run_pooled`] over `decode_pool_workers` workers
+//!    (itself and scoped helpers), where the *actual* entropy decode of
+//!    the stored bitstream runs. Text-fallback chunks, prompt prefill,
+//!    and re-fetch bytes have no real GPU/NIC behind them, so they are
+//!    emulated as deterministic compute proportional to the virtual
+//!    model's inputs.
 //!
 //! Because outcomes come from the plan, the two backends agree on
 //! everything but time: same dispositions, same shed/degrade decisions,
@@ -26,15 +28,14 @@
 //! the oracle itself calls, with wall-clock durations where the oracle has
 //! virtual ones. `tests/backend_equivalence.rs` diffs exactly that.
 //!
-//! This module spawns nothing itself: it opens the two `thread::scope`s
-//! its pools live in (the decode pool in the outer one, so that shard
-//! tasks in the inner one can borrow it). `tensor::pool` (reached here
-//! through its `codec::pool` re-export) is the one spawn site; the
-//! `cachegen-analyze` no-raw-spawn rule enforces both.
+//! This module spawns nothing itself: it opens the one `thread::scope`
+//! its shard pools live in. `tensor::pool` (reached here through its
+//! `codec::pool` re-export) is the one spawn site; the `cachegen-analyze`
+//! no-raw-spawn rule enforces both.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
-use cachegen_codec::pool::{report_shape, Pool, PoolJob};
+use cachegen_codec::pool::{report_shape, run_pooled, Pool};
 use cachegen_kvstore::FetchedChunk;
 use cachegen_telemetry::{Clock, Recorder, SpanCtx, Stage, WallClock, NOOP};
 use cachegen_workloads::ServingRequest;
@@ -45,10 +46,50 @@ use crate::plan::{PlannedBatch, PlannedChunk, PlannedRefetch, PlannedWork};
 use crate::shard::Shard;
 use crate::trace::{self, QueryTimes};
 
-/// One chunk-level span measured inside a pool job: slot in the batch's
-/// chunk order (so records replay deterministically sorted), stage,
+/// One chunk-level span measured inside a chunk load: the load's index
+/// in the batch (so records replay deterministically sorted), stage,
 /// wall start/end, and the stage's arg value (chunk index or tokens).
 type ChunkSpan = (usize, Stage, f64, f64, f64);
+
+/// One chunk load of a planned batch, as [`run_pooled`] runs it: the
+/// stored bitstream of a decode (`B`, the bytes [`FetchedChunk::Encoded`]
+/// holds, checked present on the shard worker), or a text chunk whose
+/// recompute is emulated.
+enum ChunkLoad<B> {
+    Decode {
+        chunk: usize,
+        level: usize,
+        bytes: B,
+    },
+    Text {
+        tokens: usize,
+    },
+}
+
+impl<B: AsRef<[u8]>> ChunkLoad<B> {
+    /// Runs the load for context `id` on `shard`, returning the span's
+    /// stage and arg value, or the decode error named by chunk and level.
+    fn run(self, shard: &Shard, id: u64) -> Result<(Stage, f64), String> {
+        match self {
+            ChunkLoad::Decode {
+                chunk,
+                level,
+                bytes,
+            } => {
+                let tokens = shard.plan(id).chunk(chunk).tokens;
+                let decoded = shard.engine.decode_stored(bytes.as_ref(), level, tokens);
+                match decoded {
+                    Ok(_) => Ok((Stage::ChunkDecode, chunk as f64)),
+                    Err(e) => Err(format!("context {id} chunk {chunk} level {level}: {e}")),
+                }
+            }
+            ChunkLoad::Text { tokens } => {
+                spin(tokens as u64 * SPIN_PER_TOKEN);
+                Ok((Stage::TextRecompute, tokens as f64))
+            }
+        }
+    }
+}
 
 /// Emulated compute per prefilled or text-recomputed token, in spin-loop
 /// iterations (stands in for the GPU work the virtual model prices as
@@ -65,7 +106,7 @@ const REFETCH_SPIN_CAP: u64 = 400_000;
 pub struct ThreadRunStats {
     /// Worker threads per shard (queue consumers).
     pub workers_per_shard: usize,
-    /// Workers in the shared decode pool.
+    /// Workers each batch's chunk loads fan out over.
     pub pool_workers: usize,
     /// Wall seconds from first feed to last batch completion.
     pub wall_secs: f64,
@@ -73,7 +114,7 @@ pub struct ThreadRunStats {
     pub batches: u64,
     /// Pure re-fetch batches executed.
     pub refetch_batches: u64,
-    /// Encoded chunks actually entropy-decoded on the pool.
+    /// Encoded chunks actually entropy-decoded.
     pub decoded_chunks: u64,
     /// Text-fallback chunks recomputed (emulated).
     pub text_chunks: u64,
@@ -89,15 +130,16 @@ pub struct ThreadRunStats {
 pub struct ThreadBackend {
     /// Worker threads per shard.
     pub workers_per_shard: usize,
-    /// Workers in the shared chunk-decode pool.
+    /// Workers one batch's chunk loads fan out over: the shard worker
+    /// running the batch plus `decode_pool_workers − 1` scoped helpers.
     pub decode_pool_workers: usize,
     /// Bound of each shard's batch queue (feeder blocks when full).
     pub queue_capacity: usize,
 }
 
 impl ThreadBackend {
-    /// A backend with `workers` threads per shard, an equally sized
-    /// shared decode pool, and a small bounded queue per shard.
+    /// A backend with `workers` threads per shard, each batch's chunk
+    /// loads fanned out over as many, and a small bounded queue per shard.
     pub fn new(workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker per shard");
         ThreadBackend {
@@ -143,28 +185,21 @@ impl ThreadBackend {
             ..ThreadRunStats::default()
         });
 
-        std::thread::scope(|outer| {
-            let decode = &Pool::spawn_in(
-                outer,
-                self.decode_pool_workers,
-                self.queue_capacity.max(self.decode_pool_workers),
-            );
-            let (plan, stats) = (&plan, &stats);
-            std::thread::scope(|inner| {
-                let pools: Vec<Pool<'_>> = shards
-                    .iter()
-                    .map(|_| Pool::spawn_in(inner, self.workers_per_shard, self.queue_capacity))
-                    .collect();
-                for batch in &plan.batches {
-                    let shard = &shards[batch.shard];
-                    let enqueued = clock.now();
-                    // A full shard queue blocks here: bounded-queue
-                    // backpressure at the dispatch seam.
-                    pools[batch.shard].submit(move || {
-                        execute_batch(batch, enqueued, shard, decode, clock, recorder, stats)
-                    });
-                }
-            });
+        std::thread::scope(|s| {
+            let pools: Vec<Pool<'_>> = shards
+                .iter()
+                .map(|_| Pool::spawn_in(s, self.workers_per_shard, self.queue_capacity))
+                .collect();
+            let (plan, stats, workers) = (&plan, &stats, self.decode_pool_workers);
+            for batch in &plan.batches {
+                let shard = &shards[batch.shard];
+                let enqueued = clock.now();
+                // A full shard queue blocks here: bounded-queue
+                // backpressure at the dispatch seam.
+                pools[batch.shard].submit(move || {
+                    execute_batch(batch, enqueued, shard, workers, clock, recorder, stats)
+                });
+            }
         });
         let mut stats = stats.into_inner().unwrap_or_else(PoisonError::into_inner);
         stats.wall_secs = clock.now();
@@ -209,14 +244,14 @@ fn spin(units: u64) -> u64 {
     std::hint::black_box(x)
 }
 
-/// Executes one planned batch on a shard worker thread. Decode jobs
-/// outlive this call only in type — `run_batch` waits for them — so they
-/// borrow the shard's engine for as long as the decode pool's scope.
-fn execute_batch<'scope>(
+/// Executes one planned batch on a shard worker thread, fanning its
+/// chunk loads out over `workers` workers: this thread and `workers − 1`
+/// scoped helpers.
+fn execute_batch(
     batch: &PlannedBatch,
     enqueued: f64,
-    shard: &'scope Shard,
-    decode: &Pool<'scope>,
+    shard: &Shard,
+    workers: usize,
     clock: WallClock,
     recorder: &Recorder,
     stats: &Mutex<ThreadRunStats>,
@@ -232,53 +267,49 @@ fn execute_batch<'scope>(
             rider,
             ..
         } => {
-            // Fan the chunk loads out to the shared decode pool. Encoded
-            // chunks run the real entropy decode of the stored
+            // Encoded chunks run the real entropy decode of the stored
             // bitstream; text chunks emulate their recompute.
-            let spans: Arc<Mutex<Vec<ChunkSpan>>> =
-                Arc::new(Mutex::new(Vec::with_capacity(chunks.len())));
+            let id = batch.context_id;
             let mut jobs = Vec::with_capacity(chunks.len());
             let (mut decoded, mut texts) = (0u64, 0u64);
-            for (slot, c) in chunks.iter().enumerate() {
-                let (stage, arg, work): (_, _, PoolJob<'scope, String>) = match *c {
+            for c in chunks {
+                jobs.push(match *c {
                     PlannedChunk::Decode { chunk, level } => {
                         let Some(FetchedChunk::Encoded(bytes)) =
-                            shard.engine.get_kv(batch.context_id, chunk, level)
+                            shard.engine.get_kv(id, chunk, level)
                         else {
                             alock(stats).decode_errors.push(format!(
-                                "context {} chunk {chunk} level {level} missing from store",
-                                batch.context_id
+                                "context {id} chunk {chunk} level {level} missing from store"
                             ));
                             continue;
                         };
                         decoded += 1;
-                        let (id, engine) = (batch.context_id, &shard.engine);
-                        let tokens = shard.plan(id).chunk(chunk).tokens;
-                        let work = move || match engine.decode_stored(&bytes, level, tokens) {
-                            Ok(_) => Ok(()),
-                            Err(e) => Err(format!("context {id} chunk {chunk} level {level}: {e}")),
-                        };
-                        (Stage::ChunkDecode, chunk as f64, Box::new(work))
+                        ChunkLoad::Decode {
+                            chunk,
+                            level,
+                            bytes,
+                        }
                     }
                     PlannedChunk::Text { tokens } => {
                         texts += 1;
-                        let work = move || {
-                            spin(tokens as u64 * SPIN_PER_TOKEN);
-                            Ok(())
-                        };
-                        (Stage::TextRecompute, tokens as f64, Box::new(work))
+                        ChunkLoad::Text { tokens }
                     }
-                };
-                let spans = Arc::clone(&spans);
-                jobs.push(move || -> Result<(), String> {
-                    let start = clock.now();
-                    work()?;
-                    alock(&spans).push((slot, stage, start, clock.now(), arg));
-                    Ok(())
                 });
             }
-            if let Err(e) = decode.run_batch(jobs, |shape| report_shape(shape, recorder)) {
-                alock(stats).decode_errors.push(e.to_string());
+            let spans: Mutex<Vec<ChunkSpan>> = Mutex::new(Vec::with_capacity(jobs.len()));
+            let loads = run_pooled(
+                jobs,
+                workers,
+                |slot, job| {
+                    let start = clock.now();
+                    let (stage, arg) = job.run(shard, id)?;
+                    alock(&spans).push((slot, stage, start, clock.now(), arg));
+                    Ok(())
+                },
+                |shape| report_shape(shape, recorder),
+            );
+            if let Err(e) = loads {
+                alock(stats).decode_errors.push(e);
             }
             let loaded = clock.now();
 
@@ -289,7 +320,7 @@ fn execute_batch<'scope>(
                 queries[0].tenant as u32,
                 batch.shard as u32,
             );
-            let mut chunk_spans = std::mem::take(&mut *alock(&spans));
+            let mut chunk_spans = spans.into_inner().unwrap_or_else(PoisonError::into_inner);
             chunk_spans.sort_unstable_by_key(|s| s.0);
             for (_, stage, start, end, arg) in chunk_spans {
                 let key = if stage == Stage::ChunkDecode {

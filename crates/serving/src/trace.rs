@@ -61,7 +61,7 @@ metric_table! {
     CACHE_MISSES = "cachegen.serving.cache_misses", "count", "batches that fetched from the store";
     PEAK_QUEUE_DEPTH = "cachegen.serving.peak_queue_depth", "count", "deepest shard queue observed";
     THREADS_WORKERS_PER_SHARD = "cachegen.serving.threads.workers_per_shard", "count", "thread backend: queue consumers per shard";
-    THREADS_POOL_WORKERS = "cachegen.serving.threads.pool_workers", "count", "thread backend: shared decode-pool workers";
+    THREADS_POOL_WORKERS = "cachegen.serving.threads.pool_workers", "count", "thread backend: workers per batch's chunk loads";
     THREADS_BATCHES = "cachegen.serving.threads.batches", "count", "thread backend: query batches executed";
     THREADS_DECODED_CHUNKS = "cachegen.serving.threads.decoded_chunks", "count", "thread backend: chunks entropy-decoded on the pool";
     THREADS_TEXT_CHUNKS = "cachegen.serving.threads.text_chunks", "count", "thread backend: text-fallback chunks emulated";

@@ -6,7 +6,7 @@
 //! quarantined: the `no-raw-spawn` rule in `cachegen-analyze` bans
 //! spawning or scoping threads everywhere outside this module and the
 //! serving crate's thread backend (`serving::threads`, which only opens
-//! the scopes its [`Pool`]s live in). Workers here never touch
+//! the scope its shard [`Pool`]s live in). Workers here never touch
 //! simulator state — they only drain a queue of independent tasks, and
 //! a batch of order-tagged jobs is merged deterministically (the first
 //! failure *by job index* wins, matching what a serial loop would
@@ -16,12 +16,12 @@
 //! One executor lives here: [`Pool`], a bounded task queue drained by
 //! workers spawned into the caller's [`std::thread::scope`], so tasks
 //! borrow instead of owning. [`run_pooled`] — the one batch entry point,
-//! under the sim transformer's prefill phases, the codec's pooled decode
-//! and [`for_each_pooled`] — opens a scope for one batch of jobs and
-//! drains it on the calling thread beside the workers it spawns; the
-//! OS-thread serving backend keeps one [`Pool`] per shard plus a shared
-//! decode pool alive for a whole run, so neither batch dispatch nor
-//! decode fan-out spawns per request.
+//! under the sim transformer's prefill phases, the codec's pooled decode,
+//! the OS-thread serving backend's chunk loads and [`for_each_pooled`] —
+//! opens a scope for one batch of jobs and drains it on the calling
+//! thread beside the workers it spawns. The serving backend keeps one
+//! [`Pool`] per shard alive for a whole run, so batch dispatch does not
+//! spawn.
 //!
 //! The module is `std`-only and sits at the bottom of the crate graph,
 //! so every crate above it — the transformer included — runs on the same
@@ -131,25 +131,20 @@ where
         workers,
     });
     let helpers = workers.min(jobs.len()) - 1;
-    let run = &run;
-    let jobs = jobs.into_iter().enumerate();
-    let batch = Batch::new(
-        jobs.map(|(idx, job)| move || run(idx, job)).collect(),
-        helpers + 1,
-    );
+    let batch = Batch::new(jobs);
     std::thread::scope(|s| {
         for _ in 0..helpers {
-            s.spawn(|| batch.drain());
+            s.spawn(|| batch.drain(&run));
         }
-        batch.drain();
+        batch.drain(&run);
     });
     // A parallel run must never report less than the serial loop would:
     // the lowest-indexed error, or the lowest-indexed panic re-raised
     // *with its job index and message*.
-    match batch.wait() {
-        Ok(()) => Ok(()),
-        Err(PoolError::Job { error, .. }) => Err(error),
-        Err(PoolError::Panic { index, message }) => {
+    match batch.failure() {
+        None => Ok(()),
+        Some(PoolError::Job { error, .. }) => Err(error),
+        Some(PoolError::Panic { index, message }) => {
             panic!("pooled job {index} panicked: {message}")
         }
     }
@@ -175,24 +170,11 @@ where
     }
 }
 
-/// How one [`Pool::run_batch`] job failed (ordered, deterministic:
-/// always the lowest-indexed failure of the batch).
-#[derive(Debug, PartialEq, Eq)]
-pub enum PoolError<E> {
-    /// The job at `index` returned an error.
-    Job {
-        /// Submission index within the batch.
-        index: usize,
-        /// The job's error.
-        error: E,
-    },
-    /// The job at `index` panicked on a pool worker.
-    Panic {
-        /// Submission index within the batch.
-        index: usize,
-        /// The panic payload rendered to text.
-        message: String,
-    },
+/// How the lowest-indexed failing job of a [`run_pooled`] batch failed:
+/// it returned `error`, or it panicked with `message`.
+enum PoolError<E> {
+    Job { index: usize, error: E },
+    Panic { index: usize, message: String },
 }
 
 impl<E> PoolError<E> {
@@ -203,24 +185,9 @@ impl<E> PoolError<E> {
     }
 }
 
-impl<E: std::fmt::Display> std::fmt::Display for PoolError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PoolError::Job { index, error } => write!(f, "pool job {index} failed: {error}"),
-            PoolError::Panic { index, message } => {
-                write!(f, "pool job {index} panicked: {message}")
-            }
-        }
-    }
-}
-
 /// A task on a pool's queue; it may borrow anything that outlives the
 /// scope the pool's workers were spawned into.
 type Task<'scope> = Box<dyn FnOnce() + Send + 'scope>;
-
-/// A boxed fallible job for [`Pool::run_batch`], for batches whose jobs
-/// are closures of different types.
-pub type PoolJob<'scope, E> = Box<dyn FnOnce() -> Result<(), E> + Send + 'scope>;
 
 /// Queue state behind the pool's mutex.
 struct PoolQueue<'scope> {
@@ -270,39 +237,33 @@ fn worker_loop(shared: &PoolShared<'_>) {
     }
 }
 
-/// One batch on a pool: the jobs not yet started, in index order, the
-/// lowest-indexed failure so far, and how many drain tasks have yet to
-/// finish.
-struct Batch<J, E> {
-    inner: Mutex<BatchInner<J, E>>,
-    done: Condvar,
+/// One [`run_pooled`] batch: the jobs not yet started, in index order,
+/// and the lowest-indexed failure so far.
+struct Batch<T, E> {
+    inner: Mutex<BatchInner<T, E>>,
 }
 
-struct BatchInner<J, E> {
-    jobs: std::iter::Enumerate<std::vec::IntoIter<J>>,
+struct BatchInner<T, E> {
+    jobs: std::iter::Enumerate<std::vec::IntoIter<T>>,
     failure: Option<PoolError<E>>,
-    draining: usize,
 }
 
-impl<J: FnOnce() -> Result<(), E>, E> Batch<J, E> {
-    /// A batch of `jobs` that `draining` drain calls will run.
-    fn new(jobs: Vec<J>, draining: usize) -> Self {
+impl<T, E> Batch<T, E> {
+    fn new(jobs: Vec<T>) -> Self {
         Batch {
             inner: Mutex::new(BatchInner {
                 jobs: jobs.into_iter().enumerate(),
                 failure: None,
-                draining,
             }),
-            done: Condvar::new(),
         }
     }
 
-    /// One drain task: runs jobs off the front of the batch until none is
-    /// left or one has failed. Jobs start in index order, so a recorded
-    /// failure sits below every job not yet started — they are skipped,
-    /// as the serial loop's `?` would skip them — while jobs already
-    /// running may still fail lower and take the report.
-    fn drain(&self) {
+    /// One drainer: runs `run` on jobs off the front of the batch until
+    /// none is left or one has failed. Jobs start in index order, so a
+    /// recorded failure sits below every job not yet started — they are
+    /// skipped, as the serial loop's `?` would skip them — while jobs
+    /// already running may still fail lower and take the report.
+    fn drain(&self, run: &impl Fn(usize, T) -> Result<(), E>) {
         loop {
             let next = {
                 let mut inner = relock(&self.inner);
@@ -312,7 +273,7 @@ impl<J: FnOnce() -> Result<(), E>, E> Batch<J, E> {
                 }
             };
             let Some((index, job)) = next else { break };
-            let failure = match catch_unwind(AssertUnwindSafe(job)) {
+            let failure = match catch_unwind(AssertUnwindSafe(|| run(index, job))) {
                 Ok(Ok(())) => continue,
                 Ok(Err(error)) => PoolError::Job { index, error },
                 Err(payload) => PoolError::Panic {
@@ -325,22 +286,12 @@ impl<J: FnOnce() -> Result<(), E>, E> Batch<J, E> {
                 inner.failure = Some(failure);
             }
         }
-        let mut inner = relock(&self.inner);
-        inner.draining -= 1;
-        if inner.draining == 0 {
-            self.done.notify_all();
-        }
     }
 
-    fn wait(&self) -> Result<(), PoolError<E>> {
-        let mut inner = self
-            .done
-            .wait_while(relock(&self.inner), |inner| inner.draining > 0)
-            .unwrap_or_else(PoisonError::into_inner);
-        match inner.failure.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+    /// The lowest-indexed failure, once every drainer has returned.
+    fn failure(self) -> Option<PoolError<E>> {
+        let inner = self.inner.into_inner();
+        inner.unwrap_or_else(PoisonError::into_inner).failure
     }
 }
 
@@ -349,11 +300,8 @@ impl<J: FnOnce() -> Result<(), E>, E> Batch<J, E> {
 ///
 /// `capacity` bounds the task queue; a submitter that would overflow it
 /// blocks until workers drain the backlog — backpressure, not unbounded
-/// memory. Batches from concurrent submitters interleave on the queue
-/// but complete independently: [`run_batch`](Pool::run_batch) returns
-/// when *its* jobs are done, with the lowest-indexed failure (error or
-/// panic, carrying the panic message) if any. A task may submit into a
-/// *different* pool; do not submit from a pool's worker into the same
+/// memory. A task may submit into a *different* pool, or fan a batch out
+/// with [`run_pooled`]; do not submit from a pool's worker into the same
 /// pool: a full queue would then deadlock.
 ///
 /// Dropping the pool shuts the queue down: workers drain what is queued,
@@ -361,7 +309,6 @@ impl<J: FnOnce() -> Result<(), E>, E> Batch<J, E> {
 /// task that panicked fails that join, hence the scope's owner.
 pub struct Pool<'scope> {
     shared: Arc<PoolShared<'scope>>,
-    workers: usize,
 }
 
 impl<'scope> Pool<'scope> {
@@ -383,7 +330,7 @@ impl<'scope> Pool<'scope> {
             let shared = Arc::clone(&shared);
             scope.spawn(move || worker_loop(&shared));
         }
-        Pool { shared, workers }
+        Pool { shared }
     }
 
     /// Enqueues one task, blocking while the queue is full.
@@ -396,38 +343,6 @@ impl<'scope> Pool<'scope> {
             .unwrap_or_else(PoisonError::into_inner);
         q.tasks.push_back(Box::new(task));
         self.shared.not_empty.notify_one();
-    }
-
-    /// Runs a batch of jobs on the pool and blocks until all of them
-    /// finished. `observe` receives the batch's [`PoolShape`] before any
-    /// job starts (wire it to `cachegen_codec::pool::report_shape` for the
-    /// `cachegen.codec.pool.*` gauges). Returns the lowest-indexed
-    /// failure — an error or a caught panic with its message.
-    ///
-    /// The batch crosses the queue as at most one drain task per worker,
-    /// each pulling jobs off the batch in index order: a job costs one
-    /// lock, not a queue round-trip, so ~5 µs entropy-chunk decodes are
-    /// worth fanning out.
-    pub fn run_batch<E, J>(
-        &self,
-        jobs: Vec<J>,
-        observe: impl FnOnce(PoolShape),
-    ) -> Result<(), PoolError<E>>
-    where
-        E: Send + 'scope,
-        J: FnOnce() -> Result<(), E> + Send + 'scope,
-    {
-        observe(PoolShape {
-            jobs: jobs.len(),
-            workers: self.workers,
-        });
-        let draining = self.workers.min(jobs.len());
-        let batch = Arc::new(Batch::new(jobs, draining));
-        for _ in 0..draining {
-            let batch = Arc::clone(&batch);
-            self.submit(move || batch.drain());
-        }
-        batch.wait()
     }
 }
 
@@ -654,66 +569,47 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The one merge rule, for any mix of outcomes on any pool shape:
-        /// the batch reports exactly the lowest failing index (error or
-        /// panic, whichever sits there), every job below it ran once, and
-        /// nothing ran twice — also behind a one-slot queue, where the
-        /// submitter of the batch's drain tasks blocks.
+        /// The one merge rule, for any mix of outcomes on any worker
+        /// count: the batch reports exactly the lowest failing index (its
+        /// error, or its panic re-raised with the index), every job below
+        /// it ran once, and nothing ran twice.
         #[test]
-        fn run_batch_reports_exactly_the_lowest_failure(
+        fn run_pooled_reports_exactly_the_lowest_failure(
             outcomes in proptest::collection::vec(0u8..8, 0..24),
             workers_pick in 0usize..3,
-            tight_queue in 0u8..2,
         ) {
             const ERR: u8 = 6;
             const PANIC: u8 = 7;
             let n = outcomes.len();
             let workers = [1, 2, 4][workers_pick];
-            let capacity = if tight_queue == 1 { 1 } else { n.max(1) };
             let ran: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            let (ran_ref, outcomes_ref) = (&ran, &outcomes);
             let mut shape = None;
-            let result = std::thread::scope(|s| {
-                let jobs = (0..n).map(|i| move || {
-                    ran_ref[i].fetch_add(1, Ordering::Relaxed);
-                    match outcomes_ref[i] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let job = |i: usize, _| {
+                    ran[i].fetch_add(1, Ordering::Relaxed);
+                    match outcomes[i] {
                         ERR => Err(i),
                         PANIC => panic!("job {i} blew up"),
                         _ => Ok(()),
                     }
-                });
-                Pool::spawn_in(s, workers, capacity).run_batch(jobs.collect(), |s| shape = Some(s))
-            });
+                };
+                run_pooled(vec![(); n], workers, job, |s| shape = Some(s))
+            }))
+            .map_err(panic_message);
+            let workers = if n <= 1 { 1 } else { workers };
             prop_assert_eq!(shape, Some(PoolShape { jobs: n, workers }));
             let runs: Vec<usize> = ran.iter().map(|r| r.load(Ordering::Relaxed)).collect();
             prop_assert!(runs.iter().all(|&r| r <= 1), "a job ran twice: {runs:?}");
             let first = outcomes.iter().position(|&o| o >= ERR);
             let want = match first {
-                None => Ok(()),
-                Some(index) if outcomes[index] == ERR => Err(PoolError::Job { index, error: index }),
-                Some(index) => Err(PoolError::Panic {
-                    index,
-                    message: format!("job {index} blew up"),
-                }),
+                None => Ok(Ok(())),
+                Some(index) if outcomes[index] == ERR => Ok(Err(index)),
+                Some(index) => Err(format!("pooled job {index} panicked: job {index} blew up")),
             };
             prop_assert_eq!(result, want);
             let below = first.unwrap_or(n);
             prop_assert!(runs[..below].iter().all(|&r| r == 1), "skipped below {below}: {runs:?}");
         }
-    }
-
-    #[test]
-    fn pool_error_names_the_job() {
-        let panic: PoolError<String> = PoolError::Panic {
-            index: 2,
-            message: "boom 2".to_string(),
-        };
-        assert_eq!(panic.to_string(), "pool job 2 panicked: boom 2");
-        let job = PoolError::Job {
-            index: 4,
-            error: "short read",
-        };
-        assert_eq!(job.to_string(), "pool job 4 failed: short read");
     }
 
     #[test]
@@ -758,32 +654,25 @@ mod tests {
     }
 
     #[test]
-    fn tasks_of_one_pool_submit_batches_into_another() {
-        // The serving shape: a long-lived decode pool in the outer scope,
-        // shard pools in an inner one whose tasks borrow `&decode` and
-        // fan batches out to it concurrently; each batch completes on its
-        // own.
+    fn shard_pool_tasks_run_concurrent_pooled_batches() {
+        // The serving shape: tasks on two shard pools each fan a batch out
+        // with `run_pooled`, concurrently; each batch completes on its own.
         let count = AtomicUsize::new(0);
         let batches_ok = AtomicUsize::new(0);
-        std::thread::scope(|outer| {
-            let decode = Pool::spawn_in(outer, 2, 2);
-            std::thread::scope(|inner| {
-                let shards = [Pool::spawn_in(inner, 1, 1), Pool::spawn_in(inner, 2, 1)];
-                for task in 0..6 {
-                    let (decode, count, batches_ok) = (&decode, &count, &batches_ok);
-                    shards[task % 2].submit(move || {
-                        let jobs = (0..8).map(|_| {
-                            move || {
-                                count.fetch_add(1, Ordering::Relaxed);
-                                Ok::<(), String>(())
-                            }
-                        });
-                        if decode.run_batch(jobs.collect(), |_| {}).is_ok() {
-                            batches_ok.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-            });
+        std::thread::scope(|s| {
+            let shards = [Pool::spawn_in(s, 1, 1), Pool::spawn_in(s, 2, 1)];
+            for task in 0..6 {
+                let (count, batches_ok) = (&count, &batches_ok);
+                shards[task % 2].submit(move || {
+                    let job = |_, _| {
+                        count.fetch_add(1, Ordering::Relaxed);
+                        Ok::<(), String>(())
+                    };
+                    if run_pooled(vec![(); 8], 2, job, |_| {}).is_ok() {
+                        batches_ok.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
         });
         assert_eq!(batches_ok.load(Ordering::Relaxed), 6);
         assert_eq!(count.load(Ordering::Relaxed), 48);

@@ -638,6 +638,38 @@ fn hostile_container_sizes_are_typed_errors() {
     }
 }
 
+/// Two containers that parse but whose headers ask a decode for ~976 MB
+/// and ~550 GB: the tiny model's 2 layers × 16 channels at group size
+/// 65,535 (not the codec's), with zeroed scales and every chunk empty. A
+/// decode refuses the group size before it sizes anything.
+#[test]
+fn a_foreign_group_size_is_refused_before_anything_is_sized() {
+    let (codec, _) = encode_small(1, 20, true);
+    for (tokens, len) in [(4_000_000, 520), (u32::MAX, 262_420)] {
+        let groups = (tokens as usize).div_ceil(65_535);
+        let mut bytes = header(2, tokens, 16, 65_535);
+        bytes.extend(vec![0; 4 * 2 * 16 * 2 + 2 * 2 * groups]);
+        assert_eq!(bytes.len(), len);
+        let enc = EncodedKv::from_bytes(&bytes).expect("a well-formed container");
+        let arrivals = ChunkArrivalMap::full(2, groups);
+        let mut out = KvCache::zeros(2, 1, 16);
+        let refusals = [
+            codec.try_decode(&enc).err(),
+            codec.try_decode_parallel(&enc).err(),
+            codec
+                .decode_with_repairs(&enc, &arrivals, RepairPolicy::ZeroFill)
+                .err(),
+            codec
+                .decode_into(&enc, &mut out, 0, &cachegen_telemetry::NOOP)
+                .err(),
+        ];
+        for got in refusals {
+            let geometry = matches!(got, Some(CodecError::Geometry(_)));
+            assert!(geometry, "{tokens} tokens: {got:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
