@@ -56,7 +56,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "no-raw-spawn",
-        summary: "thread::spawn/scope banned outside the approved executor modules — tensor::pool is the one module that spawns; serving::threads only opens the scope its shard pools live in",
+        summary: "thread::spawn/scope banned outside tensor::pool — the one module that spawns or scopes threads (run_pooled for a batch, run_queued for bounded queues)",
     },
     RuleInfo {
         name: "no-hash-iter",
@@ -132,7 +132,7 @@ const TOKEN_RULES: &[TokenRule] = &[
     TokenRule {
         name: "no-raw-spawn",
         tokens: &["thread::spawn", "thread::scope"],
-        message: "raw thread spawn; route work through cachegen_tensor::pool (run_pooled or a Pool) — the one module that spawns (cachegen_serving::threads only opens the scope its shard pools live in)",
+        message: "raw thread spawn; route work through cachegen_tensor::pool (run_pooled for a batch, run_queued for bounded queues) — the one module that spawns or scopes threads",
     },
     TokenRule {
         name: "no-hash-iter",
@@ -151,13 +151,10 @@ const TOKEN_RULES: &[TokenRule] = &[
     },
 ];
 
-/// The approved executor modules: the tensor crate's scoped bounded
-/// `Pool` — the one module that spawns threads, at the bottom of the
-/// crate graph so every crate can reach it — and the serving crate's real
-/// OS-thread execution backend, which only opens the `thread::scope`s
-/// its pools live in.
-pub const EXECUTOR_MODULES: &[&str] =
-    &["crates/tensor/src/pool.rs", "crates/serving/src/threads.rs"];
+/// The one module allowed to spawn or scope threads: the tensor
+/// crate's executor (`run_pooled`, `run_queued`), at the bottom of the
+/// crate graph so every crate can reach it.
+pub const EXECUTOR_MODULE: &str = "crates/tensor/src/pool.rs";
 
 /// The one module allowed to read the wall clock outside `crates/bench`:
 /// `telemetry::WallClock`, the sanctioned time source real execution
@@ -189,7 +186,7 @@ fn rule_applies(rule: &str, rel_path: &str) -> bool {
     match rule {
         "no-wall-clock" => !is_bench(rel_path) && rel_path != WALL_CLOCK_MODULE,
         "seeded-rng-only" => !is_bench(rel_path),
-        "no-raw-spawn" => !EXECUTOR_MODULES.contains(&rel_path),
+        "no-raw-spawn" => rel_path != EXECUTOR_MODULE,
         "no-hash-iter" => crate_of(rel_path).is_some_and(|c| HASH_BANNED_CRATES.contains(&c)),
         _ => true,
     }

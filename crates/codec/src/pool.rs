@@ -4,7 +4,7 @@
 //! telemetry (the executor itself is `std`-only, so that the sim
 //! transformer's prefill can run on it too).
 
-pub use cachegen_tensor::pool::{bounded_workers, for_each_pooled, run_pooled, Pool, PoolShape};
+pub use cachegen_tensor::pool::{bounded_workers, run_pooled, run_queued, PoolShape};
 
 use cachegen_telemetry::Recorder;
 

@@ -322,17 +322,20 @@ mod tests {
 
     #[test]
     fn concurrent_touch_insert() {
-        // Real threads come from the one approved pool helper; scoped
-        // workers borrow the cache directly, no Arc needed.
+        // Four real threads on any host, from the executor's `run_pooled`;
+        // scoped workers borrow the cache directly, no Arc needed.
         let c = LruKvCache::new(10_000);
-        cachegen_codec::pool::for_each_pooled((0..8u64).collect(), |_, t| {
+        let hammer = |_, t: u64| {
             for i in 0..500 {
                 let id = (t * 31 + i) % 16;
                 if !c.touch(id) {
                     c.insert(id, 500);
                 }
             }
-        });
+            Ok::<(), ()>(())
+        };
+        let done = cachegen_codec::pool::run_pooled((0..8).collect(), 4, hammer, |_| {});
+        assert_eq!(done, Ok(()));
         assert!(c.inner.lock().used_bytes <= c.capacity_bytes);
         let s = c.stats();
         assert_eq!(s.hits + s.misses, 8 * 500);

@@ -200,20 +200,23 @@ mod tests {
 
     #[test]
     fn concurrent_reads_and_writes() {
-        // Real threads come from the one approved pool helper; scoped
-        // workers borrow the store directly, no Arc needed.
+        // Four real threads on any host, from the executor's `run_pooled`;
+        // scoped workers borrow the store directly, no Arc needed.
         let store = KvStore::new();
         store.store_kv(9, vec![chunk(10, &[64; 4], 16)]);
-        cachegen_codec::pool::for_each_pooled((0..8usize).collect(), |_, i| {
+        let hammer = |_, i: usize| {
             for _ in 0..200 {
-                if i % 2 == 0 {
+                if i.is_multiple_of(2) {
                     let f = store.get_kv(9, 0, i % 4).unwrap();
                     assert_eq!(f.len(), 64);
                 } else {
                     store.store_kv(100 + i as u64, vec![chunk(5, &[32], 8)]);
                 }
             }
-        });
+            Ok::<(), ()>(())
+        };
+        let done = cachegen_codec::pool::run_pooled((0..8).collect(), 4, hammer, |_| {});
+        assert_eq!(done, Ok(()));
         assert!(store.total_bytes() > 0);
     }
 

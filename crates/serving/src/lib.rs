@@ -31,9 +31,9 @@
 //!   ([`ServingCluster::plan_run`]): each admission decision and
 //!   dispatched batch, as replayable data.
 //! * [`threads`] — [`ThreadBackend`]: the plan replayed on real OS
-//!   threads — one bounded `tensor::pool::Pool` per shard, each batch's
-//!   chunk decodes fanned out with `run_pooled` — with wall-clock
-//!   durations.
+//!   threads — batches fed through `tensor::pool::run_queued` into one
+//!   bounded queue per shard, each batch's chunk decodes fanned out with
+//!   `run_pooled` — with wall-clock durations.
 //! * [`trace`] — the one place request span trees are recorded and a
 //!   run's metrics are published ([`trace::METRICS`] names every key), so
 //!   both ways of running a trace export the same taxonomy.

@@ -9,17 +9,16 @@
 //!    chunk configuration of every context load, and each loss-repair
 //!    re-fetch (with the synthetic trace id the oracle assigned it). The
 //!    oracle's [`ServingReport`] is the authoritative outcome set.
-//! 2. **Execute** — the plan replays on real threads, all owned by one
-//!    kind of executor, the workspace's scoped bounded [`Pool`]: each
-//!    shard has a pool of `workers_per_shard` threads behind a queue
-//!    bounded at `queue_capacity` (a full queue blocks the feeder — real
-//!    backpressure), and the shard worker that runs a batch fans its chunk
-//!    loads out with [`run_pooled`] over `decode_pool_workers` workers
-//!    (itself and scoped helpers), where the *actual* entropy decode of
-//!    the stored bitstream runs. Text-fallback chunks, prompt prefill,
-//!    and re-fetch bytes have no real GPU/NIC behind them, so they are
-//!    emulated as deterministic compute proportional to the virtual
-//!    model's inputs.
+//! 2. **Execute** — the plan replays on real threads, fed through
+//!    [`run_queued`]: each shard has a queue bounded at `queue_capacity`
+//!    (a full queue blocks the feeder — real backpressure) drained by
+//!    `workers_per_shard` threads, and the shard worker that runs a
+//!    batch fans its chunk loads out with [`run_pooled`] over
+//!    `decode_pool_workers` workers (itself and scoped helpers), where
+//!    the *actual* entropy decode of the stored bitstream runs.
+//!    Text-fallback chunks, prompt prefill, and re-fetch bytes have no
+//!    real GPU/NIC behind them, so they are emulated as deterministic
+//!    compute proportional to the virtual model's inputs.
 //!
 //! Because outcomes come from the plan, the two backends agree on
 //! everything but time: same dispositions, same shed/degrade decisions,
@@ -28,14 +27,13 @@
 //! the oracle itself calls, with wall-clock durations where the oracle has
 //! virtual ones. `tests/backend_equivalence.rs` diffs exactly that.
 //!
-//! This module spawns nothing itself: it opens the one `thread::scope`
-//! its shard pools live in. `tensor::pool` (reached here through its
-//! `codec::pool` re-export) is the one spawn site; the `cachegen-analyze`
-//! no-raw-spawn rule enforces both.
+//! This module spawns no thread and opens no scope: `tensor::pool`
+//! (reached here through its `codec::pool` re-export) owns every thread,
+//! and the `cachegen-analyze` no-raw-spawn rule holds this file to that.
 
 use std::sync::{Mutex, PoisonError};
 
-use cachegen_codec::pool::{report_shape, run_pooled, Pool};
+use cachegen_codec::pool::{report_shape, run_pooled, run_queued};
 use cachegen_kvstore::FetchedChunk;
 use cachegen_telemetry::{Clock, Recorder, SpanCtx, Stage, WallClock, NOOP};
 use cachegen_workloads::ServingRequest;
@@ -185,22 +183,19 @@ impl ThreadBackend {
             ..ThreadRunStats::default()
         });
 
-        std::thread::scope(|s| {
-            let pools: Vec<Pool<'_>> = shards
-                .iter()
-                .map(|_| Pool::spawn_in(s, self.workers_per_shard, self.queue_capacity))
-                .collect();
-            let (plan, stats, workers) = (&plan, &stats, self.decode_pool_workers);
-            for batch in &plan.batches {
-                let shard = &shards[batch.shard];
-                let enqueued = clock.now();
-                // A full shard queue blocks here: bounded-queue
-                // backpressure at the dispatch seam.
-                pools[batch.shard].submit(move || {
-                    execute_batch(batch, enqueued, shard, workers, clock, recorder, stats)
-                });
-            }
-        });
+        // The feed takes a batch's enqueue time before a full shard queue
+        // blocks it: bounded-queue backpressure at the dispatch seam.
+        let workers = self.decode_pool_workers;
+        run_queued(
+            shards.len(),
+            self.workers_per_shard,
+            self.queue_capacity,
+            plan.batches.iter().map(|b| (b.shard, (b, clock.now()))),
+            |shard, (batch, enqueued)| {
+                let shard = &shards[shard];
+                execute_batch(batch, enqueued, shard, workers, clock, recorder, &stats)
+            },
+        );
         let mut stats = stats.into_inner().unwrap_or_else(PoisonError::into_inner);
         stats.wall_secs = clock.now();
         stats.wall_ttfts.sort_unstable_by_key(|(req, _)| *req);

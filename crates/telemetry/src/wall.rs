@@ -4,7 +4,7 @@
 //! This module is the workspace's *only* sanctioned wall-clock time
 //! source — the `cachegen-analyze` `no-wall-clock` rule exempts exactly
 //! this file (and the bench crate), the same way `no-raw-spawn` exempts
-//! the approved executor modules. Everything the simulator computes
+//! the one executor module. Everything the simulator computes
 //! stays on the virtual [`ManualClock`](crate::ManualClock); a recorder
 //! built on [`WallClock`] measures how long the real backend *actually*
 //! took, in the same span/metric taxonomy, without ever feeding wall

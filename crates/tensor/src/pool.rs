@@ -4,34 +4,33 @@
 //! Every headline number in this reproduction rests on the virtual-clock
 //! simulator being a bit-reproducible oracle, so real threads are
 //! quarantined: the `no-raw-spawn` rule in `cachegen-analyze` bans
-//! spawning or scoping threads everywhere outside this module and the
-//! serving crate's thread backend (`serving::threads`, which only opens
-//! the scope its shard [`Pool`]s live in). Workers here never touch
-//! simulator state — they only drain a queue of independent tasks, and
-//! a batch of order-tagged jobs is merged deterministically (the first
-//! failure *by job index* wins, matching what a serial loop would
-//! report; a panic is reported with the losing job's index, never
+//! spawning or scoping threads everywhere outside this module. Workers
+//! here never touch simulator state — they only drain independent work
+//! items, and a batch of order-tagged jobs is merged deterministically
+//! (the first failure *by job index* wins, matching what a serial loop
+//! would report; a panic is reported with the losing job's index, never
 //! silently swallowed).
 //!
-//! One executor lives here: [`Pool`], a bounded task queue drained by
-//! workers spawned into the caller's [`std::thread::scope`], so tasks
-//! borrow instead of owning. [`run_pooled`] — the one batch entry point,
-//! under the sim transformer's prefill phases, the codec's pooled decode,
-//! the OS-thread serving backend's chunk loads and [`for_each_pooled`] —
-//! opens a scope for one batch of jobs and drains it on the calling
-//! thread beside the workers it spawns. The serving backend keeps one
-//! [`Pool`] per shard alive for a whole run, so batch dispatch does not
-//! spawn.
+//! Two functions, each opening one [`std::thread::scope`] so work borrows
+//! instead of owning:
+//!
+//! * [`run_pooled`] runs one batch of jobs and drains it on the calling
+//!   thread beside the workers it spawns — under the sim transformer's
+//!   prefill phases, the codec's pooled decode and the OS-thread serving
+//!   backend's chunk loads.
+//! * [`run_queued`] feeds a stream of items into bounded queues — std's
+//!   [`sync_channel`], each drained by its own workers for the whole
+//!   stream — so dispatching an item does not spawn. The serving backend
+//!   runs its shard queues on it.
 //!
 //! The module is `std`-only and sits at the bottom of the crate graph,
 //! so every crate above it — the transformer included — runs on the same
 //! executor. Reporting a [`PoolShape`] to telemetry is the codec's
 //! (`cachegen_codec::pool`, which re-exports this module's items).
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::Scope;
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Worker count for a pooled run: one per available core, never more
 /// than there are work items (no oversubscription on small machines, no
@@ -150,24 +149,78 @@ where
     }
 }
 
-/// Infallible convenience wrapper around [`run_pooled`] for jobs that
-/// cannot fail (e.g. concurrency smoke tests hammering a shared
-/// structure).
-pub fn for_each_pooled<T, F>(jobs: Vec<T>, run: F)
-where
+/// Feeds `items`, `(queue, item)` pairs in order, into `queues` bounded
+/// queues and runs each as `run(queue, item)` on one of that queue's
+/// `workers` threads; returns once every item has run.
+///
+/// Each queue is std's [`sync_channel`] of `capacity` items: feeding a
+/// full queue blocks the caller until a worker takes one — backpressure,
+/// not unbounded memory. A queue's items start in feed order, and an
+/// item may fan a batch out with [`run_pooled`]. The end of `items` is
+/// the shutdown: the workers drain what is queued, then exit.
+///
+/// A panicking `run` does not take its worker down (a feed blocked on a
+/// queue whose workers died would never wake): the worker keeps
+/// draining and re-raises its first panic once its queue has closed, so
+/// the call panics after every other item has run.
+pub fn run_queued<T, F>(
+    queues: usize,
+    workers: usize,
+    capacity: usize,
+    items: impl IntoIterator<Item = (usize, T)>,
+    run: F,
+) where
     T: Send,
     F: Fn(usize, T) + Sync,
 {
-    let workers = bounded_workers(jobs.len());
-    let run = |idx, job| {
-        run(idx, job);
-        Ok::<(), std::convert::Infallible>(())
-    };
-    let result = run_pooled(jobs, workers, run, |_| {});
-    match result {
-        Ok(()) => {}
-        Err(e) => match e {},
+    assert!(workers >= 1, "need at least one worker per queue");
+    assert!(capacity >= 1, "need a positive queue capacity");
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..queues)
+        .map(|_| {
+            let (tx, rx) = sync_channel::<T>(capacity);
+            (tx, Mutex::new(rx))
+        })
+        .unzip();
+    let run = &run;
+    std::thread::scope(|s| {
+        for (queue, rx) in receivers.iter().enumerate() {
+            for _ in 0..workers {
+                s.spawn(move || drain_queue(queue, rx, run));
+            }
+        }
+        for (queue, item) in items {
+            // The receivers outlive the scope, so a send cannot fail.
+            let _ = senders[queue].send(item);
+        }
+        // Closing the channels ends the workers' loops; the scope cannot
+        // join them before.
+        drop(senders);
+    });
+}
+
+/// One [`run_queued`] worker: runs `queue`'s items until the channel is
+/// empty and closed, then re-raises the first panic it caught.
+fn drain_queue<T>(queue: usize, rx: &Mutex<Receiver<T>>, run: &impl Fn(usize, T)) {
+    let mut first_panic = None;
+    loop {
+        // The guard drops at the end of this statement: held across
+        // `run`, it would run the queue's workers one at a time.
+        let next = relock(rx).recv();
+        let Ok(item) = next else { break };
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run(queue, item))) {
+            first_panic.get_or_insert(payload);
+        }
     }
+    if let Some(payload) = first_panic {
+        resume_unwind(payload);
+    }
+}
+
+/// Locks executor state, poisoned or not: work runs outside every lock
+/// and each update under one is a single step, so a poisoned mutex from
+/// an unrelated panic must not wedge a drainer.
+fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// How the lowest-indexed failing job of a [`run_pooled`] batch failed:
@@ -182,58 +235,6 @@ impl<E> PoolError<E> {
         match self {
             PoolError::Job { index, .. } | PoolError::Panic { index, .. } => *index,
         }
-    }
-}
-
-/// A task on a pool's queue; it may borrow anything that outlives the
-/// scope the pool's workers were spawned into.
-type Task<'scope> = Box<dyn FnOnce() + Send + 'scope>;
-
-/// Queue state behind the pool's mutex.
-struct PoolQueue<'scope> {
-    tasks: VecDeque<Task<'scope>>,
-    shutdown: bool,
-}
-
-/// State shared between the pool's owner and its workers.
-struct PoolShared<'scope> {
-    queue: Mutex<PoolQueue<'scope>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-/// Locks pool state, poisoned or not: tasks run outside every lock and
-/// each update under one is a single step, so a poisoned mutex from an
-/// unrelated panic must not wedge the pool.
-fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Drains the queue until shutdown. A panicking task must not take its
-/// worker down with it — a submitter blocked on a full queue whose
-/// workers died would never wake — so every task is unwind-caught, the
-/// worker keeps draining, and the first payload is re-raised once the
-/// queue is shut down: the scope's owner then fails exactly as it would
-/// for any panicked scoped thread.
-fn worker_loop(shared: &PoolShared<'_>) {
-    let mut first_panic = None;
-    loop {
-        let task = shared
-            .not_empty
-            .wait_while(relock(&shared.queue), |q| q.tasks.is_empty() && !q.shutdown)
-            .unwrap_or_else(PoisonError::into_inner)
-            .tasks
-            .pop_front();
-        // Empty after the wait means shut down *and* drained.
-        let Some(task) = task else { break };
-        shared.not_full.notify_one();
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-            first_panic.get_or_insert(payload);
-        }
-    }
-    if let Some(payload) = first_panic {
-        resume_unwind(payload);
     }
 }
 
@@ -295,64 +296,6 @@ impl<T, E> Batch<T, E> {
     }
 }
 
-/// A bounded-capacity worker pool spawned into a caller's
-/// [`std::thread::scope`] — the workspace's one executor.
-///
-/// `capacity` bounds the task queue; a submitter that would overflow it
-/// blocks until workers drain the backlog — backpressure, not unbounded
-/// memory. A task may submit into a *different* pool, or fan a batch out
-/// with [`run_pooled`]; do not submit from a pool's worker into the same
-/// pool: a full queue would then deadlock.
-///
-/// Dropping the pool shuts the queue down: workers drain what is queued,
-/// then exit, and the scope joins them. A raw [`submit`](Pool::submit)
-/// task that panicked fails that join, hence the scope's owner.
-pub struct Pool<'scope> {
-    shared: Arc<PoolShared<'scope>>,
-}
-
-impl<'scope> Pool<'scope> {
-    /// Spawns `workers` threads into `scope`, fed by a task queue bounded
-    /// at `capacity` (both at least 1).
-    pub fn spawn_in(scope: &'scope Scope<'scope, '_>, workers: usize, capacity: usize) -> Self {
-        assert!(workers >= 1, "need at least one pool worker");
-        assert!(capacity >= 1, "need a positive queue capacity");
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(PoolQueue {
-                tasks: VecDeque::new(),
-                shutdown: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
-        });
-        for _ in 0..workers {
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || worker_loop(&shared));
-        }
-        Pool { shared }
-    }
-
-    /// Enqueues one task, blocking while the queue is full.
-    pub fn submit(&self, task: impl FnOnce() + Send + 'scope) {
-        let capacity = self.shared.capacity;
-        let mut q = self
-            .shared
-            .not_full
-            .wait_while(relock(&self.shared.queue), |q| q.tasks.len() >= capacity)
-            .unwrap_or_else(PoisonError::into_inner);
-        q.tasks.push_back(Box::new(task));
-        self.shared.not_empty.notify_one();
-    }
-}
-
-impl Drop for Pool<'_> {
-    fn drop(&mut self) {
-        relock(&self.shared.queue).shutdown = true;
-        self.shared.not_empty.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,11 +307,13 @@ mod tests {
     fn runs_every_job() {
         let hits = AtomicUsize::new(0);
         let sum = AtomicUsize::new(0);
-        for_each_pooled((0..100usize).collect(), |idx, job| {
+        let count = |idx, job| {
             assert_eq!(idx, job);
             hits.fetch_add(1, Ordering::Relaxed);
             sum.fetch_add(job, Ordering::Relaxed);
-        });
+            Ok::<(), usize>(())
+        };
+        assert_eq!(run_pooled((0..100).collect(), 4, count, |_| {}), Ok(()));
         assert_eq!(hits.load(Ordering::Relaxed), 100);
         assert_eq!(sum.load(Ordering::Relaxed), 99 * 100 / 2);
     }
@@ -443,10 +388,12 @@ mod tests {
             Ok(())
         );
         let seen = AtomicUsize::new(0);
-        for_each_pooled(vec![42usize], |idx, job| {
+        let once = |idx, job| {
             assert_eq!((idx, job), (0, 42));
             seen.fetch_add(1, Ordering::Relaxed);
-        });
+            Ok::<(), usize>(())
+        };
+        assert_eq!(run_pooled(vec![42usize], 4, once, |_| {}), Ok(()));
         assert_eq!(seen.load(Ordering::Relaxed), 1);
     }
 
@@ -614,64 +561,49 @@ mod tests {
 
     #[test]
     fn full_queue_blocks_the_submitter() {
-        let queue_depth = |pool: &Pool<'_>| relock(&pool.shared.queue).tasks.len();
-        // One worker held inside task 0, capacity 1: task 1 fills the
-        // queue and the submit of task 2 cannot return until the worker
-        // is released — the bound holds the whole time.
-        let gate = Barrier::new(2);
-        let started = AtomicBool::new(false);
-        let submitted = AtomicBool::new(false);
+        // One worker held inside item 0, capacity 1: item 1 fills the
+        // queue, and the feed, once it has produced item 2, cannot
+        // advance until the worker is released.
+        let fed = AtomicUsize::new(0);
         let order = Mutex::new(Vec::new());
-        std::thread::scope(|outer| {
-            let pool = Pool::spawn_in(outer, 1, 1);
-            pool.submit(|| {
-                started.store(true, Ordering::SeqCst);
-                gate.wait();
-                relock(&order).push(0);
-            });
-            std::thread::scope(|inner| {
-                inner.spawn(|| {
-                    pool.submit(|| relock(&order).push(1));
-                    pool.submit(|| relock(&order).push(2));
-                    submitted.store(true, Ordering::SeqCst);
-                });
-                while !started.load(Ordering::SeqCst) || queue_depth(&pool) < 1 {
+        let items = (0..4usize).map(|i| {
+            fed.store(i + 1, Ordering::SeqCst);
+            (0, i)
+        });
+        run_queued(1, 1, 1, items, |_, i| {
+            if i == 0 {
+                while fed.load(Ordering::SeqCst) < 3 {
                     std::thread::yield_now();
                 }
                 for _ in 0..2_000 {
-                    assert!(queue_depth(&pool) <= 1, "queue grew past its capacity");
-                    assert!(
-                        !submitted.load(Ordering::SeqCst),
-                        "submit returned while the queue was full"
-                    );
+                    let fed = fed.load(Ordering::SeqCst);
+                    assert_eq!(fed, 3, "the feed advanced past a full queue");
                     std::thread::yield_now();
                 }
-                gate.wait();
-            });
-            assert!(submitted.load(Ordering::SeqCst));
+            }
+            relock(&order).push(i);
         });
-        assert_eq!(*relock(&order), vec![0, 1, 2]);
+        assert_eq!(*relock(&order), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn shard_pool_tasks_run_concurrent_pooled_batches() {
-        // The serving shape: tasks on two shard pools each fan a batch out
-        // with `run_pooled`, concurrently; each batch completes on its own.
+        // The serving shape: items on two queues each fan a batch out with
+        // `run_pooled`. The first item of each queue waits for the other's
+        // at a barrier, so the two queues' batches run at the same time.
+        let both = Barrier::new(2);
         let count = AtomicUsize::new(0);
         let batches_ok = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let shards = [Pool::spawn_in(s, 1, 1), Pool::spawn_in(s, 2, 1)];
-            for task in 0..6 {
-                let (count, batches_ok) = (&count, &batches_ok);
-                shards[task % 2].submit(move || {
-                    let job = |_, _| {
-                        count.fetch_add(1, Ordering::Relaxed);
-                        Ok::<(), String>(())
-                    };
-                    if run_pooled(vec![(); 8], 2, job, |_| {}).is_ok() {
-                        batches_ok.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
+        run_queued(2, 2, 1, (0..6).map(|item| (item % 2, item)), |_, item| {
+            if item < 2 {
+                both.wait();
+            }
+            let job = |_, _| {
+                count.fetch_add(1, Ordering::Relaxed);
+                Ok::<(), String>(())
+            };
+            if run_pooled(vec![(); 8], 2, job, |_| {}).is_ok() {
+                batches_ok.fetch_add(1, Ordering::Relaxed);
             }
         });
         assert_eq!(batches_ok.load(Ordering::Relaxed), 6);
@@ -679,23 +611,41 @@ mod tests {
     }
 
     #[test]
-    fn drop_drains_queued_tasks() {
-        // Shutdown is flagged while the only worker is still held inside
-        // the first task: everything queued behind it must still run.
-        let gate = Barrier::new(2);
-        let ran = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let pool = Pool::spawn_in(s, 1, 8);
-            pool.submit(|| {
-                gate.wait();
-            });
-            for _ in 0..5 {
-                pool.submit(|| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                });
+    fn a_queues_workers_run_its_items_at_once() {
+        // Two workers, two items on one queue, each waiting until both have
+        // started: a worker that held the queue's lock across `run` would
+        // leave the second item queued until the wait gave up.
+        let started = AtomicUsize::new(0);
+        run_queued(1, 2, 2, [(0, ()), (0, ())], |_, ()| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let mut spins = 0u32;
+            while started.load(Ordering::SeqCst) < 2 {
+                spins += 1;
+                assert!(spins < 5_000_000, "the queue's second worker never started");
+                std::thread::yield_now();
             }
-            drop(pool);
-            gate.wait();
+        });
+    }
+
+    #[test]
+    fn drop_drains_queued_tasks() {
+        // The feed ends while the only worker is still held inside item 0:
+        // everything queued behind it must still run.
+        let fed_all = AtomicBool::new(false);
+        let ran = AtomicUsize::new(0);
+        let end_of_feed = std::iter::from_fn(|| {
+            fed_all.store(true, Ordering::SeqCst);
+            None
+        });
+        let items = (0..6).map(|i| (0, i)).chain(end_of_feed);
+        run_queued(1, 1, 8, items, |_, i| {
+            if i == 0 {
+                while !fed_all.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            } else {
+                ran.fetch_add(1, Ordering::Relaxed);
+            }
         });
         assert_eq!(ran.load(Ordering::Relaxed), 5);
     }
@@ -703,20 +653,61 @@ mod tests {
     #[test]
     fn panicking_task_fails_the_owner_without_wedging_submitters() {
         // One worker, capacity 1: had the panic killed the worker, the
-        // later submits would block forever on a queue nobody drains.
+        // feed would block forever on a queue nobody drains.
         let ran = AtomicUsize::new(0);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            std::thread::scope(|s| {
-                let pool = Pool::spawn_in(s, 1, 1);
-                pool.submit(|| panic!("raw task blew up"));
-                for _ in 0..3 {
-                    pool.submit(|| {
-                        ran.fetch_add(1, Ordering::Relaxed);
-                    });
+            run_queued(1, 1, 1, (0..4).map(|i| (0, i)), |_, i| {
+                if i == 0 {
+                    panic!("queued item blew up");
                 }
+                ran.fetch_add(1, Ordering::Relaxed);
             })
         }));
-        assert!(outcome.is_err(), "the task's panic must reach the owner");
+        assert!(outcome.is_err(), "the item's panic must reach the caller");
         assert_eq!(ran.load(Ordering::Relaxed), 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any queue count, worker count, capacity and assignment: every
+        /// item runs exactly once, on a worker of its own queue, and a
+        /// one-worker queue runs its items in feed order.
+        #[test]
+        fn run_queued_runs_each_item_once_on_its_queue(
+            queues_pick in 0usize..3,
+            workers_pick in 0usize..3,
+            capacity in 1usize..3,
+            picks in proptest::collection::vec(0usize..6, 0..24),
+        ) {
+            let queues = queues_pick + 1;
+            let workers = [1, 2, 4][workers_pick];
+            let assigned: Vec<usize> = picks.iter().map(|p| p % queues).collect();
+            // Per queue: (item, thread) in the order the items started.
+            let logs: Vec<_> = (0..queues).map(|_| Mutex::new(Vec::new())).collect();
+            let items = assigned.iter().copied().enumerate().map(|(i, q)| (q, i));
+            run_queued(queues, workers, capacity, items, |queue, item| {
+                relock(&logs[queue]).push((item, std::thread::current().id()));
+            });
+            // Each thread that ran an item, with the queue it ran it for.
+            let mut owners = Vec::new();
+            for (queue, log) in logs.iter().enumerate() {
+                let log = relock(log);
+                let mut ran: Vec<usize> = log.iter().map(|&(item, _)| item).collect();
+                if workers > 1 {
+                    ran.sort_unstable();
+                }
+                let fed: Vec<usize> =
+                    (0..assigned.len()).filter(|&i| assigned[i] == queue).collect();
+                prop_assert_eq!(ran, fed, "queue {}", queue);
+                for &(_, thread) in log.iter() {
+                    match owners.iter().find(|&&(t, _)| t == thread) {
+                        Some(&(_, owner)) => prop_assert_eq!(owner, queue, "two queues' items"),
+                        None => owners.push((thread, queue)),
+                    }
+                }
+                prop_assert!(owners.iter().filter(|&&(_, q)| q == queue).count() <= workers);
+            }
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! per-lane truncation/corruption/slack detection with typed errors,
 //! chunk-local damage containment, and rejection of the retired wires.
 
-use cachegen_codec::delta::GroupLayout;
+use cachegen_codec::container::wire_to_scale;
+use cachegen_codec::delta::{GroupLayout, DEFAULT_GROUP_SIZE};
 use cachegen_codec::encoder::SymKind;
 use cachegen_codec::rans::{self, LANES, RANS_L, STATE_BYTES};
 use cachegen_codec::repair::{ChunkArrivalMap, RepairCause, RepairPolicy};
@@ -697,5 +698,72 @@ proptest! {
         let mut bytes = header(layers, tokens, channels, group_size);
         bytes.extend(body.iter().take(least - 1).map(|&b| b as u8));
         prop_assert!(EncodedKv::from_bytes(&bytes).is_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Containers that parse, with layers and channels at or next to the
+    /// tiny model's profile (2 × 16), 1 to 4 groups of tokens at the
+    /// codec's group size and random scales; all, some or none of the
+    /// chunks are 0–79 random bytes, the rest real chunks of the same
+    /// side and layer from any group, and some are marked lost. Every
+    /// decode entry point returns a typed error or a cache within the
+    /// documented bound of `4 × channels × group_size` bytes per input
+    /// byte. None panics.
+    #[test]
+    fn near_profile_headers_decode_to_errors_or_bounded_caches(
+        exact in 0u8..2,
+        layers in 1usize..4,
+        channels in 15usize..18,
+        tokens in 1usize..(4 * DEFAULT_GROUP_SIZE + 1),
+        delta in 0u8..2,
+        random_chunks in 0u8..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (codec, real) = encode_small(1, 20, true);
+        let group_size = codec.config().group_size;
+        let (layers, channels) = if exact == 1 { (2, 16) } else { (layers, channels) };
+        let groups = tokens.div_ceil(group_size);
+        let mut rng = cachegen_tensor::rng::seeded(seed);
+        let scales = std::array::from_fn(|_| {
+            let row = |_| (0..channels).map(|_| wire_to_scale(rng.gen())).collect();
+            (0..layers).map(row).collect()
+        });
+        let mut chunks = |side: &[Vec<Vec<u8>>]| -> Vec<Vec<Vec<u8>>> {
+            let mut chunk = |layer: usize| -> Vec<u8> {
+                if random_chunks == 2 || (random_chunks == 1 && rng.gen()) {
+                    return (0..rng.gen_range(0..80)).map(|_| rng.gen()).collect();
+                }
+                let real_groups = &side[layer % side.len()];
+                real_groups[rng.gen_range(0..real_groups.len())].clone()
+            };
+            (0..layers).map(|l| (0..groups).map(|_| chunk(l)).collect()).collect()
+        };
+        let (k_chunks, v_chunks) = (chunks(&real.k_chunks), chunks(&real.v_chunks));
+        let delta_encoding = delta == 1;
+        let bytes = EncodedKv {
+            layers, tokens, channels, group_size, delta_encoding, k_chunks, v_chunks, scales,
+        }
+        .to_bytes();
+        let enc = EncodedKv::from_bytes(&bytes).expect("the container parses");
+        let mut arrivals = ChunkArrivalMap::full(layers, groups);
+        for _ in 0..rng.gen_range(0..4) {
+            arrivals.mark_lost(rng.gen(), rng.gen_range(0..layers), rng.gen_range(0..groups));
+        }
+        let bound = 4 * channels * group_size * bytes.len();
+        let bounded = |c: &KvCache| 8 * c.layers() * c.tokens() * c.channels() <= bound;
+        let whole = [codec.try_decode(&enc), codec.try_decode_parallel(&enc)];
+        for cache in whole.into_iter().flatten() {
+            prop_assert!(bounded(&cache));
+        }
+        for policy in [RepairPolicy::ZeroFill, RepairPolicy::AnchorInterpolate, RepairPolicy::Refetch] {
+            if let Ok(repaired) = codec.decode_with_repairs(&enc, &arrivals, policy) {
+                prop_assert!(bounded(&repaired.cache), "{policy:?}");
+            }
+        }
+        let mut out = KvCache::zeros(layers, tokens + 1, channels);
+        let _ = codec.decode_into(&enc, &mut out, 1, &cachegen_telemetry::NOOP);
     }
 }

@@ -201,9 +201,12 @@ fn eviction_accounting_under_concurrency() {
     assert_eq!(total, per.iter().sum::<u64>());
 
     let freed = AtomicU64::new(0);
-    cachegen_codec::pool::for_each_pooled((0..4u64).collect(), |_, id| {
+    let evict = |_, id| {
         freed.fetch_add(engine.store().evict(id), Ordering::Relaxed);
-    });
+        Ok::<(), ()>(())
+    };
+    let done = cachegen_codec::pool::run_pooled((0..4u64).collect(), 4, evict, |_| {});
+    assert_eq!(done, Ok(()));
     assert_eq!(freed.load(Ordering::Relaxed), total);
     assert_eq!(engine.store().total_bytes(), 0);
 }
