@@ -7,8 +7,9 @@
 //! consecutive deltas) lets all tokens of a group be encoded/decoded in
 //! parallel — the property the paper's CUDA decoder exploits.
 //!
-//! This module provides the group geometry and the pure delta transforms;
-//! the quantize-and-entropy-code pipeline lives in [`crate::encoder`].
+//! This module provides the group geometry and the consecutive-token
+//! deltas Figure 3 plots; anchors and deltas are quantised together in
+//! [`crate::quantize`] and entropy-coded in [`crate::encoder`].
 
 use cachegen_tensor::Tensor;
 
@@ -34,16 +35,6 @@ impl GroupLayout {
     /// Number of groups (the last may be short).
     pub fn num_groups(&self) -> usize {
         self.tokens.div_ceil(self.group_size)
-    }
-
-    /// Number of anchor tokens (= number of groups).
-    fn num_anchors(&self) -> usize {
-        self.num_groups()
-    }
-
-    /// Number of non-anchor (delta-coded) tokens.
-    fn num_delta_tokens(&self) -> usize {
-        self.tokens - self.num_anchors()
     }
 
     /// Token range `[start, end)` of group `g`.
@@ -84,55 +75,6 @@ pub fn consecutive_deltas(t: &Tensor) -> Vec<f32> {
     out
 }
 
-/// Splits one layer slab (`tokens × channels`) into anchor rows and
-/// anchor-relative delta rows under a [`GroupLayout`]. Returns
-/// `(anchors, deltas)` where `anchors` is `num_groups × channels` and
-/// `deltas` is `num_delta_tokens × channels`, both row-major in token order.
-pub fn split_anchor_deltas(
-    slab: &[f32],
-    channels: usize,
-    layout: GroupLayout,
-) -> (Vec<f32>, Vec<f32>) {
-    assert_eq!(slab.len(), layout.tokens * channels);
-    let mut anchors = Vec::with_capacity(layout.num_anchors() * channels);
-    let mut deltas = Vec::with_capacity(layout.num_delta_tokens() * channels);
-    for (anchor, members) in layout.groups() {
-        let arow = &slab[anchor * channels..(anchor + 1) * channels];
-        anchors.extend_from_slice(arow);
-        for t in members {
-            let row = &slab[t * channels..(t + 1) * channels];
-            for (a, x) in arow.iter().zip(row) {
-                deltas.push(x - a);
-            }
-        }
-    }
-    (anchors, deltas)
-}
-
-/// Inverse of [`split_anchor_deltas`]: reassembles the layer slab.
-pub fn merge_anchor_deltas(
-    anchors: &[f32],
-    deltas: &[f32],
-    channels: usize,
-    layout: GroupLayout,
-) -> Vec<f32> {
-    assert_eq!(anchors.len(), layout.num_anchors() * channels);
-    assert_eq!(deltas.len(), layout.num_delta_tokens() * channels);
-    let mut out = vec![0.0f32; layout.tokens * channels];
-    let mut d = 0;
-    for (g, (anchor, members)) in layout.groups().enumerate() {
-        let arow = &anchors[g * channels..(g + 1) * channels];
-        out[anchor * channels..(anchor + 1) * channels].copy_from_slice(arow);
-        for t in members {
-            for c in 0..channels {
-                out[t * channels + c] = arow[c] + deltas[d];
-                d += 1;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,8 +83,6 @@ mod tests {
     fn layout_counts() {
         let l = GroupLayout::new(10, 25);
         assert_eq!(l.num_groups(), 3);
-        assert_eq!(l.num_anchors(), 3);
-        assert_eq!(l.num_delta_tokens(), 22);
         assert_eq!(l.group_range(2), (20, 25));
     }
 
@@ -151,47 +91,6 @@ mod tests {
         let l = GroupLayout::new(5, 20);
         assert_eq!(l.num_groups(), 4);
         assert_eq!(l.group_range(3), (15, 20));
-    }
-
-    #[test]
-    fn groups_cover_all_tokens_once() {
-        let l = GroupLayout::new(7, 30);
-        let mut seen = [false; 30];
-        for (anchor, members) in l.groups() {
-            assert!(!seen[anchor]);
-            seen[anchor] = true;
-            for t in members {
-                assert!(!seen[t]);
-                seen[t] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn split_merge_round_trip() {
-        let channels = 3;
-        let tokens = 11;
-        let slab: Vec<f32> = (0..tokens * channels)
-            .map(|i| (i as f32) * 0.7 - 4.0)
-            .collect();
-        let layout = GroupLayout::new(4, tokens);
-        let (anchors, deltas) = split_anchor_deltas(&slab, channels, layout);
-        assert_eq!(anchors.len(), 3 * channels);
-        assert_eq!(deltas.len(), 8 * channels);
-        let back = merge_anchor_deltas(&anchors, &deltas, channels, layout);
-        for (a, b) in back.iter().zip(&slab) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn group_size_one_is_all_anchors() {
-        let layout = GroupLayout::new(1, 5);
-        let slab: Vec<f32> = (0..10).map(|i| i as f32).collect();
-        let (anchors, deltas) = split_anchor_deltas(&slab, 2, layout);
-        assert_eq!(anchors, slab);
-        assert!(deltas.is_empty());
     }
 
     #[test]

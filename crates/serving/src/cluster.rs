@@ -142,11 +142,12 @@ impl ServingCluster {
     /// admission decision and dispatched batch, in order — that the
     /// thread backend replays.
     ///
-    /// `recorder` traces the request lifecycle: every event pop advances
-    /// its virtual clock, admission degrade/shed decisions land as
-    /// instants, and each completed request gets a span tree that tiles
-    /// its TTFT exactly — a `request` root over `queue_wait` (arrival →
-    /// dispatch), `store_fetch` or `cache_decode` (dispatch → KV ready,
+    /// `recorder` traces the request lifecycle, each span and instant
+    /// stamped with the virtual event times the loop computes: admission
+    /// degrade/shed decisions land as instants, and each completed
+    /// request gets a span tree that tiles its TTFT exactly — a
+    /// `request` root over `queue_wait` (arrival → dispatch),
+    /// `store_fetch` or `cache_decode` (dispatch → KV ready,
     /// with the streamer's per-chunk wire/decode spans nested under the
     /// batch lead), and `prefill` (ready → first token). Loss-repair
     /// re-fetch batches trace under synthetic request ids past the trace
@@ -196,7 +197,6 @@ impl ServingCluster {
         }
 
         while let Some((now, event)) = run.events.pop() {
-            recorder.set_time(now);
             let idle_shard = match event {
                 Event::Arrival(i) => {
                     let req = &requests[i];

@@ -35,7 +35,7 @@ use std::sync::{Mutex, PoisonError};
 
 use cachegen_codec::pool::{report_shape, run_pooled, run_queued};
 use cachegen_kvstore::FetchedChunk;
-use cachegen_telemetry::{Clock, Recorder, SpanCtx, Stage, WallClock, NOOP};
+use cachegen_telemetry::{Recorder, SpanCtx, Stage, WallClock, NOOP};
 use cachegen_workloads::ServingRequest;
 
 use crate::cluster::ServingCluster;
@@ -419,7 +419,7 @@ mod tests {
         for (id, tokens) in &w.documents {
             c.store_context(*id, tokens);
         }
-        let recorder = Recorder::new_wall();
+        let recorder = Recorder::new();
         let (report, stats) = ThreadBackend::new(2).run_detailed(&mut c, &w.requests, &recorder);
         assert_eq!(report.outcomes, expected.outcomes);
         assert_eq!(report.makespan, expected.makespan);
@@ -440,7 +440,7 @@ mod tests {
         for (id, tokens) in &w.documents {
             c.store_context(*id, tokens);
         }
-        let recorder = Recorder::new_wall();
+        let recorder = Recorder::new();
         let (report, _) = ThreadBackend::new(2).run_detailed(&mut c, &w.requests, &recorder);
         let trace = cachegen_telemetry::chrome_trace_json(&recorder.spans(), &recorder.instants());
         let summary = cachegen_telemetry::validate_chrome_trace(&trace)
@@ -558,7 +558,7 @@ mod tests {
             ThreadBackend::new(2).run_detailed(&mut c, &w.requests, recorder)
         };
         let (silent, silent_stats) = run(&NOOP);
-        let recorder = Recorder::new_wall();
+        let recorder = Recorder::new();
         let (traced, traced_stats) = run(&recorder);
         assert_eq!(silent.outcomes, traced.outcomes);
         assert_eq!(silent_stats.batches, traced_stats.batches);

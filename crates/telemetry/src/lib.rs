@@ -1,9 +1,8 @@
 //! Deterministic telemetry for the CacheGen workspace.
 //!
 //! This crate is the measurement substrate the request path reports
-//! through: request-lifecycle [`Span`]s stamped in *virtual* time (the
-//! clock is injected, so the `cachegen-analyze` no-wall-clock gate
-//! applies here too), a counter/gauge/histogram [`MetricsRegistry`],
+//! through: request-lifecycle [`Span`]s carrying the times their caller
+//! passes in, a counter/gauge/histogram [`MetricsRegistry`],
 //! and two byte-deterministic exporters — Chrome trace-event JSON
 //! (loadable in Perfetto, one process per shard, one thread per tenant)
 //! and compact `BENCH_*.json` metrics snapshots.
@@ -17,12 +16,12 @@
 //! `cachegen.net.wire_bytes` or `cachegen.serving.ttft_ms`.
 //!
 //! Pure std, zero dependencies, by design: the crate must never pull
-//! simulator code in (every layer depends on it). The promise that only
-//! the [`Clock`] implementation swaps is now cashed in: the OS-thread
-//! execution backend records through the same [`Recorder`] built with
-//! [`Recorder::new_wall`] (a [`WallClock`] in the sanctioned [`wall`]
-//! module), so both backends export one span/metric taxonomy and differ
-//! only in durations.
+//! simulator code in (every layer depends on it). The recorder keeps no
+//! clock of its own: the discrete-event loop passes virtual seconds,
+//! and the OS-thread execution backend passes readings of a
+//! [`WallClock`] (the sanctioned [`wall`] module) to the same
+//! [`Recorder`] calls, so both backends export one span/metric taxonomy
+//! and differ only in durations.
 
 pub mod chrome;
 pub mod export;
@@ -37,9 +36,9 @@ pub mod wall;
 pub use chrome::{chrome_trace, chrome_trace_json};
 pub use export::{metrics_snapshot, metrics_snapshot_json, workspace_root};
 pub use json::JsonValue;
-pub use recorder::{Recorder, SpanGuard, NOOP};
+pub use recorder::{Recorder, NOOP};
 pub use registry::{Histogram, MetricsRegistry};
-pub use span::{Clock, InstantEvent, ManualClock, Span, SpanCtx, Stage};
+pub use span::{InstantEvent, Span, SpanCtx, Stage};
 pub use stats::{mean, percentile};
 pub use validate::{validate_chrome_trace, TraceSummary};
 pub use wall::WallClock;

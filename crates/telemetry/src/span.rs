@@ -1,16 +1,14 @@
-//! Request-lifecycle spans and the injected clock they are stamped with.
+//! Request-lifecycle spans.
 //!
-//! A [`Span`] is one closed `[start, end]` interval of virtual time
-//! attributed to a [`Stage`] of one request's lifecycle. The stages tile
-//! a completed request's TTFT exactly: `queue_wait` + (`store_fetch` |
+//! A [`Span`] is one closed `[start, end]` interval of time attributed
+//! to a [`Stage`] of one request's lifecycle. The stages tile a
+//! completed request's TTFT exactly: `queue_wait` + (`store_fetch` |
 //! `cache_decode`) + `prefill` sum to `finish − arrival`, with the
 //! transport-level stages (`wire_delivery`, `chunk_decode`,
-//! `text_recompute`, FEC/repair events) nested inside the fetch. The
-//! [`Clock`] trait is the seam that lets the same span API run against
-//! the discrete-event virtual clock today and a wall-clock execution
-//! backend later (see ROADMAP's execution-engine item).
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! `text_recompute`, FEC/repair events) nested inside the fetch. Times
+//! are whatever the caller passes: virtual seconds from the
+//! discrete-event loop, or [`WallClock`](crate::WallClock) seconds from
+//! the OS-thread backend.
 
 /// A stage of the request lifecycle (the span/event taxonomy).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -94,23 +92,23 @@ impl SpanCtx {
     }
 }
 
-/// One closed interval of virtual time attributed to a lifecycle stage.
+/// One closed interval of time attributed to a lifecycle stage.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Span {
     /// Lifecycle stage.
     pub stage: Stage,
     /// Owning request / track.
     pub ctx: SpanCtx,
-    /// Virtual start time, seconds.
+    /// Start time, seconds.
     pub start: f64,
-    /// Virtual end time, seconds (`end >= start`).
+    /// End time, seconds (`end >= start`).
     pub end: f64,
     /// Numeric annotations exported as Chrome-trace args.
     pub args: Vec<(&'static str, f64)>,
 }
 
 impl Span {
-    /// Span duration in virtual seconds.
+    /// Span duration in seconds.
     pub fn duration(&self) -> f64 {
         self.end - self.start
     }
@@ -123,62 +121,15 @@ pub struct InstantEvent {
     pub stage: Stage,
     /// Owning request / track.
     pub ctx: SpanCtx,
-    /// Virtual time of the event, seconds.
+    /// Time of the event, seconds.
     pub at: f64,
     /// Numeric annotations exported as Chrome-trace args.
     pub args: Vec<(&'static str, f64)>,
 }
 
-/// A monotone time source the recorder stamps RAII spans with.
-///
-/// The virtual-clock backend is [`ManualClock`], advanced explicitly by
-/// the discrete-event loop; a future wall-clock execution backend
-/// implements this trait over real time (outside this crate — the
-/// workspace determinism gate bans wall-clock sources here).
-pub trait Clock {
-    /// Current time in seconds.
-    fn now(&self) -> f64;
-}
-
-/// An explicitly advanced clock (virtual seconds stored as `f64` bits).
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    bits: AtomicU64,
-}
-
-impl ManualClock {
-    /// A clock at time zero.
-    pub const fn new() -> Self {
-        ManualClock {
-            bits: AtomicU64::new(0),
-        }
-    }
-
-    /// Sets the current time (the event loop calls this per event pop).
-    pub fn set(&self, t: f64) {
-        self.bits.store(t.to_bits(), Ordering::Relaxed);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn manual_clock_round_trips_exactly() {
-        let c = ManualClock::new();
-        assert_eq!(c.now(), 0.0);
-        for t in [0.1, 1e-12, 4.75, 1e9] {
-            c.set(t);
-            assert_eq!(c.now(), t, "bit-exact round trip");
-        }
-    }
 
     #[test]
     fn stage_names_are_unique() {

@@ -1,19 +1,19 @@
-//! The wall-clock [`Clock`]: real elapsed seconds for the OS-thread
-//! execution backend.
+//! [`WallClock`]: real elapsed seconds for the OS-thread execution
+//! backend.
 //!
 //! This module is the workspace's *only* sanctioned wall-clock time
 //! source — the `cachegen-analyze` `no-wall-clock` rule exempts exactly
 //! this file (and the bench crate), the same way `no-raw-spawn` exempts
-//! the one executor module. Everything the simulator computes
-//! stays on the virtual [`ManualClock`](crate::ManualClock); a recorder
-//! built on [`WallClock`] measures how long the real backend *actually*
-//! took, in the same span/metric taxonomy, without ever feeding wall
-//! time back into scheduling decisions.
+//! the one executor module. Everything the simulator computes stays in
+//! virtual time; the thread backend reads a [`WallClock`] and passes
+//! its readings to the same [`Recorder`](crate::Recorder) calls, so it
+//! measures how long the real backend *actually* took, in the same
+//! span/metric taxonomy, without ever feeding wall time back into
+//! scheduling decisions.
 //!
 //! Times are seconds since the clock's construction, so traces from
-//! both clock kinds start near zero and diff cleanly in Perfetto.
+//! both backends start near zero and diff cleanly in Perfetto.
 
-use crate::span::Clock;
 use std::time::Instant;
 
 /// Monotonic wall-clock seconds since construction.
@@ -29,17 +29,16 @@ impl WallClock {
             origin: Instant::now(),
         }
     }
+
+    /// Seconds elapsed since [`start`](Self::start).
+    pub fn now(&self) -> f64 {
+        self.origin.elapsed().as_secs_f64()
+    }
 }
 
 impl Default for WallClock {
     fn default() -> Self {
         Self::start()
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> f64 {
-        self.origin.elapsed().as_secs_f64()
     }
 }
 

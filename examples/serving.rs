@@ -253,7 +253,7 @@ fn run_threads_demo(demo: &ServingDemo, workers: usize) {
     );
 
     let mut cluster = demo.cluster(ServingDemo::config(AdaptPolicy::Adaptive), None);
-    let recorder = Recorder::new_wall();
+    let recorder = Recorder::new();
     let (report, stats) =
         ThreadBackend::new(workers).run_detailed(&mut cluster, &demo.workload.requests, &recorder);
     assert_eq!(

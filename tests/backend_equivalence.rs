@@ -352,7 +352,7 @@ fn thread_backend_agrees_with_the_oracle_on_everything_but_time() {
     for (id, tokens) in &wl.documents {
         thread_cluster.store_context(*id, tokens);
     }
-    let thread_recorder = Recorder::new_wall();
+    let thread_recorder = Recorder::new();
     let (report, stats) =
         ThreadBackend::new(2).run_detailed(&mut thread_cluster, &wl.requests, &thread_recorder);
     assert!(
@@ -453,7 +453,7 @@ fn both_backends_publish_exactly_the_metric_table() {
     assert_eq!(published_keys(&recorder.registry_snapshot()), oracle_rows);
 
     let (mut cluster, wl) = cold_cluster("lossy", 11);
-    let recorder = Recorder::new_wall();
+    let recorder = Recorder::new();
     ThreadBackend::new(2).run_detailed(&mut cluster, &wl.requests, &recorder);
     assert_eq!(published_keys(&recorder.registry_snapshot()), table);
 }
